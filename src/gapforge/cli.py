@@ -2,24 +2,29 @@
 
 All results are printed as canonical JSON on standard out (``--text`` swaps
 in the plain-text emitters where one exists).  Exit codes: 0 on success, 1 on
-validation or domain errors, 2 on usage errors.  The environment variable
-``GAPFORGE_MAX_STATES`` overrides the oracle state cap.
+validation or domain errors (as a JSON error envelope), 2 on usage errors.
+
+The exact searches share one state cap, ``gapforge.oracles.DEFAULT_MAX_STATES``,
+which the environment variable ``GAPFORGE_MAX_STATES`` overrides.  The verbs
+that charge it are ``solve``, ``check claims|agreement|lists|chain`` and
+``gen lc --with-oracle``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import GapforgeError
+from .errors import GapforgeError, InfeasibleSpec, SchemaViolation
 from .genlab import GenSpec, frustrate, gen_label_cover
 from .oracles import (
+    DEFAULT_MAX_STATES,
     SearchBudget,
+    enumerate_consistent_superassignments,
     solve_lc_max,
     solve_lhp_min,
     solve_ncp_min,
@@ -32,6 +37,7 @@ from .serialize import (
     canonical_bytes,
     encode_fraction,
     ncp_to_text,
+    read_document,
     read_instance,
     sis_to_text,
     to_document,
@@ -39,6 +45,7 @@ from .serialize import (
 )
 from .soundness import (
     ListConstructionParams,
+    agreement_soundness_exact,
     check_list_soundness_bound,
     list_construction,
     select_low_norm_tests,
@@ -53,12 +60,25 @@ from .superassign import (
 )
 from .instances import validate_label_cover
 
-DEFAULT_MAX_STATES = 10 ** 8
+
+class UsageError(Exception):
+    """A flag or environment value the CLI cannot use; exits 2 like argparse."""
 
 
 def _max_states() -> int:
     raw = os.environ.get("GAPFORGE_MAX_STATES")
-    return int(raw) if raw else DEFAULT_MAX_STATES
+    if not raw:
+        return DEFAULT_MAX_STATES
+    if not raw.isdecimal():
+        raise UsageError(f"GAPFORGE_MAX_STATES must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
+def _box_radius(raw: str) -> int:
+    """argparse type of ``--box``: the search box is [-k, k] with k >= 1."""
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _emit(doc: dict[str, Any]) -> None:
@@ -70,7 +90,7 @@ def _read(path: str, kind: str):
 
 
 def _budget(args, mode: str = "l1") -> SearchBudget:
-    return SearchBudget(coeff_box=getattr(args, "box", 2) or 2, max_states=_max_states(), mode=mode)
+    return SearchBudget(coeff_box=args.box, max_states=_max_states(), mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +101,7 @@ def _gen_spec_from_args(args) -> GenSpec:
     """Merge an optional spec file with flags; flags win where both are set."""
     fields: dict[str, Any] = {}
     if args.spec:
-        path = Path(args.spec)
-        if not path.exists():
-            raise FileNotFoundError(str(path))
-        fields.update(json.loads(path.read_text(encoding="utf-8")))
+        fields.update(read_document(args.spec))
     for key, value in (
         ("num_a", args.num_a),
         ("num_b", args.num_b),
@@ -99,8 +116,6 @@ def _gen_spec_from_args(args) -> GenSpec:
             fields[key] = value
     missing = [k for k in ("num_a", "num_b", "d_b", "sigma_a", "sigma_b", "p") if k not in fields]
     if missing:
-        from .errors import InfeasibleSpec
-
         raise InfeasibleSpec(f"generation spec is missing {missing}")
     return GenSpec(
         num_a=fields["num_a"],
@@ -254,11 +269,7 @@ def _cmd_check_claims(args) -> int:
     if args.super_path:
         candidates = [_read(args.super_path, "superassignment")]
     else:
-        from .oracles import enumerate_consistent_superassignments
-
-        total = sum(len(t.assignments) for t in ssat.tests)
-        _budget(args).check((2 * args.box + 1) ** total)
-        candidates = list(enumerate_consistent_superassignments(ssat, args.box))
+        candidates = enumerate_consistent_superassignments(ssat, args.box, _max_states())
     checked = 0
     violations: list[dict[str, Any]] = []
     for s in candidates:
@@ -286,8 +297,6 @@ def _cmd_check_claims(args) -> int:
 def _cmd_check_agreement(args) -> int:
     lc = _read(args.infile, "label_cover")
     bound = check_list_soundness_bound(lc, args.l, _max_states())
-    from .soundness import agreement_soundness_exact
-
     _emit(
         {
             "kind": "agreement_report",
@@ -359,16 +368,19 @@ def _cmd_check_chain(args) -> int:
     return 0 if doc["all_checks_passed"] else 1
 
 
-def _cmd_report(args) -> int:
-    path = Path(args.infile)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("kind") != "chain_report":
-        from .errors import SchemaViolation
+_GAP_ROW_KEYS = frozenset({"stage", "completeness_value", "oracle_minimum", "ratio"})
 
+
+def _cmd_report(args) -> int:
+    doc = read_document(args.infile)
+    if not isinstance(doc, dict) or doc.get("kind") != "chain_report":
         raise SchemaViolation("/kind", "expected a chain_report document")
-    rows = doc["gap_report"]["rows"]
+    gap = doc.get("gap_report")
+    rows = gap.get("rows") if isinstance(gap, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) and _GAP_ROW_KEYS <= r.keys() for r in rows):
+        raise SchemaViolation("/gap_report", f"expected rows with the fields {sorted(_GAP_ROW_KEYS)}")
+    if "all_checks_passed" not in doc:
+        raise SchemaViolation("/all_checks_passed", "missing from the chain_report")
     if args.text:
         widths = ("stage", "completeness", "oracle_min", "ratio")
         print("{:<8} {:>14} {:>11} {:>7}".format(*widths))
@@ -426,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run an exact oracle")
     solve.add_argument("kind", choices=["lc", "ssat", "sis", "ncp", "lhp"])
     solve.add_argument("--in", "--input", dest="infile", required=True)
-    solve.add_argument("--box", type=int, default=2)
+    solve.add_argument("--box", type=_box_radius, default=2)
     solve.add_argument("--mode", choices=["l1", "linf"], default="l1")
     solve.add_argument("--full-field", action="store_true")
     solve.set_defaults(func=_cmd_solve)
@@ -442,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_claims = check_sub.add_parser("claims")
     c_claims.add_argument("--in", "--input", dest="infile", required=True)
     c_claims.add_argument("--super", dest="super_path", default=None)
-    c_claims.add_argument("--box", type=int, default=2)
+    c_claims.add_argument("--box", type=_box_radius, default=2)
     c_claims.set_defaults(func=_cmd_check_claims)
 
     c_agr = check_sub.add_parser("agreement")
@@ -456,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_lists.add_argument("--g", type=int, default=1)
     c_lists.add_argument("--s-list", default="1/4")
     c_lists.add_argument("--seed", type=int, default=0)
-    c_lists.add_argument("--box", type=int, default=2)
+    c_lists.add_argument("--box", type=_box_radius, default=2)
     c_lists.add_argument("--derandomize", action="store_true")
     c_lists.set_defaults(func=_cmd_check_lists)
 
@@ -464,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_chain.add_argument("--in", "--input", dest="infile", required=True)
     c_chain.add_argument("--g", type=int, default=1)
     c_chain.add_argument("--s-list", default="1/4")
-    c_chain.add_argument("--box", type=int, default=2)
+    c_chain.add_argument("--box", type=_box_radius, default=2)
     c_chain.add_argument("--seed", type=int, default=0)
     c_chain.add_argument("--u", type=int, default=None)
     c_chain.add_argument("--d-rep", type=int, default=None)
@@ -485,6 +497,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except FileNotFoundError as exc:
         _emit({"error": {"type": "FileNotFound", "path": str(exc)}})
         return 1

@@ -1,20 +1,23 @@
 """Exact brute-force solvers: ground truth for every problem in the pipeline.
 
-All searches iterate a finite box or grid in lexicographic order and keep the
-first strict improvement, so results and witnesses are deterministic.  The
-state cap is a hard error, never a silent approximation.
+Every exhaustive search in the package runs on two functions: ``search_box``
+charges the size of a finite box against the state cap and hands back its
+points in lexicographic order, and ``lex_min`` walks them keeping the first
+strict improvement, so results and witnesses are deterministic.  The state
+cap is a hard error, never a silent approximation; ``DEFAULT_MAX_STATES`` is
+its one default.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
 
 from .errors import EmptyGrid, SearchSpaceTooLarge
 from .instances import (
-    Label,
     LabelCoverInstance,
     Labeling,
     LhpAssignment,
@@ -34,6 +37,41 @@ from .superassign import (
 )
 
 Mode = Literal["l1", "linf"]
+T = TypeVar("T")
+C = TypeVar("C")
+
+DEFAULT_MAX_STATES = 10 ** 8
+
+
+def search_box(max_states: int, axes: Sequence[Sequence[T]]) -> Iterator[tuple[T, ...]]:
+    """The points of ``axes[0] x axes[1] x ...`` in lexicographic order.
+
+    The box size, the product of the axis lengths, is charged up front:
+    above ``max_states`` this raises ``SearchSpaceTooLarge`` before any point
+    is visited.
+    """
+    states = math.prod(len(axis) for axis in axes)
+    if states > max_states:
+        raise SearchSpaceTooLarge(states, max_states)
+    return itertools.product(*axes)
+
+
+def lex_min(points: Iterable[T], cost: Callable[[T], Optional[C]]) -> tuple[Optional[C], Optional[T], int]:
+    """Least cost, the first point attaining it, and the number of points visited.
+
+    Only a strict improvement replaces the best point, so over a
+    lexicographic walk the witness is the lexicographically first optimum.
+    A cost of ``None`` rejects the point; maximize by negating the cost.
+    """
+    best_cost: Optional[C] = None
+    best: Optional[T] = None
+    states = 0
+    for point in points:
+        states += 1
+        c = cost(point)
+        if c is not None and (best_cost is None or c < best_cost):
+            best_cost, best = c, point
+    return best_cost, best, states
 
 
 @dataclass(frozen=True)
@@ -41,7 +79,7 @@ class SearchBudget:
     """Box radius and state cap for the exact searches."""
 
     coeff_box: int = 2
-    max_states: int = 10 ** 8
+    max_states: int = DEFAULT_MAX_STATES
     mode: Mode = "l1"
 
     def __post_init__(self):
@@ -49,10 +87,6 @@ class SearchBudget:
             raise ValueError("coeff_box must be at least 1")
         if self.mode not in ("l1", "linf"):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-    def check(self, states: int) -> None:
-        if states > self.max_states:
-            raise SearchSpaceTooLarge(states, self.max_states)
 
 
 # ---------------------------------------------------------------------------
@@ -66,58 +100,56 @@ class LcMaxResult:
     states_visited: int
 
 
+def _plurality_labeling(lc: LabelCoverInstance, combo: tuple) -> tuple[int, Labeling]:
+    """Edges satisfied by the A-labeling ``combo`` with its plurality B-side, and that labeling."""
+    phi_a = dict(zip(lc.a_vertices, combo))
+    phi_b: dict = {}
+    satisfied = 0
+    for b in lc.b_vertices:
+        counts = {y: 0 for y in lc.sigma_b}
+        for e in lc.edges_of_b[b]:
+            counts[lc.projections[e][phi_a[e[0]]]] += 1
+        top = max(counts.values(), default=0)
+        phi_b[b] = next(y for y in lc.sigma_b if counts[y] == top)
+        satisfied += top
+    return satisfied, Labeling(phi_a=phi_a, phi_b=phi_b)
+
+
 def solve_lc_max(lc: LabelCoverInstance, budget: SearchBudget = SearchBudget()) -> LcMaxResult:
     """Exact maximum fraction of satisfiable edges.
 
     Enumerates A-labelings; the B-side is chosen per vertex as the plurality
     of projected labels (lowest alphabet index on ties), which is optimal.
     """
-    n_a = len(lc.a_vertices)
-    budget.check(len(lc.sigma_a) ** n_a)
-    best_count = -1
-    best: Optional[Labeling] = None
-    states = 0
-    for combo in itertools.product(lc.sigma_a, repeat=n_a):
-        states += 1
-        phi_a = dict(zip(lc.a_vertices, combo))
-        phi_b: dict = {}
-        satisfied = 0
-        for b in lc.b_vertices:
-            counts: dict[Label, int] = {y: 0 for y in lc.sigma_b}
-            for e in lc.edges_of_b[b]:
-                counts[lc.projections[e][phi_a[e[0]]]] += 1
-            top = max(counts.values(), default=0)
-            phi_b[b] = next(y for y in lc.sigma_b if counts[y] == top)
-            satisfied += top
-        if satisfied > best_count:
-            best_count = satisfied
-            best = Labeling(phi_a=phi_a, phi_b=phi_b)
+    labelings = search_box(budget.max_states, [lc.sigma_a] * len(lc.a_vertices))
+    _, combo, states = lex_min(labelings, lambda combo: -_plurality_labeling(lc, combo)[0])
+    satisfied, witness = _plurality_labeling(lc, combo)
     total = len(lc.edges)
-    fraction = Fraction(best_count, total) if total else Fraction(1)
-    return LcMaxResult(best_fraction=fraction, witness=best, states_visited=states)
+    fraction = Fraction(satisfied, total) if total else Fraction(1)
+    return LcMaxResult(best_fraction=fraction, witness=witness, states_visited=states)
 
 
 # ---------------------------------------------------------------------------
 # SSAT
 # ---------------------------------------------------------------------------
 
-def enumerate_superassignments(ssat: SsatInstance, k: int) -> Iterator[SuperAssignment]:
+def enumerate_superassignments(
+    ssat: SsatInstance, k: int, max_states: int = DEFAULT_MAX_STATES
+) -> Iterator[SuperAssignment]:
     """All super-assignments with weights in [-k, k], in lexicographic order."""
     sizes = [len(t.assignments) for t in ssat.tests]
-    total = sum(sizes)
-    for flat in itertools.product(range(-k, k + 1), repeat=total):
-        rows = []
-        off = 0
-        for size in sizes:
-            rows.append(flat[off:off + size])
-            off += size
-        yield SuperAssignment(tuple(rows))
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    flats = search_box(max_states, [range(-k, k + 1)] * offsets[-1])
+    return (
+        SuperAssignment(tuple(flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])))
+        for flat in flats
+    )
 
 
-def enumerate_consistent_superassignments(ssat: SsatInstance, k: int) -> Iterator[SuperAssignment]:
-    for s in enumerate_superassignments(ssat, k):
-        if is_consistent(ssat, s):
-            yield s
+def enumerate_consistent_superassignments(
+    ssat: SsatInstance, k: int, max_states: int = DEFAULT_MAX_STATES
+) -> Iterator[SuperAssignment]:
+    return (s for s in enumerate_superassignments(ssat, k, max_states) if is_consistent(ssat, s))
 
 
 @dataclass(frozen=True)
@@ -144,27 +176,16 @@ def solve_ssat_min_norm(
     can be compared under either condition.  Returns ``None`` when no
     admissible super-assignment exists in the box.
     """
-    total = sum(len(t.assignments) for t in ssat.tests)
-    k = budget.coeff_box
-    budget.check((2 * k + 1) ** total)
+    box = enumerate_superassignments(ssat, budget.coeff_box, budget.max_states)
     if side_condition is None:
         side_condition = "nontrivial" if budget.mode == "l1" else "not_all_zero"
-    best_norm = None
-    best: Optional[SuperAssignment] = None
-    states = 0
-    for s in enumerate_superassignments(ssat, k):
-        states += 1
-        if side_condition == "nontrivial":
-            if not is_nontrivial(ssat, s):
-                continue
-        elif not is_not_all_zero(s):
-            continue
-        if not is_consistent(ssat, s):
-            continue
-        norm = norm_l1(s) if budget.mode == "l1" else norm_linf(s)
-        if best_norm is None or norm < best_norm:
-            best_norm = norm
-            best = s
+    norm = norm_l1 if budget.mode == "l1" else norm_linf
+
+    def cost(s: SuperAssignment) -> Optional[Fraction]:
+        admissible = is_nontrivial(ssat, s) if side_condition == "nontrivial" else is_not_all_zero(s)
+        return norm(s) if admissible and is_consistent(ssat, s) else None
+
+    best_norm, best, states = lex_min(box, cost)
     return SsatMinResult(mode=budget.mode, min_norm=best_norm, witness=best, states_visited=states)
 
 
@@ -248,34 +269,16 @@ def solve_sis_min(sis: SisInstance, budget: SearchBudget) -> SisMinResult:
     column block must sum to 1), which cuts the box without changing the
     solution set.  Returns ``None`` when the target is unreachable in the box.
     """
-    m = sis.num_cols
     k = budget.coeff_box
-    budget.check((2 * k + 1) ** m)
-    best_norm: Optional[int] = None
-    best: Optional[tuple[int, ...]] = None
-    states = 0
-
+    box = search_box(budget.max_states, [range(-k, k + 1)] * sis.num_cols)
     groups = _non_triviality_groups(sis)
     if groups is not None:
-        per_group = [
-            list(_vectors_with_sum(hi - lo, k, 1))
-            for lo, hi in groups
-        ]
-        candidates: Iterable[tuple[int, ...]] = (
-            tuple(v for part in combo for v in part)
-            for combo in itertools.product(*per_group)
-        )
-    else:
-        candidates = itertools.product(range(-k, k + 1), repeat=m)
-
-    for z in candidates:
-        states += 1
-        if sis.multiply(z) != sis.target:
-            continue
-        norm = sum(abs(v) for v in z)
-        if best_norm is None or norm < best_norm:
-            best_norm = norm
-            best = z
+        # the unit-sum blocks enumerate a subset of the box charged above
+        blocks = [list(_vectors_with_sum(hi - lo, k, 1)) for lo, hi in groups]
+        box = (sum(combo, ()) for combo in search_box(budget.max_states, blocks))
+    best_norm, best, states = lex_min(
+        box, lambda z: sum(abs(v) for v in z) if sis.multiply(z) == sis.target else None
+    )
     return SisMinResult(min_l1=best_norm, witness=best, states_visited=states)
 
 
@@ -299,33 +302,13 @@ def solve_ncp_min(
     Box mode restricts coordinates to the images of [-k, k] modulo q and is
     flagged as such in the result; witnesses are canonical field elements.
     """
-    m = ncp.num_cols
     q = ncp.modulus
-    if full_field:
-        values: Sequence[int] = range(q)
-        mode: Literal["full", "box"] = "full"
-    else:
-        k = budget.coeff_box
-        seen = set()
-        vals = []
-        for v in range(-k, k + 1):
-            c = v % q
-            if c not in seen:
-                seen.add(c)
-                vals.append(c)
-        values = vals
-        mode = "box"
-    budget.check(len(values) ** m)
-    best_dist: Optional[int] = None
-    best: Optional[tuple[int, ...]] = None
-    states = 0
-    for z in itertools.product(values, repeat=m):
-        states += 1
-        dist = ncp.distance(z)
-        if best_dist is None or dist < best_dist:
-            best_dist = dist
-            best = z
-    return NcpMinResult(min_dist=best_dist, witness=best, mode=mode, states_visited=states)
+    k = budget.coeff_box
+    values: Sequence[int] = range(q) if full_field else list(dict.fromkeys(v % q for v in range(-k, k + 1)))
+    best_dist, best, states = lex_min(search_box(budget.max_states, [values] * ncp.num_cols), ncp.distance)
+    return NcpMinResult(
+        min_dist=best_dist, witness=best, mode="full" if full_field else "box", states_visited=states
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +336,9 @@ class LhpMinResult:
     states_visited: int
 
 
-def default_lhp_grid(lhp: LhpSystem) -> Iterator[LhpAssignment]:
+def default_lhp_grid(lhp: LhpSystem, max_states: int = DEFAULT_MAX_STATES) -> Iterator[LhpAssignment]:
     """The soundness normal form: x in {-1,0,1}^n, y = 1, delta infinitesimal."""
-    for xs in itertools.product((-1, 0, 1), repeat=lhp.num_x):
-        yield LhpAssignment.of(xs)
+    return map(LhpAssignment.of, search_box(max_states, [(-1, 0, 1)] * lhp.num_x))
 
 
 def solve_lhp_min(
@@ -368,20 +350,12 @@ def solve_lhp_min(
 
     With the default grid this is an upper-bound oracle for the true noise:
     low-violation assignments reduce to the grid's normal form, but the exact
-    optimum over all of rational space is not computed here.
+    optimum over all of rational space is not computed here.  A supplied grid
+    is not charged against the state cap.
     """
     if grid is None:
-        budget.check(3 ** lhp.num_x)
-        grid = default_lhp_grid(lhp)
-    states = 0
-    best_count: Optional[int] = None
-    best_witness: Optional[LhpAssignment] = None
-    for a in grid:
-        states += 1
-        count = count_lhp_violations(lhp, a)
-        if best_count is None or count < best_count:
-            best_count = count
-            best_witness = a
+        grid = default_lhp_grid(lhp, budget.max_states)
+    best_count, best_witness, states = lex_min(grid, lambda a: count_lhp_violations(lhp, a))
     if best_count is None:
         raise EmptyGrid("no candidate assignments supplied")
     return LhpMinResult(min_violations=best_count, witness=best_witness, states_visited=states)

@@ -16,6 +16,7 @@ from typing import Any, Mapping, Optional
 from .errors import SearchSpaceTooLarge
 from .instances import LabelCoverInstance, validate_label_cover
 from .oracles import (
+    DEFAULT_MAX_STATES,
     SearchBudget,
     count_lhp_violations,
     solve_lc_max,
@@ -107,7 +108,7 @@ class GapReport:
         }
 
 
-def report_gap(manifest: PipelineManifest, oracle_results: Mapping[str, Mapping[str, Optional[Fraction]]]) -> GapReport:
+def report_gap(oracle_results: Mapping[str, Mapping[str, Optional[Fraction]]]) -> GapReport:
     """Promise-gap evidence: YES-case value against the oracle minimum per stage.
 
     ``oracle_results`` maps a stage name to its ``completeness_value`` (the
@@ -149,7 +150,7 @@ def run_chain(
     g: int = 1,
     box: int = 2,
     seed: int = 0,
-    max_states: int = 10 ** 8,
+    max_states: int = DEFAULT_MAX_STATES,
     u_param: Optional[int] = None,
     d_rep: Optional[int] = None,
     q: Optional[int] = None,
@@ -249,7 +250,7 @@ def run_chain(
             "oracle_minimum": Fraction(lhp_min.min_violations),
         }
 
-    gap_report = report_gap(manifest, gap_inputs) if gap_inputs else GapReport(rows=())
+    gap_report = report_gap(gap_inputs) if gap_inputs else GapReport(rows=())
 
     return {
         "kind": "chain_report",

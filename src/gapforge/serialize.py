@@ -85,7 +85,10 @@ def decode_fraction(s: Union[str, int]) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except ZeroDivisionError:
+        raise MalformedInstance(f"fraction {s!r} has a zero denominator") from None
 
 
 def _label_key_map(labels) -> dict[str, Label]:
@@ -397,14 +400,19 @@ def write_instance(path: Union[str, Path], obj: Instance) -> None:
     Path(path).write_bytes(canonical_bytes(obj))
 
 
-def read_instance(path: Union[str, Path], kind: str | None = None) -> Instance:
+def read_document(path: Union[str, Path]) -> Any:
+    """Parse a JSON file; text that is not JSON raises ``SchemaViolation``."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(str(p))
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise SchemaViolation("", f"not valid JSON: {exc}") from None
+
+
+def read_instance(path: Union[str, Path], kind: str | None = None) -> Instance:
+    doc = read_document(path)
     if kind is not None:
         if not isinstance(doc, dict) or doc.get("kind") != kind:
             raise SchemaViolation("/kind", f"expected kind {kind!r}")

@@ -13,16 +13,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     MalformedInstance,
     NormBoundViolated,
     NotLcDerived,
     PreconditionFailed,
-    SearchSpaceTooLarge,
 )
 from .instances import Label, LabelCoverInstance, SsatInstance, Vertex
+from .oracles import DEFAULT_MAX_STATES, lex_min, search_box
 from .superassign import (
     SuperAssignment,
     TestKind,
@@ -35,8 +35,6 @@ from .superassign import (
     norm_linf,
     test_norm,
 )
-
-DEFAULT_MAX_STATES = 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -85,26 +83,29 @@ def list_totally_disagree(lc: LabelCoverInstance, lists: ListLabeling, b: Vertex
     return True
 
 
+def _agreeing(lc: LabelCoverInstance, labeling, disagree) -> int:
+    """Number of B-vertices that are not in total disagreement under ``labeling``."""
+    return sum(1 for b in lc.b_vertices if not disagree(lc, labeling, b))
+
+
+def _max_agreement(
+    lc: LabelCoverInstance, choices: Sequence, max_states: int, agreeing: Callable[[dict], int]
+) -> Fraction:
+    """Largest agreeing fraction over every way of giving each A-vertex one choice."""
+    labelings = search_box(max_states, [choices] * len(lc.a_vertices))
+    if not lc.b_vertices:
+        return Fraction(0)
+    fewest, _, _ = lex_min(labelings, lambda combo: -agreeing(dict(zip(lc.a_vertices, combo))))
+    return Fraction(-fewest, len(lc.b_vertices))
+
+
 def agreement_soundness_exact(lc: LabelCoverInstance, max_states: int = DEFAULT_MAX_STATES) -> Fraction:
     """Exact agreement-soundness error by enumerating every A-labeling.
 
     The result is the maximum, over labelings, of the fraction of B-vertices
     that are not in total disagreement.
     """
-    n_a = len(lc.a_vertices)
-    states = len(lc.sigma_a) ** n_a
-    if states > max_states:
-        raise SearchSpaceTooLarge(states, max_states)
-    n_b = len(lc.b_vertices)
-    if n_b == 0:
-        return Fraction(0)
-    best = 0
-    for combo in itertools.product(lc.sigma_a, repeat=n_a):
-        phi_a = dict(zip(lc.a_vertices, combo))
-        agreeing = sum(1 for b in lc.b_vertices if not totally_disagree(lc, phi_a, b))
-        if agreeing > best:
-            best = agreeing
-    return Fraction(best, n_b)
+    return _max_agreement(lc, lc.sigma_a, max_states, lambda phi_a: _agreeing(lc, phi_a, totally_disagree))
 
 
 def list_agreement_soundness_exact(
@@ -118,22 +119,11 @@ def list_agreement_soundness_exact(
     """
     if l < 1:
         raise MalformedInstance("list size must be at least 1")
-    k = min(l, len(lc.sigma_a))
-    subsets = list(itertools.combinations(lc.sigma_a, k))
-    n_a = len(lc.a_vertices)
-    states = len(subsets) ** n_a
-    if states > max_states:
-        raise SearchSpaceTooLarge(states, max_states)
-    n_b = len(lc.b_vertices)
-    if n_b == 0:
-        return Fraction(0)
-    best = 0
-    for combo in itertools.product(subsets, repeat=n_a):
-        labeling = ListLabeling.from_sets(lc, dict(zip(lc.a_vertices, combo)))
-        agreeing = sum(1 for b in lc.b_vertices if not list_totally_disagree(lc, labeling, b))
-        if agreeing > best:
-            best = agreeing
-    return Fraction(best, n_b)
+    subsets = list(itertools.combinations(lc.sigma_a, min(l, len(lc.sigma_a))))
+    return _max_agreement(
+        lc, subsets, max_states,
+        lambda sets: _agreeing(lc, ListLabeling.from_sets(lc, sets), list_totally_disagree),
+    )
 
 
 @dataclass(frozen=True)
@@ -371,6 +361,5 @@ def verify_defeats_list_soundness(
     n_b = len(lc.b_vertices)
     if n_b == 0:
         return DefeatReport(Fraction(0), False)
-    agreeing = sum(1 for b in lc.b_vertices if not list_totally_disagree(lc, lists, b))
-    fraction = Fraction(agreeing, n_b)
+    fraction = Fraction(_agreeing(lc, lists, list_totally_disagree), n_b)
     return DefeatReport(non_disagree_fraction=fraction, defeats=fraction >= Fraction(s_list))

@@ -239,3 +239,72 @@ def test_gen_missing_fields(tmp_path, capsys):
     code, doc = run(capsys, "gen", "lc", "--num-a", "2", "--out", str(tmp_path / "x.json"))
     assert code == 1
     assert doc["error"]["type"] == "InfeasibleSpec"
+
+
+# ---------------------------------------------------------------------------
+# Budget inputs are usage errors; malformed files end in the error envelope
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "lc", "--box", "-1"),
+        ("solve", "lc", "--box", "0"),
+        ("check", "chain", "--box", "0"),
+    ],
+    ids=["solve-box-negative", "solve-box-zero", "chain-box-zero"],
+)
+def test_box_below_one_is_usage_error(capsys, lc_id2_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--in", str(lc_id2_path)])
+    assert exc.value.code == 2
+    assert "--box: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+def test_max_states_env_must_be_non_negative_integer(capsys, monkeypatch, lc_id2_path, raw):
+    monkeypatch.setenv("GAPFORGE_MAX_STATES", raw)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "lc", "--in", str(lc_id2_path)])
+    assert exc.value.code == 2
+    assert "GAPFORGE_MAX_STATES must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_zero_denominator_fraction_is_malformed(tmp_path, capsys):
+    write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
+    run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
+    run(capsys, "reduce", "sis2lhp", "--in", str(tmp_path / "sis.json"), "--out", str(tmp_path / "lhp.json"))
+    doc = json.loads((tmp_path / "lhp.json").read_text())
+    doc["inequalities"][0]["rhs"] = "1/0"
+    (tmp_path / "lhp.json").write_text(json.dumps(doc))
+    code, out = run(capsys, "solve", "lhp", "--in", str(tmp_path / "lhp.json"))
+    assert code == 1
+    assert out["error"]["type"] == "MalformedInstance"
+
+
+def test_report_on_truncated_json(tmp_path, capsys, lc_id2_path):
+    chain = tmp_path / "chain.json"
+    run(capsys, "check", "chain", "--in", str(lc_id2_path), "--out", str(chain))
+    chain.write_bytes(chain.read_bytes()[:100])
+    code, doc = run(capsys, "report", "--in", str(chain))
+    assert code == 1
+    assert doc["error"]["type"] == "SchemaViolation"
+
+
+def test_report_on_chain_report_without_gap_report(tmp_path, capsys, lc_id2_path):
+    chain = tmp_path / "chain.json"
+    run(capsys, "check", "chain", "--in", str(lc_id2_path), "--out", str(chain))
+    doc = json.loads(chain.read_text())
+    del doc["gap_report"]
+    chain.write_text(json.dumps(doc))
+    code, out = run(capsys, "report", "--in", str(chain), "--text")
+    assert code == 1
+    assert out["error"]["type"] == "SchemaViolation"
+
+
+def test_gen_from_truncated_spec_file(tmp_path, capsys):
+    (tmp_path / "spec.json").write_text('{"num_a": 2, "num_b"')
+    code, doc = run(capsys, "gen", "lc", "--spec", str(tmp_path / "spec.json"),
+                    "--out", str(tmp_path / "lc.json"))
+    assert code == 1
+    assert doc["error"]["type"] == "SchemaViolation"

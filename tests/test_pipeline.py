@@ -74,9 +74,7 @@ def test_verify_manifest_rejects_unknown_input():
 
 
 def test_report_gap_rows():
-    manifest = PipelineManifest(stages=(), gap_params={})
     report = report_gap(
-        manifest,
         {
             "ssat": {"completeness_value": Fraction(1), "oracle_minimum": Fraction(2)},
             "sis": {"completeness_value": Fraction(2), "oracle_minimum": None},
@@ -91,7 +89,7 @@ def test_report_gap_rows():
 
 def test_report_gap_requires_results():
     with pytest.raises(ValueError):
-        report_gap(PipelineManifest(stages=(), gap_params={}), {})
+        report_gap({})
 
 
 def test_gap_report_document_shape():
