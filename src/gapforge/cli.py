@@ -355,12 +355,10 @@ def _cmd_check_chain(args) -> int:
         lc,
         g=args.g,
         box=args.box,
-        seed=args.seed,
         max_states=_max_states(),
         u_param=args.u,
         d_rep=args.d_rep,
         q=args.q,
-        s_list=Fraction(args.s_list),
     )
     if args.out:
         Path(args.out).write_bytes(canonical_bytes(doc))
@@ -475,9 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_chain = check_sub.add_parser("chain")
     c_chain.add_argument("--in", "--input", dest="infile", required=True)
     c_chain.add_argument("--g", type=int, default=1)
-    c_chain.add_argument("--s-list", default="1/4")
     c_chain.add_argument("--box", type=_box_radius, default=2)
-    c_chain.add_argument("--seed", type=int, default=0)
     c_chain.add_argument("--u", type=int, default=None)
     c_chain.add_argument("--d-rep", type=int, default=None)
     c_chain.add_argument("--q", type=int, default=None)

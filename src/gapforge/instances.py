@@ -355,41 +355,48 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class NcpInstance:
-    """Nearest-codeword instance over a prime field."""
+    """Nearest-codeword instance over a prime field.
+
+    Row ``i`` stands for ``multiplicity[i]`` identical copies: a mismatch on
+    it costs that many, and ``num_rows`` counts the copies.
+    """
 
     modulus: int
     matrix: tuple[tuple[int, ...], ...]
     target: tuple[int, ...]
     bound: int
     replication: int
+    multiplicity: tuple[int, ...]
 
     def __post_init__(self):
         if not _is_prime(self.modulus):
             raise MalformedInstance(f"modulus {self.modulus} is not prime")
-        if len(self.target) != len(self.matrix):
-            raise MalformedInstance("target length differs from row count")
+        if not len(self.target) == len(self.multiplicity) == len(self.matrix):
+            raise MalformedInstance("target or multiplicity length differs from row count")
+        if any(k < 1 for k in self.multiplicity):
+            raise MalformedInstance("row multiplicities must be at least 1")
         widths = {len(row) for row in self.matrix}
         if len(widths) > 1:
             raise MalformedInstance("ragged matrix")
 
     @property
     def num_rows(self) -> int:
-        return len(self.matrix)
+        return sum(self.multiplicity)
 
     @property
     def num_cols(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
 
     def distance(self, z: Iterable[int]) -> int:
-        """Hamming distance between ``matrix @ z`` and the target, mod q."""
+        """Hamming distance between ``matrix @ z`` and the target, mod q, over the copies."""
         q = self.modulus
         zs = [v % q for v in z]
         if len(zs) != self.num_cols:
             raise MalformedInstance("vector length differs from column count")
         dist = 0
-        for row, t in zip(self.matrix, self.target):
+        for row, t, k in zip(self.matrix, self.target, self.multiplicity):
             if sum(c * v for c, v in zip(row, zs)) % q != t % q:
-                dist += 1
+                dist += k
         return dist
 
 
@@ -420,11 +427,11 @@ LHP_GROUPS = ("G1", "G2", "G3", "G4", "G5")
 
 @dataclass(frozen=True)
 class LhpInequality:
-    """One strict homogeneous inequality over (x, y, delta).
+    """``multiplicity`` copies of one strict homogeneous inequality over (x, y, delta).
 
-    ``coeff_x`` is sparse: ascending ``(index, coefficient)`` pairs.  The
-    right-hand side is always zero after homogenization; the field is kept so
-    serialized records stay self-describing.
+    ``coeff_x`` is sparse: ascending ``(index, coefficient)`` pairs with
+    nonzero coefficients, so every inequality has one form.  Homogenization
+    leaves the right-hand side zero.
     """
 
     coeff_x: tuple[tuple[int, Fraction], ...]
@@ -433,23 +440,25 @@ class LhpInequality:
     sense: str
     group: str
     copies_of: str
-    rhs: Fraction = Fraction(0)
+    multiplicity: int
 
     def __post_init__(self):
         if self.sense not in (GT, LT):
             raise MalformedInstance(f"unknown sense {self.sense!r}")
         if self.group not in LHP_GROUPS:
             raise MalformedInstance(f"unknown group {self.group!r}")
-        if self.rhs != 0:
-            raise MalformedInstance("inequalities must be homogenized (rhs = 0)")
+        if self.multiplicity < 1:
+            raise MalformedInstance("multiplicity must be at least 1")
         prev = -1
-        for i, _ in self.coeff_x:
+        for i, c in self.coeff_x:
             if i <= prev:
                 raise MalformedInstance("coeff_x indices must be strictly ascending")
+            if c == 0:
+                raise MalformedInstance(f"coeff_x lists a zero coefficient at index {i}")
             prev = i
 
     def value_at(self, a: "LhpAssignment") -> tuple[Fraction, Fraction]:
-        """Evaluate lhs - rhs as a (standard, epsilon-coefficient) pair."""
+        """Evaluate the left-hand side as a (standard, epsilon-coefficient) pair."""
         std = sum((c * a.x_values[i] for i, c in self.coeff_x), Fraction(0))
         std += self.coeff_y * a.y_value
         if isinstance(a.delta_value, _Epsilon):
@@ -457,7 +466,7 @@ class LhpInequality:
         else:
             std += self.coeff_delta * a.delta_value
             eps = Fraction(0)
-        return (std - self.rhs, eps)
+        return (std, eps)
 
     def satisfied_by(self, a: "LhpAssignment") -> bool:
         std, eps = self.value_at(a)
@@ -482,10 +491,15 @@ class LhpSystem:
                 if not (0 <= i < self.num_x):
                     raise MalformedInstance("coeff_x index out of range")
 
+    @property
+    def num_inequalities(self) -> int:
+        """All copies, counted with multiplicity."""
+        return sum(ineq.multiplicity for ineq in self.inequalities)
+
     def group_counts(self) -> dict[str, int]:
         counts = {g: 0 for g in LHP_GROUPS}
         for ineq in self.inequalities:
-            counts[ineq.group] += 1
+            counts[ineq.group] += ineq.multiplicity
         return counts
 
 

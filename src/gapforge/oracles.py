@@ -318,15 +318,9 @@ def solve_ncp_min(
 def count_lhp_violations(lhp: LhpSystem, a: LhpAssignment) -> int:
     """Exact number of violated strict inequalities under dual-number evaluation.
 
-    Identical copies of an inequality are evaluated once and weighted by
-    multiplicity; the count is the same as evaluating each record.
+    Each inequality is evaluated once and counts with its multiplicity.
     """
-    multiplicity: dict[object, int] = {}
-    for ineq in lhp.inequalities:
-        multiplicity[ineq] = multiplicity.get(ineq, 0) + 1
-    return sum(
-        count for ineq, count in multiplicity.items() if not ineq.satisfied_by(a)
-    )
+    return sum(ineq.multiplicity for ineq in lhp.inequalities if not ineq.satisfied_by(a))
 
 
 @dataclass(frozen=True)

@@ -149,12 +149,10 @@ def run_chain(
     lc: LabelCoverInstance,
     g: int = 1,
     box: int = 2,
-    seed: int = 0,
     max_states: int = DEFAULT_MAX_STATES,
     u_param: Optional[int] = None,
     d_rep: Optional[int] = None,
     q: Optional[int] = None,
-    s_list: Fraction = Fraction(1, 4),
 ) -> dict[str, Any]:
     """Run every reduction, check the completeness identities, report gaps."""
     budget_l1 = SearchBudget(coeff_box=box, max_states=max_states, mode="l1")
@@ -177,9 +175,7 @@ def run_chain(
         ),
         gap_params={
             "g": g,
-            "s_list": encode_fraction(s_list),
             "box": box,
-            "seed": seed,
             "u": lhp.u_param,
             "d_rep": ncp.replication,
             "q": ncp.modulus,
@@ -268,7 +264,7 @@ def run_chain(
             "sis_rows": sis.num_rows,
             "sis_cols": sis.num_cols,
             "ncp_rows": ncp.num_rows,
-            "lhp_inequalities": len(lhp.inequalities),
+            "lhp_inequalities": lhp.num_inequalities,
         },
         "manifest": manifest.to_document(),
         "manifest_consistent": verify_manifest(manifest),

@@ -212,13 +212,14 @@ def sis_to_ncp(
     d_rep: Optional[int] = None,
     q: Optional[int] = None,
 ) -> NcpInstance:
-    """Replicate every SIS row and append an identity block.
+    """Weight every SIS row and append an identity block.
 
-    Each equation row is repeated ``d_rep`` times (strictly more than g times
-    the SIS budget, so a single broken equation already costs more than any
-    in-budget solution) and the identity block charges the Hamming weight of
-    the coefficient vector itself.  The prime modulus must exceed g times the
-    larger matrix dimension so that in-range arithmetic never wraps.
+    Each equation row carries multiplicity ``d_rep`` (strictly more than g
+    times the SIS budget, so a single broken equation already costs more than
+    any in-budget solution) and the identity block, multiplicity 1, charges
+    the Hamming weight of the coefficient vector itself.  The prime modulus
+    must exceed g times the larger matrix dimension so that in-range
+    arithmetic never wraps.
     """
     if g < 1:
         raise BadParameters("g must be at least 1")
@@ -232,22 +233,14 @@ def sis_to_ncp(
     elif not _is_prime(q) or q <= g * max(n_rows, m_cols):
         raise BadParameters(f"q must be a prime above g*max(rows, cols) = {g * max(n_rows, m_cols)}")
 
-    matrix: list[tuple[int, ...]] = []
-    target: list[int] = []
-    for row, t in zip(sis.matrix, sis.target):
-        reduced = tuple(c % q for c in row)
-        for _ in range(d_rep):
-            matrix.append(reduced)
-            target.append(t % q)
-    for i in range(m_cols):
-        matrix.append(tuple(1 if k == i else 0 for k in range(m_cols)))
-        target.append(0)
+    identity = tuple(tuple(1 if k == i else 0 for k in range(m_cols)) for i in range(m_cols))
     return NcpInstance(
         modulus=q,
-        matrix=tuple(matrix),
-        target=tuple(target),
+        matrix=tuple(tuple(c % q for c in row) for row in sis.matrix) + identity,
+        target=tuple(t % q for t in sis.target) + (0,) * m_cols,
         bound=sis.bound,
         replication=d_rep,
+        multiplicity=(d_rep,) * n_rows + (1,) * m_cols,
     )
 
 
@@ -258,13 +251,13 @@ def sis_to_ncp(
 def sis_to_lhp(sis: SisInstance, u_param: Optional[int] = None, g: int = 1) -> LhpSystem:
     """Homogenize the SIS equations into strict inequalities over (x, y, delta).
 
-    Group layout (U copies of each member, emitted consecutively):
+    Group layout (each member once, with multiplicity U unless noted):
 
     * G1 squeezes delta into (-y/U, y/U).
     * G2 turns every equation ``sum a_i x_i = c`` into the pair
       ``sum a_i x_i - c y + delta > 0`` and ``sum a_i x_i - c y - delta < 0``.
     * G3 boxes every variable into (-2y, 2y).
-    * G4 charges one violation per nonzero variable (single copies).
+    * G4 charges one violation per nonzero variable (multiplicity 1).
     * G5 keeps y positive.
     """
     if u_param is not None and u_param < 1:
@@ -274,15 +267,15 @@ def sis_to_lhp(sis: SisInstance, u_param: Optional[int] = None, g: int = 1) -> L
     ineqs: list[LhpInequality] = []
 
     def emit(copies, coeff_x, coeff_y, coeff_delta, sense, group, tag):
-        record = LhpInequality(
+        ineqs.append(LhpInequality(
             coeff_x=tuple((i, Fraction(c)) for i, c in coeff_x),
             coeff_y=Fraction(coeff_y),
             coeff_delta=Fraction(coeff_delta),
             sense=sense,
             group=group,
             copies_of=tag,
-        )
-        ineqs.extend([record] * copies)
+            multiplicity=copies,
+        ))
 
     emit(u, (), Fraction(1, u), 1, GT, "G1", "g1_lower")
     emit(u, (), Fraction(-1, u), 1, LT, "G1", "g1_upper")
@@ -324,11 +317,9 @@ def sis_solution_from_lhp_assignment(lhp: LhpSystem, a: LhpAssignment) -> tuple[
                 raise Infeasible(group, idx, ineq.copies_of)
     y = a.y_value
     quotients = [x / y for x in a.x_values]
-    seen: set[str] = set()
     for idx, ineq in enumerate(lhp.inequalities):
-        if ineq.group != "G2" or ineq.copies_of in seen:
+        if ineq.group != "G2":
             continue
-        seen.add(ineq.copies_of)
         residue = sum((c * quotients[i] for i, c in ineq.coeff_x), Fraction(0)) + ineq.coeff_y
         if residue != 0:
             raise Infeasible("g2_exactness", idx, ineq.copies_of)

@@ -39,7 +39,7 @@ from .instances import (
 )
 from .superassign import SuperAssignment
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _SAFE_INT = 2 ** 53 - 1
 
 Instance = Union[
@@ -194,6 +194,7 @@ def to_document(obj: Instance) -> dict[str, Any]:
             "target": [encode_int(v) for v in obj.target],
             "bound": encode_int(obj.bound),
             "replication": encode_int(obj.replication),
+            "multiplicity": [encode_int(k) for k in obj.multiplicity],
         }
     if isinstance(obj, LhpSystem):
         return {
@@ -203,13 +204,13 @@ def to_document(obj: Instance) -> dict[str, Any]:
             "u_param": obj.u_param,
             "inequalities": [
                 {
-                    "coeff_x": _dense_coeffs(ineq, obj.num_x),
+                    "coeff_x": [[i, encode_fraction(c)] for i, c in ineq.coeff_x],
                     "coeff_y": encode_fraction(ineq.coeff_y),
                     "coeff_delta": encode_fraction(ineq.coeff_delta),
                     "sense": ineq.sense,
-                    "rhs": encode_fraction(ineq.rhs),
                     "group": ineq.group,
                     "copies_of": ineq.copies_of,
+                    "multiplicity": ineq.multiplicity,
                 }
                 for ineq in obj.inequalities
             ],
@@ -225,13 +226,6 @@ def to_document(obj: Instance) -> dict[str, Any]:
             else encode_fraction(obj.delta_value),
         }
     raise MalformedInstance(f"cannot serialize objects of type {type(obj).__name__}")
-
-
-def _dense_coeffs(ineq: LhpInequality, num_x: int) -> list[str]:
-    dense = [Fraction(0)] * num_x
-    for i, c in ineq.coeff_x:
-        dense[i] = c
-    return [encode_fraction(c) for c in dense]
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +260,9 @@ def from_document(doc: dict[str, Any]) -> Instance:
     kind = doc["kind"]
     if kind not in KINDS:
         raise SchemaViolation("/kind", f"unknown kind {kind!r}")
+    if doc.get("version") != SCHEMA_VERSION:
+        raise SchemaViolation("/version", f"version {doc.get('version')!r} is not supported; re-run the "
+                              f"step that wrote the file to get version {SCHEMA_VERSION}")
     _validate_schema(doc, kind)
     if kind == "label_cover":
         return _lc_from_payload(doc)
@@ -331,26 +328,22 @@ def from_document(doc: dict[str, Any]) -> Instance:
             target=tuple(decode_int(v) for v in doc["target"]),
             bound=decode_int(doc["bound"]),
             replication=decode_int(doc["replication"]),
+            multiplicity=tuple(decode_int(k) for k in doc["multiplicity"]),
         )
     if kind == "lhp":
-        num_x = doc["num_x"]
-        ineqs = []
-        for rec in doc["inequalities"]:
-            dense = [decode_fraction(c) for c in rec["coeff_x"]]
-            if len(dense) != num_x:
-                raise SchemaViolation("/inequalities", "coeff_x length differs from num_x")
-            ineqs.append(
-                LhpInequality(
-                    coeff_x=tuple((i, c) for i, c in enumerate(dense) if c != 0),
-                    coeff_y=decode_fraction(rec["coeff_y"]),
-                    coeff_delta=decode_fraction(rec["coeff_delta"]),
-                    sense=rec["sense"],
-                    rhs=decode_fraction(rec["rhs"]),
-                    group=rec["group"],
-                    copies_of=rec["copies_of"],
-                )
+        ineqs = tuple(
+            LhpInequality(
+                coeff_x=tuple((i, decode_fraction(c)) for i, c in rec["coeff_x"]),
+                coeff_y=decode_fraction(rec["coeff_y"]),
+                coeff_delta=decode_fraction(rec["coeff_delta"]),
+                sense=rec["sense"],
+                group=rec["group"],
+                copies_of=rec["copies_of"],
+                multiplicity=rec["multiplicity"],
             )
-        return LhpSystem(num_x=num_x, u_param=doc["u_param"], inequalities=tuple(ineqs))
+            for rec in doc["inequalities"]
+        )
+        return LhpSystem(num_x=doc["num_x"], u_param=doc["u_param"], inequalities=ineqs)
     if kind == "lhp_assignment":
         delta = doc["delta_value"]
         return LhpAssignment(
@@ -444,21 +437,29 @@ def sis_from_text(text: str) -> SisInstance:
         raise SchemaViolation("/0", "header must be 'rows cols bound'") from None
     if len(lines) != n + 2:
         raise SchemaViolation("", f"expected {n} matrix rows plus a target line")
-    rows = []
-    for ln in lines[1:n + 1]:
-        row = tuple(int(tok) for tok in ln.split())
-        if len(row) != m:
-            raise SchemaViolation("", "matrix row width differs from header")
-        rows.append(row)
-    target = tuple(int(tok) for tok in lines[n + 1].split())
+    rows = [_int_tokens(lines, i) for i in range(1, n + 1)]
+    target = _int_tokens(lines, n + 1)
+    if any(len(row) != m for row in rows):
+        raise SchemaViolation("", "matrix row width differs from header")
     if len(target) != n:
         raise SchemaViolation("", "target length differs from header")
     return SisInstance(matrix=tuple(rows), target=target, bound=d)
 
 
+def _int_tokens(lines: list[str], i: int) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in lines[i].split())
+    except ValueError:
+        raise SchemaViolation(f"/{i}", f"non-blank line {i + 1} is not all integers: {lines[i]!r}") from None
+
+
 def ncp_to_text(ncp: NcpInstance) -> str:
-    """Header ``rows cols q d``, one matrix row per line, then the target row."""
+    """Header ``rows cols q d``, one line per row copy, then the target row.
+
+    A row with multiplicity k is written k times, so ``rows`` counts copies.
+    """
     lines = [f"{ncp.num_rows} {ncp.num_cols} {ncp.modulus} {ncp.bound}"]
-    lines.extend(" ".join(str(v) for v in row) for row in ncp.matrix)
-    lines.append(" ".join(str(v) for v in ncp.target))
+    for row, k in zip(ncp.matrix, ncp.multiplicity):
+        lines.extend([" ".join(str(v) for v in row)] * k)
+    lines.append(" ".join(str(t) for t, k in zip(ncp.target, ncp.multiplicity) for _ in range(k)))
     return "\n".join(lines) + "\n"

@@ -194,13 +194,16 @@ def select_low_norm_tests(
     """Tests whose norm is at most the Markov threshold g1.
 
     When the average norm is at most g, at least an s_list fraction of tests
-    fall below g1 = g(1 - s_list)/(1 - 2 s_list); that floor is asserted.
+    fall below g1 = g(1 - s_list)/(1 - 2 s_list); a threshold below that
+    can break the floor, which raises ``PreconditionFailed``.
     """
     avg = norm_l1(s)
     if avg > params.g:
         raise NormBoundViolated(f"average norm {avg} exceeds the bound {params.g}")
     selected = tuple(i for i in range(len(ssat.tests)) if test_norm(s, i) <= params.g1)
-    assert Fraction(len(selected), len(ssat.tests)) >= params.s_list
+    if Fraction(len(selected), len(ssat.tests)) < params.s_list:
+        raise PreconditionFailed(f"{len(selected)} of {len(ssat.tests)} tests have norm at most "
+                                 f"g1 = {params.g1}, below the s_list = {params.s_list} floor")
     return selected
 
 

@@ -148,9 +148,9 @@ def test_check_chain_pass(capsys, lc_id2_path):
 
 
 def test_check_chain_byte_identical(tmp_path, capsys, lc_id2_path):
-    code1 = main(["check", "chain", "--in", str(lc_id2_path), "--g", "1", "--seed", "7"])
+    code1 = main(["check", "chain", "--in", str(lc_id2_path), "--g", "1"])
     out1 = capsys.readouterr().out
-    code2 = main(["check", "chain", "--in", str(lc_id2_path), "--g", "1", "--seed", "7"])
+    code2 = main(["check", "chain", "--in", str(lc_id2_path), "--g", "1"])
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
@@ -275,11 +275,46 @@ def test_zero_denominator_fraction_is_malformed(tmp_path, capsys):
     run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
     run(capsys, "reduce", "sis2lhp", "--in", str(tmp_path / "sis.json"), "--out", str(tmp_path / "lhp.json"))
     doc = json.loads((tmp_path / "lhp.json").read_text())
-    doc["inequalities"][0]["rhs"] = "1/0"
+    doc["inequalities"][0]["coeff_y"] = "1/0"
     (tmp_path / "lhp.json").write_text(json.dumps(doc))
     code, out = run(capsys, "solve", "lhp", "--in", str(tmp_path / "lhp.json"))
     assert code == 1
     assert out["error"]["type"] == "MalformedInstance"
+
+
+# (file kind, path into the document, new value, error type); on ssat_share the
+# third LHP inequality is the "+" half of the first SIS row, coeff_x x_0 + x_1
+_V2_BREAKS = {
+    "ncp-multiplicity-zero": ("ncp", ("multiplicity", 0), 0, "MalformedInstance"),
+    "lhp-multiplicity-zero": ("lhp", ("inequalities", 2, "multiplicity"), 0, "SchemaViolation"),
+    "lhp-zero-coeff-x": ("lhp", ("inequalities", 2, "coeff_x"), [[0, "0/1"], [1, "1/1"]], "MalformedInstance"),
+    "lhp-unsorted-coeff-x": ("lhp", ("inequalities", 2, "coeff_x"), [[1, "1/1"], [0, "1/1"]], "MalformedInstance"),
+    "lhp-index-out-of-range": ("lhp", ("inequalities", 2, "coeff_x"), [[0, "1/1"], [4, "1/1"]], "MalformedInstance"),
+    "ncp-version-1": ("ncp", ("version",), 1, "SchemaViolation"),
+    "lhp-version-1": ("lhp", ("version",), 1, "SchemaViolation"),
+}
+
+
+@pytest.mark.parametrize("case", list(_V2_BREAKS))
+def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
+    kind, where, value, error = _V2_BREAKS[case]
+    write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
+    run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
+    path = tmp_path / f"{kind}.json"
+    run(capsys, "reduce", f"sis2{kind}", "--in", str(tmp_path / "sis.json"), "--out", str(path))
+    doc = json.loads(path.read_text())
+    if kind == "lhp":
+        assert doc["inequalities"][2]["coeff_x"] == [[0, "1/1"], [1, "1/1"]]
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "solve", kind, "--in", str(path))
+    assert code == 1
+    assert out["error"]["type"] == error
+    if where == ("version",):
+        assert "version 1 is not supported" in out["error"]["message"]
 
 
 def test_report_on_truncated_json(tmp_path, capsys, lc_id2_path):

@@ -217,13 +217,14 @@ def test_lhp_violations_all_zero_assignment(ssat_share):
     lhp = sis_to_lhp(sis, u_param=10)
     a = LhpAssignment.of([0, 0, 0, 0], y=0, delta=0)
     # y=0, delta=0: every G1 member has value (0, 0), strictness fails; the
-    # G2 ">" rows sit at -0 with no epsilon; G4 likewise; G5 at 0
+    # G2 ">" rows sit at -0 with no epsilon; G4 likewise; G5 at 0; each
+    # inequality counts once per copy
     expected = 0
     for q in lhp.inequalities:
         std, eps = q.value_at(a)
         ok = (std, eps) > (0, 0) if q.sense == "gt" else (std, eps) < (0, 0)
         if not ok:
-            expected += 1
+            expected += q.multiplicity
     assert count_lhp_violations(lhp, a) == expected
     assert expected >= lhp.u_param  # at least the G1 block fails
 

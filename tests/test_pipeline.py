@@ -45,8 +45,8 @@ def test_chain_manifest_hashes_link(lc_id2):
 
 
 def test_chain_deterministic_bytes(lc_cyc):
-    assert canonical_bytes(run_chain(lc_cyc, g=1, box=2, seed=3)) == canonical_bytes(
-        run_chain(lc_cyc, g=1, box=2, seed=3)
+    assert canonical_bytes(run_chain(lc_cyc, g=1, box=2)) == canonical_bytes(
+        run_chain(lc_cyc, g=1, box=2)
     )
 
 

@@ -269,13 +269,19 @@ def test_ncp_share_layout(ssat_share):
     assert ncp.replication == 3
     assert ncp.modulus == 5
     assert (ncp.num_rows, ncp.num_cols) == (16, 4)
-    # upper block: each SIS row repeated D times; lower block: identity
+    identity = tuple(tuple(1 if j == i else 0 for j in range(4)) for i in range(4))
+    # each SIS row stored once with multiplicity D, then the identity rows once each
+    assert ncp.matrix == sis.matrix + identity
+    assert ncp.multiplicity == (3,) * 4 + (1,) * 4
+    # expanded by multiplicity: upper block each SIS row D times, lower block identity
+    rows = [row for row, k in zip(ncp.matrix, ncp.multiplicity) for _ in range(k)]
+    target = tuple(t for t, k in zip(ncp.target, ncp.multiplicity) for _ in range(k))
     for i in range(sis.num_rows):
         for k in range(3):
-            assert ncp.matrix[i * 3 + k] == sis.matrix[i]
+            assert rows[i * 3 + k] == sis.matrix[i]
     for i in range(4):
-        assert ncp.matrix[12 + i] == tuple(1 if j == i else 0 for j in range(4))
-    assert ncp.target == (1,) * 12 + (0,) * 4
+        assert rows[12 + i] == identity[i]
+    assert target == (1,) * 12 + (0,) * 4
     assert ncp.distance((1, 0, 1, 0)) == 2
 
 
@@ -316,8 +322,12 @@ def test_ncp_distance_decomposition(ssat_share):
 def test_lhp_share_counts(ssat_share):
     sis = ssat_to_sis(ssat_share)
     lhp = sis_to_lhp(sis, u_param=10)
-    assert len(lhp.inequalities) == 198
-    assert lhp.group_counts() == {"G1": 20, "G2": 80, "G3": 80, "G4": 8, "G5": 10}
+    # one record per member: 2 (G1) + 2 per SIS row (G2) + 2 per column (G3, G4) + 1 (G5)
+    assert len(lhp.inequalities) == 2 + 2 * 4 + 2 * 4 + 2 * 4 + 1
+    expanded = [q for q in lhp.inequalities for _ in range(q.multiplicity)]
+    assert lhp.num_inequalities == len(expanded) == 198
+    per_copy = {g: sum(1 for q in expanded if q.group == g) for g in ("G1", "G2", "G3", "G4", "G5")}
+    assert lhp.group_counts() == per_copy == {"G1": 20, "G2": 80, "G3": 80, "G4": 8, "G5": 10}
 
 
 def test_lhp_u1_group1(ssat_share):

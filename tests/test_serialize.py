@@ -23,6 +23,7 @@ from gapforge.serialize import (
     encode_fraction,
     encode_int,
     from_document,
+    SCHEMA_VERSION,
     ncp_to_text,
     read_instance,
     sis_from_text,
@@ -96,7 +97,7 @@ def test_kind_mismatch(tmp_path, lc_id2):
 
 def test_truncated_file(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text('{"kind": "label_cover", "version": 1', encoding="utf-8")
+    path.write_text(f'{{"kind": "label_cover", "version": {SCHEMA_VERSION}', encoding="utf-8")
     with pytest.raises(SchemaViolation):
         read_instance(path)
 
@@ -105,7 +106,7 @@ def test_schema_violation_has_pointer(tmp_path):
     # edges item missing its projection table
     doc = {
         "kind": "label_cover",
-        "version": 1,
+        "version": SCHEMA_VERSION,
         "a": ["a0"],
         "b": ["b0"],
         "sigma_a": [0],
@@ -119,7 +120,7 @@ def test_schema_violation_has_pointer(tmp_path):
 
 def test_unknown_kind():
     with pytest.raises(SchemaViolation):
-        from_document({"kind": "mystery", "version": 1})
+        from_document({"kind": "mystery", "version": SCHEMA_VERSION})
 
 
 def test_missing_file():
@@ -130,7 +131,7 @@ def test_missing_file():
 def test_label_key_collision_rejected():
     doc = {
         "kind": "label_cover",
-        "version": 1,
+        "version": SCHEMA_VERSION,
         "a": ["a0"],
         "b": ["b0"],
         "sigma_a": [0, "0"],
@@ -162,6 +163,42 @@ def test_sis_text_malformed():
         sis_from_text("not a header\n")
     with pytest.raises(SchemaViolation):
         sis_from_text("2 2 1\n1 0\n")  # missing rows
+
+
+def test_sis_text_non_integer_token_names_the_line():
+    with pytest.raises(SchemaViolation) as exc:
+        sis_from_text("1 1 1\nx\n1\n")
+    assert exc.value.pointer == "/1"
+    assert "line 2" in exc.value.detail
+    with pytest.raises(SchemaViolation) as exc:
+        sis_from_text("1 1 1\n1\n1.5\n")  # target line
+    assert exc.value.pointer == "/2"
+
+
+def test_version_1_document_is_rejected():
+    doc = to_document(shipped.load("lc_id2"))
+    doc["version"] = 1
+    with pytest.raises(SchemaViolation) as exc:
+        from_document(doc)
+    assert exc.value.pointer == "/version"
+    assert "version 1 is not supported" in exc.value.detail
+
+
+def test_lhp_document_is_sparse_with_multiplicity(ssat_share):
+    lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
+    records = to_document(lhp)["inequalities"]
+    assert len(records) == len(lhp.inequalities) == 27
+    # the "+" inequality of the first SIS row: x_0 + x_1 - y + delta > 0, ten copies
+    assert records[2] == {
+        "coeff_x": [[0, "1/1"], [1, "1/1"]],
+        "coeff_y": "-1/1",
+        "coeff_delta": "1/1",
+        "sense": "gt",
+        "group": "G2",
+        "copies_of": "g2_row0_plus",
+        "multiplicity": 10,
+    }
+    assert from_document(to_document(lhp)) == lhp
 
 
 def test_ncp_text_shape(ssat_share):

@@ -171,6 +171,16 @@ def test_select_rejects_norm_violation(ssat_cyc):
         select_low_norm_tests(ssat_cyc, _sa((2, 2), (2, 2)), params)
 
 
+def test_select_floor_breach_is_typed_error(ssat_id2):
+    # g1 = 0 is below the derived g(1 - s_list)/(1 - 2 s_list) = 3/2, so the
+    # natural super-assignment (norm 1) leaves no test under the threshold
+    params = ListConstructionParams(
+        g=Fraction(1), s_list=Fraction(1, 4), g1=Fraction(0), p_include=Fraction(1), seed=0
+    )
+    with pytest.raises(PreconditionFailed, match="below the s_list = 1/4 floor"):
+        select_low_norm_tests(ssat_id2, _sa((1, 0)), params)
+
+
 # ---------------------------------------------------------------------------
 # list_construction (average-norm variant)
 # ---------------------------------------------------------------------------
