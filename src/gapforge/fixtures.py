@@ -14,9 +14,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .serialize import from_document, Instance
-
-import json
+from .serialize import Instance, read_instance
 
 FIXTURE_NAMES = ("lc_id2", "lc_cyc", "lc_share", "lc_2to1", "ssat_share")
 
@@ -28,7 +26,4 @@ def fixture_path(name: str) -> Path:
 
 
 def load(name: str) -> Instance:
-    ref = resources.files("gapforge").joinpath(f"fixtures/{name}.json")
-    if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; available: {FIXTURE_NAMES}")
-    return from_document(json.loads(ref.read_text(encoding="utf-8")))
+    return read_instance(fixture_path(name))

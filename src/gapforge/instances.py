@@ -205,6 +205,8 @@ class SsatInstance:
     provenance: Optional[LcProvenance] = None
 
     def __post_init__(self):
+        if not self.variables or not self.tests:
+            raise MalformedInstance("an SSAT instance needs at least one variable and one test")
         if len(set(self.variables)) != len(self.variables):
             raise MalformedInstance("duplicate variables")
         if len(set(self.field_values)) != len(self.field_values) or not self.field_values:
@@ -238,6 +240,10 @@ class SsatInstance:
         prov = self.provenance
         if len(prov.var_to_a) != len(self.variables) or len(prov.test_to_b) != len(self.tests):
             raise MalformedInstance("provenance maps have wrong lengths")
+        if not set(prov.var_to_a) <= set(prov.lc.a_vertices):
+            raise MalformedInstance("provenance maps a variable to a vertex outside A")
+        if not set(prov.test_to_b) <= set(prov.lc.b_vertices):
+            raise MalformedInstance("provenance maps a test to a vertex outside B")
         report = validate_label_cover(prov.lc)
         for idx, test in enumerate(self.tests):
             b = prov.test_to_b[idx]
@@ -484,6 +490,8 @@ class LhpSystem:
     inequalities: tuple[LhpInequality, ...]
 
     def __post_init__(self):
+        if self.num_x < 0:
+            raise MalformedInstance("num_x must be non-negative")
         if self.u_param < 1:
             raise MalformedInstance("u_param must be at least 1")
         for ineq in self.inequalities:

@@ -3,21 +3,27 @@
 Serialization is canonical: equal instances produce byte-identical files
 (sorted keys, fixed indentation, trailing newline).  Rationals are written as
 ``"p/q"`` strings; integers ride as JSON numbers while they fit in the 53-bit
-safe range and as strings beyond it.  Reading validates against the JSON
-schemas shipped under ``schemas/`` and then re-runs the constructors, so a
-file that loads is a file that satisfies the type invariants.
+safe range and as strings beyond it.
+
+Reading is one typed decoding pass: ``from_document`` checks each node while
+it builds the instance.  A node of the wrong shape or scalar type (an object
+with a missing or extra key, a pair of the wrong length, a float or a bool
+where an integer belongs, an integer in any encoding but the canonical one, a
+fraction that is not a ``"p/q"`` string) raises ``SchemaViolation`` with the
+node's JSON pointer.  Value invariants live only in the constructors, which
+raise ``MalformedInstance``.  So a file that loads is a file that satisfies
+the type invariants.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
-from importlib import resources
+from functools import partial
 from pathlib import Path
-from typing import Any, Union
-
-import jsonschema
+from typing import Any, Callable, Union
 
 from .errors import MalformedInstance, SchemaViolation
 from .instances import (
@@ -53,51 +59,108 @@ Instance = Union[
     LhpAssignment,
 ]
 
-KINDS = (
-    "label_cover",
-    "labeling",
-    "ssat",
-    "superassignment",
-    "sis",
-    "ncp",
-    "lhp",
-    "lhp_assignment",
-)
-
 
 # ---------------------------------------------------------------------------
-# Scalar encoding
+# Scalars and typed readers
 # ---------------------------------------------------------------------------
+# A reader takes a parsed JSON node and its JSON pointer, and returns the
+# value or raises ``SchemaViolation`` at that pointer.
+
+_BIG_INT = re.compile(r"-?[0-9]+")
+_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def encode_int(v: int) -> Union[int, str]:
     return v if -_SAFE_INT <= v <= _SAFE_INT else str(v)
 
 
-def decode_int(v: Union[int, str]) -> int:
-    return v if isinstance(v, int) else int(v)
+def _digits(s: str, ptr: str) -> int:
+    try:
+        return int(s)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise SchemaViolation(ptr, f"a {len(s)}-character integer is too long to convert") from None
+
+
+def decode_int(v: Any, ptr: str = "") -> int:
+    """The inverse of ``encode_int``; any other encoding of an integer is refused."""
+    if type(v) is int and -_SAFE_INT <= v <= _SAFE_INT:
+        return v
+    if type(v) is str and _BIG_INT.fullmatch(v):
+        n = _digits(v, ptr)
+        if not -_SAFE_INT <= n <= _SAFE_INT:
+            return n
+    raise SchemaViolation(ptr, f"expected an integer: a JSON number within 2^53 - 1 of zero, or a "
+                               f"digit string beyond, got {v!r:.60}")
 
 
 def encode_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def decode_fraction(s: Union[str, int]) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    num, _, den = s.partition("/")
+def decode_fraction(v: Any, ptr: str = "") -> Fraction:
+    if type(v) is not str or not _FRACTION.fullmatch(v):
+        raise SchemaViolation(ptr, f"expected a 'p/q' string, got {v!r:.60}")
+    num, _, den = v.partition("/")
     try:
-        return Fraction(int(num), int(den) if den else 1)
+        return Fraction(_digits(num, ptr), _digits(den, ptr) if den else 1)
     except ZeroDivisionError:
-        raise MalformedInstance(f"fraction {s!r} has a zero denominator") from None
+        raise MalformedInstance(f"fraction {v!r} at {ptr!r} has a zero denominator") from None
 
 
-def _label_key_map(labels) -> dict[str, Label]:
+def _int(v: Any, ptr: str) -> int:
+    if type(v) is not int:
+        raise SchemaViolation(ptr, f"expected an integer, got {v!r:.60}")
+    return v
+
+
+def _str(v: Any, ptr: str) -> str:
+    if type(v) is not str:
+        raise SchemaViolation(ptr, f"expected a string, got {v!r:.60}")
+    return v
+
+
+def _label(v: Any, ptr: str) -> Label:
+    if type(v) is not int and type(v) is not str:
+        raise SchemaViolation(ptr, f"expected an integer or string label, got {v!r:.60}")
+    return v
+
+
+def _list(v: Any, ptr: str, read: Callable[[Any, str], Any]) -> tuple:
+    """An array, each item read by ``read``."""
+    if type(v) is not list:
+        raise SchemaViolation(ptr, f"expected an array, got {v!r:.60}")
+    return tuple(read(item, f"{ptr}/{i}") for i, item in enumerate(v))
+
+
+def _pair(v: Any, ptr: str, first: Callable[[Any, str], Any], second: Callable[[Any, str], Any]) -> tuple:
+    if type(v) is not list or len(v) != 2:
+        raise SchemaViolation(ptr, f"expected a pair, got {v!r:.60}")
+    return first(v[0], f"{ptr}/0"), second(v[1], f"{ptr}/1")
+
+
+def _fields(v: Any, ptr: str, names: tuple[str, ...]) -> dict[str, Any]:
+    """An object whose keys are exactly ``names``."""
+    if type(v) is not dict:
+        raise SchemaViolation(ptr, f"expected an object, got {v!r:.60}")
+    if v.keys() != set(names):
+        raise SchemaViolation(ptr, f"expected exactly the keys {sorted(names)}, found {sorted(v)}")
+    return v
+
+
+_labels = partial(_list, read=_label)
+_int_rows = partial(_list, read=partial(_list, read=decode_int))
+_label_pairs = partial(_list, read=partial(_pair, first=_label, second=_label))
+_int_pairs = partial(_list, read=partial(_pair, first=_int, second=_int))
+_sparse_coeffs = partial(_list, read=partial(_pair, first=_int, second=decode_fraction))
+
+
+def _label_key_map(labels, ptr: str = "/sigma_a") -> dict[str, Label]:
     """String forms of labels, for use as JSON object keys; must be injective."""
     out: dict[str, Label] = {}
     for lab in labels:
         key = str(lab)
         if key in out:
-            raise SchemaViolation("/sigma_a", f"labels {out[key]!r} and {lab!r} collide as JSON keys")
+            raise SchemaViolation(ptr, f"labels {out[key]!r} and {lab!r} collide as JSON keys")
         out[key] = lab
     return out
 
@@ -232,148 +295,162 @@ def to_document(obj: Instance) -> dict[str, Any]:
 # Document -> instance
 # ---------------------------------------------------------------------------
 
-def _lc_from_payload(doc: dict[str, Any]) -> LabelCoverInstance:
-    key_map = _label_key_map(doc["sigma_a"])
-    projections = {}
-    edges = []
-    for rec in doc["edges"]:
-        e = (rec["a"], rec["b"])
-        edges.append(e)
-        try:
-            projections[e] = {key_map[x]: y for x, y in rec["pi"].items()}
-        except KeyError as exc:
-            raise SchemaViolation("/edges", f"projection key {exc.args[0]!r} is not a sigma_a label") from None
+# The keys of each document besides "kind" and "version"; all are required.
+_FIELDS = {
+    "label_cover": ("a", "b", "sigma_a", "sigma_b", "edges"),
+    "labeling": ("phi_a", "phi_b"),
+    "ssat": ("variables", "field_values", "tests", "provenance"),
+    "superassignment": ("weights",),
+    "sis": ("matrix", "target", "bound", "column_provenance", "row_provenance"),
+    "ncp": ("modulus", "matrix", "target", "bound", "replication", "multiplicity"),
+    "lhp": ("num_x", "u_param", "inequalities"),
+    "lhp_assignment": ("x_values", "y_value", "delta_value"),
+}
+KINDS = tuple(_FIELDS)
+
+
+def _check_version(v: Any, ptr: str) -> None:
+    if type(v) is not int or v != SCHEMA_VERSION:
+        raise SchemaViolation(f"{ptr}/version", f"version {v!r:.60} is not supported; re-run the step "
+                                                f"that wrote the file to get version {SCHEMA_VERSION}")
+
+
+def _lc_from_payload(node: Any, ptr: str) -> LabelCoverInstance:
+    doc = _fields(node, ptr, ("kind", "version") + _FIELDS["label_cover"])
+    if doc["kind"] != "label_cover":
+        raise SchemaViolation(f"{ptr}/kind", f"expected kind 'label_cover', got {doc['kind']!r:.60}")
+    _check_version(doc["version"], ptr)
+    sigma_a = _labels(doc["sigma_a"], f"{ptr}/sigma_a")
+    key_map = _label_key_map(sigma_a, f"{ptr}/sigma_a")
+
+    def edge(rec: Any, at: str) -> tuple:
+        pi = _fields(rec, at, ("a", "b", "pi"))["pi"]
+        if type(pi) is not dict:
+            raise SchemaViolation(f"{at}/pi", f"expected an object, got {pi!r:.60}")
+        table = {}
+        for x, y in pi.items():
+            if x not in key_map:
+                raise SchemaViolation(f"{at}/pi", f"projection key {x!r} is not a sigma_a label")
+            table[key_map[x]] = _label(y, f"{at}/pi/{x}")
+        return (_label(rec["a"], f"{at}/a"), _label(rec["b"], f"{at}/b")), table
+
+    records = _list(doc["edges"], f"{ptr}/edges", edge)
     return LabelCoverInstance(
-        a_vertices=tuple(doc["a"]),
-        b_vertices=tuple(doc["b"]),
-        sigma_a=tuple(doc["sigma_a"]),
-        sigma_b=tuple(doc["sigma_b"]),
-        edges=tuple(edges),
-        projections=projections,
+        a_vertices=_labels(doc["a"], f"{ptr}/a"),
+        b_vertices=_labels(doc["b"], f"{ptr}/b"),
+        sigma_a=sigma_a,
+        sigma_b=_labels(doc["sigma_b"], f"{ptr}/sigma_b"),
+        edges=tuple(e for e, _ in records),
+        projections=dict(records),
     )
 
 
-def from_document(doc: dict[str, Any]) -> Instance:
-    """Rebuild an instance from its document; validates schema and invariants."""
-    if not isinstance(doc, dict) or "kind" not in doc:
+def _ssat_test(node: Any, ptr: str) -> SsatTest:
+    rec = _fields(node, ptr, ("variables", "assignments"))
+    return SsatTest(
+        variables=_labels(rec["variables"], f"{ptr}/variables"),
+        assignments=_list(rec["assignments"], f"{ptr}/assignments", _labels),
+    )
+
+
+def _row_tag(node: Any, ptr: str) -> Union[NonTrivialityRow, ConsistencyRow]:
+    row = node.get("row") if type(node) is dict else None
+    if row == "non_triviality":
+        _fields(node, ptr, ("row", "test"))
+        return NonTrivialityRow(test=_int(node["test"], f"{ptr}/test"))
+    if row == "consistency":
+        _fields(node, ptr, ("row", "test_i", "test_j", "variable", "value"))
+        return ConsistencyRow(
+            test_i=_int(node["test_i"], f"{ptr}/test_i"),
+            test_j=_int(node["test_j"], f"{ptr}/test_j"),
+            variable=_label(node["variable"], f"{ptr}/variable"),
+            value=_label(node["value"], f"{ptr}/value"),
+        )
+    raise SchemaViolation(ptr, f"expected a non_triviality or consistency row tag, got {node!r:.60}")
+
+
+def _lhp_inequality(node: Any, ptr: str) -> LhpInequality:
+    rec = _fields(node, ptr, ("coeff_x", "coeff_y", "coeff_delta", "sense", "group", "copies_of", "multiplicity"))
+    return LhpInequality(
+        coeff_x=_sparse_coeffs(rec["coeff_x"], f"{ptr}/coeff_x"),
+        coeff_y=decode_fraction(rec["coeff_y"], f"{ptr}/coeff_y"),
+        coeff_delta=decode_fraction(rec["coeff_delta"], f"{ptr}/coeff_delta"),
+        sense=_str(rec["sense"], f"{ptr}/sense"),
+        group=_str(rec["group"], f"{ptr}/group"),
+        copies_of=_str(rec["copies_of"], f"{ptr}/copies_of"),
+        multiplicity=_int(rec["multiplicity"], f"{ptr}/multiplicity"),
+    )
+
+
+def from_document(doc: Any) -> Instance:
+    """Rebuild an instance from its document, checking each node as it is read.
+
+    A node of the wrong shape or scalar type raises ``SchemaViolation`` at its
+    JSON pointer (a missing or extra key, at the object's pointer); the
+    constructors then raise ``MalformedInstance`` on any broken invariant.
+    """
+    if type(doc) is not dict or "kind" not in doc:
         raise SchemaViolation("", "document has no 'kind' field")
     kind = doc["kind"]
     if kind not in KINDS:
-        raise SchemaViolation("/kind", f"unknown kind {kind!r}")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise SchemaViolation("/version", f"version {doc.get('version')!r} is not supported; re-run the "
-                              f"step that wrote the file to get version {SCHEMA_VERSION}")
-    _validate_schema(doc, kind)
+        raise SchemaViolation("/kind", f"unknown kind {kind!r:.60}")
+    _check_version(doc.get("version"), "")
     if kind == "label_cover":
-        return _lc_from_payload(doc)
+        return _lc_from_payload(doc, "")
+    _fields(doc, "", ("kind", "version") + _FIELDS[kind])
     if kind == "labeling":
         return Labeling(
-            phi_a={v: lab for v, lab in doc["phi_a"]},
-            phi_b=None if doc["phi_b"] is None else {v: lab for v, lab in doc["phi_b"]},
+            phi_a=dict(_label_pairs(doc["phi_a"], "/phi_a")),
+            phi_b=None if doc["phi_b"] is None else dict(_label_pairs(doc["phi_b"], "/phi_b")),
         )
     if kind == "ssat":
         prov = None
         if doc["provenance"] is not None:
+            rec = _fields(doc["provenance"], "/provenance", ("lc", "var_to_a", "test_to_b"))
             prov = LcProvenance(
-                lc=_lc_from_payload(doc["provenance"]["lc"]),
-                var_to_a=tuple(doc["provenance"]["var_to_a"]),
-                test_to_b=tuple(doc["provenance"]["test_to_b"]),
+                lc=_lc_from_payload(rec["lc"], "/provenance/lc"),
+                var_to_a=_labels(rec["var_to_a"], "/provenance/var_to_a"),
+                test_to_b=_labels(rec["test_to_b"], "/provenance/test_to_b"),
             )
         return SsatInstance(
-            variables=tuple(doc["variables"]),
-            field_values=tuple(doc["field_values"]),
-            tests=tuple(
-                SsatTest(
-                    variables=tuple(t["variables"]),
-                    assignments=tuple(tuple(r) for r in t["assignments"]),
-                )
-                for t in doc["tests"]
-            ),
+            variables=_labels(doc["variables"], "/variables"),
+            field_values=_labels(doc["field_values"], "/field_values"),
+            tests=_list(doc["tests"], "/tests", _ssat_test),
             provenance=prov,
         )
     if kind == "superassignment":
-        return SuperAssignment(
-            weights=tuple(tuple(decode_int(w) for w in row) for row in doc["weights"])
-        )
+        return SuperAssignment(weights=_int_rows(doc["weights"], "/weights"))
     if kind == "sis":
-        row_prov = None
-        if doc["row_provenance"] is not None:
-            tags = []
-            for rec in doc["row_provenance"]:
-                if rec["row"] == "non_triviality":
-                    tags.append(NonTrivialityRow(test=rec["test"]))
-                else:
-                    tags.append(
-                        ConsistencyRow(
-                            test_i=rec["test_i"],
-                            test_j=rec["test_j"],
-                            variable=rec["variable"],
-                            value=rec["value"],
-                        )
-                    )
-            row_prov = tuple(tags)
+        cols, rows = doc["column_provenance"], doc["row_provenance"]
         return SisInstance(
-            matrix=tuple(tuple(decode_int(v) for v in row) for row in doc["matrix"]),
-            target=tuple(decode_int(v) for v in doc["target"]),
-            bound=decode_int(doc["bound"]),
-            column_provenance=None
-            if doc["column_provenance"] is None
-            else tuple((p[0], p[1]) for p in doc["column_provenance"]),
-            row_provenance=row_prov,
+            matrix=_int_rows(doc["matrix"], "/matrix"),
+            target=_list(doc["target"], "/target", decode_int),
+            bound=decode_int(doc["bound"], "/bound"),
+            column_provenance=None if cols is None else _int_pairs(cols, "/column_provenance"),
+            row_provenance=None if rows is None else _list(rows, "/row_provenance", _row_tag),
         )
     if kind == "ncp":
         return NcpInstance(
-            modulus=decode_int(doc["modulus"]),
-            matrix=tuple(tuple(decode_int(v) for v in row) for row in doc["matrix"]),
-            target=tuple(decode_int(v) for v in doc["target"]),
-            bound=decode_int(doc["bound"]),
-            replication=decode_int(doc["replication"]),
-            multiplicity=tuple(decode_int(k) for k in doc["multiplicity"]),
+            modulus=decode_int(doc["modulus"], "/modulus"),
+            matrix=_int_rows(doc["matrix"], "/matrix"),
+            target=_list(doc["target"], "/target", decode_int),
+            bound=decode_int(doc["bound"], "/bound"),
+            replication=decode_int(doc["replication"], "/replication"),
+            multiplicity=_list(doc["multiplicity"], "/multiplicity", decode_int),
         )
     if kind == "lhp":
-        ineqs = tuple(
-            LhpInequality(
-                coeff_x=tuple((i, decode_fraction(c)) for i, c in rec["coeff_x"]),
-                coeff_y=decode_fraction(rec["coeff_y"]),
-                coeff_delta=decode_fraction(rec["coeff_delta"]),
-                sense=rec["sense"],
-                group=rec["group"],
-                copies_of=rec["copies_of"],
-                multiplicity=rec["multiplicity"],
-            )
-            for rec in doc["inequalities"]
+        return LhpSystem(
+            num_x=_int(doc["num_x"], "/num_x"),
+            u_param=_int(doc["u_param"], "/u_param"),
+            inequalities=_list(doc["inequalities"], "/inequalities", _lhp_inequality),
         )
-        return LhpSystem(num_x=doc["num_x"], u_param=doc["u_param"], inequalities=ineqs)
-    if kind == "lhp_assignment":
-        delta = doc["delta_value"]
-        return LhpAssignment(
-            x_values=tuple(decode_fraction(x) for x in doc["x_values"]),
-            y_value=decode_fraction(doc["y_value"]),
-            delta_value=EPSILON if delta == "epsilon" else decode_fraction(delta),
-        )
-    raise SchemaViolation("/kind", f"unknown kind {kind!r}")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# Schema validation
-# ---------------------------------------------------------------------------
-
-def _load_schema(kind: str) -> dict[str, Any]:
-    ref = resources.files("gapforge").joinpath(f"schemas/{kind}.schema.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
-
-
-_SCHEMA_CACHE: dict[str, Any] = {}
-
-
-def _validate_schema(doc: dict[str, Any], kind: str) -> None:
-    if kind not in _SCHEMA_CACHE:
-        _SCHEMA_CACHE[kind] = jsonschema.Draft202012Validator(_load_schema(kind))
-    validator = _SCHEMA_CACHE[kind]
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if error is not None:
-        pointer = "/" + "/".join(str(p) for p in error.absolute_path)
-        raise SchemaViolation(pointer, error.message)
+    # lhp_assignment
+    delta = doc["delta_value"]
+    return LhpAssignment(
+        x_values=_list(doc["x_values"], "/x_values", decode_fraction),
+        y_value=decode_fraction(doc["y_value"], "/y_value"),
+        delta_value=EPSILON if delta == "epsilon" else decode_fraction(delta, "/delta_value"),
+    )
 
 
 # ---------------------------------------------------------------------------

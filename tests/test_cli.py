@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gapforge
 from gapforge import fixtures as shipped
 from gapforge.cli import main
 from gapforge.serialize import read_instance, write_instance
@@ -286,22 +291,28 @@ def test_zero_denominator_fraction_is_malformed(tmp_path, capsys):
 # third LHP inequality is the "+" half of the first SIS row, coeff_x x_0 + x_1
 _V2_BREAKS = {
     "ncp-multiplicity-zero": ("ncp", ("multiplicity", 0), 0, "MalformedInstance"),
-    "lhp-multiplicity-zero": ("lhp", ("inequalities", 2, "multiplicity"), 0, "SchemaViolation"),
+    "lhp-multiplicity-zero": ("lhp", ("inequalities", 2, "multiplicity"), 0, "MalformedInstance"),
     "lhp-zero-coeff-x": ("lhp", ("inequalities", 2, "coeff_x"), [[0, "0/1"], [1, "1/1"]], "MalformedInstance"),
     "lhp-unsorted-coeff-x": ("lhp", ("inequalities", 2, "coeff_x"), [[1, "1/1"], [0, "1/1"]], "MalformedInstance"),
     "lhp-index-out-of-range": ("lhp", ("inequalities", 2, "coeff_x"), [[0, "1/1"], [4, "1/1"]], "MalformedInstance"),
     "ncp-version-1": ("ncp", ("version",), 1, "SchemaViolation"),
     "lhp-version-1": ("lhp", ("version",), 1, "SchemaViolation"),
+    "lhp-num-x-float": ("lhp", ("num_x",), 4.0, "SchemaViolation"),
+    "lc-sigma-b-float-label": ("lc", ("sigma_b", 1), 1.0, "SchemaViolation"),
+    "ncp-matrix-entry-bool": ("ncp", ("matrix", 0, 0), True, "SchemaViolation"),
+    "ssat-provenance-lc-version-1": ("ssat", ("provenance", "lc", "version"), 1, "SchemaViolation"),
 }
 
 
 @pytest.mark.parametrize("case", list(_V2_BREAKS))
 def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
     kind, where, value, error = _V2_BREAKS[case]
+    write_instance(tmp_path / "lc.json", shipped.load("lc_share"))
     write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
     run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
     path = tmp_path / f"{kind}.json"
-    run(capsys, "reduce", f"sis2{kind}", "--in", str(tmp_path / "sis.json"), "--out", str(path))
+    if kind in ("ncp", "lhp"):
+        run(capsys, "reduce", f"sis2{kind}", "--in", str(tmp_path / "sis.json"), "--out", str(path))
     doc = json.loads(path.read_text())
     if kind == "lhp":
         assert doc["inequalities"][2]["coeff_x"] == [[0, "1/1"], [1, "1/1"]]
@@ -313,7 +324,7 @@ def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
     code, out = run(capsys, "solve", kind, "--in", str(path))
     assert code == 1
     assert out["error"]["type"] == error
-    if where == ("version",):
+    if where[-1] == "version":
         assert "version 1 is not supported" in out["error"]["message"]
 
 
@@ -343,3 +354,33 @@ def test_gen_from_truncated_spec_file(tmp_path, capsys):
                     "--out", str(tmp_path / "lc.json"))
     assert code == 1
     assert doc["error"]["type"] == "SchemaViolation"
+
+
+_WITHOUT_JSONSCHEMA = """
+import sys
+sys.modules["jsonschema"] = None  # any import of it now raises ImportError
+from gapforge.cli import main
+steps = [
+    ["check", "chain", "--in", "lc_id2.json", "--out", "chain.json"],
+    ["reduce", "lc2ssat", "--in", "lc_id2.json", "--out", "ssat.json"],
+    ["reduce", "ssat2sis", "--in", "ssat.json", "--out", "sis.json"],
+    ["reduce", "sis2ncp", "--in", "sis.json", "--out", "ncp.json", "--g", "1"],
+    ["reduce", "sis2lhp", "--in", "sis.json", "--out", "lhp.json"],
+    ["solve", "ssat", "--in", "ssat.json"],
+    ["solve", "sis", "--in", "sis.json"],
+    ["solve", "ncp", "--in", "ncp.json"],
+    ["solve", "lhp", "--in", "lhp.json"],
+]
+sys.exit(max(main(argv) for argv in steps))
+"""
+
+
+def test_cli_runs_without_jsonschema(tmp_path, lc_id2_path):
+    src = str(Path(gapforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    (tmp_path / "lc_id2.json").write_bytes(lc_id2_path.read_bytes())
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_JSONSCHEMA], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads((tmp_path / "chain.json").read_text())["kind"] == "chain_report"

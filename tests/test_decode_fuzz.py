@@ -1,0 +1,93 @@
+"""Fuzzed documents: ``from_document`` either refuses with a typed error or
+rebuilds an instance that writes back the very same document.
+
+The mutation set is a fixed table.  Starting from the shipped fixtures and
+one generated chain (label cover, SSAT, SIS, NCP, LHP), it deletes each key
+in turn, adds an unknown key to each object, and replaces each node with
+each value of ``VALUES``.  Lists contribute their first three items.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+
+from gapforge import fixtures as shipped
+from gapforge.errors import GapforgeError
+from gapforge.genlab import GenSpec, frustrate, gen_label_cover
+from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
+from gapforge.serialize import from_document, read_document, to_document
+
+VALUES = (1.0, 2.5, True, None, "x", "1_0", " 1", [], {}, -1, 0, 10 ** 20, "1/0")
+
+
+def documents() -> dict[str, dict]:
+    docs = {name: read_document(shipped.fixture_path(name)) for name in shipped.FIXTURE_NAMES}
+    lc = frustrate(gen_label_cover(GenSpec(3, 2, 2, 2, 2, 1, True, 5)), num_flips=1, seed=5)
+    ssat = lc_to_ssat(lc)
+    sis = ssat_to_sis(ssat)
+    chain = {"lc": lc, "ssat": ssat, "sis": sis, "ncp": sis_to_ncp(sis, g=1), "lhp": sis_to_lhp(sis, u_param=2)}
+    docs.update((f"chain_{stage}", to_document(obj)) for stage, obj in chain.items())
+    return docs
+
+
+def _slots(node, ptr):
+    """(container, key, pointer) of every child slot below ``node``."""
+    keys = list(node) if isinstance(node, dict) else range(min(3, len(node)))
+    for key in keys:
+        yield node, key, f"{ptr}/{key}"
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key], f"{ptr}/{key}")
+
+
+def mutants(doc):
+    """Yield ``(pointer, change, document)`` for every mutation of ``doc``.
+
+    The mutations are made in place and undone when the generator resumes.
+    """
+    for value in VALUES:
+        yield "", f"= {value!r}", value
+    objects = [("", doc)]
+    for node, key, ptr in _slots(doc, ""):
+        old = node[key]
+        if isinstance(old, dict):
+            objects.append((ptr, old))
+        for value in VALUES:
+            node[key] = value
+            yield ptr, f"= {value!r}", doc
+        if isinstance(node, dict):
+            del node[key]
+            yield ptr, "deleted", doc
+        node[key] = old
+    for ptr, obj in objects:
+        obj["unknown"] = 0
+        yield ptr, "added key 'unknown'", doc
+        del obj["unknown"]
+
+
+def outcome(doc) -> str:
+    """``ok``, the name of the typed error, ``changed`` (loads but writes back
+    another document) or ``escape: <exception>``."""
+    try:
+        obj = from_document(doc)
+    except GapforgeError as exc:
+        return type(exc).__name__
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return f"escape: {type(exc).__name__}"
+    canonical = json.dumps(doc, sort_keys=True, indent=2)
+    return "ok" if json.dumps(to_document(obj), sort_keys=True, indent=2) == canonical else "changed"
+
+
+def test_every_mutant_is_refused_typed_or_round_trips():
+    counts: Counter = Counter()
+    bad = []
+    for name, doc in documents().items():
+        assert outcome(doc) == "ok", name
+        for ptr, change, mutant in mutants(doc):
+            result = outcome(mutant)
+            counts[result] += 1
+            if result not in ("ok", "SchemaViolation", "MalformedInstance"):
+                bad.append(f"{name} {ptr} {change}: {result}")
+    assert not bad, f"{len(bad)} mutants escaped or changed, e.g. {bad[:5]}"
+    # the table reaches both the decoder and the constructors, and some mutants load
+    assert min(counts["ok"], counts["SchemaViolation"], counts["MalformedInstance"]) > 0, counts

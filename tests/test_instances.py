@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from gapforge.errors import (
@@ -13,6 +15,8 @@ from gapforge.errors import (
 from gapforge.instances import (
     LabelCoverInstance,
     Labeling,
+    LhpSystem,
+    SsatInstance,
     count_satisfied_edges,
     preimage,
     validate_label_cover,
@@ -118,3 +122,19 @@ def test_count_bounded_by_edges_with_equality_iff_all_hold(lc_cyc):
                         for e in lc_cyc.edges
                     )
                     assert (count == len(lc_cyc.edges)) == every
+
+
+@pytest.mark.parametrize("field, entry", [("test_to_b", "x"), ("test_to_b", 0), ("var_to_a", "b0")])
+def test_provenance_entry_outside_its_side_is_malformed(ssat_share, field, entry):
+    # ssat_share maps variable "x" to A-vertex "x" and its tests to "b0", "b1"
+    prov = ssat_share.provenance
+    bad = dataclasses.replace(prov, **{field: (entry,) + getattr(prov, field)[1:]})
+    with pytest.raises(MalformedInstance, match="outside"):
+        dataclasses.replace(ssat_share, provenance=bad)
+
+
+def test_empty_ssat_and_negative_num_x_are_malformed():
+    with pytest.raises(MalformedInstance, match="at least one variable and one test"):
+        SsatInstance(variables=(), field_values=(0,), tests=())
+    with pytest.raises(MalformedInstance, match="num_x"):
+        LhpSystem(num_x=-1, u_param=1, inequalities=())

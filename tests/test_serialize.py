@@ -1,4 +1,4 @@
-"""Serialization: canonical bytes, schema validation, text formats."""
+"""Serialization: canonical bytes, typed decoding, text formats."""
 
 from __future__ import annotations
 
@@ -211,3 +211,29 @@ def test_ncp_text_shape(ssat_share):
 def test_labeling_integer_vertices_round_trip():
     lab = Labeling({0: 1, 1: 0}, {10: 1})
     assert from_document(to_document(lab)) == lab
+
+
+def test_strict_scalars():
+    for float_or_bool in (1.0, True):
+        with pytest.raises(SchemaViolation):
+            decode_int(float_or_bool)
+    for text in ("1_0", " 1", "1", str(2 ** 53 - 1), "9" * 5000):  # not beyond 2^53, or too long
+        with pytest.raises(SchemaViolation):
+            decode_int(text, "/matrix/0/0")
+    with pytest.raises(SchemaViolation):
+        decode_int(2 ** 60)  # beyond 2^53 an integer is a string
+    for text in ("1_0/2", "1/ 2", "1.5", "9" * 5000 + "/7", 1):
+        with pytest.raises(SchemaViolation):
+            decode_fraction(text)
+
+
+def test_schema_violation_points_at_the_node():
+    doc = to_document(shipped.load("ssat_share"))
+    doc["provenance"]["lc"]["edges"][1]["pi"]["0"] = 1.0
+    with pytest.raises(SchemaViolation) as exc:
+        from_document(doc)
+    assert exc.value.pointer == "/provenance/lc/edges/1/pi/0"
+    del doc["provenance"]["lc"]["edges"][1]["pi"]
+    with pytest.raises(SchemaViolation) as exc:
+        from_document(doc)
+    assert exc.value.pointer == "/provenance/lc/edges/1"
