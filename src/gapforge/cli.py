@@ -267,14 +267,13 @@ def _cmd_check_consistency(args) -> int:
 def _cmd_check_claims(args) -> int:
     ssat = _read(args.infile, "ssat")
     if args.super_path:
-        candidates = [_read(args.super_path, "superassignment")]
+        given = _read(args.super_path, "superassignment")
+        candidates = [given] if is_consistent(ssat, given) else []
     else:
         candidates = enumerate_consistent_superassignments(ssat, args.box, _max_states())
     checked = 0
     violations: list[dict[str, Any]] = []
     for s in candidates:
-        if not is_consistent(ssat, s):
-            continue
         checked += 1
         for psi, y in check_bad_array_sums(ssat, s):
             violations.append({"test": psi, "b_label": y, "weights": [list(r) for r in s.weights]})

@@ -6,6 +6,13 @@ points in lexicographic order, and ``lex_min`` walks them keeping the first
 strict improvement, so results and witnesses are deterministic.  The state
 cap is a hard error, never a silent approximation; ``DEFAULT_MAX_STATES`` is
 its one default.
+
+The SSAT, NCP and LHP solvers compile their instance once into sparse integer
+rows, so the cost of a point is plain ``int`` arithmetic over tuples.  The
+instance-level predicates (``is_consistent``, ``is_nontrivial``,
+``NcpInstance.distance``, ``LhpInequality.value_at``) are the reference
+semantics the compiled rows are tested against; result objects such as
+``SuperAssignment`` and ``LhpAssignment`` are built only for the witness.
 """
 
 from __future__ import annotations
@@ -14,10 +21,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
 
 from .errors import EmptyGrid, SearchSpaceTooLarge
 from .instances import (
+    GT,
+    Label,
     LabelCoverInstance,
     Labeling,
     LhpAssignment,
@@ -26,15 +36,10 @@ from .instances import (
     NonTrivialityRow,
     SisInstance,
     SsatInstance,
+    Vertex,
+    _Epsilon,
 )
-from .superassign import (
-    SuperAssignment,
-    is_consistent,
-    is_nontrivial,
-    is_not_all_zero,
-    norm_l1,
-    norm_linf,
-)
+from .superassign import SuperAssignment
 
 Mode = Literal["l1", "linf"]
 T = TypeVar("T")
@@ -133,23 +138,87 @@ def solve_lc_max(lc: LabelCoverInstance, budget: SearchBudget = SearchBudget()) 
 # SSAT
 # ---------------------------------------------------------------------------
 
+Columns = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _SsatRows:
+    """An SSAT instance as column sets over the flat weight vector.
+
+    A point is a super-assignment flattened test by test.  Each consistency
+    row says that the columns of test i whose assignment gives a shared
+    variable x the value a sum to the same total as those columns of test j.
+    ``coverage`` lists, per variable, the nonempty projection column sets of
+    its incident tests, one per (test, value).
+    """
+
+    bounds: tuple[tuple[int, int], ...]
+    consistency: tuple[tuple[Columns, Columns], ...]
+    coverage: tuple[tuple[Columns, ...], ...]
+
+    def box(self, k: int, max_states: int) -> Iterator[tuple[int, ...]]:
+        """Flat weight vectors over [-k, k], in lexicographic order."""
+        return search_box(max_states, [range(-k, k + 1)] * self.bounds[-1][1])
+
+    def consistent(self, flat: tuple[int, ...]) -> bool:
+        get = flat.__getitem__
+        return all(sum(map(get, plus)) == sum(map(get, minus)) for plus, minus in self.consistency)
+
+    def nontrivial(self, flat: tuple[int, ...]) -> bool:
+        get = flat.__getitem__
+        return all(any(sum(map(get, cols)) for cols in sets) for sets in self.coverage)
+
+    def norm_l1(self, flat: tuple[int, ...]) -> int:
+        """The sum of the per-test norms: ``superassign.norm_l1`` times the test count."""
+        return sum(map(abs, flat))
+
+    def norm_linf(self, flat: tuple[int, ...]) -> int:
+        return max(sum(map(abs, flat[lo:hi])) for lo, hi in self.bounds)
+
+    def superassignment(self, flat: tuple[int, ...]) -> SuperAssignment:
+        return SuperAssignment(tuple(flat[lo:hi] for lo, hi in self.bounds))
+
+
+def _compile_ssat(ssat: SsatInstance) -> _SsatRows:
+    sizes = [len(t.assignments) for t in ssat.tests]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    projection: dict[tuple[int, Vertex], dict[Label, Columns]] = {}
+    for t_idx, test in enumerate(ssat.tests):
+        for pos, x in enumerate(test.variables):
+            cols: dict[Label, list[int]] = {a: [] for a in ssat.field_values}
+            for r_idx, r in enumerate(test.assignments):
+                cols[r[pos]].append(offsets[t_idx] + r_idx)
+            projection[t_idx, x] = {a: tuple(c) for a, c in cols.items()}
+    consistency = []
+    for x in ssat.variables:
+        incident = ssat.tests_of_variable[x]
+        for pos_i, i in enumerate(incident):
+            for j in incident[pos_i + 1:]:
+                for a in ssat.field_values:
+                    plus, minus = projection[i, x][a], projection[j, x][a]
+                    if plus or minus:
+                        consistency.append((plus, minus))
+    coverage = tuple(
+        tuple(cols for t in ssat.tests_of_variable[x] for cols in projection[t, x].values() if cols)
+        for x in ssat.variables
+    )
+    bounds = tuple(zip(offsets, offsets[1:]))
+    return _SsatRows(bounds=bounds, consistency=tuple(consistency), coverage=coverage)
+
+
 def enumerate_superassignments(
     ssat: SsatInstance, k: int, max_states: int = DEFAULT_MAX_STATES
 ) -> Iterator[SuperAssignment]:
     """All super-assignments with weights in [-k, k], in lexicographic order."""
-    sizes = [len(t.assignments) for t in ssat.tests]
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    flats = search_box(max_states, [range(-k, k + 1)] * offsets[-1])
-    return (
-        SuperAssignment(tuple(flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])))
-        for flat in flats
-    )
+    rows = _compile_ssat(ssat)
+    return map(rows.superassignment, rows.box(k, max_states))
 
 
 def enumerate_consistent_superassignments(
     ssat: SsatInstance, k: int, max_states: int = DEFAULT_MAX_STATES
 ) -> Iterator[SuperAssignment]:
-    return (s for s in enumerate_superassignments(ssat, k, max_states) if is_consistent(ssat, s))
+    rows = _compile_ssat(ssat)
+    return map(rows.superassignment, filter(rows.consistent, rows.box(k, max_states)))
 
 
 @dataclass(frozen=True)
@@ -176,17 +245,23 @@ def solve_ssat_min_norm(
     can be compared under either condition.  Returns ``None`` when no
     admissible super-assignment exists in the box.
     """
-    box = enumerate_superassignments(ssat, budget.coeff_box, budget.max_states)
+    rows = _compile_ssat(ssat)
+    box = rows.box(budget.coeff_box, budget.max_states)
     if side_condition is None:
         side_condition = "nontrivial" if budget.mode == "l1" else "not_all_zero"
-    norm = norm_l1 if budget.mode == "l1" else norm_linf
+    admissible = rows.nontrivial if side_condition == "nontrivial" else any
+    norm = rows.norm_l1 if budget.mode == "l1" else rows.norm_linf
 
-    def cost(s: SuperAssignment) -> Optional[Fraction]:
-        admissible = is_nontrivial(ssat, s) if side_condition == "nontrivial" else is_not_all_zero(s)
-        return norm(s) if admissible and is_consistent(ssat, s) else None
+    def cost(flat: tuple[int, ...]) -> Optional[int]:
+        return norm(flat) if rows.consistent(flat) and admissible(flat) else None
 
     best_norm, best, states = lex_min(box, cost)
-    return SsatMinResult(mode=budget.mode, min_norm=best_norm, witness=best, states_visited=states)
+    if best is None:
+        return SsatMinResult(mode=budget.mode, min_norm=None, witness=None, states_visited=states)
+    min_norm = Fraction(best_norm, len(ssat.tests)) if budget.mode == "l1" else best_norm
+    return SsatMinResult(
+        mode=budget.mode, min_norm=min_norm, witness=rows.superassignment(best), states_visited=states
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +362,32 @@ def solve_sis_min(sis: SisInstance, budget: SearchBudget) -> SisMinResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _NcpRows:
+    """An NCP instance as residues mod q.
+
+    Each row keeps its nonzero ``(column, residue)`` pairs as parallel
+    tuples, its target residue and its multiplicity.
+    """
+
+    modulus: int
+    rows: tuple[tuple[Columns, tuple[int, ...], int, int], ...]
+
+    def distance(self, z: tuple[int, ...]) -> int:
+        q = self.modulus
+        get = z.__getitem__
+        return sum(k for cols, coeffs, t, k in self.rows if sum(map(mul, coeffs, map(get, cols))) % q != t)
+
+
+def _compile_ncp(ncp: NcpInstance) -> _NcpRows:
+    q = ncp.modulus
+    rows = []
+    for row, t, k in zip(ncp.matrix, ncp.target, ncp.multiplicity):
+        pairs = [(c, a % q) for c, a in enumerate(row) if a % q]
+        rows.append((tuple(c for c, _ in pairs), tuple(a for _, a in pairs), t % q, k))
+    return _NcpRows(modulus=q, rows=tuple(rows))
+
+
+@dataclass(frozen=True)
 class NcpMinResult:
     min_dist: int
     witness: tuple[int, ...]
@@ -305,7 +406,8 @@ def solve_ncp_min(
     q = ncp.modulus
     k = budget.coeff_box
     values: Sequence[int] = range(q) if full_field else list(dict.fromkeys(v % q for v in range(-k, k + 1)))
-    best_dist, best, states = lex_min(search_box(budget.max_states, [values] * ncp.num_cols), ncp.distance)
+    box = search_box(budget.max_states, [values] * ncp.num_cols)
+    best_dist, best, states = lex_min(box, _compile_ncp(ncp).distance)
     return NcpMinResult(
         min_dist=best_dist, witness=best, mode="full" if full_field else "box", states_visited=states
     )
@@ -323,16 +425,61 @@ def count_lhp_violations(lhp: LhpSystem, a: LhpAssignment) -> int:
     return sum(ineq.multiplicity for ineq in lhp.inequalities if not ineq.satisfied_by(a))
 
 
+# An integer point (x, y, delta) of the homogeneous LHP space; a delta of
+# None stands for the positive infinitesimal.
+LhpPoint = tuple[tuple[int, ...], int, Optional[int]]
+
+
+@dataclass(frozen=True)
+class _LhpRows:
+    """An LHP system as integer rows that are satisfied exactly when positive.
+
+    Each inequality is scaled by the lcm of its denominators and by -1 when
+    its sense is "<".  A row is ``(x columns, x coefficients, y coefficient,
+    delta coefficient, multiplicity)``; under the infinitesimal delta the
+    delta coefficient breaks a zero standard part.
+    """
+
+    rows: tuple[tuple[Columns, tuple[int, ...], int, int, int], ...]
+
+    def violations(self, point: LhpPoint) -> int:
+        x, y, delta = point
+        get = x.__getitem__
+        count = 0
+        for cols, coeffs, cy, cd, k in self.rows:
+            std = sum(map(mul, coeffs, map(get, cols))) + cy * y
+            if delta is None:
+                if std < 0 or (std == 0 and cd <= 0):
+                    count += k
+            elif std + cd * delta <= 0:
+                count += k
+        return count
+
+
+def _compile_lhp(lhp: LhpSystem) -> _LhpRows:
+    rows = []
+    for ineq in lhp.inequalities:
+        coeffs = [c for _, c in ineq.coeff_x] + [ineq.coeff_y, ineq.coeff_delta]
+        scale = math.lcm(*(c.denominator for c in coeffs)) * (1 if ineq.sense == GT else -1)
+        *xs, cy, cd = (int(c * scale) for c in coeffs)
+        rows.append((tuple(i for i, _ in ineq.coeff_x), tuple(xs), cy, cd, ineq.multiplicity))
+    return _LhpRows(rows=tuple(rows))
+
+
+def _lhp_point(a: LhpAssignment) -> LhpPoint:
+    """``a`` scaled by the lcm of its denominators; homogeneity keeps every strict sign."""
+    infinitesimal = isinstance(a.delta_value, _Epsilon)
+    values = (*a.x_values, a.y_value, Fraction(0) if infinitesimal else a.delta_value)
+    scale = math.lcm(*(v.denominator for v in values))
+    *xs, y, delta = (int(v * scale) for v in values)
+    return tuple(xs), y, None if infinitesimal else delta
+
+
 @dataclass(frozen=True)
 class LhpMinResult:
     min_violations: int
     witness: LhpAssignment
     states_visited: int
-
-
-def default_lhp_grid(lhp: LhpSystem, max_states: int = DEFAULT_MAX_STATES) -> Iterator[LhpAssignment]:
-    """The soundness normal form: x in {-1,0,1}^n, y = 1, delta infinitesimal."""
-    return map(LhpAssignment.of, search_box(max_states, [(-1, 0, 1)] * lhp.num_x))
 
 
 def solve_lhp_min(
@@ -342,14 +489,19 @@ def solve_lhp_min(
 ) -> LhpMinResult:
     """Minimum violation count over a finite grid of candidate assignments.
 
-    With the default grid this is an upper-bound oracle for the true noise:
-    low-violation assignments reduce to the grid's normal form, but the exact
-    optimum over all of rational space is not computed here.  A supplied grid
-    is not charged against the state cap.
+    The default grid is the soundness normal form: x in {-1,0,1}^n, y = 1,
+    delta infinitesimal.  With it this is an upper-bound oracle for the true
+    noise: low-violation assignments reduce to the grid's normal form, but the
+    exact optimum over all of rational space is not computed here.  A
+    supplied grid is not charged against the state cap.
     """
+    rows = _compile_lhp(lhp)
     if grid is None:
-        grid = default_lhp_grid(lhp, budget.max_states)
-    best_count, best_witness, states = lex_min(grid, lambda a: count_lhp_violations(lhp, a))
+        box = search_box(budget.max_states, [(-1, 0, 1)] * lhp.num_x)
+        best_count, best, states = lex_min(box, lambda xs: rows.violations((xs, 1, None)))
+        best_witness = LhpAssignment.of(best)
+    else:
+        best_count, best_witness, states = lex_min(grid, lambda a: rows.violations(_lhp_point(a)))
     if best_count is None:
         raise EmptyGrid("no candidate assignments supplied")
     return LhpMinResult(min_violations=best_count, witness=best_witness, states_visited=states)

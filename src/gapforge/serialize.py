@@ -154,6 +154,16 @@ _int_pairs = partial(_list, read=partial(_pair, first=_int, second=_int))
 _sparse_coeffs = partial(_list, read=partial(_pair, first=_int, second=decode_fraction))
 
 
+def _label_map(v: Any, ptr: str) -> dict[Label, Label]:
+    """``[vertex, label]`` pairs, each vertex listed once."""
+    out: dict[Label, Label] = {}
+    for i, (vertex, label) in enumerate(_label_pairs(v, ptr)):
+        if vertex in out:
+            raise SchemaViolation(f"{ptr}/{i}/0", f"vertex {vertex!r:.60} is listed twice")
+        out[vertex] = label
+    return out
+
+
 def _label_key_map(labels, ptr: str = "/sigma_a") -> dict[str, Label]:
     """String forms of labels, for use as JSON object keys; must be injective."""
     out: dict[str, Label] = {}
@@ -400,8 +410,8 @@ def from_document(doc: Any) -> Instance:
     _fields(doc, "", ("kind", "version") + _FIELDS[kind])
     if kind == "labeling":
         return Labeling(
-            phi_a=dict(_label_pairs(doc["phi_a"], "/phi_a")),
-            phi_b=None if doc["phi_b"] is None else dict(_label_pairs(doc["phi_b"], "/phi_b")),
+            phi_a=_label_map(doc["phi_a"], "/phi_a"),
+            phi_b=None if doc["phi_b"] is None else _label_map(doc["phi_b"], "/phi_b"),
         )
     if kind == "ssat":
         prov = None

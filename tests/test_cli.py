@@ -328,6 +328,20 @@ def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
         assert "version 1 is not supported" in out["error"]["message"]
 
 
+def test_modulus_beyond_the_prime_test_is_error_envelope(tmp_path, capsys):
+    write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
+    run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
+    path = tmp_path / "ncp.json"
+    run(capsys, "reduce", "sis2ncp", "--in", str(tmp_path / "sis.json"), "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["modulus"] = str(2 ** 89 - 1)  # prime, but beyond the exact test's range
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "solve", "ncp", "--in", str(path))
+    assert code == 1
+    assert out["error"]["type"] == "MalformedInstance"
+    assert "limit of the exact prime test" in out["error"]["message"]
+
+
 def test_report_on_truncated_json(tmp_path, capsys, lc_id2_path):
     chain = tmp_path / "chain.json"
     run(capsys, "check", "chain", "--in", str(lc_id2_path), "--out", str(chain))

@@ -13,10 +13,13 @@ from gapforge.errors import (
     UnknownLabel,
 )
 from gapforge.instances import (
+    PRIME_TEST_LIMIT,
     LabelCoverInstance,
     Labeling,
     LhpSystem,
+    NcpInstance,
     SsatInstance,
+    _is_prime,
     count_satisfied_edges,
     preimage,
     validate_label_cover,
@@ -138,3 +141,37 @@ def test_empty_ssat_and_negative_num_x_are_malformed():
         SsatInstance(variables=(), field_values=(0,), tests=())
     with pytest.raises(MalformedInstance, match="num_x"):
         LhpSystem(num_x=-1, u_param=1, inequalities=())
+
+
+# ---------------------------------------------------------------------------
+# Prime moduli
+# ---------------------------------------------------------------------------
+
+def _ncp(modulus):
+    return NcpInstance(modulus=modulus, matrix=((1,),), target=(0,), bound=1, replication=1, multiplicity=(1,))
+
+
+def test_prime_test_matches_trial_division_below_ten_thousand():
+    primes = [n for n in range(10_000) if n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(10_000) if _is_prime(n)] == primes
+
+
+@pytest.mark.parametrize("composite", [561, 3215031751, 3825123056546413051])
+def test_pseudoprimes_are_not_prime_moduli(composite):
+    # a Carmichael number, the strong pseudoprime to bases 2, 3, 5, 7, and
+    # the strong pseudoprime to the first nine prime bases
+    with pytest.raises(MalformedInstance, match="is not prime"):
+        _ncp(composite)
+
+
+@pytest.mark.parametrize("prime", [100000000000031, 2 ** 61 - 1])
+def test_large_prime_modulus_is_accepted(prime):
+    assert _ncp(prime).modulus == prime
+
+
+def test_modulus_beyond_the_exact_prime_test_is_refused():
+    with pytest.raises(MalformedInstance, match=str(PRIME_TEST_LIMIT)):
+        _ncp(PRIME_TEST_LIMIT)
+    with pytest.raises(MalformedInstance, match=str(PRIME_TEST_LIMIT)):
+        _ncp(2 ** 89 - 1)  # a Mersenne prime, above the limit
+

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from gapforge import fixtures as shipped
 from gapforge.errors import SchemaViolation
-from gapforge.instances import EPSILON, Labeling, LhpAssignment
+from gapforge.instances import EPSILON, Labeling, LhpAssignment, NcpInstance
 from gapforge.reductions import (
     lc_to_ssat,
     sis_to_lhp,
@@ -211,6 +212,25 @@ def test_ncp_text_shape(ssat_share):
 def test_labeling_integer_vertices_round_trip():
     lab = Labeling({0: 1, 1: 0}, {10: 1})
     assert from_document(to_document(lab)) == lab
+
+
+@pytest.mark.parametrize("field", ["phi_a", "phi_b"])
+def test_labeling_listing_a_vertex_twice_is_refused(field):
+    doc = to_document(Labeling({0: 1}, {10: 1}))
+    doc[field] = [[0, 1], [0, 0]]
+    with pytest.raises(SchemaViolation) as exc:
+        from_document(doc)
+    assert exc.value.pointer == f"/{field}/1/0"
+
+
+def test_fifteen_digit_prime_modulus_loads_fast():
+    doc = to_document(NcpInstance(modulus=5, matrix=((1,),), target=(0,), bound=1, replication=1,
+                                  multiplicity=(1,)))
+    doc["modulus"] = 100000000000031
+    start = time.perf_counter()
+    ncp = from_document(doc)
+    assert time.perf_counter() - start < 0.05
+    assert ncp.modulus == 100000000000031
 
 
 def test_strict_scalars():
