@@ -10,7 +10,6 @@ from .errors import (
     BadParameters,
     ClassificationImpossible,
     EdgeUnsatisfied,
-    EmptyGrid,
     EmptyRange,
     GapforgeError,
     InconsistentInput,
@@ -108,7 +107,7 @@ from .oracles import (
     solve_ssat_min_norm,
 )
 from .genlab import GenSpec, frustrate, gen_label_cover
-from .pipeline import GapReport, GapRow, PipelineManifest, StageRecord, report_gap, run_chain, verify_manifest
+from .pipeline import GAP_ROW_KEYS, gap_row, run_chain, verify_manifest
 from .serialize import content_hash, read_instance, sis_from_text, sis_to_text, ncp_to_text, write_instance
 
 __version__ = "0.1.0"

@@ -104,10 +104,6 @@ class SearchSpaceTooLarge(GapforgeError):
         self.cap = cap
 
 
-class EmptyGrid(GapforgeError):
-    pass
-
-
 class InfeasibleSpec(GapforgeError):
     pass
 

@@ -97,9 +97,6 @@ class LabelCoverInstance:
             out[e[0]].append(e)
         return {a: tuple(es) for a, es in out.items()}
 
-    def neighbors_of_b(self, b: Vertex) -> tuple[Vertex, ...]:
-        return tuple(e[0] for e in self.edges_of_b[b])
-
     @property
     def size_n(self) -> int:
         return len(self.a_vertices) + len(self.b_vertices) + len(self.edges)
@@ -272,17 +269,6 @@ class SsatInstance:
                 out[v].append(idx)
         return {v: tuple(ix) for v, ix in out.items()}
 
-    def value_at(self, test_idx: int, r_idx: int, var: Vertex) -> Label:
-        """The value the ``r_idx``-th assignment of a test gives ``var``."""
-        test = self.tests[test_idx]
-        try:
-            pos = test.variables.index(var)
-        except ValueError:
-            from .errors import VariableNotInTest
-
-            raise VariableNotInTest(f"{var!r} not in test {test_idx}") from None
-        return test.assignments[r_idx][pos]
-
 
 # ---------------------------------------------------------------------------
 # SIS
@@ -422,10 +408,6 @@ class NcpInstance:
             if sum(c * v for c, v in zip(row, zs)) % q != t % q:
                 dist += k
         return dist
-
-
-def hamming_weight(vec: Iterable[int], modulus: int) -> int:
-    return sum(1 for v in vec if v % modulus != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
 
-from .errors import EmptyGrid, SearchSpaceTooLarge
+from .errors import SearchSpaceTooLarge
 from .instances import (
     GT,
     Label,
@@ -37,7 +37,6 @@ from .instances import (
     SisInstance,
     SsatInstance,
     Vertex,
-    _Epsilon,
 )
 from .superassign import SuperAssignment
 
@@ -278,41 +277,23 @@ class SisMinResult:
 def _non_triviality_groups(sis: SisInstance) -> Optional[list[tuple[int, int]]]:
     """Column ranges per test when the instance carries a trusted pipeline layout.
 
-    Requires contiguous (test, assignment) column provenance and one
-    non-triviality row per test that is exactly the indicator of the test's
-    columns with target 1; otherwise returns None and the solver falls back
-    to plain enumeration.
+    Requires column provenance that runs through tests 0, 1, 2, ... in
+    contiguous blocks, and exactly one non-triviality row per test that is the
+    indicator of the test's columns with target 1; otherwise returns None and
+    the solver falls back to plain enumeration.
     """
-    if sis.column_provenance is None or sis.row_provenance is None:
+    if not sis.column_provenance or sis.row_provenance is None:
         return None
-    groups: list[tuple[int, int]] = []
-    current, start = None, 0
-    for col, (t_idx, _) in enumerate(sis.column_provenance):
-        if t_idx != current:
-            if current is not None:
-                if t_idx != current + 1:
-                    return None
-                groups.append((start, col))
-            elif t_idx != 0:
-                return None
-            current, start = t_idx, col
-    if current is None:
+    tests = [t for t, _ in sis.column_provenance]
+    starts = [c for c, t in enumerate(tests) if c == 0 or t != tests[c - 1]]
+    if [tests[c] for c in starts] != list(range(len(starts))):
         return None
-    groups.append((start, len(sis.column_provenance)))
-    nt_rows = [i for i, tag in enumerate(sis.row_provenance) if isinstance(tag, NonTrivialityRow)]
-    if len(nt_rows) != len(groups):
+    groups = list(zip(starts, starts[1:] + [len(tests)]))
+    nt_rows = sorted((tag.test, i) for i, tag in enumerate(sis.row_provenance) if isinstance(tag, NonTrivialityRow))
+    if [t for t, _ in nt_rows] != list(range(len(groups))):
         return None
-    for row_idx in nt_rows:
-        t_idx = sis.row_provenance[row_idx].test
-        if not (0 <= t_idx < len(groups)):
-            return None
-        lo, hi = groups[t_idx]
-        row = sis.matrix[row_idx]
-        if sis.target[row_idx] != 1:
-            return None
-        if any((row[c] == 1) != (lo <= c < hi) for c in range(len(row))):
-            return None
-        if any(row[c] not in (0, 1) for c in range(len(row))):
+    for (_, i), (lo, hi) in zip(nt_rows, groups):
+        if sis.target[i] != 1 or sis.matrix[i] != tuple(int(lo <= c < hi) for c in range(len(tests))):
             return None
     return groups
 
@@ -425,11 +406,6 @@ def count_lhp_violations(lhp: LhpSystem, a: LhpAssignment) -> int:
     return sum(ineq.multiplicity for ineq in lhp.inequalities if not ineq.satisfied_by(a))
 
 
-# An integer point (x, y, delta) of the homogeneous LHP space; a delta of
-# None stands for the positive infinitesimal.
-LhpPoint = tuple[tuple[int, ...], int, Optional[int]]
-
-
 @dataclass(frozen=True)
 class _LhpRows:
     """An LHP system as integer rows that are satisfied exactly when positive.
@@ -442,16 +418,13 @@ class _LhpRows:
 
     rows: tuple[tuple[Columns, tuple[int, ...], int, int, int], ...]
 
-    def violations(self, point: LhpPoint) -> int:
-        x, y, delta = point
+    def violations(self, x: tuple[int, ...]) -> int:
+        """Violated rows, with multiplicity, at ``x``, ``y = 1`` and infinitesimal delta."""
         get = x.__getitem__
         count = 0
         for cols, coeffs, cy, cd, k in self.rows:
-            std = sum(map(mul, coeffs, map(get, cols))) + cy * y
-            if delta is None:
-                if std < 0 or (std == 0 and cd <= 0):
-                    count += k
-            elif std + cd * delta <= 0:
+            std = sum(map(mul, coeffs, map(get, cols))) + cy
+            if std < 0 or (std == 0 and cd <= 0):
                 count += k
         return count
 
@@ -466,15 +439,6 @@ def _compile_lhp(lhp: LhpSystem) -> _LhpRows:
     return _LhpRows(rows=tuple(rows))
 
 
-def _lhp_point(a: LhpAssignment) -> LhpPoint:
-    """``a`` scaled by the lcm of its denominators; homogeneity keeps every strict sign."""
-    infinitesimal = isinstance(a.delta_value, _Epsilon)
-    values = (*a.x_values, a.y_value, Fraction(0) if infinitesimal else a.delta_value)
-    scale = math.lcm(*(v.denominator for v in values))
-    *xs, y, delta = (int(v * scale) for v in values)
-    return tuple(xs), y, None if infinitesimal else delta
-
-
 @dataclass(frozen=True)
 class LhpMinResult:
     min_violations: int
@@ -482,26 +446,14 @@ class LhpMinResult:
     states_visited: int
 
 
-def solve_lhp_min(
-    lhp: LhpSystem,
-    grid: Optional[Iterable[LhpAssignment]] = None,
-    budget: SearchBudget = SearchBudget(),
-) -> LhpMinResult:
-    """Minimum violation count over a finite grid of candidate assignments.
+def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget()) -> LhpMinResult:
+    """Minimum violation count over the soundness normal-form grid.
 
-    The default grid is the soundness normal form: x in {-1,0,1}^n, y = 1,
-    delta infinitesimal.  With it this is an upper-bound oracle for the true
-    noise: low-violation assignments reduce to the grid's normal form, but the
-    exact optimum over all of rational space is not computed here.  A
-    supplied grid is not charged against the state cap.
+    The grid is x in {-1,0,1}^n, y = 1, delta infinitesimal.  This is an
+    upper-bound oracle for the true noise: low-violation assignments reduce
+    to the grid's normal form, but the exact optimum over all of rational
+    space is not computed here.
     """
-    rows = _compile_lhp(lhp)
-    if grid is None:
-        box = search_box(budget.max_states, [(-1, 0, 1)] * lhp.num_x)
-        best_count, best, states = lex_min(box, lambda xs: rows.violations((xs, 1, None)))
-        best_witness = LhpAssignment.of(best)
-    else:
-        best_count, best_witness, states = lex_min(grid, lambda a: rows.violations(_lhp_point(a)))
-    if best_count is None:
-        raise EmptyGrid("no candidate assignments supplied")
-    return LhpMinResult(min_violations=best_count, witness=best_witness, states_visited=states)
+    box = search_box(budget.max_states, [(-1, 0, 1)] * lhp.num_x)
+    best_count, best, states = lex_min(box, _compile_lhp(lhp).violations)
+    return LhpMinResult(min_violations=best_count, witness=LhpAssignment.of(best), states_visited=states)

@@ -280,7 +280,6 @@ def list_construction_linf(
     s: SuperAssignment,
     g: int,
     seed: int,
-    p_override: Optional[Fraction] = None,
 ) -> LinfListResult:
     """Max-norm variant: every nonzero test participates, plus a marking walk.
 
@@ -299,7 +298,7 @@ def list_construction_linf(
     if norm_linf(s) > g:
         raise PreconditionFailed(f"max test norm {norm_linf(s)} exceeds the bound {g}")
     d_a = max(len(lc.edges_of_a[a]) for a in lc.a_vertices)
-    p = p_override if p_override is not None else min(Fraction(1), Fraction(g, d_a))
+    p = min(Fraction(1), Fraction(g, d_a))
     assigned = assigned_value_sets(ssat, s)
     lists: dict[Vertex, set[Label]] = {x: set(assigned[x]) for x in ssat.variables}
 

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from gapforge.errors import EmptyGrid, SearchSpaceTooLarge
+from gapforge.errors import SearchSpaceTooLarge
 from gapforge.genlab import GenSpec, gen_label_cover
-from gapforge.instances import LabelCoverInstance, LhpAssignment, count_satisfied_edges
+from gapforge.instances import LabelCoverInstance, LhpAssignment, NonTrivialityRow, count_satisfied_edges
 from gapforge.oracles import (
     SearchBudget,
+    _non_triviality_groups,
     count_lhp_violations,
     solve_lc_max,
     solve_lhp_min,
@@ -20,6 +22,7 @@ from gapforge.oracles import (
     solve_ssat_min_norm,
 )
 from gapforge.reductions import (
+    lc_to_ssat,
     lhp_assignment_from_sis_solution,
     sis_to_lhp,
     sis_to_ncp,
@@ -163,6 +166,48 @@ def test_sis_min_monotone_in_box(ssat_share):
     assert large <= small
 
 
+def _two_test_sis():
+    """Rows (1,1,0,0) and (0,0,1,1), target (1,1): one non-triviality row per test."""
+    return ssat_to_sis(lc_to_ssat(gen_label_cover(GenSpec(2, 2, 1, 2, 2, 1, planted=False, seed=0))))
+
+
+# one corrupted layout per condition under which the pruned walk is refused
+SIS_LAYOUT_REFUSALS = {
+    "duplicated_tag": dict(matrix=((1, 1, 0, 0), (1, 1, 0, 0)), row_provenance=(NonTrivialityRow(0), NonTrivialityRow(0))),
+    "missing_row": dict(matrix=((1, 1, 0, 0),), target=(1,), row_provenance=(NonTrivialityRow(0),)),
+    "target_2": dict(target=(1, 2)),
+    "entry_2": dict(matrix=((1, 2, 0, 0), (0, 0, 1, 1))),
+    "interleaved_column_tests": dict(column_provenance=((0, 0), (1, 0), (0, 1), (1, 1))),
+    # contiguous blocks, but test 0's row covers the columns of test 1
+    "column_tests_out_of_order": dict(column_provenance=((1, 0), (1, 1), (0, 0), (0, 1))),
+    "skipped_column_test": dict(column_provenance=((0, 0), (0, 1), (2, 0), (2, 1))),
+    "columns_not_from_test_0": dict(column_provenance=((1, 0), (1, 1), (2, 0), (2, 1))),
+}
+
+
+def test_sis_layout_accepts_pipeline_instance():
+    sis = _two_test_sis()
+    assert sis.matrix == ((1, 1, 0, 0), (0, 0, 1, 1)) and sis.target == (1, 1)
+    assert _non_triviality_groups(sis) == [(0, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("case", sorted(SIS_LAYOUT_REFUSALS))
+def test_sis_layout_refusals(case):
+    bad = dataclasses.replace(_two_test_sis(), **SIS_LAYOUT_REFUSALS[case])
+    assert _non_triviality_groups(bad) is None
+    # the refused layout falls back to the walk of the instance without provenance
+    stripped = dataclasses.replace(bad, column_provenance=None, row_provenance=None)
+    budget = SearchBudget(coeff_box=1)
+    assert solve_sis_min(bad, budget) == solve_sis_min(stripped, budget)
+
+
+def test_sis_min_duplicated_tag_is_not_pruned():
+    # both rows say "test 0": trusting them would force the second block to sum to 1
+    bad = dataclasses.replace(_two_test_sis(), **SIS_LAYOUT_REFUSALS["duplicated_tag"])
+    res = solve_sis_min(bad, SearchBudget(coeff_box=1))
+    assert (res.min_l1, res.witness, res.states_visited) == (1, (0, 1, 0, 0), 81)
+
+
 # ---------------------------------------------------------------------------
 # solve_ncp_min
 # ---------------------------------------------------------------------------
@@ -242,19 +287,6 @@ def test_lhp_min_no_solution_in_grid_costs_u(ssat_cyc):
     lhp = sis_to_lhp(ssat_to_sis(ssat_cyc), u_param=7)
     result = solve_lhp_min(lhp)
     assert result.min_violations >= 7
-
-
-def test_lhp_min_singleton_grid(ssat_share):
-    lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
-    point = lhp_assignment_from_sis_solution((0, 1, 0, 1))
-    result = solve_lhp_min(lhp, grid=[point])
-    assert result.min_violations == count_lhp_violations(lhp, point) == 2
-
-
-def test_lhp_min_empty_grid(ssat_share):
-    lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
-    with pytest.raises(EmptyGrid):
-        solve_lhp_min(lhp, grid=[])
 
 
 def test_lhp_grid_matches_sis_min_when_attained(ssat_share, ssat_id2):

@@ -4,16 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
-
-from gapforge.pipeline import (
-    GapReport,
-    PipelineManifest,
-    StageRecord,
-    report_gap,
-    run_chain,
-    verify_manifest,
-)
+from gapforge.pipeline import GAP_ROW_KEYS, gap_row, run_chain, verify_manifest
 from gapforge.serialize import canonical_bytes
 
 
@@ -50,48 +41,31 @@ def test_chain_deterministic_bytes(lc_cyc):
     )
 
 
+def _stage(kind, input_hash, output_hash):
+    return {"kind": kind, "input_hash": input_hash, "output_hash": output_hash, "parameters": {}}
+
+
 def test_verify_manifest_accepts_dag():
-    manifest = PipelineManifest(
-        stages=(
-            StageRecord("a2b", "h0", "h1", {}),
-            StageRecord("b2c", "h1", "h2", {}),
-            StageRecord("b2d", "h1", "h3", {}),
-        ),
-        gap_params={},
-    )
-    assert verify_manifest(manifest)
+    stages = [_stage("a2b", "h0", "h1"), _stage("b2c", "h1", "h2"), _stage("b2d", "h1", "h3")]
+    assert verify_manifest(stages)
 
 
 def test_verify_manifest_rejects_unknown_input():
-    manifest = PipelineManifest(
-        stages=(
-            StageRecord("a2b", "h0", "h1", {}),
-            StageRecord("x2y", "h9", "h2", {}),
-        ),
-        gap_params={},
-    )
-    assert not verify_manifest(manifest)
+    stages = [_stage("a2b", "h0", "h1"), _stage("x2y", "h9", "h2")]
+    assert not verify_manifest(stages)
 
 
 def test_report_gap_rows():
-    report = report_gap(
-        {
-            "ssat": {"completeness_value": Fraction(1), "oracle_minimum": Fraction(2)},
-            "sis": {"completeness_value": Fraction(2), "oracle_minimum": None},
-        },
-    )
-    rows = {r.stage: r for r in report.rows}
-    assert rows["ssat"].ratio == 2
-    assert rows["sis"].oracle_minimum is None and rows["sis"].ratio is None
-    doc = report.to_document()
-    assert doc["rows"][0]["ratio"] == "2/1"
-
-
-def test_report_gap_requires_results():
-    with pytest.raises(ValueError):
-        report_gap({})
-
-
-def test_gap_report_document_shape():
-    report = GapReport(rows=())
-    assert report.to_document() == {"rows": []}
+    assert gap_row("ssat", Fraction(1), Fraction(2)) == {
+        "stage": "ssat",
+        "completeness_value": "1/1",
+        "oracle_minimum": "2/1",
+        "ratio": "2/1",
+    }
+    # an unreachable target (no minimum) and a zero completeness value both
+    # leave the ratio null: an infinite gap witness
+    unreachable = gap_row("sis", 2, None)
+    assert unreachable["oracle_minimum"] is None and unreachable["ratio"] is None
+    zero = gap_row("ncp", 0, 3)
+    assert (zero["completeness_value"], zero["oracle_minimum"], zero["ratio"]) == ("0/1", "3/1", None)
+    assert tuple(zero) == GAP_ROW_KEYS
