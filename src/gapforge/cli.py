@@ -7,7 +7,12 @@ validation or domain errors (as a JSON error envelope), 2 on usage errors.
 The exact searches share one state cap, ``gapforge.oracles.DEFAULT_MAX_STATES``,
 which the environment variable ``GAPFORGE_MAX_STATES`` overrides.  The verbs
 that charge it are ``solve``, ``check claims|agreement|lists|chain`` and
-``gen lc --with-oracle``.
+``gen lc --with-oracle``.  The label-cover search (``solve lc``, ``gen lc
+--with-oracle``, the first stage of ``check chain``), ``check agreement`` and
+the candidate enumeration of ``check claims`` charge their whole box up
+front.  The SSAT, SIS, NCP and LHP oracles (``solve ssat|sis|ncp|lhp``,
+``check lists`` without ``--super``, the oracle stages of ``check chain``)
+charge each node their branch-and-bound walk enters.
 """
 
 from __future__ import annotations

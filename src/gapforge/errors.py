@@ -96,10 +96,15 @@ class PreconditionFailed(GapforgeError):
 
 
 class SearchSpaceTooLarge(GapforgeError):
-    """An exact enumeration would exceed the configured state cap."""
+    """An exact search charged more states than the cap allows.
+
+    A box search charges its whole box before visiting any point; the
+    branch-and-bound walk charges each node it enters and stops at the first
+    node over the cap.  ``states`` is the charge when the search stopped.
+    """
 
     def __init__(self, states, cap):
-        super().__init__(f"search space of {states} states exceeds cap {cap}")
+        super().__init__(f"search charged {states} states, more than the cap of {cap}")
         self.states = states
         self.cap = cap
 

@@ -1,18 +1,30 @@
 """Exact brute-force solvers: ground truth for every problem in the pipeline.
 
-Every exhaustive search in the package runs on two functions: ``search_box``
-charges the size of a finite box against the state cap and hands back its
-points in lexicographic order, and ``lex_min`` walks them keeping the first
-strict improvement, so results and witnesses are deterministic.  The state
-cap is a hard error, never a silent approximation; ``DEFAULT_MAX_STATES`` is
-its one default.
+Two search routines serve the package, and both return the lexicographically
+first optimum, so results and witnesses are deterministic.
 
-The SSAT, NCP and LHP solvers compile their instance once into sparse integer
-rows, so the cost of a point is plain ``int`` arithmetic over tuples.  The
-instance-level predicates (``is_consistent``, ``is_nontrivial``,
-``NcpInstance.distance``, ``LhpInequality.value_at``) are the reference
-semantics the compiled rows are tested against; result objects such as
-``SuperAssignment`` and ``LhpAssignment`` are built only for the witness.
+* The SSAT, SIS, NCP and LHP minimizations run on ``branch_and_bound``, a
+  depth-first walk that fixes the coordinates in index order, prunes a prefix
+  whose cost already reaches the best leaf found so far, and charges every
+  node it enters against the state cap.
+* The label-cover maximization, the agreement searches and the
+  ``enumerate_*`` functions run on ``search_box``, which charges the size of
+  a finite box up front and hands back its points in lexicographic order, and
+  ``lex_min``, which keeps the first strict improvement over them.
+
+The state cap is a hard error, never a silent approximation;
+``DEFAULT_MAX_STATES`` is its one default.
+
+Each walked solver compiles its instance once into sparse integer rows, each
+filed under the coordinate that completes it (its largest column), so the
+cost of a node is plain ``int`` arithmetic over the rows that coordinate
+completes.  Equality rows (SIS rows, SSAT consistency rows) instead narrow
+each coordinate to the values that leave every row reachable by the later
+columns.  The instance-level predicates (``is_consistent``,
+``is_nontrivial``, ``SisInstance.multiply``, ``NcpInstance.distance``,
+``LhpInequality.value_at``) are the reference semantics the compiled rows are
+tested against; result objects such as ``SuperAssignment`` and
+``LhpAssignment`` are built only for the witness.
 """
 
 from __future__ import annotations
@@ -33,7 +45,6 @@ from .instances import (
     LhpAssignment,
     LhpSystem,
     NcpInstance,
-    NonTrivialityRow,
     SisInstance,
     SsatInstance,
     Vertex,
@@ -78,9 +89,67 @@ def lex_min(points: Iterable[T], cost: Callable[[T], Optional[C]]) -> tuple[Opti
     return best_cost, best, states
 
 
+Prefix = list[int]
+
+
+def branch_and_bound(
+    n: int,
+    values: Callable[[int, Prefix], Iterable[int]],
+    step: Callable[[int, Prefix, C], Optional[C]],
+    root: Optional[C],
+    max_states: int,
+) -> tuple[Optional[C], Optional[tuple[int, ...]], int]:
+    """Least leaf cost, the first leaf attaining it, and the number of nodes entered.
+
+    The walk fixes coordinates 0, 1, ..., n - 1 in order and tries
+    ``values(depth, prefix)`` in the order given.  ``root`` is the cost before
+    any coordinate is fixed, ``None`` when no point is feasible.
+    ``step(depth, prefix, cost)`` extends the parent's ``cost`` by the value
+    just put at ``prefix[depth]``: it never decreases along a path, is the
+    true cost at a leaf, and is ``None`` on an infeasible prefix.  A node
+    whose cost is ``None`` or not below the best leaf so far is pruned, and
+    only a strict improvement replaces the best leaf; as a pruned subtree
+    holds no strict improvement, the witness is the lexicographically first
+    optimum.  Every (depth, value) node entered is charged, and the charge
+    passing ``max_states`` raises ``SearchSpaceTooLarge``.  With ``n == 0``
+    the one point is the empty vector, at cost ``root``.
+    """
+    prefix = [0] * n
+    best_cost: Optional[C] = None
+    best: Optional[tuple[int, ...]] = None
+    states = 0
+
+    def visit(depth: int, cost: C) -> None:
+        nonlocal best_cost, best, states
+        leaf = depth == n - 1
+        for v in values(depth, prefix):
+            states += 1
+            if states > max_states:
+                raise SearchSpaceTooLarge(states, max_states)
+            prefix[depth] = v
+            c = step(depth, prefix, cost)
+            if c is None or (best_cost is not None and c >= best_cost):
+                continue
+            if leaf:
+                best_cost, best = c, tuple(prefix)
+            else:
+                visit(depth + 1, c)
+
+    if root is not None:
+        if n:
+            visit(0, root)
+        else:
+            best_cost, best = root, ()
+    return best_cost, best, states
+
+
 @dataclass(frozen=True)
 class SearchBudget:
-    """Box radius and state cap for the exact searches."""
+    """Box radius and state cap for the exact searches.
+
+    ``max_states`` caps the nodes a walked oracle enters, and the box a box
+    search charges up front.
+    """
 
     coeff_box: int = 2
     max_states: int = DEFAULT_MAX_STATES
@@ -91,6 +160,99 @@ class SearchBudget:
             raise ValueError("coeff_box must be at least 1")
         if self.mode not in ("l1", "linf"):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+
+Columns = tuple[int, ...]
+SparseRow = tuple[Columns, tuple[int, ...]]
+
+
+def _sparse(entries: Iterable[tuple[int, int]]) -> SparseRow:
+    """Nonzero ``(column, coefficient)`` pairs as parallel tuples, in column order."""
+    pairs = sorted((c, a) for c, a in entries if a)
+    return tuple(c for c, _ in pairs), tuple(a for _, a in pairs)
+
+
+@dataclass(frozen=True)
+class _FiledRows:
+    """Sparse integer rows that cost their multiplicity when missed, filed under their last column.
+
+    A row ``(columns, coefficients, target, multiplicity)`` with sum ``s``
+    over the point is missed when ``s % modulus != target``, or, with no
+    modulus, when ``s < target``.  ``root`` is the multiplicity of the missed
+    rows with no column.
+    """
+
+    modulus: Optional[int]
+    root: int
+    by_column: tuple[tuple[tuple[Columns, tuple[int, ...], int, int], ...], ...]
+
+    def step(self, depth: int, point: Prefix, cost: int) -> int:
+        """``cost`` plus the multiplicity of the rows completed at ``depth`` that are missed."""
+        q = self.modulus
+        get = point.__getitem__
+        for cols, coeffs, t, k in self.by_column[depth]:
+            s = sum(map(mul, coeffs, map(get, cols)))
+            if s % q != t if q else s < t:
+                cost += k
+        return cost
+
+
+def _file_rows(n: int, rows: Iterable[tuple], modulus: Optional[int] = None) -> _FiledRows:
+    """File ``rows`` (targets already reduced mod ``modulus``) for a walk over ``n`` columns."""
+    root = 0
+    by_column: list[list] = [[] for _ in range(n)]
+    for row in rows:
+        cols, _, t, k = row
+        if cols:
+            by_column[cols[-1]].append(row)
+        elif t != 0 if modulus else t > 0:  # the row's sum is 0
+            root += k
+    return _FiledRows(modulus=modulus, root=root, by_column=tuple(map(tuple, by_column)))
+
+
+@dataclass(frozen=True)
+class _EqualityRows:
+    """Equality rows ``sum(a_c * z_c) == t`` as per-coordinate bounds over [-k, k].
+
+    ``by_column[d]`` lists, for every row with a nonzero entry at column d,
+    its earlier columns and coefficients, the entry at d, the reach
+    ``k * sum |a_c|`` of its later columns, and its target.  ``feasible`` is
+    False when a row with no nonzero entry has a nonzero target.
+    """
+
+    k: int
+    feasible: bool
+    by_column: tuple[tuple[tuple[Columns, tuple[int, ...], int, int, int], ...], ...]
+
+    def values(self, depth: int, prefix: Prefix) -> range:
+        """The values of coordinate ``depth`` after ``prefix`` that leave every row reachable."""
+        lo, hi = -self.k, self.k
+        get = prefix.__getitem__
+        for cols, coeffs, a, reach, t in self.by_column[depth]:
+            rest = t - sum(map(mul, coeffs, map(get, cols)))
+            # a * v must lie in [rest - reach, rest + reach]
+            if a > 0:
+                lo, hi = max(lo, -((reach - rest) // a)), min(hi, (rest + reach) // a)
+            else:
+                lo, hi = max(lo, -((rest + reach) // -a)), min(hi, (reach - rest) // -a)
+        return range(lo, hi + 1)
+
+
+def _compile_equalities(n: int, k: int, rows: Iterable[tuple[SparseRow, int]]) -> _EqualityRows:
+    by_column: list[list] = [[] for _ in range(n)]
+    feasible = True
+    for (cols, coeffs), t in rows:
+        if not cols:
+            feasible = feasible and t == 0
+        reach = k * sum(map(abs, coeffs))
+        for j, (c, a) in enumerate(zip(cols, coeffs)):
+            reach -= k * abs(a)
+            by_column[c].append((cols[:j], coeffs[:j], a, reach, t))
+    return _EqualityRows(k=k, feasible=feasible, by_column=tuple(map(tuple, by_column)))
+
+
+def _l1_step(depth: int, prefix: Prefix, cost: int) -> int:
+    return cost + abs(prefix[depth])
 
 
 # ---------------------------------------------------------------------------
@@ -137,45 +299,43 @@ def solve_lc_max(lc: LabelCoverInstance, budget: SearchBudget = SearchBudget()) 
 # SSAT
 # ---------------------------------------------------------------------------
 
-Columns = tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class _SsatRows:
     """An SSAT instance as column sets over the flat weight vector.
 
     A point is a super-assignment flattened test by test.  Each consistency
     row says that the columns of test i whose assignment gives a shared
-    variable x the value a sum to the same total as those columns of test j.
+    variable x the value a sum to the same total as those columns of test j;
+    it is kept as a sparse row with entries +1 and -1 and target 0.
     ``coverage`` lists, per variable, the nonempty projection column sets of
     its incident tests, one per (test, value).
     """
 
     bounds: tuple[tuple[int, int], ...]
-    consistency: tuple[tuple[Columns, Columns], ...]
+    consistency: tuple[SparseRow, ...]
     coverage: tuple[tuple[Columns, ...], ...]
+
+    @property
+    def num_cols(self) -> int:
+        return self.bounds[-1][1]
 
     def box(self, k: int, max_states: int) -> Iterator[tuple[int, ...]]:
         """Flat weight vectors over [-k, k], in lexicographic order."""
-        return search_box(max_states, [range(-k, k + 1)] * self.bounds[-1][1])
+        return search_box(max_states, [range(-k, k + 1)] * self.num_cols)
 
-    def consistent(self, flat: tuple[int, ...]) -> bool:
+    def consistent(self, flat: Sequence[int]) -> bool:
         get = flat.__getitem__
-        return all(sum(map(get, plus)) == sum(map(get, minus)) for plus, minus in self.consistency)
+        return all(sum(map(mul, coeffs, map(get, cols))) == 0 for cols, coeffs in self.consistency)
 
-    def nontrivial(self, flat: tuple[int, ...]) -> bool:
+    def nontrivial(self, flat: Sequence[int]) -> bool:
         get = flat.__getitem__
         return all(any(sum(map(get, cols)) for cols in sets) for sets in self.coverage)
 
-    def norm_l1(self, flat: tuple[int, ...]) -> int:
-        """The sum of the per-test norms: ``superassign.norm_l1`` times the test count."""
-        return sum(map(abs, flat))
+    def equalities(self, k: int) -> _EqualityRows:
+        return _compile_equalities(self.num_cols, k, ((row, 0) for row in self.consistency))
 
-    def norm_linf(self, flat: tuple[int, ...]) -> int:
-        return max(sum(map(abs, flat[lo:hi])) for lo, hi in self.bounds)
-
-    def superassignment(self, flat: tuple[int, ...]) -> SuperAssignment:
-        return SuperAssignment(tuple(flat[lo:hi] for lo, hi in self.bounds))
+    def superassignment(self, flat: Sequence[int]) -> SuperAssignment:
+        return SuperAssignment(tuple(tuple(flat[lo:hi]) for lo, hi in self.bounds))
 
 
 def _compile_ssat(ssat: SsatInstance) -> _SsatRows:
@@ -196,7 +356,7 @@ def _compile_ssat(ssat: SsatInstance) -> _SsatRows:
                 for a in ssat.field_values:
                     plus, minus = projection[i, x][a], projection[j, x][a]
                     if plus or minus:
-                        consistency.append((plus, minus))
+                        consistency.append(_sparse([(c, 1) for c in plus] + [(c, -1) for c in minus]))
     coverage = tuple(
         tuple(cols for t in ssat.tests_of_variable[x] for cols in projection[t, x].values() if cols)
         for x in ssat.variables
@@ -243,18 +403,33 @@ def solve_ssat_min_norm(
     ``side_condition`` overrides the mode's default filter so the two minima
     can be compared under either condition.  Returns ``None`` when no
     admissible super-assignment exists in the box.
+
+    The walk tries only weights that keep every consistency row reachable;
+    the l1 cost adds each |weight|, the linf cost is the largest test norm
+    so far, and the side condition is checked at the leaf.
     """
     rows = _compile_ssat(ssat)
-    box = rows.box(budget.coeff_box, budget.max_states)
+    n = rows.num_cols
     if side_condition is None:
         side_condition = "nontrivial" if budget.mode == "l1" else "not_all_zero"
     admissible = rows.nontrivial if side_condition == "nontrivial" else any
-    norm = rows.norm_l1 if budget.mode == "l1" else rows.norm_linf
+    if budget.mode == "l1":
+        cost_step = _l1_step
+    else:
+        test_start = [lo for lo, hi in rows.bounds for _ in range(lo, hi)]
 
-    def cost(flat: tuple[int, ...]) -> Optional[int]:
-        return norm(flat) if rows.consistent(flat) and admissible(flat) else None
+        def cost_step(depth: int, prefix: Prefix, cost: int) -> int:
+            return max(cost, sum(map(abs, prefix[test_start[depth]:depth + 1])))
 
-    best_norm, best, states = lex_min(box, cost)
+    def step(depth: int, prefix: Prefix, cost: int) -> Optional[int]:
+        if depth == n - 1 and not admissible(prefix):
+            return None
+        return cost_step(depth, prefix, cost)
+
+    equalities = rows.equalities(budget.coeff_box)
+    # with no columns the walk enters no node: the empty vector is judged here
+    root = 0 if equalities.feasible and (n or admissible(())) else None
+    best_norm, best, states = branch_and_bound(n, equalities.values, step, root, budget.max_states)
     if best is None:
         return SsatMinResult(mode=budget.mode, min_norm=None, witness=None, states_visited=states)
     min_norm = Fraction(best_norm, len(ssat.tests)) if budget.mode == "l1" else best_norm
@@ -274,66 +449,21 @@ class SisMinResult:
     states_visited: int
 
 
-def _non_triviality_groups(sis: SisInstance) -> Optional[list[tuple[int, int]]]:
-    """Column ranges per test when the instance carries a trusted pipeline layout.
-
-    Requires column provenance that runs through tests 0, 1, 2, ... in
-    contiguous blocks, and exactly one non-triviality row per test that is the
-    indicator of the test's columns with target 1; otherwise returns None and
-    the solver falls back to plain enumeration.
-    """
-    if not sis.column_provenance or sis.row_provenance is None:
-        return None
-    tests = [t for t, _ in sis.column_provenance]
-    starts = [c for c, t in enumerate(tests) if c == 0 or t != tests[c - 1]]
-    if [tests[c] for c in starts] != list(range(len(starts))):
-        return None
-    groups = list(zip(starts, starts[1:] + [len(tests)]))
-    nt_rows = sorted((tag.test, i) for i, tag in enumerate(sis.row_provenance) if isinstance(tag, NonTrivialityRow))
-    if [t for t, _ in nt_rows] != list(range(len(groups))):
-        return None
-    for (_, i), (lo, hi) in zip(nt_rows, groups):
-        if sis.target[i] != 1 or sis.matrix[i] != tuple(int(lo <= c < hi) for c in range(len(tests))):
-            return None
-    return groups
-
-
-def _vectors_with_sum(length: int, k: int, target: int) -> Iterator[tuple[int, ...]]:
-    """Vectors over [-k, k] with a fixed coordinate sum, lexicographic order."""
-
-    def rec(prefix: list[int], remaining: int, need: int):
-        if remaining == 0:
-            if need == 0:
-                yield tuple(prefix)
-            return
-        # prune branches whose suffix cannot reach the needed sum
-        for v in range(-k, k + 1):
-            rest = need - v
-            if abs(rest) > k * (remaining - 1):
-                continue
-            prefix.append(v)
-            yield from rec(prefix, remaining - 1, rest)
-            prefix.pop()
-
-    yield from rec([], length, target)
+def _compile_sis(sis: SisInstance, k: int) -> _EqualityRows:
+    rows = ((_sparse(enumerate(row)), t) for row, t in zip(sis.matrix, sis.target))
+    return _compile_equalities(sis.num_cols, k, rows)
 
 
 def solve_sis_min(sis: SisInstance, budget: SearchBudget) -> SisMinResult:
     """Exact minimum l1 norm of a box solution of ``matrix @ z == target``.
 
-    Pipeline instances are pruned through their non-triviality rows (each
-    column block must sum to 1), which cuts the box without changing the
-    solution set.  Returns ``None`` when the target is unreachable in the box.
+    The walk tries only values that leave every row's target reachable by
+    the later columns, so it needs no provenance.  Returns ``None`` when the
+    target is unreachable in the box.
     """
-    k = budget.coeff_box
-    box = search_box(budget.max_states, [range(-k, k + 1)] * sis.num_cols)
-    groups = _non_triviality_groups(sis)
-    if groups is not None:
-        # the unit-sum blocks enumerate a subset of the box charged above
-        blocks = [list(_vectors_with_sum(hi - lo, k, 1)) for lo, hi in groups]
-        box = (sum(combo, ()) for combo in search_box(budget.max_states, blocks))
-    best_norm, best, states = lex_min(
-        box, lambda z: sum(abs(v) for v in z) if sis.multiply(z) == sis.target else None
+    rows = _compile_sis(sis, budget.coeff_box)
+    best_norm, best, states = branch_and_bound(
+        sis.num_cols, rows.values, _l1_step, 0 if rows.feasible else None, budget.max_states
     )
     return SisMinResult(min_l1=best_norm, witness=best, states_visited=states)
 
@@ -342,30 +472,14 @@ def solve_sis_min(sis: SisInstance, budget: SearchBudget) -> SisMinResult:
 # NCP
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _NcpRows:
-    """An NCP instance as residues mod q.
-
-    Each row keeps its nonzero ``(column, residue)`` pairs as parallel
-    tuples, its target residue and its multiplicity.
-    """
-
-    modulus: int
-    rows: tuple[tuple[Columns, tuple[int, ...], int, int], ...]
-
-    def distance(self, z: tuple[int, ...]) -> int:
-        q = self.modulus
-        get = z.__getitem__
-        return sum(k for cols, coeffs, t, k in self.rows if sum(map(mul, coeffs, map(get, cols))) % q != t)
-
-
-def _compile_ncp(ncp: NcpInstance) -> _NcpRows:
+def _compile_ncp(ncp: NcpInstance) -> _FiledRows:
+    """Each row as its nonzero residues mod q, missed when its sum is not its target residue."""
     q = ncp.modulus
-    rows = []
-    for row, t, k in zip(ncp.matrix, ncp.target, ncp.multiplicity):
-        pairs = [(c, a % q) for c, a in enumerate(row) if a % q]
-        rows.append((tuple(c for c, _ in pairs), tuple(a for _, a in pairs), t % q, k))
-    return _NcpRows(modulus=q, rows=tuple(rows))
+    rows = (
+        (*_sparse((c, a % q) for c, a in enumerate(row)), t % q, k)
+        for row, t, k in zip(ncp.matrix, ncp.target, ncp.multiplicity)
+    )
+    return _file_rows(ncp.num_cols, rows, q)
 
 
 @dataclass(frozen=True)
@@ -381,14 +495,17 @@ def solve_ncp_min(
 ) -> NcpMinResult:
     """Exact (full-field) or box-restricted minimum Hamming distance.
 
-    Box mode restricts coordinates to the images of [-k, k] modulo q and is
-    flagged as such in the result; witnesses are canonical field elements.
+    Box mode restricts coordinates to the images of [-k, k] modulo q, tried
+    in that order, and is flagged as such in the result; witnesses are
+    canonical field elements.
     """
     q = ncp.modulus
     k = budget.coeff_box
-    values: Sequence[int] = range(q) if full_field else list(dict.fromkeys(v % q for v in range(-k, k + 1)))
-    box = search_box(budget.max_states, [values] * ncp.num_cols)
-    best_dist, best, states = lex_min(box, _compile_ncp(ncp).distance)
+    values = tuple(range(q)) if full_field else tuple(dict.fromkeys(v % q for v in range(-k, k + 1)))
+    rows = _compile_ncp(ncp)
+    best_dist, best, states = branch_and_bound(
+        ncp.num_cols, lambda depth, prefix: values, rows.step, rows.root, budget.max_states
+    )
     return NcpMinResult(
         min_dist=best_dist, witness=best, mode="full" if full_field else "box", states_visited=states
     )
@@ -406,37 +523,21 @@ def count_lhp_violations(lhp: LhpSystem, a: LhpAssignment) -> int:
     return sum(ineq.multiplicity for ineq in lhp.inequalities if not ineq.satisfied_by(a))
 
 
-@dataclass(frozen=True)
-class _LhpRows:
-    """An LHP system as integer rows that are satisfied exactly when positive.
+def _compile_lhp(lhp: LhpSystem) -> _FiledRows:
+    """Each inequality as an integer row over x, missed at ``y = 1`` and infinitesimal delta.
 
-    Each inequality is scaled by the lcm of its denominators and by -1 when
-    its sense is "<".  A row is ``(x columns, x coefficients, y coefficient,
-    delta coefficient, multiplicity)``; under the infinitesimal delta the
-    delta coefficient breaks a zero standard part.
+    An inequality is scaled by the lcm of its denominators and by -1 when
+    its sense is "<", so it holds when its standard part ``s + c_y`` is
+    positive, or zero with a positive delta coefficient ``c_d``.  It is
+    missed when ``s`` is below ``-c_y``, or ``-c_y + 1`` when ``c_d <= 0``.
     """
-
-    rows: tuple[tuple[Columns, tuple[int, ...], int, int, int], ...]
-
-    def violations(self, x: tuple[int, ...]) -> int:
-        """Violated rows, with multiplicity, at ``x``, ``y = 1`` and infinitesimal delta."""
-        get = x.__getitem__
-        count = 0
-        for cols, coeffs, cy, cd, k in self.rows:
-            std = sum(map(mul, coeffs, map(get, cols))) + cy
-            if std < 0 or (std == 0 and cd <= 0):
-                count += k
-        return count
-
-
-def _compile_lhp(lhp: LhpSystem) -> _LhpRows:
     rows = []
     for ineq in lhp.inequalities:
         coeffs = [c for _, c in ineq.coeff_x] + [ineq.coeff_y, ineq.coeff_delta]
         scale = math.lcm(*(c.denominator for c in coeffs)) * (1 if ineq.sense == GT else -1)
         *xs, cy, cd = (int(c * scale) for c in coeffs)
-        rows.append((tuple(i for i, _ in ineq.coeff_x), tuple(xs), cy, cd, ineq.multiplicity))
-    return _LhpRows(rows=tuple(rows))
+        rows.append((tuple(i for i, _ in ineq.coeff_x), tuple(xs), -cy + (cd <= 0), ineq.multiplicity))
+    return _file_rows(lhp.num_x, rows)
 
 
 @dataclass(frozen=True)
@@ -454,6 +555,8 @@ def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget()) -> LhpM
     to the grid's normal form, but the exact optimum over all of rational
     space is not computed here.
     """
-    box = search_box(budget.max_states, [(-1, 0, 1)] * lhp.num_x)
-    best_count, best, states = lex_min(box, _compile_lhp(lhp).violations)
+    rows = _compile_lhp(lhp)
+    best_count, best, states = branch_and_bound(
+        lhp.num_x, lambda depth, prefix: (-1, 0, 1), rows.step, rows.root, budget.max_states
+    )
     return LhpMinResult(min_violations=best_count, witness=LhpAssignment.of(best), states_visited=states)

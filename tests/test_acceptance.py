@@ -172,7 +172,7 @@ def test_criterion_3_sis_minimum_stated_value():
     all-1/2 vector solves every row over the rationals.
 
     Checked: the oracle reports no minimum; a plain loop over all 625 vectors
-    of {-2..2}^4, independent of the oracle's block walk, finds no solution;
+    of {-2..2}^4, independent of the oracle's walk, finds no solution;
     the all-1/2 vector solves, so the obstruction is integrality, not the box.
     """
     ssat = lc_to_ssat(shipped.load("lc_cyc"))

@@ -3,8 +3,8 @@
 The digests pin the whole report: manifest hashes, checks, oracle minima and
 states, skip messages and gap rows.  A change that alters the report on
 purpose regenerates them with ``sha256(canonical_bytes(run_chain(...)))`` and
-says so.  The generated cases use state caps at which every oracle stage
-skips (an empty gap table) and at which only the LHP grid fits.
+says so.  The generated cases use state caps at which the walk stops every
+oracle stage (an empty gap table) and at which some stages finish.
 """
 
 from __future__ import annotations
@@ -19,28 +19,37 @@ from gapforge.pipeline import run_chain
 from gapforge.serialize import canonical_bytes
 
 GOLDEN = {
-    ("lc_id2", "default"): "49b1b15aa914ffbec33a05a3028f7a29c1111c8c2418b43eb043b5771e114c6d",
-    ("lc_id2", "box1"): "cad378846c550ce6b4d60c6daa64c019340c921af4ded0a95054702f127b1ae4",
-    ("lc_id2", "cap100"): "49b1b15aa914ffbec33a05a3028f7a29c1111c8c2418b43eb043b5771e114c6d",
-    ("lc_cyc", "default"): "b61184a973ad7919a37f63d89dfa5acbb866518b197b2f3774642b25d9509776",
-    ("lc_cyc", "box1"): "526f12263ef2c3c5b8ed972edfd1857185db8b7e20a2c2a46911d16fd288c0db",
-    ("lc_cyc", "cap100"): "a8ffbc6ae2331dec80249ca823beeb8d516380b0c8c1b1704b05981eac318262",
-    ("lc_share", "default"): "61b5f895522774f218d4637f5d60ae9fb652b950f095587169a587e07ce26a30",
-    ("lc_share", "box1"): "0f435238a41d5a936d9122334bd3c4d9d0c14cb02a3e24f3c05335ade7c2070a",
-    ("lc_share", "cap100"): "cb9214100ee82e12108f93e3ffdb5adaf0c93f223a07fd0707af4e773cba8913",
-    ("lc_2to1", "default"): "cfbdb8ce10a321c7c201e62112dbd97c591d8a1e817c1581f05e161551176d02",
-    ("lc_2to1", "box1"): "d9913136e39009011e1db3a10fdfcfae33f45bcd955e1dbb80aab16f3f568fa0",
-    ("lc_2to1", "cap100"): "cfbdb8ce10a321c7c201e62112dbd97c591d8a1e817c1581f05e161551176d02",
-    ("planted", "cap3000"): "584cc85fcd39e7262069828bf75e2b02a109c2eec334764c427d7bb0fae0f523",
-    ("planted", "cap700"): "f12845ff26eeb73c43ecae9bbf9481d9999b4273f848f93ab39a685723df297e",
-    ("frustrated", "cap3000"): "92732d7f7d4a4e96579379413c21a24bfe45bc439384038158ec8e947ae24097",
-    ("frustrated", "cap700"): "8b247f2c811dedc03c3b53db675a545c222b6beae0fb0bd155f121cdb0c8bdd4",
+    ("lc_id2", "default"): "25dfaff2f757c33bb9933065a83878a6c7fc0c50c503af71b732098088a80901",
+    ("lc_id2", "box1"): "5e4c232367e3cd71e9a38ce77d92a733b5e3abc5ba41291e8850b4df7fe4f85a",
+    ("lc_id2", "cap100"): "25dfaff2f757c33bb9933065a83878a6c7fc0c50c503af71b732098088a80901",
+    ("lc_cyc", "default"): "9a6159bd10d5937e634bd4b0d0966965567e505da7054974c565b46236747e5a",
+    ("lc_cyc", "box1"): "2107661ee64ae6a9d7ffb748b0497eb706d57e5125d7d7c9dd12e166c2855bb2",
+    ("lc_cyc", "cap100"): "b783ee23c7ee0693d0778e4ab3aed9aeeb8c783c3f83d8336e7dba977aeaa954",
+    ("lc_share", "default"): "55d74fe40304e47721fe281ec6364a0e4415f082f480b6a059688968fbfe0d77",
+    ("lc_share", "box1"): "9554ee1e517e0772e835a12a29dd5b84fae60781ad6e86dba96ee6eaf5f2d153",
+    ("lc_share", "cap100"): "55d74fe40304e47721fe281ec6364a0e4415f082f480b6a059688968fbfe0d77",
+    ("lc_2to1", "default"): "04e65c388cabe552cd03c59c9fe6e395302b4c9a2ad3a08b9d47b16cde4dffe7",
+    ("lc_2to1", "box1"): "3f62b777328899e5dfc4b63b4983f40d6aa44c34abcbc12ff6de6c227bcfc9a3",
+    ("lc_2to1", "cap100"): "04e65c388cabe552cd03c59c9fe6e395302b4c9a2ad3a08b9d47b16cde4dffe7",
+    ("planted", "cap3000"): "16d0408b051611e1d04cbefd02f57a8415c01a4555003142162fb829f4dc29fa",
+    ("planted", "cap700"): "d4cd90457009957429fe0e903a6d77b2050ced0dfc00783baa8650226166e920",
+    ("planted", "cap16"): "135086942f7a63b127b9af6b2d6cd8c4766d1422dab0d39565eeed4a3422b810",
+    ("frustrated", "cap3000"): "068c42258e889ed1252baff2bf5df5b00096ee777cf53879b0453bfcfc3d676e",
+    ("frustrated", "cap700"): "f29be9af4764709bcdb9270d03e402569f0aabffe9c52844aa56ca4b3f9b86c6",
+    ("frustrated", "cap16"): "d58e13a82d2a0301aeb36d8c390940bacd11f4fbc6c6516d1088ac0cc61c3cd7",
 }
 
 SETTINGS = {"default": {}, "box1": {"box": 1}, "cap100": {"max_states": 100},
-            "cap3000": {"max_states": 3000}, "cap700": {"max_states": 700}}
-# the oracle stages that run (are not skipped) at each generated-case cap
-RUNNING = {"cap3000": ["lhp_grid"], "cap700": []}
+            "cap3000": {"max_states": 3000}, "cap700": {"max_states": 700}, "cap16": {"max_states": 16}}
+# the oracle stages that run (are not skipped) in each generated case
+RUNNING = {
+    ("planted", "cap3000"): ["ssat_l1", "sis", "lhp_grid"],
+    ("planted", "cap700"): ["ssat_l1", "sis", "lhp_grid"],
+    ("planted", "cap16"): [],
+    ("frustrated", "cap3000"): ["ssat_l1", "sis", "lhp_grid"],
+    ("frustrated", "cap700"): ["sis", "lhp_grid"],
+    ("frustrated", "cap16"): [],
+}
 
 
 def _instance(name):
@@ -53,7 +62,7 @@ def _instance(name):
 @pytest.mark.parametrize("name,setting", sorted(GOLDEN))
 def test_chain_report_bytes_are_golden(name, setting):
     doc = run_chain(_instance(name), **SETTINGS[setting])
-    if setting in RUNNING:
-        assert [k for k, v in doc["oracles"].items() if "skipped" not in v] == RUNNING[setting]
-        assert len(doc["gap_report"]["rows"]) == len(RUNNING[setting])
+    if (name, setting) in RUNNING:
+        assert [k for k, v in doc["oracles"].items() if "skipped" not in v] == RUNNING[name, setting]
+        assert len(doc["gap_report"]["rows"]) == len(RUNNING[name, setting])
     assert hashlib.sha256(canonical_bytes(doc)).hexdigest() == GOLDEN[name, setting]

@@ -1,9 +1,13 @@
-"""The compiled oracle rows against the instance-level reference semantics.
+"""The row tables of the walked oracles against the instance-level reference semantics.
 
-Each solver compiles its instance once into integer rows; the per-point
-costs they compute must agree with ``is_consistent`` / ``is_nontrivial`` /
-the norms, ``NcpInstance.distance`` and ``count_lhp_violations`` on every
-point of small boxes of the same seeded chains the search differential uses.
+Each walked solver compiles its instance once into integer rows.  On every
+point of small boxes of the same seeded chains the search differential uses:
+
+* a point passes the per-coordinate bounds of the equality rows exactly when
+  it solves them (``is_consistent`` for SSAT, ``SisInstance.multiply`` for SIS);
+* the SSAT coverage sets agree with ``is_nontrivial``;
+* the NCP and LHP rows, charged at the root and then coordinate by
+  coordinate, add up to ``NcpInstance.distance`` and ``count_lhp_violations``.
 """
 
 from __future__ import annotations
@@ -11,23 +15,38 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 from test_search_differential import chains
 
-from gapforge.instances import LhpAssignment, NcpInstance
+from gapforge.instances import GT, LT, LhpAssignment, LhpInequality, LhpSystem, NcpInstance, SisInstance
 from gapforge.oracles import (
     _compile_lhp,
     _compile_ncp,
+    _compile_sis,
     _compile_ssat,
     count_lhp_violations,
     enumerate_consistent_superassignments,
     enumerate_superassignments,
 )
 from gapforge.reductions import sis_to_lhp, sis_to_ncp
-from gapforge.superassign import is_consistent, is_nontrivial, is_not_all_zero, norm_l1, norm_linf
+from gapforge.superassign import is_consistent, is_nontrivial
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+
+def within_bounds(rows, point):
+    """The rows with no entry hold, and every coordinate lies in the values its bounds allow after its prefix."""
+    prefix = list(point)
+    return rows.feasible and all(v in rows.values(d, prefix) for d, v in enumerate(point))
+
+
+def charged(rows, point):
+    """The cost the walk reaches at the leaf ``point``."""
+    cost = rows.root
+    for d in range(len(point)):
+        cost = rows.step(d, list(point), cost)
+    return cost
 
 
 @SETTINGS
@@ -35,13 +54,12 @@ SETTINGS = settings(max_examples=12, derandomize=True, deadline=None,
 def test_compiled_ssat_matches_reference(chain):
     _, ssat, _, k = chain
     rows = _compile_ssat(ssat)
-    for flat in itertools.product(range(-k, k + 1), repeat=sum(len(t.assignments) for t in ssat.tests)):
+    equalities = rows.equalities(k)
+    for flat in itertools.product(range(-k, k + 1), repeat=rows.num_cols):
         s = rows.superassignment(flat)
-        assert rows.consistent(flat) == bool(is_consistent(ssat, s))
+        consistent = bool(is_consistent(ssat, s))
+        assert rows.consistent(flat) == within_bounds(equalities, flat) == consistent
         assert rows.nontrivial(flat) == is_nontrivial(ssat, s)
-        assert any(flat) == is_not_all_zero(s)
-        assert Fraction(rows.norm_l1(flat), len(ssat.tests)) == norm_l1(s)
-        assert rows.norm_linf(flat) == norm_linf(s)
     consistent = [s for s in enumerate_superassignments(ssat, k) if is_consistent(ssat, s)]
     assert list(enumerate_consistent_superassignments(ssat, k)) == consistent
 
@@ -65,7 +83,7 @@ def test_compiled_ncp_matches_reference(chain):
     for inst in (ncp, raw):
         rows = _compile_ncp(inst)
         for z in itertools.product(residues, repeat=inst.num_cols):
-            assert rows.distance(z) == inst.distance(z)
+            assert charged(rows, z) == inst.distance(z)
 
 
 @SETTINGS
@@ -75,4 +93,51 @@ def test_compiled_lhp_matches_reference(chain):
     lhp = sis_to_lhp(sis, g=1)
     rows = _compile_lhp(lhp)
     for xs in itertools.product((-1, 0, 1), repeat=lhp.num_x):
-        assert rows.violations(xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
+        assert charged(rows, xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
+
+
+@SETTINGS
+@given(chains())
+def test_compiled_sis_matches_reference(chain):
+    _, _, sis, k = chain
+    rows = _compile_sis(sis, k)
+    for z in itertools.product(range(-k, k + 1), repeat=sis.num_cols):
+        assert within_bounds(rows, z) == (sis.multiply(z) == sis.target)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2),
+       st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.integers(-5, 5)),
+                min_size=1, max_size=3))
+def test_equality_bounds_on_any_integer_rows(m, k, rows):
+    """Entries beyond +-1, negative entries, all-zero rows and unreachable targets."""
+    sis = SisInstance(matrix=tuple(tuple(r[:m]) for r, _ in rows), target=tuple(t for _, t in rows), bound=1)
+    compiled = _compile_sis(sis, k)
+    for z in itertools.product(range(-k, k + 1), repeat=m):
+        assert within_bounds(compiled, z) == (sis.multiply(z) == sis.target)
+
+
+def test_rows_with_no_column_and_zero_standard_parts():
+    """Rows charged at the root, and LHP rows decided by their delta coefficient."""
+    ncp = NcpInstance(modulus=5, matrix=((0, 0), (1, 2), (5, 0)), target=(3, 1, 0), bound=1, replication=1,
+                      multiplicity=(2, 1, 4))
+    rows = _compile_ncp(ncp)
+    assert rows.root == 2
+    for z in itertools.product(range(5), repeat=2):
+        assert charged(rows, z) == ncp.distance(z)
+
+    def ineq(coeff_x, cy, cd, sense, k=1):
+        return LhpInequality(coeff_x=tuple((i, Fraction(c)) for i, c in coeff_x), coeff_y=Fraction(cy),
+                             coeff_delta=Fraction(cd), sense=sense, group="G2", copies_of="", multiplicity=k)
+
+    lhp = LhpSystem(num_x=2, u_param=1, inequalities=(
+        ineq((), -1, 0, GT, k=3),                 # -y > 0: violated at y = 1
+        ineq((), 1, 0, GT),                       # y > 0: holds
+        ineq(((0, 1),), -1, 0, GT),               # x0 - y > 0: zero standard part at x0 = 1, violated
+        ineq(((0, 1), (1, 1)), 0, -1, LT),        # x0 + x1 - delta < 0: holds at x0 + x1 = 0
+        ineq(((1, Fraction(1, 2)),), 0, 2, LT),   # x1 / 2 + 2 delta < 0: violated at x1 = 0
+    ))
+    rows = _compile_lhp(lhp)
+    assert rows.root == 3
+    for xs in itertools.product((-1, 0, 1), repeat=2):
+        assert charged(rows, xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))

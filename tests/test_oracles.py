@@ -13,7 +13,6 @@ from gapforge.genlab import GenSpec, gen_label_cover
 from gapforge.instances import LabelCoverInstance, LhpAssignment, NonTrivialityRow, count_satisfied_edges
 from gapforge.oracles import (
     SearchBudget,
-    _non_triviality_groups,
     count_lhp_violations,
     solve_lc_max,
     solve_lhp_min,
@@ -113,8 +112,10 @@ def test_ssat_min_infeasible_none():
 
 
 def test_ssat_min_cap(ssat_cyc):
-    with pytest.raises(SearchSpaceTooLarge):
-        solve_ssat_min_norm(ssat_cyc, SearchBudget(coeff_box=2, max_states=100))
+    # the walk enters 38 nodes on this instance; the cap stops it at the 21st
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        solve_ssat_min_norm(ssat_cyc, SearchBudget(coeff_box=2, max_states=20))
+    assert (exc.value.states, exc.value.cap) == (21, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +172,8 @@ def _two_test_sis():
     return ssat_to_sis(lc_to_ssat(gen_label_cover(GenSpec(2, 2, 1, 2, 2, 1, planted=False, seed=0))))
 
 
-# one corrupted layout per condition under which the pruned walk is refused
-SIS_LAYOUT_REFUSALS = {
+# corrupted provenance: the solver reads only the matrix and the target
+SIS_CORRUPTED_LAYOUTS = {
     "duplicated_tag": dict(matrix=((1, 1, 0, 0), (1, 1, 0, 0)), row_provenance=(NonTrivialityRow(0), NonTrivialityRow(0))),
     "missing_row": dict(matrix=((1, 1, 0, 0),), target=(1,), row_provenance=(NonTrivialityRow(0),)),
     "target_2": dict(target=(1, 2)),
@@ -185,27 +186,28 @@ SIS_LAYOUT_REFUSALS = {
 }
 
 
+def _solves_like_plain(sis):
+    stripped = dataclasses.replace(sis, column_provenance=None, row_provenance=None)
+    budget = SearchBudget(coeff_box=1)
+    return solve_sis_min(sis, budget) == solve_sis_min(stripped, budget)
+
+
 def test_sis_layout_accepts_pipeline_instance():
     sis = _two_test_sis()
     assert sis.matrix == ((1, 1, 0, 0), (0, 0, 1, 1)) and sis.target == (1, 1)
-    assert _non_triviality_groups(sis) == [(0, 2), (2, 4)]
+    assert _solves_like_plain(sis)
 
 
-@pytest.mark.parametrize("case", sorted(SIS_LAYOUT_REFUSALS))
+@pytest.mark.parametrize("case", sorted(SIS_CORRUPTED_LAYOUTS))
 def test_sis_layout_refusals(case):
-    bad = dataclasses.replace(_two_test_sis(), **SIS_LAYOUT_REFUSALS[case])
-    assert _non_triviality_groups(bad) is None
-    # the refused layout falls back to the walk of the instance without provenance
-    stripped = dataclasses.replace(bad, column_provenance=None, row_provenance=None)
-    budget = SearchBudget(coeff_box=1)
-    assert solve_sis_min(bad, budget) == solve_sis_min(stripped, budget)
+    assert _solves_like_plain(dataclasses.replace(_two_test_sis(), **SIS_CORRUPTED_LAYOUTS[case]))
 
 
 def test_sis_min_duplicated_tag_is_not_pruned():
     # both rows say "test 0": trusting them would force the second block to sum to 1
-    bad = dataclasses.replace(_two_test_sis(), **SIS_LAYOUT_REFUSALS["duplicated_tag"])
+    bad = dataclasses.replace(_two_test_sis(), **SIS_CORRUPTED_LAYOUTS["duplicated_tag"])
     res = solve_sis_min(bad, SearchBudget(coeff_box=1))
-    assert (res.min_l1, res.witness, res.states_visited) == (1, (0, 1, 0, 0), 81)
+    assert (res.min_l1, res.witness) == (1, (0, 1, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,8 @@ def test_ncp_min_share_full_field(ssat_share):
     result = solve_ncp_min(ncp, SearchBudget(), full_field=True)
     assert result.min_dist == 2
     assert result.mode == "full"
-    assert result.states_visited == 5 ** 4
+    # pruning leaves the walk below the 5^4 leaves of the full field
+    assert result.states_visited < 5 ** 4
 
 
 def test_ncp_min_share_box(ssat_share):

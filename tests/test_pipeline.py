@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from gapforge.genlab import GenSpec, gen_label_cover
 from gapforge.pipeline import GAP_ROW_KEYS, gap_row, run_chain, verify_manifest
 from gapforge.serialize import canonical_bytes
 
@@ -24,6 +25,18 @@ def test_chain_share_ncp_row(lc_share):
     assert stages["ncp"]["completeness_value"] == "2/1"
     assert stages["ncp"]["oracle_minimum"] == "2/1"
     assert stages["ncp"]["ratio"] == "1/1"
+
+
+def test_ten_column_planted_chain_runs_every_oracle():
+    """A 5^10 = 9.8e6-point box: the walk finishes every oracle stage at the default cap."""
+    doc = run_chain(gen_label_cover(GenSpec(6, 5, 2, 2, 2, 1, planted=True, seed=0)))
+    tests = doc["sizes"]["tests"]
+    assert (doc["sizes"]["sis_cols"], tests) == (10, 5)
+    assert doc["all_checks_passed"] is True
+    minima = {key: stage.get("minimum") for key, stage in doc["oracles"].items()}
+    assert minima == {"ssat_l1": "1/1", "sis": tests, "ncp_box": tests, "lhp_grid": tests}
+    # the walks enter a small share of the nodes of the unpruned trees
+    assert all(stage["states"] < 5 ** 10 // 10 for stage in doc["oracles"].values())
 
 
 def test_chain_manifest_hashes_link(lc_id2):

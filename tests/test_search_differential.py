@@ -2,9 +2,11 @@
 
 The reference is the plain enumeration the oracles are specified by: walk the
 box with ``itertools.product`` in lexicographic order and keep the first
-strict improvement.  The property compares optimum, witness, states visited
-and the state count reported when the cap is zero, on small seeded label
-covers, planted and frustrated.
+strict improvement.  The property compares optimum and witness on small
+seeded label covers, planted and frustrated.  For the box searches it also
+compares the points visited and the box charged when the cap is zero; for the
+four walked oracles it checks that the nodes entered are the exact cap and
+never exceed the node count of the unpruned tree.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from gapforge.genlab import GenSpec, frustrate, gen_label_cover
 from gapforge.instances import Labeling, LhpAssignment
 from gapforge.oracles import (
     SearchBudget,
-    _non_triviality_groups,
-    _vectors_with_sum,
     count_lhp_violations,
     solve_lc_max,
     solve_lhp_min,
@@ -93,14 +93,6 @@ def ssat_cost(ssat, mode, side, s):
     return norm_l1(s) if mode == "l1" else norm_linf(s)
 
 
-def sis_candidates(sis, k):
-    groups = _non_triviality_groups(sis)
-    if groups is None:
-        return itertools.product(range(-k, k + 1), repeat=sis.num_cols)
-    blocks = [list(_vectors_with_sum(hi - lo, k, 1)) for lo, hi in groups]
-    return (sum(combo, ()) for combo in itertools.product(*blocks))
-
-
 def ncp_values(ncp, k, full_field):
     if full_field:
         return list(range(ncp.modulus))
@@ -112,6 +104,22 @@ def cap_states(fn):
         fn()
     assert exc.value.cap == 0
     return exc.value.states
+
+
+def check_walk_cap(solve, budget, res, n, v):
+    """The nodes a walk enters are its exact cap, and at most those of the unpruned tree.
+
+    ``solve(budget)`` reruns the search; ``v`` values per coordinate over
+    ``n`` coordinates give ``v + v^2 + ... + v^n`` nodes without pruning.
+    """
+    assert res.states_visited <= sum(v ** d for d in range(1, n + 1))
+    assert solve(dataclasses.replace(budget, max_states=res.states_visited)) == res
+    if res.states_visited == 0:  # a row with no entry misses its target: no node is entered
+        assert res.witness is None
+        return
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        solve(dataclasses.replace(budget, max_states=res.states_visited - 1))
+    assert (exc.value.states, exc.value.cap) == (res.states_visited, res.states_visited - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,39 +185,40 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
         lambda f: ssat_cost(ssat, mode, effective, superassignment(ssat, f)),
     )
     res = solve_ssat_min_norm(ssat, budget, side)
-    assert (res.mode, res.min_norm, res.states_visited) == (mode, best, states)
+    assert (res.mode, res.min_norm) == (mode, best)
     assert res.witness == (None if flat is None else superassignment(ssat, flat))
-    assert cap_states(lambda: solve_ssat_min_norm(ssat, zero, side)) == (2 * k + 1) ** total
+    check_walk_cap(lambda b: solve_ssat_min_norm(ssat, b, side), budget, res, total, 2 * k + 1)
 
-    # SIS, with the trusted block layout and as plain text without it
+    # SIS, with its provenance and as plain text without it
     plain = dataclasses.replace(sis, column_provenance=None, row_provenance=None)
     for inst in (sis, plain):
-        best, z, states = naive_min(
-            sis_candidates(inst, k),
+        best, z, _ = naive_min(
+            itertools.product(range(-k, k + 1), repeat=inst.num_cols),
             lambda z: sum(map(abs, z)) if inst.multiply(z) == inst.target else None,
         )
         res = solve_sis_min(inst, budget)
-        assert (res.min_l1, res.witness, res.states_visited) == (best, z, states)
-        assert cap_states(lambda: solve_sis_min(inst, zero)) == (2 * k + 1) ** inst.num_cols
+        assert (res.min_l1, res.witness) == (best, z)
+        check_walk_cap(lambda b: solve_sis_min(inst, b), budget, res, inst.num_cols, 2 * k + 1)
+    assert solve_sis_min(sis, budget) == solve_sis_min(plain, budget)
 
     # NCP, box and (when small) full field
     ncp = sis_to_ncp(sis, g=1)
     for full in (False, True):
         values = ncp_values(ncp, k, full)
         if len(values) ** ncp.num_cols <= 1000:
-            best, z, states = naive_min(itertools.product(values, repeat=ncp.num_cols), ncp.distance)
+            best, z, _ = naive_min(itertools.product(values, repeat=ncp.num_cols), ncp.distance)
             res = solve_ncp_min(ncp, budget, full_field=full)
-            assert (res.min_dist, res.witness, res.states_visited) == (best, z, states)
+            assert (res.min_dist, res.witness) == (best, z)
             assert res.mode == ("full" if full else "box")
-        assert cap_states(lambda: solve_ncp_min(ncp, zero, full_field=full)) == len(values) ** ncp.num_cols
+            check_walk_cap(lambda b: solve_ncp_min(ncp, b, full_field=full), budget, res, ncp.num_cols, len(values))
 
     # LHP grid
     lhp = sis_to_lhp(sis, g=1)
     grid = [LhpAssignment.of(xs) for xs in itertools.product((-1, 0, 1), repeat=lhp.num_x)]
     res = solve_lhp_min(lhp, budget=budget)
-    want = naive_min(grid, lambda a: count_lhp_violations(lhp, a))
-    assert (res.min_violations, res.witness, res.states_visited) == want
-    assert cap_states(lambda: solve_lhp_min(lhp, budget=zero)) == 3 ** lhp.num_x
+    best, a, _ = naive_min(grid, lambda a: count_lhp_violations(lhp, a))
+    assert (res.min_violations, res.witness) == (best, a)
+    check_walk_cap(lambda b: solve_lhp_min(lhp, budget=b), budget, res, lhp.num_x, 3)
 
     # agreement soundness: maximize agreeing B-vertices
     n_a, n_b = len(lc.a_vertices), len(lc.b_vertices)
@@ -232,3 +241,53 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
     assert cap_states(lambda: list_agreement_soundness_exact(lc, l, 0)) == (
         comb(len(lc.sigma_a), min(l, len(lc.sigma_a))) ** n_a
     )
+
+
+def test_eight_columns_at_box_1_match_naive_reference():
+    """The four walked oracles on one unsatisfiable 8-column chain, against all 3^8 points."""
+    lc = frustrate(gen_label_cover(GenSpec(4, 4, 2, 2, 2, 1, planted=True, seed=0)), 1, seed=0)
+    ssat = lc_to_ssat(lc)
+    sis = ssat_to_sis(ssat)
+    ncp = sis_to_ncp(sis, g=1)
+    lhp = sis_to_lhp(sis, g=1)
+    assert sis.num_cols == lhp.num_x == 8
+    points = list(itertools.product((-1, 0, 1), repeat=8))
+
+    for mode in ("l1", "linf"):
+        budget = SearchBudget(coeff_box=1, mode=mode)
+        side = "nontrivial" if mode == "l1" else "not_all_zero"
+        best, flat, _ = naive_min(points, lambda f: ssat_cost(ssat, mode, side, superassignment(ssat, f)))
+        res = solve_ssat_min_norm(ssat, budget)
+        assert (res.min_norm, res.witness) == (best, None if flat is None else superassignment(ssat, flat))
+        check_walk_cap(lambda b: solve_ssat_min_norm(ssat, b), budget, res, 8, 3)
+
+    budget = SearchBudget(coeff_box=1)
+    best, z, _ = naive_min(points, lambda z: sum(map(abs, z)) if sis.multiply(z) == sis.target else None)
+    res = solve_sis_min(sis, budget)
+    assert (res.min_l1, res.witness) == (best, z)
+    check_walk_cap(lambda b: solve_sis_min(sis, b), budget, res, 8, 3)
+
+    values = ncp_values(ncp, 1, False)
+    best, z, _ = naive_min(itertools.product(values, repeat=8), ncp.distance)
+    res = solve_ncp_min(ncp, budget)
+    assert (res.min_dist, res.witness) == (best, z)
+    check_walk_cap(lambda b: solve_ncp_min(ncp, b), budget, res, 8, 3)
+
+    # count_lhp_violations at each point, with each inequality evaluated once per
+    # value of its own columns, the only ones its value depends on
+    satisfied = {}
+
+    def violations(xs):
+        count = 0
+        for idx, ineq in enumerate(lhp.inequalities):
+            key = (idx, *(xs[i] for i, _ in ineq.coeff_x))
+            if key not in satisfied:
+                satisfied[key] = ineq.satisfied_by(LhpAssignment.of(xs))
+            count += 0 if satisfied[key] else ineq.multiplicity
+        return count
+
+    best, xs, _ = naive_min(points, violations)
+    assert best == count_lhp_violations(lhp, LhpAssignment.of(xs))
+    res = solve_lhp_min(lhp, budget=budget)
+    assert (res.min_violations, res.witness) == (best, LhpAssignment.of(xs))
+    check_walk_cap(lambda b: solve_lhp_min(lhp, budget=b), budget, res, 8, 3)
