@@ -99,7 +99,6 @@ from .oracles import (
     SearchBudget,
     count_lhp_violations,
     enumerate_consistent_superassignments,
-    enumerate_superassignments,
     solve_lc_max,
     solve_lhp_min,
     solve_ncp_min,

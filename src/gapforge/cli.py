@@ -7,12 +7,8 @@ validation or domain errors (as a JSON error envelope), 2 on usage errors.
 The exact searches share one state cap, ``gapforge.oracles.DEFAULT_MAX_STATES``,
 which the environment variable ``GAPFORGE_MAX_STATES`` overrides.  The verbs
 that charge it are ``solve``, ``check claims|agreement|lists|chain`` and
-``gen lc --with-oracle``.  The label-cover search (``solve lc``, ``gen lc
---with-oracle``, the first stage of ``check chain``), ``check agreement`` and
-the candidate enumeration of ``check claims`` charge their whole box up
-front.  The SSAT, SIS, NCP and LHP oracles (``solve ssat|sis|ncp|lhp``,
-``check lists`` without ``--super``, the oracle stages of ``check chain``)
-charge each node their branch-and-bound walk enters.
+``gen lc --with-oracle``.  Every one of their searches charges each node its
+branch-and-bound walk enters.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ from .serialize import (
 )
 from .soundness import (
     ListConstructionParams,
-    agreement_soundness_exact,
     check_list_soundness_bound,
     list_construction,
     select_low_norm_tests,
@@ -84,6 +79,14 @@ def _box_radius(raw: str) -> int:
     if not raw.isdecimal() or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def _fraction(raw: str) -> Fraction:
+    """argparse type of ``--s-list``: a rational such as ``1/4`` or ``0.25``."""
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"must be a fraction such as 1/4, got {raw!r}") from None
 
 
 def _emit(doc: dict[str, Any]) -> None:
@@ -300,7 +303,7 @@ def _cmd_check_agreement(args) -> int:
     _emit(
         {
             "kind": "agreement_report",
-            "s_agr": encode_fraction(agreement_soundness_exact(lc, _max_states())),
+            "s_agr": encode_fraction(bound.agreement),
             "l": args.l,
             "s_list_exact": encode_fraction(bound.lhs),
             "bound_rhs": encode_fraction(bound.rhs),
@@ -324,13 +327,13 @@ def _cmd_check_lists(args) -> int:
     d_a = validate_label_cover(lc).d_a
     params = ListConstructionParams.derive(
         g=Fraction(args.g),
-        s_list=Fraction(args.s_list),
+        s_list=args.s_list,
         d_a=d_a,
         seed=args.seed,
         force_p_one=args.derandomize,
     )
     labeling = list_construction(ssat, s, params)
-    defeat = verify_defeats_list_soundness(lc, labeling, Fraction(args.s_list))
+    defeat = verify_defeats_list_soundness(lc, labeling, args.s_list)
     _emit(
         {
             "kind": "lists_report",
@@ -461,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_lists.add_argument("--in", "--input", dest="infile", required=True)
     c_lists.add_argument("--super", dest="super_path", default=None)
     c_lists.add_argument("--g", type=int, default=1)
-    c_lists.add_argument("--s-list", default="1/4")
+    c_lists.add_argument("--s-list", type=_fraction, default="1/4")
     c_lists.add_argument("--seed", type=int, default=0)
     c_lists.add_argument("--box", type=_box_radius, default=2)
     c_lists.add_argument("--derandomize", action="store_true")
@@ -492,8 +495,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except FileNotFoundError as exc:
-        _emit({"error": {"type": "FileNotFound", "path": str(exc)}})
+    except OSError as exc:  # a path that is missing, a directory, or cannot be read or written
+        kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        _emit({"error": {"type": kind, "path": exc.filename or str(exc)}})
         return 1
     except GapforgeError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

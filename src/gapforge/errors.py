@@ -98,9 +98,8 @@ class PreconditionFailed(GapforgeError):
 class SearchSpaceTooLarge(GapforgeError):
     """An exact search charged more states than the cap allows.
 
-    A box search charges its whole box before visiting any point; the
-    branch-and-bound walk charges each node it enters and stops at the first
-    node over the cap.  ``states`` is the charge when the search stopped.
+    The branch-and-bound walk charges each node it enters and stops at the
+    first node over the cap, so ``states`` is always ``cap + 1``.
     """
 
     def __init__(self, states, cap):

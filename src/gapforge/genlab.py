@@ -106,8 +106,8 @@ def gen_label_cover(spec: GenSpec) -> LabelCoverInstance:
 
 def frustrate(lc: LabelCoverInstance, num_flips: int, seed: int) -> LabelCoverInstance:
     """Twist some projection tables by non-identity B-alphabet permutations."""
-    if num_flips > len(lc.edges):
-        raise InfeasibleSpec("cannot flip more tables than there are edges")
+    if not 0 <= num_flips <= len(lc.edges):
+        raise InfeasibleSpec(f"the number of flips must lie in [0, {len(lc.edges)}], got {num_flips}")
     if num_flips == 0:
         return lc
     rng = random.Random(seed)

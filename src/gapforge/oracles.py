@@ -1,19 +1,14 @@
 """Exact brute-force solvers: ground truth for every problem in the pipeline.
 
-Two search routines serve the package, and both return the lexicographically
-first optimum, so results and witnesses are deterministic.
-
-* The SSAT, SIS, NCP and LHP minimizations run on ``branch_and_bound``, a
-  depth-first walk that fixes the coordinates in index order, prunes a prefix
-  whose cost already reaches the best leaf found so far, and charges every
-  node it enters against the state cap.
-* The label-cover maximization, the agreement searches and the
-  ``enumerate_*`` functions run on ``search_box``, which charges the size of
-  a finite box up front and hands back its points in lexicographic order, and
-  ``lex_min``, which keeps the first strict improvement over them.
-
-The state cap is a hard error, never a silent approximation;
-``DEFAULT_MAX_STATES`` is its one default.
+Every exact search runs on ``branch_and_bound``, a depth-first walk that fixes
+the coordinates in index order, prunes a prefix whose cost already reaches the
+best leaf found so far, and returns the lexicographically first optimum, so
+results and witnesses are deterministic.  There is one state cap rule: the
+walk charges every node it enters and raises ``SearchSpaceTooLarge`` at the
+first node over the cap, a hard error, never a silent approximation;
+``DEFAULT_MAX_STATES`` is its one default.  The maximizations (label cover,
+agreement) minimize a loss charged per B-vertex once its last A-neighbour is
+labeled; the consistent enumeration records every leaf and prunes nothing.
 
 Each walked solver compiles its instance once into sparse integer rows, each
 filed under the coordinate that completes it (its largest column), so the
@@ -34,11 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Literal, Optional, Sequence, TypeVar
 
 from .errors import SearchSpaceTooLarge
 from .instances import (
     GT,
+    Edge,
     Label,
     LabelCoverInstance,
     Labeling,
@@ -52,41 +48,9 @@ from .instances import (
 from .superassign import SuperAssignment
 
 Mode = Literal["l1", "linf"]
-T = TypeVar("T")
 C = TypeVar("C")
 
 DEFAULT_MAX_STATES = 10 ** 8
-
-
-def search_box(max_states: int, axes: Sequence[Sequence[T]]) -> Iterator[tuple[T, ...]]:
-    """The points of ``axes[0] x axes[1] x ...`` in lexicographic order.
-
-    The box size, the product of the axis lengths, is charged up front:
-    above ``max_states`` this raises ``SearchSpaceTooLarge`` before any point
-    is visited.
-    """
-    states = math.prod(len(axis) for axis in axes)
-    if states > max_states:
-        raise SearchSpaceTooLarge(states, max_states)
-    return itertools.product(*axes)
-
-
-def lex_min(points: Iterable[T], cost: Callable[[T], Optional[C]]) -> tuple[Optional[C], Optional[T], int]:
-    """Least cost, the first point attaining it, and the number of points visited.
-
-    Only a strict improvement replaces the best point, so over a
-    lexicographic walk the witness is the lexicographically first optimum.
-    A cost of ``None`` rejects the point; maximize by negating the cost.
-    """
-    best_cost: Optional[C] = None
-    best: Optional[T] = None
-    states = 0
-    for point in points:
-        states += 1
-        c = cost(point)
-        if c is not None and (best_cost is None or c < best_cost):
-            best_cost, best = c, point
-    return best_cost, best, states
 
 
 Prefix = list[int]
@@ -147,8 +111,7 @@ def branch_and_bound(
 class SearchBudget:
     """Box radius and state cap for the exact searches.
 
-    ``max_states`` caps the nodes a walked oracle enters, and the box a box
-    search charges up front.
+    ``max_states`` caps the nodes the branch-and-bound walk enters.
     """
 
     coeff_box: int = 2
@@ -266,32 +229,56 @@ class LcMaxResult:
     states_visited: int
 
 
-def _plurality_labeling(lc: LabelCoverInstance, combo: tuple) -> tuple[int, Labeling]:
-    """Edges satisfied by the A-labeling ``combo`` with its plurality B-side, and that labeling."""
-    phi_a = dict(zip(lc.a_vertices, combo))
-    phi_b: dict = {}
-    satisfied = 0
+def walk_a_labelings(
+    lc: LabelCoverInstance, choices: Sequence, image: Callable[[Edge, object], object],
+    loss: Callable[[list], int], max_states: int,
+) -> tuple[int, Optional[tuple[int, ...]], int]:
+    """``branch_and_bound`` over A-labelings: each A-vertex, in order, takes an index into ``choices``.
+
+    A B-vertex adds the nonnegative ``loss`` of its edges' images
+    ``image(edge, choice)``, charged once its last A-neighbour is fixed, or
+    at the root when it has no edge, so the cost never decreases on a path.
+    """
+    position = {a: i for i, a in enumerate(lc.a_vertices)}
+    root = 0
+    by_column: list[list] = [[] for _ in lc.a_vertices]
     for b in lc.b_vertices:
-        counts = {y: 0 for y in lc.sigma_b}
-        for e in lc.edges_of_b[b]:
-            counts[lc.projections[e][phi_a[e[0]]]] += 1
-        top = max(counts.values(), default=0)
-        phi_b[b] = next(y for y in lc.sigma_b if counts[y] == top)
-        satisfied += top
-    return satisfied, Labeling(phi_a=phi_a, phi_b=phi_b)
+        edges = tuple((position[e[0]], tuple(image(e, c) for c in choices)) for e in lc.edges_of_b[b])
+        if edges:
+            by_column[max(a for a, _ in edges)].append(edges)
+        else:
+            root += loss([])
+
+    def step(depth: int, prefix: Prefix, cost: int) -> int:
+        for edges in by_column[depth]:
+            cost += loss([images[prefix[a]] for a, images in edges])
+        return cost
+
+    values = range(len(choices))
+    return branch_and_bound(len(lc.a_vertices), lambda depth, prefix: values, step, root, max_states)
+
+
+def _plurality_labeling(lc: LabelCoverInstance, combo: tuple) -> Labeling:
+    """The A-labeling ``combo`` with its plurality B-side (lowest alphabet index on ties)."""
+    phi_a = dict(zip(lc.a_vertices, combo))
+    images = {b: [lc.projections[e][phi_a[e[0]]] for e in lc.edges_of_b[b]] for b in lc.b_vertices}
+    return Labeling(phi_a=phi_a, phi_b={b: max(lc.sigma_b, key=images[b].count) for b in lc.b_vertices})
 
 
 def solve_lc_max(lc: LabelCoverInstance, budget: SearchBudget = SearchBudget()) -> LcMaxResult:
     """Exact maximum fraction of satisfiable edges.
 
-    Enumerates A-labelings; the B-side is chosen per vertex as the plurality
-    of projected labels (lowest alphabet index on ties), which is optimal.
+    The B-side is chosen per vertex as the plurality of projected labels,
+    which is optimal, so the walk over A-labelings minimizes the edges lost:
+    a B-vertex loses its degree minus its plurality count.
     """
-    labelings = search_box(budget.max_states, [lc.sigma_a] * len(lc.a_vertices))
-    _, combo, states = lex_min(labelings, lambda combo: -_plurality_labeling(lc, combo)[0])
-    satisfied, witness = _plurality_labeling(lc, combo)
+    lost, best, states = walk_a_labelings(
+        lc, lc.sigma_a, lambda e, x: lc.projections[e][x],
+        lambda images: len(images) - max(map(images.count, images), default=0), budget.max_states,
+    )
     total = len(lc.edges)
-    fraction = Fraction(satisfied, total) if total else Fraction(1)
+    fraction = Fraction(total - lost, total) if total else Fraction(1)
+    witness = _plurality_labeling(lc, tuple(lc.sigma_a[i] for i in best))
     return LcMaxResult(best_fraction=fraction, witness=witness, states_visited=states)
 
 
@@ -318,14 +305,6 @@ class _SsatRows:
     @property
     def num_cols(self) -> int:
         return self.bounds[-1][1]
-
-    def box(self, k: int, max_states: int) -> Iterator[tuple[int, ...]]:
-        """Flat weight vectors over [-k, k], in lexicographic order."""
-        return search_box(max_states, [range(-k, k + 1)] * self.num_cols)
-
-    def consistent(self, flat: Sequence[int]) -> bool:
-        get = flat.__getitem__
-        return all(sum(map(mul, coeffs, map(get, cols))) == 0 for cols, coeffs in self.consistency)
 
     def nontrivial(self, flat: Sequence[int]) -> bool:
         get = flat.__getitem__
@@ -365,19 +344,28 @@ def _compile_ssat(ssat: SsatInstance) -> _SsatRows:
     return _SsatRows(bounds=bounds, consistency=tuple(consistency), coverage=coverage)
 
 
-def enumerate_superassignments(
-    ssat: SsatInstance, k: int, max_states: int = DEFAULT_MAX_STATES
-) -> Iterator[SuperAssignment]:
-    """All super-assignments with weights in [-k, k], in lexicographic order."""
-    rows = _compile_ssat(ssat)
-    return map(rows.superassignment, rows.box(k, max_states))
-
-
 def enumerate_consistent_superassignments(
     ssat: SsatInstance, k: int, max_states: int = DEFAULT_MAX_STATES
-) -> Iterator[SuperAssignment]:
+) -> list[SuperAssignment]:
+    """Every consistent super-assignment with weights in [-k, k], in lexicographic order.
+
+    The walk tries only weights that keep every consistency row reachable,
+    so every leaf it reaches is consistent; the step records each leaf and
+    rejects it, so no subtree is ever pruned by cost.
+    """
     rows = _compile_ssat(ssat)
-    return map(rows.superassignment, filter(rows.consistent, rows.box(k, max_states)))
+    n = rows.num_cols
+    found: list[SuperAssignment] = []
+
+    def record(depth: int, prefix: Prefix, cost: int) -> Optional[int]:
+        if depth < n - 1:
+            return cost
+        found.append(rows.superassignment(prefix))
+        return None
+
+    _, empty, _ = branch_and_bound(n, rows.equalities(k).values, record, 0, max_states)
+    # with no columns the walk enters no node and returns the empty vector
+    return found if empty is None else [rows.superassignment(empty)]
 
 
 @dataclass(frozen=True)

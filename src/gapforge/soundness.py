@@ -1,6 +1,7 @@
 """Agreement-soundness machinery and the randomized list constructions.
 
-Exact agreement and list-agreement soundness are computed by enumeration.
+Exact agreement and list-agreement soundness are computed by one
+branch-and-bound walk over A-labelings.
 The list constructions turn a low-norm consistent super-assignment into label
 lists that create agreement on many B-vertices; sampling uses exact rational
 thresholds against 64-bit uniform draws, split into one independent stream
@@ -13,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     MalformedInstance,
@@ -22,7 +23,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .instances import Label, LabelCoverInstance, SsatInstance, Vertex
-from .oracles import DEFAULT_MAX_STATES, lex_min, search_box
+from .oracles import DEFAULT_MAX_STATES, walk_a_labelings
 from .superassign import (
     SuperAssignment,
     TestKind,
@@ -83,29 +84,29 @@ def list_totally_disagree(lc: LabelCoverInstance, lists: ListLabeling, b: Vertex
     return True
 
 
-def _agreeing(lc: LabelCoverInstance, labeling, disagree) -> int:
-    """Number of B-vertices that are not in total disagreement under ``labeling``."""
-    return sum(1 for b in lc.b_vertices if not disagree(lc, labeling, b))
+def _max_agreement(lc: LabelCoverInstance, l: int, max_states: int) -> Fraction:
+    """Largest agreeing fraction over every way of giving each A-vertex ``min(l, |sigma_a|)`` labels.
 
-
-def _max_agreement(
-    lc: LabelCoverInstance, choices: Sequence, max_states: int, agreeing: Callable[[dict], int]
-) -> Fraction:
-    """Largest agreeing fraction over every way of giving each A-vertex one choice."""
-    labelings = search_box(max_states, [choices] * len(lc.a_vertices))
+    The walk minimizes the B-vertices in total disagreement, whose edges'
+    image sets are pairwise disjoint; one with no edge disagrees vacuously.
+    """
     if not lc.b_vertices:
         return Fraction(0)
-    fewest, _, _ = lex_min(labelings, lambda combo: -agreeing(dict(zip(lc.a_vertices, combo))))
-    return Fraction(-fewest, len(lc.b_vertices))
+    subsets = list(itertools.combinations(lc.sigma_a, min(l, len(lc.sigma_a))))
+    disagreeing, _, _ = walk_a_labelings(
+        lc, subsets, lambda e, labels: frozenset(lc.projections[e][x] for x in labels),
+        lambda image_sets: sum(map(len, image_sets)) == len(set().union(*image_sets)), max_states,
+    )
+    return Fraction(len(lc.b_vertices) - disagreeing, len(lc.b_vertices))
 
 
 def agreement_soundness_exact(lc: LabelCoverInstance, max_states: int = DEFAULT_MAX_STATES) -> Fraction:
-    """Exact agreement-soundness error by enumerating every A-labeling.
+    """Exact agreement-soundness error over every A-labeling.
 
     The result is the maximum, over labelings, of the fraction of B-vertices
-    that are not in total disagreement.
+    that are not in total disagreement: list agreement with lists of size 1.
     """
-    return _max_agreement(lc, lc.sigma_a, max_states, lambda phi_a: _agreeing(lc, phi_a, totally_disagree))
+    return _max_agreement(lc, 1, max_states)
 
 
 def list_agreement_soundness_exact(
@@ -115,20 +116,19 @@ def list_agreement_soundness_exact(
 
     Agreement is monotone in list contents, so the maximum over lists of size
     at most ``l`` is attained with every list of size exactly
-    ``min(l, |sigma_a|)``; only those are enumerated.
+    ``min(l, |sigma_a|)``; only those are searched.
     """
     if l < 1:
         raise MalformedInstance("list size must be at least 1")
-    subsets = list(itertools.combinations(lc.sigma_a, min(l, len(lc.sigma_a))))
-    return _max_agreement(
-        lc, subsets, max_states,
-        lambda sets: _agreeing(lc, ListLabeling.from_sets(lc, sets), list_totally_disagree),
-    )
+    return _max_agreement(lc, l, max_states)
 
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """List soundness ``lhs`` against ``rhs``, l^2 times plain ``agreement`` soundness capped at 1."""
+
     lhs: Fraction
+    agreement: Fraction
     rhs: Fraction
     holds: bool
 
@@ -138,8 +138,9 @@ def check_list_soundness_bound(
 ) -> BoundCheck:
     """List soundness is at most l^2 times plain agreement soundness (capped at 1)."""
     lhs = list_agreement_soundness_exact(lc, l, max_states)
-    rhs = min(Fraction(1), l * l * agreement_soundness_exact(lc, max_states))
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+    agreement = agreement_soundness_exact(lc, max_states)
+    rhs = min(Fraction(1), l * l * agreement)
+    return BoundCheck(lhs=lhs, agreement=agreement, rhs=rhs, holds=lhs <= rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -363,5 +364,5 @@ def verify_defeats_list_soundness(
     n_b = len(lc.b_vertices)
     if n_b == 0:
         return DefeatReport(Fraction(0), False)
-    fraction = Fraction(_agreeing(lc, lists, list_totally_disagree), n_b)
+    fraction = Fraction(sum(not list_totally_disagree(lc, lists, b) for b in lc.b_vertices), n_b)
     return DefeatReport(non_disagree_fraction=fraction, defeats=fraction >= Fraction(s_list))

@@ -4,7 +4,9 @@ The digests pin the whole report: manifest hashes, checks, oracle minima and
 states, skip messages and gap rows.  A change that alters the report on
 purpose regenerates them with ``sha256(canonical_bytes(run_chain(...)))`` and
 says so.  The generated cases use state caps at which the walk stops every
-oracle stage (an empty gap table) and at which some stages finish.
+oracle stage (an empty gap table) and at which some stages finish.  At a cap
+below the label-cover search's nodes, which no stage can skip, ``run_chain``
+raises instead.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import pytest
 
 from gapforge import fixtures
+from gapforge.errors import SearchSpaceTooLarge
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
 from gapforge.pipeline import run_chain
 from gapforge.serialize import canonical_bytes
@@ -36,11 +39,14 @@ GOLDEN = {
     ("planted", "cap16"): "135086942f7a63b127b9af6b2d6cd8c4766d1422dab0d39565eeed4a3422b810",
     ("frustrated", "cap3000"): "068c42258e889ed1252baff2bf5df5b00096ee777cf53879b0453bfcfc3d676e",
     ("frustrated", "cap700"): "f29be9af4764709bcdb9270d03e402569f0aabffe9c52844aa56ca4b3f9b86c6",
-    ("frustrated", "cap16"): "d58e13a82d2a0301aeb36d8c390940bacd11f4fbc6c6516d1088ac0cc61c3cd7",
+    ("frustrated", "cap22"): "76e2106f7b3132f56024896989f5941b49bf6ccb450a201c88718f822a1351f9",
 }
+# (states, cap) of the SearchSpaceTooLarge the label-cover search raises
+RAISES = {("frustrated", "cap16"): (17, 16)}
 
 SETTINGS = {"default": {}, "box1": {"box": 1}, "cap100": {"max_states": 100},
-            "cap3000": {"max_states": 3000}, "cap700": {"max_states": 700}, "cap16": {"max_states": 16}}
+            "cap3000": {"max_states": 3000}, "cap700": {"max_states": 700}, "cap16": {"max_states": 16},
+            "cap22": {"max_states": 22}}
 # the oracle stages that run (are not skipped) in each generated case
 RUNNING = {
     ("planted", "cap3000"): ["ssat_l1", "sis", "lhp_grid"],
@@ -48,7 +54,7 @@ RUNNING = {
     ("planted", "cap16"): [],
     ("frustrated", "cap3000"): ["ssat_l1", "sis", "lhp_grid"],
     ("frustrated", "cap700"): ["sis", "lhp_grid"],
-    ("frustrated", "cap16"): [],
+    ("frustrated", "cap22"): [],
 }
 
 
@@ -59,8 +65,13 @@ def _instance(name):
     return planted if name == "planted" else frustrate(planted, 1, seed=11000)
 
 
-@pytest.mark.parametrize("name,setting", sorted(GOLDEN))
+@pytest.mark.parametrize("name,setting", sorted(GOLDEN.keys() | RAISES.keys()))
 def test_chain_report_bytes_are_golden(name, setting):
+    if (name, setting) in RAISES:
+        with pytest.raises(SearchSpaceTooLarge) as exc:
+            run_chain(_instance(name), **SETTINGS[setting])
+        assert (exc.value.states, exc.value.cap) == RAISES[name, setting]
+        return
     doc = run_chain(_instance(name), **SETTINGS[setting])
     if (name, setting) in RUNNING:
         assert [k for k, v in doc["oracles"].items() if "skipped" not in v] == RUNNING[name, setting]

@@ -266,6 +266,39 @@ def test_box_below_one_is_usage_error(capsys, lc_id2_path, argv):
     assert "--box: must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "1/0"])
+def test_s_list_must_be_a_fraction(capsys, lc_id2_path, raw):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "lists", "--in", str(lc_id2_path), "--s-list", raw])
+    assert exc.value.code == 2
+    assert "--s-list: must be a fraction" in capsys.readouterr().err
+
+
+def test_gen_negative_flips_is_error_envelope(tmp_path, capsys):
+    code, doc = run(capsys, "gen", "lc", "--num-a", "3", "--num-b", "2", "--d-b", "2", "--sigma-a", "2",
+                    "--sigma-b", "2", "--p", "1", "--flips", "-1", "--out", str(tmp_path / "lc.json"))
+    assert code == 1
+    assert doc["error"]["type"] == "InfeasibleSpec"
+
+
+def test_input_directory_is_error_envelope(tmp_path, capsys):
+    code, doc = run(capsys, "solve", "lc", "--in", str(tmp_path))
+    assert code == 1
+    assert doc["error"]["type"] == "IsADirectoryError"
+    assert doc["error"]["path"] == str(tmp_path)
+
+
+def test_solve_lc_thirty_binary_vertices(tmp_path, capsys):
+    """2^30 A-labelings, over the default cap: the walk finishes where a charged box could not."""
+    out = tmp_path / "lc.json"
+    code, _ = run(capsys, "gen", "lc", "--num-a", "30", "--num-b", "20", "--d-b", "3", "--sigma-a", "2",
+                  "--sigma-b", "2", "--p", "1", "--seed", "0", "--out", str(out))
+    assert code == 0
+    code, doc = run(capsys, "solve", "lc", "--in", str(out))
+    assert code == 0
+    assert doc["optimum"] == "1/1"
+
+
 @pytest.mark.parametrize("raw", ["abc", "-1"])
 def test_max_states_env_must_be_non_negative_integer(capsys, monkeypatch, lc_id2_path, raw):
     monkeypatch.setenv("GAPFORGE_MAX_STATES", raw)

@@ -26,7 +26,6 @@ from gapforge.oracles import (
     _compile_ssat,
     count_lhp_violations,
     enumerate_consistent_superassignments,
-    enumerate_superassignments,
 )
 from gapforge.reductions import sis_to_lhp, sis_to_ncp
 from gapforge.superassign import is_consistent, is_nontrivial
@@ -55,13 +54,14 @@ def test_compiled_ssat_matches_reference(chain):
     _, ssat, _, k = chain
     rows = _compile_ssat(ssat)
     equalities = rows.equalities(k)
+    consistent = []
     for flat in itertools.product(range(-k, k + 1), repeat=rows.num_cols):
         s = rows.superassignment(flat)
-        consistent = bool(is_consistent(ssat, s))
-        assert rows.consistent(flat) == within_bounds(equalities, flat) == consistent
+        assert within_bounds(equalities, flat) == bool(is_consistent(ssat, s))
         assert rows.nontrivial(flat) == is_nontrivial(ssat, s)
-    consistent = [s for s in enumerate_superassignments(ssat, k) if is_consistent(ssat, s)]
-    assert list(enumerate_consistent_superassignments(ssat, k)) == consistent
+        if is_consistent(ssat, s):
+            consistent.append(s)
+    assert enumerate_consistent_superassignments(ssat, k) == consistent
 
 
 @SETTINGS

@@ -71,6 +71,15 @@ def test_lc_max_deterministic(lc_cyc):
     assert solve_lc_max(lc_cyc) == solve_lc_max(lc_cyc)
 
 
+def test_lc_max_thirty_binary_vertices_within_default_cap():
+    """The 2^30 labelings exceed the default cap; the walk enters only the nodes it cannot prune."""
+    lc = gen_label_cover(GenSpec(30, 20, 3, 2, 2, 1, planted=True, seed=0))
+    result = solve_lc_max(lc)
+    assert result.best_fraction == 1
+    assert count_satisfied_edges(lc, result.witness) == len(lc.edges)
+    assert result.states_visited < SearchBudget().max_states < 2 ** 30
+
+
 # ---------------------------------------------------------------------------
 # solve_ssat_min_norm
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 The reference is the plain enumeration the oracles are specified by: walk the
 box with ``itertools.product`` in lexicographic order and keep the first
 strict improvement.  The property compares optimum and witness on small
-seeded label covers, planted and frustrated.  For the box searches it also
-compares the points visited and the box charged when the cap is zero; for the
-four walked oracles it checks that the nodes entered are the exact cap and
-never exceed the node count of the unpruned tree.
+seeded label covers, planted and frustrated.  Every search runs on the one
+branch-and-bound walk: where a result reports its nodes entered, the test
+checks that they are the exact cap and never exceed the node count of the
+unpruned tree; the agreement searches raise at cap 0 having entered one node
+and finish at the unpruned tree's node count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -106,13 +106,17 @@ def cap_states(fn):
     return exc.value.states
 
 
+def tree_nodes(n, v):
+    """Nodes of the unpruned tree: ``v`` values per coordinate over ``n`` coordinates."""
+    return sum(v ** d for d in range(1, n + 1))
+
+
 def check_walk_cap(solve, budget, res, n, v):
     """The nodes a walk enters are its exact cap, and at most those of the unpruned tree.
 
-    ``solve(budget)`` reruns the search; ``v`` values per coordinate over
-    ``n`` coordinates give ``v + v^2 + ... + v^n`` nodes without pruning.
+    ``solve(budget)`` reruns the search.
     """
-    assert res.states_visited <= sum(v ** d for d in range(1, n + 1))
+    assert res.states_visited <= tree_nodes(n, v)
     assert solve(dataclasses.replace(budget, max_states=res.states_visited)) == res
     if res.states_visited == 0:  # a row with no entry misses its target: no node is entered
         assert res.witness is None
@@ -164,23 +168,21 @@ def chains(draw):
 def test_every_search_matches_naive_reference(chain, mode, side, l):
     lc, ssat, sis, k = chain
     budget = SearchBudget(coeff_box=k, mode=mode)
-    zero = dataclasses.replace(budget, max_states=0)
 
     # label cover: maximize satisfied edges == minimize their negation
-    best, combo, states = naive_min(
+    best, combo, _ = naive_min(
         itertools.product(lc.sigma_a, repeat=len(lc.a_vertices)),
         lambda c: -lc_satisfied(lc, c)[0],
     )
     res = solve_lc_max(lc, budget)
     assert res.best_fraction == Fraction(-best, len(lc.edges))
     assert res.witness == lc_satisfied(lc, combo)[1]
-    assert res.states_visited == states
-    assert cap_states(lambda: solve_lc_max(lc, zero)) == len(lc.sigma_a) ** len(lc.a_vertices)
+    check_walk_cap(lambda b: solve_lc_max(lc, b), budget, res, len(lc.a_vertices), len(lc.sigma_a))
 
     # SSAT
     total = sum(len(t.assignments) for t in ssat.tests)
     effective = side or ("nontrivial" if mode == "l1" else "not_all_zero")
-    best, flat, states = naive_min(
+    best, flat, _ = naive_min(
         itertools.product(range(-k, k + 1), repeat=total),
         lambda f: ssat_cost(ssat, mode, effective, superassignment(ssat, f)),
     )
@@ -227,7 +229,8 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
         lambda c: -sum(not totally_disagree(lc, dict(zip(lc.a_vertices, c)), b) for b in lc.b_vertices),
     )
     assert agreement_soundness_exact(lc) == Fraction(-best, n_b)
-    assert cap_states(lambda: agreement_soundness_exact(lc, 0)) == len(lc.sigma_a) ** n_a
+    assert cap_states(lambda: agreement_soundness_exact(lc, 0)) == 1
+    assert agreement_soundness_exact(lc, tree_nodes(n_a, len(lc.sigma_a))) == Fraction(-best, n_b)
 
     subsets = list(itertools.combinations(lc.sigma_a, min(l, len(lc.sigma_a))))
     best, _, _ = naive_min(
@@ -238,9 +241,8 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
         ),
     )
     assert list_agreement_soundness_exact(lc, l) == Fraction(-best, n_b)
-    assert cap_states(lambda: list_agreement_soundness_exact(lc, l, 0)) == (
-        comb(len(lc.sigma_a), min(l, len(lc.sigma_a))) ** n_a
-    )
+    assert cap_states(lambda: list_agreement_soundness_exact(lc, l, 0)) == 1
+    assert list_agreement_soundness_exact(lc, l, tree_nodes(n_a, len(subsets))) == Fraction(-best, n_b)
 
 
 def test_eight_columns_at_box_1_match_naive_reference():
