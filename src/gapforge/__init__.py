@@ -54,7 +54,7 @@ from .superassign import (
     TestKind,
     assigned_value_sets,
     check_bad_array_sums,
-    classify_test,
+    classify_tests,
     decompose_arrays,
     good_coordinates,
     is_consistent,

@@ -53,7 +53,7 @@ from .soundness import (
 )
 from .superassign import (
     check_bad_array_sums,
-    classify_test,
+    classify_tests,
     is_consistent,
     norm_l1,
     zero_all_bad_arrays,
@@ -284,8 +284,7 @@ def _cmd_check_claims(args) -> int:
         reduced = zero_all_bad_arrays(ssat, s)
         if not is_consistent(ssat, reduced) or norm_l1(reduced) > norm_l1(s):
             violations.append({"zeroing_broke": [list(r) for r in s.weights]})
-        for psi in range(len(ssat.tests)):
-            classify_test(ssat, s, psi)
+        classify_tests(ssat, s, range(len(ssat.tests)))
     _emit(
         {
             "kind": "claims_report",

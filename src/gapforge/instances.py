@@ -7,6 +7,7 @@ no floating point is used anywhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -268,6 +269,40 @@ class SsatInstance:
             for v in test.variables:
                 out[v].append(idx)
         return {v: tuple(ix) for v, ix in out.items()}
+
+    # -- the flat (test, assignment) column layout ----------------------------
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Where each test's weights start in the flat column order, then the total column count."""
+        return tuple(itertools.accumulate((len(t.assignments) for t in self.tests), initial=0))
+
+    @cached_property
+    def projection_indices(self) -> dict[tuple[int, Vertex], tuple[tuple[int, ...], ...]]:
+        """``[t, x][f]``: the indices of test t's assignments that give x the f-th field value.
+
+        Keyed by every (test, variable of that test); each value has one tuple
+        per field value, in field order.
+        """
+        out: dict[tuple[int, Vertex], tuple[tuple[int, ...], ...]] = {}
+        for t_idx, test in enumerate(self.tests):
+            for pos, x in enumerate(test.variables):
+                by_value: list[list[int]] = [[] for _ in self.field_values]
+                for r_idx, r in enumerate(test.assignments):
+                    by_value[self.field_index[r[pos]]].append(r_idx)
+                out[t_idx, x] = tuple(map(tuple, by_value))
+        return out
+
+    @cached_property
+    def shared_pairs(self) -> tuple[tuple[int, int, Vertex], ...]:
+        """(i, j, x) for every test pair i < j sharing the variable x, in (i, j, variable) order."""
+        pairs = (
+            (i, j, x)
+            for x in self.variables
+            for pos, i in enumerate(self.tests_of_variable[x])
+            for j in self.tests_of_variable[x][pos + 1:]
+        )
+        return tuple(sorted(pairs, key=lambda p: (p[0], p[1], self.variable_index[p[2]])))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ tested against; result objects such as ``SuperAssignment`` and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,6 @@ from .errors import SearchSpaceTooLarge
 from .instances import (
     GT,
     Edge,
-    Label,
     LabelCoverInstance,
     Labeling,
     LhpAssignment,
@@ -45,6 +43,7 @@ from .instances import (
     SsatInstance,
     Vertex,
 )
+from .reductions import superassignment_from_sis_solution
 from .superassign import SuperAssignment
 
 Mode = Literal["l1", "linf"]
@@ -290,21 +289,18 @@ def solve_lc_max(lc: LabelCoverInstance, budget: SearchBudget = SearchBudget()) 
 class _SsatRows:
     """An SSAT instance as column sets over the flat weight vector.
 
-    A point is a super-assignment flattened test by test.  Each consistency
-    row says that the columns of test i whose assignment gives a shared
-    variable x the value a sum to the same total as those columns of test j;
-    it is kept as a sparse row with entries +1 and -1 and target 0.
-    ``coverage`` lists, per variable, the nonempty projection column sets of
-    its incident tests, one per (test, value).
+    A point is a super-assignment flattened test by test, as in
+    ``SsatInstance.offsets``.  Each consistency row says that the columns of
+    test i whose assignment gives a shared variable x the value a sum to the
+    same total as those columns of test j; it is kept as a sparse row with
+    entries +1 and -1 and target 0.  ``coverage`` lists, per variable, the
+    nonempty projection column sets of its incident tests, one per
+    (test, value).
     """
 
-    bounds: tuple[tuple[int, int], ...]
+    num_cols: int
     consistency: tuple[SparseRow, ...]
     coverage: tuple[tuple[Columns, ...], ...]
-
-    @property
-    def num_cols(self) -> int:
-        return self.bounds[-1][1]
 
     def nontrivial(self, flat: Sequence[int]) -> bool:
         get = flat.__getitem__
@@ -313,35 +309,24 @@ class _SsatRows:
     def equalities(self, k: int) -> _EqualityRows:
         return _compile_equalities(self.num_cols, k, ((row, 0) for row in self.consistency))
 
-    def superassignment(self, flat: Sequence[int]) -> SuperAssignment:
-        return SuperAssignment(tuple(tuple(flat[lo:hi]) for lo, hi in self.bounds))
-
 
 def _compile_ssat(ssat: SsatInstance) -> _SsatRows:
-    sizes = [len(t.assignments) for t in ssat.tests]
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    projection: dict[tuple[int, Vertex], dict[Label, Columns]] = {}
-    for t_idx, test in enumerate(ssat.tests):
-        for pos, x in enumerate(test.variables):
-            cols: dict[Label, list[int]] = {a: [] for a in ssat.field_values}
-            for r_idx, r in enumerate(test.assignments):
-                cols[r[pos]].append(offsets[t_idx] + r_idx)
-            projection[t_idx, x] = {a: tuple(c) for a, c in cols.items()}
-    consistency = []
-    for x in ssat.variables:
-        incident = ssat.tests_of_variable[x]
-        for pos_i, i in enumerate(incident):
-            for j in incident[pos_i + 1:]:
-                for a in ssat.field_values:
-                    plus, minus = projection[i, x][a], projection[j, x][a]
-                    if plus or minus:
-                        consistency.append(_sparse([(c, 1) for c in plus] + [(c, -1) for c in minus]))
+    off = ssat.offsets
+
+    def columns(t: int, x: Vertex) -> tuple[Columns, ...]:
+        return tuple(tuple(off[t] + r for r in rs) for rs in ssat.projection_indices[t, x])
+
+    consistency = tuple(
+        _sparse([(c, 1) for c in plus] + [(c, -1) for c in minus])
+        for i, j, x in ssat.shared_pairs
+        for plus, minus in zip(columns(i, x), columns(j, x))
+        if plus or minus
+    )
     coverage = tuple(
-        tuple(cols for t in ssat.tests_of_variable[x] for cols in projection[t, x].values() if cols)
+        tuple(cols for t in ssat.tests_of_variable[x] for cols in columns(t, x) if cols)
         for x in ssat.variables
     )
-    bounds = tuple(zip(offsets, offsets[1:]))
-    return _SsatRows(bounds=bounds, consistency=tuple(consistency), coverage=coverage)
+    return _SsatRows(num_cols=off[-1], consistency=consistency, coverage=coverage)
 
 
 def enumerate_consistent_superassignments(
@@ -360,12 +345,12 @@ def enumerate_consistent_superassignments(
     def record(depth: int, prefix: Prefix, cost: int) -> Optional[int]:
         if depth < n - 1:
             return cost
-        found.append(rows.superassignment(prefix))
+        found.append(superassignment_from_sis_solution(ssat, prefix))
         return None
 
     _, empty, _ = branch_and_bound(n, rows.equalities(k).values, record, 0, max_states)
     # with no columns the walk enters no node and returns the empty vector
-    return found if empty is None else [rows.superassignment(empty)]
+    return found if empty is None else [superassignment_from_sis_solution(ssat, empty)]
 
 
 @dataclass(frozen=True)
@@ -404,7 +389,8 @@ def solve_ssat_min_norm(
     if budget.mode == "l1":
         cost_step = _l1_step
     else:
-        test_start = [lo for lo, hi in rows.bounds for _ in range(lo, hi)]
+        off = ssat.offsets
+        test_start = [lo for lo, hi in zip(off, off[1:]) for _ in range(lo, hi)]
 
         def cost_step(depth: int, prefix: Prefix, cost: int) -> int:
             return max(cost, sum(map(abs, prefix[test_start[depth]:depth + 1])))
@@ -421,9 +407,8 @@ def solve_ssat_min_norm(
     if best is None:
         return SsatMinResult(mode=budget.mode, min_norm=None, witness=None, states_visited=states)
     min_norm = Fraction(best_norm, len(ssat.tests)) if budget.mode == "l1" else best_norm
-    return SsatMinResult(
-        mode=budget.mode, min_norm=min_norm, witness=rows.superassignment(best), states_visited=states
-    )
+    witness = superassignment_from_sis_solution(ssat, best)
+    return SsatMinResult(mode=budget.mode, min_norm=min_norm, witness=witness, states_visited=states)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import (
     BadParameters,
@@ -98,32 +98,21 @@ class GadgetPair:
 
 
 def gadget_pair(ssat: SsatInstance, psi_i: int, psi_j: int, x: Vertex) -> GadgetPair:
-    test_i, test_j = ssat.tests[psi_i], ssat.tests[psi_j]
-    if x not in test_i.variables or x not in test_j.variables:
-        raise VariableNotShared(f"{x!r} is not shared by tests {psi_i} and {psi_j}")
-    pos_i, pos_j = test_i.variables.index(x), test_j.variables.index(x)
-    g1 = tuple(
-        tuple(1 if r[pos_i] == f else 0 for r in test_i.assignments)
-        for f in ssat.field_values
-    )
-    g2 = tuple(
-        tuple(0 if r[pos_j] == f else 1 for r in test_j.assignments)
-        for f in ssat.field_values
-    )
+    try:
+        by_value_i, by_value_j = ssat.projection_indices[psi_i, x], ssat.projection_indices[psi_j, x]
+    except KeyError:
+        raise VariableNotShared(f"{x!r} is not shared by tests {psi_i} and {psi_j}") from None
+    g1 = tuple(_indicator(len(ssat.tests[psi_i].assignments), rs, 1) for rs in by_value_i)
+    g2 = tuple(_indicator(len(ssat.tests[psi_j].assignments), rs, 0) for rs in by_value_j)
     return GadgetPair(g1=g1, g2=g2)
 
 
-def _shared_variable_pairs(ssat: SsatInstance):
-    """(i, j, x) triples for unordered test pairs, in (i, j, variable) order."""
-    n = len(ssat.tests)
-    for i in range(n):
-        vars_i = set(ssat.tests[i].variables)
-        for j in range(i + 1, n):
-            if vars_i.isdisjoint(ssat.tests[j].variables):
-                continue
-            for x in ssat.variables:
-                if x in vars_i and x in ssat.tests[j].variables:
-                    yield i, j, x
+def _indicator(n: int, indices: Iterable[int], hit: int) -> tuple[int, ...]:
+    """``hit`` at ``indices`` and ``1 - hit`` elsewhere, over ``n`` entries."""
+    row = [1 - hit] * n
+    for r in indices:
+        row[r] = hit
+    return tuple(row)
 
 
 def ssat_to_sis(ssat: SsatInstance) -> SisInstance:
@@ -134,35 +123,19 @@ def ssat_to_sis(ssat: SsatInstance) -> SisInstance:
     pair sharing a variable contributes one gadget row per field value.  The
     norm budget is the number of tests.
     """
-    col_offsets: list[int] = []
-    off = 0
-    for test in ssat.tests:
-        col_offsets.append(off)
-        off += len(test.assignments)
-    m = off
-    column_provenance = tuple(
-        (t_idx, r_idx)
-        for t_idx, test in enumerate(ssat.tests)
-        for r_idx in range(len(test.assignments))
-    )
+    off = ssat.offsets
+    m = off[-1]
+    spans = tuple(zip(off, off[1:]))
+    column_provenance = tuple((t_idx, r_idx) for t_idx, (lo, hi) in enumerate(spans) for r_idx in range(hi - lo))
 
-    rows: list[tuple[int, ...]] = []
-    tags: list = []
-    for t_idx, test in enumerate(ssat.tests):
-        row = [0] * m
-        for r_idx in range(len(test.assignments)):
-            row[col_offsets[t_idx] + r_idx] = 1
-        rows.append(tuple(row))
-        tags.append(NonTrivialityRow(test=t_idx))
-
-    for i, j, x in _shared_variable_pairs(ssat):
+    rows: list[tuple[int, ...]] = [_indicator(m, range(lo, hi), 1) for lo, hi in spans]
+    tags: list = [NonTrivialityRow(test=t_idx) for t_idx in range(len(spans))]
+    for i, j, x in ssat.shared_pairs:
         pair = gadget_pair(ssat, i, j, x)
-        for f_idx, f in enumerate(ssat.field_values):
+        for f, g1, g2 in zip(ssat.field_values, pair.g1, pair.g2):
             row = [0] * m
-            for r_idx, v in enumerate(pair.g1[f_idx]):
-                row[col_offsets[i] + r_idx] = v
-            for r_idx, v in enumerate(pair.g2[f_idx]):
-                row[col_offsets[j] + r_idx] = v
+            row[slice(*spans[i])] = g1
+            row[slice(*spans[j])] = g2
             rows.append(tuple(row))
             tags.append(ConsistencyRow(test_i=i, test_j=j, variable=x, value=f))
 
@@ -184,15 +157,10 @@ def sis_solution_from_superassignment(ssat: SsatInstance, s: SuperAssignment) ->
 def superassignment_from_sis_solution(ssat: SsatInstance, z) -> SuperAssignment:
     """Break a coefficient vector into per-test pieces; inverse of the embedding."""
     zs = tuple(z)
-    sizes = [len(test.assignments) for test in ssat.tests]
-    if len(zs) != sum(sizes):
-        raise LengthMismatch(f"expected a vector of length {sum(sizes)}, got {len(zs)}")
-    rows = []
-    off = 0
-    for size in sizes:
-        rows.append(tuple(zs[off:off + size]))
-        off += size
-    return SuperAssignment(tuple(rows))
+    off = ssat.offsets
+    if len(zs) != off[-1]:
+        raise LengthMismatch(f"expected a vector of length {off[-1]}, got {len(zs)}")
+    return SuperAssignment(tuple(zs[lo:hi] for lo, hi in zip(off, off[1:])))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     MalformedInstance,
@@ -28,7 +28,7 @@ from .superassign import (
     SuperAssignment,
     TestKind,
     assigned_value_sets,
-    classify_test,
+    classify_tests,
     is_consistent,
     is_nontrivial,
     is_not_all_zero,
@@ -234,6 +234,24 @@ def _include_from_assignment(
             lists[var].add(value)
 
 
+def _list_steps_1_2(
+    ssat: SsatInstance, s: SuperAssignment, tests: Sequence[int], p: Fraction, seed: int
+) -> tuple[dict[Vertex, frozenset[Label]], dict[Vertex, set[Label]], list[int]]:
+    """Steps 1 and 2 of both list constructions: the assigned sets, the lists, and the donors.
+
+    Step 1 lists every assigned value.  In step 2 each of ``tests`` whose
+    every nonzero assignment has exactly one assigned value is a donor: its
+    lowest-index nonzero assignment offers its non-assigned values.
+    """
+    assigned = assigned_value_sets(ssat, s)
+    lists: dict[Vertex, set[Label]] = {x: set(assigned[x]) for x in ssat.variables}
+    donors = [t for t, kind in zip(tests, classify_tests(ssat, s, tests)) if kind is TestKind.ALL_SINGLE_GOOD]
+    for t_idx in donors:
+        r_idx = next(i for i, w in enumerate(s.weights[t_idx]) if w != 0)
+        _include_from_assignment(ssat, lists, t_idx, r_idx, None, assigned, p, _stream(seed, t_idx))
+    return assigned, lists, donors
+
+
 def list_construction(
     ssat: SsatInstance, s: SuperAssignment, params: ListConstructionParams
 ) -> ListLabeling:
@@ -249,14 +267,7 @@ def list_construction(
     lc = _require_lc(ssat)
     if not is_consistent(ssat, s) or not is_nontrivial(ssat, s):
         raise PreconditionFailed("list construction needs a consistent, non-trivial super-assignment")
-    assigned = assigned_value_sets(ssat, s)
-    lists: dict[Vertex, set[Label]] = {x: set(assigned[x]) for x in ssat.variables}
-    for t_idx in select_low_norm_tests(ssat, s, params):
-        if classify_test(ssat, s, t_idx) is not TestKind.ALL_SINGLE_GOOD:
-            continue
-        r_idx = next(i for i, w in enumerate(s.weights[t_idx]) if w != 0)
-        rng = _stream(params.seed, t_idx)
-        _include_from_assignment(ssat, lists, t_idx, r_idx, None, assigned, params.p_include, rng)
+    _, lists, _ = _list_steps_1_2(ssat, s, select_low_norm_tests(ssat, s, params), params.p_include, params.seed)
     return ListLabeling.from_sets(lc, lists)
 
 
@@ -300,21 +311,9 @@ def list_construction_linf(
         raise PreconditionFailed(f"max test norm {norm_linf(s)} exceeds the bound {g}")
     d_a = max(len(lc.edges_of_a[a]) for a in lc.a_vertices)
     p = min(Fraction(1), Fraction(g, d_a))
-    assigned = assigned_value_sets(ssat, s)
-    lists: dict[Vertex, set[Label]] = {x: set(assigned[x]) for x in ssat.variables}
-
-    marked: set[int] = set()
-    step2: list[int] = []
-    for t_idx in range(len(ssat.tests)):
-        if test_norm(s, t_idx) == 0:
-            continue
-        if classify_test(ssat, s, t_idx) is not TestKind.ALL_SINGLE_GOOD:
-            continue
-        r_idx = next(i for i, w in enumerate(s.weights[t_idx]) if w != 0)
-        rng = _stream(seed, t_idx)
-        _include_from_assignment(ssat, lists, t_idx, r_idx, None, assigned, p, rng)
-        marked.add(t_idx)
-        step2.append(t_idx)
+    nonzero = [t_idx for t_idx in range(len(ssat.tests)) if test_norm(s, t_idx) != 0]
+    assigned, lists, step2 = _list_steps_1_2(ssat, s, nonzero, p, seed)
+    marked = set(step2)
 
     step3: list[int] = []
     marked_value_counts: dict[Vertex, int] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     ClassificationImpossible,
@@ -93,14 +93,11 @@ class ProjectionVector:
 def project(ssat: SsatInstance, s: SuperAssignment, psi: int, x: Vertex) -> ProjectionVector:
     """Project a test's weight vector onto one of its variables."""
     s.validate_for(ssat)
-    test = ssat.tests[psi]
-    if x not in test.variables:
+    by_value = ssat.projection_indices.get((psi, x))
+    if by_value is None:
         raise VariableNotInTest(f"{x!r} not in test {psi}")
-    pos = test.variables.index(x)
-    totals: dict[Label, int] = {}
-    for r, w in zip(test.assignments, s.weights[psi]):
-        a = r[pos]
-        totals[a] = totals.get(a, 0) + w
+    weights = s.weights[psi]
+    totals = {a: sum(weights[r] for r in rs) for a, rs in zip(ssat.field_values, by_value)}
     return ProjectionVector.of(totals, ssat.field_index)
 
 
@@ -121,17 +118,12 @@ def is_consistent(ssat: SsatInstance, s: SuperAssignment) -> ConsistencyResult:
     values by field order.
     """
     s.validate_for(ssat)
-    for x in ssat.variables:
-        incident = ssat.tests_of_variable[x]
-        for pos_i in range(len(incident)):
-            for pos_j in range(pos_i + 1, len(incident)):
-                i, j = incident[pos_i], incident[pos_j]
-                pi = project(ssat, s, i, x)
-                pj = project(ssat, s, j, x)
-                if pi != pj:
-                    for a in ssat.field_values:
-                        if pi[a] != pj[a]:
-                            return ConsistencyResult(False, (i, j, x, a))
+    for i, j, x in ssat.shared_pairs:
+        w_i, w_j = s.weights[i], s.weights[j]
+        by_value = zip(ssat.field_values, ssat.projection_indices[i, x], ssat.projection_indices[j, x])
+        for a, rs_i, rs_j in by_value:
+            if sum(w_i[r] for r in rs_i) != sum(w_j[r] for r in rs_j):
+                return ConsistencyResult(False, (i, j, x, a))
     return ConsistencyResult(True)
 
 
@@ -338,28 +330,32 @@ class TestKind(Enum):
     ALL_SINGLE_GOOD = "all_single_good"
 
 
-def classify_test(ssat: SsatInstance, s: SuperAssignment, psi: int) -> TestKind:
-    """Classify a test by the assigned-value counts of its nonzero assignments.
+def classify_tests(ssat: SsatInstance, s: SuperAssignment, tests: Iterable[int]) -> list[TestKind]:
+    """Classify each of ``tests``, in order, by the assigned-value counts of its nonzero assignments.
 
     A consistent super-assignment admits no other shape: if no assignment has
-    two assigned values, then every nonzero assignment has exactly one.  A
-    nonzero test breaking that disjunction aborts loudly.
+    two assigned values, then every nonzero assignment has exactly one.  The
+    first nonzero test breaking that disjunction aborts loudly.
     """
     if not is_consistent(ssat, s):
-        raise InconsistentInput("classify_test needs a consistent super-assignment")
-    if test_norm(s, psi) == 0:
-        return TestKind.ZERO
+        raise InconsistentInput("classify_tests needs a consistent super-assignment")
     assigned = assigned_value_sets(ssat, s)
-    test = ssat.tests[psi]
-    counts = []
-    for r, w in zip(test.assignments, s.weights[psi]):
-        if w == 0:
-            continue
-        counts.append(sum(1 for var, v in zip(test.variables, r) if v in assigned[var]))
-    if any(c >= 2 for c in counts):
-        return TestKind.MULTI_GOOD
-    if all(c == 1 for c in counts):
-        return TestKind.ALL_SINGLE_GOOD
-    raise ClassificationImpossible(
-        f"test {psi} has a nonzero assignment with no assigned value and no multi-good witness"
-    )
+    kinds = []
+    for psi in tests:
+        test = ssat.tests[psi]
+        counts = [
+            sum(1 for var, v in zip(test.variables, r) if v in assigned[var])
+            for r, w in zip(test.assignments, s.weights[psi])
+            if w != 0
+        ]
+        if not counts:
+            kinds.append(TestKind.ZERO)
+        elif any(c >= 2 for c in counts):
+            kinds.append(TestKind.MULTI_GOOD)
+        elif all(c == 1 for c in counts):
+            kinds.append(TestKind.ALL_SINGLE_GOOD)
+        else:
+            raise ClassificationImpossible(
+                f"test {psi} has a nonzero assignment with no assigned value and no multi-good witness"
+            )
+    return kinds

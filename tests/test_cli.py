@@ -129,6 +129,26 @@ def test_check_claims(tmp_path, capsys):
     assert doc["checked"] > 0
 
 
+def test_check_claims_checks_consistency_at_most_four_times_per_candidate(tmp_path, capsys, monkeypatch):
+    """Bad-array sums, zeroing, the re-check of the zeroed copy and one classification of all tests."""
+    import gapforge.superassign as superassign
+    from gapforge.reductions import lc_to_ssat
+
+    calls = []
+    checker = superassign.is_consistent
+
+    def counted(*args):
+        calls.append(None)
+        return checker(*args)
+
+    for module in (gapforge.cli, superassign):
+        monkeypatch.setattr(module, "is_consistent", counted)
+    write_instance(tmp_path / "ssat.json", lc_to_ssat(shipped.load("lc_share")))
+    code, doc = run(capsys, "check", "claims", "--in", str(tmp_path / "ssat.json"), "--box", "2")
+    assert code == 0 and doc["checked"] == 25
+    assert 0 < len(calls) <= 4 * doc["checked"]
+
+
 def test_check_agreement(capsys, lc_cyc_path):
     code, doc = run(capsys, "check", "agreement", "--in", str(lc_cyc_path), "--l", "2")
     assert code == 0

@@ -27,7 +27,7 @@ from gapforge.oracles import (
     count_lhp_violations,
     enumerate_consistent_superassignments,
 )
-from gapforge.reductions import sis_to_lhp, sis_to_ncp
+from gapforge.reductions import sis_to_lhp, sis_to_ncp, superassignment_from_sis_solution
 from gapforge.superassign import is_consistent, is_nontrivial
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None,
@@ -56,7 +56,7 @@ def test_compiled_ssat_matches_reference(chain):
     equalities = rows.equalities(k)
     consistent = []
     for flat in itertools.product(range(-k, k + 1), repeat=rows.num_cols):
-        s = rows.superassignment(flat)
+        s = superassignment_from_sis_solution(ssat, flat)
         assert within_bounds(equalities, flat) == bool(is_consistent(ssat, s))
         assert rows.nontrivial(flat) == is_nontrivial(ssat, s)
         if is_consistent(ssat, s):

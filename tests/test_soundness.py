@@ -265,15 +265,14 @@ def _single_good_fixture():
 
 
 def test_single_good_fixture_classification():
-    from gapforge.superassign import TestKind, classify_test, is_consistent
+    from gapforge.superassign import TestKind, classify_tests, is_consistent
 
     lc, ssat, s = _single_good_fixture()
     assert is_consistent(ssat, s).consistent
     assert is_nontrivial(ssat, s)
     # every nonzero assignment of either test has two good coordinates (test 0)
     # or one (test 1, single variable)
-    assert classify_test(ssat, s, 0) is TestKind.MULTI_GOOD
-    assert classify_test(ssat, s, 1) is TestKind.ALL_SINGLE_GOOD
+    assert classify_tests(ssat, s, [0, 1]) == [TestKind.MULTI_GOOD, TestKind.ALL_SINGLE_GOOD]
 
 
 def test_linf_matches_l1_law_when_nontrivial(ssat_cyc):
@@ -306,14 +305,14 @@ def _step3_fixture():
 
 
 def test_linf_step3_covers_unassigned_variable():
-    from gapforge.superassign import TestKind, classify_test, is_consistent, assigned_value_sets
+    from gapforge.superassign import TestKind, classify_tests, is_consistent, assigned_value_sets
 
     lc, ssat, s = _step3_fixture()
     assert is_consistent(ssat, s).consistent
     assert not is_nontrivial(ssat, s)
     assigned = assigned_value_sets(ssat, s)
     assert assigned["v"] == frozenset()
-    assert classify_test(ssat, s, 0) is TestKind.MULTI_GOOD
+    assert classify_tests(ssat, s, [0]) == [TestKind.MULTI_GOOD]
 
     result = list_construction_linf(ssat, s, g=2, seed=0)
     # step 2 marks nothing (no AllSingleGood test), step 3 starts from the
@@ -447,12 +446,12 @@ def _all_single_good_toy():
 
 
 def test_all_single_good_toy_step2_p1_includes_all_nonassigned():
-    from gapforge.superassign import TestKind, classify_test, is_consistent
+    from gapforge.superassign import TestKind, classify_tests, is_consistent
 
     lc, ssat, s = _all_single_good_toy()
     assert is_consistent(ssat, s).consistent
     assert is_nontrivial(ssat, s)
-    assert classify_test(ssat, s, 0) is TestKind.ALL_SINGLE_GOOD
+    assert classify_tests(ssat, s, [0]) == [TestKind.ALL_SINGLE_GOOD]
     params = ListConstructionParams.derive(
         g=4, s_list=Fraction(1, 4), d_a=1, seed=0, force_p_one=True
     )

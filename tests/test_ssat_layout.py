@@ -1,0 +1,70 @@
+"""The flat column layout of ``SsatInstance`` against naive references.
+
+``offsets``, ``projection_indices`` and ``shared_pairs`` are derived once per
+instance and read by the SIS reduction, the compiled SSAT rows and the
+super-assignment algebra.  On the seeded chains of the search differential
+each table is compared with a plain scan of the tests, and with what
+``ssat_to_sis`` writes down.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+from test_search_differential import chains
+
+from gapforge.instances import ConsistencyRow
+from gapforge.reductions import sis_solution_from_superassignment, superassignment_from_sis_solution
+from gapforge.superassign import is_consistent, project
+
+
+def naive_first_violation(ssat, s):
+    """The first (i, j, x, a) with unequal projections, scanning pairs, then variables, then values."""
+    n = len(ssat.tests)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for x in ssat.variables:
+                if x in ssat.tests[i].variables and x in ssat.tests[j].variables:
+                    for a in ssat.field_values:
+                        if project(ssat, s, i, x)[a] != project(ssat, s, j, x)[a]:
+                            return (i, j, x, a)
+    return None
+
+
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(chains(), st.data())
+def test_layout_tables_match_naive_scans(chain, data):
+    _, ssat, sis, _ = chain
+    tests = ssat.tests
+
+    assert ssat.shared_pairs == tuple(
+        (i, j, x)
+        for i in range(len(tests))
+        for j in range(i + 1, len(tests))
+        for x in ssat.variables
+        if x in tests[i].variables and x in tests[j].variables
+    )
+    consistency = [tag for tag in sis.row_provenance if isinstance(tag, ConsistencyRow)]
+    blocks = [consistency[k:k + len(ssat.field_values)] for k in range(0, len(consistency), len(ssat.field_values))]
+    assert [(b[0].test_i, b[0].test_j, b[0].variable) for b in blocks] == list(ssat.shared_pairs)
+    for block in blocks:
+        assert [(t.test_i, t.test_j, t.variable, t.value) for t in block] == [
+            (block[0].test_i, block[0].test_j, block[0].variable, a) for a in ssat.field_values
+        ]
+
+    assert set(ssat.projection_indices) == {(t, x) for t, test in enumerate(tests) for x in test.variables}
+    for (t, x), by_value in ssat.projection_indices.items():
+        pos = tests[t].variables.index(x)
+        assert by_value == tuple(
+            tuple(r for r, assignment in enumerate(tests[t].assignments) if assignment[pos] == a)
+            for a in ssat.field_values
+        )
+
+    assert ssat.offsets == tuple(sum(len(t.assignments) for t in tests[:k]) for k in range(len(tests) + 1))
+    assert ssat.offsets[-1] == sis.num_cols
+
+    z = tuple(data.draw(st.lists(st.integers(-1, 1), min_size=sis.num_cols, max_size=sis.num_cols)))
+    s = superassignment_from_sis_solution(ssat, z)
+    assert sis_solution_from_superassignment(ssat, s) == z
+    assert superassignment_from_sis_solution(ssat, sis_solution_from_superassignment(ssat, s)) == s
+    assert is_consistent(ssat, s).witness == naive_first_violation(ssat, s)

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from gapforge.cli import main
 from gapforge.errors import EdgeUnsatisfied, InconsistentInput, VariableNotInTest
-from gapforge.instances import Labeling
+from gapforge.instances import Labeling, SsatInstance, SsatTest
 from gapforge.oracles import enumerate_consistent_superassignments
+from gapforge.serialize import write_instance
 from gapforge.superassign import (
     SuperAssignment,
     TestKind,
     assigned_value_sets,
     check_bad_array_sums,
-    classify_test,
+    classify_tests,
     decompose_arrays,
     good_coordinates,
     is_consistent,
@@ -93,6 +96,27 @@ def test_inconsistent_share_witness(ssat_share):
     result = is_consistent(ssat_share, _sa((1, 0), (0, 1)))
     assert not result.consistent
     assert result.witness == (0, 1, "x", 0)
+
+
+def test_inconsistency_witness_is_first_in_pair_order(tmp_path, capsys):
+    """Pair (0, 1) on y comes before pair (0, 2) on x, although x is the first variable."""
+    ssat = SsatInstance(
+        variables=("x", "y"),
+        field_values=(0, 1),
+        tests=(
+            SsatTest(("x", "y"), ((0, 0), (1, 1))),
+            SsatTest(("y",), ((0,), (1,))),
+            SsatTest(("x",), ((0,), (1,))),
+        ),
+    )
+    s = _sa((1, 0), (0, 1), (0, 1))
+    assert is_consistent(ssat, s).witness == (0, 1, "y", 0)
+    write_instance(tmp_path / "ssat.json", ssat)
+    write_instance(tmp_path / "s.json", s)
+    code = main(["check", "consistency", "--in", str(tmp_path / "ssat.json"), "--super", str(tmp_path / "s.json")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["witness"] == {"test_i": 0, "test_j": 1, "variable": "y", "value": 0}
 
 
 def test_consistent_cyc_all_ones(ssat_cyc):
@@ -268,19 +292,18 @@ def test_bad_array_sums_natural_vacuous(ssat_id2):
 
 
 def test_classify_natural_multi_good(ssat_id2):
-    assert classify_test(ssat_id2, _sa((1, 0)), 0) is TestKind.MULTI_GOOD
+    assert classify_tests(ssat_id2, _sa((1, 0)), [0]) == [TestKind.MULTI_GOOD]
 
 
 def test_classify_zero(ssat_share):
     s = _sa((0, 0), (0, 0))
-    assert classify_test(ssat_share, s, 0) is TestKind.ZERO
+    assert classify_tests(ssat_share, s, [0, 1]) == [TestKind.ZERO, TestKind.ZERO]
 
 
 def test_classify_never_aborts_on_consistent_boxes(ssat_share, ssat_cyc):
     for ssat in (ssat_share, ssat_cyc):
         for s in enumerate_consistent_superassignments(ssat, 2):
-            for psi in range(len(ssat.tests)):
-                classify_test(ssat, s, psi)  # must not raise
+            classify_tests(ssat, s, range(len(ssat.tests)))  # must not raise
 
 
 def test_zero_all_bad_never_increases_norm_exhaustive(ssat_share, ssat_cyc, ssat_2to1_wide):
@@ -309,6 +332,6 @@ def test_classification_impossible_aborts_loudly(ssat_2to1_wide):
     s = _sa((1, -1, -1, 1))
     assert is_consistent(ssat_2to1_wide, s).consistent
     with pytest.raises(ClassificationImpossible):
-        classify_test(ssat_2to1_wide, s, 0)
+        classify_tests(ssat_2to1_wide, s, [0])
     reduced = zero_all_bad_arrays(ssat_2to1_wide, s)
-    assert classify_test(ssat_2to1_wide, reduced, 0) is TestKind.ZERO
+    assert classify_tests(ssat_2to1_wide, reduced, [0]) == [TestKind.ZERO]
