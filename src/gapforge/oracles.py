@@ -7,8 +7,15 @@ results and witnesses are deterministic.  There is one state cap rule: the
 walk charges every node it enters and raises ``SearchSpaceTooLarge`` at the
 first node over the cap, a hard error, never a silent approximation;
 ``DEFAULT_MAX_STATES`` is its one default.  The maximizations (label cover,
-agreement) minimize a loss charged per B-vertex once its last A-neighbour is
+agreement) minimize a loss per B-vertex, charged as its A-neighbours are
 labeled; the consistent enumeration records every leaf and prunes nothing.
+
+The SSAT, SIS, NCP and LHP solvers take ``hints``: points, such as a planted
+solution or another oracle's witness, that may cap the walk.  Each solver
+checks every hint itself, with the reference semantics below, against its
+own box and length; the least cost it certifies is the walk's ``ceiling``.
+A hint that fails the check is ignored, so a wrong hint can cost nodes but
+never changes a minimum or a witness.
 
 Each walked solver compiles its instance once into sparse integer rows, each
 filed under the coordinate that completes it (its largest column), so the
@@ -28,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Literal, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Literal, Optional, Sequence
 
 from .errors import SearchSpaceTooLarge
 from .instances import (
@@ -44,10 +51,9 @@ from .instances import (
     Vertex,
 )
 from .reductions import superassignment_from_sis_solution
-from .superassign import SuperAssignment
+from .superassign import SuperAssignment, is_consistent, is_nontrivial, is_not_all_zero, norm_linf
 
 Mode = Literal["l1", "linf"]
-C = TypeVar("C")
 
 DEFAULT_MAX_STATES = 10 ** 8
 
@@ -58,31 +64,39 @@ Prefix = list[int]
 def branch_and_bound(
     n: int,
     values: Callable[[int, Prefix], Iterable[int]],
-    step: Callable[[int, Prefix, C], Optional[C]],
-    root: Optional[C],
+    step: Callable[[int, Prefix, int], Optional[int]],
+    root: Optional[int],
     max_states: int,
-) -> tuple[Optional[C], Optional[tuple[int, ...]], int]:
+    ceiling: Optional[int] = None,
+) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
     """Least leaf cost, the first leaf attaining it, and the number of nodes entered.
 
     The walk fixes coordinates 0, 1, ..., n - 1 in order and tries
     ``values(depth, prefix)`` in the order given.  ``root`` is the cost before
     any coordinate is fixed, ``None`` when no point is feasible.
-    ``step(depth, prefix, cost)`` extends the parent's ``cost`` by the value
-    just put at ``prefix[depth]``: it never decreases along a path, is the
-    true cost at a leaf, and is ``None`` on an infeasible prefix.  A node
+    ``step(depth, prefix, cost)`` extends the parent's integer ``cost`` by the
+    value just put at ``prefix[depth]``: it never decreases along a path, is
+    the true cost at a leaf, and is ``None`` on an infeasible prefix.  A node
     whose cost is ``None`` or not below the best leaf so far is pruned, and
     only a strict improvement replaces the best leaf; as a pruned subtree
     holds no strict improvement, the witness is the lexicographically first
     optimum.  Every (depth, value) node entered is charged, and the charge
     passing ``max_states`` raises ``SearchSpaceTooLarge``.  With ``n == 0``
     the one point is the empty vector, at cost ``root``.
+
+    ``ceiling`` starts the walk as if a leaf of cost ``ceiling + 1`` had been
+    found, so only prefixes costing more than the ceiling are pruned beyond
+    the plain walk's.  When some leaf costs at most the ceiling, such as a
+    point whose cost the caller has certified, the minimum and its witness
+    are those of the plain walk and no more nodes are entered; when none
+    does, the result is ``(None, None, states)``, as for an infeasible walk.
     """
     prefix = [0] * n
-    best_cost: Optional[C] = None
+    best_cost: Optional[int] = None if ceiling is None else ceiling + 1
     best: Optional[tuple[int, ...]] = None
     states = 0
 
-    def visit(depth: int, cost: C) -> None:
+    def visit(depth: int, cost: int) -> None:
         nonlocal best_cost, best, states
         leaf = depth == n - 1
         for v in values(depth, prefix):
@@ -98,12 +112,27 @@ def branch_and_bound(
             else:
                 visit(depth + 1, c)
 
-    if root is not None:
+    if root is not None and (best_cost is None or root < best_cost):
         if n:
             visit(0, root)
         else:
             best_cost, best = root, ()
-    return best_cost, best, states
+    return (None, None, states) if best is None else (best_cost, best, states)
+
+
+Hints = Iterable[Sequence[int]]
+
+
+def _ceiling(
+    hints: Hints, n: int, box: Iterable[int], cost: Callable[[Sequence[int]], Optional[int]]
+) -> Optional[int]:
+    """The least ``cost`` over the hints of length ``n`` with every coordinate in ``box``.
+
+    ``cost`` is the reference semantics of the search, ``None`` at an infeasible point.
+    """
+    points = dict.fromkeys(map(tuple, hints))  # each distinct point is costed once
+    in_box = (p for p in points if len(p) == n and all(v in box for v in p))
+    return min((c for c in map(cost, in_box) if c is not None), default=None)
 
 
 @dataclass(frozen=True)
@@ -234,23 +263,28 @@ def walk_a_labelings(
 ) -> tuple[int, Optional[tuple[int, ...]], int]:
     """``branch_and_bound`` over A-labelings: each A-vertex, in order, takes an index into ``choices``.
 
-    A B-vertex adds the nonnegative ``loss`` of its edges' images
-    ``image(edge, choice)``, charged once its last A-neighbour is fixed, or
-    at the root when it has no edge, so the cost never decreases on a path.
+    ``loss`` judges one B-vertex from the list of its edges' images
+    ``image(edge, choice)``, with ``None`` for an edge whose A-end is not
+    fixed yet.  It is nonnegative, never decreases as edges are fixed, and
+    is the B-vertex's true loss once all are.  A B-vertex is charged its
+    loss with no edge fixed at the root, then at each A-neighbour by what
+    that neighbour adds, so the cost never decreases on a path and is the
+    total loss at a leaf.
     """
     position = {a: i for i, a in enumerate(lc.a_vertices)}
     root = 0
     by_column: list[list] = [[] for _ in lc.a_vertices]
     for b in lc.b_vertices:
         edges = tuple((position[e[0]], tuple(image(e, c) for c in choices)) for e in lc.edges_of_b[b])
-        if edges:
-            by_column[max(a for a, _ in edges)].append(edges)
-        else:
-            root += loss([])
+        root += loss([None] * len(edges))
+        for a in sorted({a for a, _ in edges}):
+            by_column[a].append(edges)
 
     def step(depth: int, prefix: Prefix, cost: int) -> int:
         for edges in by_column[depth]:
-            cost += loss([images[prefix[a]] for a, images in edges])
+            before = [images[prefix[a]] if a < depth else None for a, images in edges]
+            after = [images[prefix[a]] if a <= depth else None for a, images in edges]
+            cost += loss(after) - loss(before)
         return cost
 
     values = range(len(choices))
@@ -269,11 +303,17 @@ def solve_lc_max(lc: LabelCoverInstance, budget: SearchBudget = SearchBudget()) 
 
     The B-side is chosen per vertex as the plurality of projected labels,
     which is optimal, so the walk over A-labelings minimizes the edges lost:
-    a B-vertex loses its degree minus its plurality count.
+    a B-vertex loses its degree minus its plurality count.  Among its fixed
+    edges that difference only grows as more are fixed, so the walk charges
+    it at every A-neighbour, not only at the last.
     """
+
+    def edges_lost(images: list) -> int:
+        fixed = [y for y in images if y is not None]
+        return len(fixed) - max(map(fixed.count, fixed), default=0)
+
     lost, best, states = walk_a_labelings(
-        lc, lc.sigma_a, lambda e, x: lc.projections[e][x],
-        lambda images: len(images) - max(map(images.count, images), default=0), budget.max_states,
+        lc, lc.sigma_a, lambda e, x: lc.projections[e][x], edges_lost, budget.max_states
     )
     total = len(lc.edges)
     fraction = Fraction(total - lost, total) if total else Fraction(1)
@@ -368,6 +408,7 @@ def solve_ssat_min_norm(
     ssat: SsatInstance,
     budget: SearchBudget,
     side_condition: Optional[SideCondition] = None,
+    hints: Hints = (),
 ) -> SsatMinResult:
     """Exact minimum norm over consistent super-assignments in the box.
 
@@ -379,13 +420,24 @@ def solve_ssat_min_norm(
 
     The walk tries only weights that keep every consistency row reachable;
     the l1 cost adds each |weight|, the linf cost is the largest test norm
-    so far, and the side condition is checked at the leaf.
+    so far, and the side condition is checked at the leaf.  A hint is a flat
+    weight vector in the box; one that ``is_consistent`` and the side
+    condition accept caps the walk at its norm.
     """
     rows = _compile_ssat(ssat)
     n = rows.num_cols
+    k = budget.coeff_box
     if side_condition is None:
         side_condition = "nontrivial" if budget.mode == "l1" else "not_all_zero"
     admissible = rows.nontrivial if side_condition == "nontrivial" else any
+
+    def norm(point: Sequence[int]) -> Optional[int]:
+        s = superassignment_from_sis_solution(ssat, point)
+        side = is_nontrivial(ssat, s) if side_condition == "nontrivial" else is_not_all_zero(s)
+        if not (side and is_consistent(ssat, s)):
+            return None
+        return sum(map(abs, point)) if budget.mode == "l1" else norm_linf(s)
+
     if budget.mode == "l1":
         cost_step = _l1_step
     else:
@@ -400,10 +452,12 @@ def solve_ssat_min_norm(
             return None
         return cost_step(depth, prefix, cost)
 
-    equalities = rows.equalities(budget.coeff_box)
+    equalities = rows.equalities(k)
     # with no columns the walk enters no node: the empty vector is judged here
     root = 0 if equalities.feasible and (n or admissible(())) else None
-    best_norm, best, states = branch_and_bound(n, equalities.values, step, root, budget.max_states)
+    best_norm, best, states = branch_and_bound(
+        n, equalities.values, step, root, budget.max_states, _ceiling(hints, n, range(-k, k + 1), norm)
+    )
     if best is None:
         return SsatMinResult(mode=budget.mode, min_norm=None, witness=None, states_visited=states)
     min_norm = Fraction(best_norm, len(ssat.tests)) if budget.mode == "l1" else best_norm
@@ -427,16 +481,21 @@ def _compile_sis(sis: SisInstance, k: int) -> _EqualityRows:
     return _compile_equalities(sis.num_cols, k, rows)
 
 
-def solve_sis_min(sis: SisInstance, budget: SearchBudget) -> SisMinResult:
+def solve_sis_min(sis: SisInstance, budget: SearchBudget, hints: Hints = ()) -> SisMinResult:
     """Exact minimum l1 norm of a box solution of ``matrix @ z == target``.
 
     The walk tries only values that leave every row's target reachable by
     the later columns, so it needs no provenance.  Returns ``None`` when the
-    target is unreachable in the box.
+    target is unreachable in the box.  A hint in the box that
+    ``SisInstance.multiply`` maps to the target caps the walk at its l1 norm.
     """
-    rows = _compile_sis(sis, budget.coeff_box)
+    k = budget.coeff_box
+    ceiling = _ceiling(
+        hints, sis.num_cols, range(-k, k + 1), lambda z: sum(map(abs, z)) if sis.multiply(z) == sis.target else None
+    )
+    rows = _compile_sis(sis, k)
     best_norm, best, states = branch_and_bound(
-        sis.num_cols, rows.values, _l1_step, 0 if rows.feasible else None, budget.max_states
+        sis.num_cols, rows.values, _l1_step, 0 if rows.feasible else None, budget.max_states, ceiling
     )
     return SisMinResult(min_l1=best_norm, witness=best, states_visited=states)
 
@@ -464,20 +523,22 @@ class NcpMinResult:
 
 
 def solve_ncp_min(
-    ncp: NcpInstance, budget: SearchBudget, full_field: bool = False
+    ncp: NcpInstance, budget: SearchBudget, full_field: bool = False, hints: Hints = ()
 ) -> NcpMinResult:
     """Exact (full-field) or box-restricted minimum Hamming distance.
 
     Box mode restricts coordinates to the images of [-k, k] modulo q, tried
     in that order, and is flagged as such in the result; witnesses are
-    canonical field elements.
+    canonical field elements.  A hint whose residues lie in the box caps the
+    walk at its ``NcpInstance.distance``.
     """
     q = ncp.modulus
     k = budget.coeff_box
     values = tuple(range(q)) if full_field else tuple(dict.fromkeys(v % q for v in range(-k, k + 1)))
+    ceiling = _ceiling(([v % q for v in z] for z in hints), ncp.num_cols, values, ncp.distance)
     rows = _compile_ncp(ncp)
     best_dist, best, states = branch_and_bound(
-        ncp.num_cols, lambda depth, prefix: values, rows.step, rows.root, budget.max_states
+        ncp.num_cols, lambda depth, prefix: values, rows.step, rows.root, budget.max_states, ceiling
     )
     return NcpMinResult(
         min_dist=best_dist, witness=best, mode="full" if full_field else "box", states_visited=states
@@ -520,16 +581,18 @@ class LhpMinResult:
     states_visited: int
 
 
-def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget()) -> LhpMinResult:
+def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget(), hints: Hints = ()) -> LhpMinResult:
     """Minimum violation count over the soundness normal-form grid.
 
     The grid is x in {-1,0,1}^n, y = 1, delta infinitesimal.  This is an
     upper-bound oracle for the true noise: low-violation assignments reduce
     to the grid's normal form, but the exact optimum over all of rational
-    space is not computed here.
+    space is not computed here.  A hint is an x on the grid; it caps the
+    walk at its ``count_lhp_violations``.
     """
+    ceiling = _ceiling(hints, lhp.num_x, (-1, 0, 1), lambda xs: count_lhp_violations(lhp, LhpAssignment.of(xs)))
     rows = _compile_lhp(lhp)
     best_count, best, states = branch_and_bound(
-        lhp.num_x, lambda depth, prefix: (-1, 0, 1), rows.step, rows.root, budget.max_states
+        lhp.num_x, lambda depth, prefix: (-1, 0, 1), rows.step, rows.root, budget.max_states, ceiling
     )
     return LhpMinResult(min_violations=best_count, witness=LhpAssignment.of(best), states_visited=states)

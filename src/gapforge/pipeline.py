@@ -6,6 +6,13 @@ each stage, and runs the box oracles where they fit the state budget.  The
 oracle stages are one table: each row gives either a skip reason or a minimum
 with its gap row.  The resulting document is canonical JSON, so identical
 inputs give identical bytes.
+
+Each oracle gets hint points that may cap its walk: the embedded SIS
+solution ``z`` (also a flat SSAT vector, an NCP box point and an LHP grid
+point) for all four, the SIS witness for LHP and NCP, and LHP's grid witness
+for NCP, so LHP runs before NCP.  The solvers check their hints themselves,
+so the hints change only the ``states`` of a stage and whether it fits the
+budget; the report lists the stages in the order SSAT, SIS, NCP, LHP.
 """
 
 from __future__ import annotations
@@ -105,6 +112,7 @@ def run_chain(
         "natural_exists": satisfiable,
     }
     checks: list[tuple[str, bool]] = []
+    hints: list[tuple[int, ...]] = []  # points that may cap the oracle walks
     if satisfiable:
         natural = natural_from_labeling(ssat, lc_result.witness)
         z = sis_solution_from_superassignment(ssat, natural)
@@ -118,26 +126,36 @@ def run_chain(
             ("lhp_embedding_violations_is_num_tests", count_lhp_violations(lhp, a) == n_tests),
             ("lhp_round_trip_identity", sis_solution_from_lhp_assignment(lhp, a) == tuple(z)),
         ]
+        hints.append(tuple(z))
 
-    # (report key, gap stage, planted cost, solver, result field, minimum written as "p/q")
-    # The thunks look the solvers up when called, so rebinding a module name reaches them.
+    # (report key, gap stage, planted cost, solver of the hints, result field, minimum written as "p/q",
+    # the witness as a hint point for the stages after it).  Every stage gets the embedded point;
+    # LHP runs before NCP, whose box holds LHP's grid witness.  The thunks look the solvers up
+    # when called, so rebinding a module name reaches them.
     oracle_stages = (
-        ("ssat_l1", "ssat", 1, lambda: solve_ssat_min_norm(ssat, budget_l1), "min_norm", True),
-        ("sis", "sis", n_tests, lambda: solve_sis_min(sis, budget_l1), "min_l1", False),
-        ("ncp_box", "ncp", n_tests, lambda: solve_ncp_min(ncp, budget_l1), "min_dist", False),
-        ("lhp_grid", "lhp", n_tests, lambda: solve_lhp_min(lhp, budget=budget_l1), "min_violations", False),
+        ("ssat_l1", "ssat", 1, lambda hints: solve_ssat_min_norm(ssat, budget_l1, hints=hints),
+         "min_norm", True, None),
+        ("sis", "sis", n_tests, lambda hints: solve_sis_min(sis, budget_l1, hints=hints),
+         "min_l1", False, lambda witness: witness),
+        ("lhp_grid", "lhp", n_tests, lambda hints: solve_lhp_min(lhp, budget=budget_l1, hints=hints),
+         "min_violations", False, lambda witness: tuple(map(int, witness.x_values))),
+        ("ncp_box", "ncp", n_tests, lambda hints: solve_ncp_min(ncp, budget_l1, hints=hints),
+         "min_dist", False, None),
     )
-    oracles: dict[str, Any] = {}
-    gap_rows = []
-    for key, stage, planted, solve, field, as_fraction in oracle_stages:
+    results: dict[str, Any] = {}
+    rows: dict[str, dict[str, Any]] = {}
+    for key, stage, planted_cost, solve, field, as_fraction, as_point in oracle_stages:
         try:
-            result = solve()
+            result = solve(hints)
         except SearchSpaceTooLarge as exc:
-            oracles[key] = {"skipped": str(exc)}
+            results[key] = {"skipped": str(exc)}
             continue
         minimum = getattr(result, field)
-        oracles[key] = {"minimum": _enc_opt(minimum) if as_fraction else minimum, "states": result.states_visited}
-        gap_rows.append(gap_row(stage, planted, minimum))
+        results[key] = {"minimum": _enc_opt(minimum) if as_fraction else minimum, "states": result.states_visited}
+        rows[key] = gap_row(stage, planted_cost, minimum)
+        if as_point is not None and result.witness is not None:
+            hints.append(as_point(result.witness))
+    report_order = ("ssat_l1", "sis", "ncp_box", "lhp_grid")
 
     return {
         "kind": "chain_report",
@@ -158,7 +176,7 @@ def run_chain(
         "manifest_consistent": verify_manifest(stages),
         "completeness": completeness,
         "checks": [{"name": name, "passed": passed, "detail": ""} for name, passed in checks],
-        "oracles": oracles,
-        "gap_report": {"rows": gap_rows},
+        "oracles": {key: results[key] for key in report_order},
+        "gap_report": {"rows": [rows[key] for key in report_order if key in rows]},
         "all_checks_passed": all(passed for _, passed in checks),
     }

@@ -89,13 +89,18 @@ def _max_agreement(lc: LabelCoverInstance, l: int, max_states: int) -> Fraction:
 
     The walk minimizes the B-vertices in total disagreement, whose edges'
     image sets are pairwise disjoint; one with no edge disagrees vacuously.
+    Fixing one more edge can end a disagreement, so a B-vertex is charged
+    only once all its edges are fixed.
     """
     if not lc.b_vertices:
         return Fraction(0)
     subsets = list(itertools.combinations(lc.sigma_a, min(l, len(lc.sigma_a))))
+
+    def disagrees(image_sets: list) -> bool:
+        return None not in image_sets and sum(map(len, image_sets)) == len(set().union(*image_sets))
+
     disagreeing, _, _ = walk_a_labelings(
-        lc, subsets, lambda e, labels: frozenset(lc.projections[e][x] for x in labels),
-        lambda image_sets: sum(map(len, image_sets)) == len(set().union(*image_sets)), max_states,
+        lc, subsets, lambda e, labels: frozenset(lc.projections[e][x] for x in labels), disagrees, max_states,
     )
     return Fraction(len(lc.b_vertices) - disagreeing, len(lc.b_vertices))
 

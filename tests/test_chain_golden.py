@@ -22,20 +22,21 @@ from gapforge.pipeline import run_chain
 from gapforge.serialize import canonical_bytes
 
 GOLDEN = {
-    ("lc_id2", "default"): "25dfaff2f757c33bb9933065a83878a6c7fc0c50c503af71b732098088a80901",
+    ("lc_id2", "default"): "38a2251ebdc79c6f959180510dcb554d14b63fe05a0384a977d7979789c1c09a",
     ("lc_id2", "box1"): "5e4c232367e3cd71e9a38ce77d92a733b5e3abc5ba41291e8850b4df7fe4f85a",
-    ("lc_id2", "cap100"): "25dfaff2f757c33bb9933065a83878a6c7fc0c50c503af71b732098088a80901",
-    ("lc_cyc", "default"): "9a6159bd10d5937e634bd4b0d0966965567e505da7054974c565b46236747e5a",
-    ("lc_cyc", "box1"): "2107661ee64ae6a9d7ffb748b0497eb706d57e5125d7d7c9dd12e166c2855bb2",
+    ("lc_id2", "cap100"): "38a2251ebdc79c6f959180510dcb554d14b63fe05a0384a977d7979789c1c09a",
+    ("lc_cyc", "default"): "62cc44c1127a4ecf91cd6b1d31a573de2af7b10f850acaed49c7abb6d28e5bba",
+    ("lc_cyc", "box1"): "a9c16f777dd61acab5e51e0c04054582b981b62969a7ad9dec0f795e60f813af",
     ("lc_cyc", "cap100"): "b783ee23c7ee0693d0778e4ab3aed9aeeb8c783c3f83d8336e7dba977aeaa954",
-    ("lc_share", "default"): "55d74fe40304e47721fe281ec6364a0e4415f082f480b6a059688968fbfe0d77",
-    ("lc_share", "box1"): "9554ee1e517e0772e835a12a29dd5b84fae60781ad6e86dba96ee6eaf5f2d153",
-    ("lc_share", "cap100"): "55d74fe40304e47721fe281ec6364a0e4415f082f480b6a059688968fbfe0d77",
-    ("lc_2to1", "default"): "04e65c388cabe552cd03c59c9fe6e395302b4c9a2ad3a08b9d47b16cde4dffe7",
+    ("lc_share", "default"): "46148905b64ab628c51a895718ddf451132f0b5872abbabda76c46b46a9f0f72",
+    ("lc_share", "box1"): "9aff7fd1f6a0ce73e45052b8d3ed97aba7f01f56e90f3da9f26205679c851b52",
+    ("lc_share", "cap100"): "46148905b64ab628c51a895718ddf451132f0b5872abbabda76c46b46a9f0f72",
+    ("lc_2to1", "default"): "e33257f58cf01eeb8054096df4bf8e34e7a0b2be1c1fc4fb3fa6aa6062804516",
     ("lc_2to1", "box1"): "3f62b777328899e5dfc4b63b4983f40d6aa44c34abcbc12ff6de6c227bcfc9a3",
-    ("lc_2to1", "cap100"): "04e65c388cabe552cd03c59c9fe6e395302b4c9a2ad3a08b9d47b16cde4dffe7",
-    ("planted", "cap3000"): "16d0408b051611e1d04cbefd02f57a8415c01a4555003142162fb829f4dc29fa",
-    ("planted", "cap700"): "d4cd90457009957429fe0e903a6d77b2050ced0dfc00783baa8650226166e920",
+    ("lc_2to1", "cap100"): "e33257f58cf01eeb8054096df4bf8e34e7a0b2be1c1fc4fb3fa6aa6062804516",
+    ("planted", "cap3000"): "c7417931f08222b7f94dca1000afb2d943be5d5fc7d1ba3d6f18e7f105512296",
+    ("planted", "cap700"): "c7417931f08222b7f94dca1000afb2d943be5d5fc7d1ba3d6f18e7f105512296",
+    ("planted", "cap100"): "ec4ade9948208883156be9bb8aa492116f6840d66be456655b468dde481ba157",
     ("planted", "cap16"): "135086942f7a63b127b9af6b2d6cd8c4766d1422dab0d39565eeed4a3422b810",
     ("frustrated", "cap3000"): "068c42258e889ed1252baff2bf5df5b00096ee777cf53879b0453bfcfc3d676e",
     ("frustrated", "cap700"): "f29be9af4764709bcdb9270d03e402569f0aabffe9c52844aa56ca4b3f9b86c6",
@@ -49,8 +50,9 @@ SETTINGS = {"default": {}, "box1": {"box": 1}, "cap100": {"max_states": 100},
             "cap22": {"max_states": 22}}
 # the oracle stages that run (are not skipped) in each generated case
 RUNNING = {
-    ("planted", "cap3000"): ["ssat_l1", "sis", "lhp_grid"],
-    ("planted", "cap700"): ["ssat_l1", "sis", "lhp_grid"],
+    ("planted", "cap3000"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
+    ("planted", "cap700"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
+    ("planted", "cap100"): ["sis", "lhp_grid"],
     ("planted", "cap16"): [],
     ("frustrated", "cap3000"): ["ssat_l1", "sis", "lhp_grid"],
     ("frustrated", "cap700"): ["sis", "lhp_grid"],

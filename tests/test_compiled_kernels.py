@@ -87,7 +87,7 @@ def test_compiled_ncp_matches_reference(chain):
 
 
 @SETTINGS
-@given(chains())
+@given(chains(max_columns=4))  # the reference evaluates every inequality at 3^columns points
 def test_compiled_lhp_matches_reference(chain):
     _, _, sis, _ = chain
     lhp = sis_to_lhp(sis, g=1)

@@ -28,7 +28,8 @@ def expand(records, multiplicity):
 
 @settings(max_examples=12, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@given(chains(), st.integers(1, 2), st.sampled_from((None, 1, 2)))
+# the expanded LHP reference evaluates every copy at 2 * 3^columns points
+@given(chains(max_columns=4), st.integers(1, 2), st.sampled_from((None, 1, 2)))
 def test_multiplicity_matches_expanded_reference(chain, g, u):
     _, _, sis, k = chain
     m = sis.num_cols

@@ -10,7 +10,14 @@ import pytest
 
 from gapforge.errors import SearchSpaceTooLarge
 from gapforge.genlab import GenSpec, gen_label_cover
-from gapforge.instances import LabelCoverInstance, LhpAssignment, NonTrivialityRow, count_satisfied_edges
+from gapforge.instances import (
+    LabelCoverInstance,
+    LhpAssignment,
+    NcpInstance,
+    NonTrivialityRow,
+    SisInstance,
+    count_satisfied_edges,
+)
 from gapforge.oracles import (
     SearchBudget,
     count_lhp_violations,
@@ -19,6 +26,7 @@ from gapforge.oracles import (
     solve_ncp_min,
     solve_sis_min,
     solve_ssat_min_norm,
+    walk_a_labelings,
 )
 from gapforge.reductions import (
     lc_to_ssat,
@@ -78,6 +86,23 @@ def test_lc_max_thirty_binary_vertices_within_default_cap():
     assert result.best_fraction == 1
     assert count_satisfied_edges(lc, result.witness) == len(lc.edges)
     assert result.states_visited < SearchBudget().max_states < 2 ** 30
+
+
+def test_lc_max_charges_each_b_vertex_at_every_neighbour():
+    """The optimum and witness of the walk that charges a B-vertex only at its last A-neighbour, in fewer nodes."""
+    lc = gen_label_cover(GenSpec(12, 9, 3, 3, 3, 1, planted=True, seed=0))
+
+    def lost_once_complete(images):
+        return 0 if None in images else len(images) - max(map(images.count, images), default=0)
+
+    lost, best, plain_states = walk_a_labelings(
+        lc, lc.sigma_a, lambda e, x: lc.projections[e][x], lost_once_complete, SearchBudget().max_states
+    )
+    result = solve_lc_max(lc)
+    assert result.best_fraction == Fraction(len(lc.edges) - lost, len(lc.edges)) == 1
+    assert tuple(result.witness.phi_a[a] for a in lc.a_vertices) == tuple(lc.sigma_a[i] for i in best)
+    assert plain_states == 10_155  # the nodes solve_lc_max entered when it charged at the last neighbour
+    assert result.states_visited < plain_states
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +381,19 @@ def test_ssat_side_condition_filters(ssat_2to1_wide):
     )
     assert relaxed.min_norm <= strict.min_norm
     assert relaxed.min_norm == 1  # a single unit weight is consistent here
+
+
+# ---------------------------------------------------------------------------
+# hints
+# ---------------------------------------------------------------------------
+
+def test_cheaper_hint_outside_the_box_is_ignored():
+    """A solution outside the box that costs less than the box optimum would hide it as a ceiling."""
+    budget = SearchBudget(coeff_box=1)
+    sis = SisInstance(matrix=((3, 1, 1, 1),), target=(6,), bound=4)
+    assert solve_sis_min(sis, budget).min_l1 == 4
+    assert solve_sis_min(sis, budget, hints=[(2, 0, 0, 0)]) == solve_sis_min(sis, budget)
+    ncp = NcpInstance(modulus=7, matrix=((1,),), target=(3,), bound=1, replication=1, multiplicity=(1,))
+    assert solve_ncp_min(ncp, budget).min_dist == 1
+    assert solve_ncp_min(ncp, budget, hints=[(3,)]) == solve_ncp_min(ncp, budget)
+    assert solve_ncp_min(ncp, budget, full_field=True, hints=[(3,)]).min_dist == 0

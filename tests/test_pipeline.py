@@ -4,9 +4,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from gapforge.genlab import GenSpec, gen_label_cover
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from gapforge.errors import InfeasibleSpec
+from gapforge.genlab import GenSpec, frustrate, gen_label_cover
+from gapforge.oracles import SearchBudget, solve_lhp_min, solve_ncp_min, solve_sis_min, solve_ssat_min_norm
 from gapforge.pipeline import GAP_ROW_KEYS, gap_row, run_chain, verify_manifest
-from gapforge.serialize import canonical_bytes
+from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
+from gapforge.serialize import canonical_bytes, encode_fraction
 
 
 def test_chain_id2_all_pass(lc_id2):
@@ -37,6 +42,35 @@ def test_ten_column_planted_chain_runs_every_oracle():
     assert minima == {"ssat_l1": "1/1", "sis": tests, "ncp_box": tests, "lhp_grid": tests}
     # the walks enter a small share of the nodes of the unpruned trees
     assert all(stage["states"] < 5 ** 10 // 10 for stage in doc["oracles"].values())
+
+
+@settings(max_examples=10, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 10 ** 6), st.integers(0, 2), st.integers(0, 10 ** 6))
+def test_chain_minima_are_the_unhinted_minima(num_a, num_b, seed, flips, twist_seed):
+    """The hints ``run_chain`` passes change no minimum; a planted chain stays within its planted costs."""
+    try:
+        lc = frustrate(gen_label_cover(GenSpec(num_a, num_b, 2, 2, 2, 1, planted=True, seed=seed)), flips, twist_seed)
+    except InfeasibleSpec:
+        assume(False)
+    doc = run_chain(lc)
+    ssat = lc_to_ssat(lc)
+    sis = ssat_to_sis(ssat)
+    budget = SearchBudget()
+    ssat_min = solve_ssat_min_norm(ssat, budget).min_norm
+    unhinted = {
+        "ssat_l1": None if ssat_min is None else encode_fraction(ssat_min),
+        "sis": solve_sis_min(sis, budget).min_l1,
+        "ncp_box": solve_ncp_min(sis_to_ncp(sis, g=1), budget).min_dist,
+        "lhp_grid": solve_lhp_min(sis_to_lhp(sis, g=1), budget).min_violations,
+    }
+    assert {key: stage["minimum"] for key, stage in doc["oracles"].items()} == unhinted
+    assert doc["completeness"]["natural_exists"] or flips
+    if doc["completeness"]["natural_exists"]:
+        assert doc["all_checks_passed"] and all(check["passed"] for check in doc["checks"])
+        tests = doc["sizes"]["tests"]
+        planted = {"ssat_l1": 1, "sis": tests, "ncp_box": tests, "lhp_grid": tests}
+        assert all(Fraction(unhinted[key]) <= cost for key, cost in planted.items())
 
 
 def test_chain_manifest_hashes_link(lc_id2):

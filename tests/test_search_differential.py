@@ -7,7 +7,10 @@ seeded label covers, planted and frustrated.  Every search runs on the one
 branch-and-bound walk: where a result reports its nodes entered, the test
 checks that they are the exact cap and never exceed the node count of the
 unpruned tree; the agreement searches raise at cap 0 having entered one node
-and finish at the unpruned tree's node count.
+and finish at the unpruned tree's node count.  The searches that take hint
+points rerun with the optimum, a point costing one more, an infeasible point,
+a point outside the box, one of the wrong length, and all of them at once:
+each run gives the unhinted optimum and witness in no more nodes.
 """
 
 from __future__ import annotations
@@ -54,15 +57,15 @@ from gapforge.superassign import (
 # ---------------------------------------------------------------------------
 
 def naive_min(points, cost):
-    """(best cost, first point attaining it, points visited); None rejects."""
+    """(best cost, first point attaining it, every (point, cost) in order); None rejects."""
     best_cost = best = None
-    states = 0
+    costs = []
     for point in points:
-        states += 1
         c = cost(point)
+        costs.append((point, c))
         if c is not None and (best_cost is None or c < best_cost):
             best_cost, best = c, point
-    return best_cost, best, states
+    return best_cost, best, costs
 
 
 def lc_satisfied(lc, combo):
@@ -126,14 +129,45 @@ def check_walk_cap(solve, budget, res, n, v):
     assert (exc.value.states, exc.value.cap) == (res.states_visited, res.states_visited - 1)
 
 
+def hint_cases(costs, unit, raw=None, outside=()):
+    """Hint lists from the naive ``costs``: each alone, then all at once.
+
+    The first optimum and the first point costing ``unit`` more, where they
+    exist; the infeasible points whose ``raw`` cost, taken without the
+    feasibility check, is below the optimum, so that trusting any one would
+    lose the optimum, or else the first infeasible point; the points
+    ``outside`` the box; and a point one coordinate too long.
+    """
+    n = len(costs[0][0])
+    best = min((c for _, c in costs if c is not None), default=None)
+    infeasible = [p for p, c in costs if c is None]
+    cheaper = [p for p in infeasible if best is not None and raw(p) < best]
+    cases = [[p for p, c in costs if c == want][:1] for want in ([] if best is None else [best, best + unit])]
+    cases += [cheaper or infeasible[:1], list(outside), [(0,) * (n + 1)]]
+    cases = [case for case in cases if case]
+    return cases + [[p for case in cases for p in case]]
+
+
+def check_hints(solve, budget, res, cases, n, v):
+    """Each hint list gives the unhinted result in no more nodes, at its own exact cap.
+
+    ``solve(budget, hints)`` reruns the search.
+    """
+    for hints in cases:
+        hinted = solve(budget, hints)
+        assert dataclasses.replace(hinted, states_visited=res.states_visited) == res
+        assert hinted.states_visited <= res.states_visited
+        check_walk_cap(lambda b: solve(b, hints), budget, hinted, n, v)
+
+
 # ---------------------------------------------------------------------------
 # Property
 # ---------------------------------------------------------------------------
 
 @st.composite
-def chains(draw):
+def chains(draw, max_columns=6):
     num_a = draw(st.integers(2, 3))
-    num_b = draw(st.integers(1, 2))
+    num_b = draw(st.integers(1, 3))
     sigma_a = draw(st.integers(2, 3))
     spec_args = dict(
         num_a=num_a,
@@ -156,8 +190,10 @@ def chains(draw):
     except EmptyRange:  # some B-vertex has no satisfying assignment at all
         assume(False)
     sis = ssat_to_sis(ssat)
-    assume(sis.num_cols <= 4)  # the LHP grid costs 3^columns evaluations
+    # the naive references cost (2k + 1)^columns evaluations: three tests take
+    # at least six columns, searched in the box of radius 1 only
     k = draw(st.integers(1, 2))
+    assume(sis.num_cols <= min(max_columns, 6 if k == 1 else 4))
     return lc, ssat, sis, k
 
 
@@ -182,7 +218,7 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
     # SSAT
     total = sum(len(t.assignments) for t in ssat.tests)
     effective = side or ("nontrivial" if mode == "l1" else "not_all_zero")
-    best, flat, _ = naive_min(
+    best, flat, costs = naive_min(
         itertools.product(range(-k, k + 1), repeat=total),
         lambda f: ssat_cost(ssat, mode, effective, superassignment(ssat, f)),
     )
@@ -190,17 +226,22 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
     assert (res.mode, res.min_norm) == (mode, best)
     assert res.witness == (None if flat is None else superassignment(ssat, flat))
     check_walk_cap(lambda b: solve_ssat_min_norm(ssat, b, side), budget, res, total, 2 * k + 1)
+    unit, norm = (Fraction(1, len(ssat.tests)), norm_l1) if mode == "l1" else (1, norm_linf)
+    cases = hint_cases(costs, unit, lambda f: norm(superassignment(ssat, f)), [(k + 1,) * total])
+    check_hints(lambda b, h: solve_ssat_min_norm(ssat, b, side, hints=h), budget, res, cases, total, 2 * k + 1)
 
     # SIS, with its provenance and as plain text without it
     plain = dataclasses.replace(sis, column_provenance=None, row_provenance=None)
     for inst in (sis, plain):
-        best, z, _ = naive_min(
+        best, z, costs = naive_min(
             itertools.product(range(-k, k + 1), repeat=inst.num_cols),
             lambda z: sum(map(abs, z)) if inst.multiply(z) == inst.target else None,
         )
         res = solve_sis_min(inst, budget)
         assert (res.min_l1, res.witness) == (best, z)
         check_walk_cap(lambda b: solve_sis_min(inst, b), budget, res, inst.num_cols, 2 * k + 1)
+        cases = hint_cases(costs, 1, lambda z: sum(map(abs, z)), [(-k - 1,) * inst.num_cols])
+        check_hints(lambda b, h: solve_sis_min(inst, b, hints=h), budget, res, cases, inst.num_cols, 2 * k + 1)
     assert solve_sis_min(sis, budget) == solve_sis_min(plain, budget)
 
     # NCP, box and (when small) full field
@@ -208,19 +249,26 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
     for full in (False, True):
         values = ncp_values(ncp, k, full)
         if len(values) ** ncp.num_cols <= 1000:
-            best, z, _ = naive_min(itertools.product(values, repeat=ncp.num_cols), ncp.distance)
+            best, z, costs = naive_min(itertools.product(values, repeat=ncp.num_cols), ncp.distance)
             res = solve_ncp_min(ncp, budget, full_field=full)
             assert (res.min_dist, res.witness) == (best, z)
             assert res.mode == ("full" if full else "box")
             check_walk_cap(lambda b: solve_ncp_min(ncp, b, full_field=full), budget, res, ncp.num_cols, len(values))
+            # every residue is in the full field; k + 1 is outside the box unless it is a residue of [-k, k]
+            outside = [] if (k + 1) % ncp.modulus in values else [(k + 1,) * ncp.num_cols]
+            check_hints(lambda b, h: solve_ncp_min(ncp, b, full_field=full, hints=h), budget, res,
+                        hint_cases(costs, 1, outside=outside), ncp.num_cols, len(values))
 
     # LHP grid
     lhp = sis_to_lhp(sis, g=1)
-    grid = [LhpAssignment.of(xs) for xs in itertools.product((-1, 0, 1), repeat=lhp.num_x)]
     res = solve_lhp_min(lhp, budget=budget)
-    best, a, _ = naive_min(grid, lambda a: count_lhp_violations(lhp, a))
-    assert (res.min_violations, res.witness) == (best, a)
+    best, xs, costs = naive_min(
+        itertools.product((-1, 0, 1), repeat=lhp.num_x), lambda xs: count_lhp_violations(lhp, LhpAssignment.of(xs))
+    )
+    assert (res.min_violations, res.witness) == (best, LhpAssignment.of(xs))
     check_walk_cap(lambda b: solve_lhp_min(lhp, budget=b), budget, res, lhp.num_x, 3)
+    check_hints(lambda b, h: solve_lhp_min(lhp, budget=b, hints=h), budget, res,
+                hint_cases(costs, 1, outside=[(2,) * lhp.num_x]), lhp.num_x, 3)
 
     # agreement soundness: maximize agreeing B-vertices
     n_a, n_b = len(lc.a_vertices), len(lc.b_vertices)
