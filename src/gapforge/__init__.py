@@ -30,7 +30,6 @@ from .errors import (
 )
 from .instances import (
     EPSILON,
-    ConsistencyRow,
     LabelCoverInstance,
     Labeling,
     LcProvenance,
@@ -38,7 +37,6 @@ from .instances import (
     LhpInequality,
     LhpSystem,
     NcpInstance,
-    NonTrivialityRow,
     SisInstance,
     SsatInstance,
     SsatTest,

@@ -35,6 +35,9 @@ from .oracles import (
 from .pipeline import GAP_ROW_KEYS, run_chain
 from .reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
 from .serialize import (
+    _bool,
+    _fields,
+    _int,
     canonical_bytes,
     encode_fraction,
     ncp_to_text,
@@ -101,11 +104,19 @@ def _budget(args, mode: str = "l1") -> SearchBudget:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+_SPEC_FIELDS = ("num_a", "num_b", "d_b", "sigma_a", "sigma_b", "p", "planted", "seed")
+
+
 def _gen_spec_from_args(args) -> GenSpec:
-    """Merge an optional spec file with flags; flags win where both are set."""
+    """Merge an optional spec file with flags; flags win where both are set.
+
+    The spec file is an object with some of the keys ``_SPEC_FIELDS``:
+    ``planted`` a boolean, the others integers.
+    """
     fields: dict[str, Any] = {}
     if args.spec:
-        fields.update(read_document(args.spec))
+        spec = _fields(read_document(args.spec), "", _SPEC_FIELDS, subset=True)
+        fields.update((key, (_bool if key == "planted" else _int)(value, f"/{key}")) for key, value in spec.items())
     for key, value in (
         ("num_a", args.num_a),
         ("num_b", args.num_b),

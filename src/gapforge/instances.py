@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from .errors import (
     MalformedInstance,
@@ -306,61 +306,62 @@ class SsatInstance:
 
 
 # ---------------------------------------------------------------------------
+# Sparse rows
+# ---------------------------------------------------------------------------
+
+# ``(column, coefficient)`` pairs with strictly ascending columns and nonzero
+# coefficients: the one row form of SIS and NCP matrices and LHP ``coeff_x``.
+SparseRow = tuple[tuple[int, Any], ...]
+
+
+def check_sparse_rows(rows: Iterable[SparseRow], num_cols: int, name: str, count_name: str = "num_cols") -> None:
+    """Refuse a negative ``num_cols``, and a row whose columns do not ascend inside [0, num_cols) or that lists a zero.
+
+    ``name`` and ``count_name`` are the fields the messages name.
+    """
+    if num_cols < 0:
+        raise MalformedInstance(f"{count_name} must be non-negative, got {num_cols}")
+    for r, row in enumerate(rows):
+        prev = -1
+        for c, a in row:
+            if not prev < c < num_cols:
+                raise MalformedInstance(f"{name} row {r}: column {c} is out of order or outside [0, {num_cols})")
+            if a == 0:
+                raise MalformedInstance(f"{name} row {r} lists a zero coefficient at column {c}")
+            prev = c
+
+
+# ---------------------------------------------------------------------------
 # SIS
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NonTrivialityRow:
-    test: int
-
-
-@dataclass(frozen=True)
-class ConsistencyRow:
-    test_i: int
-    test_j: int
-    variable: Vertex
-    value: Label
-
-
-RowTag = Union[NonTrivialityRow, ConsistencyRow]
-
-
-@dataclass(frozen=True)
 class SisInstance:
-    """Integer linear system ``matrix @ z == target`` with an l1 budget."""
+    """Integer linear system ``matrix @ z == target`` with an l1 budget.
 
-    matrix: tuple[tuple[int, ...], ...]
+    ``matrix`` has one sparse row per equation over ``num_cols`` columns:
+    ``(column, coefficient)`` pairs, columns ascending, coefficients nonzero.
+    """
+
+    num_cols: int
+    matrix: tuple[SparseRow, ...]
     target: tuple[int, ...]
     bound: int
-    column_provenance: Optional[tuple[tuple[int, int], ...]] = None
-    row_provenance: Optional[tuple[RowTag, ...]] = None
 
     def __post_init__(self):
-        n = len(self.matrix)
-        if len(self.target) != n:
+        if len(self.target) != len(self.matrix):
             raise MalformedInstance("target length differs from row count")
-        widths = {len(row) for row in self.matrix}
-        if len(widths) > 1:
-            raise MalformedInstance("ragged matrix")
-        m = widths.pop() if widths else 0
-        if self.column_provenance is not None and len(self.column_provenance) != m:
-            raise MalformedInstance("column provenance length differs from column count")
-        if self.row_provenance is not None and len(self.row_provenance) != n:
-            raise MalformedInstance("row provenance length differs from row count")
+        check_sparse_rows(self.matrix, self.num_cols, "matrix")
 
     @property
     def num_rows(self) -> int:
         return len(self.matrix)
 
-    @property
-    def num_cols(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
     def multiply(self, z: Iterable[int]) -> tuple[int, ...]:
         zs = tuple(z)
         if len(zs) != self.num_cols:
             raise MalformedInstance("vector length differs from column count")
-        return tuple(sum(c * v for c, v in zip(row, zs)) for row in self.matrix)
+        return tuple(sum(a * zs[c] for c, a in row) for row in self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +403,15 @@ def _is_prime(n: int) -> bool:
 class NcpInstance:
     """Nearest-codeword instance over a prime field.
 
-    Row ``i`` stands for ``multiplicity[i]`` identical copies: a mismatch on
-    it costs that many, and ``num_rows`` counts the copies.
+    ``matrix`` is sparse over ``num_cols`` columns, as in ``SisInstance``; a
+    coefficient is any nonzero integer and counts by its residue mod
+    ``modulus``.  Row ``i`` stands for ``multiplicity[i]`` identical copies:
+    a mismatch on it costs that many, and ``num_rows`` counts the copies.
     """
 
     modulus: int
-    matrix: tuple[tuple[int, ...], ...]
+    num_cols: int
+    matrix: tuple[SparseRow, ...]
     target: tuple[int, ...]
     bound: int
     replication: int
@@ -420,17 +424,11 @@ class NcpInstance:
             raise MalformedInstance("target or multiplicity length differs from row count")
         if any(k < 1 for k in self.multiplicity):
             raise MalformedInstance("row multiplicities must be at least 1")
-        widths = {len(row) for row in self.matrix}
-        if len(widths) > 1:
-            raise MalformedInstance("ragged matrix")
+        check_sparse_rows(self.matrix, self.num_cols, "matrix")
 
     @property
     def num_rows(self) -> int:
         return sum(self.multiplicity)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
 
     def distance(self, z: Iterable[int]) -> int:
         """Hamming distance between ``matrix @ z`` and the target, mod q, over the copies."""
@@ -440,7 +438,7 @@ class NcpInstance:
             raise MalformedInstance("vector length differs from column count")
         dist = 0
         for row, t, k in zip(self.matrix, self.target, self.multiplicity):
-            if sum(c * v for c, v in zip(row, zs)) % q != t % q:
+            if sum(a * zs[c] for c, a in row) % q != t % q:
                 dist += k
         return dist
 
@@ -470,12 +468,12 @@ LHP_GROUPS = ("G1", "G2", "G3", "G4", "G5")
 class LhpInequality:
     """``multiplicity`` copies of one strict homogeneous inequality over (x, y, delta).
 
-    ``coeff_x`` is sparse: ascending ``(index, coefficient)`` pairs with
-    nonzero coefficients, so every inequality has one form.  Homogenization
-    leaves the right-hand side zero.
+    ``coeff_x`` is a sparse row, as in ``SisInstance``, with ``Fraction``
+    coefficients; ``LhpSystem`` checks it.  Homogenization leaves the
+    right-hand side zero.
     """
 
-    coeff_x: tuple[tuple[int, Fraction], ...]
+    coeff_x: SparseRow
     coeff_y: Fraction
     coeff_delta: Fraction
     sense: str
@@ -490,13 +488,6 @@ class LhpInequality:
             raise MalformedInstance(f"unknown group {self.group!r}")
         if self.multiplicity < 1:
             raise MalformedInstance("multiplicity must be at least 1")
-        prev = -1
-        for i, c in self.coeff_x:
-            if i <= prev:
-                raise MalformedInstance("coeff_x indices must be strictly ascending")
-            if c == 0:
-                raise MalformedInstance(f"coeff_x lists a zero coefficient at index {i}")
-            prev = i
 
     def value_at(self, a: "LhpAssignment") -> tuple[Fraction, Fraction]:
         """Evaluate the left-hand side as a (standard, epsilon-coefficient) pair."""
@@ -525,14 +516,9 @@ class LhpSystem:
     inequalities: tuple[LhpInequality, ...]
 
     def __post_init__(self):
-        if self.num_x < 0:
-            raise MalformedInstance("num_x must be non-negative")
         if self.u_param < 1:
             raise MalformedInstance("u_param must be at least 1")
-        for ineq in self.inequalities:
-            for i, _ in ineq.coeff_x:
-                if not (0 <= i < self.num_x):
-                    raise MalformedInstance("coeff_x index out of range")
+        check_sparse_rows((ineq.coeff_x for ineq in self.inequalities), self.num_x, "coeff_x", "num_x")
 
     @property
     def num_inequalities(self) -> int:

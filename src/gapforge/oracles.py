@@ -154,12 +154,12 @@ class SearchBudget:
 
 
 Columns = tuple[int, ...]
-SparseRow = tuple[Columns, tuple[int, ...]]
+SplitRow = tuple[Columns, tuple[int, ...]]
 
 
-def _sparse(entries: Iterable[tuple[int, int]]) -> SparseRow:
-    """Nonzero ``(column, coefficient)`` pairs as parallel tuples, in column order."""
-    pairs = sorted((c, a) for c, a in entries if a)
+def _split(row: Iterable[tuple[int, int]]) -> SplitRow:
+    """A sparse row's ``(column, coefficient)`` pairs as parallel tuples."""
+    pairs = tuple(row)
     return tuple(c for c, _ in pairs), tuple(a for _, a in pairs)
 
 
@@ -229,7 +229,7 @@ class _EqualityRows:
         return range(lo, hi + 1)
 
 
-def _compile_equalities(n: int, k: int, rows: Iterable[tuple[SparseRow, int]]) -> _EqualityRows:
+def _compile_equalities(n: int, k: int, rows: Iterable[tuple[SplitRow, int]]) -> _EqualityRows:
     by_column: list[list] = [[] for _ in range(n)]
     feasible = True
     for (cols, coeffs), t in rows:
@@ -332,14 +332,14 @@ class _SsatRows:
     A point is a super-assignment flattened test by test, as in
     ``SsatInstance.offsets``.  Each consistency row says that the columns of
     test i whose assignment gives a shared variable x the value a sum to the
-    same total as those columns of test j; it is kept as a sparse row with
-    entries +1 and -1 and target 0.  ``coverage`` lists, per variable, the
-    nonempty projection column sets of its incident tests, one per
-    (test, value).
+    same total as those columns of test j; it is kept as ascending columns
+    with coefficients +1, then -1, and target 0.  ``coverage`` lists, per
+    variable, the nonempty projection column sets of its incident tests, one
+    per (test, value).
     """
 
     num_cols: int
-    consistency: tuple[SparseRow, ...]
+    consistency: tuple[SplitRow, ...]
     coverage: tuple[tuple[Columns, ...], ...]
 
     def nontrivial(self, flat: Sequence[int]) -> bool:
@@ -357,7 +357,7 @@ def _compile_ssat(ssat: SsatInstance) -> _SsatRows:
         return tuple(tuple(off[t] + r for r in rs) for rs in ssat.projection_indices[t, x])
 
     consistency = tuple(
-        _sparse([(c, 1) for c in plus] + [(c, -1) for c in minus])
+        (plus + minus, (1,) * len(plus) + (-1,) * len(minus))
         for i, j, x in ssat.shared_pairs
         for plus, minus in zip(columns(i, x), columns(j, x))
         if plus or minus
@@ -477,7 +477,7 @@ class SisMinResult:
 
 
 def _compile_sis(sis: SisInstance, k: int) -> _EqualityRows:
-    rows = ((_sparse(enumerate(row)), t) for row, t in zip(sis.matrix, sis.target))
+    rows = ((_split(row), t) for row, t in zip(sis.matrix, sis.target))
     return _compile_equalities(sis.num_cols, k, rows)
 
 
@@ -485,9 +485,9 @@ def solve_sis_min(sis: SisInstance, budget: SearchBudget, hints: Hints = ()) -> 
     """Exact minimum l1 norm of a box solution of ``matrix @ z == target``.
 
     The walk tries only values that leave every row's target reachable by
-    the later columns, so it needs no provenance.  Returns ``None`` when the
-    target is unreachable in the box.  A hint in the box that
-    ``SisInstance.multiply`` maps to the target caps the walk at its l1 norm.
+    the later columns.  Returns ``None`` when the target is unreachable in
+    the box.  A hint in the box that ``SisInstance.multiply`` maps to the
+    target caps the walk at its l1 norm.
     """
     k = budget.coeff_box
     ceiling = _ceiling(
@@ -508,7 +508,7 @@ def _compile_ncp(ncp: NcpInstance) -> _FiledRows:
     """Each row as its nonzero residues mod q, missed when its sum is not its target residue."""
     q = ncp.modulus
     rows = (
-        (*_sparse((c, a % q) for c, a in enumerate(row)), t % q, k)
+        (*_split((c, a % q) for c, a in row if a % q), t % q, k)
         for row, t, k in zip(ncp.matrix, ncp.target, ncp.multiplicity)
     )
     return _file_rows(ncp.num_cols, rows, q)

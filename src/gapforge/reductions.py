@@ -24,7 +24,6 @@ from .instances import (
     EPSILON,
     GT,
     LT,
-    ConsistencyRow,
     Label,
     LabelCoverInstance,
     LcProvenance,
@@ -32,7 +31,6 @@ from .instances import (
     LhpInequality,
     LhpSystem,
     NcpInstance,
-    NonTrivialityRow,
     SisInstance,
     SsatInstance,
     SsatTest,
@@ -120,32 +118,18 @@ def ssat_to_sis(ssat: SsatInstance) -> SisInstance:
 
     Columns are (test, assignment) pairs in instance order.  Each test
     contributes one row forcing its coefficient sum to 1; each unordered test
-    pair sharing a variable contributes one gadget row per field value.  The
-    norm budget is the number of tests.
+    pair i < j sharing a variable x contributes one gadget row per field
+    value a, over test i's columns where x = a and test j's columns where
+    x != a (the nonzero entries of ``gadget_pair``).  The norm budget is the
+    number of tests.
     """
     off = ssat.offsets
-    m = off[-1]
-    spans = tuple(zip(off, off[1:]))
-    column_provenance = tuple((t_idx, r_idx) for t_idx, (lo, hi) in enumerate(spans) for r_idx in range(hi - lo))
-
-    rows: list[tuple[int, ...]] = [_indicator(m, range(lo, hi), 1) for lo, hi in spans]
-    tags: list = [NonTrivialityRow(test=t_idx) for t_idx in range(len(spans))]
+    rows = [tuple((c, 1) for c in range(lo, hi)) for lo, hi in zip(off, off[1:])]
     for i, j, x in ssat.shared_pairs:
-        pair = gadget_pair(ssat, i, j, x)
-        for f, g1, g2 in zip(ssat.field_values, pair.g1, pair.g2):
-            row = [0] * m
-            row[slice(*spans[i])] = g1
-            row[slice(*spans[j])] = g2
-            rows.append(tuple(row))
-            tags.append(ConsistencyRow(test_i=i, test_j=j, variable=x, value=f))
-
-    return SisInstance(
-        matrix=tuple(rows),
-        target=tuple(1 for _ in rows),
-        bound=len(ssat.tests),
-        column_provenance=column_provenance,
-        row_provenance=tuple(tags),
-    )
+        for hit_i, hit_j in zip(ssat.projection_indices[i, x], ssat.projection_indices[j, x]):
+            cols = [off[i] + r for r in hit_i] + [off[j] + r for r in range(off[j + 1] - off[j]) if r not in hit_j]
+            rows.append(tuple((c, 1) for c in cols))
+    return SisInstance(num_cols=off[-1], matrix=tuple(rows), target=(1,) * len(rows), bound=len(ssat.tests))
 
 
 def sis_solution_from_superassignment(ssat: SsatInstance, s: SuperAssignment) -> tuple[int, ...]:
@@ -180,7 +164,7 @@ def sis_to_ncp(
     d_rep: Optional[int] = None,
     q: Optional[int] = None,
 ) -> NcpInstance:
-    """Weight every SIS row and append an identity block.
+    """Weight every SIS row, reduced mod q, and append an identity block.
 
     Each equation row carries multiplicity ``d_rep`` (strictly more than g
     times the SIS budget, so a single broken equation already costs more than
@@ -201,10 +185,11 @@ def sis_to_ncp(
     elif not _is_prime(q) or q <= g * max(n_rows, m_cols):
         raise BadParameters(f"q must be a prime above g*max(rows, cols) = {g * max(n_rows, m_cols)}")
 
-    identity = tuple(tuple(1 if k == i else 0 for k in range(m_cols)) for i in range(m_cols))
+    residues = tuple(tuple((c, a % q) for c, a in row if a % q) for row in sis.matrix)
     return NcpInstance(
         modulus=q,
-        matrix=tuple(tuple(c % q for c in row) for row in sis.matrix) + identity,
+        num_cols=m_cols,
+        matrix=residues + tuple(((c, 1),) for c in range(m_cols)),
         target=tuple(t % q for t in sis.target) + (0,) * m_cols,
         bound=sis.bound,
         replication=d_rep,
@@ -248,9 +233,8 @@ def sis_to_lhp(sis: SisInstance, u_param: Optional[int] = None, g: int = 1) -> L
     emit(u, (), Fraction(1, u), 1, GT, "G1", "g1_lower")
     emit(u, (), Fraction(-1, u), 1, LT, "G1", "g1_upper")
     for row_idx, (row, c) in enumerate(zip(sis.matrix, sis.target)):
-        sparse = tuple((i, v) for i, v in enumerate(row) if v != 0)
-        emit(u, sparse, -c, 1, GT, "G2", f"g2_row{row_idx}_plus")
-        emit(u, sparse, -c, -1, LT, "G2", f"g2_row{row_idx}_minus")
+        emit(u, row, -c, 1, GT, "G2", f"g2_row{row_idx}_plus")
+        emit(u, row, -c, -1, LT, "G2", f"g2_row{row_idx}_minus")
     for i in range(m):
         emit(u, ((i, 1),), -2, 0, LT, "G3", f"g3_x{i}_upper")
         emit(u, ((i, 1),), 2, 0, GT, "G3", f"g3_x{i}_lower")

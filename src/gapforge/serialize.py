@@ -13,6 +13,12 @@ fraction that is not a ``"p/q"`` string) raises ``SchemaViolation`` with the
 node's JSON pointer.  Value invariants live only in the constructors, which
 raise ``MalformedInstance``.  So a file that loads is a file that satisfies
 the type invariants.
+
+Files are format version 3, and a file of any other version is refused at
+``/version``.  Every matrix row is sparse: SIS and NCP ``matrix`` rows, like
+LHP ``coeff_x``, are ``[column, coefficient]`` pairs with ascending columns
+and nonzero coefficients, next to the column count (``num_cols``, or
+``num_x`` for LHP).  The plain-text formats write the same rows dense.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from typing import Any, Callable, Union
 from .errors import MalformedInstance, SchemaViolation
 from .instances import (
     EPSILON,
-    ConsistencyRow,
     Label,
     LabelCoverInstance,
     Labeling,
@@ -37,7 +42,6 @@ from .instances import (
     LhpInequality,
     LhpSystem,
     NcpInstance,
-    NonTrivialityRow,
     SisInstance,
     SsatInstance,
     SsatTest,
@@ -45,7 +49,7 @@ from .instances import (
 )
 from .superassign import SuperAssignment
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _SAFE_INT = 2 ** 53 - 1
 
 Instance = Union[
@@ -113,6 +117,12 @@ def _int(v: Any, ptr: str) -> int:
     return v
 
 
+def _bool(v: Any, ptr: str) -> bool:
+    if type(v) is not bool:
+        raise SchemaViolation(ptr, f"expected true or false, got {v!r:.60}")
+    return v
+
+
 def _str(v: Any, ptr: str) -> str:
     if type(v) is not str:
         raise SchemaViolation(ptr, f"expected a string, got {v!r:.60}")
@@ -138,20 +148,21 @@ def _pair(v: Any, ptr: str, first: Callable[[Any, str], Any], second: Callable[[
     return first(v[0], f"{ptr}/0"), second(v[1], f"{ptr}/1")
 
 
-def _fields(v: Any, ptr: str, names: tuple[str, ...]) -> dict[str, Any]:
-    """An object whose keys are exactly ``names``."""
+def _fields(v: Any, ptr: str, names: tuple[str, ...], subset: bool = False) -> dict[str, Any]:
+    """An object whose keys are exactly ``names``, or with ``subset`` some of them."""
     if type(v) is not dict:
         raise SchemaViolation(ptr, f"expected an object, got {v!r:.60}")
-    if v.keys() != set(names):
-        raise SchemaViolation(ptr, f"expected exactly the keys {sorted(names)}, found {sorted(v)}")
+    if not (v.keys() <= set(names) if subset else v.keys() == set(names)):
+        expected = "some of" if subset else "exactly"
+        raise SchemaViolation(ptr, f"expected {expected} the keys {sorted(names)}, found {sorted(v)}")
     return v
 
 
 _labels = partial(_list, read=_label)
 _int_rows = partial(_list, read=partial(_list, read=decode_int))
 _label_pairs = partial(_list, read=partial(_pair, first=_label, second=_label))
-_int_pairs = partial(_list, read=partial(_pair, first=_int, second=_int))
-_sparse_coeffs = partial(_list, read=partial(_pair, first=_int, second=decode_fraction))
+_sparse_ints = partial(_list, read=partial(_pair, first=_int, second=decode_int))
+_sparse_fractions = partial(_list, read=partial(_pair, first=_int, second=decode_fraction))
 
 
 def _label_map(v: Any, ptr: str) -> dict[Label, Label]:
@@ -195,16 +206,8 @@ def _lc_payload(lc: LabelCoverInstance) -> dict[str, Any]:
     }
 
 
-def _row_tag_doc(tag) -> dict[str, Any]:
-    if isinstance(tag, NonTrivialityRow):
-        return {"row": "non_triviality", "test": tag.test}
-    return {
-        "row": "consistency",
-        "test_i": tag.test_i,
-        "test_j": tag.test_j,
-        "variable": tag.variable,
-        "value": tag.value,
-    }
+def _sparse_doc(row, encode: Callable[[Any], Any]) -> list:
+    return [[c, encode(a)] for c, a in row]
 
 
 def to_document(obj: Instance) -> dict[str, Any]:
@@ -248,22 +251,18 @@ def to_document(obj: Instance) -> dict[str, Any]:
         return {
             "kind": "sis",
             "version": SCHEMA_VERSION,
-            "matrix": [[encode_int(v) for v in row] for row in obj.matrix],
+            "num_cols": obj.num_cols,
+            "matrix": [_sparse_doc(row, encode_int) for row in obj.matrix],
             "target": [encode_int(v) for v in obj.target],
             "bound": encode_int(obj.bound),
-            "column_provenance": None
-            if obj.column_provenance is None
-            else [list(pair) for pair in obj.column_provenance],
-            "row_provenance": None
-            if obj.row_provenance is None
-            else [_row_tag_doc(tag) for tag in obj.row_provenance],
         }
     if isinstance(obj, NcpInstance):
         return {
             "kind": "ncp",
             "version": SCHEMA_VERSION,
             "modulus": encode_int(obj.modulus),
-            "matrix": [[encode_int(v) for v in row] for row in obj.matrix],
+            "num_cols": obj.num_cols,
+            "matrix": [_sparse_doc(row, encode_int) for row in obj.matrix],
             "target": [encode_int(v) for v in obj.target],
             "bound": encode_int(obj.bound),
             "replication": encode_int(obj.replication),
@@ -277,7 +276,7 @@ def to_document(obj: Instance) -> dict[str, Any]:
             "u_param": obj.u_param,
             "inequalities": [
                 {
-                    "coeff_x": [[i, encode_fraction(c)] for i, c in ineq.coeff_x],
+                    "coeff_x": _sparse_doc(ineq.coeff_x, encode_fraction),
                     "coeff_y": encode_fraction(ineq.coeff_y),
                     "coeff_delta": encode_fraction(ineq.coeff_delta),
                     "sense": ineq.sense,
@@ -311,8 +310,8 @@ _FIELDS = {
     "labeling": ("phi_a", "phi_b"),
     "ssat": ("variables", "field_values", "tests", "provenance"),
     "superassignment": ("weights",),
-    "sis": ("matrix", "target", "bound", "column_provenance", "row_provenance"),
-    "ncp": ("modulus", "matrix", "target", "bound", "replication", "multiplicity"),
+    "sis": ("num_cols", "matrix", "target", "bound"),
+    "ncp": ("modulus", "num_cols", "matrix", "target", "bound", "replication", "multiplicity"),
     "lhp": ("num_x", "u_param", "inequalities"),
     "lhp_assignment": ("x_values", "y_value", "delta_value"),
 }
@@ -363,26 +362,10 @@ def _ssat_test(node: Any, ptr: str) -> SsatTest:
     )
 
 
-def _row_tag(node: Any, ptr: str) -> Union[NonTrivialityRow, ConsistencyRow]:
-    row = node.get("row") if type(node) is dict else None
-    if row == "non_triviality":
-        _fields(node, ptr, ("row", "test"))
-        return NonTrivialityRow(test=_int(node["test"], f"{ptr}/test"))
-    if row == "consistency":
-        _fields(node, ptr, ("row", "test_i", "test_j", "variable", "value"))
-        return ConsistencyRow(
-            test_i=_int(node["test_i"], f"{ptr}/test_i"),
-            test_j=_int(node["test_j"], f"{ptr}/test_j"),
-            variable=_label(node["variable"], f"{ptr}/variable"),
-            value=_label(node["value"], f"{ptr}/value"),
-        )
-    raise SchemaViolation(ptr, f"expected a non_triviality or consistency row tag, got {node!r:.60}")
-
-
 def _lhp_inequality(node: Any, ptr: str) -> LhpInequality:
     rec = _fields(node, ptr, ("coeff_x", "coeff_y", "coeff_delta", "sense", "group", "copies_of", "multiplicity"))
     return LhpInequality(
-        coeff_x=_sparse_coeffs(rec["coeff_x"], f"{ptr}/coeff_x"),
+        coeff_x=_sparse_fractions(rec["coeff_x"], f"{ptr}/coeff_x"),
         coeff_y=decode_fraction(rec["coeff_y"], f"{ptr}/coeff_y"),
         coeff_delta=decode_fraction(rec["coeff_delta"], f"{ptr}/coeff_delta"),
         sense=_str(rec["sense"], f"{ptr}/sense"),
@@ -431,18 +414,17 @@ def from_document(doc: Any) -> Instance:
     if kind == "superassignment":
         return SuperAssignment(weights=_int_rows(doc["weights"], "/weights"))
     if kind == "sis":
-        cols, rows = doc["column_provenance"], doc["row_provenance"]
         return SisInstance(
-            matrix=_int_rows(doc["matrix"], "/matrix"),
+            num_cols=_int(doc["num_cols"], "/num_cols"),
+            matrix=_list(doc["matrix"], "/matrix", _sparse_ints),
             target=_list(doc["target"], "/target", decode_int),
             bound=decode_int(doc["bound"], "/bound"),
-            column_provenance=None if cols is None else _int_pairs(cols, "/column_provenance"),
-            row_provenance=None if rows is None else _list(rows, "/row_provenance", _row_tag),
         )
     if kind == "ncp":
         return NcpInstance(
             modulus=decode_int(doc["modulus"], "/modulus"),
-            matrix=_int_rows(doc["matrix"], "/matrix"),
+            num_cols=_int(doc["num_cols"], "/num_cols"),
+            matrix=_list(doc["matrix"], "/matrix", _sparse_ints),
             target=_list(doc["target"], "/target", decode_int),
             bound=decode_int(doc["bound"], "/bound"),
             replication=decode_int(doc["replication"], "/replication"),
@@ -503,13 +485,21 @@ def read_instance(path: Union[str, Path], kind: str | None = None) -> Instance:
 # Plain-text matrix formats
 # ---------------------------------------------------------------------------
 
-def sis_to_text(sis: SisInstance) -> str:
-    """Header ``n' m' d``, one matrix row per line, then the target row.
+def _dense_line(row, num_cols: int) -> str:
+    """A sparse row as its ``num_cols`` entries, zeros included, separated by spaces."""
+    entries = [0] * num_cols
+    for c, a in row:
+        entries[c] = a
+    return " ".join(map(str, entries))
 
-    Provenance does not survive the text format; the JSON format is lossless.
+
+def sis_to_text(sis: SisInstance) -> str:
+    """Header ``n' m' d``, one dense matrix row per line, then the target row.
+
+    ``sis_from_text`` reads it back to an equal instance.
     """
     lines = [f"{sis.num_rows} {sis.num_cols} {sis.bound}"]
-    lines.extend(" ".join(str(v) for v in row) for row in sis.matrix)
+    lines.extend(_dense_line(row, sis.num_cols) for row in sis.matrix)
     lines.append(" ".join(str(v) for v in sis.target))
     return "\n".join(lines) + "\n"
 
@@ -530,7 +520,8 @@ def sis_from_text(text: str) -> SisInstance:
         raise SchemaViolation("", "matrix row width differs from header")
     if len(target) != n:
         raise SchemaViolation("", "target length differs from header")
-    return SisInstance(matrix=tuple(rows), target=target, bound=d)
+    matrix = tuple(tuple((c, a) for c, a in enumerate(row) if a) for row in rows)
+    return SisInstance(num_cols=m, matrix=matrix, target=target, bound=d)
 
 
 def _int_tokens(lines: list[str], i: int) -> tuple[int, ...]:
@@ -541,12 +532,12 @@ def _int_tokens(lines: list[str], i: int) -> tuple[int, ...]:
 
 
 def ncp_to_text(ncp: NcpInstance) -> str:
-    """Header ``rows cols q d``, one line per row copy, then the target row.
+    """Header ``rows cols q d``, one dense line per row copy, then the target row.
 
     A row with multiplicity k is written k times, so ``rows`` counts copies.
     """
     lines = [f"{ncp.num_rows} {ncp.num_cols} {ncp.modulus} {ncp.bound}"]
     for row, k in zip(ncp.matrix, ncp.multiplicity):
-        lines.extend([" ".join(str(v) for v in row)] * k)
+        lines.extend([_dense_line(row, ncp.num_cols)] * k)
     lines.append(" ".join(str(t) for t, k in zip(ncp.target, ncp.multiplicity) for _ in range(k)))
     return "\n".join(lines) + "\n"

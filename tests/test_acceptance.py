@@ -181,11 +181,11 @@ def test_criterion_3_sis_minimum_stated_value():
 
     def solves(z):
         return all(
-            sum(c * v for c, v in zip(row, z)) == t
+            sum(a * z[c] for c, a in row) == t
             for row, t in zip(sis.matrix, sis.target)
         )
 
-    assert len(sis.column_provenance) == 4
+    assert sis.num_cols == 4
     box_solutions = [z for z in itertools.product(range(-2, 3), repeat=4) if solves(z)]
     half_solves = solves((Fraction(1, 2),) * 4)
     ssat_min = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=2, mode="l1")).min_norm
@@ -382,7 +382,7 @@ def test_criterion_7_ncp_distance_decomposition():
         upper = sum(
             d
             for row, t in zip(sis.matrix, sis.target)
-            if sum(c * v for c, v in zip(row, z)) % q != t % q
+            if sum(a * z[c] for c, a in row) % q != t % q
         )
         weight = sum(1 for v in z if v % q != 0)
         assert ncp.distance(z) == upper + weight, f"decomposition broke at z = {z}"

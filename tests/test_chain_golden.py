@@ -22,25 +22,25 @@ from gapforge.pipeline import run_chain
 from gapforge.serialize import canonical_bytes
 
 GOLDEN = {
-    ("lc_id2", "default"): "38a2251ebdc79c6f959180510dcb554d14b63fe05a0384a977d7979789c1c09a",
-    ("lc_id2", "box1"): "5e4c232367e3cd71e9a38ce77d92a733b5e3abc5ba41291e8850b4df7fe4f85a",
-    ("lc_id2", "cap100"): "38a2251ebdc79c6f959180510dcb554d14b63fe05a0384a977d7979789c1c09a",
-    ("lc_cyc", "default"): "62cc44c1127a4ecf91cd6b1d31a573de2af7b10f850acaed49c7abb6d28e5bba",
-    ("lc_cyc", "box1"): "a9c16f777dd61acab5e51e0c04054582b981b62969a7ad9dec0f795e60f813af",
-    ("lc_cyc", "cap100"): "b783ee23c7ee0693d0778e4ab3aed9aeeb8c783c3f83d8336e7dba977aeaa954",
-    ("lc_share", "default"): "46148905b64ab628c51a895718ddf451132f0b5872abbabda76c46b46a9f0f72",
-    ("lc_share", "box1"): "9aff7fd1f6a0ce73e45052b8d3ed97aba7f01f56e90f3da9f26205679c851b52",
-    ("lc_share", "cap100"): "46148905b64ab628c51a895718ddf451132f0b5872abbabda76c46b46a9f0f72",
-    ("lc_2to1", "default"): "e33257f58cf01eeb8054096df4bf8e34e7a0b2be1c1fc4fb3fa6aa6062804516",
-    ("lc_2to1", "box1"): "3f62b777328899e5dfc4b63b4983f40d6aa44c34abcbc12ff6de6c227bcfc9a3",
-    ("lc_2to1", "cap100"): "e33257f58cf01eeb8054096df4bf8e34e7a0b2be1c1fc4fb3fa6aa6062804516",
-    ("planted", "cap3000"): "c7417931f08222b7f94dca1000afb2d943be5d5fc7d1ba3d6f18e7f105512296",
-    ("planted", "cap700"): "c7417931f08222b7f94dca1000afb2d943be5d5fc7d1ba3d6f18e7f105512296",
-    ("planted", "cap100"): "ec4ade9948208883156be9bb8aa492116f6840d66be456655b468dde481ba157",
-    ("planted", "cap16"): "135086942f7a63b127b9af6b2d6cd8c4766d1422dab0d39565eeed4a3422b810",
-    ("frustrated", "cap3000"): "068c42258e889ed1252baff2bf5df5b00096ee777cf53879b0453bfcfc3d676e",
-    ("frustrated", "cap700"): "f29be9af4764709bcdb9270d03e402569f0aabffe9c52844aa56ca4b3f9b86c6",
-    ("frustrated", "cap22"): "76e2106f7b3132f56024896989f5941b49bf6ccb450a201c88718f822a1351f9",
+    ("lc_id2", "default"): "1bb153a103b928cdc9f3f4bedfdad4c744ffb227faa6937df91c05fe90924eb7",
+    ("lc_id2", "box1"): "5798a84c528d5326e79058a18550f293dbcc1a4c69988050ba04577ef2003263",
+    ("lc_id2", "cap100"): "1bb153a103b928cdc9f3f4bedfdad4c744ffb227faa6937df91c05fe90924eb7",
+    ("lc_cyc", "default"): "71c44d9e996748fa527e74ba4ff53347eae4ca53237b1274b60e4476cee53442",
+    ("lc_cyc", "box1"): "192da890a226b2414134cf7ec55aa16bf7245ea95f1bef7143ce1a92bddb4626",
+    ("lc_cyc", "cap100"): "27a78af75b5d27ab2511ad31c734fdef750232b500dc5ac4b924e0b41c69afa4",
+    ("lc_share", "default"): "4e341025c19d853004fe2871522394ad4d106aaf67413978ba557e91bf6417ab",
+    ("lc_share", "box1"): "e9ce31fa8a7bb393abb13ab627e6cac29451b4aa90a4cc09c72045a516afcf53",
+    ("lc_share", "cap100"): "4e341025c19d853004fe2871522394ad4d106aaf67413978ba557e91bf6417ab",
+    ("lc_2to1", "default"): "8855a9567cd87cdf178b6c692ed3ac2e6e97ac467c39837e6577abbdb9d9816b",
+    ("lc_2to1", "box1"): "784758665843732ea727123ecf7a16f4cea5acf7ff3fb7a2ef57317cfc95f7fd",
+    ("lc_2to1", "cap100"): "8855a9567cd87cdf178b6c692ed3ac2e6e97ac467c39837e6577abbdb9d9816b",
+    ("planted", "cap3000"): "0d1df9ba0b5c8d17f10740be9d3f001a33cd90c2245a5987e9f179c8cc968c9c",
+    ("planted", "cap700"): "0d1df9ba0b5c8d17f10740be9d3f001a33cd90c2245a5987e9f179c8cc968c9c",
+    ("planted", "cap100"): "151155a37e5b661cb11efcc0d9cf98d7a59d16b5c24cd7aff54a672c10fe1deb",
+    ("planted", "cap16"): "5d85d39a9cf81570e785c43c3a2f7a56b16be227f0ad677d89f082f70718f8e5",
+    ("frustrated", "cap3000"): "4d8c91310e5d47d8d3489c4f6537474c66005c44911ac27c5a894f9dd61c3f7a",
+    ("frustrated", "cap700"): "1a87def47f0b24fbf2f58858ae284c54be83c0c5e22015d76f49e8cb9ef530ba",
+    ("frustrated", "cap22"): "192e89525a72787d448e597cce80d44eab42b7c12fda4aab60b76e33ad320764",
 }
 # (states, cap) of the SearchSpaceTooLarge the label-cover search raises
 RAISES = {("frustrated", "cap16"): (17, 16)}

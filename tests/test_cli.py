@@ -13,7 +13,7 @@ import pytest
 import gapforge
 from gapforge import fixtures as shipped
 from gapforge.cli import main
-from gapforge.serialize import read_instance, write_instance
+from gapforge.serialize import SCHEMA_VERSION, read_instance, write_instance
 
 
 @pytest.fixture()
@@ -340,9 +340,10 @@ def test_zero_denominator_fraction_is_malformed(tmp_path, capsys):
     assert out["error"]["type"] == "MalformedInstance"
 
 
-# (file kind, path into the document, new value, error type); on ssat_share the
-# third LHP inequality is the "+" half of the first SIS row, coeff_x x_0 + x_1
-_V2_BREAKS = {
+# (file kind, path into the document, new value, error type) on format-v3 files;
+# on ssat_share the first SIS and NCP row is [[0, 1], [1, 1]] over 4 columns, and
+# the third LHP inequality is its "+" half, coeff_x x_0 + x_1
+_V3_BREAKS = {
     "ncp-multiplicity-zero": ("ncp", ("multiplicity", 0), 0, "MalformedInstance"),
     "lhp-multiplicity-zero": ("lhp", ("inequalities", 2, "multiplicity"), 0, "MalformedInstance"),
     "lhp-zero-coeff-x": ("lhp", ("inequalities", 2, "coeff_x"), [[0, "0/1"], [1, "1/1"]], "MalformedInstance"),
@@ -352,14 +353,28 @@ _V2_BREAKS = {
     "lhp-version-1": ("lhp", ("version",), 1, "SchemaViolation"),
     "lhp-num-x-float": ("lhp", ("num_x",), 4.0, "SchemaViolation"),
     "lc-sigma-b-float-label": ("lc", ("sigma_b", 1), 1.0, "SchemaViolation"),
-    "ncp-matrix-entry-bool": ("ncp", ("matrix", 0, 0), True, "SchemaViolation"),
+    "ncp-matrix-entry-bool": ("ncp", ("matrix", 0, 0, 1), True, "SchemaViolation"),
     "ssat-provenance-lc-version-1": ("ssat", ("provenance", "lc", "version"), 1, "SchemaViolation"),
+    "sis-version-2": ("sis", ("version",), 2, "SchemaViolation"),
+    **{
+        f"{kind}-{case}": (kind, where, value, "MalformedInstance")
+        for kind in ("sis", "ncp")
+        for case, where, value in (
+            ("zero-coefficient", ("matrix", 0, 1, 1), 0),
+            ("unsorted-columns", ("matrix", 0), [[1, 1], [0, 1]]),
+            ("repeated-column", ("matrix", 0), [[0, 1], [0, 1]]),
+            ("column-at-num-cols", ("matrix", 0, 1, 0), 4),
+            ("negative-column", ("matrix", 0, 0, 0), -1),
+            ("negative-num-cols", ("num_cols",), -1),
+        )
+    },
 }
 
 
-@pytest.mark.parametrize("case", list(_V2_BREAKS))
+# the name predates format v3; the cases are the v3 ones
+@pytest.mark.parametrize("case", list(_V3_BREAKS))
 def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
-    kind, where, value, error = _V2_BREAKS[case]
+    kind, where, value, error = _V3_BREAKS[case]
     write_instance(tmp_path / "lc.json", shipped.load("lc_share"))
     write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
     run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
@@ -369,6 +384,8 @@ def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
     doc = json.loads(path.read_text())
     if kind == "lhp":
         assert doc["inequalities"][2]["coeff_x"] == [[0, "1/1"], [1, "1/1"]]
+    if kind in ("sis", "ncp"):
+        assert (doc["num_cols"], doc["matrix"][0]) == (4, [[0, 1], [1, 1]])
     node = doc
     for key in where[:-1]:
         node = node[key]
@@ -378,7 +395,8 @@ def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
     assert code == 1
     assert out["error"]["type"] == error
     if where[-1] == "version":
-        assert "version 1 is not supported" in out["error"]["message"]
+        assert out["error"]["message"].startswith(f"{''.join(f'/{k}' for k in where)}: version {value} is not supported")
+        assert f"re-run the step that wrote the file to get version {SCHEMA_VERSION}" in out["error"]["message"]
 
 
 def test_modulus_beyond_the_prime_test_is_error_envelope(tmp_path, capsys):
@@ -421,6 +439,30 @@ def test_gen_from_truncated_spec_file(tmp_path, capsys):
                     "--out", str(tmp_path / "lc.json"))
     assert code == 1
     assert doc["error"]["type"] == "SchemaViolation"
+
+
+_GOOD_SPEC = {"num_a": 2, "num_b": 2, "d_b": 2, "sigma_a": 2, "sigma_b": 2, "p": 1, "planted": True, "seed": 3}
+# (spec file content, or the keys it changes in _GOOD_SPEC; pointer of the refused node)
+_BAD_SPECS = {
+    "array": ([1, 2], ""),
+    "string-size": ({"num_a": "x"}, "/num_a"),
+    "float-size": ({"num_a": 2.0}, "/num_a"),
+    "bool-seed": ({"seed": False}, "/seed"),
+    "unknown-key": ({"seeed": 5}, ""),
+    "integer-planted": ({"planted": 1}, "/planted"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SPECS))
+def test_malformed_spec_file_is_schema_violation(tmp_path, capsys, case):
+    content, pointer = _BAD_SPECS[case]
+    spec = {**_GOOD_SPEC, **content} if isinstance(content, dict) else content
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code, doc = run(capsys, "gen", "lc", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "lc.json"))
+    assert code == 1
+    assert doc["error"]["type"] == "SchemaViolation"
+    assert doc["error"]["message"].startswith(f"{pointer}: ")
+    assert not (tmp_path / "lc.json").exists()
 
 
 _WITHOUT_JSONSCHEMA = """

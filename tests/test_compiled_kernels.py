@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_search_differential import chains
+from test_sparse_rows import dense
 
 from gapforge.instances import GT, LT, LhpAssignment, LhpInequality, LhpSystem, NcpInstance, SisInstance
 from gapforge.oracles import (
@@ -73,7 +74,10 @@ def test_compiled_ncp_matches_reference(chain):
     # the same rows written with unreduced entries: negative, q for zero, and shifted targets
     raw = NcpInstance(
         modulus=q,
-        matrix=tuple(tuple(c - q if c else q for c in row) for row in ncp.matrix),
+        num_cols=ncp.num_cols,
+        matrix=tuple(
+            tuple((c, a - q if a else q) for c, a in enumerate(dense(row, ncp.num_cols))) for row in ncp.matrix
+        ),
         target=tuple(t - 3 * q for t in ncp.target),
         bound=ncp.bound,
         replication=ncp.replication,
@@ -111,7 +115,8 @@ def test_compiled_sis_matches_reference(chain):
                 min_size=1, max_size=3))
 def test_equality_bounds_on_any_integer_rows(m, k, rows):
     """Entries beyond +-1, negative entries, all-zero rows and unreachable targets."""
-    sis = SisInstance(matrix=tuple(tuple(r[:m]) for r, _ in rows), target=tuple(t for _, t in rows), bound=1)
+    matrix = tuple(tuple((c, a) for c, a in enumerate(r[:m]) if a) for r, _ in rows)
+    sis = SisInstance(num_cols=m, matrix=matrix, target=tuple(t for _, t in rows), bound=1)
     compiled = _compile_sis(sis, k)
     for z in itertools.product(range(-k, k + 1), repeat=m):
         assert within_bounds(compiled, z) == (sis.multiply(z) == sis.target)
@@ -119,8 +124,9 @@ def test_equality_bounds_on_any_integer_rows(m, k, rows):
 
 def test_rows_with_no_column_and_zero_standard_parts():
     """Rows charged at the root, and LHP rows decided by their delta coefficient."""
-    ncp = NcpInstance(modulus=5, matrix=((0, 0), (1, 2), (5, 0)), target=(3, 1, 0), bound=1, replication=1,
-                      multiplicity=(2, 1, 4))
+    # dense: (0, 0), (1, 2), (5, 0)
+    ncp = NcpInstance(modulus=5, num_cols=2, matrix=((), ((0, 1), (1, 2)), ((0, 5),)), target=(3, 1, 0), bound=1,
+                      replication=1, multiplicity=(2, 1, 4))
     rows = _compile_ncp(ncp)
     assert rows.root == 2
     for z in itertools.product(range(5), repeat=2):

@@ -148,7 +148,7 @@ def test_empty_ssat_and_negative_num_x_are_malformed():
 # ---------------------------------------------------------------------------
 
 def _ncp(modulus):
-    return NcpInstance(modulus=modulus, matrix=((1,),), target=(0,), bound=1, replication=1, multiplicity=(1,))
+    return NcpInstance(modulus=modulus, num_cols=1, matrix=(((0, 1),),), target=(0,), bound=1, replication=1, multiplicity=(1,))
 
 
 def test_prime_test_matches_trial_division_below_ten_thousand():

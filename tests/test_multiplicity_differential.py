@@ -2,7 +2,8 @@
 
 The reference expands every NCP row and LHP inequality into the copies that
 format version 1 stored one by one (each SIS row ``d_rep`` times, each LHP
-member ``U`` times, G4 once) and evaluates the copies one at a time.  The
+member ``U`` times, G4 once), writes the NCP copies dense, and evaluates the
+copies one at a time.  The
 property compares distances, violation counts, group counts, the plain-text
 NCP layout and the file round trip on small seeded label covers, planted and
 frustrated.
@@ -20,6 +21,7 @@ from gapforge.oracles import count_lhp_violations
 from gapforge.reductions import sis_to_lhp, sis_to_ncp
 from gapforge.serialize import canonical_bytes, from_document, ncp_to_text, to_document
 from test_search_differential import chains
+from test_sparse_rows import dense
 
 
 def expand(records, multiplicity):
@@ -38,9 +40,9 @@ def test_multiplicity_matches_expanded_reference(chain, g, u):
     ncp = sis_to_ncp(sis, g=g)
     q, d = ncp.modulus, ncp.replication
     identity = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-    rows = [tuple(c % q for c in row) for row in sis.matrix for _ in range(d)] + identity
+    rows = [tuple(c % q for c in dense(row, m)) for row in sis.matrix for _ in range(d)] + identity
     target = [t % q for t in sis.target for _ in range(d)] + [0] * m
-    assert expand(ncp.matrix, ncp.multiplicity) == rows
+    assert [dense(row, m) for row in expand(ncp.matrix, ncp.multiplicity)] == rows
     assert expand(ncp.target, ncp.multiplicity) == target
     assert ncp.num_rows == len(rows)
     text = [f"{len(rows)} {m} {q} {ncp.bound}", *(" ".join(map(str, r)) for r in rows), " ".join(map(str, target))]

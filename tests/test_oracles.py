@@ -14,7 +14,6 @@ from gapforge.instances import (
     LabelCoverInstance,
     LhpAssignment,
     NcpInstance,
-    NonTrivialityRow,
     SisInstance,
     count_satisfied_edges,
 )
@@ -163,14 +162,17 @@ def test_sis_min_share(ssat_share):
     assert result.witness in ((1, 0, 1, 0), (0, 1, 0, 1))
 
 
+def _plain_sis_min(sis, k):
+    """(min l1, first witness) by a plain loop over the box, independent of the walk."""
+    solutions = (z for z in itertools.product(range(-k, k + 1), repeat=sis.num_cols) if sis.multiply(z) == sis.target)
+    best = min(solutions, key=lambda z: sum(map(abs, z)), default=None)
+    return (None, None) if best is None else (sum(map(abs, best)), best)
+
+
 def test_sis_min_share_against_plain_enumeration(ssat_share):
-    # independent oracle: no provenance pruning, plain box enumeration
     sis = ssat_to_sis(ssat_share)
-    stripped = type(sis)(matrix=sis.matrix, target=sis.target, bound=sis.bound)
     pruned = solve_sis_min(sis, SearchBudget(coeff_box=2))
-    plain = solve_sis_min(stripped, SearchBudget(coeff_box=2))
-    assert pruned.min_l1 == plain.min_l1 == 2
-    assert pruned.witness == plain.witness
+    assert (pruned.min_l1, pruned.witness) == _plain_sis_min(sis, 2) == (2, (0, 1, 0, 1))
 
 
 def test_sis_min_cyc_is_infeasible(ssat_cyc):
@@ -181,16 +183,15 @@ def test_sis_min_cyc_is_infeasible(ssat_cyc):
     integers cannot sum to 1.
     """
     sis = ssat_to_sis(ssat_cyc)
-    stripped = type(sis)(matrix=sis.matrix, target=sis.target, bound=sis.bound)
-    for budget in (SearchBudget(coeff_box=2), SearchBudget(coeff_box=3)):
-        assert solve_sis_min(sis, budget).min_l1 is None
-        assert solve_sis_min(stripped, budget).min_l1 is None
+    for k in (2, 3):
+        assert solve_sis_min(sis, SearchBudget(coeff_box=k)).min_l1 is None
+        assert _plain_sis_min(sis, k) == (None, None)
 
 
 def test_sis_min_unreachable_target():
     from gapforge.instances import SisInstance
 
-    sis = SisInstance(matrix=((2, 2),), target=(1,), bound=1)
+    sis = SisInstance(num_cols=2, matrix=(((0, 2), (1, 2)),), target=(1,), bound=1)
     assert solve_sis_min(sis, SearchBudget(coeff_box=2)).min_l1 is None
 
 
@@ -206,40 +207,35 @@ def _two_test_sis():
     return ssat_to_sis(lc_to_ssat(gen_label_cover(GenSpec(2, 2, 1, 2, 2, 1, planted=False, seed=0))))
 
 
-# corrupted provenance: the solver reads only the matrix and the target
-SIS_CORRUPTED_LAYOUTS = {
-    "duplicated_tag": dict(matrix=((1, 1, 0, 0), (1, 1, 0, 0)), row_provenance=(NonTrivialityRow(0), NonTrivialityRow(0))),
-    "missing_row": dict(matrix=((1, 1, 0, 0),), target=(1,), row_provenance=(NonTrivialityRow(0),)),
+# systems off the gadget layout of _two_test_sis: the walk reads only the matrix and the target
+ROW_0, ROW_1 = ((0, 1), (1, 1)), ((2, 1), (3, 1))
+SIS_OFF_LAYOUT = {
+    "duplicated_tag": dict(matrix=(ROW_0, ROW_0)),
+    "missing_row": dict(matrix=(ROW_0,), target=(1,)),
     "target_2": dict(target=(1, 2)),
-    "entry_2": dict(matrix=((1, 2, 0, 0), (0, 0, 1, 1))),
-    "interleaved_column_tests": dict(column_provenance=((0, 0), (1, 0), (0, 1), (1, 1))),
-    # contiguous blocks, but test 0's row covers the columns of test 1
-    "column_tests_out_of_order": dict(column_provenance=((1, 0), (1, 1), (0, 0), (0, 1))),
-    "skipped_column_test": dict(column_provenance=((0, 0), (0, 1), (2, 0), (2, 1))),
-    "columns_not_from_test_0": dict(column_provenance=((1, 0), (1, 1), (2, 0), (2, 1))),
+    "entry_2": dict(matrix=(((0, 1), (1, 2)), ROW_1)),
 }
 
 
-def _solves_like_plain(sis):
-    stripped = dataclasses.replace(sis, column_provenance=None, row_provenance=None)
-    budget = SearchBudget(coeff_box=1)
-    return solve_sis_min(sis, budget) == solve_sis_min(stripped, budget)
+def _solves_like_the_box_loop(sis):
+    res = solve_sis_min(sis, SearchBudget(coeff_box=1))
+    return (res.min_l1, res.witness) == _plain_sis_min(sis, 1)
 
 
 def test_sis_layout_accepts_pipeline_instance():
     sis = _two_test_sis()
-    assert sis.matrix == ((1, 1, 0, 0), (0, 0, 1, 1)) and sis.target == (1, 1)
-    assert _solves_like_plain(sis)
+    assert (sis.num_cols, sis.matrix, sis.target) == (4, (ROW_0, ROW_1), (1, 1))
+    assert _solves_like_the_box_loop(sis)
 
 
-@pytest.mark.parametrize("case", sorted(SIS_CORRUPTED_LAYOUTS))
+@pytest.mark.parametrize("case", sorted(SIS_OFF_LAYOUT))
 def test_sis_layout_refusals(case):
-    assert _solves_like_plain(dataclasses.replace(_two_test_sis(), **SIS_CORRUPTED_LAYOUTS[case]))
+    assert _solves_like_the_box_loop(dataclasses.replace(_two_test_sis(), **SIS_OFF_LAYOUT[case]))
 
 
 def test_sis_min_duplicated_tag_is_not_pruned():
-    # both rows say "test 0": trusting them would force the second block to sum to 1
-    bad = dataclasses.replace(_two_test_sis(), **SIS_CORRUPTED_LAYOUTS["duplicated_tag"])
+    # both rows cover test 0: reading them as one row per test would force the second block to sum to 1
+    bad = dataclasses.replace(_two_test_sis(), **SIS_OFF_LAYOUT["duplicated_tag"])
     res = solve_sis_min(bad, SearchBudget(coeff_box=1))
     assert (res.min_l1, res.witness) == (1, (0, 1, 0, 0))
 
@@ -390,10 +386,11 @@ def test_ssat_side_condition_filters(ssat_2to1_wide):
 def test_cheaper_hint_outside_the_box_is_ignored():
     """A solution outside the box that costs less than the box optimum would hide it as a ceiling."""
     budget = SearchBudget(coeff_box=1)
-    sis = SisInstance(matrix=((3, 1, 1, 1),), target=(6,), bound=4)
+    sis = SisInstance(num_cols=4, matrix=(((0, 3), (1, 1), (2, 1), (3, 1)),), target=(6,), bound=4)
     assert solve_sis_min(sis, budget).min_l1 == 4
     assert solve_sis_min(sis, budget, hints=[(2, 0, 0, 0)]) == solve_sis_min(sis, budget)
-    ncp = NcpInstance(modulus=7, matrix=((1,),), target=(3,), bound=1, replication=1, multiplicity=(1,))
+    ncp = NcpInstance(modulus=7, num_cols=1, matrix=(((0, 1),),), target=(3,), bound=1, replication=1,
+                      multiplicity=(1,))
     assert solve_ncp_min(ncp, budget).min_dist == 1
     assert solve_ncp_min(ncp, budget, hints=[(3,)]) == solve_ncp_min(ncp, budget)
     assert solve_ncp_min(ncp, budget, full_field=True, hints=[(3,)]).min_dist == 0

@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from test_ssat_layout import gadget_rows_by_scan
 
 from gapforge.errors import (
     BadParameters,
@@ -16,11 +17,9 @@ from gapforge.errors import (
 )
 from gapforge.instances import (
     EPSILON,
-    ConsistencyRow,
     LabelCoverInstance,
     Labeling,
     LhpAssignment,
-    NonTrivialityRow,
 )
 from gapforge.oracles import count_lhp_violations, enumerate_consistent_superassignments
 from gapforge.reductions import (
@@ -87,11 +86,13 @@ def test_lc_to_ssat_respects_r_bound(lc_cyc):
 
 def test_sis_share_matrix(ssat_share):
     sis = ssat_to_sis(ssat_share)
+    # dense: (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)
+    assert sis.num_cols == 4
     assert sis.matrix == (
-        (1, 1, 0, 0),
-        (0, 0, 1, 1),
-        (1, 0, 0, 1),
-        (0, 1, 1, 0),
+        ((0, 1), (1, 1)),
+        ((2, 1), (3, 1)),
+        ((0, 1), (3, 1)),
+        ((1, 1), (2, 1)),
     )
     assert sis.target == (1, 1, 1, 1)
     assert sis.bound == 2
@@ -102,9 +103,10 @@ def test_sis_cyc_shape(ssat_cyc):
     sis = ssat_to_sis(ssat_cyc)
     assert (sis.num_rows, sis.num_cols) == (6, 4)
     assert sis.bound == 2
-    tags = sis.row_provenance
-    assert sum(isinstance(t, NonTrivialityRow) for t in tags) == 2
-    assert sum(isinstance(t, ConsistencyRow) for t in tags) == 4
+    # one non-triviality row per test, then two shared variables times two field values
+    assert sis.matrix[:2] == (((0, 1), (1, 1)), ((2, 1), (3, 1)))
+    assert sis.matrix[2:] == gadget_rows_by_scan(ssat_cyc)
+    assert len(sis.matrix[2:]) == 4
 
 
 def test_sis_disjoint_tests_have_no_consistency_rows():
@@ -119,7 +121,7 @@ def test_sis_disjoint_tests_have_no_consistency_rows():
         ),
     )
     sis = ssat_to_sis(ssat)
-    assert all(isinstance(t, NonTrivialityRow) for t in sis.row_provenance)
+    assert sis.matrix == (((0, 1), (1, 1)), ((2, 1), (3, 1)))
     assert sis.num_rows == 2
 
 
@@ -246,16 +248,13 @@ def test_box_solutions_match_consistency_share(ssat_share):
 def test_consistency_rows_equal_projection_equality(ssat_share):
     """Given unit test sums, gadget rows hold exactly when projections agree."""
     sis = ssat_to_sis(ssat_share)
-    cons_rows = [
-        (row, tag)
-        for row, tag in zip(sis.matrix, sis.row_provenance)
-        if isinstance(tag, ConsistencyRow)
-    ]
+    cons_rows = sis.matrix[len(ssat_share.tests):]
+    assert cons_rows == gadget_rows_by_scan(ssat_share)
     for z in itertools.product(range(-2, 3), repeat=4):
         s = superassignment_from_sis_solution(ssat_share, z)
         if any(sum(row) != 1 for row in s.weights):
             continue
-        rows_hold = all(sum(c * v for c, v in zip(row, z)) == 1 for row, _ in cons_rows)
+        rows_hold = all(sum(a * z[c] for c, a in row) == 1 for row in cons_rows)
         assert rows_hold == is_consistent(ssat_share, s).consistent
 
 
@@ -269,8 +268,8 @@ def test_ncp_share_layout(ssat_share):
     assert ncp.replication == 3
     assert ncp.modulus == 5
     assert (ncp.num_rows, ncp.num_cols) == (16, 4)
-    identity = tuple(tuple(1 if j == i else 0 for j in range(4)) for i in range(4))
-    # each SIS row stored once with multiplicity D, then the identity rows once each
+    identity = tuple(((i, 1),) for i in range(4))
+    # each SIS row stored once with multiplicity D, then the identity rows once each, one pair per row
     assert ncp.matrix == sis.matrix + identity
     assert ncp.multiplicity == (3,) * 4 + (1,) * 4
     # expanded by multiplicity: upper block each SIS row D times, lower block identity
@@ -309,7 +308,7 @@ def test_ncp_distance_decomposition(ssat_share):
         upper = sum(
             d
             for row, t in zip(sis.matrix, sis.target)
-            if sum(c * v for c, v in zip(row, z)) % q != t % q
+            if sum(a * z[c] for c, a in row) % q != t % q
         )
         weight = sum(1 for v in z if v % q != 0)
         assert ncp.distance(z) == upper + weight

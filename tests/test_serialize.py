@@ -146,12 +146,9 @@ def test_label_key_collision_rejected():
 def test_sis_text_round_trip(ssat_share):
     sis = ssat_to_sis(ssat_share)
     text = sis_to_text(sis)
-    back = sis_from_text(text)
-    assert back.matrix == sis.matrix
-    assert back.target == sis.target
-    assert back.bound == sis.bound
-    # provenance does not survive the text format by design
-    assert back.column_provenance is None
+    # the text format is lossless: dense lines back to the same sparse rows
+    assert sis_from_text(text) == sis
+    assert text.splitlines()[1:3] == ["1 1 0 0", "0 0 1 1"]
 
 
 def test_sis_text_header(ssat_share):
@@ -202,6 +199,19 @@ def test_lhp_document_is_sparse_with_multiplicity(ssat_share):
     assert from_document(to_document(lhp)) == lhp
 
 
+def test_sis_and_ncp_documents_are_sparse(ssat_share):
+    sis = ssat_to_sis(ssat_share)
+    ncp = sis_to_ncp(sis, g=1)
+    sis_doc, ncp_doc = to_document(sis), to_document(ncp)
+    assert sorted(sis_doc) == ["bound", "kind", "matrix", "num_cols", "target", "version"]
+    assert sis_doc["num_cols"] == ncp_doc["num_cols"] == 4
+    # non-triviality rows, then one gadget row per field value of the shared variable
+    assert sis_doc["matrix"] == [[[0, 1], [1, 1]], [[2, 1], [3, 1]], [[0, 1], [3, 1]], [[1, 1], [2, 1]]]
+    # the SIS rows, then the identity block, one pair per row
+    assert ncp_doc["matrix"] == sis_doc["matrix"] + [[[c, 1]] for c in range(4)]
+    assert from_document(sis_doc) == sis and from_document(ncp_doc) == ncp
+
+
 def test_ncp_text_shape(ssat_share):
     ncp = sis_to_ncp(ssat_to_sis(ssat_share), g=1)
     lines = ncp_to_text(ncp).splitlines()
@@ -224,8 +234,8 @@ def test_labeling_listing_a_vertex_twice_is_refused(field):
 
 
 def test_fifteen_digit_prime_modulus_loads_fast():
-    doc = to_document(NcpInstance(modulus=5, matrix=((1,),), target=(0,), bound=1, replication=1,
-                                  multiplicity=(1,)))
+    doc = to_document(NcpInstance(modulus=5, num_cols=1, matrix=(((0, 1),),), target=(0,), bound=1,
+                                  replication=1, multiplicity=(1,)))
     doc["modulus"] = 100000000000031
     start = time.perf_counter()
     ncp = from_document(doc)

@@ -3,8 +3,8 @@
 ``offsets``, ``projection_indices`` and ``shared_pairs`` are derived once per
 instance and read by the SIS reduction, the compiled SSAT rows and the
 super-assignment algebra.  On the seeded chains of the search differential
-each table is compared with a plain scan of the tests, and with what
-``ssat_to_sis`` writes down.
+each table is compared with a plain scan of the tests, and the rows that
+``ssat_to_sis`` writes down with rows built by a plain scan.
 """
 
 from __future__ import annotations
@@ -12,9 +12,27 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_search_differential import chains
 
-from gapforge.instances import ConsistencyRow
 from gapforge.reductions import sis_solution_from_superassignment, superassignment_from_sis_solution
 from gapforge.superassign import is_consistent, project
+
+
+def gadget_rows_by_scan(ssat):
+    """The SIS consistency rows by a plain scan: for each test pair i < j, each
+    shared variable x and each field value a, the columns of test i where
+    x = a and those of test j where x != a, with coefficient 1."""
+    tests = ssat.tests
+    start = [sum(len(t.assignments) for t in tests[:k]) for k in range(len(tests))]
+    rows = []
+    for i in range(len(tests)):
+        for j in range(i + 1, len(tests)):
+            for x in ssat.variables:
+                if x in tests[i].variables and x in tests[j].variables:
+                    pos_i, pos_j = tests[i].variables.index(x), tests[j].variables.index(x)
+                    for a in ssat.field_values:
+                        cols = [start[i] + r for r, asg in enumerate(tests[i].assignments) if asg[pos_i] == a]
+                        cols += [start[j] + r for r, asg in enumerate(tests[j].assignments) if asg[pos_j] != a]
+                        rows.append(tuple((c, 1) for c in cols))
+    return tuple(rows)
 
 
 def naive_first_violation(ssat, s):
@@ -44,13 +62,10 @@ def test_layout_tables_match_naive_scans(chain, data):
         for x in ssat.variables
         if x in tests[i].variables and x in tests[j].variables
     )
-    consistency = [tag for tag in sis.row_provenance if isinstance(tag, ConsistencyRow)]
-    blocks = [consistency[k:k + len(ssat.field_values)] for k in range(0, len(consistency), len(ssat.field_values))]
-    assert [(b[0].test_i, b[0].test_j, b[0].variable) for b in blocks] == list(ssat.shared_pairs)
-    for block in blocks:
-        assert [(t.test_i, t.test_j, t.variable, t.value) for t in block] == [
-            (block[0].test_i, block[0].test_j, block[0].variable, a) for a in ssat.field_values
-        ]
+    assert sis.matrix[len(tests):] == gadget_rows_by_scan(ssat)
+    assert sis.matrix[:len(tests)] == tuple(
+        tuple((c, 1) for c in range(ssat.offsets[t], ssat.offsets[t + 1])) for t in range(len(tests))
+    )
 
     assert set(ssat.projection_indices) == {(t, x) for t, test in enumerate(tests) for x in test.variables}
     for (t, x), by_value in ssat.projection_indices.items():
