@@ -282,8 +282,7 @@ def _cmd_check_consistency(args) -> int:
 def _cmd_check_claims(args) -> int:
     ssat = read_instance(args.infile, "ssat")
     if args.super_path:
-        given = read_instance(args.super_path, "superassignment")
-        candidates = [given] if is_consistent(ssat, given) else []
+        candidates = [read_instance(args.super_path, "superassignment")]
     else:
         candidates = enumerate_consistent_superassignments(ssat, args.box, _max_states())
     checked = 0

@@ -534,7 +534,7 @@ def solve_ncp_min(
     """
     q = ncp.modulus
     k = budget.coeff_box
-    values = tuple(range(q)) if full_field else tuple(dict.fromkeys(v % q for v in range(-k, k + 1)))
+    values = range(q) if full_field else tuple(dict.fromkeys(v % q for v in range(-k, k + 1)))
     ceiling = _ceiling(([v % q for v in z] for z in hints), ncp.num_cols, values, ncp.distance)
     rows = _compile_ncp(ncp)
     best_dist, best, states = branch_and_bound(

@@ -213,6 +213,8 @@ def sis_to_lhp(sis: SisInstance, u_param: Optional[int] = None, g: int = 1) -> L
     * G4 charges one violation per nonzero variable (multiplicity 1).
     * G5 keeps y positive.
     """
+    if g < 1:
+        raise BadParameters("g must be at least 1")
     if u_param is not None and u_param < 1:
         raise BadParameters("u_param must be at least 1")
     u = u_param if u_param is not None else g * sis.bound + 1

@@ -14,6 +14,12 @@ node's JSON pointer.  Value invariants live only in the constructors, which
 raise ``MalformedInstance``.  So a file that loads is a file that satisfies
 the type invariants.
 
+One field table gives each document kind's layout once: for every key, which
+is also the attribute name, a (reader, writer) pair.  ``to_document`` and
+``from_document`` both run off it, and so do the nested SSAT test, SSAT
+provenance and LHP inequality records.  Only the label cover, whose keys are
+not its attribute names, has its own reader and writer.
+
 Files are format version 3, and a file of any other version is refused at
 ``/version``.  Every matrix row is sparse: SIS and NCP ``matrix`` rows, like
 LHP ``coeff_x``, are ``[column, coefficient]`` pairs with ascending columns
@@ -29,7 +35,7 @@ import re
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Union
+from typing import Any, Callable, Optional, Union
 
 from .errors import MalformedInstance, SchemaViolation
 from .instances import (
@@ -158,17 +164,10 @@ def _fields(v: Any, ptr: str, names: tuple[str, ...], subset: bool = False) -> d
     return v
 
 
-_labels = partial(_list, read=_label)
-_int_rows = partial(_list, read=partial(_list, read=decode_int))
-_label_pairs = partial(_list, read=partial(_pair, first=_label, second=_label))
-_sparse_ints = partial(_list, read=partial(_pair, first=_int, second=decode_int))
-_sparse_fractions = partial(_list, read=partial(_pair, first=_int, second=decode_fraction))
-
-
 def _label_map(v: Any, ptr: str) -> dict[Label, Label]:
     """``[vertex, label]`` pairs, each vertex listed once."""
     out: dict[Label, Label] = {}
-    for i, (vertex, label) in enumerate(_label_pairs(v, ptr)):
+    for i, (vertex, label) in enumerate(_list(v, ptr, partial(_pair, first=_label, second=_label))):
         if vertex in out:
             raise SchemaViolation(f"{ptr}/{i}/0", f"vertex {vertex!r:.60} is listed twice")
         out[vertex] = label
@@ -186,9 +185,20 @@ def _label_key_map(labels, ptr: str = "/sigma_a") -> dict[str, Label]:
     return out
 
 
+def _check_version(v: Any, ptr: str) -> None:
+    if type(v) is not int or v != SCHEMA_VERSION:
+        raise SchemaViolation(f"{ptr}/version", f"version {v!r:.60} is not supported; re-run the step "
+                                                f"that wrote the file to get version {SCHEMA_VERSION}")
+
+
 # ---------------------------------------------------------------------------
-# Instance -> document
+# Label cover documents
 # ---------------------------------------------------------------------------
+# The label cover has its own pair of functions: its keys ``a`` and ``b`` are
+# not its attribute names, and its ``pi`` objects are keyed by label strings.
+
+_labels = partial(_list, read=_label)
+
 
 def _lc_payload(lc: LabelCoverInstance) -> dict[str, Any]:
     _label_key_map(lc.sigma_a)
@@ -206,126 +216,8 @@ def _lc_payload(lc: LabelCoverInstance) -> dict[str, Any]:
     }
 
 
-def _sparse_doc(row, encode: Callable[[Any], Any]) -> list:
-    return [[c, encode(a)] for c, a in row]
-
-
-def to_document(obj: Instance) -> dict[str, Any]:
-    """Plain-JSON document for any instance kind."""
-    if isinstance(obj, LabelCoverInstance):
-        return _lc_payload(obj)
-    if isinstance(obj, Labeling):
-        # pair lists instead of JSON objects keep integer vertex ids intact
-        return {
-            "kind": "labeling",
-            "version": SCHEMA_VERSION,
-            "phi_a": [[v, lab] for v, lab in obj.phi_a.items()],
-            "phi_b": None if obj.phi_b is None else [[v, lab] for v, lab in obj.phi_b.items()],
-        }
-    if isinstance(obj, SsatInstance):
-        doc: dict[str, Any] = {
-            "kind": "ssat",
-            "version": SCHEMA_VERSION,
-            "variables": list(obj.variables),
-            "field_values": list(obj.field_values),
-            "tests": [
-                {"variables": list(t.variables), "assignments": [list(r) for r in t.assignments]}
-                for t in obj.tests
-            ],
-            "provenance": None,
-        }
-        if obj.provenance is not None:
-            doc["provenance"] = {
-                "lc": _lc_payload(obj.provenance.lc),
-                "var_to_a": list(obj.provenance.var_to_a),
-                "test_to_b": list(obj.provenance.test_to_b),
-            }
-        return doc
-    if isinstance(obj, SuperAssignment):
-        return {
-            "kind": "superassignment",
-            "version": SCHEMA_VERSION,
-            "weights": [[encode_int(w) for w in row] for row in obj.weights],
-        }
-    if isinstance(obj, SisInstance):
-        return {
-            "kind": "sis",
-            "version": SCHEMA_VERSION,
-            "num_cols": obj.num_cols,
-            "matrix": [_sparse_doc(row, encode_int) for row in obj.matrix],
-            "target": [encode_int(v) for v in obj.target],
-            "bound": encode_int(obj.bound),
-        }
-    if isinstance(obj, NcpInstance):
-        return {
-            "kind": "ncp",
-            "version": SCHEMA_VERSION,
-            "modulus": encode_int(obj.modulus),
-            "num_cols": obj.num_cols,
-            "matrix": [_sparse_doc(row, encode_int) for row in obj.matrix],
-            "target": [encode_int(v) for v in obj.target],
-            "bound": encode_int(obj.bound),
-            "replication": encode_int(obj.replication),
-            "multiplicity": [encode_int(k) for k in obj.multiplicity],
-        }
-    if isinstance(obj, LhpSystem):
-        return {
-            "kind": "lhp",
-            "version": SCHEMA_VERSION,
-            "num_x": obj.num_x,
-            "u_param": obj.u_param,
-            "inequalities": [
-                {
-                    "coeff_x": _sparse_doc(ineq.coeff_x, encode_fraction),
-                    "coeff_y": encode_fraction(ineq.coeff_y),
-                    "coeff_delta": encode_fraction(ineq.coeff_delta),
-                    "sense": ineq.sense,
-                    "group": ineq.group,
-                    "copies_of": ineq.copies_of,
-                    "multiplicity": ineq.multiplicity,
-                }
-                for ineq in obj.inequalities
-            ],
-        }
-    if isinstance(obj, LhpAssignment):
-        return {
-            "kind": "lhp_assignment",
-            "version": SCHEMA_VERSION,
-            "x_values": [encode_fraction(x) for x in obj.x_values],
-            "y_value": encode_fraction(obj.y_value),
-            "delta_value": "epsilon"
-            if isinstance(obj.delta_value, _Epsilon)
-            else encode_fraction(obj.delta_value),
-        }
-    raise MalformedInstance(f"cannot serialize objects of type {type(obj).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Document -> instance
-# ---------------------------------------------------------------------------
-
-# The keys of each document besides "kind" and "version"; all are required.
-_FIELDS = {
-    "label_cover": ("a", "b", "sigma_a", "sigma_b", "edges"),
-    "labeling": ("phi_a", "phi_b"),
-    "ssat": ("variables", "field_values", "tests", "provenance"),
-    "superassignment": ("weights",),
-    "sis": ("num_cols", "matrix", "target", "bound"),
-    "ncp": ("modulus", "num_cols", "matrix", "target", "bound", "replication", "multiplicity"),
-    "lhp": ("num_x", "u_param", "inequalities"),
-    "lhp_assignment": ("x_values", "y_value", "delta_value"),
-}
-KINDS = tuple(_FIELDS)
-
-
-def _check_version(v: Any, ptr: str) -> None:
-    if type(v) is not int or v != SCHEMA_VERSION:
-        raise SchemaViolation(f"{ptr}/version", f"version {v!r:.60} is not supported; re-run the step "
-                                                f"that wrote the file to get version {SCHEMA_VERSION}")
-
-
 def _lc_from_payload(node: Any, ptr: str) -> LabelCoverInstance:
-    doc = _fields(node, ptr, ("kind", "version") + _FIELDS["label_cover"])
+    doc = _fields(node, ptr, ("kind", "version", "a", "b", "sigma_a", "sigma_b", "edges"))
     if doc["kind"] != "label_cover":
         raise SchemaViolation(f"{ptr}/kind", f"expected kind 'label_cover', got {doc['kind']!r:.60}")
     _check_version(doc["version"], ptr)
@@ -354,25 +246,113 @@ def _lc_from_payload(node: Any, ptr: str) -> LabelCoverInstance:
     )
 
 
-def _ssat_test(node: Any, ptr: str) -> SsatTest:
-    rec = _fields(node, ptr, ("variables", "assignments"))
-    return SsatTest(
-        variables=_labels(rec["variables"], f"{ptr}/variables"),
-        assignments=_list(rec["assignments"], f"{ptr}/assignments", _labels),
-    )
+# ---------------------------------------------------------------------------
+# Codecs: one (reader, writer) pair per node shape
+# ---------------------------------------------------------------------------
+# The writer turns an attribute value into its JSON node; ``None`` marks a
+# value that is its own node (an integer, a string or a label).
+
+Codec = tuple[Callable[[Any, str], Any], Optional[Callable[[Any], Any]]]
+
+_RAW_INT: Codec = (_int, None)
+_INT: Codec = (decode_int, encode_int)
+_FRAC: Codec = (decode_fraction, encode_fraction)
+_STR: Codec = (_str, None)
+_LABELS: Codec = (_labels, list)
+_LC: Codec = (_lc_from_payload, _lc_payload)
+# pair lists instead of JSON objects keep integer vertex ids intact
+_LABEL_MAP: Codec = (_label_map, lambda m: [[v, lab] for v, lab in m.items()])
+_DELTA: Codec = (
+    lambda v, ptr: EPSILON if v == "epsilon" else decode_fraction(v, ptr),
+    lambda d: "epsilon" if isinstance(d, _Epsilon) else encode_fraction(d),
+)
 
 
-def _lhp_inequality(node: Any, ptr: str) -> LhpInequality:
-    rec = _fields(node, ptr, ("coeff_x", "coeff_y", "coeff_delta", "sense", "group", "copies_of", "multiplicity"))
-    return LhpInequality(
-        coeff_x=_sparse_fractions(rec["coeff_x"], f"{ptr}/coeff_x"),
-        coeff_y=decode_fraction(rec["coeff_y"], f"{ptr}/coeff_y"),
-        coeff_delta=decode_fraction(rec["coeff_delta"], f"{ptr}/coeff_delta"),
-        sense=_str(rec["sense"], f"{ptr}/sense"),
-        group=_str(rec["group"], f"{ptr}/group"),
-        copies_of=_str(rec["copies_of"], f"{ptr}/copies_of"),
-        multiplicity=_int(rec["multiplicity"], f"{ptr}/multiplicity"),
-    )
+def _array(item: Codec) -> Codec:
+    read, write = item
+    return partial(_list, read=read), list if write is None else (lambda xs: [write(x) for x in xs])
+
+
+def _sparse(coeff: Codec) -> Codec:
+    """A sparse row: ``[column, coefficient]`` pairs."""
+    read, write = coeff
+    return partial(_list, read=partial(_pair, first=_int, second=read)), lambda row: [[c, write(a)] for c, a in row]
+
+
+def _nullable(codec: Codec) -> Codec:
+    read, write = codec
+    return (lambda v, ptr: None if v is None else read(v, ptr)), (lambda x: None if x is None else write(x))
+
+
+def _record(cls: type, fields: dict[str, Codec], kind: Optional[str] = None) -> Codec:
+    """An object whose keys are the attribute names of ``cls``, read in ``fields`` order.
+
+    With ``kind`` it is a whole document, which also carries ``kind`` and
+    ``version``; ``from_document`` checks those two before the fields.
+    """
+    names = tuple(fields) if kind is None else ("kind", "version", *fields)
+    header = {} if kind is None else {"kind": kind, "version": SCHEMA_VERSION}
+    items = tuple((key, read, write) for key, (read, write) in fields.items())
+
+    def read(node: Any, ptr: str) -> Any:
+        rec = _fields(node, ptr, names)
+        return cls(**{key: decode(rec[key], f"{ptr}/{key}") for key, decode, _ in items})
+
+    def write(obj: Any) -> dict[str, Any]:
+        doc = dict(header)
+        for key, _, encode in items:
+            value = getattr(obj, key)
+            doc[key] = value if encode is None else encode(value)
+        return doc
+
+    return read, write
+
+
+# ---------------------------------------------------------------------------
+# The field table
+# ---------------------------------------------------------------------------
+# Every document kind but the label cover: its class, and a codec for each
+# key, which is also the attribute name.  Fields are read in table order, so
+# of several faults the first in this order is the one reported.
+
+_INTS = _array(_INT)
+_SPARSE_INT_ROWS = _array(_sparse(_INT))
+_SSAT_TEST = _record(SsatTest, {"variables": _LABELS, "assignments": _array(_LABELS)})
+_PROVENANCE = _record(LcProvenance, {"lc": _LC, "var_to_a": _LABELS, "test_to_b": _LABELS})
+_LHP_INEQUALITY = _record(LhpInequality, {
+    "coeff_x": _sparse(_FRAC), "coeff_y": _FRAC, "coeff_delta": _FRAC,
+    "sense": _STR, "group": _STR, "copies_of": _STR, "multiplicity": _RAW_INT,
+})
+
+_TABLE: dict[str, tuple[type, dict[str, Codec]]] = {
+    "labeling": (Labeling, {"phi_a": _LABEL_MAP, "phi_b": _nullable(_LABEL_MAP)}),
+    "ssat": (SsatInstance, {
+        "provenance": _nullable(_PROVENANCE), "variables": _LABELS, "field_values": _LABELS,
+        "tests": _array(_SSAT_TEST),
+    }),
+    "superassignment": (SuperAssignment, {"weights": _array(_INTS)}),
+    "sis": (SisInstance, {"num_cols": _RAW_INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT}),
+    "ncp": (NcpInstance, {
+        "modulus": _INT, "num_cols": _RAW_INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT,
+        "replication": _INT, "multiplicity": _INTS,
+    }),
+    "lhp": (LhpSystem, {"num_x": _RAW_INT, "u_param": _RAW_INT, "inequalities": _array(_LHP_INEQUALITY)}),
+    "lhp_assignment": (LhpAssignment, {"x_values": _array(_FRAC), "y_value": _FRAC, "delta_value": _DELTA}),
+}
+
+_READERS: dict[str, Callable[[Any, str], Instance]] = {"label_cover": _lc_from_payload}
+_WRITERS: dict[type, Callable[[Any], dict[str, Any]]] = {LabelCoverInstance: _lc_payload}
+for _kind, (_cls, _codecs) in _TABLE.items():
+    _READERS[_kind], _WRITERS[_cls] = _record(_cls, _codecs, _kind)
+KINDS = tuple(_READERS)
+
+
+def to_document(obj: Instance) -> dict[str, Any]:
+    """Plain-JSON document for any instance kind."""
+    write = _WRITERS.get(type(obj))
+    if write is None:
+        raise MalformedInstance(f"cannot serialize objects of type {type(obj).__name__}")
+    return write(obj)
 
 
 def from_document(doc: Any) -> Instance:
@@ -385,64 +365,10 @@ def from_document(doc: Any) -> Instance:
     if type(doc) is not dict or "kind" not in doc:
         raise SchemaViolation("", "document has no 'kind' field")
     kind = doc["kind"]
-    if kind not in KINDS:
+    if kind not in KINDS:  # before the lookup: a kind may be an unhashable list
         raise SchemaViolation("/kind", f"unknown kind {kind!r:.60}")
     _check_version(doc.get("version"), "")
-    if kind == "label_cover":
-        return _lc_from_payload(doc, "")
-    _fields(doc, "", ("kind", "version") + _FIELDS[kind])
-    if kind == "labeling":
-        return Labeling(
-            phi_a=_label_map(doc["phi_a"], "/phi_a"),
-            phi_b=None if doc["phi_b"] is None else _label_map(doc["phi_b"], "/phi_b"),
-        )
-    if kind == "ssat":
-        prov = None
-        if doc["provenance"] is not None:
-            rec = _fields(doc["provenance"], "/provenance", ("lc", "var_to_a", "test_to_b"))
-            prov = LcProvenance(
-                lc=_lc_from_payload(rec["lc"], "/provenance/lc"),
-                var_to_a=_labels(rec["var_to_a"], "/provenance/var_to_a"),
-                test_to_b=_labels(rec["test_to_b"], "/provenance/test_to_b"),
-            )
-        return SsatInstance(
-            variables=_labels(doc["variables"], "/variables"),
-            field_values=_labels(doc["field_values"], "/field_values"),
-            tests=_list(doc["tests"], "/tests", _ssat_test),
-            provenance=prov,
-        )
-    if kind == "superassignment":
-        return SuperAssignment(weights=_int_rows(doc["weights"], "/weights"))
-    if kind == "sis":
-        return SisInstance(
-            num_cols=_int(doc["num_cols"], "/num_cols"),
-            matrix=_list(doc["matrix"], "/matrix", _sparse_ints),
-            target=_list(doc["target"], "/target", decode_int),
-            bound=decode_int(doc["bound"], "/bound"),
-        )
-    if kind == "ncp":
-        return NcpInstance(
-            modulus=decode_int(doc["modulus"], "/modulus"),
-            num_cols=_int(doc["num_cols"], "/num_cols"),
-            matrix=_list(doc["matrix"], "/matrix", _sparse_ints),
-            target=_list(doc["target"], "/target", decode_int),
-            bound=decode_int(doc["bound"], "/bound"),
-            replication=decode_int(doc["replication"], "/replication"),
-            multiplicity=_list(doc["multiplicity"], "/multiplicity", decode_int),
-        )
-    if kind == "lhp":
-        return LhpSystem(
-            num_x=_int(doc["num_x"], "/num_x"),
-            u_param=_int(doc["u_param"], "/u_param"),
-            inequalities=_list(doc["inequalities"], "/inequalities", _lhp_inequality),
-        )
-    # lhp_assignment
-    delta = doc["delta_value"]
-    return LhpAssignment(
-        x_values=_list(doc["x_values"], "/x_values", decode_fraction),
-        y_value=decode_fraction(doc["y_value"], "/y_value"),
-        delta_value=EPSILON if delta == "epsilon" else decode_fraction(delta, "/delta_value"),
-    )
+    return _READERS[kind](doc, "")
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,21 @@ def test_check_claims(tmp_path, capsys):
     assert doc["checked"] > 0
 
 
+def test_check_claims_given_super(tmp_path, capsys):
+    """A consistent ``--super`` file is the one candidate; an inconsistent one is an error."""
+    from gapforge.superassign import SuperAssignment
+
+    write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
+    write_instance(tmp_path / "good.json", SuperAssignment.from_rows(((1, 0), (1, 0))))
+    write_instance(tmp_path / "bad.json", SuperAssignment.from_rows(((1, 0), (0, 1))))
+    code, doc = run(capsys, "check", "claims", "--in", str(tmp_path / "ssat.json"),
+                    "--super", str(tmp_path / "good.json"))
+    assert code == 0 and doc["checked"] == 1 and doc["all_hold"] is True
+    code, doc = run(capsys, "check", "claims", "--in", str(tmp_path / "ssat.json"),
+                    "--super", str(tmp_path / "bad.json"))
+    assert code == 1 and doc["error"]["type"] == "InconsistentInput"
+
+
 def test_check_claims_checks_consistency_at_most_four_times_per_candidate(tmp_path, capsys, monkeypatch):
     """Bad-array sums, zeroing, the re-check of the zeroed copy and one classification of all tests."""
     import gapforge.superassign as superassign
@@ -227,6 +242,28 @@ def test_gen_cli(tmp_path, capsys):
     assert len(lc.a_vertices) == 4
     meta = json.loads((tmp_path / "gen.json.meta.json").read_text())
     assert meta["planted"] is True
+
+
+def test_reduce_sis2lhp_refuses_g_below_one(tmp_path, capsys):
+    write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
+    run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
+    code, doc = run(capsys, "reduce", "sis2lhp", "--in", str(tmp_path / "sis.json"),
+                    "--out", str(tmp_path / "lhp.json"), "--g", "0")
+    assert code == 1 and doc["error"]["type"] == "BadParameters"
+    assert not (tmp_path / "lhp.json").exists()
+
+
+def test_solve_ncp_full_field_over_a_huge_modulus_hits_the_cap(tmp_path, capsys, monkeypatch):
+    """A 2^61 - 1 field is walked lazily, so the cap ends the search at once."""
+    import dataclasses
+
+    from gapforge.reductions import sis_to_ncp, ssat_to_sis
+
+    ncp = sis_to_ncp(ssat_to_sis(shipped.load("ssat_share")), g=1)
+    write_instance(tmp_path / "ncp.json", dataclasses.replace(ncp, modulus=2 ** 61 - 1))
+    monkeypatch.setenv("GAPFORGE_MAX_STATES", "10")
+    code, doc = run(capsys, "solve", "ncp", "--in", str(tmp_path / "ncp.json"), "--full-field")
+    assert code == 1 and doc["error"]["type"] == "SearchSpaceTooLarge"
 
 
 def test_usage_error_exit_code():

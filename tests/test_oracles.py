@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,19 @@ def test_ncp_cap(ssat_share):
     ncp = sis_to_ncp(ssat_to_sis(ssat_share), g=1)
     with pytest.raises(SearchSpaceTooLarge):
         solve_ncp_min(ncp, SearchBudget(max_states=10), full_field=True)
+
+
+def test_ncp_full_field_cap_builds_no_table_of_the_field(ssat_share):
+    """The walk meets the cap after a few nodes, whatever the size of the field."""
+    ncp = dataclasses.replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=1_000_003)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge):
+            solve_ncp_min(ncp, SearchBudget(max_states=10), full_field=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,13 @@ def test_lhp_bad_u(ssat_share):
         sis_to_lhp(ssat_to_sis(ssat_share), u_param=0)
 
 
+@pytest.mark.parametrize("reduce", [sis_to_ncp, sis_to_lhp])
+@pytest.mark.parametrize("g", [0, -1])
+def test_g_below_one_is_refused_by_both_reductions(ssat_share, reduce, g):
+    with pytest.raises(BadParameters, match="g must be at least 1"):
+        reduce(ssat_to_sis(ssat_share), g=g)
+
+
 def test_lhp_embedding_violations(ssat_share):
     lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
     a = lhp_assignment_from_sis_solution((1, 0, 1, 0))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import time
 from fractions import Fraction
 
@@ -267,3 +268,91 @@ def test_schema_violation_points_at_the_node():
     with pytest.raises(SchemaViolation) as exc:
         from_document(doc)
     assert exc.value.pointer == "/provenance/lc/edges/1"
+
+
+@pytest.mark.parametrize("name", shipped.FIXTURE_NAMES)
+def test_shipped_fixture_files_are_canonical(name):
+    assert shipped.fixture_path(name).read_bytes() == canonical_bytes(shipped.load(name))
+
+
+_HEADER = ("kind", "version")
+_LC_FIELDS = _HEADER + ("a", "b", "sigma_a", "sigma_b", "edges", "edges/0/a", "edges/0/b", "edges/0/pi")
+_INEQUALITY_FIELDS = ("coeff_x", "coeff_y", "coeff_delta", "sense", "group", "copies_of", "multiplicity")
+FIELDS = {
+    "label_cover": _LC_FIELDS,
+    "labeling": _HEADER + ("phi_a", "phi_b"),
+    "ssat": _HEADER + ("variables", "field_values", "tests", "tests/0/variables", "tests/0/assignments",
+                       "provenance", "provenance/lc", "provenance/var_to_a", "provenance/test_to_b")
+    + tuple(f"provenance/lc/{field}" for field in _LC_FIELDS),
+    "superassignment": _HEADER + ("weights",),
+    "sis": _HEADER + ("num_cols", "matrix", "target", "bound"),
+    "ncp": _HEADER + ("modulus", "num_cols", "matrix", "target", "bound", "replication", "multiplicity"),
+    "lhp": _HEADER + ("num_x", "u_param", "inequalities") + tuple(f"inequalities/0/{f}" for f in _INEQUALITY_FIELDS),
+    "lhp_assignment": _HEADER + ("x_values", "y_value", "delta_value"),
+}
+
+
+def _one_document_per_kind() -> dict:
+    ssat = shipped.load("ssat_share")
+    sis = ssat_to_sis(ssat)
+    objs = (shipped.load("lc_share"), Labeling({0: 1}, {10: 1}), ssat, SuperAssignment.from_rows(((1, 0), (1, 0))),
+            sis, sis_to_ncp(sis, g=1), sis_to_lhp(sis), LhpAssignment.of((1, -2), 3, Fraction(1, 2)))
+    docs = {doc["kind"]: doc for doc in map(to_document, objs)}
+    assert docs.keys() == FIELDS.keys()
+    return docs
+
+
+def _field_pointers(node, ptr=""):
+    """The pointer of every key of every object below ``node``, through the first item of each array."""
+    if isinstance(node, list) and node:
+        yield from _field_pointers(node[0], f"{ptr}/0")
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield f"{ptr}/{key}"
+            if key != "pi":  # keyed by labels, not by field names
+                yield from _field_pointers(value, f"{ptr}/{key}")
+
+
+def _replaced(doc, ptr: str, value):
+    doc = copy.deepcopy(doc)
+    *path, last = (int(part) if part.isdigit() else part for part in ptr.split("/")[1:])
+    node = doc
+    for part in path:
+        node = node[part]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind", FIELDS)
+def test_a_float_in_any_field_is_refused_at_that_field(kind):
+    doc = _one_document_per_kind()[kind]
+    pointers = list(_field_pointers(doc))
+    assert sorted(pointers) == sorted(f"/{field}" for field in FIELDS[kind])
+    for ptr in pointers:
+        with pytest.raises(SchemaViolation) as exc:
+            from_document(_replaced(doc, ptr, 1.0))
+        assert exc.value.pointer == ptr
+
+
+# the top-level fields of each kind in the order they are read
+READ_ORDER = {
+    "label_cover": ("sigma_a", "edges", "a", "b", "sigma_b"),
+    "labeling": ("phi_a", "phi_b"),
+    "ssat": ("provenance", "variables", "field_values", "tests"),
+    "superassignment": ("weights",),
+    "sis": ("num_cols", "matrix", "target", "bound"),
+    "ncp": ("modulus", "num_cols", "matrix", "target", "bound", "replication", "multiplicity"),
+    "lhp": ("num_x", "u_param", "inequalities"),
+    "lhp_assignment": ("x_values", "y_value", "delta_value"),
+}
+
+
+@pytest.mark.parametrize("kind", FIELDS)
+def test_of_several_faulty_fields_the_first_read_is_reported(kind):
+    doc = _one_document_per_kind()[kind]
+    order = READ_ORDER[kind]
+    assert set(order) == doc.keys() - set(_HEADER)
+    for i, field in enumerate(order):
+        with pytest.raises(SchemaViolation) as exc:
+            from_document(dict(doc, **dict.fromkeys(order[i:], 1.0)))
+        assert exc.value.pointer == f"/{field}"
