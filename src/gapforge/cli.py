@@ -104,7 +104,7 @@ def _budget(args, mode: str = "l1") -> SearchBudget:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-_SPEC_FIELDS = ("num_a", "num_b", "d_b", "sigma_a", "sigma_b", "p", "planted", "seed")
+_SPEC_FIELDS = frozenset(("num_a", "num_b", "d_b", "sigma_a", "sigma_b", "p", "planted", "seed"))
 
 
 def _gen_spec_from_args(args) -> GenSpec:
@@ -401,7 +401,11 @@ def _cmd_report(args) -> int:
                 )
             )
         return 0
-    _emit({"kind": "gap_report", "rows": rows, "all_checks_passed": doc["all_checks_passed"]})
+    try:
+        data = canonical_bytes({"kind": "gap_report", "rows": rows, "all_checks_passed": doc["all_checks_passed"]})
+    except TypeError as exc:  # a float, which the canonical writer refuses and no chain_report holds
+        raise SchemaViolation("", f"not a chain_report: {exc}") from None
+    sys.stdout.write(data.decode("utf-8"))
     return 0
 
 

@@ -52,6 +52,11 @@ class LabelCoverInstance:
             raise MalformedInstance("duplicate vertex identifiers")
         if len(set(self.sigma_a)) != len(self.sigma_a) or len(set(self.sigma_b)) != len(self.sigma_b):
             raise MalformedInstance("duplicate alphabet labels")
+        texts: dict[str, Label] = {}  # a file keys each projection table by str(label)
+        for x in self.sigma_a:
+            if str(x) in texts:
+                raise MalformedInstance(f"sigma_a labels {texts[str(x)]!r} and {x!r} have the same string form")
+            texts[str(x)] = x
         if not self.sigma_a or not self.sigma_b:
             raise MalformedInstance("alphabets must be nonempty")
         if len(set(self.edges)) != len(self.edges):

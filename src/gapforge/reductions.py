@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .errors import (
     BadParameters,
@@ -220,12 +220,19 @@ def sis_to_lhp(sis: SisInstance, u_param: Optional[int] = None, g: int = 1) -> L
     u = u_param if u_param is not None else g * sis.bound + 1
     m = sis.num_cols
     ineqs: list[LhpInequality] = []
+    fractions: dict[Union[int, Fraction], Fraction] = {}  # one shared Fraction per distinct coefficient
+
+    def frac(c):
+        f = fractions.get(c)
+        if f is None:
+            f = fractions[c] = Fraction(c)
+        return f
 
     def emit(copies, coeff_x, coeff_y, coeff_delta, sense, group, tag):
         ineqs.append(LhpInequality(
-            coeff_x=tuple((i, Fraction(c)) for i, c in coeff_x),
-            coeff_y=Fraction(coeff_y),
-            coeff_delta=Fraction(coeff_delta),
+            coeff_x=tuple([(i, frac(c)) for i, c in coeff_x]),
+            coeff_y=frac(coeff_y),
+            coeff_delta=frac(coeff_delta),
             sense=sense,
             group=group,
             copies_of=tag,

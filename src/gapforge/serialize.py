@@ -1,9 +1,12 @@
 """Canonical JSON (and plain-text) serialization for every instance kind.
 
 Serialization is canonical: equal instances produce byte-identical files
-(sorted keys, fixed indentation, trailing newline).  Rationals are written as
-``"p/q"`` strings; integers ride as JSON numbers while they fit in the 53-bit
-safe range and as strings beyond it.
+(sorted keys, fixed indentation, trailing newline).  The bytes are those of
+``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
+newline, but a small writer of its own produces them: with ``indent`` set,
+``json.dumps`` runs its pure-Python encoder, one generator per node.
+Rationals are written as ``"p/q"`` strings; integers ride as JSON numbers
+while they fit in the 53-bit safe range and as strings beyond it.
 
 Reading is one typed decoding pass: ``from_document`` checks each node while
 it builds the instance.  A node of the wrong shape or scalar type (an object
@@ -34,6 +37,7 @@ import json
 import re
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -107,14 +111,28 @@ def encode_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# Fractions already decoded, by their string: a document repeats a few
+# coefficients many times.  Emptied when full, so it stays small.
+_FRACTIONS: dict[str, Fraction] = {}
+_FRACTIONS_MAX = 1024
+
+
 def decode_fraction(v: Any, ptr: str = "") -> Fraction:
+    if type(v) is str:
+        f = _FRACTIONS.get(v)
+        if f is not None:
+            return f
     if type(v) is not str or not _FRACTION.fullmatch(v):
         raise SchemaViolation(ptr, f"expected a 'p/q' string, got {v!r:.60}")
     num, _, den = v.partition("/")
     try:
-        return Fraction(_digits(num, ptr), _digits(den, ptr) if den else 1)
+        f = Fraction(_digits(num, ptr), _digits(den, ptr) if den else 1)
     except ZeroDivisionError:
         raise MalformedInstance(f"fraction {v!r} at {ptr!r} has a zero denominator") from None
+    if len(_FRACTIONS) >= _FRACTIONS_MAX:
+        _FRACTIONS.clear()
+    _FRACTIONS[v] = f
+    return f
 
 
 def _int(v: Any, ptr: str) -> int:
@@ -145,20 +163,27 @@ def _list(v: Any, ptr: str, read: Callable[[Any, str], Any]) -> tuple:
     """An array, each item read by ``read``."""
     if type(v) is not list:
         raise SchemaViolation(ptr, f"expected an array, got {v!r:.60}")
-    return tuple(read(item, f"{ptr}/{i}") for i, item in enumerate(v))
+    return tuple([read(item, f"{ptr}/{i}") for i, item in enumerate(v)])
 
 
-def _pair(v: Any, ptr: str, first: Callable[[Any, str], Any], second: Callable[[Any, str], Any]) -> tuple:
-    if type(v) is not list or len(v) != 2:
-        raise SchemaViolation(ptr, f"expected a pair, got {v!r:.60}")
-    return first(v[0], f"{ptr}/0"), second(v[1], f"{ptr}/1")
+def _pairs(v: Any, ptr: str, first: Callable[[Any, str], Any], second: Callable[[Any, str], Any]) -> tuple:
+    """An array of ``[first, second]`` pairs."""
+    if type(v) is not list:
+        raise SchemaViolation(ptr, f"expected an array, got {v!r:.60}")
+    out = []
+    for i, pair in enumerate(v):
+        at = f"{ptr}/{i}"
+        if type(pair) is not list or len(pair) != 2:
+            raise SchemaViolation(at, f"expected a pair, got {pair!r:.60}")
+        out.append((first(pair[0], f"{at}/0"), second(pair[1], f"{at}/1")))
+    return tuple(out)
 
 
-def _fields(v: Any, ptr: str, names: tuple[str, ...], subset: bool = False) -> dict[str, Any]:
+def _fields(v: Any, ptr: str, names: frozenset[str], subset: bool = False) -> dict[str, Any]:
     """An object whose keys are exactly ``names``, or with ``subset`` some of them."""
     if type(v) is not dict:
         raise SchemaViolation(ptr, f"expected an object, got {v!r:.60}")
-    if not (v.keys() <= set(names) if subset else v.keys() == set(names)):
+    if not (v.keys() <= names if subset else v.keys() == names):
         expected = "some of" if subset else "exactly"
         raise SchemaViolation(ptr, f"expected {expected} the keys {sorted(names)}, found {sorted(v)}")
     return v
@@ -167,14 +192,14 @@ def _fields(v: Any, ptr: str, names: tuple[str, ...], subset: bool = False) -> d
 def _label_map(v: Any, ptr: str) -> dict[Label, Label]:
     """``[vertex, label]`` pairs, each vertex listed once."""
     out: dict[Label, Label] = {}
-    for i, (vertex, label) in enumerate(_list(v, ptr, partial(_pair, first=_label, second=_label))):
+    for i, (vertex, label) in enumerate(_pairs(v, ptr, _label, _label)):
         if vertex in out:
             raise SchemaViolation(f"{ptr}/{i}/0", f"vertex {vertex!r:.60} is listed twice")
         out[vertex] = label
     return out
 
 
-def _label_key_map(labels, ptr: str = "/sigma_a") -> dict[str, Label]:
+def _label_key_map(labels, ptr: str) -> dict[str, Label]:
     """String forms of labels, for use as JSON object keys; must be injective."""
     out: dict[str, Label] = {}
     for lab in labels:
@@ -198,10 +223,11 @@ def _check_version(v: Any, ptr: str) -> None:
 # not its attribute names, and its ``pi`` objects are keyed by label strings.
 
 _labels = partial(_list, read=_label)
+_LC_KEYS = frozenset(("kind", "version", "a", "b", "sigma_a", "sigma_b", "edges"))
+_EDGE_KEYS = frozenset(("a", "b", "pi"))
 
 
 def _lc_payload(lc: LabelCoverInstance) -> dict[str, Any]:
-    _label_key_map(lc.sigma_a)
     return {
         "kind": "label_cover",
         "version": SCHEMA_VERSION,
@@ -217,7 +243,7 @@ def _lc_payload(lc: LabelCoverInstance) -> dict[str, Any]:
 
 
 def _lc_from_payload(node: Any, ptr: str) -> LabelCoverInstance:
-    doc = _fields(node, ptr, ("kind", "version", "a", "b", "sigma_a", "sigma_b", "edges"))
+    doc = _fields(node, ptr, _LC_KEYS)
     if doc["kind"] != "label_cover":
         raise SchemaViolation(f"{ptr}/kind", f"expected kind 'label_cover', got {doc['kind']!r:.60}")
     _check_version(doc["version"], ptr)
@@ -225,7 +251,7 @@ def _lc_from_payload(node: Any, ptr: str) -> LabelCoverInstance:
     key_map = _label_key_map(sigma_a, f"{ptr}/sigma_a")
 
     def edge(rec: Any, at: str) -> tuple:
-        pi = _fields(rec, at, ("a", "b", "pi"))["pi"]
+        pi = _fields(rec, at, _EDGE_KEYS)["pi"]
         if type(pi) is not dict:
             raise SchemaViolation(f"{at}/pi", f"expected an object, got {pi!r:.60}")
         table = {}
@@ -276,7 +302,7 @@ def _array(item: Codec) -> Codec:
 def _sparse(coeff: Codec) -> Codec:
     """A sparse row: ``[column, coefficient]`` pairs."""
     read, write = coeff
-    return partial(_list, read=partial(_pair, first=_int, second=read)), lambda row: [[c, write(a)] for c, a in row]
+    return partial(_pairs, first=_int, second=read), lambda row: [[c, write(a)] for c, a in row]
 
 
 def _nullable(codec: Codec) -> Codec:
@@ -290,7 +316,7 @@ def _record(cls: type, fields: dict[str, Codec], kind: Optional[str] = None) -> 
     With ``kind`` it is a whole document, which also carries ``kind`` and
     ``version``; ``from_document`` checks those two before the fields.
     """
-    names = tuple(fields) if kind is None else ("kind", "version", *fields)
+    names = frozenset(fields) if kind is None else frozenset(("kind", "version", *fields))
     header = {} if kind is None else {"kind": kind, "version": SCHEMA_VERSION}
     items = tuple((key, read, write) for key, (read, write) in fields.items())
 
@@ -375,9 +401,57 @@ def from_document(doc: Any) -> Instance:
 # Files, bytes and hashes
 # ---------------------------------------------------------------------------
 
+# The JSON text of each scalar type, by a C function: no Python frame per scalar.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _write(node: Any, out: list[str], pad: str) -> None:
+    """Append the JSON text of ``node``, a dict or a list or tuple, to ``out``.
+
+    ``pad`` is a newline and the indentation of the line ``node`` starts on.
+    The layout is that of ``json.dumps(node, sort_keys=True, indent=2,
+    ensure_ascii=False)``.  Scalar children are written in the loop; only a
+    dict, list or tuple child costs a call.  A dict key that is not a string,
+    or a node of any type but dict, list, tuple, str, int, bool and None,
+    raises ``TypeError``.
+    """
+    if type(node) is dict:
+        keys, opener, closer = sorted(node), "{", "}"
+    elif type(node) is list or type(node) is tuple:
+        keys, opener, closer = None, "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+    if not node:
+        out.append(opener + closer)
+        return
+    inner = pad + "  "
+    sep, comma = opener + inner, "," + inner
+    for item in node if keys is None else keys:
+        if keys is None:
+            value, head = item, sep
+        else:
+            value, head = node[item], f"{sep}{encode_basestring(item)}: "
+        text = _SCALAR_TEXT.get(type(value))
+        if text is None:
+            out.append(head)
+            _write(value, out, inner)
+        else:
+            out.append(head + text(value))
+        sep = comma
+    out.append(pad + closer)
+
+
 def canonical_bytes(obj: Union[Instance, dict[str, Any]]) -> bytes:
     doc = obj if isinstance(obj, dict) else to_document(obj)
-    return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    out: list[str] = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def content_hash(obj: Union[Instance, dict[str, Any]]) -> str:

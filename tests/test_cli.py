@@ -470,6 +470,17 @@ def test_report_on_chain_report_without_gap_report(tmp_path, capsys, lc_id2_path
     assert out["error"]["type"] == "SchemaViolation"
 
 
+def test_report_on_chain_report_with_a_float_is_a_typed_error(tmp_path, capsys, lc_id2_path):
+    chain = tmp_path / "chain.json"
+    run(capsys, "check", "chain", "--in", str(lc_id2_path), "--out", str(chain))
+    doc = json.loads(chain.read_text())
+    doc["gap_report"]["rows"][0]["ratio"] = 1.5
+    chain.write_text(json.dumps(doc))
+    code, out = run(capsys, "report", "--in", str(chain))
+    assert code == 1
+    assert out["error"]["type"] == "SchemaViolation"
+
+
 def test_gen_from_truncated_spec_file(tmp_path, capsys):
     (tmp_path / "spec.json").write_text('{"num_a": 2, "num_b"')
     code, doc = run(capsys, "gen", "lc", "--spec", str(tmp_path / "spec.json"),

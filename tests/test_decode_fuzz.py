@@ -5,14 +5,20 @@ The mutation set is a fixed table.  Starting from the shipped fixtures and
 one generated chain (label cover, SSAT, SIS, NCP, LHP), it deletes each key
 in turn, adds an unknown key to each object, and replaces each node with
 each value of ``VALUES``.  Lists contribute their first three items.
+
+A sha256 over every mutant's outcome (error type, pointer and message) pins
+the decoder's answers exactly: a faster reader must refuse each mutant with
+the same error at the same node.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
 from gapforge import fixtures as shipped
+from gapforge import serialize
 from gapforge.errors import GapforgeError
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
 from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
@@ -91,3 +97,35 @@ def test_every_mutant_is_refused_typed_or_round_trips():
     assert not bad, f"{len(bad)} mutants escaped or changed, e.g. {bad[:5]}"
     # the table reaches both the decoder and the constructors, and some mutants load
     assert min(counts["ok"], counts["SchemaViolation"], counts["MalformedInstance"]) > 0, counts
+
+
+def fingerprint(doc) -> tuple:
+    """``(error type, error pointer, message)`` of reading ``doc``; ``("ok", None, None)`` if it loads."""
+    try:
+        from_document(doc)
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return type(exc).__name__, getattr(exc, "pointer", None), str(exc)
+    return "ok", None, None
+
+
+def outcome_digest() -> str:
+    """sha256 of ``(document, mutant pointer, change, error type, error pointer, message)`` for every mutant."""
+    h = hashlib.sha256()
+    count = 0
+    for name, doc in documents().items():
+        for ptr, change, mutant in mutants(doc):
+            h.update(json.dumps([name, ptr, change, *fingerprint(mutant)]).encode() + b"\n")
+            count += 1
+    assert count == MUTANTS
+    return h.hexdigest()
+
+
+MUTANTS = 5202
+OUTCOME_DIGEST = "8427989d5753991a2a53f66edff77f6a25c0633ea6bd84d0591aa13f25a6f435"
+
+
+def test_every_mutant_gets_the_pinned_error_at_the_pinned_node():
+    # the first pass starts with no decoded fraction memoised, the second with all it filled in
+    serialize._FRACTIONS.clear()
+    assert outcome_digest() == OUTCOME_DIGEST
+    assert outcome_digest() == OUTCOME_DIGEST

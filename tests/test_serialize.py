@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from gapforge import fixtures as shipped
-from gapforge.errors import SchemaViolation
-from gapforge.instances import EPSILON, Labeling, LhpAssignment, NcpInstance
+from gapforge.errors import MalformedInstance, SchemaViolation
+from gapforge.instances import EPSILON, LabelCoverInstance, Labeling, LhpAssignment, NcpInstance
 from gapforge.reductions import (
     lc_to_ssat,
     sis_to_lhp,
@@ -270,6 +270,24 @@ def test_schema_violation_points_at_the_node():
     assert exc.value.pointer == "/provenance/lc/edges/1"
 
 
+def _one_edge_cover(sigma_a) -> LabelCoverInstance:
+    edge = ("a0", "b0")
+    return LabelCoverInstance(("a0",), ("b0",), tuple(sigma_a), (0,), (edge,), {edge: dict.fromkeys(sigma_a, 0)})
+
+
+def test_labels_whose_string_forms_collide_are_refused_bare_and_nested():
+    # a file keys projection tables by str(label), so 1 and '1' could not be told apart
+    with pytest.raises(MalformedInstance, match="same string form"):
+        _one_edge_cover((1, "1"))
+    lc = _one_edge_cover((1, "2"))
+    for doc, at in ((to_document(lc), ""), (to_document(lc_to_ssat(lc)), "/provenance/lc")):
+        node = doc["provenance"]["lc"] if at else doc
+        node["sigma_a"] = [1, "1"]
+        with pytest.raises(SchemaViolation) as exc:
+            from_document(doc)
+        assert exc.value.pointer == f"{at}/sigma_a"
+
+
 @pytest.mark.parametrize("name", shipped.FIXTURE_NAMES)
 def test_shipped_fixture_files_are_canonical(name):
     assert shipped.fixture_path(name).read_bytes() == canonical_bytes(shipped.load(name))
@@ -328,6 +346,41 @@ def test_a_float_in_any_field_is_refused_at_that_field(kind):
     doc = _one_document_per_kind()[kind]
     pointers = list(_field_pointers(doc))
     assert sorted(pointers) == sorted(f"/{field}" for field in FIELDS[kind])
+    for ptr in pointers:
+        with pytest.raises(SchemaViolation) as exc:
+            from_document(_replaced(doc, ptr, 1.0))
+        assert exc.value.pointer == ptr
+
+
+def _item_pointers(node, ptr=""):
+    """The pointer of every item of every array below ``node``, both slots of each pair included."""
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            yield f"{ptr}/{i}"
+            yield from _item_pointers(item, f"{ptr}/{i}")
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _item_pointers(value, f"{ptr}/{key}")
+
+
+# a few of the pointers the walk must reach: pair slots and nested items
+ITEM_EXAMPLES = {
+    "label_cover": {"/sigma_a/0", "/a/0"},
+    "labeling": {"/phi_a/0/0", "/phi_a/0/1"},
+    "ssat": {"/tests/0/assignments/0/0", "/tests/0/variables/0", "/provenance/lc/sigma_b/0"},
+    "superassignment": {"/weights/0/0"},
+    "sis": {"/matrix/0/0/0", "/matrix/0/0/1", "/target/0"},
+    "ncp": {"/matrix/0/0/0", "/matrix/0/0/1", "/multiplicity/0"},
+    "lhp": {"/inequalities/0", "/inequalities/2/coeff_x/0/0", "/inequalities/2/coeff_x/0/1"},
+    "lhp_assignment": {"/x_values/0", "/x_values/1"},
+}
+
+
+@pytest.mark.parametrize("kind", FIELDS)
+def test_a_float_in_any_array_item_is_refused_at_that_item(kind):
+    doc = _one_document_per_kind()[kind]
+    pointers = list(_item_pointers(doc))
+    assert ITEM_EXAMPLES[kind] <= set(pointers)
     for ptr in pointers:
         with pytest.raises(SchemaViolation) as exc:
             from_document(_replaced(doc, ptr, 1.0))
