@@ -17,13 +17,19 @@ own box and length; the least cost it certifies is the walk's ``ceiling``.
 A hint that fails the check is ignored, so a wrong hint can cost nodes but
 never changes a minimum or a witness.
 
-Each walked solver compiles its instance once into sparse integer rows, each
-filed under the coordinate that completes it (its largest column), so the
-cost of a node is plain ``int`` arithmetic over the rows that coordinate
-completes.  Equality rows (SIS rows, SSAT consistency rows) instead narrow
-each coordinate to the values that leave every row reachable by the later
-columns.  The instance-level predicates (``is_consistent``,
-``is_nontrivial``, ``SisInstance.multiply``, ``NcpInstance.distance``,
+The walk asks its client for all the children of a node at once,
+``children(depth, prefix, cost)``, so work the children share is done once
+per node.  Each walked solver compiles its instance once into sparse integer
+rows, each filed under the coordinate that completes it (its largest
+column).  At a node, each row that coordinate completes takes its partial
+sum over its earlier columns once.  An NCP row, filed monic mod the prime q,
+is met by exactly one residue of its last column, so a child costs its
+parent's cost plus the rows completed here, less those crediting its value;
+an LHP row is compared at -1, 0 and 1 from the one partial sum.  Equality
+rows (SIS rows, SSAT consistency rows) instead narrow each coordinate to the
+values that leave every row reachable by the later columns.  The
+instance-level predicates (``is_consistent``, ``is_nontrivial``,
+``SisInstance.multiply``, ``NcpInstance.distance``,
 ``LhpInequality.value_at``) are the reference semantics the compiled rows are
 tested against; result objects such as ``SuperAssignment`` and
 ``LhpAssignment`` are built only for the witness.
@@ -59,30 +65,34 @@ DEFAULT_MAX_STATES = 10 ** 8
 
 
 Prefix = list[int]
+Children = Callable[[int, Prefix, int], Iterable[tuple[int, Optional[int]]]]
 
 
 def branch_and_bound(
     n: int,
-    values: Callable[[int, Prefix], Iterable[int]],
-    step: Callable[[int, Prefix, int], Optional[int]],
+    children: Children,
     root: Optional[int],
     max_states: int,
     ceiling: Optional[int] = None,
 ) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
     """Least leaf cost, the first leaf attaining it, and the number of nodes entered.
 
-    The walk fixes coordinates 0, 1, ..., n - 1 in order and tries
-    ``values(depth, prefix)`` in the order given.  ``root`` is the cost before
-    any coordinate is fixed, ``None`` when no point is feasible.
-    ``step(depth, prefix, cost)`` extends the parent's integer ``cost`` by the
-    value just put at ``prefix[depth]``: it never decreases along a path, is
-    the true cost at a leaf, and is ``None`` on an infeasible prefix.  A node
-    whose cost is ``None`` or not below the best leaf so far is pruned, and
-    only a strict improvement replaces the best leaf; as a pruned subtree
-    holds no strict improvement, the witness is the lexicographically first
-    optimum.  Every (depth, value) node entered is charged, and the charge
-    passing ``max_states`` raises ``SearchSpaceTooLarge``.  With ``n == 0``
-    the one point is the empty vector, at cost ``root``.
+    The walk fixes coordinates 0, 1, ..., n - 1 in order.  ``root`` is the
+    cost before any coordinate is fixed, ``None`` when no point is feasible.
+    At a node of integer ``cost`` whose coordinates ``prefix[:depth]`` are
+    fixed, ``children(depth, prefix, cost)`` yields ``(value, child cost)``
+    for every value coordinate ``depth`` may take, in the order to try them,
+    so a client costs all the children of a node in one pass and shares what
+    they have in common.  A child's cost never falls below its parent's, is
+    the true cost at a leaf, and is ``None`` on an infeasible prefix.
+    ``children`` may read only ``prefix[:depth]``; the walk changes
+    ``prefix[depth:]`` between the items it takes from a lazy client.  Every
+    child yielded is charged as one node entered, and the charge passing
+    ``max_states`` raises ``SearchSpaceTooLarge``; then a child whose cost
+    is ``None`` or not below the best leaf so far is pruned.  Only a strict
+    improvement replaces the best leaf; as a pruned subtree holds no strict
+    improvement, the witness is the lexicographically first optimum.  With
+    ``n == 0`` the one point is the empty vector, at cost ``root``.
 
     ``ceiling`` starts the walk as if a leaf of cost ``ceiling + 1`` had been
     found, so only prefixes costing more than the ceiling are pruned beyond
@@ -99,14 +109,13 @@ def branch_and_bound(
     def visit(depth: int, cost: int) -> None:
         nonlocal best_cost, best, states
         leaf = depth == n - 1
-        for v in values(depth, prefix):
+        for v, c in children(depth, prefix, cost):
             states += 1
             if states > max_states:
                 raise SearchSpaceTooLarge(states, max_states)
-            prefix[depth] = v
-            c = step(depth, prefix, cost)
             if c is None or (best_cost is not None and c >= best_cost):
                 continue
+            prefix[depth] = v
             if leaf:
                 best_cost, best = c, tuple(prefix)
             else:
@@ -167,35 +176,67 @@ def _split(row: Iterable[tuple[int, int]]) -> SplitRow:
 class _FiledRows:
     """Sparse integer rows that cost their multiplicity when missed, filed under their last column.
 
-    A row ``(columns, coefficients, target, multiplicity)`` with sum ``s``
+    ``by_column[d]`` holds each row whose last column is d as (earlier
+    columns, earlier coefficients, last coefficient, target, multiplicity).
+    ``root`` is the multiplicity of the missed rows with no column.  A row with sum ``s``
     over the point is missed when ``s % modulus != target``, or, with no
-    modulus, when ``s < target``.  ``root`` is the multiplicity of the missed
-    rows with no column.
+    modulus, when ``s < target``.  Each child of a node is costed from one
+    partial sum per completed row, over its earlier columns, taken once per
+    node.
     """
 
     modulus: Optional[int]
     root: int
-    by_column: tuple[tuple[tuple[Columns, tuple[int, ...], int, int], ...], ...]
+    by_column: tuple[tuple[tuple[Columns, tuple[int, ...], int, int, int], ...], ...]
 
-    def step(self, depth: int, point: Prefix, cost: int) -> int:
-        """``cost`` plus the multiplicity of the rows completed at ``depth`` that are missed."""
-        q = self.modulus
-        get = point.__getitem__
-        for cols, coeffs, t, k in self.by_column[depth]:
-            s = sum(map(mul, coeffs, map(get, cols)))
-            if s % q != t if q else s < t:
-                cost += k
-        return cost
+    def residue_children(self, values: Sequence[int]) -> Children:
+        """The children of a node over ``values``, rows mod a prime modulus, each filed monic.
+
+        A monic row (last coefficient 1) is met by exactly one value of its
+        last column, ``target - partial`` mod q.  So a child costs its
+        parent's cost plus the rows completed here, less those its value
+        meets; only the met residues are kept, never a table of the field.
+        """
+        q, by_column = self.modulus, self.by_column
+
+        def children(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
+            get = prefix.__getitem__
+            met: dict[int, int] = {}
+            missed = cost
+            for cols, coeffs, _, t, k in by_column[depth]:
+                v = (t - sum(map(mul, coeffs, map(get, cols)))) % q
+                met[v] = met.get(v, 0) + k
+                missed += k
+            return ((v, missed - met.get(v, 0)) for v in values)
+
+        return children
+
+    def grid_children(self, depth: int, prefix: Prefix, cost: int) -> tuple[tuple[int, int], ...]:
+        """The children of a node over (-1, 0, 1), rows with no modulus.
+
+        A row with partial sum ``p`` and last coefficient ``a`` is missed at
+        ``v`` when ``a * v < target - p``.
+        """
+        lo = mid = hi = cost
+        get = prefix.__getitem__
+        for cols, coeffs, a, t, k in self.by_column[depth]:
+            r = t - sum(map(mul, coeffs, map(get, cols)))
+            if r > -a:
+                lo += k
+            if r > 0:
+                mid += k
+            if r > a:
+                hi += k
+        return (-1, lo), (0, mid), (1, hi)
 
 
 def _file_rows(n: int, rows: Iterable[tuple], modulus: Optional[int] = None) -> _FiledRows:
     """File ``rows`` (targets already reduced mod ``modulus``) for a walk over ``n`` columns."""
     root = 0
     by_column: list[list] = [[] for _ in range(n)]
-    for row in rows:
-        cols, _, t, k = row
+    for cols, coeffs, t, k in rows:
         if cols:
-            by_column[cols[-1]].append(row)
+            by_column[cols[-1]].append((cols[:-1], coeffs[:-1], coeffs[-1], t, k))
         elif t != 0 if modulus else t > 0:  # the row's sum is 0
             root += k
     return _FiledRows(modulus=modulus, root=root, by_column=tuple(map(tuple, by_column)))
@@ -215,7 +256,7 @@ class _EqualityRows:
     feasible: bool
     by_column: tuple[tuple[tuple[Columns, tuple[int, ...], int, int, int], ...], ...]
 
-    def values(self, depth: int, prefix: Prefix) -> range:
+    def allowed(self, depth: int, prefix: Prefix) -> range:
         """The values of coordinate ``depth`` after ``prefix`` that leave every row reachable."""
         lo, hi = -self.k, self.k
         get = prefix.__getitem__
@@ -227,6 +268,11 @@ class _EqualityRows:
             else:
                 lo, hi = max(lo, -((rest + reach) // -a)), min(hi, (reach - rest) // -a)
         return range(lo, hi + 1)
+
+    def l1_children(self, depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
+        """The allowed children, each costing its parent's cost plus its absolute value."""
+        for v in self.allowed(depth, prefix):
+            yield v, cost + abs(v)
 
 
 def _compile_equalities(n: int, k: int, rows: Iterable[tuple[SplitRow, int]]) -> _EqualityRows:
@@ -240,10 +286,6 @@ def _compile_equalities(n: int, k: int, rows: Iterable[tuple[SplitRow, int]]) ->
             reach -= k * abs(a)
             by_column[c].append((cols[:j], coeffs[:j], a, reach, t))
     return _EqualityRows(k=k, feasible=feasible, by_column=tuple(map(tuple, by_column)))
-
-
-def _l1_step(depth: int, prefix: Prefix, cost: int) -> int:
-    return cost + abs(prefix[depth])
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +322,21 @@ def walk_a_labelings(
         for a in sorted({a for a, _ in edges}):
             by_column[a].append(edges)
 
-    def step(depth: int, prefix: Prefix, cost: int) -> int:
-        for edges in by_column[depth]:
-            before = [images[prefix[a]] if a < depth else None for a, images in edges]
-            after = [images[prefix[a]] if a <= depth else None for a, images in edges]
-            cost += loss(after) - loss(before)
-        return cost
-
     values = range(len(choices))
-    return branch_and_bound(len(lc.a_vertices), lambda depth, prefix: values, step, root, max_states)
+
+    def children(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
+        # each B-vertex's images with its edges to earlier A-vertices fixed, and their loss, once per node
+        before = [
+            ([images[prefix[a]] if a < depth else None for a, images in edges], edges) for edges in by_column[depth]
+        ]
+        base = cost - sum(loss(fixed) for fixed, _ in before)
+        for v in values:
+            yield v, base + sum(
+                loss([images[v] if a == depth else y for y, (a, images) in zip(fixed, edges)])
+                for fixed, edges in before
+            )
+
+    return branch_and_bound(len(lc.a_vertices), children, root, max_states)
 
 
 def _plurality_labeling(lc: LabelCoverInstance, combo: tuple) -> Labeling:
@@ -375,20 +423,22 @@ def enumerate_consistent_superassignments(
     """Every consistent super-assignment with weights in [-k, k], in lexicographic order.
 
     The walk tries only weights that keep every consistency row reachable,
-    so every leaf it reaches is consistent; the step records each leaf and
-    rejects it, so no subtree is ever pruned by cost.
+    so every leaf it reaches is consistent; each leaf is recorded as it is
+    yielded and rejected, so no subtree is ever pruned by cost.
     """
     rows = _compile_ssat(ssat)
     n = rows.num_cols
+    allowed = rows.equalities(k).allowed
     found: list[SuperAssignment] = []
 
-    def record(depth: int, prefix: Prefix, cost: int) -> Optional[int]:
-        if depth < n - 1:
-            return cost
-        found.append(superassignment_from_sis_solution(ssat, prefix))
-        return None
+    def record(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
+        leaf = depth == n - 1
+        for v in allowed(depth, prefix):
+            if leaf:
+                found.append(superassignment_from_sis_solution(ssat, prefix[:depth] + [v]))
+            yield v, None if leaf else cost
 
-    _, empty, _ = branch_and_bound(n, rows.equalities(k).values, record, 0, max_states)
+    _, empty, _ = branch_and_bound(n, record, 0, max_states)
     # with no columns the walk enters no node and returns the empty vector
     return found if empty is None else [superassignment_from_sis_solution(ssat, empty)]
 
@@ -438,25 +488,27 @@ def solve_ssat_min_norm(
             return None
         return sum(map(abs, point)) if budget.mode == "l1" else norm_linf(s)
 
+    equalities = rows.equalities(k)
     if budget.mode == "l1":
-        cost_step = _l1_step
+        costed = equalities.l1_children
     else:
-        off = ssat.offsets
+        allowed, off = equalities.allowed, ssat.offsets
         test_start = [lo for lo, hi in zip(off, off[1:]) for _ in range(lo, hi)]
 
-        def cost_step(depth: int, prefix: Prefix, cost: int) -> int:
-            return max(cost, sum(map(abs, prefix[test_start[depth]:depth + 1])))
+        def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
+            so_far = sum(map(abs, prefix[test_start[depth]:depth]))  # the test's norm before this weight
+            return ((v, max(cost, so_far + abs(v))) for v in allowed(depth, prefix))
 
-    def step(depth: int, prefix: Prefix, cost: int) -> Optional[int]:
-        if depth == n - 1 and not admissible(prefix):
-            return None
-        return cost_step(depth, prefix, cost)
+    def children(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
+        if depth < n - 1:
+            return costed(depth, prefix, cost)
+        head = prefix[:depth]
+        return ((v, c if admissible(head + [v]) else None) for v, c in costed(depth, prefix, cost))
 
-    equalities = rows.equalities(k)
     # with no columns the walk enters no node: the empty vector is judged here
     root = 0 if equalities.feasible and (n or admissible(())) else None
     best_norm, best, states = branch_and_bound(
-        n, equalities.values, step, root, budget.max_states, _ceiling(hints, n, range(-k, k + 1), norm)
+        n, children, root, budget.max_states, _ceiling(hints, n, range(-k, k + 1), norm)
     )
     if best is None:
         return SsatMinResult(mode=budget.mode, min_norm=None, witness=None, states_visited=states)
@@ -495,7 +547,7 @@ def solve_sis_min(sis: SisInstance, budget: SearchBudget, hints: Hints = ()) -> 
     )
     rows = _compile_sis(sis, k)
     best_norm, best, states = branch_and_bound(
-        sis.num_cols, rows.values, _l1_step, 0 if rows.feasible else None, budget.max_states, ceiling
+        sis.num_cols, rows.l1_children, 0 if rows.feasible else None, budget.max_states, ceiling
     )
     return SisMinResult(min_l1=best_norm, witness=best, states_visited=states)
 
@@ -505,12 +557,19 @@ def solve_sis_min(sis: SisInstance, budget: SearchBudget, hints: Hints = ()) -> 
 # ---------------------------------------------------------------------------
 
 def _compile_ncp(ncp: NcpInstance) -> _FiledRows:
-    """Each row as its nonzero residues mod q, missed when its sum is not its target residue."""
+    """Each row as its nonzero residues mod q, scaled monic, missed when its sum is not its target residue.
+
+    q is prime, so scaling a row and its target by the inverse of its last
+    residue keeps the points that meet it.
+    """
     q = ncp.modulus
-    rows = (
-        (*_split((c, a % q) for c, a in row if a % q), t % q, k)
-        for row, t, k in zip(ncp.matrix, ncp.target, ncp.multiplicity)
-    )
+    rows = []
+    for row, t, k in zip(ncp.matrix, ncp.target, ncp.multiplicity):
+        cols, coeffs = _split((c, a % q) for c, a in row if a % q)
+        if cols:
+            inverse = pow(coeffs[-1], -1, q)
+            coeffs, t = tuple(a * inverse % q for a in coeffs), t * inverse
+        rows.append((cols, coeffs, t % q, k))
     return _file_rows(ncp.num_cols, rows, q)
 
 
@@ -538,7 +597,7 @@ def solve_ncp_min(
     ceiling = _ceiling(([v % q for v in z] for z in hints), ncp.num_cols, values, ncp.distance)
     rows = _compile_ncp(ncp)
     best_dist, best, states = branch_and_bound(
-        ncp.num_cols, lambda depth, prefix: values, rows.step, rows.root, budget.max_states, ceiling
+        ncp.num_cols, rows.residue_children(values), rows.root, budget.max_states, ceiling
     )
     return NcpMinResult(
         min_dist=best_dist, witness=best, mode="full" if full_field else "box", states_visited=states
@@ -569,7 +628,7 @@ def _compile_lhp(lhp: LhpSystem) -> _FiledRows:
     for ineq in lhp.inequalities:
         coeffs = [c for _, c in ineq.coeff_x] + [ineq.coeff_y, ineq.coeff_delta]
         scale = math.lcm(*(c.denominator for c in coeffs)) * (1 if ineq.sense == GT else -1)
-        *xs, cy, cd = (int(c * scale) for c in coeffs)
+        *xs, cy, cd = (c.numerator * (scale // c.denominator) for c in coeffs)
         rows.append((tuple(i for i, _ in ineq.coeff_x), tuple(xs), -cy + (cd <= 0), ineq.multiplicity))
     return _file_rows(lhp.num_x, rows)
 
@@ -593,6 +652,6 @@ def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget(), hints: 
     ceiling = _ceiling(hints, lhp.num_x, (-1, 0, 1), lambda xs: count_lhp_violations(lhp, LhpAssignment.of(xs)))
     rows = _compile_lhp(lhp)
     best_count, best, states = branch_and_bound(
-        lhp.num_x, lambda depth, prefix: (-1, 0, 1), rows.step, rows.root, budget.max_states, ceiling
+        lhp.num_x, rows.grid_children, rows.root, budget.max_states, ceiling
     )
     return LhpMinResult(min_violations=best_count, witness=LhpAssignment.of(best), states_visited=states)

@@ -8,12 +8,17 @@ point of small boxes of the same seeded chains the search differential uses:
 * the SSAT coverage sets agree with ``is_nontrivial``;
 * the NCP and LHP rows, charged at the root and then coordinate by
   coordinate, add up to ``NcpInstance.distance`` and ``count_lhp_violations``.
+
+On small hand-built NCP and LHP instances, every child of every prefix costs
+exactly the reference over the rows completed so far.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_search_differential import chains
@@ -38,14 +43,14 @@ SETTINGS = settings(max_examples=12, derandomize=True, deadline=None,
 def within_bounds(rows, point):
     """The rows with no entry hold, and every coordinate lies in the values its bounds allow after its prefix."""
     prefix = list(point)
-    return rows.feasible and all(v in rows.values(d, prefix) for d, v in enumerate(point))
+    return rows.feasible and all(v in rows.allowed(d, prefix) for d, v in enumerate(point))
 
 
-def charged(rows, point):
-    """The cost the walk reaches at the leaf ``point``."""
-    cost = rows.root
-    for d in range(len(point)):
-        cost = rows.step(d, list(point), cost)
+def charged(children, root, point):
+    """The cost the walk reaches at the leaf ``point``, from ``root`` through the child it takes at each depth."""
+    cost = root
+    for d, v in enumerate(point):
+        cost = dict(children(d, list(point), cost))[v]
     return cost
 
 
@@ -87,7 +92,7 @@ def test_compiled_ncp_matches_reference(chain):
     for inst in (ncp, raw):
         rows = _compile_ncp(inst)
         for z in itertools.product(residues, repeat=inst.num_cols):
-            assert charged(rows, z) == inst.distance(z)
+            assert charged(rows.residue_children(residues), rows.root, z) == inst.distance(z)
 
 
 @SETTINGS
@@ -97,7 +102,7 @@ def test_compiled_lhp_matches_reference(chain):
     lhp = sis_to_lhp(sis, g=1)
     rows = _compile_lhp(lhp)
     for xs in itertools.product((-1, 0, 1), repeat=lhp.num_x):
-        assert charged(rows, xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
+        assert charged(rows.grid_children, rows.root, xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
 
 
 @SETTINGS
@@ -122,6 +127,11 @@ def test_equality_bounds_on_any_integer_rows(m, k, rows):
         assert within_bounds(compiled, z) == (sis.multiply(z) == sis.target)
 
 
+def ineq(coeff_x, cy, cd, sense, k=1):
+    return LhpInequality(coeff_x=tuple((i, Fraction(c)) for i, c in coeff_x), coeff_y=Fraction(cy),
+                         coeff_delta=Fraction(cd), sense=sense, group="G2", copies_of="", multiplicity=k)
+
+
 def test_rows_with_no_column_and_zero_standard_parts():
     """Rows charged at the root, and LHP rows decided by their delta coefficient."""
     # dense: (0, 0), (1, 2), (5, 0)
@@ -130,11 +140,7 @@ def test_rows_with_no_column_and_zero_standard_parts():
     rows = _compile_ncp(ncp)
     assert rows.root == 2
     for z in itertools.product(range(5), repeat=2):
-        assert charged(rows, z) == ncp.distance(z)
-
-    def ineq(coeff_x, cy, cd, sense, k=1):
-        return LhpInequality(coeff_x=tuple((i, Fraction(c)) for i, c in coeff_x), coeff_y=Fraction(cy),
-                             coeff_delta=Fraction(cd), sense=sense, group="G2", copies_of="", multiplicity=k)
+        assert charged(rows.residue_children(range(5)), rows.root, z) == ncp.distance(z)
 
     lhp = LhpSystem(num_x=2, u_param=1, inequalities=(
         ineq((), -1, 0, GT, k=3),                 # -y > 0: violated at y = 1
@@ -146,4 +152,77 @@ def test_rows_with_no_column_and_zero_standard_parts():
     rows = _compile_lhp(lhp)
     assert rows.root == 3
     for xs in itertools.product((-1, 0, 1), repeat=2):
-        assert charged(rows, xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
+        assert charged(rows.grid_children, rows.root, xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
+
+
+def check_children(children, values, root, n, reference):
+    """At every prefix over ``values``, the children are ``values`` in order, each costing ``reference``.
+
+    ``reference(d, point)`` is the cost of the rows completed within the
+    first ``d`` coordinates of ``point``; the root costs ``reference(0, ())``.
+    """
+    assert root == reference(0, ())
+    for d in range(n):
+        for prefix in itertools.product(values, repeat=d):
+            kids = list(children(d, list(prefix) + [0] * (n - d), reference(d, prefix)))
+            assert [v for v, _ in kids] == list(values)
+            assert all(c == reference(d + 1, prefix + (v,)) for v, c in kids)
+
+
+# (row, target, multiplicity) over three columns; the comments read the rows mod 7
+NCP_ROWS = (
+    ((), 1, 2),                          # no column, missed at the root unless q divides 1
+    ((), 0, 1),                          # no column, met
+    (((0, 1),), 3, 1),                   # one column, met at 3: outside the box of radius 1 or 2
+    (((0, 2), (1, 3)), 1, 3),            # last column 1, multiplicity 3
+    (((1, 1),), 2, 1),                   # last column 1, one column
+    (((0, 1), (1, 1)), 0, 2),            # last column 1, multiplicity 2
+    (((0, 4), (2, 5)), 6, 1),
+    (((1, 7), (2, 1)), 0, 1),            # the entry at column 1 vanishes mod 7
+    (((0, 1), (2, 14)), 5, 2),           # the entry at column 2 vanishes mod 7 and 2: filed under column 0
+    (((2, -1),), -2, 1),                 # negative entry and target
+    (((0, 3), (2, 3)), 3, 4),            # last column 2, sharing it with three more rows
+)
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 7))
+def test_every_ncp_child_costs_the_rows_completed_so_far(q):
+    def instance(rows, num_cols=3):
+        return NcpInstance(modulus=q, num_cols=num_cols, matrix=tuple(r for r, _, _ in rows),
+                           target=tuple(t for _, t, _ in rows), bound=1, replication=1,
+                           multiplicity=tuple(k for _, _, k in rows))
+
+    def reference(d, point):
+        """The distance over the rows whose last nonzero residue lies in a column below ``d``."""
+        done = [r for r in NCP_ROWS if all(c < d for c, a in r[0] if a % q)]
+        return instance([(tuple((c, a) for c, a in row if a % q), t, k) for row, t, k in done], d).distance(point)
+
+    rows = _compile_ncp(instance(NCP_ROWS))
+    boxes = [tuple(dict.fromkeys(v % q for v in range(-k, k + 1))) for k in (1, 2)]
+    for values in [range(q), *boxes]:
+        check_children(rows.residue_children(values), values, rows.root, 3, reference)
+
+
+LHP_SYSTEM = LhpSystem(num_x=3, u_param=1, inequalities=(
+    ineq((), -1, 0, GT, k=3),                           # no column: -y > 0, violated
+    ineq((), 1, 0, GT),                                 # no column: y > 0, holds
+    ineq(((0, 1),), 0, 0, GT, k=2),                     # x0 > 0: one column
+    ineq(((0, 1), (1, 1)), -1, 1, GT),                  # x0 + x1 - y + delta > 0: a tie at x0 + x1 = 1 is met
+    ineq(((1, 2),), -2, 0, GT),                         # 2 x1 - 2y > 0: a tie at x1 = 1 is missed
+    ineq(((0, Fraction(1, 2)), (1, -1)), 0, -1, LT, k=4),   # x0 / 2 - x1 - delta < 0
+    ineq(((1, Fraction(-2, 3)),), Fraction(1, 3), 0, LT),   # -2 x1 / 3 + y / 3 < 0
+    ineq(((0, 1), (2, 1)), 0, 0, GT, k=2),
+    ineq(((2, -1),), 1, -1, GT),                        # -x2 + y - delta > 0: a tie at x2 = 1 is missed
+    ineq(((1, 1), (2, 1)), 1, 1, LT),                   # x1 + x2 + y + delta < 0
+))
+
+
+def test_every_lhp_child_costs_the_inequalities_completed_so_far():
+    def reference(d, point):
+        """The violations among the inequalities whose x columns all lie below ``d``, at ``point`` padded with 0."""
+        done = tuple(i for i in LHP_SYSTEM.inequalities if all(c < d for c, _ in i.coeff_x))
+        system = LhpSystem(num_x=3, u_param=1, inequalities=done)
+        return count_lhp_violations(system, LhpAssignment.of(point + (0,) * (3 - d)))
+
+    rows = _compile_lhp(LHP_SYSTEM)
+    check_children(rows.grid_children, (-1, 0, 1), rows.root, 3, reference)
