@@ -10,12 +10,12 @@ first node over the cap, a hard error, never a silent approximation;
 agreement) minimize a loss per B-vertex, charged as its A-neighbours are
 labeled; the consistent enumeration records every leaf and prunes nothing.
 
-The SSAT, SIS, NCP and LHP solvers take ``hints``: points, such as a planted
-solution or another oracle's witness, that may cap the walk.  Each solver
-checks every hint itself, with the reference semantics below, against its
-own box and length; the least cost it certifies is the walk's ``ceiling``.
-A hint that fails the check is ignored, so a wrong hint can cost nodes but
-never changes a minimum or a witness.
+The SSAT, SIS, NCP and LHP solvers pass their ``hints`` straight to the walk:
+points, such as a planted solution or another oracle's witness, that may cap
+it.  The walk follows each hint down its own ``children``, so a hint that
+reaches a leaf costs what the walk would charge there, a certified ceiling
+with no second semantics; a hint that leaves the walk is ignored, so a wrong
+hint can cost nodes but never changes a minimum or a witness.
 
 The walk asks its client for all the children of a node at once,
 ``children(depth, prefix, cost)``, so work the children share is done once
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 from typing import Callable, Iterable, Literal, Optional, Sequence
 
@@ -57,7 +58,7 @@ from .instances import (
     Vertex,
 )
 from .reductions import superassignment_from_sis_solution
-from .superassign import SuperAssignment, is_consistent, is_nontrivial, is_not_all_zero, norm_linf
+from .superassign import SuperAssignment
 
 Mode = Literal["l1", "linf"]
 
@@ -66,6 +67,27 @@ DEFAULT_MAX_STATES = 10 ** 8
 
 Prefix = list[int]
 Children = Callable[[int, Prefix, int], Iterable[tuple[int, Optional[int]]]]
+Hints = Iterable[Sequence[int]]
+
+
+def _hint_cost(
+    n: int, children: Children, root: Optional[int], hint: Sequence[int], max_states: int
+) -> Optional[int]:
+    """The cost of the leaf ``hint`` down the walk's own children, ``None`` when the walk has no such leaf.
+
+    Each node's children are scanned lazily, never tabled, and at most
+    ``max_states`` of them: a node with more children before the hint's value
+    is one the walk could not finish under its cap, so the hint is dropped.
+    """
+    if len(hint) != n:
+        return None
+    prefix, cost = list(hint), root
+    for depth, v in enumerate(prefix):
+        if cost is None:
+            return None
+        scanned = islice(children(depth, prefix, cost), max(max_states, 0))
+        cost = next((c for u, c in scanned if u == v), None)
+    return cost
 
 
 def branch_and_bound(
@@ -73,7 +95,7 @@ def branch_and_bound(
     children: Children,
     root: Optional[int],
     max_states: int,
-    ceiling: Optional[int] = None,
+    hints: Hints = (),
 ) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
     """Least leaf cost, the first leaf attaining it, and the number of nodes entered.
 
@@ -94,13 +116,17 @@ def branch_and_bound(
     improvement, the witness is the lexicographically first optimum.  With
     ``n == 0`` the one point is the empty vector, at cost ``root``.
 
-    ``ceiling`` starts the walk as if a leaf of cost ``ceiling + 1`` had been
-    found, so only prefixes costing more than the ceiling are pruned beyond
-    the plain walk's.  When some leaf costs at most the ceiling, such as a
-    point whose cost the caller has certified, the minimum and its witness
-    are those of the plain walk and no more nodes are entered; when none
-    does, the result is ``(None, None, states)``, as for an infeasible walk.
+    Each distinct hint is followed down ``children``, taking at each depth
+    the child whose value is the hint's coordinate, with no node charged and
+    no more than ``max_states`` children scanned at a node.  A hint of
+    another length, or one that meets a missing child, a ``None`` cost or a
+    node with more children before its value, is dropped; each other hint
+    is a leaf of the walk, so its cost is certified.  The walk then starts as if a leaf costing one more
+    than the least of them had been found: the minimum and its witness are
+    those of the plain walk, reached in no more nodes.
     """
+    hinted = (_hint_cost(n, children, root, h, max_states) for h in dict.fromkeys(map(tuple, hints)))
+    ceiling = min((c for c in hinted if c is not None), default=None)
     prefix = [0] * n
     best_cost: Optional[int] = None if ceiling is None else ceiling + 1
     best: Optional[tuple[int, ...]] = None
@@ -127,21 +153,6 @@ def branch_and_bound(
         else:
             best_cost, best = root, ()
     return (None, None, states) if best is None else (best_cost, best, states)
-
-
-Hints = Iterable[Sequence[int]]
-
-
-def _ceiling(
-    hints: Hints, n: int, box: Iterable[int], cost: Callable[[Sequence[int]], Optional[int]]
-) -> Optional[int]:
-    """The least ``cost`` over the hints of length ``n`` with every coordinate in ``box``.
-
-    ``cost`` is the reference semantics of the search, ``None`` at an infeasible point.
-    """
-    points = dict.fromkeys(map(tuple, hints))  # each distinct point is costed once
-    in_box = (p for p in points if len(p) == n and all(v in box for v in p))
-    return min((c for c in map(cost, in_box) if c is not None), default=None)
 
 
 @dataclass(frozen=True)
@@ -471,8 +482,7 @@ def solve_ssat_min_norm(
     The walk tries only weights that keep every consistency row reachable;
     the l1 cost adds each |weight|, the linf cost is the largest test norm
     so far, and the side condition is checked at the leaf.  A hint is a flat
-    weight vector in the box; one that ``is_consistent`` and the side
-    condition accept caps the walk at its norm.
+    weight vector; one the walk reaches as a leaf caps it at its norm.
     """
     rows = _compile_ssat(ssat)
     n = rows.num_cols
@@ -480,13 +490,6 @@ def solve_ssat_min_norm(
     if side_condition is None:
         side_condition = "nontrivial" if budget.mode == "l1" else "not_all_zero"
     admissible = rows.nontrivial if side_condition == "nontrivial" else any
-
-    def norm(point: Sequence[int]) -> Optional[int]:
-        s = superassignment_from_sis_solution(ssat, point)
-        side = is_nontrivial(ssat, s) if side_condition == "nontrivial" else is_not_all_zero(s)
-        if not (side and is_consistent(ssat, s)):
-            return None
-        return sum(map(abs, point)) if budget.mode == "l1" else norm_linf(s)
 
     equalities = rows.equalities(k)
     if budget.mode == "l1":
@@ -507,9 +510,7 @@ def solve_ssat_min_norm(
 
     # with no columns the walk enters no node: the empty vector is judged here
     root = 0 if equalities.feasible and (n or admissible(())) else None
-    best_norm, best, states = branch_and_bound(
-        n, children, root, budget.max_states, _ceiling(hints, n, range(-k, k + 1), norm)
-    )
+    best_norm, best, states = branch_and_bound(n, children, root, budget.max_states, hints)
     if best is None:
         return SsatMinResult(mode=budget.mode, min_norm=None, witness=None, states_visited=states)
     min_norm = Fraction(best_norm, len(ssat.tests)) if budget.mode == "l1" else best_norm
@@ -538,16 +539,12 @@ def solve_sis_min(sis: SisInstance, budget: SearchBudget, hints: Hints = ()) -> 
 
     The walk tries only values that leave every row's target reachable by
     the later columns.  Returns ``None`` when the target is unreachable in
-    the box.  A hint in the box that ``SisInstance.multiply`` maps to the
-    target caps the walk at its l1 norm.
+    the box.  A hint the walk reaches as a leaf, a box solution, caps it at
+    its l1 norm.
     """
-    k = budget.coeff_box
-    ceiling = _ceiling(
-        hints, sis.num_cols, range(-k, k + 1), lambda z: sum(map(abs, z)) if sis.multiply(z) == sis.target else None
-    )
-    rows = _compile_sis(sis, k)
+    rows = _compile_sis(sis, budget.coeff_box)
     best_norm, best, states = branch_and_bound(
-        sis.num_cols, rows.l1_children, 0 if rows.feasible else None, budget.max_states, ceiling
+        sis.num_cols, rows.l1_children, 0 if rows.feasible else None, budget.max_states, hints
     )
     return SisMinResult(min_l1=best_norm, witness=best, states_visited=states)
 
@@ -588,16 +585,16 @@ def solve_ncp_min(
 
     Box mode restricts coordinates to the images of [-k, k] modulo q, tried
     in that order, and is flagged as such in the result; witnesses are
-    canonical field elements.  A hint whose residues lie in the box caps the
-    walk at its ``NcpInstance.distance``.
+    canonical field elements.  A hint is taken mod q; one whose residues lie
+    in the box caps the walk at the distance the walk charges it.
     """
     q = ncp.modulus
     k = budget.coeff_box
     values = range(q) if full_field else tuple(dict.fromkeys(v % q for v in range(-k, k + 1)))
-    ceiling = _ceiling(([v % q for v in z] for z in hints), ncp.num_cols, values, ncp.distance)
     rows = _compile_ncp(ncp)
     best_dist, best, states = branch_and_bound(
-        ncp.num_cols, rows.residue_children(values), rows.root, budget.max_states, ceiling
+        ncp.num_cols, rows.residue_children(values), rows.root, budget.max_states,
+        ([v % q for v in z] for z in hints),
     )
     return NcpMinResult(
         min_dist=best_dist, witness=best, mode="full" if full_field else "box", states_visited=states
@@ -647,11 +644,10 @@ def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget(), hints: 
     upper-bound oracle for the true noise: low-violation assignments reduce
     to the grid's normal form, but the exact optimum over all of rational
     space is not computed here.  A hint is an x on the grid; it caps the
-    walk at its ``count_lhp_violations``.
+    walk at the violations the walk charges it.
     """
-    ceiling = _ceiling(hints, lhp.num_x, (-1, 0, 1), lambda xs: count_lhp_violations(lhp, LhpAssignment.of(xs)))
     rows = _compile_lhp(lhp)
     best_count, best, states = branch_and_bound(
-        lhp.num_x, rows.grid_children, rows.root, budget.max_states, ceiling
+        lhp.num_x, rows.grid_children, rows.root, budget.max_states, hints
     )
     return LhpMinResult(min_violations=best_count, witness=LhpAssignment.of(best), states_visited=states)

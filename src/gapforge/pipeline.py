@@ -10,9 +10,10 @@ inputs give identical bytes.
 Each oracle gets hint points that may cap its walk: the embedded SIS
 solution ``z`` (also a flat SSAT vector, an NCP box point and an LHP grid
 point) for all four, the SIS witness for LHP and NCP, and LHP's grid witness
-for NCP, so LHP runs before NCP.  The solvers check their hints themselves,
-so the hints change only the ``states`` of a stage and whether it fits the
-budget; the report lists the stages in the order SSAT, SIS, NCP, LHP.
+for NCP, so LHP runs before NCP.  Each walk follows its hints down its own
+children, so a hint is costed as the walk's leaf or dropped, and the hints
+change only the ``states`` of a stage and whether it fits the budget; the
+report lists the stages in the order SSAT, SIS, NCP, LHP.
 """
 
 from __future__ import annotations

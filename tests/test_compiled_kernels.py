@@ -1,22 +1,30 @@
 """The row tables of the walked oracles against the instance-level reference semantics.
 
 Each walked solver compiles its instance once into integer rows.  On every
-point of small boxes of the same seeded chains the search differential uses:
+point of small boxes of the same seeded chains the search differential uses,
+the point followed as a hint down the walk the solver hands to
+``branch_and_bound``, from the root through the child it takes at each depth,
+costs the reference, and ``None`` exactly where the reference rejects it:
 
-* a point passes the per-coordinate bounds of the equality rows exactly when
-  it solves them (``is_consistent`` for SSAT, ``SisInstance.multiply`` for SIS);
-* the SSAT coverage sets agree with ``is_nontrivial``;
-* the NCP and LHP rows, charged at the root and then coordinate by
-  coordinate, add up to ``NcpInstance.distance`` and ``count_lhp_violations``.
+* SSAT: ``is_consistent``, the side condition and the norm, in the l1 and
+  linf modes under both ``nontrivial`` and ``not_all_zero``;
+* SIS: ``SisInstance.multiply(z) == target``, then the l1 norm, also on
+  rows with any small integer entries;
+* NCP: ``NcpInstance.distance``, in the box and over the full field;
+* LHP: ``count_lhp_violations``.
 
-On small hand-built NCP and LHP instances, every child of every prefix costs
-exactly the reference over the rows completed so far.
+A point with one coordinate outside the box costs ``None`` on every walk.
+The SSAT coverage sets agree with ``is_nontrivial`` and the SSAT walk
+enumerates exactly the consistent points.  On small hand-built NCP and LHP
+instances, every child of every prefix costs exactly the reference over the
+rows completed so far.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -24,34 +32,47 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from test_search_differential import chains
 from test_sparse_rows import dense
 
+from gapforge import oracles
 from gapforge.instances import GT, LT, LhpAssignment, LhpInequality, LhpSystem, NcpInstance, SisInstance
 from gapforge.oracles import (
+    SearchBudget,
     _compile_lhp,
     _compile_ncp,
-    _compile_sis,
     _compile_ssat,
+    _hint_cost,
     count_lhp_violations,
     enumerate_consistent_superassignments,
+    solve_lhp_min,
+    solve_ncp_min,
+    solve_sis_min,
+    solve_ssat_min_norm,
 )
 from gapforge.reductions import sis_to_lhp, sis_to_ncp, superassignment_from_sis_solution
-from gapforge.superassign import is_consistent, is_nontrivial
+from gapforge.superassign import is_consistent, is_nontrivial, is_not_all_zero, norm_linf
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 
 
-def within_bounds(rows, point):
-    """The rows with no entry hold, and every coordinate lies in the values its bounds allow after its prefix."""
-    prefix = list(point)
-    return rows.feasible and all(v in rows.allowed(d, prefix) for d, v in enumerate(point))
+class Walk(Exception):
+    """Carries the ``(n, children, root)`` a solver hands to ``branch_and_bound``."""
 
 
-def charged(children, root, point):
-    """The cost the walk reaches at the leaf ``point``, from ``root`` through the child it takes at each depth."""
-    cost = root
-    for d, v in enumerate(point):
-        cost = dict(children(d, list(point), cost))[v]
-    return cost
+def hint_cost(solve):
+    """The engine's cost of a hint on the walk ``solve()`` sets up, as ``point -> cost or None``; no node is entered."""
+
+    def stop(n, children, root, max_states, hints=()):
+        raise Walk(n, children, root, max_states)
+
+    with mock.patch.object(oracles, "branch_and_bound", stop), pytest.raises(Walk) as walk:
+        solve()
+    n, children, root, max_states = walk.value.args
+    return lambda point: _hint_cost(n, children, root, point, max_states)
+
+
+def outside(point, value):
+    """``point`` with its last coordinate replaced by ``value``, which lies outside the box."""
+    return point[:-1] + (value,)
 
 
 @SETTINGS
@@ -59,14 +80,22 @@ def charged(children, root, point):
 def test_compiled_ssat_matches_reference(chain):
     _, ssat, _, k = chain
     rows = _compile_ssat(ssat)
-    equalities = rows.equalities(k)
+    walks = {
+        (mode, side): hint_cost(lambda: solve_ssat_min_norm(ssat, SearchBudget(k, mode=mode), side))
+        for mode in ("l1", "linf") for side in ("nontrivial", "not_all_zero")
+    }
     consistent = []
     for flat in itertools.product(range(-k, k + 1), repeat=rows.num_cols):
         s = superassignment_from_sis_solution(ssat, flat)
-        assert within_bounds(equalities, flat) == bool(is_consistent(ssat, s))
-        assert rows.nontrivial(flat) == is_nontrivial(ssat, s)
-        if is_consistent(ssat, s):
+        ok, nontrivial = bool(is_consistent(ssat, s)), is_nontrivial(ssat, s)
+        assert rows.nontrivial(flat) == nontrivial
+        admissible = {"nontrivial": nontrivial, "not_all_zero": is_not_all_zero(s)}
+        norm = {"l1": sum(map(abs, flat)), "linf": norm_linf(s)}
+        for (mode, side), cost in walks.items():
+            assert cost(flat) == (norm[mode] if ok and admissible[side] else None)
+        if ok:
             consistent.append(s)
+    assert all(cost(outside(flat, k + 1)) is None for cost in walks.values())
     assert enumerate_consistent_superassignments(ssat, k) == consistent
 
 
@@ -89,10 +118,12 @@ def test_compiled_ncp_matches_reference(chain):
         multiplicity=ncp.multiplicity,
     )
     residues = sorted({v % q for v in range(-k, k + 1)})
-    for inst in (ncp, raw):
-        rows = _compile_ncp(inst)
-        for z in itertools.product(residues, repeat=inst.num_cols):
-            assert charged(rows.residue_children(residues), rows.root, z) == inst.distance(z)
+    # the box walks of both, and the full-field walk of one: its children differ from the box's only in their values
+    walks = [(inst, hint_cost(lambda: solve_ncp_min(inst, SearchBudget(k), full_field=full)))
+             for inst, full in ((ncp, False), (raw, False), (ncp, True))]
+    for z in itertools.product(residues, repeat=ncp.num_cols):
+        assert all(cost(z) == inst.distance(z) for inst, cost in walks)
+    assert [cost(outside(z, q)) for _, cost in walks] == [None] * 3  # q is no residue
 
 
 @SETTINGS
@@ -100,18 +131,24 @@ def test_compiled_ncp_matches_reference(chain):
 def test_compiled_lhp_matches_reference(chain):
     _, _, sis, _ = chain
     lhp = sis_to_lhp(sis, g=1)
-    rows = _compile_lhp(lhp)
+    cost = hint_cost(lambda: solve_lhp_min(lhp))
     for xs in itertools.product((-1, 0, 1), repeat=lhp.num_x):
-        assert charged(rows.grid_children, rows.root, xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
+        assert cost(xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
+    assert cost(outside(xs, 2)) is None
+
+
+def check_sis_walk(sis, k):
+    cost = hint_cost(lambda: solve_sis_min(sis, SearchBudget(k)))
+    for z in itertools.product(range(-k, k + 1), repeat=sis.num_cols):
+        assert cost(z) == (sum(map(abs, z)) if sis.multiply(z) == sis.target else None)
+    assert cost(outside(z, -k - 1)) is None
 
 
 @SETTINGS
 @given(chains())
 def test_compiled_sis_matches_reference(chain):
     _, _, sis, k = chain
-    rows = _compile_sis(sis, k)
-    for z in itertools.product(range(-k, k + 1), repeat=sis.num_cols):
-        assert within_bounds(rows, z) == (sis.multiply(z) == sis.target)
+    check_sis_walk(sis, k)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -121,10 +158,7 @@ def test_compiled_sis_matches_reference(chain):
 def test_equality_bounds_on_any_integer_rows(m, k, rows):
     """Entries beyond +-1, negative entries, all-zero rows and unreachable targets."""
     matrix = tuple(tuple((c, a) for c, a in enumerate(r[:m]) if a) for r, _ in rows)
-    sis = SisInstance(num_cols=m, matrix=matrix, target=tuple(t for _, t in rows), bound=1)
-    compiled = _compile_sis(sis, k)
-    for z in itertools.product(range(-k, k + 1), repeat=m):
-        assert within_bounds(compiled, z) == (sis.multiply(z) == sis.target)
+    check_sis_walk(SisInstance(num_cols=m, matrix=matrix, target=tuple(t for _, t in rows), bound=1), k)
 
 
 def ineq(coeff_x, cy, cd, sense, k=1):
@@ -139,8 +173,9 @@ def test_rows_with_no_column_and_zero_standard_parts():
                       replication=1, multiplicity=(2, 1, 4))
     rows = _compile_ncp(ncp)
     assert rows.root == 2
+    cost = hint_cost(lambda: solve_ncp_min(ncp, SearchBudget(), full_field=True))
     for z in itertools.product(range(5), repeat=2):
-        assert charged(rows.residue_children(range(5)), rows.root, z) == ncp.distance(z)
+        assert cost(z) == ncp.distance(z)
 
     lhp = LhpSystem(num_x=2, u_param=1, inequalities=(
         ineq((), -1, 0, GT, k=3),                 # -y > 0: violated at y = 1
@@ -151,8 +186,9 @@ def test_rows_with_no_column_and_zero_standard_parts():
     ))
     rows = _compile_lhp(lhp)
     assert rows.root == 3
+    cost = hint_cost(lambda: solve_lhp_min(lhp))
     for xs in itertools.product((-1, 0, 1), repeat=2):
-        assert charged(rows.grid_children, rows.root, xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
+        assert cost(xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
 
 
 def check_children(children, values, root, n, reference):

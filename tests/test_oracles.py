@@ -283,16 +283,26 @@ def test_ncp_cap(ssat_share):
 
 
 def test_ncp_full_field_cap_builds_no_table_of_the_field(ssat_share):
-    """The walk meets the cap after a few nodes, whatever the size of the field."""
-    ncp = dataclasses.replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=1_000_003)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SearchSpaceTooLarge):
-            solve_ncp_min(ncp, SearchBudget(max_states=10), full_field=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    """The walk, and following a hint down it, meet the cap after a few nodes, whatever the size of the field."""
+    q = 1_000_003
+    ncp = dataclasses.replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=q)
+    for hints in ([], [(q - 1,) * ncp.num_cols]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchSpaceTooLarge):
+                solve_ncp_min(ncp, SearchBudget(max_states=10), full_field=True, hints=hints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, hints
+
+
+@pytest.mark.parametrize("hint", [(0,), (1,), (-1,)], ids=["zero", "one", "minus_one"])
+def test_ncp_full_field_hint_over_a_huge_modulus_meets_the_cap(ssat_share, hint):
+    """A hint scans at most the cap's worth of children at a node, so a 2^61 - 1 field still ends at once."""
+    ncp = dataclasses.replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=2 ** 61 - 1)
+    with pytest.raises(SearchSpaceTooLarge):
+        solve_ncp_min(ncp, SearchBudget(max_states=10), full_field=True, hints=[hint * ncp.num_cols])
 
 
 # ---------------------------------------------------------------------------

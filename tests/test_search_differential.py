@@ -9,8 +9,9 @@ checks that they are the exact cap and never exceed the node count of the
 unpruned tree; the agreement searches raise at cap 0 having entered one node
 and finish at the unpruned tree's node count.  The searches that take hint
 points rerun with the optimum, a point costing one more, an infeasible point,
-a point outside the box, one of the wrong length, and all of them at once:
-each run gives the unhinted optimum and witness in no more nodes.
+a point outside the box, points one coordinate too long and one too short,
+and all of them at once: each run gives the unhinted optimum and witness in
+no more nodes.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def hint_cases(costs, unit, raw=None, outside=()):
     exist; the infeasible points whose ``raw`` cost, taken without the
     feasibility check, is below the optimum, so that trusting any one would
     lose the optimum, or else the first infeasible point; the points
-    ``outside`` the box; and a point one coordinate too long.
+    ``outside`` the box; and points one coordinate too long and one too short.
     """
     n = len(costs[0][0])
     best = min((c for _, c in costs if c is not None), default=None)
     infeasible = [p for p, c in costs if c is None]
     cheaper = [p for p in infeasible if best is not None and raw(p) < best]
     cases = [[p for p, c in costs if c == want][:1] for want in ([] if best is None else [best, best + unit])]
-    cases += [cheaper or infeasible[:1], list(outside), [(0,) * (n + 1)]]
+    cases += [cheaper or infeasible[:1], list(outside), [(0,) * (n + 1)], [(0,) * (n - 1)] if n else []]
     cases = [case for case in cases if case]
     return cases + [[p for case in cases for p in case]]
 
