@@ -4,6 +4,13 @@ All results are printed as canonical JSON on standard out (``--text`` swaps
 in the plain-text emitters where one exists).  Exit codes: 0 on success, 1 on
 validation or domain errors (as a JSON error envelope), 2 on usage errors.
 
+Each verb takes only the flags its handler reads: every ``reduce`` step and
+every ``solve`` kind is a subcommand of its own, so a flag that the verb
+would ignore (``solve lc --box``, ``reduce lc2ssat --text``) is a usage
+error.  So are ``--box`` beside ``--super`` on ``check claims`` and ``check
+lists``, ``--box`` beside ``--full-field`` on ``solve ncp``, and ``gen lc
+--flip-seed`` without ``--flips`` of at least 1.
+
 The exact searches share one state cap, ``gapforge.oracles.DEFAULT_MAX_STATES``,
 which the environment variable ``GAPFORGE_MAX_STATES`` overrides.  The verbs
 that charge it are ``solve``, ``check claims|agreement|lists|chain`` and
@@ -96,16 +103,47 @@ def _emit(doc: dict[str, Any]) -> None:
     sys.stdout.write(canonical_bytes(doc).decode("utf-8"))
 
 
-def _budget(args, mode: str = "l1") -> SearchBudget:
-    return SearchBudget(coeff_box=args.box, max_states=_max_states(), mode=mode)
+def _budget(**kwargs) -> SearchBudget:
+    return SearchBudget(max_states=_max_states(), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Tables.  Their functions are lambdas that look each name up when called,
+# so a rebinding of a module-level name (a tracer, a test) is seen.
+# ---------------------------------------------------------------------------
+
+# (flag and spec-file key, GenSpec attribute) of each size field of ``gen lc``
+_SIZE_FIELDS = (
+    ("num_a", "num_a"), ("num_b", "num_b"), ("d_b", "d_b"),
+    ("sigma_a", "sigma_a_size"), ("sigma_b", "sigma_b_size"), ("p", "arity_p"),
+)
+_SPEC_FIELDS = frozenset((*(key for key, _ in _SIZE_FIELDS), "planted", "seed"))
+
+# step: (flags besides --in and --out, kind of the file read, reduction, plain-text writer or None)
+_REDUCTIONS = {
+    "lc2ssat": ((), "label_cover", lambda x, a: lc_to_ssat(x), None),
+    "ssat2sis": (("text",), "ssat", lambda x, a: ssat_to_sis(x), lambda y: sis_to_text(y)),
+    "sis2ncp": (("g", "d_rep", "q", "text"), "sis", lambda x, a: sis_to_ncp(x, g=a.g, d_rep=a.d_rep, q=a.q),
+                lambda y: ncp_to_text(y)),
+    "sis2lhp": (("g", "u"), "sis", lambda x, a: sis_to_lhp(x, u_param=a.u, g=a.g), None),
+}
+
+# kind: (flags besides --in, kind of the file read, oracle, result field of the
+# optimum, whether the optimum is written as "p/q"); a tuple of flags is exclusive
+_SOLVERS = {
+    "lc": ((), "label_cover", lambda x, a: solve_lc_max(x, _budget()), "best_fraction", True),
+    "ssat": (("box", "mode"), "ssat", lambda x, a: solve_ssat_min_norm(x, _budget(coeff_box=a.box, mode=a.mode)),
+             "min_norm", True),
+    "sis": (("box",), "sis", lambda x, a: solve_sis_min(x, _budget(coeff_box=a.box)), "min_l1", False),
+    "ncp": ((("box", "full_field"),), "ncp",
+            lambda x, a: solve_ncp_min(x, _budget(coeff_box=a.box), full_field=a.full_field), "min_dist", False),
+    "lhp": ((), "lhp", lambda x, a: solve_lhp_min(x, budget=_budget()), "min_violations", False),
+}
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
-
-_SPEC_FIELDS = frozenset(("num_a", "num_b", "d_b", "sigma_a", "sigma_b", "p", "planted", "seed"))
-
 
 def _gen_spec_from_args(args) -> GenSpec:
     """Merge an optional spec file with flags; flags win where both are set.
@@ -117,38 +155,26 @@ def _gen_spec_from_args(args) -> GenSpec:
     if args.spec:
         spec = _fields(read_document(args.spec), "", _SPEC_FIELDS, subset=True)
         fields.update((key, (_bool if key == "planted" else _int)(value, f"/{key}")) for key, value in spec.items())
-    for key, value in (
-        ("num_a", args.num_a),
-        ("num_b", args.num_b),
-        ("d_b", args.d_b),
-        ("sigma_a", args.sigma_a),
-        ("sigma_b", args.sigma_b),
-        ("p", args.p),
-        ("planted", args.planted),
-        ("seed", args.seed),
-    ):
-        if value is not None:
-            fields[key] = value
-    missing = [k for k in ("num_a", "num_b", "d_b", "sigma_a", "sigma_b", "p") if k not in fields]
+    fields.update((key, getattr(args, key)) for key in _SPEC_FIELDS if getattr(args, key) is not None)
+    missing = [key for key, _ in _SIZE_FIELDS if key not in fields]
     if missing:
         raise InfeasibleSpec(f"generation spec is missing {missing}")
     return GenSpec(
-        num_a=fields["num_a"],
-        num_b=fields["num_b"],
-        d_b=fields["d_b"],
-        sigma_a_size=fields["sigma_a"],
-        sigma_b_size=fields["sigma_b"],
-        arity_p=fields["p"],
+        **{attr: fields[key] for key, attr in _SIZE_FIELDS},
         planted=fields.get("planted", True),
         seed=fields.get("seed", 0),
     )
 
 
 def _cmd_gen_lc(args) -> int:
+    if args.flip_seed is not None and args.flips < 1:
+        raise UsageError("--flip-seed needs --flips of at least 1")
     spec = _gen_spec_from_args(args)
     lc = gen_label_cover(spec)
+    flip_seed = None
     if args.flips:
-        lc = frustrate(lc, args.flips, args.flip_seed)
+        flip_seed = args.flip_seed or 0
+        lc = frustrate(lc, args.flips, flip_seed)
     write_instance(args.out, lc)
     meta: dict[str, Any] = {
         "kind": "gen_metadata",
@@ -156,19 +182,12 @@ def _cmd_gen_lc(args) -> int:
         "planted": spec.planted,
         "seed": spec.seed,
         "flips": args.flips,
-        "flip_seed": args.flip_seed if args.flips else None,
-        "spec": {
-            "num_a": spec.num_a,
-            "num_b": spec.num_b,
-            "d_b": spec.d_b,
-            "sigma_a": spec.sigma_a_size,
-            "sigma_b": spec.sigma_b_size,
-            "p": spec.arity_p,
-        },
+        "flip_seed": flip_seed,
+        "spec": {key: getattr(spec, attr) for key, attr in _SIZE_FIELDS},
         "oracle_value": None,
     }
     if args.with_oracle:
-        result = solve_lc_max(lc, SearchBudget(max_states=_max_states()))
+        result = solve_lc_max(lc, _budget())
         meta["oracle_value"] = encode_fraction(result.best_fraction)
     Path(str(args.out) + ".meta.json").write_bytes(canonical_bytes(meta))
     _emit({"written": str(args.out), "metadata": meta})
@@ -176,94 +195,31 @@ def _cmd_gen_lc(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _, kind, reduce, to_text = _REDUCTIONS[args.step]
+    result = reduce(read_instance(args.infile, kind), args)
     out = Path(args.out)
-    if args.step == "lc2ssat":
-        lc = read_instance(args.infile, "label_cover")
-        write_instance(out, lc_to_ssat(lc))
-    elif args.step == "ssat2sis":
-        ssat = read_instance(args.infile, "ssat")
-        sis = ssat_to_sis(ssat)
-        if args.text:
-            out.write_text(sis_to_text(sis), encoding="utf-8")
-        else:
-            write_instance(out, sis)
-    elif args.step == "sis2ncp":
-        sis = read_instance(args.infile, "sis")
-        ncp = sis_to_ncp(sis, g=args.g, d_rep=args.d_rep, q=args.q)
-        if args.text:
-            out.write_text(ncp_to_text(ncp), encoding="utf-8")
-        else:
-            write_instance(out, ncp)
-    else:  # sis2lhp
-        sis = read_instance(args.infile, "sis")
-        write_instance(out, sis_to_lhp(sis, u_param=args.u, g=args.g))
+    if to_text is not None and args.text:  # a step takes --text exactly when it has a writer
+        out.write_text(to_text(result), encoding="utf-8")
+    else:
+        write_instance(out, result)
     _emit({"written": str(out), "step": args.step})
     return 0
 
 
 def _cmd_solve(args) -> int:
-    if args.kind == "lc":
-        lc = read_instance(args.infile, "label_cover")
-        res = solve_lc_max(lc, _budget(args))
-        _emit(
-            {
-                "kind": "solve_result",
-                "problem": "lc",
-                "optimum": encode_fraction(res.best_fraction),
-                "witness": to_document(res.witness),
-                "states_visited": res.states_visited,
-            }
-        )
-    elif args.kind == "ssat":
-        ssat = read_instance(args.infile, "ssat")
-        res = solve_ssat_min_norm(ssat, _budget(args, args.mode))
-        _emit(
-            {
-                "kind": "solve_result",
-                "problem": "ssat",
-                "mode": res.mode,
-                "optimum": None if res.min_norm is None else encode_fraction(Fraction(res.min_norm)),
-                "witness": None if res.witness is None else to_document(res.witness),
-                "states_visited": res.states_visited,
-            }
-        )
-    elif args.kind == "sis":
-        sis = read_instance(args.infile, "sis")
-        res = solve_sis_min(sis, _budget(args))
-        _emit(
-            {
-                "kind": "solve_result",
-                "problem": "sis",
-                "optimum": res.min_l1,
-                "witness": None if res.witness is None else list(res.witness),
-                "states_visited": res.states_visited,
-            }
-        )
-    elif args.kind == "ncp":
-        ncp = read_instance(args.infile, "ncp")
-        res = solve_ncp_min(ncp, _budget(args), full_field=args.full_field)
-        _emit(
-            {
-                "kind": "solve_result",
-                "problem": "ncp",
-                "mode": res.mode,
-                "optimum": res.min_dist,
-                "witness": list(res.witness),
-                "states_visited": res.states_visited,
-            }
-        )
-    else:  # lhp
-        lhp = read_instance(args.infile, "lhp")
-        res = solve_lhp_min(lhp, budget=_budget(args))
-        _emit(
-            {
-                "kind": "solve_result",
-                "problem": "lhp",
-                "optimum": res.min_violations,
-                "witness": to_document(res.witness),
-                "states_visited": res.states_visited,
-            }
-        )
+    _, kind, solve, field, as_fraction = _SOLVERS[args.kind]
+    res = solve(read_instance(args.infile, kind), args)
+    optimum, witness = getattr(res, field), res.witness
+    doc: dict[str, Any] = {
+        "kind": "solve_result",
+        "problem": args.kind,
+        "optimum": encode_fraction(Fraction(optimum)) if as_fraction and optimum is not None else optimum,
+        "witness": None if witness is None else list(witness) if isinstance(witness, tuple) else to_document(witness),
+        "states_visited": res.states_visited,
+    }
+    if hasattr(res, "mode"):  # the SSAT norm and the NCP field
+        doc["mode"] = res.mode
+    _emit(doc)
     return 0
 
 
@@ -328,7 +284,7 @@ def _cmd_check_lists(args) -> int:
     if args.super_path:
         s = read_instance(args.super_path, "superassignment")
     else:
-        res = solve_ssat_min_norm(ssat, _budget(args))
+        res = solve_ssat_min_norm(ssat, _budget(coeff_box=args.box))
         if res.witness is None:
             _emit({"kind": "lists_report", "error": "no consistent non-trivial super-assignment in the box"})
             return 1
@@ -413,91 +369,75 @@ def _cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _flag(*names: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return names, options
+
+
+# every flag but the generation fields of ``gen lc``, by the name verbs list it under
+_FLAGS = {
+    "in": _flag("--in", "--input", dest="infile", required=True),
+    "out": _flag("--out", required=True),
+    "report_out": _flag("--out", default=None),
+    "super": _flag("--super", dest="super_path", required=True),
+    "super_candidate": _flag("--super", dest="super_path", default=None),
+    "text": _flag("--text", action="store_true", help="plain-text output"),
+    "box": _flag("--box", type=_box_radius, default=2),
+    "mode": _flag("--mode", choices=["l1", "linf"], default="l1"),
+    "full_field": _flag("--full-field", action="store_true"),
+    "g": _flag("--g", type=int, default=1),
+    "d_rep": _flag("--d-rep", type=int, default=None),
+    "q": _flag("--q", type=int, default=None),
+    "u": _flag("--u", type=int, default=None),
+    "l": _flag("--l", type=int, default=2),
+    "s_list": _flag("--s-list", type=_fraction, default="1/4"),
+    "seed": _flag("--seed", type=int, default=0),
+    "derandomize": _flag("--derandomize", action="store_true"),
+    "spec": _flag("--spec", default=None, help="JSON file with the generation fields"),
+    "flips": _flag("--flips", type=int, default=0),
+    "flip_seed": _flag("--flip-seed", type=int, default=None),
+    "with_oracle": _flag("--with-oracle", action="store_true"),
+}
+
+
+def _verb(sub, name: str, func, *flags, **kwargs) -> argparse.ArgumentParser:
+    """Subcommand ``name`` running ``func`` with the named ``_FLAGS``; a tuple of names is mutually exclusive."""
+    parser = sub.add_parser(name, **kwargs)
+    for flag in flags:
+        group = parser.add_mutually_exclusive_group() if isinstance(flag, tuple) else parser
+        for key in flag if isinstance(flag, tuple) else (flag,):
+            names, options = _FLAGS[key]
+            group.add_argument(*names, **options)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gapforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate instances")
-    gen_sub = gen.add_subparsers(dest="what", required=True)
-    gen_lc = gen_sub.add_parser("lc", help="generate a label cover")
-    gen_lc.add_argument("--spec", default=None, help="JSON file with the generation fields")
-    gen_lc.add_argument("--num-a", type=int, default=None)
-    gen_lc.add_argument("--num-b", type=int, default=None)
-    gen_lc.add_argument("--d-b", type=int, default=None)
-    gen_lc.add_argument("--sigma-a", type=int, default=None)
-    gen_lc.add_argument("--sigma-b", type=int, default=None)
-    gen_lc.add_argument("--p", type=int, default=None)
+    gen_sub = sub.add_parser("gen", help="generate instances").add_subparsers(dest="what", required=True)
+    gen_lc = _verb(gen_sub, "lc", _cmd_gen_lc, "spec", "flips", "flip_seed", "with_oracle", "out",
+                   help="generate a label cover")
+    for key in (*(key for key, _ in _SIZE_FIELDS), "seed"):
+        gen_lc.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
     gen_lc.add_argument("--planted", action=argparse.BooleanOptionalAction, default=None)
-    gen_lc.add_argument("--seed", type=int, default=None)
-    gen_lc.add_argument("--flips", type=int, default=0)
-    gen_lc.add_argument("--flip-seed", type=int, default=0)
-    gen_lc.add_argument("--with-oracle", action="store_true")
-    gen_lc.add_argument("--out", required=True)
-    gen_lc.set_defaults(func=_cmd_gen_lc)
 
-    red = sub.add_parser("reduce", help="run one reduction step")
-    red.add_argument("step", choices=["lc2ssat", "ssat2sis", "sis2ncp", "sis2lhp"])
-    red.add_argument("--in", "--input", dest="infile", required=True)
-    red.add_argument("--out", required=True)
-    red.add_argument("--g", type=int, default=1)
-    red.add_argument("--d-rep", type=int, default=None)
-    red.add_argument("--q", type=int, default=None)
-    red.add_argument("--u", type=int, default=None)
-    red.add_argument("--text", action="store_true", help="plain-text matrix output (sis/ncp)")
-    red.set_defaults(func=_cmd_reduce)
+    red_sub = sub.add_parser("reduce", help="run one reduction step").add_subparsers(dest="step", required=True)
+    for step, (flags, *_) in _REDUCTIONS.items():
+        _verb(red_sub, step, _cmd_reduce, "in", "out", *flags)
 
-    solve = sub.add_parser("solve", help="run an exact oracle")
-    solve.add_argument("kind", choices=["lc", "ssat", "sis", "ncp", "lhp"])
-    solve.add_argument("--in", "--input", dest="infile", required=True)
-    solve.add_argument("--box", type=_box_radius, default=2)
-    solve.add_argument("--mode", choices=["l1", "linf"], default="l1")
-    solve.add_argument("--full-field", action="store_true")
-    solve.set_defaults(func=_cmd_solve)
+    solve_sub = sub.add_parser("solve", help="run an exact oracle").add_subparsers(dest="kind", required=True)
+    for kind, (flags, *_) in _SOLVERS.items():
+        _verb(solve_sub, kind, _cmd_solve, "in", *flags)
 
-    check = sub.add_parser("check", help="verification verbs")
-    check_sub = check.add_subparsers(dest="what", required=True)
+    check_sub = sub.add_parser("check", help="verification verbs").add_subparsers(dest="what", required=True)
+    _verb(check_sub, "consistency", _cmd_check_consistency, "in", "super")
+    _verb(check_sub, "claims", _cmd_check_claims, "in", ("super_candidate", "box"))
+    _verb(check_sub, "agreement", _cmd_check_agreement, "in", "l")
+    _verb(check_sub, "lists", _cmd_check_lists, "in", ("super_candidate", "box"), "g", "s_list", "seed", "derandomize")
+    _verb(check_sub, "chain", _cmd_check_chain, "in", "g", "box", "u", "d_rep", "q", "report_out")
 
-    c_cons = check_sub.add_parser("consistency")
-    c_cons.add_argument("--in", "--input", dest="infile", required=True)
-    c_cons.add_argument("--super", dest="super_path", required=True)
-    c_cons.set_defaults(func=_cmd_check_consistency)
-
-    c_claims = check_sub.add_parser("claims")
-    c_claims.add_argument("--in", "--input", dest="infile", required=True)
-    c_claims.add_argument("--super", dest="super_path", default=None)
-    c_claims.add_argument("--box", type=_box_radius, default=2)
-    c_claims.set_defaults(func=_cmd_check_claims)
-
-    c_agr = check_sub.add_parser("agreement")
-    c_agr.add_argument("--in", "--input", dest="infile", required=True)
-    c_agr.add_argument("--l", type=int, default=2)
-    c_agr.set_defaults(func=_cmd_check_agreement)
-
-    c_lists = check_sub.add_parser("lists")
-    c_lists.add_argument("--in", "--input", dest="infile", required=True)
-    c_lists.add_argument("--super", dest="super_path", default=None)
-    c_lists.add_argument("--g", type=int, default=1)
-    c_lists.add_argument("--s-list", type=_fraction, default="1/4")
-    c_lists.add_argument("--seed", type=int, default=0)
-    c_lists.add_argument("--box", type=_box_radius, default=2)
-    c_lists.add_argument("--derandomize", action="store_true")
-    c_lists.set_defaults(func=_cmd_check_lists)
-
-    c_chain = check_sub.add_parser("chain")
-    c_chain.add_argument("--in", "--input", dest="infile", required=True)
-    c_chain.add_argument("--g", type=int, default=1)
-    c_chain.add_argument("--box", type=_box_radius, default=2)
-    c_chain.add_argument("--u", type=int, default=None)
-    c_chain.add_argument("--d-rep", type=int, default=None)
-    c_chain.add_argument("--q", type=int, default=None)
-    c_chain.add_argument("--out", default=None)
-    c_chain.set_defaults(func=_cmd_check_chain)
-
-    rep = sub.add_parser("report", help="render the gap table of a chain report")
-    rep.add_argument("--in", "--input", dest="infile", required=True)
-    rep.add_argument("--text", action="store_true")
-    rep.set_defaults(func=_cmd_report)
-
+    _verb(sub, "report", _cmd_report, "in", "text", help="render the gap table of a chain report")
     return parser
 
 

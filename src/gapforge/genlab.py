@@ -17,6 +17,12 @@ from .instances import Edge, Label, LabelCoverInstance
 _REJECTION_CAP = 100_000
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random seeds from abs(seed), so a negative seed would repeat its positive twin
+    if seed < 0:
+        raise InfeasibleSpec(f"the seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class GenSpec:
     num_a: int
@@ -37,6 +43,7 @@ class GenSpec:
             raise InfeasibleSpec("sigma_a must be at least as large as the projection arity")
         if self.sigma_a_size > self.arity_p * self.sigma_b_size:
             raise InfeasibleSpec("no p-to-1 table exists: sigma_a larger than p * sigma_b")
+        _check_seed(self.seed)
 
 
 def _sample_table(
@@ -108,6 +115,7 @@ def frustrate(lc: LabelCoverInstance, num_flips: int, seed: int) -> LabelCoverIn
     """Twist some projection tables by non-identity B-alphabet permutations."""
     if not 0 <= num_flips <= len(lc.edges):
         raise InfeasibleSpec(f"the number of flips must lie in [0, {len(lc.edges)}], got {num_flips}")
+    _check_seed(seed)
     if num_flips == 0:
         return lc
     rng = random.Random(seed)

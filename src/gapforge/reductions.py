@@ -37,7 +37,6 @@ from .instances import (
     Vertex,
     _is_prime,
     preimage,
-    validate_label_cover,
 )
 from .superassign import SuperAssignment
 
@@ -55,7 +54,6 @@ def lc_to_ssat(lc: LabelCoverInstance) -> SsatInstance:
     assignment at all is unsatisfiable and surfaced as an error rather than
     silently dropped.
     """
-    validate_label_cover(lc)
     tests: list[SsatTest] = []
     for b in lc.b_vertices:
         edges = lc.edges_of_b[b]

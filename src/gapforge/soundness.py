@@ -152,6 +152,18 @@ def check_list_soundness_bound(
 # List construction
 # ---------------------------------------------------------------------------
 
+def _check_s_list(s_list: Fraction) -> Fraction:
+    if not (0 < s_list < Fraction(1, 2)):
+        raise MalformedInstance("s_list must lie strictly between 0 and 1/2")
+    return s_list
+
+
+def _check_seed(seed: int) -> None:
+    # random.Random seeds from abs(seed), so a negative seed would repeat its positive twin
+    if seed < 0:
+        raise MalformedInstance(f"the seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class ListConstructionParams:
     """Norm bound, target fraction, the derived threshold and inclusion probability."""
@@ -163,10 +175,10 @@ class ListConstructionParams:
     seed: int
 
     def __post_init__(self):
-        if not (0 < self.s_list < Fraction(1, 2)):
-            raise MalformedInstance("s_list must lie strictly between 0 and 1/2")
+        _check_s_list(self.s_list)
         if not (0 < self.p_include <= 1):
             raise MalformedInstance("p_include must lie in (0, 1]")
+        _check_seed(self.seed)
 
     @classmethod
     def derive(
@@ -178,7 +190,7 @@ class ListConstructionParams:
         force_p_one: bool = False,
     ) -> "ListConstructionParams":
         g = Fraction(g)
-        s_list = Fraction(s_list)
+        s_list = _check_s_list(Fraction(s_list))
         g1 = g * (1 - s_list) / (1 - 2 * s_list)
         p = Fraction(1) if force_p_one else min(Fraction(1), g1 / d_a)
         return cls(g=g, s_list=s_list, g1=g1, p_include=p, seed=seed)
@@ -308,6 +320,7 @@ def list_construction_linf(
     stops once taking a fresh value would exceed g distinct marked values.
     """
     lc = _require_lc(ssat)
+    _check_seed(seed)
     if not is_consistent(ssat, s):
         raise PreconditionFailed("max-norm list construction needs a consistent super-assignment")
     if not is_not_all_zero(s):

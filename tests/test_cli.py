@@ -310,8 +310,8 @@ def test_gen_missing_fields(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("solve", "lc", "--box", "-1"),
-        ("solve", "lc", "--box", "0"),
+        ("solve", "sis", "--box", "-1"),
+        ("solve", "sis", "--box", "0"),
         ("check", "chain", "--box", "0"),
     ],
     ids=["solve-box-negative", "solve-box-zero", "chain-box-zero"],
@@ -329,6 +329,57 @@ def test_s_list_must_be_a_fraction(capsys, lc_id2_path, raw):
         main(["check", "lists", "--in", str(lc_id2_path), "--s-list", raw])
     assert exc.value.code == 2
     assert "--s-list: must be a fraction" in capsys.readouterr().err
+
+
+def test_s_list_one_half_is_error_envelope(capsys, lc_id2_path):
+    """g1 = g (1 - s) / (1 - 2 s) has no value at s = 1/2; the range is checked first."""
+    code, doc = run(capsys, "check", "lists", "--in", str(lc_id2_path), "--s-list", "1/2")
+    assert code == 1
+    assert doc["error"]["type"] == "MalformedInstance"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_GEN_LC = "gen lc --num-a 2 --num-b 1 --d-b 2 --sigma-a 2 --sigma-b 2 --p 1"
+# each line ends in a flag its verb would ignore, or in the second of two that contradict each other
+_REFUSED = [
+    *(f"reduce lc2ssat --in lc.json {flag}" for flag in ("--g 2", "--d-rep 2", "--q 5", "--u 3", "--text")),
+    *(f"reduce ssat2sis --in ssat.json {flag}" for flag in ("--g 2", "--d-rep 2", "--q 5", "--u 3")),
+    "reduce sis2ncp --in sis.json --u 3",
+    *(f"reduce sis2lhp --in sis.json {flag}" for flag in ("--d-rep 2", "--q 5", "--text")),
+    *(f"solve lc --in lc.json {flag}" for flag in ("--box 1", "--mode linf", "--full-field")),
+    "solve ssat --in ssat.json --full-field",
+    *(f"solve sis --in sis.json {flag}" for flag in ("--mode linf", "--full-field")),
+    "solve ncp --in ncp.json --mode linf",
+    *(f"solve lhp --in lhp.json {flag}" for flag in ("--box 1", "--mode linf", "--full-field")),
+    "check claims --in ssat.json --super super.json --box 1",
+    "check lists --in lc.json --super super.json --box 1",
+    "solve ncp --in ncp.json --full-field --box 1",
+    f"{_GEN_LC} --flip-seed 3",
+    f"{_GEN_LC} --flips 0 --flip-seed 3",
+]
+
+
+@pytest.mark.parametrize("line", _REFUSED)
+def test_flag_the_verb_would_ignore_is_usage_error(tmp_path, capsys, monkeypatch, line):
+    from gapforge.oracles import SearchBudget, solve_ssat_min_norm
+    from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
+
+    monkeypatch.chdir(tmp_path)
+    lc = shipped.load("lc_id2")
+    ssat = lc_to_ssat(lc)
+    sis = ssat_to_sis(ssat)
+    for name, obj in (("lc", lc), ("ssat", ssat), ("sis", sis), ("ncp", sis_to_ncp(sis, g=1)),
+                      ("lhp", sis_to_lhp(sis)), ("super", solve_ssat_min_norm(ssat, SearchBudget()).witness)):
+        write_instance(f"{name}.json", obj)
+    argv = line.split()
+    flag = [token for token in argv if token.startswith("--")][-1]
+    if argv[0] in ("gen", "reduce"):
+        argv += ["--out", "out.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.glob("out.json*"))
 
 
 def test_gen_negative_flips_is_error_envelope(tmp_path, capsys):

@@ -6,8 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from gapforge.errors import NormBoundViolated, PreconditionFailed, SearchSpaceTooLarge
-from gapforge.genlab import GenSpec, gen_label_cover
+from gapforge.errors import (
+    InfeasibleSpec,
+    MalformedInstance,
+    NormBoundViolated,
+    PreconditionFailed,
+    SearchSpaceTooLarge,
+)
+from gapforge.genlab import GenSpec, frustrate, gen_label_cover
 from gapforge.instances import LabelCoverInstance
 from gapforge.oracles import enumerate_consistent_superassignments
 from gapforge.reductions import lc_to_ssat
@@ -132,8 +138,24 @@ def test_params_derivation():
 
 
 def test_params_reject_bad_s_list():
-    with pytest.raises(Exception):
+    with pytest.raises(MalformedInstance):
         ListConstructionParams.derive(g=1, s_list=Fraction(1, 2), d_a=2)
+
+
+# random.Random seeds from abs(seed): each of these would repeat the run of its positive twin
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda lc: GenSpec(2, 1, 2, 2, 2, 1, True, -1), InfeasibleSpec),
+        (lambda lc: frustrate(lc, 1, -3), InfeasibleSpec),
+        (lambda lc: ListConstructionParams.derive(g=1, s_list=Fraction(1, 4), d_a=1, seed=-1), MalformedInstance),
+        (lambda lc: list_construction_linf(lc_to_ssat(lc), _sa((1, 0)), 1, -1), MalformedInstance),
+    ],
+    ids=["gen-spec", "frustrate", "list-params", "list-construction-linf"],
+)
+def test_negative_seed_is_refused(lc_id2, build, error):
+    with pytest.raises(error, match="the seed must be non-negative"):
+        build(lc_id2)
 
 
 def test_select_low_norm_natural(ssat_id2):
