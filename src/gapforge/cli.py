@@ -407,7 +407,7 @@ def _verb(sub, name: str, func, *flags, **kwargs) -> argparse.ArgumentParser:
         for key in flag if isinstance(flag, tuple) else (flag,):
             names, options = _FLAGS[key]
             group.add_argument(*names, **options)
-    parser.set_defaults(func=func)
+    parser.set_defaults(func=func, verb_parser=parser)
     return parser
 
 
@@ -442,12 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse hands a verb's unknown flags up to the root parser; report them with the verb's usage
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.verb_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except UsageError as exc:
-        parser.error(str(exc))
+        args.verb_parser.error(str(exc))
     except OSError as exc:  # a path that is missing, a directory, or cannot be read or written
         kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
         _emit({"error": {"type": kind, "path": exc.filename or str(exc)}})

@@ -27,12 +27,15 @@ is met by exactly one residue of its last column, so a child costs its
 parent's cost plus the rows completed here, less those crediting its value;
 an LHP row is compared at -1, 0 and 1 from the one partial sum.  Equality
 rows (SIS rows, SSAT consistency rows) instead narrow each coordinate to the
-values that leave every row reachable by the later columns.  The
-instance-level predicates (``is_consistent``, ``is_nontrivial``,
-``SisInstance.multiply``, ``NcpInstance.distance``,
-``LhpInequality.value_at``) are the reference semantics the compiled rows are
-tested against; result objects such as ``SuperAssignment`` and
-``LhpAssignment`` are built only for the witness.
+values that leave every row reachable by the later columns.  The SSAT l1
+walk under ``nontrivial`` also charges each test with a column its floor of
+1 from the root: an all-zero test zeroes its variables' projection sums, the
+consistency rows carry those zeros to every other test of the variable, and
+so the variable is trivial.  The instance-level predicates
+(``is_consistent``, ``is_nontrivial``, ``SisInstance.multiply``,
+``NcpInstance.distance``, ``LhpInequality.value_at``) are the reference
+semantics the compiled rows are tested against; result objects such as
+``SuperAssignment`` and ``LhpAssignment`` are built only for the witness.
 """
 
 from __future__ import annotations
@@ -483,6 +486,18 @@ def solve_ssat_min_norm(
     the l1 cost adds each |weight|, the linf cost is the largest test norm
     so far, and the side condition is checked at the leaf.  A hint is a flat
     weight vector; one the walk reaches as a leaf caps it at its norm.
+
+    Under l1 with ``nontrivial`` the cost carries a completion floor: every
+    test with a column has l1 at least 1 at a nontrivial consistent point,
+    because an all-zero test zeroes its variables' projection sums there,
+    ``shared_pairs`` ties those sums to every other test of the variable,
+    and so the variable is trivial.  The root costs the number of tests
+    with a column, a test's first nonzero weight v adds |v| - 1, and a zero
+    at a test's last column while the test is all zero is infeasible; the
+    cost never falls and is the true l1 at a leaf.  The leaf still checks
+    ``nontrivial``, as nonzero tests can cancel a variable to trivial.
+    ``not_all_zero`` lets a test be all zero, and linf already charges the
+    largest test norm, so both keep the plain cost.
     """
     rows = _compile_ssat(ssat)
     n = rows.num_cols
@@ -492,24 +507,36 @@ def solve_ssat_min_norm(
     admissible = rows.nontrivial if side_condition == "nontrivial" else any
 
     equalities = rows.equalities(k)
-    if budget.mode == "l1":
-        costed = equalities.l1_children
-    else:
-        allowed, off = equalities.allowed, ssat.offsets
-        test_start = [lo for lo, hi in zip(off, off[1:]) for _ in range(lo, hi)]
+    allowed, off = equalities.allowed, ssat.offsets
+    test_start = [lo for lo, hi in zip(off, off[1:]) for _ in range(lo, hi)]
+    floor = budget.mode == "l1" and side_condition == "nontrivial"
+    if budget.mode == "linf":
 
         def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
             so_far = sum(map(abs, prefix[test_start[depth]:depth]))  # the test's norm before this weight
             return ((v, max(cost, so_far + abs(v))) for v in allowed(depth, prefix))
 
+    elif floor:
+        test_last = {hi - 1 for lo, hi in zip(off, off[1:]) if hi > lo}
+
+        def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
+            if any(prefix[test_start[depth]:depth]):  # the test's floor is paid
+                return equalities.l1_children(depth, prefix, cost)
+            zero = None if depth in test_last else cost
+            return ((v, cost + abs(v) - 1 if v else zero) for v in allowed(depth, prefix))
+
+    else:
+        costed = equalities.l1_children
+
     def children(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
         if depth < n - 1:
             return costed(depth, prefix, cost)
         head = prefix[:depth]
-        return ((v, c if admissible(head + [v]) else None) for v, c in costed(depth, prefix, cost))
+        return ((v, c if c is not None and admissible(head + [v]) else None) for v, c in costed(depth, prefix, cost))
 
     # with no columns the walk enters no node: the empty vector is judged here
-    root = 0 if equalities.feasible and (n or admissible(())) else None
+    lowest = sum(hi > lo for lo, hi in zip(off, off[1:])) if floor else 0
+    root = lowest if equalities.feasible and (n or admissible(())) else None
     best_norm, best, states = branch_and_bound(n, children, root, budget.max_states, hints)
     if best is None:
         return SsatMinResult(mode=budget.mode, min_norm=None, witness=None, states_visited=states)

@@ -22,24 +22,24 @@ from gapforge.pipeline import run_chain
 from gapforge.serialize import canonical_bytes
 
 GOLDEN = {
-    ("lc_id2", "default"): "1bb153a103b928cdc9f3f4bedfdad4c744ffb227faa6937df91c05fe90924eb7",
-    ("lc_id2", "box1"): "5798a84c528d5326e79058a18550f293dbcc1a4c69988050ba04577ef2003263",
-    ("lc_id2", "cap100"): "1bb153a103b928cdc9f3f4bedfdad4c744ffb227faa6937df91c05fe90924eb7",
-    ("lc_cyc", "default"): "71c44d9e996748fa527e74ba4ff53347eae4ca53237b1274b60e4476cee53442",
-    ("lc_cyc", "box1"): "192da890a226b2414134cf7ec55aa16bf7245ea95f1bef7143ce1a92bddb4626",
-    ("lc_cyc", "cap100"): "27a78af75b5d27ab2511ad31c734fdef750232b500dc5ac4b924e0b41c69afa4",
-    ("lc_share", "default"): "4e341025c19d853004fe2871522394ad4d106aaf67413978ba557e91bf6417ab",
-    ("lc_share", "box1"): "e9ce31fa8a7bb393abb13ab627e6cac29451b4aa90a4cc09c72045a516afcf53",
-    ("lc_share", "cap100"): "4e341025c19d853004fe2871522394ad4d106aaf67413978ba557e91bf6417ab",
-    ("lc_2to1", "default"): "8855a9567cd87cdf178b6c692ed3ac2e6e97ac467c39837e6577abbdb9d9816b",
-    ("lc_2to1", "box1"): "784758665843732ea727123ecf7a16f4cea5acf7ff3fb7a2ef57317cfc95f7fd",
-    ("lc_2to1", "cap100"): "8855a9567cd87cdf178b6c692ed3ac2e6e97ac467c39837e6577abbdb9d9816b",
-    ("planted", "cap3000"): "0d1df9ba0b5c8d17f10740be9d3f001a33cd90c2245a5987e9f179c8cc968c9c",
-    ("planted", "cap700"): "0d1df9ba0b5c8d17f10740be9d3f001a33cd90c2245a5987e9f179c8cc968c9c",
-    ("planted", "cap100"): "151155a37e5b661cb11efcc0d9cf98d7a59d16b5c24cd7aff54a672c10fe1deb",
+    ("lc_id2", "default"): "bed5aea7b1d4086653b20a325ae3f65a80a33361c8025a409d5f5cffa15679dd",
+    ("lc_id2", "box1"): "66265b6d9a7188221a82e6932af4489449ee990ace838927bff610d63ba12433",
+    ("lc_id2", "cap100"): "bed5aea7b1d4086653b20a325ae3f65a80a33361c8025a409d5f5cffa15679dd",
+    ("lc_cyc", "default"): "a31f8e119bed0bf47aebddc9ea3a4dd0cf4bd19eff5833065c68f3359d4c9c80",
+    ("lc_cyc", "box1"): "fb1d508584149024aae3330dc0f6468618777c4655593ced2b9df75453a8a31e",
+    ("lc_cyc", "cap100"): "b3f6fa39bae12d33e7095c2127eab9164bdbf8e710fd5b6928834bd1f7517802",
+    ("lc_share", "default"): "594fed3f1c6988703a49a5c070321fb25c34583b591acecb388528ca890575b9",
+    ("lc_share", "box1"): "cefbbbeef8eea12758f5232ea57763eed33a45bff769f2d70968e4580db0c3a8",
+    ("lc_share", "cap100"): "594fed3f1c6988703a49a5c070321fb25c34583b591acecb388528ca890575b9",
+    ("lc_2to1", "default"): "0cfe5d59518b76e7b5894927c85790989d50b54cb5d20af9c3728e6ecee2c72e",
+    ("lc_2to1", "box1"): "67074c443f43375369fadacfa3c84b4ef513d888fa7893fe0b859a58b1ca88e3",
+    ("lc_2to1", "cap100"): "0cfe5d59518b76e7b5894927c85790989d50b54cb5d20af9c3728e6ecee2c72e",
+    ("planted", "cap3000"): "46a542d9c703f62b91a67000b2644bbec088b68b7ccefac94a617008c706b6f0",
+    ("planted", "cap700"): "46a542d9c703f62b91a67000b2644bbec088b68b7ccefac94a617008c706b6f0",
+    ("planted", "cap100"): "ccc606f4a5fedaf86da0ae1e37e9e5a43b0a4a90e4d7a7d73eecc8231a38dc15",
     ("planted", "cap16"): "5d85d39a9cf81570e785c43c3a2f7a56b16be227f0ad677d89f082f70718f8e5",
-    ("frustrated", "cap3000"): "4d8c91310e5d47d8d3489c4f6537474c66005c44911ac27c5a894f9dd61c3f7a",
-    ("frustrated", "cap700"): "1a87def47f0b24fbf2f58858ae284c54be83c0c5e22015d76f49e8cb9ef530ba",
+    ("frustrated", "cap3000"): "2dd79a6c2b5a856abe2fa2dfe944e7801b1fe45dd1adc0be95c40c4f193d87e3",
+    ("frustrated", "cap700"): "4c385f5dbc80c73c9b0b0221ad1e882cfce341ff7af34f7aea76057266945897",
     ("frustrated", "cap22"): "192e89525a72787d448e597cce80d44eab42b7c12fda4aab60b76e33ad320764",
 }
 # (states, cap) of the SearchSpaceTooLarge the label-cover search raises
@@ -52,10 +52,10 @@ SETTINGS = {"default": {}, "box1": {"box": 1}, "cap100": {"max_states": 100},
 RUNNING = {
     ("planted", "cap3000"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
     ("planted", "cap700"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
-    ("planted", "cap100"): ["sis", "lhp_grid"],
+    ("planted", "cap100"): ["ssat_l1", "sis", "lhp_grid"],
     ("planted", "cap16"): [],
     ("frustrated", "cap3000"): ["ssat_l1", "sis", "lhp_grid"],
-    ("frustrated", "cap700"): ["sis", "lhp_grid"],
+    ("frustrated", "cap700"): ["ssat_l1", "sis", "lhp_grid"],
     ("frustrated", "cap22"): [],
 }
 

@@ -382,6 +382,15 @@ def test_flag_the_verb_would_ignore_is_usage_error(tmp_path, capsys, monkeypatch
     assert not any(tmp_path.glob("out.json*"))
 
 
+def test_refused_flag_prints_the_verbs_usage(capsys, lc_id2_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "lc", "--in", str(lc_id2_path), "--box", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gapforge solve lc")
+    assert "unrecognized arguments: --box 2" in err
+
+
 def test_gen_negative_flips_is_error_envelope(tmp_path, capsys):
     code, doc = run(capsys, "gen", "lc", "--num-a", "3", "--num-b", "2", "--d-b", "2", "--sigma-a", "2",
                     "--sigma-b", "2", "--p", "1", "--flips", "-1", "--out", str(tmp_path / "lc.json"))

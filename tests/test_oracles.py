@@ -146,7 +146,7 @@ def test_ssat_min_infeasible_none():
 
 
 def test_ssat_min_cap(ssat_cyc):
-    # the walk enters 38 nodes on this instance; the cap stops it at the 21st
+    # the walk enters 36 nodes on this instance; the cap stops it at the 21st
     with pytest.raises(SearchSpaceTooLarge) as exc:
         solve_ssat_min_norm(ssat_cyc, SearchBudget(coeff_box=2, max_states=20))
     assert (exc.value.states, exc.value.cap) == (21, 20)

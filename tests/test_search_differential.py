@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from gapforge.errors import EmptyRange, InfeasibleSpec, SearchSpaceTooLarge
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
-from gapforge.instances import Labeling, LhpAssignment
+from gapforge.instances import Labeling, LhpAssignment, SsatInstance, SsatTest
 from gapforge.oracles import (
     SearchBudget,
     count_lhp_violations,
@@ -339,3 +339,66 @@ def test_eight_columns_at_box_1_match_naive_reference():
     res = solve_lhp_min(lhp, budget=budget)
     assert (res.min_violations, res.witness) == (best, LhpAssignment.of(xs))
     check_walk_cap(lambda b: solve_lhp_min(lhp, budget=b), budget, res, 8, 3)
+
+
+# ---------------------------------------------------------------------------
+# The l1 completion floor
+# ---------------------------------------------------------------------------
+
+def naive_ssat(ssat, k, mode, side):
+    """The reference minimum and first witness of the SSAT search."""
+    total = sum(len(t.assignments) for t in ssat.tests)
+    best, flat, _ = naive_min(
+        itertools.product(range(-k, k + 1), repeat=total),
+        lambda f: ssat_cost(ssat, mode, side, superassignment(ssat, f)),
+    )
+    return best, None if flat is None else superassignment(ssat, flat)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(chains())
+def test_l1_nontrivial_minimum_is_at_least_one(chain):
+    """Every test of a nontrivial consistent point has l1 at least 1, so the walk may charge it up front."""
+    _, ssat, _, k = chain
+    best, witness = naive_ssat(ssat, k, "l1", "nontrivial")
+    res = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=k))
+    assert (res.min_norm, res.witness) == (best, witness)
+    assert best is None or best >= 1
+
+
+def test_l1_leaf_rejects_a_variable_that_cancels():
+    """x is 0 in every assignment of test 0 and 1 in every one of test 1.
+
+    Consistency then zeroes each test's sum, so x is trivial at every
+    consistent point, yet no test need be all zero: ``((1, -1), (1, -1))``
+    passes the floor and is still not nontrivial.  A mutant that drops the
+    leaf's ``admissible`` check returns norm 2 here instead of ``None``.
+    """
+    ssat = SsatInstance(
+        variables=("x", "y", "z"),
+        field_values=(0, 1),
+        tests=(SsatTest(("x", "y"), ((0, 0), (0, 1))), SsatTest(("x", "z"), ((1, 0), (1, 1)))),
+    )
+    cancelled = SuperAssignment(((1, -1), (1, -1)))
+    assert is_consistent(ssat, cancelled) and not is_nontrivial(ssat, cancelled)
+    for k in (1, 2):
+        res = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=k))
+        assert (res.min_norm, res.witness) == naive_ssat(ssat, k, "l1", "nontrivial") == (None, None)
+
+
+def test_test_with_no_assignments_keeps_every_minimum():
+    """A test with no columns has l1 0 and no floor; y, its only variable, is never nontrivial."""
+    ssat = SsatInstance(
+        variables=("x", "y"),
+        field_values=(0, 1),
+        tests=(SsatTest(("x",), ((0,), (1,))), SsatTest(("y",), ())),
+    )
+    expected = {
+        ("l1", "nontrivial"): None, ("l1", "not_all_zero"): Fraction(1, 2),
+        ("linf", "nontrivial"): None, ("linf", "not_all_zero"): 1,
+    }
+    for (mode, side), minimum in expected.items():
+        res = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=1, mode=mode), side)
+        assert (res.min_norm, res.witness) == naive_ssat(ssat, 1, mode, side)
+        assert res.min_norm == minimum
