@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .errors import GapforgeError, InfeasibleSpec, SchemaViolation
-from .genlab import GenSpec, frustrate, gen_label_cover
 from .oracles import (
     DEFAULT_MAX_STATES,
     SearchBudget,
@@ -53,13 +52,6 @@ from .serialize import (
     sis_to_text,
     to_document,
     write_instance,
-)
-from .soundness import (
-    ListConstructionParams,
-    check_list_soundness_bound,
-    list_construction,
-    select_low_norm_tests,
-    verify_defeats_list_soundness,
 )
 from .superassign import (
     check_bad_array_sums,
@@ -145,12 +137,14 @@ _SOLVERS = {
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _gen_spec_from_args(args) -> GenSpec:
-    """Merge an optional spec file with flags; flags win where both are set.
+def _gen_spec_from_args(args):
+    """The ``GenSpec`` of ``gen lc``: an optional spec file merged with flags; flags win where both are set.
 
     The spec file is an object with some of the keys ``_SPEC_FIELDS``:
     ``planted`` a boolean, the others integers.
     """
+    from .genlab import GenSpec
+
     fields: dict[str, Any] = {}
     if args.spec:
         spec = _fields(read_document(args.spec), "", _SPEC_FIELDS, subset=True)
@@ -167,6 +161,8 @@ def _gen_spec_from_args(args) -> GenSpec:
 
 
 def _cmd_gen_lc(args) -> int:
+    from .genlab import frustrate, gen_label_cover
+
     if args.flip_seed is not None and args.flips < 1:
         raise UsageError("--flip-seed needs --flips of at least 1")
     spec = _gen_spec_from_args(args)
@@ -263,6 +259,8 @@ def _cmd_check_claims(args) -> int:
 
 
 def _cmd_check_agreement(args) -> int:
+    from .soundness import check_list_soundness_bound
+
     lc = read_instance(args.infile, "label_cover")
     bound = check_list_soundness_bound(lc, args.l, _max_states())
     _emit(
@@ -279,6 +277,13 @@ def _cmd_check_agreement(args) -> int:
 
 
 def _cmd_check_lists(args) -> int:
+    from .soundness import (
+        ListConstructionParams,
+        list_construction,
+        select_low_norm_tests,
+        verify_defeats_list_soundness,
+    )
+
     lc = read_instance(args.infile, "label_cover")
     ssat = lc_to_ssat(lc)
     if args.super_path:
@@ -373,7 +378,7 @@ def _flag(*names: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]
     return names, options
 
 
-# every flag but the generation fields of ``gen lc``, by the name verbs list it under
+# every flag, by the name verbs list it under
 _FLAGS = {
     "in": _flag("--in", "--input", dest="infile", required=True),
     "out": _flag("--out", required=True),
@@ -396,10 +401,38 @@ _FLAGS = {
     "flips": _flag("--flips", type=int, default=0),
     "flip_seed": _flag("--flip-seed", type=int, default=None),
     "with_oracle": _flag("--with-oracle", action="store_true"),
+    # the generation fields of ``gen lc``, unset unless given so that a spec file can supply them
+    **{key: _flag(f"--{key.replace('_', '-')}", type=int, default=None) for key, _ in _SIZE_FIELDS},
+    "gen_seed": _flag("--seed", type=int, default=None),
+    "planted": _flag("--planted", action=argparse.BooleanOptionalAction, default=None),
+}
+
+# group: (help, dest of its verb name)
+_GROUPS = {
+    "gen": ("generate instances", "what"),
+    "reduce": ("run one reduction step", "step"),
+    "solve": ("run an exact oracle", "kind"),
+    "check": ("verification verbs", "what"),
+}
+
+# verb path: (handler, the names of its ``_FLAGS``, add_parser keywords), in the order help lists them
+_VERBS = {
+    ("gen", "lc"): (_cmd_gen_lc, ("spec", "flips", "flip_seed", "with_oracle", "out",
+                                  *(key for key, _ in _SIZE_FIELDS), "gen_seed", "planted"),
+                    {"help": "generate a label cover"}),
+    **{("reduce", step): (_cmd_reduce, ("in", "out", *flags), {}) for step, (flags, *_) in _REDUCTIONS.items()},
+    **{("solve", kind): (_cmd_solve, ("in", *flags), {}) for kind, (flags, *_) in _SOLVERS.items()},
+    ("check", "consistency"): (_cmd_check_consistency, ("in", "super"), {}),
+    ("check", "claims"): (_cmd_check_claims, ("in", ("super_candidate", "box")), {}),
+    ("check", "agreement"): (_cmd_check_agreement, ("in", "l"), {}),
+    ("check", "lists"): (_cmd_check_lists, ("in", ("super_candidate", "box"), "g", "s_list", "seed", "derandomize"),
+                         {}),
+    ("check", "chain"): (_cmd_check_chain, ("in", "g", "box", "u", "d_rep", "q", "report_out"), {}),
+    ("report",): (_cmd_report, ("in", "text"), {"help": "render the gap table of a chain report"}),
 }
 
 
-def _verb(sub, name: str, func, *flags, **kwargs) -> argparse.ArgumentParser:
+def _verb(sub, name: str, func, flags, **kwargs) -> argparse.ArgumentParser:
     """Subcommand ``name`` running ``func`` with the named ``_FLAGS``; a tuple of names is mutually exclusive."""
     parser = sub.add_parser(name, **kwargs)
     for flag in flags:
@@ -411,39 +444,35 @@ def _verb(sub, name: str, func, *flags, **kwargs) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The parser of the whole command tree, or of the one verb that ``argv`` starts with.
+
+    A verb's parser is the same in both trees (prog, usage, help, flags), so
+    a command line that names its verb first parses the same way.  Any other
+    command line, such as ``--help`` above a verb, an unknown verb or a flag
+    before the verb, gets the whole tree and its help and error messages.
+    """
+    head = tuple(argv or ())[:2]
+    only = head if head in _VERBS else head[:1] if head[:1] in _VERBS else None
     parser = argparse.ArgumentParser(prog="gapforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen_sub = sub.add_parser("gen", help="generate instances").add_subparsers(dest="what", required=True)
-    gen_lc = _verb(gen_sub, "lc", _cmd_gen_lc, "spec", "flips", "flip_seed", "with_oracle", "out",
-                   help="generate a label cover")
-    for key in (*(key for key, _ in _SIZE_FIELDS), "seed"):
-        gen_lc.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
-    gen_lc.add_argument("--planted", action=argparse.BooleanOptionalAction, default=None)
-
-    red_sub = sub.add_parser("reduce", help="run one reduction step").add_subparsers(dest="step", required=True)
-    for step, (flags, *_) in _REDUCTIONS.items():
-        _verb(red_sub, step, _cmd_reduce, "in", "out", *flags)
-
-    solve_sub = sub.add_parser("solve", help="run an exact oracle").add_subparsers(dest="kind", required=True)
-    for kind, (flags, *_) in _SOLVERS.items():
-        _verb(solve_sub, kind, _cmd_solve, "in", *flags)
-
-    check_sub = sub.add_parser("check", help="verification verbs").add_subparsers(dest="what", required=True)
-    _verb(check_sub, "consistency", _cmd_check_consistency, "in", "super")
-    _verb(check_sub, "claims", _cmd_check_claims, "in", ("super_candidate", "box"))
-    _verb(check_sub, "agreement", _cmd_check_agreement, "in", "l")
-    _verb(check_sub, "lists", _cmd_check_lists, "in", ("super_candidate", "box"), "g", "s_list", "seed", "derandomize")
-    _verb(check_sub, "chain", _cmd_check_chain, "in", "g", "box", "u", "d_rep", "q", "report_out")
-
-    _verb(sub, "report", _cmd_report, "in", "text", help="render the gap table of a chain report")
+    groups: dict[str, Any] = {}
+    for path, (func, flags, kwargs) in _VERBS.items():
+        if only is not None and path != only:
+            continue
+        *group, name = path
+        if group and group[0] not in groups:
+            help_text, dest = _GROUPS[group[0]]
+            groups[group[0]] = sub.add_parser(group[0], help=help_text).add_subparsers(dest=dest, required=True)
+        _verb(groups[group[0]] if group else sub, name, func, flags, **kwargs)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     # argparse hands a verb's unknown flags up to the root parser; report them with the verb's usage
-    args, unknown = build_parser().parse_known_args(argv)
+    args, unknown = build_parser(argv).parse_known_args(argv)
     if unknown:
         args.verb_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:

@@ -469,7 +469,7 @@ def read_document(path: Union[str, Path]) -> Any:
         raise FileNotFoundError(str(p))
     try:
         return json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, and nesting too deep to parse
         raise SchemaViolation("", f"not valid JSON: {exc}") from None
 
 

@@ -601,3 +601,31 @@ def test_cli_runs_without_jsonschema(tmp_path, lc_id2_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads((tmp_path / "chain.json").read_text())["kind"] == "chain_report"
+
+
+# every verb that reads a file, with the nested file as the one it reads first
+_READERS = [
+    "check chain --in deep.json",
+    "check agreement --in deep.json",
+    "check lists --in deep.json",
+    "check claims --in deep.json",
+    "check consistency --in deep.json --super deep.json",
+    *(f"solve {kind} --in deep.json" for kind in ("lc", "ssat", "sis", "ncp", "lhp")),
+    *(f"reduce {step} --in deep.json --out out.json" for step in ("lc2ssat", "ssat2sis", "sis2ncp", "sis2lhp")),
+    "report --in deep.json",
+    "report --in deep.json --text",
+    "gen lc --spec deep.json --out out.json",
+]
+
+
+@pytest.mark.parametrize("line", _READERS)
+def test_json_nested_too_deep_to_parse_is_error_envelope(tmp_path, capsys, monkeypatch, line):
+    """An 8 KB file of 2,000 nested arrays exceeds the parser's recursion limit: a typed error, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 2000 + "]" * 2000, encoding="utf-8")
+    code, doc = run(capsys, *line.split())
+    assert code == 1
+    assert doc["error"]["type"] == "SchemaViolation"
+    assert doc["error"]["message"].startswith(": not valid JSON: ")
+    assert "Traceback" not in capsys.readouterr().err
+    assert not any(tmp_path.glob("out.json*"))

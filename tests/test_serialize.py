@@ -7,9 +7,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from gapforge import fixtures as shipped
-from gapforge.errors import MalformedInstance, SchemaViolation
+from gapforge.errors import InfeasibleSpec, MalformedInstance, SchemaViolation
+from gapforge.genlab import GenSpec, frustrate, gen_label_cover
 from gapforge.instances import EPSILON, LabelCoverInstance, Labeling, LhpAssignment, NcpInstance
 from gapforge.reductions import (
     lc_to_ssat,
@@ -88,6 +90,30 @@ def test_epsilon_round_trips():
 def test_canonical_bytes_stable(lc_cyc):
     assert canonical_bytes(lc_cyc) == canonical_bytes(lc_cyc)
     assert content_hash(lc_cyc) == content_hash(lc_cyc)
+
+
+# (sigma_a, sigma_b, p) of the generated covers: one-to-one and two-to-one tables
+_ALPHABETS = ((2, 2, 1), (3, 3, 1), (2, 1, 2), (3, 2, 2))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 2), st.sampled_from(_ALPHABETS), st.booleans(),
+       st.integers(0, 10 ** 6), st.integers(0, 3), st.integers(0, 10 ** 6))
+def test_every_kind_round_trips_on_generated_chains(num_a, num_b, d_b, alphabet, planted, seed, flips, flip_seed):
+    """Each of the five instances of a generated chain reads back equal, with the same content hash."""
+    assume(num_a <= num_b * d_b)  # every A-vertex has an edge, so every SSAT variable is in a test
+    try:
+        lc = frustrate(gen_label_cover(GenSpec(num_a, num_b, d_b, *alphabet, planted=planted, seed=seed)),
+                       flips, flip_seed)
+    except InfeasibleSpec:
+        assume(False)
+    ssat = lc_to_ssat(lc)
+    sis = ssat_to_sis(ssat)
+    for x in (lc, ssat, sis, sis_to_ncp(sis, g=1), sis_to_lhp(sis)):
+        again = from_document(to_document(x))
+        assert again == x
+        assert content_hash(again) == content_hash(x)
 
 
 def test_kind_mismatch(tmp_path, lc_id2):
