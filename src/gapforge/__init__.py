@@ -25,7 +25,7 @@ _EXPORTS = {
         "count_satisfied_edges", "preimage", "validate_label_cover",
     ),
     "superassign": (
-        "ArrayView", "ProjectionVector", "SuperAssignment", "TestKind", "assigned_value_sets",
+        "ArrayView", "SuperAssignment", "TestKind", "assigned_value_sets",
         "check_bad_array_sums", "classify_tests", "decompose_arrays", "good_coordinates", "is_consistent",
         "is_nontrivial", "is_not_all_zero", "natural_from_labeling", "norm_l1", "norm_linf", "project",
         "test_norm", "zero_all_bad_arrays",

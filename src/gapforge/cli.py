@@ -46,6 +46,7 @@ from .serialize import (
     _int,
     canonical_bytes,
     encode_fraction,
+    encode_optimum,
     ncp_to_text,
     read_document,
     read_instance,
@@ -120,16 +121,14 @@ _REDUCTIONS = {
     "sis2lhp": (("g", "u"), "sis", lambda x, a: sis_to_lhp(x, u_param=a.u, g=a.g), None),
 }
 
-# kind: (flags besides --in, kind of the file read, oracle, result field of the
-# optimum, whether the optimum is written as "p/q"); a tuple of flags is exclusive
+# kind: (flags besides --in, kind of the file read, oracle); a tuple of flags is exclusive
 _SOLVERS = {
-    "lc": ((), "label_cover", lambda x, a: solve_lc_max(x, _budget()), "best_fraction", True),
-    "ssat": (("box", "mode"), "ssat", lambda x, a: solve_ssat_min_norm(x, _budget(coeff_box=a.box, mode=a.mode)),
-             "min_norm", True),
-    "sis": (("box",), "sis", lambda x, a: solve_sis_min(x, _budget(coeff_box=a.box)), "min_l1", False),
+    "lc": ((), "label_cover", lambda x, a: solve_lc_max(x, _budget())),
+    "ssat": (("box", "mode"), "ssat", lambda x, a: solve_ssat_min_norm(x, _budget(coeff_box=a.box, mode=a.mode))),
+    "sis": (("box",), "sis", lambda x, a: solve_sis_min(x, _budget(coeff_box=a.box))),
     "ncp": ((("box", "full_field"),), "ncp",
-            lambda x, a: solve_ncp_min(x, _budget(coeff_box=a.box), full_field=a.full_field), "min_dist", False),
-    "lhp": ((), "lhp", lambda x, a: solve_lhp_min(x, budget=_budget()), "min_violations", False),
+            lambda x, a: solve_ncp_min(x, _budget(coeff_box=a.box), full_field=a.full_field)),
+    "lhp": ((), "lhp", lambda x, a: solve_lhp_min(x, budget=_budget())),
 }
 
 
@@ -203,18 +202,20 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _, kind, solve, field, as_fraction = _SOLVERS[args.kind]
+    _, kind, solve = _SOLVERS[args.kind]
     res = solve(read_instance(args.infile, kind), args)
-    optimum, witness = getattr(res, field), res.witness
+    # label cover is the one maximization; the others return a ``MinResult``
+    optimum, mode = (res.best_fraction, None) if args.kind == "lc" else (res.minimum, res.mode)
+    witness = res.witness
     doc: dict[str, Any] = {
         "kind": "solve_result",
         "problem": args.kind,
-        "optimum": encode_fraction(Fraction(optimum)) if as_fraction and optimum is not None else optimum,
+        "optimum": encode_optimum(optimum),
         "witness": None if witness is None else list(witness) if isinstance(witness, tuple) else to_document(witness),
         "states_visited": res.states_visited,
     }
-    if hasattr(res, "mode"):  # the SSAT norm and the NCP field
-        doc["mode"] = res.mode
+    if mode is not None:  # the SSAT norm and the NCP field
+        doc["mode"] = mode
     _emit(doc)
     return 0
 
@@ -349,6 +350,11 @@ def _cmd_report(args) -> int:
         raise SchemaViolation("/gap_report", f"expected rows with the fields {sorted(GAP_ROW_KEYS)}")
     if "all_checks_passed" not in doc:
         raise SchemaViolation("/all_checks_passed", "missing from the chain_report")
+    for i, row in enumerate(rows):  # as ``run_chain`` writes them: the stage a string, the others a string or null
+        for key in GAP_ROW_KEYS:
+            if type(row[key]) is not str and (key == "stage" or row[key] is not None):
+                expected = "a string" if key == "stage" else "a string or null"
+                raise SchemaViolation(f"/gap_report/rows/{i}/{key}", f"expected {expected}, got {row[key]!r:.60}")
     if args.text:
         widths = ("stage", "completeness", "oracle_min", "ratio")
         print("{:<8} {:>14} {:>11} {:>7}".format(*widths))

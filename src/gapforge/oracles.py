@@ -28,14 +28,18 @@ parent's cost plus the rows completed here, less those crediting its value;
 an LHP row is compared at -1, 0 and 1 from the one partial sum.  Equality
 rows (SIS rows, SSAT consistency rows) instead narrow each coordinate to the
 values that leave every row reachable by the later columns.  The SSAT l1
-walk under ``nontrivial`` also charges each test with a column its floor of
-1 from the root: an all-zero test zeroes its variables' projection sums, the
-consistency rows carry those zeros to every other test of the variable, and
-so the variable is trivial.  The instance-level predicates
-(``is_consistent``, ``is_nontrivial``, ``SisInstance.multiply``,
-``NcpInstance.distance``, ``LhpInequality.value_at``) are the reference
-semantics the compiled rows are tested against; result objects such as
-``SuperAssignment`` and ``LhpAssignment`` are built only for the witness.
+walk also charges each test with a column its floor of 1 from the root: an
+all-zero test zeroes its variables' projection sums, the consistency rows
+carry those zeros to every other test of the variable, and so the variable
+is trivial.  The instance-level predicates (``is_consistent``,
+``is_nontrivial``, ``SisInstance.multiply``, ``NcpInstance.distance``,
+``LhpInequality.value_at``) are the reference semantics the compiled rows
+are tested against; result objects such as ``SuperAssignment`` and
+``LhpAssignment`` are built only for the witness.
+
+The four walked minimizers return one ``MinResult``: an SSAT minimum is a
+``Fraction``, an SIS, NCP or LHP minimum an ``int``.  Label cover, the one
+maximization, returns ``LcMaxResult``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import Callable, Iterable, Literal, Optional, Sequence
+from typing import Any, Callable, Iterable, Literal, Optional, Sequence, Union
 
 from .errors import SearchSpaceTooLarge
 from .instances import (
@@ -156,6 +160,21 @@ def branch_and_bound(
         else:
             best_cost, best = root, ()
     return (None, None, states) if best is None else (best_cost, best, states)
+
+
+@dataclass(frozen=True)
+class MinResult:
+    """The least cost a walked minimizer found, its first witness, and the nodes the walk entered.
+
+    ``minimum`` and ``witness`` are ``None`` when no admissible point lies
+    in the box.  ``mode`` is the SSAT norm ("l1", "linf") or the NCP field
+    ("box", "full"), and ``None`` for SIS and LHP.
+    """
+
+    minimum: Optional[Union[Fraction, int]]
+    witness: Any
+    states_visited: int
+    mode: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -457,66 +476,39 @@ def enumerate_consistent_superassignments(
     return found if empty is None else [superassignment_from_sis_solution(ssat, empty)]
 
 
-@dataclass(frozen=True)
-class SsatMinResult:
-    mode: Mode
-    min_norm: Optional[Fraction]
-    witness: Optional[SuperAssignment]
-    states_visited: int
-
-
-SideCondition = Literal["nontrivial", "not_all_zero"]
-
-
-def solve_ssat_min_norm(
-    ssat: SsatInstance,
-    budget: SearchBudget,
-    side_condition: Optional[SideCondition] = None,
-    hints: Hints = (),
-) -> SsatMinResult:
+def solve_ssat_min_norm(ssat: SsatInstance, budget: SearchBudget, hints: Hints = ()) -> MinResult:
     """Exact minimum norm over consistent super-assignments in the box.
 
-    The l1 mode minimizes the average test norm subject to non-triviality;
-    the linf mode minimizes the maximum test norm subject to not-all-zero.
-    ``side_condition`` overrides the mode's default filter so the two minima
-    can be compared under either condition.  Returns ``None`` when no
-    admissible super-assignment exists in the box.
+    The mode fixes both the norm and the side condition: l1 minimizes the
+    average test norm over non-trivial points, linf the maximum test norm
+    over points that are not all zero (Dinur-Kindler-Raz-Safra).  The
+    minimum is a ``Fraction`` in both modes, ``None`` when no admissible
+    super-assignment exists in the box.
 
     The walk tries only weights that keep every consistency row reachable;
     the l1 cost adds each |weight|, the linf cost is the largest test norm
     so far, and the side condition is checked at the leaf.  A hint is a flat
     weight vector; one the walk reaches as a leaf caps it at its norm.
 
-    Under l1 with ``nontrivial`` the cost carries a completion floor: every
-    test with a column has l1 at least 1 at a nontrivial consistent point,
-    because an all-zero test zeroes its variables' projection sums there,
-    ``shared_pairs`` ties those sums to every other test of the variable,
-    and so the variable is trivial.  The root costs the number of tests
-    with a column, a test's first nonzero weight v adds |v| - 1, and a zero
-    at a test's last column while the test is all zero is infeasible; the
-    cost never falls and is the true l1 at a leaf.  The leaf still checks
-    ``nontrivial``, as nonzero tests can cancel a variable to trivial.
-    ``not_all_zero`` lets a test be all zero, and linf already charges the
-    largest test norm, so both keep the plain cost.
+    The l1 cost carries a completion floor: every test with a column has l1
+    at least 1 at a nontrivial consistent point, because an all-zero test
+    zeroes its variables' projection sums there, ``shared_pairs`` ties
+    those sums to every other test of the variable, and so the variable is
+    trivial.  The root costs the number of tests with a column, a test's
+    first nonzero weight v adds |v| - 1, and a zero at a test's last column
+    while the test is all zero is infeasible; the cost never falls and is
+    the true l1 at a leaf.  The leaf still checks ``nontrivial``, as nonzero
+    tests can cancel a variable to trivial.
     """
     rows = _compile_ssat(ssat)
     n = rows.num_cols
-    k = budget.coeff_box
-    if side_condition is None:
-        side_condition = "nontrivial" if budget.mode == "l1" else "not_all_zero"
-    admissible = rows.nontrivial if side_condition == "nontrivial" else any
+    l1 = budget.mode == "l1"
+    admissible = rows.nontrivial if l1 else any
 
-    equalities = rows.equalities(k)
+    equalities = rows.equalities(budget.coeff_box)
     allowed, off = equalities.allowed, ssat.offsets
     test_start = [lo for lo, hi in zip(off, off[1:]) for _ in range(lo, hi)]
-    floor = budget.mode == "l1" and side_condition == "nontrivial"
-    if budget.mode == "linf":
-
-        def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
-            so_far = sum(map(abs, prefix[test_start[depth]:depth]))  # the test's norm before this weight
-            return ((v, max(cost, so_far + abs(v))) for v in allowed(depth, prefix))
-
-    elif floor:
+    if l1:
         test_last = {hi - 1 for lo, hi in zip(off, off[1:]) if hi > lo}
 
         def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
@@ -526,7 +518,10 @@ def solve_ssat_min_norm(
             return ((v, cost + abs(v) - 1 if v else zero) for v in allowed(depth, prefix))
 
     else:
-        costed = equalities.l1_children
+
+        def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
+            so_far = sum(map(abs, prefix[test_start[depth]:depth]))  # the test's norm before this weight
+            return ((v, max(cost, so_far + abs(v))) for v in allowed(depth, prefix))
 
     def children(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
         if depth < n - 1:
@@ -535,33 +530,25 @@ def solve_ssat_min_norm(
         return ((v, c if c is not None and admissible(head + [v]) else None) for v, c in costed(depth, prefix, cost))
 
     # with no columns the walk enters no node: the empty vector is judged here
-    lowest = sum(hi > lo for lo, hi in zip(off, off[1:])) if floor else 0
+    lowest = sum(hi > lo for lo, hi in zip(off, off[1:])) if l1 else 0
     root = lowest if equalities.feasible and (n or admissible(())) else None
     best_norm, best, states = branch_and_bound(n, children, root, budget.max_states, hints)
     if best is None:
-        return SsatMinResult(mode=budget.mode, min_norm=None, witness=None, states_visited=states)
-    min_norm = Fraction(best_norm, len(ssat.tests)) if budget.mode == "l1" else best_norm
-    witness = superassignment_from_sis_solution(ssat, best)
-    return SsatMinResult(mode=budget.mode, min_norm=min_norm, witness=witness, states_visited=states)
+        return MinResult(None, None, states, budget.mode)
+    minimum = Fraction(best_norm, len(ssat.tests) if l1 else 1)
+    return MinResult(minimum, superassignment_from_sis_solution(ssat, best), states, budget.mode)
 
 
 # ---------------------------------------------------------------------------
 # SIS
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SisMinResult:
-    min_l1: Optional[int]
-    witness: Optional[tuple[int, ...]]
-    states_visited: int
-
-
 def _compile_sis(sis: SisInstance, k: int) -> _EqualityRows:
     rows = ((_split(row), t) for row, t in zip(sis.matrix, sis.target))
     return _compile_equalities(sis.num_cols, k, rows)
 
 
-def solve_sis_min(sis: SisInstance, budget: SearchBudget, hints: Hints = ()) -> SisMinResult:
+def solve_sis_min(sis: SisInstance, budget: SearchBudget, hints: Hints = ()) -> MinResult:
     """Exact minimum l1 norm of a box solution of ``matrix @ z == target``.
 
     The walk tries only values that leave every row's target reachable by
@@ -570,10 +557,9 @@ def solve_sis_min(sis: SisInstance, budget: SearchBudget, hints: Hints = ()) -> 
     its l1 norm.
     """
     rows = _compile_sis(sis, budget.coeff_box)
-    best_norm, best, states = branch_and_bound(
+    return MinResult(*branch_and_bound(
         sis.num_cols, rows.l1_children, 0 if rows.feasible else None, budget.max_states, hints
-    )
-    return SisMinResult(min_l1=best_norm, witness=best, states_visited=states)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -597,35 +583,36 @@ def _compile_ncp(ncp: NcpInstance) -> _FiledRows:
     return _file_rows(ncp.num_cols, rows, q)
 
 
-@dataclass(frozen=True)
-class NcpMinResult:
-    min_dist: int
-    witness: tuple[int, ...]
-    mode: Literal["full", "box"]
-    states_visited: int
+def _box_residues(k: int, q: int, limit: int) -> tuple[int, ...]:
+    """The first ``limit`` residues of -k, ..., k mod q, in order of first appearance.
+
+    They are the ``min(2k + 1, q)`` residues from ``-k % q`` on, wrapping
+    from q - 1 to 0: two ascending runs, so none past ``limit`` is computed.
+    """
+    start = -k % q
+    end = start + min(2 * k + 1, q, limit)
+    return (*range(start, min(end, q)), *range(max(end - q, 0)))
 
 
-def solve_ncp_min(
-    ncp: NcpInstance, budget: SearchBudget, full_field: bool = False, hints: Hints = ()
-) -> NcpMinResult:
+def solve_ncp_min(ncp: NcpInstance, budget: SearchBudget, full_field: bool = False, hints: Hints = ()) -> MinResult:
     """Exact (full-field) or box-restricted minimum Hamming distance.
 
     Box mode restricts coordinates to the images of [-k, k] modulo q, tried
     in that order, and is flagged as such in the result; witnesses are
-    canonical field elements.  A hint is taken mod q; one whose residues lie
-    in the box caps the walk at the distance the walk charges it.
+    canonical field elements.  The walk takes at most ``max_states + 1``
+    children of any node, so only that many residues of the box are built,
+    and the cap bounds the set-up of any box.  A hint is taken mod q; one
+    whose residues lie in the box caps the walk at the distance the walk
+    charges it.
     """
     q = ncp.modulus
-    k = budget.coeff_box
-    values = range(q) if full_field else tuple(dict.fromkeys(v % q for v in range(-k, k + 1)))
+    cap = budget.max_states
+    values = range(q) if full_field else _box_residues(budget.coeff_box, q, max(cap, 0) + 1)
     rows = _compile_ncp(ncp)
-    best_dist, best, states = branch_and_bound(
-        ncp.num_cols, rows.residue_children(values), rows.root, budget.max_states,
-        ([v % q for v in z] for z in hints),
+    walked = branch_and_bound(
+        ncp.num_cols, rows.residue_children(values), rows.root, cap, ([v % q for v in z] for z in hints)
     )
-    return NcpMinResult(
-        min_dist=best_dist, witness=best, mode="full" if full_field else "box", states_visited=states
-    )
+    return MinResult(*walked, "full" if full_field else "box")
 
 
 # ---------------------------------------------------------------------------
@@ -657,14 +644,7 @@ def _compile_lhp(lhp: LhpSystem) -> _FiledRows:
     return _file_rows(lhp.num_x, rows)
 
 
-@dataclass(frozen=True)
-class LhpMinResult:
-    min_violations: int
-    witness: LhpAssignment
-    states_visited: int
-
-
-def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget(), hints: Hints = ()) -> LhpMinResult:
+def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget(), hints: Hints = ()) -> MinResult:
     """Minimum violation count over the soundness normal-form grid.
 
     The grid is x in {-1,0,1}^n, y = 1, delta infinitesimal.  This is an
@@ -677,4 +657,4 @@ def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget(), hints: 
     best_count, best, states = branch_and_bound(
         lhp.num_x, rows.grid_children, rows.root, budget.max_states, hints
     )
-    return LhpMinResult(min_violations=best_count, witness=LhpAssignment.of(best), states_visited=states)
+    return MinResult(best_count, LhpAssignment.of(best), states)

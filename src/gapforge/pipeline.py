@@ -42,7 +42,7 @@ from .reductions import (
     sis_to_ncp,
     ssat_to_sis,
 )
-from .serialize import content_hash, encode_fraction
+from .serialize import content_hash, encode_fraction, encode_optimum
 from .superassign import natural_from_labeling, norm_l1
 from . import serialize
 
@@ -129,31 +129,27 @@ def run_chain(
         ]
         hints.append(tuple(z))
 
-    # (report key, gap stage, planted cost, solver of the hints, result field, minimum written as "p/q",
-    # the witness as a hint point for the stages after it).  Every stage gets the embedded point;
-    # LHP runs before NCP, whose box holds LHP's grid witness.  The thunks look the solvers up
-    # when called, so rebinding a module name reaches them.
+    # (report key, gap stage, planted cost, solver of the hints, the witness as a hint point for
+    # the stages after it).  Every stage gets the embedded point; LHP runs before NCP, whose box
+    # holds LHP's grid witness.  The thunks look the solvers up when called, so rebinding a
+    # module name reaches them.
     oracle_stages = (
-        ("ssat_l1", "ssat", 1, lambda hints: solve_ssat_min_norm(ssat, budget_l1, hints=hints),
-         "min_norm", True, None),
-        ("sis", "sis", n_tests, lambda hints: solve_sis_min(sis, budget_l1, hints=hints),
-         "min_l1", False, lambda witness: witness),
+        ("ssat_l1", "ssat", 1, lambda hints: solve_ssat_min_norm(ssat, budget_l1, hints=hints), None),
+        ("sis", "sis", n_tests, lambda hints: solve_sis_min(sis, budget_l1, hints=hints), lambda witness: witness),
         ("lhp_grid", "lhp", n_tests, lambda hints: solve_lhp_min(lhp, budget=budget_l1, hints=hints),
-         "min_violations", False, lambda witness: tuple(map(int, witness.x_values))),
-        ("ncp_box", "ncp", n_tests, lambda hints: solve_ncp_min(ncp, budget_l1, hints=hints),
-         "min_dist", False, None),
+         lambda witness: tuple(map(int, witness.x_values))),
+        ("ncp_box", "ncp", n_tests, lambda hints: solve_ncp_min(ncp, budget_l1, hints=hints), None),
     )
     results: dict[str, Any] = {}
     rows: dict[str, dict[str, Any]] = {}
-    for key, stage, planted_cost, solve, field, as_fraction, as_point in oracle_stages:
+    for key, stage, planted_cost, solve, as_point in oracle_stages:
         try:
             result = solve(hints)
         except SearchSpaceTooLarge as exc:
             results[key] = {"skipped": str(exc)}
             continue
-        minimum = getattr(result, field)
-        results[key] = {"minimum": _enc_opt(minimum) if as_fraction else minimum, "states": result.states_visited}
-        rows[key] = gap_row(stage, planted_cost, minimum)
+        results[key] = {"minimum": encode_optimum(result.minimum), "states": result.states_visited}
+        rows[key] = gap_row(stage, planted_cost, result.minimum)
         if as_point is not None and result.witness is not None:
             hints.append(as_point(result.witness))
     report_order = ("ssat_l1", "sis", "ncp_box", "lhp_grid")

@@ -11,11 +11,11 @@ while they fit in the 53-bit safe range and as strings beyond it.
 Reading is one typed decoding pass: ``from_document`` checks each node while
 it builds the instance.  A node of the wrong shape or scalar type (an object
 with a missing or extra key, a pair of the wrong length, a float or a bool
-where an integer belongs, an integer in any encoding but the canonical one, a
-fraction that is not a ``"p/q"`` string) raises ``SchemaViolation`` with the
-node's JSON pointer.  Value invariants live only in the constructors, which
-raise ``MalformedInstance``.  So a file that loads is a file that satisfies
-the type invariants.
+where an integer belongs, an integer or a fraction in any encoding but the
+canonical one, which for a fraction is ``"p/q"`` in lowest terms) raises
+``SchemaViolation`` with the node's JSON pointer.  Value invariants live only
+in the constructors, which raise ``MalformedInstance``.  So a file that loads
+is a file that satisfies the type invariants.
 
 One field table gives each document kind's layout once: for every key, which
 is also the attribute name, a (reader, writer) pair.  ``to_document`` and
@@ -102,6 +102,8 @@ def decode_int(v: Any, ptr: str = "") -> int:
     if type(v) is str and _BIG_INT.fullmatch(v):
         n = _digits(v, ptr)
         if not -_SAFE_INT <= n <= _SAFE_INT:
+            if str(n) != v:
+                raise SchemaViolation(ptr, f"expected the integer written {str(n)!r:.60}, got {v!r:.60}")
             return n
     raise SchemaViolation(ptr, f"expected an integer: a JSON number within 2^53 - 1 of zero, or a "
                                f"digit string beyond, got {v!r:.60}")
@@ -111,13 +113,19 @@ def encode_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-# Fractions already decoded, by their string: a document repeats a few
-# coefficients many times.  Emptied when full, so it stays small.
+def encode_optimum(v: Union[Fraction, int, None]) -> Union[str, int, None]:
+    """An oracle's optimum as JSON: a ``Fraction`` as ``"p/q"``, an ``int`` or ``None`` as itself."""
+    return encode_fraction(v) if isinstance(v, Fraction) else v
+
+
+# Fractions already decoded, by their canonical string: a document repeats a
+# few coefficients many times.  Emptied when full, so it stays small.
 _FRACTIONS: dict[str, Fraction] = {}
 _FRACTIONS_MAX = 1024
 
 
 def decode_fraction(v: Any, ptr: str = "") -> Fraction:
+    """The inverse of ``encode_fraction``: ``"p/q"`` in lowest terms with q >= 1; any other string is refused."""
     if type(v) is str:
         f = _FRACTIONS.get(v)
         if f is not None:
@@ -129,6 +137,8 @@ def decode_fraction(v: Any, ptr: str = "") -> Fraction:
         f = Fraction(_digits(num, ptr), _digits(den, ptr) if den else 1)
     except ZeroDivisionError:
         raise MalformedInstance(f"fraction {v!r} at {ptr!r} has a zero denominator") from None
+    if encode_fraction(f) != v:
+        raise SchemaViolation(ptr, f"expected the fraction written {encode_fraction(f)!r:.60}, got {v!r:.60}")
     if len(_FRACTIONS) >= _FRACTIONS_MAX:
         _FRACTIONS.clear()
     _FRACTIONS[v] = f

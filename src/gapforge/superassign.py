@@ -58,47 +58,15 @@ class SuperAssignment:
         )
 
 
-@dataclass(frozen=True)
-class ProjectionVector:
-    """Signed weight totals per field value; zero entries are dropped."""
-
-    entries: tuple[tuple[Label, int], ...]
-
-    @classmethod
-    def of(cls, totals: Mapping[Label, int], field_order: Mapping[Label, int]) -> "ProjectionVector":
-        nz = [(a, w) for a, w in totals.items() if w != 0]
-        nz.sort(key=lambda item: field_order[item[0]])
-        return cls(tuple(nz))
-
-    def __getitem__(self, value: Label) -> int:
-        for a, w in self.entries:
-            if a == value:
-                return w
-        return 0
-
-    def as_dict(self) -> dict[Label, int]:
-        return dict(self.entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def add(self, other: "ProjectionVector", field_order: Mapping[Label, int]) -> "ProjectionVector":
-        totals = dict(self.entries)
-        for a, w in other.entries:
-            totals[a] = totals.get(a, 0) + w
-        return ProjectionVector.of(totals, field_order)
-
-
-def project(ssat: SsatInstance, s: SuperAssignment, psi: int, x: Vertex) -> ProjectionVector:
-    """Project a test's weight vector onto one of its variables."""
+def project(ssat: SsatInstance, s: SuperAssignment, psi: int, x: Vertex) -> dict[Label, int]:
+    """Project a test's weight vector onto one of its variables: its nonzero totals by value, in field order."""
     s.validate_for(ssat)
     by_value = ssat.projection_indices.get((psi, x))
     if by_value is None:
         raise VariableNotInTest(f"{x!r} not in test {psi}")
     weights = s.weights[psi]
-    totals = {a: sum(weights[r] for r in rs) for a, rs in zip(ssat.field_values, by_value)}
-    return ProjectionVector.of(totals, ssat.field_index)
+    totals = ((a, sum(weights[r] for r in rs)) for a, rs in zip(ssat.field_values, by_value))
+    return {a: w for a, w in totals if w}
 
 
 @dataclass(frozen=True)
@@ -131,7 +99,7 @@ def is_nontrivial(ssat: SsatInstance, s: SuperAssignment) -> bool:
     """True when every variable has an incident test with a nonzero projection."""
     s.validate_for(ssat)
     for x in ssat.variables:
-        if all(project(ssat, s, t, x).is_zero for t in ssat.tests_of_variable[x]):
+        if not any(project(ssat, s, t, x) for t in ssat.tests_of_variable[x]):
             return False
     return True
 
@@ -167,7 +135,7 @@ def assigned_value_sets(ssat: SsatInstance, s: SuperAssignment) -> dict[Vertex, 
     for x in ssat.variables:
         values: set[Label] = set()
         for t in ssat.tests_of_variable[x]:
-            values.update(a for a, _ in project(ssat, s, t, x).entries)
+            values.update(project(ssat, s, t, x))
         out[x] = frozenset(values)
     return out
 

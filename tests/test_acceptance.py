@@ -142,8 +142,8 @@ def test_criterion_3_oracle_gap_on_lc_cyc():
     ssat = lc_to_ssat(lc)
     ok = True
     ok &= solve_lc_max(lc).best_fraction == Fraction(3, 4)
-    ok &= solve_ssat_min_norm(ssat, SearchBudget(coeff_box=2, mode="l1")).min_norm == 2
-    ok &= solve_ssat_min_norm(ssat, SearchBudget(coeff_box=2, mode="linf")).min_norm == 2
+    ok &= solve_ssat_min_norm(ssat, SearchBudget(coeff_box=2, mode="l1")).minimum == 2
+    ok &= solve_ssat_min_norm(ssat, SearchBudget(coeff_box=2, mode="linf")).minimum == 2
     ok &= agreement_soundness_exact(lc) == Fraction(1, 2)
     elapsed = time.monotonic() - start
     assert report("3", ok and elapsed < 10.0,
@@ -188,14 +188,14 @@ def test_criterion_3_sis_minimum_stated_value():
     assert sis.num_cols == 4
     box_solutions = [z for z in itertools.product(range(-2, 3), repeat=4) if solves(z)]
     half_solves = solves((Fraction(1, 2),) * 4)
-    ssat_min = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=2, mode="l1")).min_norm
+    ssat_min = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=2, mode="l1")).minimum
     lower_bound = len(ssat.tests) * ssat_min
-    report("3", result.min_l1 is None and not box_solutions and half_solves,
+    report("3", result.minimum is None and not box_solutions and half_solves,
            f"SIS(SSAT(LC-CYC)) K=2: expected no integer solution (soundness "
            f"promises only min_l1 >= {lower_bound}) and all-1/2 solving; actual "
-           f"min_l1 {result.min_l1}, {len(box_solutions)}/625 box vectors solve, "
+           f"min_l1 {result.minimum}, {len(box_solutions)}/625 box vectors solve, "
            f"all-1/2 solves: {half_solves}")
-    assert result.min_l1 is None, f"oracle reports a minimum {result.min_l1}"
+    assert result.minimum is None, f"oracle reports a minimum {result.minimum}"
     assert not box_solutions, f"integer solutions found: {box_solutions}"
     assert half_solves, "the all-1/2 vector does not solve B'z = t'"
 
@@ -387,7 +387,7 @@ def test_criterion_7_ncp_distance_decomposition():
         weight = sum(1 for v in z if v % q != 0)
         assert ncp.distance(z) == upper + weight, f"decomposition broke at z = {z}"
     full = solve_ncp_min(ncp, SearchBudget(), full_field=True)
-    assert full.min_dist == 2
+    assert full.minimum == 2
     elapsed = time.monotonic() - start
     assert report("7", elapsed < 2.0,
                   f"distance decomposition over 625 vectors; full-field minimum 2 ({elapsed:.2f}s)")
@@ -411,7 +411,7 @@ def test_criterion_8_lhp_round_trip():
     optimum = solve_sis_min(sis, SearchBudget(coeff_box=1)).witness
     embedded = lhp_assignment_from_sis_solution(optimum)
     assert count_lhp_violations(lhp, embedded) == 2
-    assert solve_lhp_min(lhp).min_violations == 2
+    assert solve_lhp_min(lhp).minimum == 2
     elapsed = time.monotonic() - start
     assert report("8", elapsed < 2.0,
                   f"round trip identity on {len(solutions)} box solutions; "

@@ -531,14 +531,21 @@ def test_report_on_chain_report_without_gap_report(tmp_path, capsys, lc_id2_path
 
 
 def test_report_on_chain_report_with_a_float_is_a_typed_error(tmp_path, capsys, lc_id2_path):
+    """A gap row holds a string stage and a string or null in each other field, as ``run_chain`` writes it."""
     chain = tmp_path / "chain.json"
     run(capsys, "check", "chain", "--in", str(lc_id2_path), "--out", str(chain))
-    doc = json.loads(chain.read_text())
-    doc["gap_report"]["rows"][0]["ratio"] = 1.5
-    chain.write_text(json.dumps(doc))
-    code, out = run(capsys, "report", "--in", str(chain))
-    assert code == 1
-    assert out["error"]["type"] == "SchemaViolation"
+    written = chain.read_text()
+    bad = chain.with_name("bad.json")
+    for key, value in (("ratio", 1.5), ("ratio", [1]), ("oracle_minimum", {"a": 1}), ("completeness_value", 1.5),
+                       ("stage", None), ("stage", [1])):
+        doc = json.loads(written)
+        doc["gap_report"]["rows"][1][key] = value
+        bad.write_text(json.dumps(doc))
+        for text in ((), ("--text",)):
+            code, out = run(capsys, "report", "--in", str(bad), *text)
+            assert code == 1, (key, value, text)
+            assert out["error"]["type"] == "SchemaViolation"
+            assert out["error"]["message"].startswith(f"/gap_report/rows/1/{key}: ")
 
 
 def test_gen_from_truncated_spec_file(tmp_path, capsys):

@@ -6,8 +6,8 @@ the point followed as a hint down the walk the solver hands to
 ``branch_and_bound``, from the root through the child it takes at each depth,
 costs the reference, and ``None`` exactly where the reference rejects it:
 
-* SSAT: ``is_consistent``, the side condition and the norm, in the l1 and
-  linf modes under both ``nontrivial`` and ``not_all_zero``;
+* SSAT: ``is_consistent``, the mode's side condition and its norm: l1 over
+  ``is_nontrivial`` points, linf over ``is_not_all_zero`` ones;
 * SIS: ``SisInstance.multiply(z) == target``, then the l1 norm, also on
   rows with any small integer entries;
 * NCP: ``NcpInstance.distance``, in the box and over the full field;
@@ -80,19 +80,16 @@ def outside(point, value):
 def test_compiled_ssat_matches_reference(chain):
     _, ssat, _, k = chain
     rows = _compile_ssat(ssat)
-    walks = {
-        (mode, side): hint_cost(lambda: solve_ssat_min_norm(ssat, SearchBudget(k, mode=mode), side))
-        for mode in ("l1", "linf") for side in ("nontrivial", "not_all_zero")
-    }
+    walks = {mode: hint_cost(lambda: solve_ssat_min_norm(ssat, SearchBudget(k, mode=mode))) for mode in ("l1", "linf")}
     consistent = []
     for flat in itertools.product(range(-k, k + 1), repeat=rows.num_cols):
         s = superassignment_from_sis_solution(ssat, flat)
         ok, nontrivial = bool(is_consistent(ssat, s)), is_nontrivial(ssat, s)
         assert rows.nontrivial(flat) == nontrivial
-        admissible = {"nontrivial": nontrivial, "not_all_zero": is_not_all_zero(s)}
+        admissible = {"l1": nontrivial, "linf": is_not_all_zero(s)}
         norm = {"l1": sum(map(abs, flat)), "linf": norm_linf(s)}
-        for (mode, side), cost in walks.items():
-            assert cost(flat) == (norm[mode] if ok and admissible[side] else None)
+        for mode, cost in walks.items():
+            assert cost(flat) == (norm[mode] if ok and admissible[mode] else None)
         if ok:
             consistent.append(s)
     assert all(cost(outside(flat, k + 1)) is None for cost in walks.values())

@@ -17,9 +17,11 @@ import hashlib
 import json
 from collections import Counter
 
+import pytest
+
 from gapforge import fixtures as shipped
 from gapforge import serialize
-from gapforge.errors import GapforgeError
+from gapforge.errors import GapforgeError, SchemaViolation
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
 from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
 from gapforge.serialize import from_document, read_document, to_document
@@ -129,3 +131,32 @@ def test_every_mutant_gets_the_pinned_error_at_the_pinned_node():
     serialize._FRACTIONS.clear()
     assert outcome_digest() == OUTCOME_DIGEST
     assert outcome_digest() == OUTCOME_DIGEST
+
+
+# strings that read as a number but write back other bytes: not in lowest terms, no
+# denominator, zero-padded, a signed zero; and big integers with leading zeros
+NON_CANONICAL_FRACTIONS = ("2/6", "1", "01/2", "-0/1", "2/2", "-02/3", "0/5", "3/01")
+NON_CANONICAL_INTS = ("01152921504606846976", "-01152921504606846976", "0" * 20 + "9007199254740993")
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_FRACTIONS)
+def test_non_canonical_fraction_is_refused_at_its_node(text):
+    doc = documents()["chain_lhp"]
+    doc["inequalities"][0]["coeff_y"] = text
+    serialize._FRACTIONS.clear()
+    for _ in range(2):  # the second read finds the memo as the first left it
+        with pytest.raises(SchemaViolation) as exc:
+            from_document(doc)
+        assert exc.value.pointer == "/inequalities/0/coeff_y"
+        assert all(serialize.encode_fraction(f) == key for key, f in serialize._FRACTIONS.items())
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_INTS)
+def test_non_canonical_big_integer_is_refused_at_its_node(text):
+    doc = documents()["chain_sis"]
+    doc["target"][0] = text
+    with pytest.raises(SchemaViolation) as exc:
+        from_document(doc)
+    assert exc.value.pointer == "/target/0"
+    doc["target"][0] = str(int(text))  # the canonical spelling loads
+    assert from_document(doc).target[0] == int(text)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from gapforge import fixtures as shipped
 from gapforge.errors import SearchSpaceTooLarge
 from gapforge.genlab import GenSpec, gen_label_cover
 from gapforge.instances import (
@@ -19,7 +20,11 @@ from gapforge.instances import (
     count_satisfied_edges,
 )
 from gapforge.oracles import (
+    MinResult,
     SearchBudget,
+    _box_residues,
+    _compile_ncp,
+    branch_and_bound,
     count_lhp_violations,
     solve_lc_max,
     solve_lhp_min,
@@ -111,24 +116,24 @@ def test_lc_max_charges_each_b_vertex_at_every_neighbour():
 
 def test_ssat_min_id2(ssat_id2):
     result = solve_ssat_min_norm(ssat_id2, SearchBudget(coeff_box=1, mode="l1"))
-    assert result.min_norm == 1
+    assert result.minimum == 1
 
 
 def test_ssat_min_cyc_l1(ssat_cyc):
     result = solve_ssat_min_norm(ssat_cyc, SearchBudget(coeff_box=2, mode="l1"))
-    assert result.min_norm == 2
+    assert result.minimum == 2
     # no consistent non-trivial super-assignment of norm 1 exists
     assert result.witness is not None
 
 
 def test_ssat_min_cyc_linf(ssat_cyc):
     result = solve_ssat_min_norm(ssat_cyc, SearchBudget(coeff_box=2, mode="linf"))
-    assert result.min_norm == 2
+    assert result.minimum == 2
 
 
 def test_ssat_min_share(ssat_share):
     result = solve_ssat_min_norm(ssat_share, SearchBudget(coeff_box=1, mode="l1"))
-    assert result.min_norm == 1
+    assert result.minimum == 1
     # lexicographically smallest witness over the flattened weight tuple
     assert result.witness.weights == ((-1, 0), (-1, 0))
 
@@ -142,7 +147,7 @@ def test_ssat_min_infeasible_none():
         tests=(SsatTest(("x",), ((0,), (1,))),),
     )
     result = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=1, mode="l1"))
-    assert result.min_norm == 1  # sanity: (1, 0) etc. exist
+    assert result.minimum == 1  # sanity: (1, 0) etc. exist
 
 
 def test_ssat_min_cap(ssat_cyc):
@@ -159,7 +164,7 @@ def test_ssat_min_cap(ssat_cyc):
 def test_sis_min_share(ssat_share):
     sis = ssat_to_sis(ssat_share)
     result = solve_sis_min(sis, SearchBudget(coeff_box=2))
-    assert result.min_l1 == 2
+    assert result.minimum == 2
     assert result.witness in ((1, 0, 1, 0), (0, 1, 0, 1))
 
 
@@ -173,7 +178,7 @@ def _plain_sis_min(sis, k):
 def test_sis_min_share_against_plain_enumeration(ssat_share):
     sis = ssat_to_sis(ssat_share)
     pruned = solve_sis_min(sis, SearchBudget(coeff_box=2))
-    assert (pruned.min_l1, pruned.witness) == _plain_sis_min(sis, 2) == (2, (0, 1, 0, 1))
+    assert (pruned.minimum, pruned.witness) == _plain_sis_min(sis, 2) == (2, (0, 1, 0, 1))
 
 
 def test_sis_min_cyc_is_infeasible(ssat_cyc):
@@ -185,7 +190,7 @@ def test_sis_min_cyc_is_infeasible(ssat_cyc):
     """
     sis = ssat_to_sis(ssat_cyc)
     for k in (2, 3):
-        assert solve_sis_min(sis, SearchBudget(coeff_box=k)).min_l1 is None
+        assert solve_sis_min(sis, SearchBudget(coeff_box=k)).minimum is None
         assert _plain_sis_min(sis, k) == (None, None)
 
 
@@ -193,13 +198,13 @@ def test_sis_min_unreachable_target():
     from gapforge.instances import SisInstance
 
     sis = SisInstance(num_cols=2, matrix=(((0, 2), (1, 2)),), target=(1,), bound=1)
-    assert solve_sis_min(sis, SearchBudget(coeff_box=2)).min_l1 is None
+    assert solve_sis_min(sis, SearchBudget(coeff_box=2)).minimum is None
 
 
 def test_sis_min_monotone_in_box(ssat_share):
     sis = ssat_to_sis(ssat_share)
-    small = solve_sis_min(sis, SearchBudget(coeff_box=1)).min_l1
-    large = solve_sis_min(sis, SearchBudget(coeff_box=3)).min_l1
+    small = solve_sis_min(sis, SearchBudget(coeff_box=1)).minimum
+    large = solve_sis_min(sis, SearchBudget(coeff_box=3)).minimum
     assert large <= small
 
 
@@ -220,7 +225,7 @@ SIS_OFF_LAYOUT = {
 
 def _solves_like_the_box_loop(sis):
     res = solve_sis_min(sis, SearchBudget(coeff_box=1))
-    return (res.min_l1, res.witness) == _plain_sis_min(sis, 1)
+    return (res.minimum, res.witness) == _plain_sis_min(sis, 1)
 
 
 def test_sis_layout_accepts_pipeline_instance():
@@ -238,7 +243,7 @@ def test_sis_min_duplicated_tag_is_not_pruned():
     # both rows cover test 0: reading them as one row per test would force the second block to sum to 1
     bad = dataclasses.replace(_two_test_sis(), **SIS_OFF_LAYOUT["duplicated_tag"])
     res = solve_sis_min(bad, SearchBudget(coeff_box=1))
-    assert (res.min_l1, res.witness) == (1, (0, 1, 0, 0))
+    assert (res.minimum, res.witness) == (1, (0, 1, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +253,7 @@ def test_sis_min_duplicated_tag_is_not_pruned():
 def test_ncp_min_share_full_field(ssat_share):
     ncp = sis_to_ncp(ssat_to_sis(ssat_share), g=1)
     result = solve_ncp_min(ncp, SearchBudget(), full_field=True)
-    assert result.min_dist == 2
+    assert result.minimum == 2
     assert result.mode == "full"
     # pruning leaves the walk below the 5^4 leaves of the full field
     assert result.states_visited < 5 ** 4
@@ -257,7 +262,7 @@ def test_ncp_min_share_full_field(ssat_share):
 def test_ncp_min_share_box(ssat_share):
     ncp = sis_to_ncp(ssat_to_sis(ssat_share), g=1)
     result = solve_ncp_min(ncp, SearchBudget(coeff_box=1))
-    assert result.min_dist == 2
+    assert result.minimum == 2
     assert result.mode == "box"
 
 
@@ -270,8 +275,8 @@ def test_ncp_min_equals_sis_min_when_below_replication(ssat_share, ssat_id2):
     for ssat in (ssat_share, ssat_id2):
         sis = ssat_to_sis(ssat)
         ncp = sis_to_ncp(sis, g=1)
-        sis_min = solve_sis_min(sis, SearchBudget(coeff_box=2)).min_l1
-        ncp_min = solve_ncp_min(ncp, SearchBudget(), full_field=True).min_dist
+        sis_min = solve_sis_min(sis, SearchBudget(coeff_box=2)).minimum
+        ncp_min = solve_ncp_min(ncp, SearchBudget(), full_field=True).minimum
         assert sis_min is not None and sis_min < ncp.replication
         assert ncp_min == sis_min
 
@@ -305,6 +310,65 @@ def test_ncp_full_field_hint_over_a_huge_modulus_meets_the_cap(ssat_share, hint)
         solve_ncp_min(ncp, SearchBudget(max_states=10), full_field=True, hints=[hint * ncp.num_cols])
 
 
+@pytest.mark.parametrize("q", (2, 3, 5, 7, 11))
+def test_box_residues_are_the_residues_of_the_box_in_first_appearance_order(q):
+    for k in range(1, 3 * q + 2):
+        box = list(dict.fromkeys(v % q for v in range(-k, k + 1)))
+        for limit in range(1, q + 2):
+            assert list(_box_residues(k, q, limit)) == box[:limit]
+
+
+@pytest.mark.parametrize("name", ("lc_id2", "lc_share", "lc_cyc"))
+def test_ncp_huge_box_walks_as_the_small_box_with_its_residue_order(name):
+    """A box of radius K >= q tries all q residues from -K mod q on, so it walks as box q + K % q.
+
+    Its minimum is that of box q, which tries them from 0; the witness and
+    the nodes can differ, as the order does.
+    """
+    ncp = sis_to_ncp(ssat_to_sis(lc_to_ssat(shipped.load(name))), g=1)
+    q = ncp.modulus
+    for big in (10 ** 18, 10 ** 18 + 1, 10 ** 18 + 2):
+        result = solve_ncp_min(ncp, SearchBudget(coeff_box=big))
+        assert result == solve_ncp_min(ncp, SearchBudget(coeff_box=q + big % q))
+        assert result.minimum == solve_ncp_min(ncp, SearchBudget(coeff_box=q)).minimum
+
+
+def test_ncp_box_cut_at_the_cap_walks_as_the_whole_box(lc_cyc):
+    """Below the cap + 1 residues the box is cut; the walk and its hints never reach past them."""
+    ncp = sis_to_ncp(ssat_to_sis(lc_to_ssat(lc_cyc)), g=1)
+    q = ncp.modulus
+    rows = _compile_ncp(ncp)
+
+    def outcome(solve):
+        try:
+            result = solve()
+        except SearchSpaceTooLarge as exc:
+            return exc.states
+        return result.minimum, result.witness, result.states_visited
+
+    for k in (2, q + 3):
+        whole = tuple(dict.fromkeys(v % q for v in range(-k, k + 1)))
+        for cap in range(0, 12):
+            for hints in ([], [(q - 1,) * ncp.num_cols], [(0,) * ncp.num_cols]):
+                cut = outcome(lambda: solve_ncp_min(ncp, SearchBudget(coeff_box=k, max_states=cap), hints=hints))
+                plain = outcome(lambda: MinResult(*branch_and_bound(
+                    ncp.num_cols, rows.residue_children(whole), rows.root, cap, hints)))
+                assert cut == plain, (k, cap, hints)
+
+
+def test_ncp_huge_box_under_a_small_cap_builds_no_box(ssat_share):
+    """Only the first cap + 1 residues of the box are built, so the cap bounds the set-up too."""
+    ncp = sis_to_ncp(ssat_to_sis(ssat_share), g=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge):
+            solve_ncp_min(ncp, SearchBudget(coeff_box=10 ** 18, max_states=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # LHP oracles
 # ---------------------------------------------------------------------------
@@ -334,7 +398,7 @@ def test_lhp_violations_all_zero_assignment(ssat_share):
 def test_lhp_min_share(ssat_share):
     lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
     result = solve_lhp_min(lhp)
-    assert result.min_violations == 2
+    assert result.minimum == 2
     assert [int(x) for x in result.witness.x_values] in [[0, 1, 0, 1], [1, 0, 1, 0]]
 
 
@@ -343,7 +407,7 @@ def test_lhp_min_no_solution_in_grid_costs_u(ssat_cyc):
     # row pair fails on every grid point, costing all u copies
     lhp = sis_to_lhp(ssat_to_sis(ssat_cyc), u_param=7)
     result = solve_lhp_min(lhp)
-    assert result.min_violations >= 7
+    assert result.minimum >= 7
 
 
 def test_lhp_grid_matches_sis_min_when_attained(ssat_share, ssat_id2):
@@ -352,7 +416,7 @@ def test_lhp_grid_matches_sis_min_when_attained(ssat_share, ssat_id2):
         lhp = sis_to_lhp(sis)
         sis_result = solve_sis_min(sis, SearchBudget(coeff_box=1))
         assert all(abs(v) <= 1 for v in sis_result.witness)
-        assert solve_lhp_min(lhp).min_violations == sis_result.min_l1
+        assert solve_lhp_min(lhp).minimum == sis_result.minimum
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +440,7 @@ def test_sis_min_equals_scaled_restricted_ssat_min(ssat_share, ssat_cyc):
             norm = norm_l1(s)
             if best is None or norm < best:
                 best = norm
-        sis_min = solve_sis_min(sis, SearchBudget(coeff_box=2)).min_l1
+        sis_min = solve_sis_min(sis, SearchBudget(coeff_box=2)).minimum
         if best is None:
             assert sis_min is None
         else:
@@ -390,19 +454,6 @@ def test_planted_generator_chain_consistency():
     assert solve_lc_max(lc).best_fraction == 1
 
 
-def test_ssat_side_condition_filters(ssat_2to1_wide):
-    # not-all-zero admits a superset of the non-trivial candidates, so its
-    # minimum can only be lower or equal under the same mode
-    relaxed = solve_ssat_min_norm(
-        ssat_2to1_wide, SearchBudget(coeff_box=1, mode="l1"), side_condition="not_all_zero"
-    )
-    strict = solve_ssat_min_norm(
-        ssat_2to1_wide, SearchBudget(coeff_box=1, mode="l1"), side_condition="nontrivial"
-    )
-    assert relaxed.min_norm <= strict.min_norm
-    assert relaxed.min_norm == 1  # a single unit weight is consistent here
-
-
 # ---------------------------------------------------------------------------
 # hints
 # ---------------------------------------------------------------------------
@@ -411,10 +462,10 @@ def test_cheaper_hint_outside_the_box_is_ignored():
     """A solution outside the box that costs less than the box optimum would hide it as a ceiling."""
     budget = SearchBudget(coeff_box=1)
     sis = SisInstance(num_cols=4, matrix=(((0, 3), (1, 1), (2, 1), (3, 1)),), target=(6,), bound=4)
-    assert solve_sis_min(sis, budget).min_l1 == 4
+    assert solve_sis_min(sis, budget).minimum == 4
     assert solve_sis_min(sis, budget, hints=[(2, 0, 0, 0)]) == solve_sis_min(sis, budget)
     ncp = NcpInstance(modulus=7, num_cols=1, matrix=(((0, 1),),), target=(3,), bound=1, replication=1,
                       multiplicity=(1,))
-    assert solve_ncp_min(ncp, budget).min_dist == 1
+    assert solve_ncp_min(ncp, budget).minimum == 1
     assert solve_ncp_min(ncp, budget, hints=[(3,)]) == solve_ncp_min(ncp, budget)
-    assert solve_ncp_min(ncp, budget, full_field=True, hints=[(3,)]).min_dist == 0
+    assert solve_ncp_min(ncp, budget, full_field=True, hints=[(3,)]).minimum == 0

@@ -57,12 +57,12 @@ def test_chain_minima_are_the_unhinted_minima(num_a, num_b, seed, flips, twist_s
     ssat = lc_to_ssat(lc)
     sis = ssat_to_sis(ssat)
     budget = SearchBudget()
-    ssat_min = solve_ssat_min_norm(ssat, budget).min_norm
+    ssat_min = solve_ssat_min_norm(ssat, budget).minimum
     unhinted = {
         "ssat_l1": None if ssat_min is None else encode_fraction(ssat_min),
-        "sis": solve_sis_min(sis, budget).min_l1,
-        "ncp_box": solve_ncp_min(sis_to_ncp(sis, g=1), budget).min_dist,
-        "lhp_grid": solve_lhp_min(sis_to_lhp(sis, g=1), budget).min_violations,
+        "sis": solve_sis_min(sis, budget).minimum,
+        "ncp_box": solve_ncp_min(sis_to_ncp(sis, g=1), budget).minimum,
+        "lhp_grid": solve_lhp_min(sis_to_lhp(sis, g=1), budget).minimum,
     }
     assert {key: stage["minimum"] for key, stage in doc["oracles"].items()} == unhinted
     assert doc["completeness"]["natural_exists"] or flips

@@ -90,8 +90,9 @@ def superassignment(ssat, flat):
     return SuperAssignment(tuple(rows))
 
 
-def ssat_cost(ssat, mode, side, s):
-    admissible = is_nontrivial(ssat, s) if side == "nontrivial" else is_not_all_zero(s)
+def ssat_cost(ssat, mode, s):
+    """l1 over the nontrivial consistent points, linf over the consistent points that are not all zero."""
+    admissible = is_nontrivial(ssat, s) if mode == "l1" else is_not_all_zero(s)
     if not admissible or not is_consistent(ssat, s):
         return None
     return norm_l1(s) if mode == "l1" else norm_linf(s)
@@ -200,9 +201,8 @@ def chains(draw, max_columns=6):
 
 @settings(max_examples=12, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@given(chains(), st.sampled_from(("l1", "linf")), st.sampled_from((None, "nontrivial", "not_all_zero")),
-       st.integers(1, 3))
-def test_every_search_matches_naive_reference(chain, mode, side, l):
+@given(chains(), st.sampled_from(("l1", "linf")), st.integers(1, 3))
+def test_every_search_matches_naive_reference(chain, mode, l):
     lc, ssat, sis, k = chain
     budget = SearchBudget(coeff_box=k, mode=mode)
 
@@ -218,18 +218,18 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
 
     # SSAT
     total = sum(len(t.assignments) for t in ssat.tests)
-    effective = side or ("nontrivial" if mode == "l1" else "not_all_zero")
     best, flat, costs = naive_min(
         itertools.product(range(-k, k + 1), repeat=total),
-        lambda f: ssat_cost(ssat, mode, effective, superassignment(ssat, f)),
+        lambda f: ssat_cost(ssat, mode, superassignment(ssat, f)),
     )
-    res = solve_ssat_min_norm(ssat, budget, side)
-    assert (res.mode, res.min_norm) == (mode, best)
+    res = solve_ssat_min_norm(ssat, budget)
+    assert (res.mode, res.minimum) == (mode, best)
+    assert best is None or type(res.minimum) is Fraction
     assert res.witness == (None if flat is None else superassignment(ssat, flat))
-    check_walk_cap(lambda b: solve_ssat_min_norm(ssat, b, side), budget, res, total, 2 * k + 1)
+    check_walk_cap(lambda b: solve_ssat_min_norm(ssat, b), budget, res, total, 2 * k + 1)
     unit, norm = (Fraction(1, len(ssat.tests)), norm_l1) if mode == "l1" else (1, norm_linf)
     cases = hint_cases(costs, unit, lambda f: norm(superassignment(ssat, f)), [(k + 1,) * total])
-    check_hints(lambda b, h: solve_ssat_min_norm(ssat, b, side, hints=h), budget, res, cases, total, 2 * k + 1)
+    check_hints(lambda b, h: solve_ssat_min_norm(ssat, b, hints=h), budget, res, cases, total, 2 * k + 1)
 
     # SIS
     best, z, costs = naive_min(
@@ -237,7 +237,7 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
         lambda z: sum(map(abs, z)) if sis.multiply(z) == sis.target else None,
     )
     res = solve_sis_min(sis, budget)
-    assert (res.min_l1, res.witness) == (best, z)
+    assert (res.minimum, res.witness) == (best, z)
     check_walk_cap(lambda b: solve_sis_min(sis, b), budget, res, sis.num_cols, 2 * k + 1)
     cases = hint_cases(costs, 1, lambda z: sum(map(abs, z)), [(-k - 1,) * sis.num_cols])
     check_hints(lambda b, h: solve_sis_min(sis, b, hints=h), budget, res, cases, sis.num_cols, 2 * k + 1)
@@ -249,7 +249,7 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
         if len(values) ** ncp.num_cols <= 1000:
             best, z, costs = naive_min(itertools.product(values, repeat=ncp.num_cols), ncp.distance)
             res = solve_ncp_min(ncp, budget, full_field=full)
-            assert (res.min_dist, res.witness) == (best, z)
+            assert (res.minimum, res.witness) == (best, z)
             assert res.mode == ("full" if full else "box")
             check_walk_cap(lambda b: solve_ncp_min(ncp, b, full_field=full), budget, res, ncp.num_cols, len(values))
             # every residue is in the full field; k + 1 is outside the box unless it is a residue of [-k, k]
@@ -263,7 +263,7 @@ def test_every_search_matches_naive_reference(chain, mode, side, l):
     best, xs, costs = naive_min(
         itertools.product((-1, 0, 1), repeat=lhp.num_x), lambda xs: count_lhp_violations(lhp, LhpAssignment.of(xs))
     )
-    assert (res.min_violations, res.witness) == (best, LhpAssignment.of(xs))
+    assert (res.minimum, res.witness) == (best, LhpAssignment.of(xs))
     check_walk_cap(lambda b: solve_lhp_min(lhp, budget=b), budget, res, lhp.num_x, 3)
     check_hints(lambda b, h: solve_lhp_min(lhp, budget=b, hints=h), budget, res,
                 hint_cases(costs, 1, outside=[(2,) * lhp.num_x]), lhp.num_x, 3)
@@ -303,22 +303,21 @@ def test_eight_columns_at_box_1_match_naive_reference():
 
     for mode in ("l1", "linf"):
         budget = SearchBudget(coeff_box=1, mode=mode)
-        side = "nontrivial" if mode == "l1" else "not_all_zero"
-        best, flat, _ = naive_min(points, lambda f: ssat_cost(ssat, mode, side, superassignment(ssat, f)))
+        best, flat, _ = naive_min(points, lambda f: ssat_cost(ssat, mode, superassignment(ssat, f)))
         res = solve_ssat_min_norm(ssat, budget)
-        assert (res.min_norm, res.witness) == (best, None if flat is None else superassignment(ssat, flat))
+        assert (res.minimum, res.witness) == (best, None if flat is None else superassignment(ssat, flat))
         check_walk_cap(lambda b: solve_ssat_min_norm(ssat, b), budget, res, 8, 3)
 
     budget = SearchBudget(coeff_box=1)
     best, z, _ = naive_min(points, lambda z: sum(map(abs, z)) if sis.multiply(z) == sis.target else None)
     res = solve_sis_min(sis, budget)
-    assert (res.min_l1, res.witness) == (best, z)
+    assert (res.minimum, res.witness) == (best, z)
     check_walk_cap(lambda b: solve_sis_min(sis, b), budget, res, 8, 3)
 
     values = ncp_values(ncp, 1, False)
     best, z, _ = naive_min(itertools.product(values, repeat=8), ncp.distance)
     res = solve_ncp_min(ncp, budget)
-    assert (res.min_dist, res.witness) == (best, z)
+    assert (res.minimum, res.witness) == (best, z)
     check_walk_cap(lambda b: solve_ncp_min(ncp, b), budget, res, 8, 3)
 
     # count_lhp_violations at each point, with each inequality evaluated once per
@@ -337,7 +336,7 @@ def test_eight_columns_at_box_1_match_naive_reference():
     best, xs, _ = naive_min(points, violations)
     assert best == count_lhp_violations(lhp, LhpAssignment.of(xs))
     res = solve_lhp_min(lhp, budget=budget)
-    assert (res.min_violations, res.witness) == (best, LhpAssignment.of(xs))
+    assert (res.minimum, res.witness) == (best, LhpAssignment.of(xs))
     check_walk_cap(lambda b: solve_lhp_min(lhp, budget=b), budget, res, 8, 3)
 
 
@@ -345,12 +344,12 @@ def test_eight_columns_at_box_1_match_naive_reference():
 # The l1 completion floor
 # ---------------------------------------------------------------------------
 
-def naive_ssat(ssat, k, mode, side):
+def naive_ssat(ssat, k, mode):
     """The reference minimum and first witness of the SSAT search."""
     total = sum(len(t.assignments) for t in ssat.tests)
     best, flat, _ = naive_min(
         itertools.product(range(-k, k + 1), repeat=total),
-        lambda f: ssat_cost(ssat, mode, side, superassignment(ssat, f)),
+        lambda f: ssat_cost(ssat, mode, superassignment(ssat, f)),
     )
     return best, None if flat is None else superassignment(ssat, flat)
 
@@ -361,9 +360,9 @@ def naive_ssat(ssat, k, mode, side):
 def test_l1_nontrivial_minimum_is_at_least_one(chain):
     """Every test of a nontrivial consistent point has l1 at least 1, so the walk may charge it up front."""
     _, ssat, _, k = chain
-    best, witness = naive_ssat(ssat, k, "l1", "nontrivial")
+    best, witness = naive_ssat(ssat, k, "l1")
     res = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=k))
-    assert (res.min_norm, res.witness) == (best, witness)
+    assert (res.minimum, res.witness) == (best, witness)
     assert best is None or best >= 1
 
 
@@ -384,21 +383,21 @@ def test_l1_leaf_rejects_a_variable_that_cancels():
     assert is_consistent(ssat, cancelled) and not is_nontrivial(ssat, cancelled)
     for k in (1, 2):
         res = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=k))
-        assert (res.min_norm, res.witness) == naive_ssat(ssat, k, "l1", "nontrivial") == (None, None)
+        assert (res.minimum, res.witness) == naive_ssat(ssat, k, "l1") == (None, None)
 
 
 def test_test_with_no_assignments_keeps_every_minimum():
-    """A test with no columns has l1 0 and no floor; y, its only variable, is never nontrivial."""
+    """A test with no columns has l1 0 and no floor; y, its only variable, is never nontrivial.
+
+    So l1, which needs every variable nontrivial, has no minimum, while linf,
+    which needs only a nonzero weight, has one.
+    """
     ssat = SsatInstance(
         variables=("x", "y"),
         field_values=(0, 1),
         tests=(SsatTest(("x",), ((0,), (1,))), SsatTest(("y",), ())),
     )
-    expected = {
-        ("l1", "nontrivial"): None, ("l1", "not_all_zero"): Fraction(1, 2),
-        ("linf", "nontrivial"): None, ("linf", "not_all_zero"): 1,
-    }
-    for (mode, side), minimum in expected.items():
-        res = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=1, mode=mode), side)
-        assert (res.min_norm, res.witness) == naive_ssat(ssat, 1, mode, side)
-        assert res.min_norm == minimum
+    for mode, minimum in (("l1", None), ("linf", 1)):
+        res = solve_ssat_min_norm(ssat, SearchBudget(coeff_box=1, mode=mode))
+        assert (res.minimum, res.witness) == naive_ssat(ssat, 1, mode)
+        assert res.minimum == minimum

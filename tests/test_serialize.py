@@ -46,7 +46,7 @@ def test_scalar_codecs():
     assert decode_int(encode_int(-big)) == -big
     assert encode_fraction(Fraction(-3, 7)) == "-3/7"
     assert decode_fraction("-3/7") == Fraction(-3, 7)
-    assert decode_fraction("4") == 4
+    assert decode_fraction("4/1") == 4
 
 
 def test_round_trip_all_fixtures(tmp_path):

@@ -43,7 +43,7 @@ def naive_first_violation(ssat, s):
             for x in ssat.variables:
                 if x in ssat.tests[i].variables and x in ssat.tests[j].variables:
                     for a in ssat.field_values:
-                        if project(ssat, s, i, x)[a] != project(ssat, s, j, x)[a]:
+                        if project(ssat, s, i, x).get(a, 0) != project(ssat, s, j, x).get(a, 0):
                             return (i, j, x, a)
     return None
 

@@ -55,19 +55,19 @@ def lc_fields(r):
 
 
 def ssat_fields(r):
-    return str(r.min_norm), r.witness and r.witness.weights, r.states_visited
+    return str(r.minimum), r.witness and r.witness.weights, r.states_visited
 
 
 def sis_fields(r):
-    return r.min_l1, r.witness, r.states_visited
+    return r.minimum, r.witness, r.states_visited
 
 
 def ncp_fields(r):
-    return r.min_dist, r.witness, r.mode, r.states_visited
+    return r.minimum, r.witness, r.mode, r.states_visited
 
 
 def lhp_fields(r):
-    return r.min_violations, tuple(map(str, r.witness.x_values)), r.states_visited
+    return r.minimum, tuple(map(str, r.witness.x_values)), r.states_visited
 
 
 def records():
