@@ -346,15 +346,17 @@ def _cmd_report(args) -> int:
         raise SchemaViolation("/kind", "expected a chain_report document")
     gap = doc.get("gap_report")
     rows = gap.get("rows") if isinstance(gap, dict) else None
-    if not isinstance(rows, list) or not all(isinstance(r, dict) and r.keys() >= set(GAP_ROW_KEYS) for r in rows):
-        raise SchemaViolation("/gap_report", f"expected rows with the fields {sorted(GAP_ROW_KEYS)}")
+    if not isinstance(rows, list):
+        raise SchemaViolation("/gap_report", "expected an object with a list of rows")
     if "all_checks_passed" not in doc:
         raise SchemaViolation("/all_checks_passed", "missing from the chain_report")
     for i, row in enumerate(rows):  # as ``run_chain`` writes them: the stage a string, the others a string or null
+        _fields(row, f"/gap_report/rows/{i}", frozenset(GAP_ROW_KEYS))
         for key in GAP_ROW_KEYS:
             if type(row[key]) is not str and (key == "stage" or row[key] is not None):
                 expected = "a string" if key == "stage" else "a string or null"
                 raise SchemaViolation(f"/gap_report/rows/{i}/{key}", f"expected {expected}, got {row[key]!r:.60}")
+    passed = _bool(doc["all_checks_passed"], "/all_checks_passed")
     if args.text:
         widths = ("stage", "completeness", "oracle_min", "ratio")
         print("{:<8} {:>14} {:>11} {:>7}".format(*widths))
@@ -368,10 +370,7 @@ def _cmd_report(args) -> int:
                 )
             )
         return 0
-    try:
-        data = canonical_bytes({"kind": "gap_report", "rows": rows, "all_checks_passed": doc["all_checks_passed"]})
-    except TypeError as exc:  # a float, which the canonical writer refuses and no chain_report holds
-        raise SchemaViolation("", f"not a chain_report: {exc}") from None
+    data = canonical_bytes({"kind": "gap_report", "rows": rows, "all_checks_passed": passed})
     sys.stdout.write(data.decode("utf-8"))
     return 0
 

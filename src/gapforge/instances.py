@@ -81,10 +81,6 @@ class LabelCoverInstance:
     # -- derived structure ---------------------------------------------------
 
     @cached_property
-    def sigma_a_index(self) -> dict[Label, int]:
-        return {x: i for i, x in enumerate(self.sigma_a)}
-
-    @cached_property
     def sigma_b_index(self) -> dict[Label, int]:
         return {y: i for i, y in enumerate(self.sigma_b)}
 

@@ -66,9 +66,6 @@ class ListLabeling:
             lists[a] = tuple(x for x in lc.sigma_a if x in members)
         return cls(lists=lists, max_list_size=max((len(v) for v in lists.values()), default=0))
 
-    def sizes(self) -> dict[Vertex, int]:
-        return {a: len(v) for a, v in self.lists.items()}
-
 
 def list_totally_disagree(lc: LabelCoverInstance, lists: ListLabeling, b: Vertex) -> bool:
     """No two neighbors of ``b`` hold list members projecting to a common value."""

@@ -8,6 +8,8 @@ from gapforge import fixtures as shipped
 from gapforge.instances import LabelCoverInstance
 from gapforge.reductions import lc_to_ssat
 
+pytest.register_assert_rewrite("naive")  # the differential tests' helpers assert with pytest's messages
+
 
 def identity_table():
     return {0: 0, 1: 1}

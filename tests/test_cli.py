@@ -531,21 +531,30 @@ def test_report_on_chain_report_without_gap_report(tmp_path, capsys, lc_id2_path
 
 
 def test_report_on_chain_report_with_a_float_is_a_typed_error(tmp_path, capsys, lc_id2_path):
-    """A gap row holds a string stage and a string or null in each other field, as ``run_chain`` writes it."""
+    """A gap row has exactly the four fields, as ``run_chain`` writes it: a string stage, a string or null in each
+    other field; ``all_checks_passed`` is true or false."""
     chain = tmp_path / "chain.json"
     run(capsys, "check", "chain", "--in", str(lc_id2_path), "--out", str(chain))
     written = chain.read_text()
     bad = chain.with_name("bad.json")
-    for key, value in (("ratio", 1.5), ("ratio", [1]), ("oracle_minimum", {"a": 1}), ("completeness_value", 1.5),
-                       ("stage", None), ("stage", [1])):
+    row = "/gap_report/rows/1"
+    # (a key of gap row 1, or of the document when it starts with "/"; its value; the pointer refused)
+    for key, value, ptr in (("ratio", 1.5, f"{row}/ratio"), ("ratio", [1], f"{row}/ratio"),
+                            ("oracle_minimum", {"a": 1}, f"{row}/oracle_minimum"),
+                            ("completeness_value", 1.5, f"{row}/completeness_value"),
+                            ("stage", None, f"{row}/stage"), ("stage", [1], f"{row}/stage"),
+                            ("extra", [2.5], row), ("/all_checks_passed", [1], "/all_checks_passed")):
         doc = json.loads(written)
-        doc["gap_report"]["rows"][1][key] = value
+        if key.startswith("/"):
+            doc[key[1:]] = value
+        else:
+            doc["gap_report"]["rows"][1][key] = value
         bad.write_text(json.dumps(doc))
         for text in ((), ("--text",)):
             code, out = run(capsys, "report", "--in", str(bad), *text)
             assert code == 1, (key, value, text)
             assert out["error"]["type"] == "SchemaViolation"
-            assert out["error"]["message"].startswith(f"/gap_report/rows/1/{key}: ")
+            assert out["error"]["message"].startswith(f"{ptr}: ")
 
 
 def test_gen_from_truncated_spec_file(tmp_path, capsys):

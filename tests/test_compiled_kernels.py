@@ -1,45 +1,53 @@
-"""The row tables of the walked oracles against the instance-level reference semantics.
+"""The walked oracles against the naive references of ``naive``, one pass per (chain, box).
 
-Each walked solver compiles its instance once into integer rows.  On every
-point of small boxes of the same seeded chains the search differential uses,
-the point followed as a hint down the walk the solver hands to
-``branch_and_bound``, from the root through the child it takes at each depth,
-costs the reference, and ``None`` exactly where the reference rejects it:
+On the seeded chains of ``naive.chains``, each point of the box is costed
+once by the reference (``None`` where it rejects the point).  That cost is
+compared with the point followed as a hint down the walk that the solver
+hands to ``branch_and_bound``, and ``naive.check_search`` compares the
+solver's minimum, witness, cap and hinted reruns with the first optimum:
 
-* SSAT: ``is_consistent``, the mode's side condition and its norm: l1 over
-  ``is_nontrivial`` points, linf over ``is_not_all_zero`` ones;
-* SIS: ``SisInstance.multiply(z) == target``, then the l1 norm, also on
-  rows with any small integer entries;
-* NCP: ``NcpInstance.distance``, in the box and over the full field;
-* LHP: ``count_lhp_violations``.
+* SSAT: ``is_consistent`` once for both norms, then l1 over
+  ``is_nontrivial`` points and linf over ``is_not_all_zero`` ones; the
+  coverage sets agree with ``is_nontrivial``, the walk enumerates exactly
+  the consistent points, and every l1 cost is at least 1;
+* SIS: ``multiply(z) == target``, ``multiply`` checked against the dense
+  rows, then the l1 norm; also on rows with any small integer entries;
+* NCP: ``distance``; at the box points the full-field walk and a twin with
+  unreduced entries too, and the full field when it is small;
+* LHP: ``naive.lhp_violations``.
 
 A point with one coordinate outside the box costs ``None`` on every walk.
-The SSAT coverage sets agree with ``is_nontrivial`` and the SSAT walk
-enumerates exactly the consistent points.  On small hand-built NCP and LHP
-instances, every child of every prefix costs exactly the reference over the
-rows completed so far.
+On small hand-built NCP and LHP instances, every child of every prefix
+costs exactly the reference over the rows completed so far.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
-from test_search_differential import chains
-from test_sparse_rows import dense
+from naive import (
+    box,
+    chains,
+    check_search,
+    dense,
+    hint_cost,
+    lhp_violations,
+    ncp_values,
+    norm_costs,
+    ssat_box,
+    superassignment,
+)
 
-from gapforge import oracles
 from gapforge.instances import GT, LT, LhpAssignment, LhpInequality, LhpSystem, NcpInstance, SisInstance
 from gapforge.oracles import (
     SearchBudget,
     _compile_lhp,
     _compile_ncp,
     _compile_ssat,
-    _hint_cost,
     count_lhp_violations,
     enumerate_consistent_superassignments,
     solve_lhp_min,
@@ -47,27 +55,12 @@ from gapforge.oracles import (
     solve_sis_min,
     solve_ssat_min_norm,
 )
-from gapforge.reductions import sis_to_lhp, sis_to_ncp, superassignment_from_sis_solution
-from gapforge.superassign import is_consistent, is_nontrivial, is_not_all_zero, norm_linf
+from gapforge.reductions import sis_to_lhp, sis_to_ncp
+from gapforge.serialize import sis_from_text, sis_to_text
+from gapforge.superassign import is_nontrivial, norm_l1, norm_linf
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-
-
-class Walk(Exception):
-    """Carries the ``(n, children, root)`` a solver hands to ``branch_and_bound``."""
-
-
-def hint_cost(solve):
-    """The engine's cost of a hint on the walk ``solve()`` sets up, as ``point -> cost or None``; no node is entered."""
-
-    def stop(n, children, root, max_states, hints=()):
-        raise Walk(n, children, root, max_states)
-
-    with mock.patch.object(oracles, "branch_and_bound", stop), pytest.raises(Walk) as walk:
-        solve()
-    n, children, root, max_states = walk.value.args
-    return lambda point: _hint_cost(n, children, root, point, max_states)
 
 
 def outside(point, value):
@@ -80,20 +73,25 @@ def outside(point, value):
 def test_compiled_ssat_matches_reference(chain):
     _, ssat, _, k = chain
     rows = _compile_ssat(ssat)
-    walks = {mode: hint_cost(lambda: solve_ssat_min_norm(ssat, SearchBudget(k, mode=mode))) for mode in ("l1", "linf")}
-    consistent = []
-    for flat in itertools.product(range(-k, k + 1), repeat=rows.num_cols):
-        s = superassignment_from_sis_solution(ssat, flat)
-        ok, nontrivial = bool(is_consistent(ssat, s)), is_nontrivial(ssat, s)
-        assert rows.nontrivial(flat) == nontrivial
-        admissible = {"l1": nontrivial, "linf": is_not_all_zero(s)}
-        norm = {"l1": sum(map(abs, flat)), "linf": norm_linf(s)}
-        for mode, cost in walks.items():
-            assert cost(flat) == (norm[mode] if ok and admissible[mode] else None)
-        if ok:
-            consistent.append(s)
-    assert all(cost(outside(flat, k + 1)) is None for cost in walks.values())
-    assert enumerate_consistent_superassignments(ssat, k) == consistent
+    n = rows.num_cols
+    budgets = {mode: SearchBudget(k, mode=mode) for mode in ("l1", "linf")}
+    walks = {mode: hint_cost(lambda: solve_ssat_min_norm(ssat, budget)) for mode, budget in budgets.items()}
+    scale = {"l1": len(ssat.tests), "linf": 1}  # the walk's l1 cost is the sum of the test norms, not their average
+    points = list(ssat_box(ssat, k))
+    for flat, s, _, reference in points:
+        assert rows.nontrivial(flat) == is_nontrivial(ssat, s)
+        assert {mode: walk(flat) for mode, walk in walks.items()} == {
+            mode: None if c is None else c * scale[mode] for mode, c in reference.items()}
+    assert all(walk(outside(flat, k + 1)) is None for walk in walks.values())
+    assert enumerate_consistent_superassignments(ssat, k) == [s for _, s, ok, _ in points if ok]
+
+    for (mode, budget), norm in zip(budgets.items(), (norm_l1, norm_linf)):
+        res = check_search(lambda b, h: solve_ssat_min_norm(ssat, b, hints=h), budget, norm_costs(points, mode), n,
+                           2 * k + 1, lambda f: superassignment(ssat, f), Fraction(1, scale[mode]),
+                           lambda f: norm(superassignment(ssat, f)), [(k + 1,) * n])
+        assert res.mode == mode and (res.minimum is None or type(res.minimum) is Fraction)
+    # every test of a nontrivial consistent point has l1 at least 1, so the walk may charge it up front
+    assert all(reference["l1"] is None or reference["l1"] >= 1 for _, _, _, reference in points)
 
 
 @SETTINGS
@@ -101,51 +99,79 @@ def test_compiled_ssat_matches_reference(chain):
 def test_compiled_ncp_matches_reference(chain):
     _, _, sis, k = chain
     ncp = sis_to_ncp(sis, g=1)
-    q = ncp.modulus
+    n, q = ncp.num_cols, ncp.modulus
+    budget = SearchBudget(k)
     # the same rows written with unreduced entries: negative, q for zero, and shifted targets
     raw = NcpInstance(
         modulus=q,
-        num_cols=ncp.num_cols,
-        matrix=tuple(
-            tuple((c, a - q if a else q) for c, a in enumerate(dense(row, ncp.num_cols))) for row in ncp.matrix
-        ),
+        num_cols=n,
+        matrix=tuple(tuple((c, a - q if a else q) for c, a in enumerate(dense(row, n))) for row in ncp.matrix),
         target=tuple(t - 3 * q for t in ncp.target),
         bound=ncp.bound,
         replication=ncp.replication,
         multiplicity=ncp.multiplicity,
     )
-    residues = sorted({v % q for v in range(-k, k + 1)})
-    # the box walks of both, and the full-field walk of one: its children differ from the box's only in their values
-    walks = [(inst, hint_cost(lambda: solve_ncp_min(inst, SearchBudget(k), full_field=full)))
-             for inst, full in ((ncp, False), (raw, False), (ncp, True))]
-    for z in itertools.product(residues, repeat=ncp.num_cols):
-        assert all(cost(z) == inst.distance(z) for inst, cost in walks)
-    assert [cost(outside(z, q)) for _, cost in walks] == [None] * 3  # q is no residue
+    # at every box point, the box walks of both and the full-field walk of one: its children differ from the box's
+    # only in their values
+    walks = {full: hint_cost(lambda: solve_ncp_min(ncp, budget, full_field=full)) for full in (False, True)}
+    raw_walk = hint_cost(lambda: solve_ncp_min(raw, budget))
+    for full in (False, True):
+        values = ncp_values(ncp, k, full)
+        if full and len(values) ** n > 1000:  # the box is always searched, the full field when it is this small
+            continue
+        costs = [(z, ncp.distance(z)) for z in itertools.product(values, repeat=n)]
+        if not full:
+            for z, distance in costs:
+                assert walks[False](z) == walks[True](z) == raw_walk(z) == raw.distance(z) == distance
+        # every residue is in the full field; k + 1 is outside the box unless it is a residue of [-k, k]
+        outside_box = [] if (k + 1) % q in values else [(k + 1,) * n]
+        res = check_search(lambda b, h: solve_ncp_min(ncp, b, full_field=full, hints=h), budget, costs, n,
+                           len(values), outside=outside_box)
+        assert res.mode == ("full" if full else "box")
+    assert [walk(outside(z, q)) for walk in (*walks.values(), raw_walk)] == [None] * 3  # q is no residue
 
 
 @SETTINGS
-@given(chains(max_columns=4))  # the reference evaluates every inequality at 3^columns points
+@given(chains())
 def test_compiled_lhp_matches_reference(chain):
     _, _, sis, _ = chain
     lhp = sis_to_lhp(sis, g=1)
-    cost = hint_cost(lambda: solve_lhp_min(lhp))
-    for xs in itertools.product((-1, 0, 1), repeat=lhp.num_x):
-        assert cost(xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
-    assert cost(outside(xs, 2)) is None
+    n = lhp.num_x
+    walk = hint_cost(lambda: solve_lhp_min(lhp))
+    violations = lhp_violations(lhp.inequalities)
+    costs = [(xs, violations(xs)) for xs in box(1, n)]
+    assert all(walk(xs) == count for xs, count in costs)
+    assert walk(outside(costs[-1][0], 2)) is None
+    check_search(lambda b, h: solve_lhp_min(lhp, budget=b, hints=h), SearchBudget(), costs, n, 3, LhpAssignment.of,
+                 outside=[(2,) * n])
 
 
-def check_sis_walk(sis, k):
-    cost = hint_cost(lambda: solve_sis_min(sis, SearchBudget(k)))
-    for z in itertools.product(range(-k, k + 1), repeat=sis.num_cols):
-        assert cost(z) == (sum(map(abs, z)) if sis.multiply(z) == sis.target else None)
-    assert cost(outside(z, -k - 1)) is None
+def check_sis(sis, k):
+    """One pass over the box of radius ``k``: ``multiply`` against the dense rows, then the walk and the solver against
+    the reference cost."""
+    n = sis.num_cols
+    rows = [dense(row, n) for row in sis.matrix]
+    budget = SearchBudget(k)
+    walk = hint_cost(lambda: solve_sis_min(sis, budget))
+    costs = []
+    for z in box(k, n):
+        product = sis.multiply(z)
+        assert product == tuple(sum(a * v for a, v in zip(row, z)) for row in rows)
+        costs.append((z, sum(map(abs, z)) if product == sis.target else None))
+        assert walk(z) == costs[-1][1]
+    assert walk(outside(z, -k - 1)) is None
+    check_search(lambda b, h: solve_sis_min(sis, b, hints=h), budget, costs, n, 2 * k + 1,
+                 raw=lambda z: sum(map(abs, z)), outside=[(-k - 1,) * n])
 
 
 @SETTINGS
 @given(chains())
 def test_compiled_sis_matches_reference(chain):
     _, _, sis, k = chain
-    check_sis_walk(sis, k)
+    check_sis(sis, k)
+    # the text format writes the dense rows
+    assert sis_to_text(sis).splitlines()[1:-1] == [" ".join(map(str, dense(row, sis.num_cols))) for row in sis.matrix]
+    assert sis_from_text(sis_to_text(sis)) == sis
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -155,7 +181,7 @@ def test_compiled_sis_matches_reference(chain):
 def test_equality_bounds_on_any_integer_rows(m, k, rows):
     """Entries beyond +-1, negative entries, all-zero rows and unreachable targets."""
     matrix = tuple(tuple((c, a) for c, a in enumerate(r[:m]) if a) for r, _ in rows)
-    check_sis_walk(SisInstance(num_cols=m, matrix=matrix, target=tuple(t for _, t in rows), bound=1), k)
+    check_sis(SisInstance(num_cols=m, matrix=matrix, target=tuple(t for _, t in rows), bound=1), k)
 
 
 def ineq(coeff_x, cy, cd, sense, k=1):

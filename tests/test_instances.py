@@ -87,7 +87,7 @@ def test_preimages_partition_sigma_a(lc_cyc, lc_2to1):
         for e in lc.edges:
             pieces = [preimage(lc, e, y) for y in lc.sigma_b]
             flat = [x for piece in pieces for x in piece]
-            assert sorted(flat, key=lc.sigma_a_index.__getitem__) == list(lc.sigma_a)
+            assert sorted(flat, key=lc.sigma_a.index) == list(lc.sigma_a)
             assert len(set(flat)) == len(flat)
 
 

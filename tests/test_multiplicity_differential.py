@@ -3,29 +3,25 @@
 The reference expands every NCP row and LHP inequality into the copies that
 format version 1 stored one by one (each SIS row ``d_rep`` times, each LHP
 member ``U`` times, G4 once), writes the NCP copies dense, and evaluates the
-copies one at a time.  The
+copies one at a time, each LHP copy through ``naive.lhp_violations``.  The
 property compares distances, violation counts, group counts, the plain-text
 NCP layout and the file round trip on small seeded label covers, planted and
-frustrated.
+frustrated.  On the LHP grid, ``count_lhp_violations`` is also the cost of
+each point followed as a hint down the walk of ``solve_lhp_min``.
 """
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
+from naive import box, chains, dense, expand, hint_cost, lhp_violations
 
 from gapforge.instances import EPSILON, LHP_GROUPS, LhpAssignment
-from gapforge.oracles import count_lhp_violations
+from gapforge.oracles import count_lhp_violations, solve_lhp_min
 from gapforge.reductions import sis_to_lhp, sis_to_ncp
 from gapforge.serialize import canonical_bytes, from_document, ncp_to_text, to_document
-from test_search_differential import chains
-from test_sparse_rows import dense
-
-
-def expand(records, multiplicity):
-    return [r for r, k in zip(records, multiplicity) for _ in range(k)]
 
 
 @settings(max_examples=12, derandomize=True, deadline=None,
@@ -47,22 +43,26 @@ def test_multiplicity_matches_expanded_reference(chain, g, u):
     assert ncp.num_rows == len(rows)
     text = [f"{len(rows)} {m} {q} {ncp.bound}", *(" ".join(map(str, r)) for r in rows), " ".join(map(str, target))]
     assert ncp_to_text(ncp) == "\n".join(text) + "\n"
-    for z in itertools.product(range(-k, k + 1), repeat=m):
+    for z in box(k, m):
         naive = sum(1 for row, t in zip(rows, target) if sum(c * v for c, v in zip(row, z)) % q != t)
         assert ncp.distance(z) == naive
 
     # LHP: one record per member, U copies of every group but G4
     lhp = sis_to_lhp(sis, u_param=u, g=g)
     big_u = lhp.u_param
-    copies = expand(lhp.inequalities, [ineq.multiplicity for ineq in lhp.inequalities])
+    copies = [dataclasses.replace(c, multiplicity=1)
+              for c in expand(lhp.inequalities, [ineq.multiplicity for ineq in lhp.inequalities])]
     per_copy = {grp: sum(1 for c in copies if c.group == grp) for grp in LHP_GROUPS}
     v1_counts = {"G1": 2 * big_u, "G2": 2 * big_u * sis.num_rows, "G3": 2 * big_u * m, "G4": 2 * m, "G5": big_u}
     assert lhp.group_counts() == per_copy == v1_counts
     assert lhp.num_inequalities == len(copies)
-    for xs in itertools.product((-1, 0, 1), repeat=m):
-        for y, delta in ((1, EPSILON), (0, Fraction(1, 10))):
-            a = LhpAssignment.of(xs, y=y, delta=delta)
-            assert count_lhp_violations(lhp, a) == sum(1 for c in copies if not c.satisfied_by(a))
+    walk = hint_cost(lambda: solve_lhp_min(lhp))
+    y_delta = ((1, EPSILON), (0, Fraction(1, 10)))
+    references = [lhp_violations(copies, y=y, delta=delta) for y, delta in y_delta]
+    for xs in box(1, m):
+        counts = [count_lhp_violations(lhp, LhpAssignment.of(xs, y=y, delta=delta)) for y, delta in y_delta]
+        assert counts == [violations(xs) for violations in references]
+        assert walk(xs) == counts[0]  # the walk's grid: y = 1 and delta infinitesimal
 
     for inst in (ncp, lhp):
         doc = to_document(inst)

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from test_ssat_layout import gadget_rows_by_scan
+from naive import gadget_rows_by_scan
 
 from gapforge.errors import (
     BadParameters,

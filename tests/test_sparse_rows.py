@@ -1,6 +1,6 @@
 """Sparse SIS rows against the same rows expanded to dense.
 
-On the seeded chains of the search differential, ``SisInstance.multiply``
+On the seeded chains of ``naive.chains``, ``SisInstance.multiply``
 equals a plain dot product over the dense rows, and the SIS text format, which
 writes dense lines, reads back to the equal instance.  The NCP rows get the
 same dense comparison, copy by copy, in ``test_multiplicity_differential``.
@@ -11,17 +11,9 @@ from __future__ import annotations
 import itertools
 
 from hypothesis import HealthCheck, given, settings
-from test_search_differential import chains
+from naive import chains, dense
 
 from gapforge.serialize import sis_from_text, sis_to_text
-
-
-def dense(row, num_cols):
-    """A sparse row as its ``num_cols`` entries, zeros included."""
-    entries = [0] * num_cols
-    for c, a in row:
-        entries[c] = a
-    return tuple(entries)
 
 
 @settings(max_examples=8, derandomize=True, deadline=None,

@@ -2,7 +2,7 @@
 
 ``offsets``, ``projection_indices`` and ``shared_pairs`` are derived once per
 instance and read by the SIS reduction, the compiled SSAT rows and the
-super-assignment algebra.  On the seeded chains of the search differential
+super-assignment algebra.  On the seeded chains of ``naive.chains``
 each table is compared with a plain scan of the tests, and the rows that
 ``ssat_to_sis`` writes down with rows built by a plain scan.
 """
@@ -10,29 +10,10 @@ each table is compared with a plain scan of the tests, and the rows that
 from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
-from test_search_differential import chains
+from naive import chains, gadget_rows_by_scan
 
 from gapforge.reductions import sis_solution_from_superassignment, superassignment_from_sis_solution
 from gapforge.superassign import is_consistent, project
-
-
-def gadget_rows_by_scan(ssat):
-    """The SIS consistency rows by a plain scan: for each test pair i < j, each
-    shared variable x and each field value a, the columns of test i where
-    x = a and those of test j where x != a, with coefficient 1."""
-    tests = ssat.tests
-    start = [sum(len(t.assignments) for t in tests[:k]) for k in range(len(tests))]
-    rows = []
-    for i in range(len(tests)):
-        for j in range(i + 1, len(tests)):
-            for x in ssat.variables:
-                if x in tests[i].variables and x in tests[j].variables:
-                    pos_i, pos_j = tests[i].variables.index(x), tests[j].variables.index(x)
-                    for a in ssat.field_values:
-                        cols = [start[i] + r for r, asg in enumerate(tests[i].assignments) if asg[pos_i] == a]
-                        cols += [start[j] + r for r, asg in enumerate(tests[j].assignments) if asg[pos_j] != a]
-                        rows.append(tuple((c, 1) for c in cols))
-    return tuple(rows)
 
 
 def naive_first_violation(ssat, s):
