@@ -9,10 +9,9 @@ reported by validation, not forced.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InfeasibleSpec
-from .instances import Edge, Label, LabelCoverInstance
+from .instances import Edge, Label, LabelCoverInstance, Record
 
 _REJECTION_CAP = 100_000
 
@@ -23,8 +22,7 @@ def _check_seed(seed: int) -> None:
         raise InfeasibleSpec(f"the seed must be non-negative, got {seed}")
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(Record):
     num_a: int
     num_b: int
     d_b: int

@@ -8,7 +8,6 @@ no floating point is used anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Optional, Union
@@ -25,12 +24,56 @@ Vertex = Union[int, str]
 Edge = tuple[Vertex, Vertex]
 
 
+class Record:
+    """Frozen value type: its fields are the class's own annotations, in order; class attributes give defaults.
+
+    Each subclass gets a generated ``__init__`` that sets the fields with
+    ``object.__setattr__`` and then calls ``__post_init__`` if there is one.
+    Equality and hashing go by the field tuple; nothing can be assigned or deleted.
+    No method reads ``self.__dict__``: on CPython 3.11 that moves the inline
+    attribute values into a dict, and every later attribute read gets slower.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", {}))
+        scope = {f"_d_{name}": cls.__dict__[name] for name in names if name in cls.__dict__}
+        params = "".join(f", {name}=_d_{name}" if f"_d_{name}" in scope else f", {name}" for name in names)
+        stores = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        scope["_set"] = object.__setattr__
+        exec(f"def __init__(self{params}):{stores}{post}", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._values()))})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Label cover
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabelCoverInstance:
+class LabelCoverInstance(Record):
     """Bipartite constraint graph with one projection table per edge.
 
     ``projections`` maps each edge to a total function table from the A-side
@@ -104,8 +147,7 @@ class LabelCoverInstance:
         return len(self.a_vertices) + len(self.b_vertices) + len(self.edges)
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(Record):
     """An A-side labeling, optionally paired with a B-side labeling."""
 
     phi_a: dict[Vertex, Label]
@@ -118,8 +160,7 @@ class Labeling:
             raise PartialLabeling("phi_b does not cover B exactly")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     bi_regular: bool
     d_a: int
     d_b: int
@@ -179,16 +220,14 @@ def count_satisfied_edges(lc: LabelCoverInstance, lab: Labeling) -> int:
 # SSAT
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SsatTest:
+class SsatTest(Record):
     """A test: an ordered variable tuple plus its satisfying assignments."""
 
     variables: tuple[Vertex, ...]
     assignments: tuple[tuple[Label, ...], ...]
 
 
-@dataclass(frozen=True)
-class LcProvenance:
+class LcProvenance(Record):
     """Origin of an SSAT instance produced from a label cover."""
 
     lc: LabelCoverInstance
@@ -196,8 +235,7 @@ class LcProvenance:
     test_to_b: tuple[Vertex, ...]
 
 
-@dataclass(frozen=True)
-class SsatInstance:
+class SsatInstance(Record):
     variables: tuple[Vertex, ...]
     field_values: tuple[Label, ...]
     tests: tuple[SsatTest, ...]
@@ -336,8 +374,7 @@ def check_sparse_rows(rows: Iterable[SparseRow], num_cols: int, name: str, count
 # SIS
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SisInstance:
+class SisInstance(Record):
     """Integer linear system ``matrix @ z == target`` with an l1 budget.
 
     ``matrix`` has one sparse row per equation over ``num_cols`` columns:
@@ -400,8 +437,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NcpInstance:
+class NcpInstance(Record):
     """Nearest-codeword instance over a prime field.
 
     ``matrix`` is sparse over ``num_cols`` columns, as in ``SisInstance``; a
@@ -465,8 +501,7 @@ LT = "lt"
 LHP_GROUPS = ("G1", "G2", "G3", "G4", "G5")
 
 
-@dataclass(frozen=True)
-class LhpInequality:
+class LhpInequality(Record):
     """``multiplicity`` copies of one strict homogeneous inequality over (x, y, delta).
 
     ``coeff_x`` is a sparse row, as in ``SisInstance``, with ``Fraction``
@@ -508,8 +543,7 @@ class LhpInequality:
         return (std, eps) < (0, 0)
 
 
-@dataclass(frozen=True)
-class LhpSystem:
+class LhpSystem(Record):
     """A list of strict linear inequalities produced by homogenization."""
 
     num_x: int
@@ -533,8 +567,7 @@ class LhpSystem:
         return counts
 
 
-@dataclass(frozen=True)
-class LhpAssignment:
+class LhpAssignment(Record):
     """Values for (x, y, delta); delta may be the symbolic infinitesimal."""
 
     x_values: tuple[Fraction, ...]

@@ -45,7 +45,6 @@ maximization, returns ``LcMaxResult``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
@@ -60,6 +59,7 @@ from .instances import (
     LhpAssignment,
     LhpSystem,
     NcpInstance,
+    Record,
     SisInstance,
     SsatInstance,
     Vertex,
@@ -162,8 +162,7 @@ def branch_and_bound(
     return (None, None, states) if best is None else (best_cost, best, states)
 
 
-@dataclass(frozen=True)
-class MinResult:
+class MinResult(Record):
     """The least cost a walked minimizer found, its first witness, and the nodes the walk entered.
 
     ``minimum`` and ``witness`` are ``None`` when no admissible point lies
@@ -177,8 +176,7 @@ class MinResult:
     mode: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Record):
     """Box radius and state cap for the exact searches.
 
     ``max_states`` caps the nodes the branch-and-bound walk enters.
@@ -205,8 +203,7 @@ def _split(row: Iterable[tuple[int, int]]) -> SplitRow:
     return tuple(c for c, _ in pairs), tuple(a for _, a in pairs)
 
 
-@dataclass(frozen=True)
-class _FiledRows:
+class _FiledRows(Record):
     """Sparse integer rows that cost their multiplicity when missed, filed under their last column.
 
     ``by_column[d]`` holds each row whose last column is d as (earlier
@@ -275,8 +272,7 @@ def _file_rows(n: int, rows: Iterable[tuple], modulus: Optional[int] = None) -> 
     return _FiledRows(modulus=modulus, root=root, by_column=tuple(map(tuple, by_column)))
 
 
-@dataclass(frozen=True)
-class _EqualityRows:
+class _EqualityRows(Record):
     """Equality rows ``sum(a_c * z_c) == t`` as per-coordinate bounds over [-k, k].
 
     ``by_column[d]`` lists, for every row with a nonzero entry at column d,
@@ -325,8 +321,7 @@ def _compile_equalities(n: int, k: int, rows: Iterable[tuple[SplitRow, int]]) ->
 # Label cover
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LcMaxResult:
+class LcMaxResult(Record):
     best_fraction: Fraction
     witness: Labeling
     states_visited: int
@@ -406,8 +401,7 @@ def solve_lc_max(lc: LabelCoverInstance, budget: SearchBudget = SearchBudget()) 
 # SSAT
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SsatRows:
+class _SsatRows(Record):
     """An SSAT instance as column sets over the flat weight vector.
 
     A point is a super-assignment flattened test by test, as in

@@ -9,7 +9,6 @@ direction, as exact inverses on their images).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -31,6 +30,7 @@ from .instances import (
     LhpInequality,
     LhpSystem,
     NcpInstance,
+    Record,
     SisInstance,
     SsatInstance,
     SsatTest,
@@ -79,8 +79,7 @@ def lc_to_ssat(lc: LabelCoverInstance) -> SsatInstance:
 # SSAT -> SIS
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GadgetPair:
+class GadgetPair(Record):
     """Characteristic / complemented-characteristic column matrices.
 
     ``g1`` has one column per assignment of the first test with a single 1 at

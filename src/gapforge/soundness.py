@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -22,7 +21,7 @@ from .errors import (
     NotLcDerived,
     PreconditionFailed,
 )
-from .instances import Label, LabelCoverInstance, SsatInstance, Vertex
+from .instances import Label, LabelCoverInstance, Record, SsatInstance, Vertex
 from .oracles import DEFAULT_MAX_STATES, walk_a_labelings
 from .superassign import (
     SuperAssignment,
@@ -49,8 +48,7 @@ def totally_disagree(lc: LabelCoverInstance, phi_a: Mapping[Vertex, Label], b: V
     return len(images) == len(set(images))
 
 
-@dataclass(frozen=True)
-class ListLabeling:
+class ListLabeling(Record):
     """A label list per A-vertex; list entries follow the alphabet order."""
 
     lists: dict[Vertex, tuple[Label, ...]]
@@ -125,8 +123,7 @@ def list_agreement_soundness_exact(
     return _max_agreement(lc, l, max_states)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     """List soundness ``lhs`` against ``rhs``, l^2 times plain ``agreement`` soundness capped at 1."""
 
     lhs: Fraction
@@ -161,8 +158,7 @@ def _check_seed(seed: int) -> None:
         raise MalformedInstance(f"the seed must be non-negative, got {seed}")
 
 
-@dataclass(frozen=True)
-class ListConstructionParams:
+class ListConstructionParams(Record):
     """Norm bound, target fraction, the derived threshold and inclusion probability."""
 
     g: Fraction
@@ -285,8 +281,7 @@ def list_construction(
     return ListLabeling.from_sets(lc, lists)
 
 
-@dataclass(frozen=True)
-class LinfListResult:
+class LinfListResult(Record):
     """Lists plus the bookkeeping of the max-norm construction.
 
     ``marked_step3`` is the set of tests claimed while covering variables with
@@ -365,8 +360,7 @@ def list_construction_linf(
     )
 
 
-@dataclass(frozen=True)
-class DefeatReport:
+class DefeatReport(Record):
     non_disagree_fraction: Fraction
     defeats: bool
 

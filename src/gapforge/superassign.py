@@ -10,7 +10,6 @@ good/bad-coordinate analysis operates on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -23,11 +22,10 @@ from .errors import (
     NotLcDerived,
     VariableNotInTest,
 )
-from .instances import Label, Labeling, SsatInstance, Vertex, preimage
+from .instances import Label, Labeling, Record, SsatInstance, Vertex, preimage
 
 
-@dataclass(frozen=True)
-class SuperAssignment:
+class SuperAssignment(Record):
     """One integer weight per (test, satisfying assignment) pair."""
 
     weights: tuple[tuple[int, ...], ...]
@@ -69,8 +67,7 @@ def project(ssat: SsatInstance, s: SuperAssignment, psi: int, x: Vertex) -> dict
     return {a: w for a, w in totals if w}
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
+class ConsistencyResult(Record):
     consistent: bool
     witness: Optional[tuple[int, int, Vertex, Label]] = None
 
@@ -175,8 +172,7 @@ def natural_from_labeling(ssat: SsatInstance, lab: Labeling) -> SuperAssignment:
 # Array decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArrayView:
+class ArrayView(Record):
     """The block of a test's assignments sharing one B-side label.
 
     Axes are per-variable preimage lists; the cells cover the full axis cross

@@ -5,12 +5,11 @@ specified by: walk a box with ``itertools.product`` in lexicographic order,
 cost every point from the instance-level definitions, and keep the first
 strict improvement.  ``chains`` draws the small seeded label covers, planted
 and frustrated, with the reductions of each, that the differential
-properties share.
+properties share.  ``replace`` copies a record with some fields changed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from unittest import mock
 
@@ -23,6 +22,11 @@ from gapforge.genlab import GenSpec, frustrate, gen_label_cover
 from gapforge.instances import EPSILON, LhpAssignment
 from gapforge.reductions import lc_to_ssat, ssat_to_sis
 from gapforge.superassign import SuperAssignment, is_consistent, is_nontrivial, is_not_all_zero, norm_l1, norm_linf
+
+
+def replace(record, **changes):
+    """A new ``record`` of the same class with ``changes`` to some of its fields, checked again on construction."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
 
 
 @st.composite
@@ -194,12 +198,12 @@ def check_walk_cap(solve, budget, res, n, v):
     ``solve(budget)`` reruns the search.
     """
     assert res.states_visited <= tree_nodes(n, v)
-    assert solve(dataclasses.replace(budget, max_states=res.states_visited)) == res
+    assert solve(replace(budget, max_states=res.states_visited)) == res
     if res.states_visited == 0:  # a row with no entry misses its target: no node is entered
         assert res.witness is None
         return
     with pytest.raises(SearchSpaceTooLarge) as exc:
-        solve(dataclasses.replace(budget, max_states=res.states_visited - 1))
+        solve(replace(budget, max_states=res.states_visited - 1))
     assert (exc.value.states, exc.value.cap) == (res.states_visited, res.states_visited - 1)
 
 
@@ -245,7 +249,7 @@ def check_search(solve, budget, costs, n, v, witness=lambda point: point, unit=1
     res = check_optimum(lambda b: solve(b, ()), budget, costs, n, v, witness)
     for hints in hint_cases(costs, unit, raw, outside):
         hinted = solve(budget, hints)
-        assert dataclasses.replace(hinted, states_visited=res.states_visited) == res
+        assert replace(hinted, states_visited=res.states_visited) == res
         assert hinted.states_visited <= res.states_visited
         check_walk_cap(lambda b: solve(b, hints), budget, hinted, n, v)
     return res

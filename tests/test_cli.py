@@ -255,12 +255,12 @@ def test_reduce_sis2lhp_refuses_g_below_one(tmp_path, capsys):
 
 def test_solve_ncp_full_field_over_a_huge_modulus_hits_the_cap(tmp_path, capsys, monkeypatch):
     """A 2^61 - 1 field is walked lazily, so the cap ends the search at once."""
-    import dataclasses
+    from naive import replace
 
     from gapforge.reductions import sis_to_ncp, ssat_to_sis
 
     ncp = sis_to_ncp(ssat_to_sis(shipped.load("ssat_share")), g=1)
-    write_instance(tmp_path / "ncp.json", dataclasses.replace(ncp, modulus=2 ** 61 - 1))
+    write_instance(tmp_path / "ncp.json", replace(ncp, modulus=2 ** 61 - 1))
     monkeypatch.setenv("GAPFORGE_MAX_STATES", "10")
     code, doc = run(capsys, "solve", "ncp", "--in", str(tmp_path / "ncp.json"), "--full-field")
     assert code == 1 and doc["error"]["type"] == "SearchSpaceTooLarge"

@@ -5,6 +5,7 @@ first use.  ``cli.main`` builds only the parser of the verb its command line
 names, so the tests check that this parser matches the one in the whole tree
 and that every command line the one-verb build does not take (help above a
 verb, a misspelt verb, a flag before the verb) is answered by the whole tree.
+No module of the package imports ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _CHAIN_THEN_IMPORTS = """
 import json, sys
 from gapforge.cli import main
 code = main(["check", "chain", "--in", sys.argv[1]])
-loaded = sorted(name for name in sys.modules if name.startswith("gapforge"))
+loaded = sorted(name for name in sys.modules if name.startswith("gapforge") or name in ("dataclasses", "inspect"))
 from gapforge import genlab
 import gapforge
 star = {}
@@ -63,9 +64,28 @@ def test_check_chain_loads_neither_soundness_nor_genlab_nor_fixtures():
     assert json.loads(proc.stdout)["all_checks_passed"] is True
     assert {"gapforge.cli", "gapforge.pipeline", "gapforge.oracles"} <= set(result["loaded"])
     assert not {"gapforge.soundness", "gapforge.genlab", "gapforge.fixtures"} & set(result["loaded"])
+    # the records are plain classes: neither dataclasses nor the inspect it pulls in is loaded
+    assert not {"dataclasses", "inspect"} & set(result["loaded"])
     # a submodule still imports through the package, and a star import binds every public name
     assert result["genlab_is_module"] is True
     assert result["star"] == result["all"]
+
+
+_IMPORT_EVERY_MODULE = """
+import importlib, json, sys
+from pathlib import Path
+import gapforge
+for path in sorted(Path(gapforge.__file__).parent.glob("*.py")):
+    if path.stem != "__init__":
+        importlib.import_module(f"gapforge.{path.stem}")
+print(json.dumps({"modules": len([name for name in sys.modules if name.startswith("gapforge.")]),
+                  "dataclasses": "dataclasses" in sys.modules}))
+"""
+
+
+def test_no_gapforge_module_imports_dataclasses():
+    result = json.loads(_run_fresh(_IMPORT_EVERY_MODULE).stdout)
+    assert result == {"modules": len(list(Path(gapforge.__file__).parent.glob("*.py"))) - 1, "dataclasses": False}
 
 
 @pytest.mark.parametrize("module", sorted(set(gapforge._MODULE_OF.values())))

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
+from naive import replace
 
 from gapforge.errors import (
     MalformedInstance,
@@ -131,9 +130,9 @@ def test_count_bounded_by_edges_with_equality_iff_all_hold(lc_cyc):
 def test_provenance_entry_outside_its_side_is_malformed(ssat_share, field, entry):
     # ssat_share maps variable "x" to A-vertex "x" and its tests to "b0", "b1"
     prov = ssat_share.provenance
-    bad = dataclasses.replace(prov, **{field: (entry,) + getattr(prov, field)[1:]})
+    bad = replace(prov, **{field: (entry,) + getattr(prov, field)[1:]})
     with pytest.raises(MalformedInstance, match="outside"):
-        dataclasses.replace(ssat_share, provenance=bad)
+        replace(ssat_share, provenance=bad)
 
 
 def test_empty_ssat_and_negative_num_x_are_malformed():

@@ -12,11 +12,10 @@ each point followed as a hint down the walk of ``solve_lhp_min``.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
-from naive import box, chains, dense, expand, hint_cost, lhp_violations
+from naive import box, chains, dense, expand, hint_cost, lhp_violations, replace
 
 from gapforge.instances import EPSILON, LHP_GROUPS, LhpAssignment
 from gapforge.oracles import count_lhp_violations, solve_lhp_min
@@ -50,7 +49,7 @@ def test_multiplicity_matches_expanded_reference(chain, g, u):
     # LHP: one record per member, U copies of every group but G4
     lhp = sis_to_lhp(sis, u_param=u, g=g)
     big_u = lhp.u_param
-    copies = [dataclasses.replace(c, multiplicity=1)
+    copies = [replace(c, multiplicity=1)
               for c in expand(lhp.inequalities, [ineq.multiplicity for ineq in lhp.inequalities])]
     per_copy = {grp: sum(1 for c in copies if c.group == grp) for grp in LHP_GROUPS}
     v1_counts = {"G1": 2 * big_u, "G2": 2 * big_u * sis.num_rows, "G3": 2 * big_u * m, "G4": 2 * m, "G5": big_u}

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from naive import replace
 
 from gapforge import fixtures as shipped
 from gapforge.errors import SearchSpaceTooLarge
@@ -236,12 +236,12 @@ def test_sis_layout_accepts_pipeline_instance():
 
 @pytest.mark.parametrize("case", sorted(SIS_OFF_LAYOUT))
 def test_sis_layout_refusals(case):
-    assert _solves_like_the_box_loop(dataclasses.replace(_two_test_sis(), **SIS_OFF_LAYOUT[case]))
+    assert _solves_like_the_box_loop(replace(_two_test_sis(), **SIS_OFF_LAYOUT[case]))
 
 
 def test_sis_min_duplicated_tag_is_not_pruned():
     # both rows cover test 0: reading them as one row per test would force the second block to sum to 1
-    bad = dataclasses.replace(_two_test_sis(), **SIS_OFF_LAYOUT["duplicated_tag"])
+    bad = replace(_two_test_sis(), **SIS_OFF_LAYOUT["duplicated_tag"])
     res = solve_sis_min(bad, SearchBudget(coeff_box=1))
     assert (res.minimum, res.witness) == (1, (0, 1, 0, 0))
 
@@ -290,7 +290,7 @@ def test_ncp_cap(ssat_share):
 def test_ncp_full_field_cap_builds_no_table_of_the_field(ssat_share):
     """The walk, and following a hint down it, meet the cap after a few nodes, whatever the size of the field."""
     q = 1_000_003
-    ncp = dataclasses.replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=q)
+    ncp = replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=q)
     for hints in ([], [(q - 1,) * ncp.num_cols]):
         tracemalloc.start()
         try:
@@ -305,7 +305,7 @@ def test_ncp_full_field_cap_builds_no_table_of_the_field(ssat_share):
 @pytest.mark.parametrize("hint", [(0,), (1,), (-1,)], ids=["zero", "one", "minus_one"])
 def test_ncp_full_field_hint_over_a_huge_modulus_meets_the_cap(ssat_share, hint):
     """A hint scans at most the cap's worth of children at a node, so a 2^61 - 1 field still ends at once."""
-    ncp = dataclasses.replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=2 ** 61 - 1)
+    ncp = replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=2 ** 61 - 1)
     with pytest.raises(SearchSpaceTooLarge):
         solve_ncp_min(ncp, SearchBudget(max_states=10), full_field=True, hints=[hint * ncp.num_cols])
 
