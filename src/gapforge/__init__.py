@@ -47,7 +47,8 @@ _EXPORTS = {
     ),
     "genlab": ("GenSpec", "frustrate", "gen_label_cover"),
     "pipeline": ("GAP_ROW_KEYS", "gap_row", "run_chain", "verify_manifest"),
-    "serialize": ("content_hash", "read_instance", "sis_from_text", "sis_to_text", "ncp_to_text", "write_instance"),
+    "serialize": ("content_hash", "read_instance", "write_instance"),
+    "plaintext": ("ncp_to_text", "sis_from_text", "sis_to_text"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

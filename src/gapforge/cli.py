@@ -47,11 +47,8 @@ from .serialize import (
     canonical_bytes,
     encode_fraction,
     encode_optimum,
-    ncp_to_text,
     read_document,
     read_instance,
-    sis_to_text,
-    to_document,
     write_instance,
 )
 from .superassign import (
@@ -112,12 +109,12 @@ _SIZE_FIELDS = (
 )
 _SPEC_FIELDS = frozenset((*(key for key, _ in _SIZE_FIELDS), "planted", "seed"))
 
-# step: (flags besides --in and --out, kind of the file read, reduction, plain-text writer or None)
+# step: (flags besides --in and --out, kind of the file read, reduction, name of its plain-text writer or None)
 _REDUCTIONS = {
     "lc2ssat": ((), "label_cover", lambda x, a: lc_to_ssat(x), None),
-    "ssat2sis": (("text",), "ssat", lambda x, a: ssat_to_sis(x), lambda y: sis_to_text(y)),
+    "ssat2sis": (("text",), "ssat", lambda x, a: ssat_to_sis(x), "sis_to_text"),
     "sis2ncp": (("g", "d_rep", "q", "text"), "sis", lambda x, a: sis_to_ncp(x, g=a.g, d_rep=a.d_rep, q=a.q),
-                lambda y: ncp_to_text(y)),
+                "ncp_to_text"),
     "sis2lhp": (("g", "u"), "sis", lambda x, a: sis_to_lhp(x, u_param=a.u, g=a.g), None),
 }
 
@@ -194,7 +191,9 @@ def _cmd_reduce(args) -> int:
     result = reduce(read_instance(args.infile, kind), args)
     out = Path(args.out)
     if to_text is not None and args.text:  # a step takes --text exactly when it has a writer
-        out.write_text(to_text(result), encoding="utf-8")
+        from . import plaintext  # loaded only by the one verb that writes plain text
+
+        out.write_text(getattr(plaintext, to_text)(result), encoding="utf-8")
     else:
         write_instance(out, result)
     _emit({"written": str(out), "step": args.step})
@@ -206,12 +205,11 @@ def _cmd_solve(args) -> int:
     res = solve(read_instance(args.infile, kind), args)
     # label cover is the one maximization; the others return a ``MinResult``
     optimum, mode = (res.best_fraction, None) if args.kind == "lc" else (res.minimum, res.mode)
-    witness = res.witness
     doc: dict[str, Any] = {
         "kind": "solve_result",
         "problem": args.kind,
         "optimum": encode_optimum(optimum),
-        "witness": None if witness is None else list(witness) if isinstance(witness, tuple) else to_document(witness),
+        "witness": res.witness,  # a vector, an instance record or None
         "states_visited": res.states_visited,
     }
     if mode is not None:  # the SSAT norm and the NCP field

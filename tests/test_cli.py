@@ -51,6 +51,17 @@ def test_reduce_missing_file(tmp_path, capsys):
     assert doc["error"]["type"] == "FileNotFound"
 
 
+def test_missing_in_file_envelope_is_pinned(tmp_path, capsys):
+    # the path comes from the FileNotFoundError of opening the file; no check before the open
+    missing = tmp_path / "missing.json"
+    for verb in (["check", "chain"], ["solve", "lc"], ["report"]):
+        assert main([*verb, "--in", str(missing)]) == 1
+        assert capsys.readouterr().out == (
+            '{\n  "error": {\n    "path": ' + json.dumps(str(missing), ensure_ascii=False)
+            + ',\n    "type": "FileNotFound"\n  }\n}\n'
+        )
+
+
 def test_reduce_chain_files(tmp_path, capsys, lc_id2_path):
     ssat = tmp_path / "ssat.json"
     sis = tmp_path / "sis.json"
@@ -70,7 +81,7 @@ def test_reduce_sis_text_output(tmp_path, capsys, lc_id2_path):
     run(capsys, "reduce", "lc2ssat", "--in", str(lc_id2_path), "--out", str(ssat))
     code, _ = run(capsys, "reduce", "ssat2sis", "--in", str(ssat), "--out", str(sis_txt), "--text")
     assert code == 0
-    from gapforge.serialize import sis_from_text
+    from gapforge.plaintext import sis_from_text
 
     sis = sis_from_text(sis_txt.read_text())
     assert sis.bound == 1

@@ -5,7 +5,8 @@ first use.  ``cli.main`` builds only the parser of the verb its command line
 names, so the tests check that this parser matches the one in the whole tree
 and that every command line the one-verb build does not take (help above a
 verb, a misspelt verb, a flag before the verb) is answered by the whole tree.
-No module of the package imports ``dataclasses``.
+No module of the package imports ``dataclasses``, and only ``reduce --text``
+loads the plain-text formats.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def test_check_chain_loads_neither_soundness_nor_genlab_nor_fixtures():
     assert result["code"] == 0
     assert json.loads(proc.stdout)["all_checks_passed"] is True
     assert {"gapforge.cli", "gapforge.pipeline", "gapforge.oracles"} <= set(result["loaded"])
-    assert not {"gapforge.soundness", "gapforge.genlab", "gapforge.fixtures"} & set(result["loaded"])
+    unused = {"gapforge.soundness", "gapforge.genlab", "gapforge.fixtures", "gapforge.plaintext"}
+    assert not unused & set(result["loaded"])
     # the records are plain classes: neither dataclasses nor the inspect it pulls in is loaded
     assert not {"dataclasses", "inspect"} & set(result["loaded"])
     # a submodule still imports through the package, and a star import binds every public name
@@ -81,6 +83,25 @@ for path in sorted(Path(gapforge.__file__).parent.glob("*.py")):
 print(json.dumps({"modules": len([name for name in sys.modules if name.startswith("gapforge.")]),
                   "dataclasses": "dataclasses" in sys.modules}))
 """
+
+
+_REDUCE_THEN_TEXT = """
+import json, sys
+from gapforge.cli import main
+ssat, sis = sys.argv[2] + "/ssat.json", sys.argv[2] + "/sis"
+loaded = []
+for argv in (["reduce", "lc2ssat", "--in", sys.argv[1], "--out", ssat],
+             ["reduce", "ssat2sis", "--in", ssat, "--out", sis + ".json"],
+             ["reduce", "ssat2sis", "--in", ssat, "--out", sis + ".txt", "--text"]):
+    assert main(argv) == 0
+    loaded.append("gapforge.plaintext" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_reduce_text_loads_the_plain_text_module(tmp_path):
+    proc = _run_fresh(_REDUCE_THEN_TEXT, str(shipped.fixture_path("lc_id2")), str(tmp_path))
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [False, False, True]
 
 
 def test_no_gapforge_module_imports_dataclasses():

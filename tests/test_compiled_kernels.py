@@ -56,7 +56,7 @@ from gapforge.oracles import (
     solve_ssat_min_norm,
 )
 from gapforge.reductions import sis_to_lhp, sis_to_ncp
-from gapforge.serialize import sis_from_text, sis_to_text
+from gapforge.plaintext import sis_from_text, sis_to_text
 from gapforge.superassign import is_nontrivial, norm_l1, norm_linf
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None,

@@ -20,7 +20,8 @@ from naive import box, chains, dense, expand, hint_cost, lhp_violations, replace
 from gapforge.instances import EPSILON, LHP_GROUPS, LhpAssignment
 from gapforge.oracles import count_lhp_violations, solve_lhp_min
 from gapforge.reductions import sis_to_lhp, sis_to_ncp
-from gapforge.serialize import canonical_bytes, from_document, ncp_to_text, to_document
+from gapforge.plaintext import ncp_to_text
+from gapforge.serialize import canonical_bytes, from_document, to_document
 
 
 @settings(max_examples=12, derandomize=True, deadline=None,

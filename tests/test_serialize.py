@@ -19,6 +19,7 @@ from gapforge.reductions import (
     sis_to_ncp,
     ssat_to_sis,
 )
+from gapforge.plaintext import ncp_to_text, sis_from_text, sis_to_text
 from gapforge.serialize import (
     canonical_bytes,
     content_hash,
@@ -28,10 +29,7 @@ from gapforge.serialize import (
     encode_int,
     from_document,
     SCHEMA_VERSION,
-    ncp_to_text,
     read_instance,
-    sis_from_text,
-    sis_to_text,
     to_document,
     write_instance,
 )

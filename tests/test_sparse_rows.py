@@ -13,7 +13,7 @@ import itertools
 from hypothesis import HealthCheck, given, settings
 from naive import chains, dense
 
-from gapforge.serialize import sis_from_text, sis_to_text
+from gapforge.plaintext import sis_from_text, sis_to_text
 
 
 @settings(max_examples=8, derandomize=True, deadline=None,
