@@ -2,17 +2,21 @@
 
 Everything here is immutable after construction and validated eagerly.  All
 arithmetic is over arbitrary-precision integers and :class:`~fractions.Fraction`;
-no floating point is used anywhere.
+no floating point is used anywhere.  Every instance coefficient is an
+integer; fractions occur only in LHP assignments, which are scaled to
+integers before they are evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Optional, Union
 
 from .errors import (
+    LengthMismatch,
     MalformedInstance,
     PartialLabeling,
     UnknownEdge,
@@ -485,7 +489,7 @@ class NcpInstance(Record):
 # ---------------------------------------------------------------------------
 
 class _Epsilon:
-    """Positive infinitesimal; compares via (standard, epsilon) lexicographic pairs."""
+    """Positive infinitesimal: where the standard part of an inequality is zero, its delta coefficient decides."""
 
     __slots__ = ()
 
@@ -504,14 +508,15 @@ LHP_GROUPS = ("G1", "G2", "G3", "G4", "G5")
 class LhpInequality(Record):
     """``multiplicity`` copies of one strict homogeneous inequality over (x, y, delta).
 
-    ``coeff_x`` is a sparse row, as in ``SisInstance``, with ``Fraction``
-    coefficients; ``LhpSystem`` checks it.  Homogenization leaves the
-    right-hand side zero.
+    ``coeff_x`` is a sparse row, as in ``SisInstance``, and every coefficient
+    is an ``int``; ``LhpSystem`` checks the row.  Homogenization leaves the
+    right-hand side zero, so scaling by a positive integer keeps the
+    solution set, and ``sis_to_lhp`` writes every inequality with integers.
     """
 
     coeff_x: SparseRow
-    coeff_y: Fraction
-    coeff_delta: Fraction
+    coeff_y: int
+    coeff_delta: int
     sense: str
     group: str
     copies_of: str
@@ -524,23 +529,33 @@ class LhpInequality(Record):
             raise MalformedInstance(f"unknown group {self.group!r}")
         if self.multiplicity < 1:
             raise MalformedInstance("multiplicity must be at least 1")
+        if type(self.coeff_y) is not int or type(self.coeff_delta) is not int:
+            raise MalformedInstance(f"coeff_y {self.coeff_y!r} and coeff_delta {self.coeff_delta!r} must be ints")
+        for i, c in self.coeff_x:
+            if type(c) is not int:
+                raise MalformedInstance(f"coeff_x coefficient {c!r} at column {i} is not an int")
 
-    def value_at(self, a: "LhpAssignment") -> tuple[Fraction, Fraction]:
-        """Evaluate the left-hand side as a (standard, epsilon-coefficient) pair."""
-        std = sum((c * a.x_values[i] for i, c in self.coeff_x), Fraction(0))
-        std += self.coeff_y * a.y_value
-        if isinstance(a.delta_value, _Epsilon):
-            eps = self.coeff_delta
-        else:
-            std += self.coeff_delta * a.delta_value
-            eps = Fraction(0)
-        return (std, eps)
+    def holds_at(self, xs: tuple[int, ...], y: int, delta: Optional[int]) -> bool:
+        """Whether the inequality holds at the integer point ``LhpAssignment.scaled()``; ``delta`` None is infinitesimal.
+
+        Under the positive infinitesimal, a zero standard part takes the
+        sign of the delta coefficient.
+        """
+        s = self.coeff_y * y
+        for i, c in self.coeff_x:
+            s += c * xs[i]
+        if delta is not None:
+            s += self.coeff_delta * delta
+        elif s == 0:
+            s = self.coeff_delta
+        return s > 0 if self.sense == GT else s < 0
 
     def satisfied_by(self, a: "LhpAssignment") -> bool:
-        std, eps = self.value_at(a)
-        if self.sense == GT:
-            return (std, eps) > (0, 0)
-        return (std, eps) < (0, 0)
+        """``holds_at`` the scaled ``a``; an assignment without a column this inequality reads raises ``LengthMismatch``."""
+        xs, y, delta = a.scaled()
+        if self.coeff_x and self.coeff_x[-1][0] >= len(xs):
+            raise LengthMismatch(f"assignment has {len(xs)} x-values, the inequality reads x_{self.coeff_x[-1][0]}")
+        return self.holds_at(xs, y, delta)
 
 
 class LhpSystem(Record):
@@ -560,6 +575,12 @@ class LhpSystem(Record):
         """All copies, counted with multiplicity."""
         return sum(ineq.multiplicity for ineq in self.inequalities)
 
+    def scaled_point(self, a: "LhpAssignment") -> tuple[tuple[int, ...], int, Optional[int]]:
+        """``a.scaled()``, after checking that ``a`` has one x-value per column (else ``LengthMismatch``)."""
+        if len(a.x_values) != self.num_x:
+            raise LengthMismatch(f"assignment has {len(a.x_values)} x-values, system has {self.num_x}")
+        return a.scaled()
+
     def group_counts(self) -> dict[str, int]:
         counts = {g: 0 for g in LHP_GROUPS}
         for ineq in self.inequalities:
@@ -573,6 +594,18 @@ class LhpAssignment(Record):
     x_values: tuple[Fraction, ...]
     y_value: Fraction
     delta_value: Union[Fraction, _Epsilon]
+
+    def scaled(self) -> tuple[tuple[int, ...], int, Optional[int]]:
+        """(X, Y, D): x, y and delta times the positive lcm of their denominators; D is None for the infinitesimal.
+
+        Every inequality is homogeneous, so a positive scale keeps the sign
+        of each one, and the infinitesimal stays infinitesimal.
+        """
+        explicit = () if isinstance(self.delta_value, _Epsilon) else (self.delta_value,)
+        values = (*self.x_values, self.y_value, *explicit)
+        scale = math.lcm(*[v.denominator for v in values])
+        *xs, y, delta = [v.numerator * (scale // v.denominator) for v in values] + ([] if explicit else [None])
+        return tuple(xs), y, delta
 
     @classmethod
     def of(cls, xs: Iterable[Union[int, Fraction]], y: Union[int, Fraction] = 1,

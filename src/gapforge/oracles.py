@@ -25,7 +25,9 @@ column).  At a node, each row that coordinate completes takes its partial
 sum over its earlier columns once.  An NCP row, filed monic mod the prime q,
 is met by exactly one residue of its last column, so a child costs its
 parent's cost plus the rows completed here, less those crediting its value;
-an LHP row is compared at -1, 0 and 1 from the one partial sum.  Equality
+an LHP row is compared at -1, 0 and 1 from the one partial sum, which it
+shares with the rows that differ from it only in sign (the two halves of a
+G2 pair), and a row with no earlier column is costed once per depth.  Equality
 rows (SIS rows, SSAT consistency rows) instead narrow each coordinate to the
 values that leave every row reachable by the later columns.  The SSAT l1
 walk also charges each test with a column its floor of 1 from the root: an
@@ -33,8 +35,8 @@ all-zero test zeroes its variables' projection sums, the consistency rows
 carry those zeros to every other test of the variable, and so the variable
 is trivial.  The instance-level predicates (``is_consistent``,
 ``is_nontrivial``, ``SisInstance.multiply``, ``NcpInstance.distance``,
-``LhpInequality.value_at``) are the reference semantics the compiled rows
-are tested against; result objects such as ``SuperAssignment`` and
+``count_lhp_violations``) are the reference semantics the compiled rows are
+tested against; result objects such as ``SuperAssignment`` and
 ``LhpAssignment`` are built only for the witness.
 
 The four walked minimizers return one ``MinResult``: an SSAT minimum is a
@@ -44,7 +46,6 @@ maximization, returns ``LcMaxResult``.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import islice
 from operator import mul
@@ -212,7 +213,7 @@ class _FiledRows(Record):
     over the point is missed when ``s % modulus != target``, or, with no
     modulus, when ``s < target``.  Each child of a node is costed from one
     partial sum per completed row, over its earlier columns, taken once per
-    node.
+    node (``grid_children`` takes one per row up to sign).
     """
 
     modulus: Optional[int]
@@ -241,23 +242,46 @@ class _FiledRows(Record):
 
         return children
 
-    def grid_children(self, depth: int, prefix: Prefix, cost: int) -> tuple[tuple[int, int], ...]:
+    def grid_children(self) -> Children:
         """The children of a node over (-1, 0, 1), rows with no modulus.
 
         A row with partial sum ``p`` and last coefficient ``a`` is missed at
-        ``v`` when ``a * v < target - p``.
+        ``v`` when ``a * v < target - p``.  A row with no earlier column costs
+        the same at every node of its depth, so it is costed once, here.  Rows
+        whose coefficients differ only in sign, such as the two halves of an
+        LHP G2 pair, share one partial sum per node.
         """
-        lo = mid = hi = cost
-        get = prefix.__getitem__
-        for cols, coeffs, a, t, k in self.by_column[depth]:
-            r = t - sum(map(mul, coeffs, map(get, cols)))
-            if r > -a:
-                lo += k
-            if r > 0:
-                mid += k
-            if r > a:
-                hi += k
-        return (-1, lo), (0, mid), (1, hi)
+        fixed, shared = [], []
+        for rows in self.by_column:
+            costs = [0, 0, 0]
+            sums: dict[tuple, list] = {}
+            for cols, coeffs, a, t, k in rows:
+                if not cols:
+                    costs = [c + k * (a * v < t) for c, v in zip(costs, (-1, 0, 1))]
+                    continue
+                sign = 1 if a > 0 else -1
+                key = (cols, tuple([sign * c for c in coeffs]), sign * a)
+                sums.setdefault(key, []).append((sign, a, t, k))
+            fixed.append(tuple(costs))
+            shared.append(tuple((cols, coeffs, tuple(members)) for (cols, coeffs, _), members in sums.items()))
+
+        def children(depth: int, prefix: Prefix, cost: int) -> tuple[tuple[int, int], ...]:
+            lo, mid, hi = fixed[depth]
+            lo, mid, hi = lo + cost, mid + cost, hi + cost
+            get = prefix.__getitem__
+            for cols, coeffs, members in shared[depth]:
+                p = sum(map(mul, coeffs, map(get, cols)))
+                for sign, a, t, k in members:
+                    r = t - sign * p
+                    if r > -a:
+                        lo += k
+                    if r > 0:
+                        mid += k
+                    if r > a:
+                        hi += k
+            return (-1, lo), (0, mid), (1, hi)
+
+        return children
 
 
 def _file_rows(n: int, rows: Iterable[tuple], modulus: Optional[int] = None) -> _FiledRows:
@@ -614,27 +638,31 @@ def solve_ncp_min(ncp: NcpInstance, budget: SearchBudget, full_field: bool = Fal
 # ---------------------------------------------------------------------------
 
 def count_lhp_violations(lhp: LhpSystem, a: LhpAssignment) -> int:
-    """Exact number of violated strict inequalities under dual-number evaluation.
+    """Exact number of violated strict inequalities at ``a``, scaled once to integers.
 
-    Each inequality is evaluated once and counts with its multiplicity.
+    Each inequality is evaluated once and counts with its multiplicity.  An
+    assignment with another number of x-values than ``num_x`` raises
+    ``LengthMismatch``.
     """
-    return sum(ineq.multiplicity for ineq in lhp.inequalities if not ineq.satisfied_by(a))
+    xs, y, delta = lhp.scaled_point(a)
+    return sum(ineq.multiplicity for ineq in lhp.inequalities if not ineq.holds_at(xs, y, delta))
 
 
 def _compile_lhp(lhp: LhpSystem) -> _FiledRows:
     """Each inequality as an integer row over x, missed at ``y = 1`` and infinitesimal delta.
 
-    An inequality is scaled by the lcm of its denominators and by -1 when
-    its sense is "<", so it holds when its standard part ``s + c_y`` is
-    positive, or zero with a positive delta coefficient ``c_d``.  It is
-    missed when ``s`` is below ``-c_y``, or ``-c_y + 1`` when ``c_d <= 0``.
+    An inequality is negated when its sense is "<", so it holds when its
+    standard part ``s + c_y`` is positive, or zero with a positive delta
+    coefficient ``c_d``.  It is missed when ``s`` is below ``-c_y``, or
+    ``-c_y + 1`` when ``c_d <= 0``.
     """
     rows = []
     for ineq in lhp.inequalities:
-        coeffs = [c for _, c in ineq.coeff_x] + [ineq.coeff_y, ineq.coeff_delta]
-        scale = math.lcm(*(c.denominator for c in coeffs)) * (1 if ineq.sense == GT else -1)
-        *xs, cy, cd = (c.numerator * (scale // c.denominator) for c in coeffs)
-        rows.append((tuple(i for i, _ in ineq.coeff_x), tuple(xs), -cy + (cd <= 0), ineq.multiplicity))
+        cols, coeffs = _split(ineq.coeff_x)
+        cy, cd = ineq.coeff_y, ineq.coeff_delta
+        if ineq.sense != GT:
+            coeffs, cy, cd = tuple([-c for c in coeffs]), -cy, -cd
+        rows.append((cols, coeffs, -cy + (cd <= 0), ineq.multiplicity))
     return _file_rows(lhp.num_x, rows)
 
 
@@ -649,6 +677,6 @@ def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget(), hints: 
     """
     rows = _compile_lhp(lhp)
     best_count, best, states = branch_and_bound(
-        lhp.num_x, rows.grid_children, rows.root, budget.max_states, hints
+        lhp.num_x, rows.grid_children(), rows.root, budget.max_states, hints
     )
     return MinResult(best_count, LhpAssignment.of(best), states)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import (
     BadParameters,
@@ -203,12 +203,16 @@ def sis_to_lhp(sis: SisInstance, u_param: Optional[int] = None, g: int = 1) -> L
 
     Group layout (each member once, with multiplicity U unless noted):
 
-    * G1 squeezes delta into (-y/U, y/U).
+    * G1 squeezes delta into (-y/U, y/U), written times U as
+      ``y + U delta > 0`` and ``-y + U delta < 0``.
     * G2 turns every equation ``sum a_i x_i = c`` into the pair
       ``sum a_i x_i - c y + delta > 0`` and ``sum a_i x_i - c y - delta < 0``.
     * G3 boxes every variable into (-2y, 2y).
     * G4 charges one violation per nonzero variable (multiplicity 1).
     * G5 keeps y positive.
+
+    A strict homogeneous inequality times a positive integer has the same
+    solutions, so every coefficient is an integer.
     """
     if g < 1:
         raise BadParameters("g must be at least 1")
@@ -217,36 +221,22 @@ def sis_to_lhp(sis: SisInstance, u_param: Optional[int] = None, g: int = 1) -> L
     u = u_param if u_param is not None else g * sis.bound + 1
     m = sis.num_cols
     ineqs: list[LhpInequality] = []
-    fractions: dict[Union[int, Fraction], Fraction] = {}  # one shared Fraction per distinct coefficient
-
-    def frac(c):
-        f = fractions.get(c)
-        if f is None:
-            f = fractions[c] = Fraction(c)
-        return f
 
     def emit(copies, coeff_x, coeff_y, coeff_delta, sense, group, tag):
-        ineqs.append(LhpInequality(
-            coeff_x=tuple([(i, frac(c)) for i, c in coeff_x]),
-            coeff_y=frac(coeff_y),
-            coeff_delta=frac(coeff_delta),
-            sense=sense,
-            group=group,
-            copies_of=tag,
-            multiplicity=copies,
-        ))
+        ineqs.append(LhpInequality(coeff_x, coeff_y, coeff_delta, sense, group, tag, copies))
 
-    emit(u, (), Fraction(1, u), 1, GT, "G1", "g1_lower")
-    emit(u, (), Fraction(-1, u), 1, LT, "G1", "g1_upper")
+    emit(u, (), 1, u, GT, "G1", "g1_lower")
+    emit(u, (), -1, u, LT, "G1", "g1_upper")
     for row_idx, (row, c) in enumerate(zip(sis.matrix, sis.target)):
         emit(u, row, -c, 1, GT, "G2", f"g2_row{row_idx}_plus")
         emit(u, row, -c, -1, LT, "G2", f"g2_row{row_idx}_minus")
-    for i in range(m):
-        emit(u, ((i, 1),), -2, 0, LT, "G3", f"g3_x{i}_upper")
-        emit(u, ((i, 1),), 2, 0, GT, "G3", f"g3_x{i}_lower")
-    for i in range(m):
-        emit(1, ((i, 1),), 0, 1, GT, "G4", f"g4_x{i}_plus")
-        emit(1, ((i, 1),), 0, -1, LT, "G4", f"g4_x{i}_minus")
+    units = [((i, 1),) for i in range(m)]
+    for i, unit in enumerate(units):
+        emit(u, unit, -2, 0, LT, "G3", f"g3_x{i}_upper")
+        emit(u, unit, 2, 0, GT, "G3", f"g3_x{i}_lower")
+    for i, unit in enumerate(units):
+        emit(1, unit, 0, 1, GT, "G4", f"g4_x{i}_plus")
+        emit(1, unit, 0, -1, LT, "G4", f"g4_x{i}_minus")
     emit(u, (), 1, 0, GT, "G5", "g5_y_positive")
 
     return LhpSystem(num_x=m, u_param=u, inequalities=tuple(ineqs))
@@ -264,24 +254,19 @@ def sis_solution_from_lhp_assignment(lhp: LhpSystem, a: LhpAssignment) -> tuple[
     each equation to exactness (automatic under the symbolic delta; enforced
     explicitly for explicit-delta assignments, which can otherwise sit a
     nonzero slack away from the equation).  Quotients must come out integral.
+    All of it reads ``a`` scaled to the integers (X, Y, D): x / y is X / Y.
     """
-    if len(a.x_values) != lhp.num_x:
-        raise LengthMismatch(f"assignment has {len(a.x_values)} x-values, system has {lhp.num_x}")
+    xs, y, delta = lhp.scaled_point(a)
     # structural prerequisites (delta window, variable box) are reported
     # before equation rows
     for group in ("G1", "G3", "G2"):
         for idx, ineq in enumerate(lhp.inequalities):
-            if ineq.group == group and not ineq.satisfied_by(a):
+            if ineq.group == group and not ineq.holds_at(xs, y, delta):
                 raise Infeasible(group, idx, ineq.copies_of)
-    y = a.y_value
-    quotients = [x / y for x in a.x_values]
     for idx, ineq in enumerate(lhp.inequalities):
-        if ineq.group != "G2":
-            continue
-        residue = sum((c * quotients[i] for i, c in ineq.coeff_x), Fraction(0)) + ineq.coeff_y
-        if residue != 0:
+        if ineq.group == "G2" and sum(c * xs[i] for i, c in ineq.coeff_x) + ineq.coeff_y * y != 0:
             raise Infeasible("g2_exactness", idx, ineq.copies_of)
-    for i, value in enumerate(quotients):
-        if value.denominator != 1:
-            raise Infeasible("integrality", i, f"x_{i}/y = {value}")
-    return tuple(int(v) for v in quotients)
+    for i, x in enumerate(xs):
+        if x % y:
+            raise Infeasible("integrality", i, f"x_{i}/y = {Fraction(x, y)}")
+    return tuple(x // y for x in xs)

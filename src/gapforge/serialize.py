@@ -7,9 +7,10 @@ newline, but the package writes them itself, straight from the records: with
 ``indent`` set, ``json.dumps`` runs its pure-Python encoder, one generator
 per node.  A record fills one template per indentation with the text of its
 fields in sorted key order, so no intermediate document is built;
-``to_document`` parses the text back.  Rationals are written as ``"p/q"``
-strings; integers ride as JSON numbers while they fit in the 53-bit safe
-range and as strings beyond it.
+``to_document`` parses the text back.  Rationals, which occur only in LHP
+assignments and oracle optima, are written as ``"p/q"`` strings; integers
+ride as JSON numbers while they fit in the 53-bit safe range and as strings
+beyond it.
 
 Reading is one typed decoding pass: ``from_document`` checks each node while
 it builds the instance.  A node of the wrong shape or scalar type (an object
@@ -28,11 +29,13 @@ is also the attribute name, a (reader, writer) pair.  ``to_document`` and
 provenance and LHP inequality records.  Only the label cover, whose keys are
 not its attribute names, has its own reader and writer.
 
-Files are format version 3, and a file of any other version is refused at
+Files are format version 4, and a file of any other version is refused at
 ``/version``.  Every matrix row is sparse: SIS and NCP ``matrix`` rows, like
 LHP ``coeff_x``, are ``[column, coefficient]`` pairs with ascending columns
 and nonzero coefficients, next to the column count (``num_cols``, or
-``num_x`` for LHP).  The plain-text formats of ``gapforge.plaintext`` write
+``num_x`` for LHP).  Every instance coefficient is an integer, LHP
+``coeff_x``, ``coeff_y`` and ``coeff_delta`` included (version 3 wrote
+these as fractions).  The plain-text formats of ``gapforge.plaintext`` write
 the same rows dense.
 """
 
@@ -66,7 +69,7 @@ from .instances import (
 )
 from .superassign import SuperAssignment
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 _SAFE_INT = 2 ** 53 - 1
 
 Instance = Union[
@@ -134,8 +137,8 @@ def encode_optimum(v: Union[Fraction, int, None]) -> Union[str, int, None]:
     return encode_fraction(v) if isinstance(v, Fraction) else v
 
 
-# Fractions already decoded, by their canonical string: a document repeats a
-# few coefficients many times.  Emptied when full, so it stays small.
+# Fractions already decoded, by their canonical string: an LHP assignment
+# repeats a few values many times.  Emptied when full, so it stays small.
 _FRACTIONS: dict[str, Fraction] = {}
 _FRACTIONS_MAX = 1024
 
@@ -431,11 +434,12 @@ _LC: Codec = (_lc_from_payload, lambda pad: lambda lc: _text(_lc_payload(lc), pa
 # of several faults the first in this order is the one reported.
 
 _INTS = _array(_INT)
-_SPARSE_INT_ROWS = _array(_sparse(_INT))
+_SPARSE_INT = _sparse(_INT)
+_SPARSE_INT_ROWS = _array(_SPARSE_INT)
 _SSAT_TEST = _record(SsatTest, {"variables": _LABELS, "assignments": _array(_LABELS)})
 _PROVENANCE = _record(LcProvenance, {"lc": _LC, "var_to_a": _LABELS, "test_to_b": _LABELS})
 _LHP_INEQUALITY = _record(LhpInequality, {
-    "coeff_x": _sparse(_FRAC), "coeff_y": _FRAC, "coeff_delta": _FRAC,
+    "coeff_x": _SPARSE_INT, "coeff_y": _INT, "coeff_delta": _INT,
     "sense": _STR, "group": _STR, "copies_of": _STR, "multiplicity": _RAW_INT,
 })
 

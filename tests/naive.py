@@ -3,23 +3,26 @@
 Each reference is the plain enumeration a search or a fast path is
 specified by: walk a box with ``itertools.product`` in lexicographic order,
 cost every point from the instance-level definitions, and keep the first
-strict improvement.  ``chains`` draws the small seeded label covers, planted
-and frustrated, with the reductions of each, that the differential
+strict improvement.  LHP inequalities are evaluated over ``Fraction``s at
+the unscaled assignment (``value_at``), the reference for the package's
+integer evaluation.  ``chains`` draws the small seeded label covers,
+planted and frustrated, with the reductions of each, that the differential
 properties share.  ``replace`` copies a record with some fields changed.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import assume, strategies as st
 
 from gapforge import oracles
-from gapforge.errors import EmptyRange, InfeasibleSpec, SearchSpaceTooLarge
+from gapforge.errors import EmptyRange, Infeasible, InfeasibleSpec, SearchSpaceTooLarge
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
-from gapforge.instances import EPSILON, LhpAssignment
+from gapforge.instances import EPSILON, GT, LhpAssignment
 from gapforge.reductions import lc_to_ssat, ssat_to_sis
 from gapforge.superassign import SuperAssignment, is_consistent, is_nontrivial, is_not_all_zero, norm_l1, norm_linf
 
@@ -148,11 +151,25 @@ def norm_costs(points, mode):
     return [(flat, reference[mode]) for flat, _, _, reference in points]
 
 
+def value_at(ineq, a):
+    """The left-hand side of ``ineq`` at ``a`` as a ``Fraction`` (standard, epsilon-coefficient) pair."""
+    std = sum((c * a.x_values[i] for i, c in ineq.coeff_x), Fraction(0))
+    std += ineq.coeff_y * a.y_value
+    if a.delta_value is EPSILON:
+        return std, Fraction(ineq.coeff_delta)
+    return std + ineq.coeff_delta * a.delta_value, Fraction(0)
+
+
+def satisfied(ineq, a):
+    """Whether ``value_at`` compares strictly to (0, 0) in the inequality's sense, pairs compared lexicographically."""
+    return value_at(ineq, a) > (0, 0) if ineq.sense == GT else value_at(ineq, a) < (0, 0)
+
+
 def lhp_violations(inequalities, y=1, delta=EPSILON):
     """``xs -> `` the copies of ``inequalities`` that ``(xs, y, delta)`` violates, as ``count_lhp_violations`` counts.
 
     An inequality reads no x column but its own, so the inequalities are
-    grouped by their columns, and ``satisfied_by`` evaluates each group once
+    grouped by their columns, and ``satisfied`` evaluates each group once
     per value of its columns; the group's violations are remembered.
     """
     groups = {}
@@ -166,11 +183,28 @@ def lhp_violations(inequalities, y=1, delta=EPSILON):
             key = tuple([xs[i] for i in cols])
             if key not in seen:
                 a = a or LhpAssignment.of(xs, y=y, delta=delta)
-                seen[key] = sum(ineq.multiplicity for ineq in members if not ineq.satisfied_by(a))
+                seen[key] = sum(ineq.multiplicity for ineq in members if not satisfied(ineq, a))
             count += seen[key]
         return count
 
     return violations
+
+
+def lhp_extraction(lhp, a):
+    """``sis_solution_from_lhp_assignment`` over ``Fraction``s: the G1, G3 and G2 members by ``satisfied``, then
+    each G2 equation exact at x / y, then every x / y an integer; the first failure raises its ``Infeasible``."""
+    for group in ("G1", "G3", "G2"):
+        for idx, ineq in enumerate(lhp.inequalities):
+            if ineq.group == group and not satisfied(ineq, a):
+                raise Infeasible(group, idx, ineq.copies_of)
+    quotients = [x / a.y_value for x in a.x_values]
+    for idx, ineq in enumerate(lhp.inequalities):
+        if ineq.group == "G2" and sum(c * quotients[i] for i, c in ineq.coeff_x) + ineq.coeff_y != 0:
+            raise Infeasible("g2_exactness", idx, ineq.copies_of)
+    for i, value in enumerate(quotients):
+        if value.denominator != 1:
+            raise Infeasible("integrality", i, f"x_{i}/y = {value}")
+    return tuple(int(v) for v in quotients)
 
 
 class Walk(Exception):

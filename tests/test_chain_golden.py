@@ -22,25 +22,25 @@ from gapforge.pipeline import run_chain
 from gapforge.serialize import canonical_bytes
 
 GOLDEN = {
-    ("lc_id2", "default"): "bed5aea7b1d4086653b20a325ae3f65a80a33361c8025a409d5f5cffa15679dd",
-    ("lc_id2", "box1"): "66265b6d9a7188221a82e6932af4489449ee990ace838927bff610d63ba12433",
-    ("lc_id2", "cap100"): "bed5aea7b1d4086653b20a325ae3f65a80a33361c8025a409d5f5cffa15679dd",
-    ("lc_cyc", "default"): "a31f8e119bed0bf47aebddc9ea3a4dd0cf4bd19eff5833065c68f3359d4c9c80",
-    ("lc_cyc", "box1"): "fb1d508584149024aae3330dc0f6468618777c4655593ced2b9df75453a8a31e",
-    ("lc_cyc", "cap100"): "b3f6fa39bae12d33e7095c2127eab9164bdbf8e710fd5b6928834bd1f7517802",
-    ("lc_share", "default"): "594fed3f1c6988703a49a5c070321fb25c34583b591acecb388528ca890575b9",
-    ("lc_share", "box1"): "cefbbbeef8eea12758f5232ea57763eed33a45bff769f2d70968e4580db0c3a8",
-    ("lc_share", "cap100"): "594fed3f1c6988703a49a5c070321fb25c34583b591acecb388528ca890575b9",
-    ("lc_2to1", "default"): "0cfe5d59518b76e7b5894927c85790989d50b54cb5d20af9c3728e6ecee2c72e",
-    ("lc_2to1", "box1"): "67074c443f43375369fadacfa3c84b4ef513d888fa7893fe0b859a58b1ca88e3",
-    ("lc_2to1", "cap100"): "0cfe5d59518b76e7b5894927c85790989d50b54cb5d20af9c3728e6ecee2c72e",
-    ("planted", "cap3000"): "46a542d9c703f62b91a67000b2644bbec088b68b7ccefac94a617008c706b6f0",
-    ("planted", "cap700"): "46a542d9c703f62b91a67000b2644bbec088b68b7ccefac94a617008c706b6f0",
-    ("planted", "cap100"): "ccc606f4a5fedaf86da0ae1e37e9e5a43b0a4a90e4d7a7d73eecc8231a38dc15",
-    ("planted", "cap16"): "5d85d39a9cf81570e785c43c3a2f7a56b16be227f0ad677d89f082f70718f8e5",
-    ("frustrated", "cap3000"): "2dd79a6c2b5a856abe2fa2dfe944e7801b1fe45dd1adc0be95c40c4f193d87e3",
-    ("frustrated", "cap700"): "4c385f5dbc80c73c9b0b0221ad1e882cfce341ff7af34f7aea76057266945897",
-    ("frustrated", "cap22"): "192e89525a72787d448e597cce80d44eab42b7c12fda4aab60b76e33ad320764",
+    ("lc_id2", "default"): "290333074a814c6d6c06443bbadb18103e1c8e2df629c4eee6f1a6709fc21cf7",
+    ("lc_id2", "box1"): "b932c31a798ad514f68f3fa083342a3e7769e5c2f59c1e7c73297155f8856afc",
+    ("lc_id2", "cap100"): "290333074a814c6d6c06443bbadb18103e1c8e2df629c4eee6f1a6709fc21cf7",
+    ("lc_cyc", "default"): "9966c3420f2c2409f6c273af2d573dd2ad1496b19e8436ac84656addeb743aa4",
+    ("lc_cyc", "box1"): "e2dcf9e6e90aaf778e0db9bfbd3cc4c125cc4a339c10f5a050363113f9c14b17",
+    ("lc_cyc", "cap100"): "4ff5891fc3a6038884afc8c8051053c0c79948849496eb134f2f2cb10f7cf2cf",
+    ("lc_share", "default"): "94cb01a449887c07f5a9fad260109c2781a0319b59ad03a4f8dedcc842dda53b",
+    ("lc_share", "box1"): "8facaf804aefc826e1dfa2c744e4ffd58c5e065468513adfe90f2ea67ca44041",
+    ("lc_share", "cap100"): "94cb01a449887c07f5a9fad260109c2781a0319b59ad03a4f8dedcc842dda53b",
+    ("lc_2to1", "default"): "85b2b169faa6e8511602130d3a73c0a136d76d33967ac0b491aa296092b15fcc",
+    ("lc_2to1", "box1"): "c9d46df1152b4e07b64a8815d2c0b2439cbee6eab3ee50e27f64f76d8c0d54d0",
+    ("lc_2to1", "cap100"): "85b2b169faa6e8511602130d3a73c0a136d76d33967ac0b491aa296092b15fcc",
+    ("planted", "cap3000"): "5a53db4b31c3661e862049c716dea729ffa06aafe4edc1dcf507bd84bd348b65",
+    ("planted", "cap700"): "5a53db4b31c3661e862049c716dea729ffa06aafe4edc1dcf507bd84bd348b65",
+    ("planted", "cap100"): "24f342c3fc01508eccfeb434413e73a49bf77fbf37c36c4544efca2c8739efc8",
+    ("planted", "cap16"): "11e3741dc2a8dff11be64b1b08c16ec3fd8207fe3492af9bf9db342ad6dd1876",
+    ("frustrated", "cap3000"): "12c612d56136d761b3d65a2a90bdf0fa230f3cfcbe26fb5657178377ffe33382",
+    ("frustrated", "cap700"): "638bdce1c6bc3e935177e7049d7b20dc874db579c31b9898f31fb5740e28c512",
+    ("frustrated", "cap22"): "8b966a95ccdee7a6fb3b2f9498679a495ffc851d8e561e3e897fdc84961cce0f",
 }
 # (states, cap) of the SearchSpaceTooLarge the label-cover search raises
 RAISES = {("frustrated", "cap16"): (17, 16)}

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import gapforge
 from gapforge import fixtures as shipped
 from gapforge.cli import main
+from gapforge.errors import MalformedInstance
 from gapforge.serialize import SCHEMA_VERSION, read_instance, write_instance
 
 
@@ -436,27 +438,67 @@ def test_max_states_env_must_be_non_negative_integer(capsys, monkeypatch, lc_id2
     assert "GAPFORGE_MAX_STATES must be a non-negative integer" in capsys.readouterr().err
 
 
-def test_zero_denominator_fraction_is_malformed(tmp_path, capsys):
+def lhp_file(tmp_path, capsys):
+    """The path of the LHP file of ``ssat_share`` that ``reduce sis2lhp`` writes."""
     write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
     run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
     run(capsys, "reduce", "sis2lhp", "--in", str(tmp_path / "sis.json"), "--out", str(tmp_path / "lhp.json"))
-    doc = json.loads((tmp_path / "lhp.json").read_text())
-    doc["inequalities"][0]["coeff_y"] = "1/0"
-    (tmp_path / "lhp.json").write_text(json.dumps(doc))
-    code, out = run(capsys, "solve", "lhp", "--in", str(tmp_path / "lhp.json"))
+    return tmp_path / "lhp.json"
+
+
+def test_zero_denominator_fraction_is_malformed(tmp_path, capsys):
+    # LHP assignments still carry fractions: the witness of ``solve lhp`` is one
+    code, out = run(capsys, "solve", "lhp", "--in", str(lhp_file(tmp_path, capsys)))
+    assert code == 0 and out["witness"]["kind"] == "lhp_assignment"
+    out["witness"]["y_value"] = "1/0"
+    (tmp_path / "assignment.json").write_text(json.dumps(out["witness"]))
+    with pytest.raises(MalformedInstance, match="zero denominator"):
+        read_instance(tmp_path / "assignment.json", "lhp_assignment")
+
+
+def test_format_v3_lhp_file_is_version_envelope(tmp_path, capsys):
+    """An LHP file as format version 3 wrote it: every coefficient a "p/q" string, G1 divided by U."""
+    path = lhp_file(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    for ineq in doc["inequalities"]:
+        scale = ineq["coeff_delta"] if ineq["group"] == "G1" else 1
+
+        def text(c):
+            f = Fraction(c, scale)
+            return f"{f.numerator}/{f.denominator}"
+
+        ineq["coeff_x"] = [[i, text(c)] for i, c in ineq["coeff_x"]]
+        ineq["coeff_y"], ineq["coeff_delta"] = text(ineq["coeff_y"]), text(ineq["coeff_delta"])
+    doc["version"] = 3
+    assert doc["inequalities"][0]["coeff_y"] == f"1/{doc['u_param']}"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    code, out = run(capsys, "solve", "lhp", "--in", str(path))
     assert code == 1
-    assert out["error"]["type"] == "MalformedInstance"
+    assert out["error"]["type"] == "SchemaViolation"
+    assert out["error"]["message"].startswith("/version: version 3 is not supported")
+    assert f"re-run the step that wrote the file to get version {SCHEMA_VERSION}" in out["error"]["message"]
 
 
-# (file kind, path into the document, new value, error type) on format-v3 files;
+def test_fraction_coefficient_in_v4_lhp_file_is_schema_violation(tmp_path, capsys):
+    path = lhp_file(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    doc["inequalities"][0]["coeff_y"] = "1/2"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "solve", "lhp", "--in", str(path))
+    assert code == 1
+    assert out["error"]["type"] == "SchemaViolation"
+    assert out["error"]["message"].startswith("/inequalities/0/coeff_y: ")
+
+
+# (file kind, path into the document, new value, error type) on format-v4 files;
 # on ssat_share the first SIS and NCP row is [[0, 1], [1, 1]] over 4 columns, and
 # the third LHP inequality is its "+" half, coeff_x x_0 + x_1
-_V3_BREAKS = {
+_V4_BREAKS = {
     "ncp-multiplicity-zero": ("ncp", ("multiplicity", 0), 0, "MalformedInstance"),
     "lhp-multiplicity-zero": ("lhp", ("inequalities", 2, "multiplicity"), 0, "MalformedInstance"),
-    "lhp-zero-coeff-x": ("lhp", ("inequalities", 2, "coeff_x"), [[0, "0/1"], [1, "1/1"]], "MalformedInstance"),
-    "lhp-unsorted-coeff-x": ("lhp", ("inequalities", 2, "coeff_x"), [[1, "1/1"], [0, "1/1"]], "MalformedInstance"),
-    "lhp-index-out-of-range": ("lhp", ("inequalities", 2, "coeff_x"), [[0, "1/1"], [4, "1/1"]], "MalformedInstance"),
+    "lhp-zero-coeff-x": ("lhp", ("inequalities", 2, "coeff_x"), [[0, 0], [1, 1]], "MalformedInstance"),
+    "lhp-unsorted-coeff-x": ("lhp", ("inequalities", 2, "coeff_x"), [[1, 1], [0, 1]], "MalformedInstance"),
+    "lhp-index-out-of-range": ("lhp", ("inequalities", 2, "coeff_x"), [[0, 1], [4, 1]], "MalformedInstance"),
     "ncp-version-1": ("ncp", ("version",), 1, "SchemaViolation"),
     "lhp-version-1": ("lhp", ("version",), 1, "SchemaViolation"),
     "lhp-num-x-float": ("lhp", ("num_x",), 4.0, "SchemaViolation"),
@@ -479,10 +521,10 @@ _V3_BREAKS = {
 }
 
 
-# the name predates format v3; the cases are the v3 ones
-@pytest.mark.parametrize("case", list(_V3_BREAKS))
+# the name predates formats v3 and v4; the cases are the v4 ones
+@pytest.mark.parametrize("case", list(_V4_BREAKS))
 def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
-    kind, where, value, error = _V3_BREAKS[case]
+    kind, where, value, error = _V4_BREAKS[case]
     write_instance(tmp_path / "lc.json", shipped.load("lc_share"))
     write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
     run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
@@ -491,7 +533,7 @@ def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
         run(capsys, "reduce", f"sis2{kind}", "--in", str(tmp_path / "sis.json"), "--out", str(path))
     doc = json.loads(path.read_text())
     if kind == "lhp":
-        assert doc["inequalities"][2]["coeff_x"] == [[0, "1/1"], [1, "1/1"]]
+        assert doc["inequalities"][2]["coeff_x"] == [[0, 1], [1, 1]]
     if kind in ("sis", "ncp"):
         assert (doc["num_cols"], doc["matrix"][0]) == (4, [[0, 1], [1, 1]])
     node = doc
@@ -604,6 +646,7 @@ _WITHOUT_JSONSCHEMA = """
 import sys
 sys.modules["jsonschema"] = None  # any import of it now raises ImportError
 from gapforge.cli import main
+from gapforge.errors import MalformedInstance
 steps = [
     ["check", "chain", "--in", "lc_id2.json", "--out", "chain.json"],
     ["reduce", "lc2ssat", "--in", "lc_id2.json", "--out", "ssat.json"],

@@ -14,7 +14,13 @@ solver's minimum, witness, cap and hinted reruns with the first optimum:
   rows, then the l1 norm; also on rows with any small integer entries;
 * NCP: ``distance``; at the box points the full-field walk and a twin with
   unreduced entries too, and the full field when it is small;
-* LHP: ``naive.lhp_violations``.
+* LHP: ``naive.lhp_violations``, which evaluates over ``Fraction``s, and
+  ``count_lhp_violations`` at every grid point.
+
+``count_lhp_violations`` and ``sis_solution_from_lhp_assignment`` read an
+assignment scaled to integers; on random rational assignments of the same
+chains they agree with the ``Fraction`` references ``naive.lhp_violations``
+and ``naive.lhp_extraction``.
 
 A point with one coordinate outside the box costs ``None`` on every walk.
 On small hand-built NCP and LHP instances, every child of every prefix
@@ -24,6 +30,7 @@ costs exactly the reference over the rows completed so far.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,14 +42,17 @@ from naive import (
     check_search,
     dense,
     hint_cost,
+    lhp_extraction,
     lhp_violations,
     ncp_values,
     norm_costs,
+    satisfied,
     ssat_box,
     superassignment,
 )
 
-from gapforge.instances import GT, LT, LhpAssignment, LhpInequality, LhpSystem, NcpInstance, SisInstance
+from gapforge.errors import Infeasible
+from gapforge.instances import EPSILON, GT, LT, LhpAssignment, LhpInequality, LhpSystem, NcpInstance, SisInstance
 from gapforge.oracles import (
     SearchBudget,
     _compile_lhp,
@@ -55,7 +65,7 @@ from gapforge.oracles import (
     solve_sis_min,
     solve_ssat_min_norm,
 )
-from gapforge.reductions import sis_to_lhp, sis_to_ncp
+from gapforge.reductions import sis_solution_from_lhp_assignment, sis_to_lhp, sis_to_ncp
 from gapforge.plaintext import sis_from_text, sis_to_text
 from gapforge.superassign import is_nontrivial, norm_l1, norm_linf
 
@@ -140,10 +150,65 @@ def test_compiled_lhp_matches_reference(chain):
     walk = hint_cost(lambda: solve_lhp_min(lhp))
     violations = lhp_violations(lhp.inequalities)
     costs = [(xs, violations(xs)) for xs in box(1, n)]
-    assert all(walk(xs) == count for xs, count in costs)
+    assert all(walk(xs) == count == count_lhp_violations(lhp, LhpAssignment.of(xs)) for xs, count in costs)
     assert walk(outside(costs[-1][0], 2)) is None
     check_search(lambda b, h: solve_lhp_min(lhp, budget=b, hints=h), SearchBudget(), costs, n, 3, LhpAssignment.of,
                  outside=[(2,) * n])
+
+
+def random_assignments(solution, u, rng, count):
+    """``count`` rational assignments ``(x, y, delta) = y * (q, 1, d)`` around an SIS solution.
+
+    y is a small rational, zero and negative ones included.  q is
+    ``solution``, that point moved by +-1/(4u) in some coordinates, or
+    random small rationals in [-2, 2].  d is the infinitesimal, exactly
+    +-1/u, zero, +-1/(2u), or a random rational in [-1, 1].  The first q
+    reaches the extraction's vector, the second its exactness and
+    integrality checks, and the third the boundaries of G3.
+    """
+    n = len(solution)
+
+    def small(lo, hi, den):
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    for _ in range(count):
+        y = small(-1, 3, rng.choice((1, 2, 3, 4)))
+        shape = rng.randrange(3)
+        if shape == 0:
+            q = list(solution)
+        elif shape == 1:
+            q = [v + rng.choice((0, 0, Fraction(1, 4 * u), Fraction(-1, 4 * u))) for v in solution]
+        else:
+            q = [small(-2, 2, rng.choice((1, 2, 4))) for _ in range(n)]
+        d = rng.choice((EPSILON, Fraction(1, u), Fraction(-1, u), 0, Fraction(1, 2 * u), Fraction(-1, 2 * u),
+                        small(-1, 1, 8)))
+        yield LhpAssignment.of([y * v for v in q], y=y, delta=d if d is EPSILON else y * d)
+
+
+def extraction(lhp, a, extract):
+    """The vector ``extract`` pulls back, or the group, index and message of its ``Infeasible``."""
+    try:
+        return extract(lhp, a)
+    except Infeasible as exc:
+        return exc.group, exc.index, str(exc)
+
+
+@SETTINGS
+@given(chains(), st.integers(0, 2 ** 32))
+def test_integer_lhp_evaluation_matches_fraction_reference(chain, seed):
+    _, _, sis, _ = chain
+    lhp = sis_to_lhp(sis, g=1)
+    solution = solve_sis_min(sis, SearchBudget(1)).witness
+    outcomes = set()
+    for a in random_assignments(solution or (0,) * sis.num_cols, lhp.u_param, random.Random(seed), 60):
+        reference = sum(ineq.multiplicity for ineq in lhp.inequalities if not satisfied(ineq, a))
+        assert count_lhp_violations(lhp, a) == reference
+        assert [ineq.satisfied_by(a) for ineq in lhp.inequalities] == [
+            satisfied(ineq, a) for ineq in lhp.inequalities]
+        got = extraction(lhp, a, sis_solution_from_lhp_assignment)
+        assert got == extraction(lhp, a, lhp_extraction)
+        outcomes.add(got[0] if type(got[0]) is str else "vector")
+    assert "G1" in outcomes and ("vector" in outcomes) == (solution is not None)
 
 
 def check_sis(sis, k):
@@ -185,8 +250,8 @@ def test_equality_bounds_on_any_integer_rows(m, k, rows):
 
 
 def ineq(coeff_x, cy, cd, sense, k=1):
-    return LhpInequality(coeff_x=tuple((i, Fraction(c)) for i, c in coeff_x), coeff_y=Fraction(cy),
-                         coeff_delta=Fraction(cd), sense=sense, group="G2", copies_of="", multiplicity=k)
+    return LhpInequality(coeff_x=tuple(coeff_x), coeff_y=cy, coeff_delta=cd, sense=sense, group="G2", copies_of="",
+                         multiplicity=k)
 
 
 def test_rows_with_no_column_and_zero_standard_parts():
@@ -205,7 +270,7 @@ def test_rows_with_no_column_and_zero_standard_parts():
         ineq((), 1, 0, GT),                       # y > 0: holds
         ineq(((0, 1),), -1, 0, GT),               # x0 - y > 0: zero standard part at x0 = 1, violated
         ineq(((0, 1), (1, 1)), 0, -1, LT),        # x0 + x1 - delta < 0: holds at x0 + x1 = 0
-        ineq(((1, Fraction(1, 2)),), 0, 2, LT),   # x1 / 2 + 2 delta < 0: violated at x1 = 0
+        ineq(((1, 1),), 0, 4, LT),                # x1 + 4 delta < 0: violated at x1 = 0
     ))
     rows = _compile_lhp(lhp)
     assert rows.root == 3
@@ -267,9 +332,11 @@ LHP_SYSTEM = LhpSystem(num_x=3, u_param=1, inequalities=(
     ineq((), 1, 0, GT),                                 # no column: y > 0, holds
     ineq(((0, 1),), 0, 0, GT, k=2),                     # x0 > 0: one column
     ineq(((0, 1), (1, 1)), -1, 1, GT),                  # x0 + x1 - y + delta > 0: a tie at x0 + x1 = 1 is met
+    ineq(((0, 1), (1, 1)), -1, -1, LT, k=2),            # x0 + x1 - y - delta < 0: the other half of the pair
+    ineq(((0, -1), (1, -1)), 0, 0, GT),                 # -x0 - x1 > 0: the same sum, negated
     ineq(((1, 2),), -2, 0, GT),                         # 2 x1 - 2y > 0: a tie at x1 = 1 is missed
-    ineq(((0, Fraction(1, 2)), (1, -1)), 0, -1, LT, k=4),   # x0 / 2 - x1 - delta < 0
-    ineq(((1, Fraction(-2, 3)),), Fraction(1, 3), 0, LT),   # -2 x1 / 3 + y / 3 < 0
+    ineq(((0, 1), (1, -2)), 0, -2, LT, k=4),            # x0 - 2 x1 - 2 delta < 0
+    ineq(((1, -2),), 1, 0, LT),                         # -2 x1 + y < 0
     ineq(((0, 1), (2, 1)), 0, 0, GT, k=2),
     ineq(((2, -1),), 1, -1, GT),                        # -x2 + y - delta > 0: a tie at x2 = 1 is missed
     ineq(((1, 1), (2, 1)), 1, 1, LT),                   # x1 + x2 + y + delta < 0
@@ -284,4 +351,4 @@ def test_every_lhp_child_costs_the_inequalities_completed_so_far():
         return count_lhp_violations(system, LhpAssignment.of(point + (0,) * (3 - d)))
 
     rows = _compile_lhp(LHP_SYSTEM)
-    check_children(rows.grid_children, (-1, 0, 1), rows.root, 3, reference)
+    check_children(rows.grid_children(), (-1, 0, 1), rows.root, 3, reference)

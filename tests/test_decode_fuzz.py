@@ -2,7 +2,8 @@
 rebuilds an instance that writes back the very same document.
 
 The mutation set is a fixed table.  Starting from the shipped fixtures and
-one generated chain (label cover, SSAT, SIS, NCP, LHP), it deletes each key
+one generated chain (label cover, SSAT, SIS, NCP, LHP, and an LHP assignment,
+the one kind that holds fractions), it deletes each key
 in turn, adds an unknown key to each object, and replaces each node with
 each value of ``VALUES``.  Lists contribute their first three items.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +25,7 @@ from gapforge import fixtures as shipped
 from gapforge import serialize
 from gapforge.errors import GapforgeError, SchemaViolation
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
+from gapforge.instances import LhpAssignment
 from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
 from gapforge.serialize import from_document, read_document, to_document
 
@@ -34,7 +37,9 @@ def documents() -> dict[str, dict]:
     lc = frustrate(gen_label_cover(GenSpec(3, 2, 2, 2, 2, 1, True, 5)), num_flips=1, seed=5)
     ssat = lc_to_ssat(lc)
     sis = ssat_to_sis(ssat)
-    chain = {"lc": lc, "ssat": ssat, "sis": sis, "ncp": sis_to_ncp(sis, g=1), "lhp": sis_to_lhp(sis, u_param=2)}
+    chain = {"lc": lc, "ssat": ssat, "sis": sis, "ncp": sis_to_ncp(sis, g=1), "lhp": sis_to_lhp(sis, u_param=2),
+             "lhp_assignment": LhpAssignment.of([Fraction(c - 1, 2) for c in range(sis.num_cols)], y=Fraction(3, 2),
+                                                delta=Fraction(-1, 7))}
     docs.update((f"chain_{stage}", to_document(obj)) for stage, obj in chain.items())
     return docs
 
@@ -122,8 +127,8 @@ def outcome_digest() -> str:
     return hashlib.sha256("".join(line + "\n" for line in sorted(lines)).encode()).hexdigest()
 
 
-MUTANTS = 5202
-OUTCOME_DIGEST = "eb81dc2068ac472e5faa738d50901ba2b4c8a37aaa0fe93acef8dd7d4db10b7c"
+MUTANTS = 5325
+OUTCOME_DIGEST = "834a071fef39b271d8eb93362a0385209aedae24cffa21e33cc0a22ff009249f"
 
 
 def test_every_mutant_gets_the_pinned_error_at_the_pinned_node():
@@ -141,13 +146,13 @@ NON_CANONICAL_INTS = ("01152921504606846976", "-01152921504606846976", "0" * 20 
 
 @pytest.mark.parametrize("text", NON_CANONICAL_FRACTIONS)
 def test_non_canonical_fraction_is_refused_at_its_node(text):
-    doc = documents()["chain_lhp"]
-    doc["inequalities"][0]["coeff_y"] = text
+    doc = documents()["chain_lhp_assignment"]
+    doc["y_value"] = text
     serialize._FRACTIONS.clear()
     for _ in range(2):  # the second read finds the memo as the first left it
         with pytest.raises(SchemaViolation) as exc:
             from_document(doc)
-        assert exc.value.pointer == "/inequalities/0/coeff_y"
+        assert exc.value.pointer == "/y_value"
         assert all(serialize.encode_fraction(f) == key for key, f in serialize._FRACTIONS.items())
 
 

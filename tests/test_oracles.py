@@ -7,10 +7,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from naive import replace
+from naive import replace, value_at
 
 from gapforge import fixtures as shipped
-from gapforge.errors import SearchSpaceTooLarge
+from gapforge.errors import LengthMismatch, SearchSpaceTooLarge
 from gapforge.genlab import GenSpec, gen_label_cover
 from gapforge.instances import (
     LabelCoverInstance,
@@ -36,6 +36,7 @@ from gapforge.oracles import (
 from gapforge.reductions import (
     lc_to_ssat,
     lhp_assignment_from_sis_solution,
+    sis_solution_from_lhp_assignment,
     sis_to_lhp,
     sis_to_ncp,
     ssat_to_sis,
@@ -378,6 +379,21 @@ def test_lhp_violations_embedded(ssat_share):
     assert count_lhp_violations(lhp, lhp_assignment_from_sis_solution((1, 0, 1, 0))) == 2
 
 
+@pytest.mark.parametrize("xs", [(1, 0, 0, 0, 0), (1,)])
+def test_lhp_assignment_of_another_length_is_refused(ssat_id2, xs):
+    """Five values on two columns are not counted on the first two; one value is no bare ``IndexError``."""
+    lhp = sis_to_lhp(ssat_to_sis(ssat_id2))
+    assert lhp.num_x == 2
+    a = LhpAssignment.of(xs)
+    for evaluate in (count_lhp_violations, sis_solution_from_lhp_assignment):
+        with pytest.raises(LengthMismatch, match=f"assignment has {len(xs)} x-values, system has 2"):
+            evaluate(lhp, a)
+    if len(xs) < lhp.num_x:  # an inequality alone knows only the columns it reads
+        reads_x1 = next(ineq for ineq in lhp.inequalities if ineq.coeff_x and ineq.coeff_x[-1][0] == 1)
+        with pytest.raises(LengthMismatch, match="the inequality reads x_1"):
+            reads_x1.satisfied_by(a)
+
+
 def test_lhp_violations_all_zero_assignment(ssat_share):
     sis = ssat_to_sis(ssat_share)
     lhp = sis_to_lhp(sis, u_param=10)
@@ -387,7 +403,7 @@ def test_lhp_violations_all_zero_assignment(ssat_share):
     # inequality counts once per copy
     expected = 0
     for q in lhp.inequalities:
-        std, eps = q.value_at(a)
+        std, eps = value_at(q, a)
         ok = (std, eps) > (0, 0) if q.sense == "gt" else (std, eps) < (0, 0)
         if not ok:
             expected += q.multiplicity

@@ -6,13 +6,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from naive import gadget_rows_by_scan
+from naive import gadget_rows_by_scan, replace
 
 from gapforge.errors import (
     BadParameters,
     EmptyRange,
     Infeasible,
     LengthMismatch,
+    MalformedInstance,
     VariableNotShared,
 )
 from gapforge.instances import (
@@ -338,9 +339,29 @@ def test_lhp_group4_shape(ssat_share):
     lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
     g4 = [q for q in lhp.inequalities if q.group == "G4"]
     plus, minus = g4[2], g4[3]  # the pair for x_1
-    assert plus.coeff_x == ((1, Fraction(1)),) and plus.coeff_delta == 1 and plus.sense == "gt"
-    assert minus.coeff_x == ((1, Fraction(1)),) and minus.coeff_delta == -1 and minus.sense == "lt"
+    assert plus.coeff_x == ((1, 1),) and plus.coeff_delta == 1 and plus.sense == "gt"
+    assert minus.coeff_x == ((1, 1),) and minus.coeff_delta == -1 and minus.sense == "lt"
     assert plus.coeff_y == 0 and minus.coeff_y == 0
+
+
+def test_lhp_group1_is_written_times_u_with_int_coefficients(ssat_share):
+    lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
+    lower, upper = lhp.inequalities[:2]
+    # y/10 + delta > 0 and -y/10 + delta < 0, times 10
+    assert (lower.coeff_x, lower.coeff_y, lower.coeff_delta, lower.sense, lower.multiplicity) == ((), 1, 10, "gt", 10)
+    assert (upper.coeff_x, upper.coeff_y, upper.coeff_delta, upper.sense, upper.multiplicity) == ((), -1, 10, "lt", 10)
+    coefficients = [c for q in lhp.inequalities for c in (q.coeff_y, q.coeff_delta, *(a for _, a in q.coeff_x))]
+    assert {type(c) for c in coefficients} == {int}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("coeff_y", Fraction(1, 2)), ("coeff_delta", Fraction(1)), ("coeff_y", True),
+    ("coeff_x", ((0, Fraction(1)),)), ("coeff_x", ((0, True),)),
+])
+def test_lhp_inequality_refuses_a_coefficient_that_is_not_an_int(ssat_share, field, value):
+    ineq = sis_to_lhp(ssat_to_sis(ssat_share)).inequalities[2]
+    with pytest.raises(MalformedInstance, match="int"):
+        replace(ineq, **{field: value})
 
 
 def test_lhp_default_u(ssat_share):

@@ -211,11 +211,18 @@ def test_lhp_document_is_sparse_with_multiplicity(ssat_share):
     lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
     records = to_document(lhp)["inequalities"]
     assert len(records) == len(lhp.inequalities) == 27
+    # G1 times U: y + 10 delta > 0 and -y + 10 delta < 0, ten copies each
+    assert records[:2] == [
+        {"coeff_x": [], "coeff_y": 1, "coeff_delta": 10, "sense": "gt", "group": "G1", "copies_of": "g1_lower",
+         "multiplicity": 10},
+        {"coeff_x": [], "coeff_y": -1, "coeff_delta": 10, "sense": "lt", "group": "G1", "copies_of": "g1_upper",
+         "multiplicity": 10},
+    ]
     # the "+" inequality of the first SIS row: x_0 + x_1 - y + delta > 0, ten copies
     assert records[2] == {
-        "coeff_x": [[0, "1/1"], [1, "1/1"]],
-        "coeff_y": "-1/1",
-        "coeff_delta": "1/1",
+        "coeff_x": [[0, 1], [1, 1]],
+        "coeff_y": -1,
+        "coeff_delta": 1,
         "sense": "gt",
         "group": "G2",
         "copies_of": "g2_row0_plus",

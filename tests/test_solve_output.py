@@ -31,7 +31,7 @@ COMMANDS = (
     ("ncp", ("--full-field",)),
     ("lhp", ()),
 )
-DIGEST = "51478831bd7cb6c9d5e52a2b0233bad4f7b5c819a6a2bb1e19908ae37aff1681"
+DIGEST = "2bd7cca1204f9a35e45c46e7a8c532d27e36cf153731632d38977382a3b5546d"
 
 
 def cover(name):
