@@ -1,6 +1,8 @@
 """Exact-arithmetic instance types for the five problems in the pipeline.
 
-Everything here is immutable after construction and validated eagerly.  All
+Everything here is immutable after construction and validated eagerly: the
+pass that validates a label cover or an SSAT instance also builds the
+derived tables its readers use, so nothing is computed or stored later.  All
 arithmetic is over arbitrary-precision integers and :class:`~fractions.Fraction`;
 no floating point is used anywhere.  Every instance coefficient is an
 integer; fractions occur only in LHP assignments, which are scaled to
@@ -12,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Iterable, Optional, Union
 
 from .errors import (
@@ -33,9 +34,12 @@ class Record:
 
     Each subclass gets a generated ``__init__`` that sets the fields with
     ``object.__setattr__`` and then calls ``__post_init__`` if there is one.
-    Equality and hashing go by the field tuple; nothing can be assigned or deleted.
-    No method reads ``self.__dict__``: on CPython 3.11 that moves the inline
-    attribute values into a dict, and every later attribute read gets slower.
+    A ``__post_init__`` may set derived tables the same way, always in the same
+    order; they are not fields.  A record never changes after ``__init__``
+    returns: nothing can be assigned or deleted, and nothing is cached later.
+    Equality and hashing go by the field tuple.  No method reads or writes
+    ``self.__dict__``: on CPython 3.11 that moves the inline attribute values
+    into a dict, and every later attribute read gets slower.
     """
 
     _fields: tuple[str, ...] = ()
@@ -84,6 +88,12 @@ class LabelCoverInstance(Record):
     alphabet into the B-side alphabet.  Vertex and label collections are
     ordered; every iteration in the package follows these orders, so all
     derived objects are deterministic.
+
+    Validation builds three tables, which are not fields:
+
+    - ``edges_of_a[a]`` and ``edges_of_b[b]``: the edges incident to each
+      vertex, in global edge order;
+    - ``sigma_b_index[y]``: the position of each B-label in ``sigma_b``.
     """
 
     a_vertices: tuple[Vertex, ...]
@@ -94,10 +104,15 @@ class LabelCoverInstance(Record):
     projections: dict[Edge, dict[Label, Label]]
 
     def __post_init__(self):
-        a_set, b_set = set(self.a_vertices), set(self.b_vertices)
-        if len(a_set) != len(self.a_vertices) or len(b_set) != len(self.b_vertices):
+        edges_of_a: dict[Vertex, list[Edge]] = {a: [] for a in self.a_vertices}
+        edges_of_b: dict[Vertex, list[Edge]] = {b: [] for b in self.b_vertices}
+        if len(edges_of_a) != len(self.a_vertices) or len(edges_of_b) != len(self.b_vertices):
             raise MalformedInstance("duplicate vertex identifiers")
-        if len(set(self.sigma_a)) != len(self.sigma_a) or len(set(self.sigma_b)) != len(self.sigma_b):
+        sig_a = set(self.sigma_a)
+        if len(sig_a) != len(self.sigma_a):
+            raise MalformedInstance("duplicate alphabet labels")
+        sigma_b_index = {y: i for i, y in enumerate(self.sigma_b)}
+        if len(sigma_b_index) != len(self.sigma_b):
             raise MalformedInstance("duplicate alphabet labels")
         texts: dict[str, Label] = {}  # a file keys each projection table by str(label)
         for x in self.sigma_a:
@@ -108,10 +123,9 @@ class LabelCoverInstance(Record):
             raise MalformedInstance("alphabets must be nonempty")
         if len(set(self.edges)) != len(self.edges):
             raise MalformedInstance("duplicate edges")
-        sig_a, sig_b = set(self.sigma_a), set(self.sigma_b)
         for e in self.edges:
             a, b = e
-            if a not in a_set or b not in b_set:
+            if a not in edges_of_a or b not in edges_of_b:
                 raise MalformedInstance(f"edge {e!r} has a dangling endpoint")
             table = self.projections.get(e)
             if table is None:
@@ -119,32 +133,17 @@ class LabelCoverInstance(Record):
             if set(table) != sig_a:
                 raise MalformedInstance(f"projection table of {e!r} is not total on sigma_a")
             for y in table.values():
-                if y not in sig_b:
+                if y not in sigma_b_index:
                     raise MalformedInstance(f"projection table of {e!r} maps outside sigma_b")
+            edges_of_a[a].append(e)
+            edges_of_b[b].append(e)
         extra = set(self.projections) - set(self.edges)
         if extra:
             raise MalformedInstance(f"projection tables for unknown edges {sorted(map(repr, extra))}")
-
-    # -- derived structure ---------------------------------------------------
-
-    @cached_property
-    def sigma_b_index(self) -> dict[Label, int]:
-        return {y: i for i, y in enumerate(self.sigma_b)}
-
-    @cached_property
-    def edges_of_b(self) -> dict[Vertex, tuple[Edge, ...]]:
-        """Incident edges per B-vertex, in global edge order."""
-        out: dict[Vertex, list[Edge]] = {b: [] for b in self.b_vertices}
-        for e in self.edges:
-            out[e[1]].append(e)
-        return {b: tuple(es) for b, es in out.items()}
-
-    @cached_property
-    def edges_of_a(self) -> dict[Vertex, tuple[Edge, ...]]:
-        out: dict[Vertex, list[Edge]] = {a: [] for a in self.a_vertices}
-        for e in self.edges:
-            out[e[0]].append(e)
-        return {a: tuple(es) for a, es in out.items()}
+        _set = object.__setattr__
+        _set(self, "edges_of_a", {a: tuple(es) for a, es in edges_of_a.items()})
+        _set(self, "edges_of_b", {b: tuple(es) for b, es in edges_of_b.items()})
+        _set(self, "sigma_b_index", sigma_b_index)
 
     @property
     def size_n(self) -> int:
@@ -240,6 +239,22 @@ class LcProvenance(Record):
 
 
 class SsatInstance(Record):
+    """Tests over shared variables, each listing the assignments that satisfy it.
+
+    Validation builds six tables, which are not fields:
+
+    - ``variable_index[v]`` and ``field_index[a]``: positions in
+      ``variables`` and ``field_values``;
+    - ``tests_of_variable[v]``: the tests that read v, ascending;
+    - ``offsets``: where each test's weights start in the flat (test,
+      assignment) column order, then the total column count;
+    - ``projection_indices[t, x][f]``: the indices of test t's assignments
+      that give x the f-th field value, keyed by every (test, variable of that
+      test), one tuple per field value in field order;
+    - ``shared_pairs``: (i, j, x) for every test pair i < j sharing the
+      variable x, in (i, j, variable) order.
+    """
+
     variables: tuple[Vertex, ...]
     field_values: tuple[Label, ...]
     tests: tuple[SsatTest, ...]
@@ -248,32 +263,53 @@ class SsatInstance(Record):
     def __post_init__(self):
         if not self.variables or not self.tests:
             raise MalformedInstance("an SSAT instance needs at least one variable and one test")
-        if len(set(self.variables)) != len(self.variables):
+        variable_index = {v: i for i, v in enumerate(self.variables)}
+        if len(variable_index) != len(self.variables):
             raise MalformedInstance("duplicate variables")
-        if len(set(self.field_values)) != len(self.field_values) or not self.field_values:
+        field_index = {v: i for i, v in enumerate(self.field_values)}
+        if len(field_index) != len(self.field_values) or not self.field_values:
             raise MalformedInstance("field values must be a nonempty ordered set")
-        var_set = set(self.variables)
-        values = set(self.field_values)
-        used: set[Vertex] = set()
+        tests_of_variable: dict[Vertex, list[int]] = {v: [] for v in self.variables}
+        projection_indices: dict[tuple[int, Vertex], tuple[tuple[int, ...], ...]] = {}
         for idx, test in enumerate(self.tests):
             if not test.variables:
                 raise MalformedInstance(f"test {idx} has no variables")
-            if len(set(test.variables)) != len(test.variables):
+            names = set(test.variables)
+            if len(names) != len(test.variables):
                 raise MalformedInstance(f"test {idx} repeats a variable")
-            if not var_set.issuperset(test.variables):
+            if not variable_index.keys() >= names:
                 raise MalformedInstance(f"test {idx} uses unknown variables")
+            by_position = [[[] for _ in self.field_values] for _ in test.variables]
             seen = set()
-            for r in test.assignments:
+            for r_idx, r in enumerate(test.assignments):
                 if len(r) != len(test.variables):
                     raise MalformedInstance(f"test {idx} has a partial assignment tuple")
-                if not values.issuperset(r):
-                    raise MalformedInstance(f"test {idx} assignment uses values outside the field")
+                for by_value, value in zip(by_position, r):
+                    f = field_index.get(value)
+                    if f is None:
+                        raise MalformedInstance(f"test {idx} assignment uses values outside the field")
+                    by_value[f].append(r_idx)
                 if r in seen:
                     raise MalformedInstance(f"test {idx} lists a duplicate assignment")
                 seen.add(r)
-            used.update(test.variables)
-        if used != var_set:
+            for x, by_value in zip(test.variables, by_position):
+                tests_of_variable[x].append(idx)
+                projection_indices[idx, x] = tuple(map(tuple, by_value))
+        if not all(tests_of_variable.values()):
             raise MalformedInstance("every variable must occur in at least one test")
+        pairs = (
+            (i, j, x)
+            for x, ts in tests_of_variable.items()
+            for pos, i in enumerate(ts)
+            for j in ts[pos + 1:]
+        )
+        _set = object.__setattr__
+        _set(self, "variable_index", variable_index)
+        _set(self, "field_index", field_index)
+        _set(self, "tests_of_variable", {v: tuple(ts) for v, ts in tests_of_variable.items()})
+        _set(self, "offsets", tuple(itertools.accumulate((len(t.assignments) for t in self.tests), initial=0)))
+        _set(self, "projection_indices", projection_indices)
+        _set(self, "shared_pairs", tuple(sorted(pairs, key=lambda p: (p[0], p[1], variable_index[p[2]]))))
         if self.provenance is not None:
             self._check_provenance()
 
@@ -294,58 +330,6 @@ class SsatInstance(Record):
                 raise MalformedInstance(
                     f"test {idx} has {len(test.assignments)} assignments, above the |sigma_b|*p^D_B bound {bound}"
                 )
-
-    # -- convenience ----------------------------------------------------------
-
-    @cached_property
-    def field_index(self) -> dict[Label, int]:
-        return {v: i for i, v in enumerate(self.field_values)}
-
-    @cached_property
-    def variable_index(self) -> dict[Vertex, int]:
-        return {v: i for i, v in enumerate(self.variables)}
-
-    @cached_property
-    def tests_of_variable(self) -> dict[Vertex, tuple[int, ...]]:
-        out: dict[Vertex, list[int]] = {v: [] for v in self.variables}
-        for idx, test in enumerate(self.tests):
-            for v in test.variables:
-                out[v].append(idx)
-        return {v: tuple(ix) for v, ix in out.items()}
-
-    # -- the flat (test, assignment) column layout ----------------------------
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """Where each test's weights start in the flat column order, then the total column count."""
-        return tuple(itertools.accumulate((len(t.assignments) for t in self.tests), initial=0))
-
-    @cached_property
-    def projection_indices(self) -> dict[tuple[int, Vertex], tuple[tuple[int, ...], ...]]:
-        """``[t, x][f]``: the indices of test t's assignments that give x the f-th field value.
-
-        Keyed by every (test, variable of that test); each value has one tuple
-        per field value, in field order.
-        """
-        out: dict[tuple[int, Vertex], tuple[tuple[int, ...], ...]] = {}
-        for t_idx, test in enumerate(self.tests):
-            for pos, x in enumerate(test.variables):
-                by_value: list[list[int]] = [[] for _ in self.field_values]
-                for r_idx, r in enumerate(test.assignments):
-                    by_value[self.field_index[r[pos]]].append(r_idx)
-                out[t_idx, x] = tuple(map(tuple, by_value))
-        return out
-
-    @cached_property
-    def shared_pairs(self) -> tuple[tuple[int, int, Vertex], ...]:
-        """(i, j, x) for every test pair i < j sharing the variable x, in (i, j, variable) order."""
-        pairs = (
-            (i, j, x)
-            for x in self.variables
-            for pos, i in enumerate(self.tests_of_variable[x])
-            for j in self.tests_of_variable[x][pos + 1:]
-        )
-        return tuple(sorted(pairs, key=lambda p: (p[0], p[1], self.variable_index[p[2]])))
 
 
 # ---------------------------------------------------------------------------

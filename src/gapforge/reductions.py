@@ -266,6 +266,8 @@ def sis_solution_from_lhp_assignment(lhp: LhpSystem, a: LhpAssignment) -> tuple[
     for idx, ineq in enumerate(lhp.inequalities):
         if ineq.group == "G2" and sum(c * xs[i] for i, c in ineq.coeff_x) + ineq.coeff_y * y != 0:
             raise Infeasible("g2_exactness", idx, ineq.copies_of)
+    if y == 0:  # only G1 forces y > 0, and a system read from a file may have no G1 member
+        raise Infeasible("integrality", 0, "y = 0, so no x/y is defined")
     for i, x in enumerate(xs):
         if x % y:
             raise Infeasible("integrality", i, f"x_{i}/y = {Fraction(x, y)}")

@@ -137,18 +137,8 @@ def encode_optimum(v: Union[Fraction, int, None]) -> Union[str, int, None]:
     return encode_fraction(v) if isinstance(v, Fraction) else v
 
 
-# Fractions already decoded, by their canonical string: an LHP assignment
-# repeats a few values many times.  Emptied when full, so it stays small.
-_FRACTIONS: dict[str, Fraction] = {}
-_FRACTIONS_MAX = 1024
-
-
 def decode_fraction(v: Any, ptr: Any = "") -> Fraction:
     """The inverse of ``encode_fraction``: ``"p/q"`` in lowest terms with q >= 1; any other string is refused."""
-    if type(v) is str:
-        f = _FRACTIONS.get(v)
-        if f is not None:
-            return f
     if type(v) is not str or not _FRACTION.fullmatch(v):
         raise _violation(ptr, f"expected a 'p/q' string, got {v!r:.60}")
     num, _, den = v.partition("/")
@@ -158,9 +148,6 @@ def decode_fraction(v: Any, ptr: Any = "") -> Fraction:
         raise MalformedInstance(f"fraction {v!r} at {_pointer(ptr)!r} has a zero denominator") from None
     if encode_fraction(f) != v:
         raise _violation(ptr, f"expected the fraction written {encode_fraction(f)!r:.60}, got {v!r:.60}")
-    if len(_FRACTIONS) >= _FRACTIONS_MAX:
-        _FRACTIONS.clear()
-    _FRACTIONS[v] = f
     return f
 
 

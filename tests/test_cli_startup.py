@@ -5,13 +5,14 @@ first use.  ``cli.main`` builds only the parser of the verb its command line
 names, so the tests check that this parser matches the one in the whole tree
 and that every command line the one-verb build does not take (help above a
 verb, a misspelt verb, a flag before the verb) is answered by the whole tree.
-No module of the package imports ``dataclasses``, and only ``reduce --text``
-loads the plain-text formats.
+No module of the package imports ``dataclasses`` or uses ``cached_property``,
+and only ``reduce --text`` loads the plain-text formats.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -107,6 +108,27 @@ def test_only_reduce_text_loads_the_plain_text_module(tmp_path):
 def test_no_gapforge_module_imports_dataclasses():
     result = json.loads(_run_fresh(_IMPORT_EVERY_MODULE).stdout)
     assert result == {"modules": len(list(Path(gapforge.__file__).parent.glob("*.py"))) - 1, "dataclasses": False}
+
+
+def _names_used(source: str) -> set[str]:
+    """Every name, attribute and imported name in ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_no_gapforge_module_uses_cached_property():
+    # a cached_property writes the instance __dict__ after construction; records build their tables in __post_init__
+    for source in ("from functools import cached_property as cp", "import functools\nx = functools.cached_property"):
+        assert "cached_property" in _names_used(source)
+    modules = sorted(Path(gapforge.__file__).parent.glob("*.py"))
+    assert [path.name for path in modules if "cached_property" in _names_used(path.read_text())] == []
 
 
 @pytest.mark.parametrize("module", sorted(set(gapforge._MODULE_OF.values())))

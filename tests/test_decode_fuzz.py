@@ -22,7 +22,6 @@ from fractions import Fraction
 import pytest
 
 from gapforge import fixtures as shipped
-from gapforge import serialize
 from gapforge.errors import GapforgeError, SchemaViolation
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
 from gapforge.instances import LhpAssignment
@@ -132,8 +131,7 @@ OUTCOME_DIGEST = "834a071fef39b271d8eb93362a0385209aedae24cffa21e33cc0a22ff00924
 
 
 def test_every_mutant_gets_the_pinned_error_at_the_pinned_node():
-    # the first pass starts with no decoded fraction memoised, the second with all it filled in
-    serialize._FRACTIONS.clear()
+    # the second pass reads every mutant again, so no state may carry over from one read to the next
     assert outcome_digest() == OUTCOME_DIGEST
     assert outcome_digest() == OUTCOME_DIGEST
 
@@ -148,12 +146,10 @@ NON_CANONICAL_INTS = ("01152921504606846976", "-01152921504606846976", "0" * 20 
 def test_non_canonical_fraction_is_refused_at_its_node(text):
     doc = documents()["chain_lhp_assignment"]
     doc["y_value"] = text
-    serialize._FRACTIONS.clear()
-    for _ in range(2):  # the second read finds the memo as the first left it
+    for _ in range(2):  # a second read of the same document is refused the same way
         with pytest.raises(SchemaViolation) as exc:
             from_document(doc)
         assert exc.value.pointer == "/y_value"
-        assert all(serialize.encode_fraction(f) == key for key, f in serialize._FRACTIONS.items())
 
 
 @pytest.mark.parametrize("text", NON_CANONICAL_INTS)

@@ -203,13 +203,32 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
     assert _values(record) == values and "no_such_field" not in record.__dict__
 
 
-@pytest.mark.parametrize("record, name", [(LC, "edges_of_b"), (SSAT, "offsets")])
-def test_cached_properties_are_computed_once_and_left_out_of_eq_and_repr(record, name):
+# the tables that validation builds, in the order __post_init__ sets them
+TABLES = {
+    "LabelCoverInstance": ("edges_of_a", "edges_of_b", "sigma_b_index"),
+    "SsatInstance": ("variable_index", "field_index", "tests_of_variable", "offsets", "projection_indices",
+                     "shared_pairs"),
+}
+
+
+@pytest.mark.parametrize("record", [LC, SSAT, replace(SSAT, provenance=None)],
+                         ids=["LabelCoverInstance", "SsatInstance", "SsatInstance-hashable"])
+def test_derived_tables_set_at_init_stay_out_of_eq_hash_repr(record):
+    cls = type(record)
+    names = TABLES[cls.__qualname__]
     fresh = replace(record)
-    assert name not in fresh.__dict__
-    first = getattr(fresh, name)
-    assert getattr(fresh, name) is first and fresh.__dict__[name] is first
-    untouched = replace(record)
-    assert name not in untouched.__dict__
-    assert fresh == untouched and repr(fresh) == repr(untouched)
-    assert name not in repr(fresh)
+    # instance attributes set by __init__ right after the fields, not class-level descriptors filled in later
+    assert list(vars(fresh)) == [*cls._fields, *names]
+    assert not set(names) & set(cls._fields) and not set(names) & set(vars(cls))
+    blanked = replace(record)
+    for name in names:
+        object.__setattr__(blanked, name, None)
+    assert blanked == fresh and not blanked != fresh and repr(blanked) == repr(fresh)
+    assert not any(f"{name}=" in repr(fresh) for name in names)
+    try:
+        expected = hash(fresh._values())
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(blanked)
+    else:
+        assert hash(blanked) == hash(fresh) == expected

@@ -18,9 +18,12 @@ from gapforge.errors import (
 )
 from gapforge.instances import (
     EPSILON,
+    GT,
     LabelCoverInstance,
     Labeling,
     LhpAssignment,
+    LhpInequality,
+    LhpSystem,
 )
 from gapforge.oracles import count_lhp_violations, enumerate_consistent_superassignments
 from gapforge.reductions import (
@@ -445,6 +448,17 @@ def test_lhp_extraction_rejects_nonintegral(ssat_share):
     with pytest.raises(Infeasible) as exc:
         sis_solution_from_lhp_assignment(lhp, a)
     assert exc.value.group == "integrality"
+
+
+def test_lhp_extraction_refuses_y_zero_without_g1():
+    # no G1 member forces y > 0: the G2 row holds at the origin by its delta coefficient and is exact there
+    g2 = LhpInequality(coeff_x=((0, 1),), coeff_y=-1, coeff_delta=1, sense=GT, group="G2", copies_of="row 0",
+                       multiplicity=1)
+    lhp = LhpSystem(num_x=1, u_param=1, inequalities=(g2,))
+    with pytest.raises(Infeasible) as exc:
+        sis_solution_from_lhp_assignment(lhp, LhpAssignment.of([0], y=0))
+    assert (exc.value.group, exc.value.index) == ("integrality", 0)
+    assert sis_solution_from_lhp_assignment(lhp, LhpAssignment.of([1], y=1)) == (1,)
 
 
 def test_completeness_chain_id2(ssat_id2):

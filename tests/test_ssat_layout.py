@@ -1,10 +1,11 @@
 """The flat column layout of ``SsatInstance`` against naive references.
 
-``offsets``, ``projection_indices`` and ``shared_pairs`` are derived once per
+``offsets``, ``projection_indices`` and ``shared_pairs`` are built once per
 instance and read by the SIS reduction, the compiled SSAT rows and the
 super-assignment algebra.  On the seeded chains of ``naive.chains``
 each table is compared with a plain scan of the tests, and the rows that
-``ssat_to_sis`` writes down with rows built by a plain scan.
+``ssat_to_sis`` writes down with rows built by a plain scan and with the
+columns that ``gadget_pair`` marks.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 from naive import chains, gadget_rows_by_scan
 
-from gapforge.reductions import sis_solution_from_superassignment, superassignment_from_sis_solution
+from gapforge.reductions import gadget_pair, sis_solution_from_superassignment, superassignment_from_sis_solution
 from gapforge.superassign import is_consistent, project
 
 
@@ -64,3 +65,20 @@ def test_layout_tables_match_naive_scans(chain, data):
     assert sis_solution_from_superassignment(ssat, s) == z
     assert superassignment_from_sis_solution(ssat, sis_solution_from_superassignment(ssat, s)) == s
     assert is_consistent(ssat, s).witness == naive_first_violation(ssat, s)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(chains())
+def test_sis_gadget_rows_are_the_columns_gadget_pair_marks(chain):
+    # row (i, j, x, f): test i's columns where g1[f] is 1, then test j's columns where g2[f] is 1
+    _, ssat, sis, _ = chain
+    off = ssat.offsets
+    rows = []
+    for i, j, x in ssat.shared_pairs:
+        pair = gadget_pair(ssat, i, j, x)
+        assert len(pair.g1) == len(pair.g2) == len(ssat.field_values)
+        for g1, g2 in zip(pair.g1, pair.g2):
+            cols = [off[i] + r for r, bit in enumerate(g1) if bit] + [off[j] + r for r, bit in enumerate(g2) if bit]
+            rows.append(tuple((c, 1) for c in cols))
+    assert sis.matrix[len(ssat.tests):] == tuple(rows)
