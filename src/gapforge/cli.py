@@ -33,13 +33,10 @@ from .oracles import (
     SearchBudget,
     enumerate_consistent_superassignments,
     solve_lc_max,
-    solve_lhp_min,
-    solve_ncp_min,
-    solve_sis_min,
     solve_ssat_min_norm,
 )
-from .pipeline import GAP_ROW_KEYS, run_chain
-from .reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
+from .pipeline import GAP_ROW_KEYS, ORACLES, REDUCTIONS, run_chain
+from .reductions import lc_to_ssat
 from .serialize import (
     _bool,
     _fields,
@@ -98,8 +95,8 @@ def _budget(**kwargs) -> SearchBudget:
 
 
 # ---------------------------------------------------------------------------
-# Tables.  Their functions are lambdas that look each name up when called,
-# so a rebinding of a module-level name (a tracer, a test) is seen.
+# Tables.  The ``reduce`` steps and ``solve`` kinds are the rows of
+# ``pipeline.REDUCTIONS`` and ``pipeline.ORACLES``.
 # ---------------------------------------------------------------------------
 
 # (flag and spec-file key, GenSpec attribute) of each size field of ``gen lc``
@@ -108,25 +105,6 @@ _SIZE_FIELDS = (
     ("sigma_a", "sigma_a_size"), ("sigma_b", "sigma_b_size"), ("p", "arity_p"),
 )
 _SPEC_FIELDS = frozenset((*(key for key, _ in _SIZE_FIELDS), "planted", "seed"))
-
-# step: (flags besides --in and --out, kind of the file read, reduction, name of its plain-text writer or None)
-_REDUCTIONS = {
-    "lc2ssat": ((), "label_cover", lambda x, a: lc_to_ssat(x), None),
-    "ssat2sis": (("text",), "ssat", lambda x, a: ssat_to_sis(x), "sis_to_text"),
-    "sis2ncp": (("g", "d_rep", "q", "text"), "sis", lambda x, a: sis_to_ncp(x, g=a.g, d_rep=a.d_rep, q=a.q),
-                "ncp_to_text"),
-    "sis2lhp": (("g", "u"), "sis", lambda x, a: sis_to_lhp(x, u_param=a.u, g=a.g), None),
-}
-
-# kind: (flags besides --in, kind of the file read, oracle); a tuple of flags is exclusive
-_SOLVERS = {
-    "lc": ((), "label_cover", lambda x, a: solve_lc_max(x, _budget())),
-    "ssat": (("box", "mode"), "ssat", lambda x, a: solve_ssat_min_norm(x, _budget(coeff_box=a.box, mode=a.mode))),
-    "sis": (("box",), "sis", lambda x, a: solve_sis_min(x, _budget(coeff_box=a.box))),
-    "ncp": ((("box", "full_field"),), "ncp",
-            lambda x, a: solve_ncp_min(x, _budget(coeff_box=a.box), full_field=a.full_field)),
-    "lhp": ((), "lhp", lambda x, a: solve_lhp_min(x, budget=_budget())),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +165,8 @@ def _cmd_gen_lc(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    _, kind, reduce, to_text = _REDUCTIONS[args.step]
-    result = reduce(read_instance(args.infile, kind), args)
+    kind, _, names, reduce, to_text = REDUCTIONS[args.step]
+    result = reduce(read_instance(args.infile, kind), **{name: getattr(args, name) for name in names})
     out = Path(args.out)
     if to_text is not None and args.text:  # a step takes --text exactly when it has a writer
         from . import plaintext  # loaded only by the one verb that writes plain text
@@ -201,8 +179,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _, kind, solve = _SOLVERS[args.kind]
-    res = solve(read_instance(args.infile, kind), args)
+    kind, flags, solve = ORACLES[args.kind]
+    options = {key: getattr(args, key) for flag in flags for key in (flag if isinstance(flag, tuple) else (flag,))}
+    budget = {field: options.pop(flag) for flag, field in (("box", "coeff_box"), ("mode", "mode")) if flag in options}
+    res = solve(read_instance(args.infile, kind), _budget(**budget), (), **options)
     # label cover is the one maximization; the others return a ``MinResult``
     optimum, mode = (res.best_fraction, None) if args.kind == "lc" else (res.minimum, res.mode)
     doc: dict[str, Any] = {
@@ -423,8 +403,9 @@ _VERBS = {
     ("gen", "lc"): (_cmd_gen_lc, ("spec", "flips", "flip_seed", "with_oracle", "out",
                                   *(key for key, _ in _SIZE_FIELDS), "gen_seed", "planted"),
                     {"help": "generate a label cover"}),
-    **{("reduce", step): (_cmd_reduce, ("in", "out", *flags), {}) for step, (flags, *_) in _REDUCTIONS.items()},
-    **{("solve", kind): (_cmd_solve, ("in", *flags), {}) for kind, (flags, *_) in _SOLVERS.items()},
+    **{("reduce", step): (_cmd_reduce, ("in", "out", *names, *(() if to_text is None else ("text",))), {})
+       for step, (_, _, names, _, to_text) in REDUCTIONS.items()},
+    **{("solve", kind): (_cmd_solve, ("in", *flags), {}) for kind, (_, flags, _) in ORACLES.items()},
     ("check", "consistency"): (_cmd_check_consistency, ("in", "super"), {}),
     ("check", "claims"): (_cmd_check_claims, ("in", ("super_candidate", "box")), {}),
     ("check", "agreement"): (_cmd_check_agreement, ("in", "l"), {}),

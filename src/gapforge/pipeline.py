@@ -1,11 +1,13 @@
-"""End-to-end chain runner, hash-linked manifest, and the gap report.
+"""The chain's steps as one table, the end-to-end runner, and the gap report.
 
-``run_chain`` drives a label cover through every reduction, embeds the
-natural solution when one exists, checks the exact completeness identities at
-each stage, and runs the box oracles where they fit the state budget.  The
-oracle stages are one table: each row gives either a skip reason or a minimum
-with its gap row.  The resulting document is canonical JSON, so identical
-inputs give identical bytes.
+``REDUCTIONS`` and ``ORACLES`` list the steps for ``run_chain`` and for the
+``reduce`` and ``solve`` verbs; their lambdas look each name up when called,
+so a rebinding of a module-level name (a tracer, a test) is seen.
+``run_chain`` runs the reductions and the hash-linked manifest in one loop,
+embeds the natural solution when one exists, checks the exact completeness
+identities, and runs the box oracles that fit the state budget, each giving
+a skip reason or a minimum with its gap row.  The report is canonical JSON,
+so identical inputs give identical bytes.
 
 Each oracle gets hint points that may cap its walk: the embedded SIS
 solution ``z`` (also a flat SSAT vector, an NCP box point and an LHP grid
@@ -48,6 +50,29 @@ from . import serialize
 
 GAP_ROW_KEYS = ("stage", "completeness_value", "oracle_minimum", "ratio")
 
+# step: (kind read, kind written, parameters, reduction, name of its ``plaintext`` writer or None).  The
+# parameters are the ``reduce`` flags and the keys of the step's manifest ``parameters``.
+REDUCTIONS = {
+    "lc2ssat": ("label_cover", "ssat", (), lambda lc: lc_to_ssat(lc), None),
+    "ssat2sis": ("ssat", "sis", (), lambda ssat: ssat_to_sis(ssat), "sis_to_text"),
+    "sis2ncp": ("sis", "ncp", ("g", "d_rep", "q"), lambda sis, g, d_rep, q: sis_to_ncp(sis, g=g, d_rep=d_rep, q=q),
+                "ncp_to_text"),
+    "sis2lhp": ("sis", "lhp", ("g", "u"), lambda sis, g, u: sis_to_lhp(sis, u_param=u, g=g), None),
+}
+# the attribute of a step's output holding the value a parameter settled on; ``g`` is recorded as given
+_SETTLED = {"d_rep": "replication", "q": "modulus", "u": "u_param"}
+
+# kind: (kind read, ``solve`` flags, solver); a tuple of flags is exclusive.  A solver takes the instance, the
+# budget, the hint points and, by name, each flag that is not a budget field.
+ORACLES = {
+    "lc": ("label_cover", (), lambda lc, budget, hints: solve_lc_max(lc, budget)),
+    "ssat": ("ssat", ("box", "mode"), lambda ssat, budget, hints: solve_ssat_min_norm(ssat, budget, hints=hints)),
+    "sis": ("sis", ("box",), lambda sis, budget, hints: solve_sis_min(sis, budget, hints=hints)),
+    "ncp": ("ncp", (("box", "full_field"),),
+            lambda ncp, budget, hints, full_field=False: solve_ncp_min(ncp, budget, full_field, hints)),
+    "lhp": ("lhp", (), lambda lhp, budget, hints: solve_lhp_min(lhp, budget=budget, hints=hints)),
+}
+
 
 def verify_manifest(stages: Sequence[Mapping[str, Any]]) -> bool:
     """Each stage must consume the initial input or some prior stage's output."""
@@ -89,21 +114,16 @@ def run_chain(
     budget_l1 = SearchBudget(coeff_box=box, max_states=max_states, mode="l1")
     report = validate_label_cover(lc)
 
-    ssat = lc_to_ssat(lc)
-    sis = ssat_to_sis(ssat)
-    ncp = sis_to_ncp(sis, g=g, d_rep=d_rep, q=q)
-    lhp = sis_to_lhp(sis, u_param=u_param, g=g)
-
-    lc_hash, ssat_hash, sis_hash, ncp_hash, lhp_hash = map(content_hash, (lc, ssat, sis, ncp, lhp))
-    stages = [
-        {"kind": kind, "input_hash": src, "output_hash": dst, "parameters": parameters}
-        for kind, src, dst, parameters in (
-            ("lc2ssat", lc_hash, ssat_hash, {}),
-            ("ssat2sis", ssat_hash, sis_hash, {}),
-            ("sis2ncp", sis_hash, ncp_hash, {"g": g, "d_rep": ncp.replication, "q": ncp.modulus}),
-            ("sis2lhp", sis_hash, lhp_hash, {"g": g, "u": lhp.u_param}),
-        )
-    ]
+    given = {"g": g, "d_rep": d_rep, "q": q, "u": u_param}
+    instances: dict[str, Any] = {"label_cover": lc}
+    hashes = {"label_cover": content_hash(lc)}
+    stages = []
+    for step, (src, dst, names, reduce, _) in REDUCTIONS.items():
+        out = instances[dst] = reduce(instances[src], **{name: given[name] for name in names})
+        hashes[dst] = content_hash(out)
+        parameters = {name: getattr(out, _SETTLED[name]) if name in _SETTLED else given[name] for name in names}
+        stages.append({"kind": step, "input_hash": hashes[src], "output_hash": hashes[dst], "parameters": parameters})
+    ssat, sis, ncp, lhp = (instances[kind] for kind in ("ssat", "sis", "ncp", "lhp"))
 
     n_tests = len(ssat.tests)
     lc_result = solve_lc_max(lc, budget_l1)
@@ -129,22 +149,20 @@ def run_chain(
         ]
         hints.append(tuple(z))
 
-    # (report key, gap stage, planted cost, solver of the hints, the witness as a hint point for
-    # the stages after it).  Every stage gets the embedded point; LHP runs before NCP, whose box
-    # holds LHP's grid witness.  The thunks look the solvers up when called, so rebinding a
-    # module name reaches them.
+    # (report key, oracle, planted cost, the witness as a hint point for the stages after it).  Every stage
+    # gets the embedded point; LHP runs before NCP, whose box holds LHP's grid witness.
     oracle_stages = (
-        ("ssat_l1", "ssat", 1, lambda hints: solve_ssat_min_norm(ssat, budget_l1, hints=hints), None),
-        ("sis", "sis", n_tests, lambda hints: solve_sis_min(sis, budget_l1, hints=hints), lambda witness: witness),
-        ("lhp_grid", "lhp", n_tests, lambda hints: solve_lhp_min(lhp, budget=budget_l1, hints=hints),
-         lambda witness: tuple(map(int, witness.x_values))),
-        ("ncp_box", "ncp", n_tests, lambda hints: solve_ncp_min(ncp, budget_l1, hints=hints), None),
+        ("ssat_l1", "ssat", 1, None),
+        ("sis", "sis", n_tests, lambda witness: witness),
+        ("lhp_grid", "lhp", n_tests, lambda witness: tuple(map(int, witness.x_values))),
+        ("ncp_box", "ncp", n_tests, None),
     )
     results: dict[str, Any] = {}
     rows: dict[str, dict[str, Any]] = {}
-    for key, stage, planted_cost, solve, as_point in oracle_stages:
+    for key, stage, planted_cost, as_point in oracle_stages:
+        src, _, solve = ORACLES[stage]
         try:
-            result = solve(hints)
+            result = solve(instances[src], budget_l1, hints)
         except SearchSpaceTooLarge as exc:
             results[key] = {"skipped": str(exc)}
             continue
@@ -168,7 +186,7 @@ def run_chain(
         },
         "manifest": {
             "stages": stages,
-            "gap_params": {"g": g, "box": box, "u": lhp.u_param, "d_rep": ncp.replication, "q": ncp.modulus},
+            "gap_params": {"box": box, **{k: v for stage in stages for k, v in stage["parameters"].items()}},
         },
         "manifest_consistent": verify_manifest(stages),
         "completeness": completeness,

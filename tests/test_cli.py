@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -64,7 +65,15 @@ def test_missing_in_file_envelope_is_pinned(tmp_path, capsys):
         )
 
 
+def _flags(**given):
+    """``--name value`` for each given value that is not None."""
+    return [arg for name, value in given.items() if value is not None
+            for arg in (f"--{name.replace('_', '-')}", str(value))]
+
+
 def test_reduce_chain_files(tmp_path, capsys, lc_id2_path):
+    """The steps chain through files, and each one run alone with ``check chain``'s flags writes the bytes
+    that the chain's manifest hashes, at default and other parameters."""
     ssat = tmp_path / "ssat.json"
     sis = tmp_path / "sis.json"
     ncp = tmp_path / "ncp.json"
@@ -75,6 +84,30 @@ def test_reduce_chain_files(tmp_path, capsys, lc_id2_path):
     assert run(capsys, "reduce", "sis2lhp", "--in", str(sis), "--out", str(lhp))[0] == 0
     assert read_instance(ncp, "ncp").modulus == 3
     assert read_instance(lhp, "lhp").u_param == 2
+    for name in ("lc_id2", "lc_cyc", "lc_share", "lc_2to1"):
+        lc = tmp_path / f"{name}.json"
+        write_instance(lc, shipped.load(name))
+        for g, d_rep, q, u in ((1, None, None, None), (2, None, None, None), (2, 50, None, 7), (1, None, 101, None)):
+            _, report = run(capsys, "check", "chain", "--in", str(lc), *_flags(g=g, d_rep=d_rep, q=q, u=u))
+            stages = {stage["kind"]: stage for stage in report["manifest"]["stages"]}
+            out = tmp_path / f"{name}-{g}-{d_rep}-{q}-{u}"
+            out.mkdir()
+            for step, src, dst, flags in (
+                ("lc2ssat", lc, out / "ssat.json", []),
+                ("ssat2sis", out / "ssat.json", out / "sis.json", []),
+                ("sis2ncp", out / "sis.json", out / "ncp.json", _flags(g=g, d_rep=d_rep, q=q)),
+                ("sis2lhp", out / "sis.json", out / "lhp.json", _flags(g=g, u=u)),
+            ):
+                assert run(capsys, "reduce", step, "--in", str(src), "--out", str(dst), *flags)[0] == 0
+                assert stages[step]["input_hash"] == hashlib.sha256(src.read_bytes()).hexdigest(), (name, step)
+                assert stages[step]["output_hash"] == hashlib.sha256(dst.read_bytes()).hexdigest(), (name, step)
+            settled_ncp, settled_lhp = read_instance(out / "ncp.json", "ncp"), read_instance(out / "lhp.json", "lhp")
+            # the manifest records each parameter as the output settled it, which is the given value when one is
+            assert stages["sis2ncp"]["parameters"] == {
+                "g": g, "d_rep": settled_ncp.replication, "q": settled_ncp.modulus}
+            assert stages["sis2lhp"]["parameters"] == {"g": g, "u": settled_lhp.u_param}
+            assert d_rep in (None, settled_ncp.replication) and q in (None, settled_ncp.modulus)
+            assert u in (None, settled_lhp.u_param)
 
 
 def test_reduce_sis_text_output(tmp_path, capsys, lc_id2_path):
@@ -175,6 +208,58 @@ def test_check_claims_checks_consistency_at_most_four_times_per_candidate(tmp_pa
     code, doc = run(capsys, "check", "claims", "--in", str(tmp_path / "ssat.json"), "--box", "2")
     assert code == 0 and doc["checked"] == 25
     assert 0 < len(calls) <= 4 * doc["checked"]
+
+
+# the function each ``reduce`` step and each ``solve`` kind runs, by its name in gapforge.reductions or gapforge.oracles
+_STEP_FUNCTIONS = {"lc2ssat": "lc_to_ssat", "ssat2sis": "ssat_to_sis", "sis2ncp": "sis_to_ncp", "sis2lhp": "sis_to_lhp"}
+_ORACLE_FUNCTIONS = {"lc": "solve_lc_max", "ssat": "solve_ssat_min_norm", "sis": "solve_sis_min",
+                     "ncp": "solve_ncp_min", "lhp": "solve_lhp_min"}
+
+
+def _counted(target, name: str, calls: list):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return target(*args, **kwargs)
+
+    return wrapper
+
+
+def test_steps_and_oracles_are_looked_up_when_called(tmp_path, capsys, monkeypatch, lc_id2_path):
+    """Every verb reaches a function rebound after import, as the benchmark rebinds them to time each layer.
+
+    Each reduction and oracle is replaced wherever a loaded gapforge module
+    binds it, as ``perfbench/spans.py`` does, and ``read_instance`` and
+    ``canonical_bytes`` in ``gapforge.cli`` alone, as ``perfbench/cli_child.py``
+    does.  A table that held a function object instead of looking its name up
+    would miss the replacement.
+    """
+    from gapforge import oracles, reductions
+
+    calls: list = []
+    for module, names in ((reductions, _STEP_FUNCTIONS.values()), (oracles, _ORACLE_FUNCTIONS.values())):
+        for name in names:
+            target = getattr(module, name)
+            wrapper = _counted(target, name, calls)
+            for mod_name, loaded in list(sys.modules.items()):
+                if loaded is not None and (mod_name == "gapforge" or mod_name.startswith("gapforge.")):
+                    for attr in [attr for attr, value in vars(loaded).items() if value is target]:
+                        monkeypatch.setattr(loaded, attr, wrapper)
+    for name in ("read_instance", "canonical_bytes"):
+        monkeypatch.setattr(gapforge.cli, name, _counted(getattr(gapforge.cli, name), name, calls))
+
+    assert run(capsys, "check", "chain", "--in", str(lc_id2_path))[0] == 0
+    assert sorted(calls) == sorted(("read_instance", *_STEP_FUNCTIONS.values(), *_ORACLE_FUNCTIONS.values(),
+                                    "canonical_bytes"))
+    files = {"lc": lc_id2_path, **{kind: tmp_path / f"{kind}.json" for kind in ("ssat", "sis", "ncp", "lhp")}}
+    for step, name in _STEP_FUNCTIONS.items():
+        calls.clear()
+        src, dst = step.split("2")
+        assert run(capsys, "reduce", step, "--in", str(files[src]), "--out", str(files[dst]))[0] == 0
+        assert calls == ["read_instance", name, "canonical_bytes"], step
+    for kind, name in _ORACLE_FUNCTIONS.items():
+        calls.clear()
+        assert run(capsys, "solve", kind, "--in", str(files[kind]))[0] == 0
+        assert calls == ["read_instance", name, "canonical_bytes"], kind
 
 
 def test_check_agreement(capsys, lc_cyc_path):
