@@ -36,10 +36,9 @@ _EXPORTS = {
         "ssat_to_sis", "superassignment_from_sis_solution",
     ),
     "soundness": (
-        "BoundCheck", "DefeatReport", "LinfListResult", "ListConstructionParams", "ListLabeling",
-        "agreement_soundness_exact", "check_list_soundness_bound", "list_agreement_soundness_exact",
-        "list_construction", "list_construction_linf", "list_totally_disagree", "select_low_norm_tests",
-        "totally_disagree", "verify_defeats_list_soundness",
+        "BoundCheck", "DefeatReport", "ListConstructionParams", "ListLabeling", "agreement_soundness_exact",
+        "check_list_soundness_bound", "list_agreement_soundness_exact", "list_construction",
+        "list_totally_disagree", "select_low_norm_tests", "totally_disagree", "verify_defeats_list_soundness",
     ),
     "oracles": (
         "SearchBudget", "count_lhp_violations", "enumerate_consistent_superassignments", "solve_lc_max",

@@ -352,7 +352,7 @@ class LcMaxResult(Record):
 
 
 def walk_a_labelings(
-    lc: LabelCoverInstance, choices: Sequence, image: Callable[[Edge, object], object],
+    lc: LabelCoverInstance, choices: Iterable, image: Callable[[Edge, object], object],
     loss: Callable[[list], int], max_states: int,
 ) -> tuple[int, Optional[tuple[int, ...]], int]:
     """``branch_and_bound`` over A-labelings: each A-vertex, in order, takes an index into ``choices``.
@@ -363,8 +363,11 @@ def walk_a_labelings(
     is the B-vertex's true loss once all are.  A B-vertex is charged its
     loss with no edge fixed at the root, then at each A-neighbour by what
     that neighbour adds, so the cost never decreases on a path and is the
-    total loss at a leaf.
+    total loss at a leaf.  The walk takes at most ``max_states + 1``
+    children of any node, so only that many choices are drawn from
+    ``choices`` and imaged, and the cap bounds the set-up too.
     """
+    choices = tuple(islice(choices, max(max_states, 0) + 1))
     position = {a: i for i, a in enumerate(lc.a_vertices)}
     root = 0
     by_column: list[list] = [[] for _ in lc.a_vertices]

@@ -1,8 +1,8 @@
-"""Agreement-soundness machinery and the randomized list constructions.
+"""Agreement-soundness machinery and the randomized list construction.
 
 Exact agreement and list-agreement soundness are computed by one
 branch-and-bound walk over A-labelings.
-The list constructions turn a low-norm consistent super-assignment into label
+The list construction turns a low-norm consistent super-assignment into label
 lists that create agreement on many B-vertices; sampling uses exact rational
 thresholds against 64-bit uniform draws, split into one independent stream
 per test so the output is reproducible and order-independent.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     MalformedInstance,
@@ -30,9 +30,7 @@ from .superassign import (
     classify_tests,
     is_consistent,
     is_nontrivial,
-    is_not_all_zero,
     norm_l1,
-    norm_linf,
     test_norm,
 )
 
@@ -89,7 +87,7 @@ def _max_agreement(lc: LabelCoverInstance, l: int, max_states: int) -> Fraction:
     """
     if not lc.b_vertices:
         return Fraction(0)
-    subsets = list(itertools.combinations(lc.sigma_a, min(l, len(lc.sigma_a))))
+    subsets = itertools.combinations(lc.sigma_a, min(l, len(lc.sigma_a)))
 
     def disagrees(image_sets: list) -> bool:
         return None not in image_sets and sum(map(len, image_sets)) == len(set().union(*image_sets))
@@ -152,12 +150,6 @@ def _check_s_list(s_list: Fraction) -> Fraction:
     return s_list
 
 
-def _check_seed(seed: int) -> None:
-    # random.Random seeds from abs(seed), so a negative seed would repeat its positive twin
-    if seed < 0:
-        raise MalformedInstance(f"the seed must be non-negative, got {seed}")
-
-
 class ListConstructionParams(Record):
     """Norm bound, target fraction, the derived threshold and inclusion probability."""
 
@@ -171,7 +163,9 @@ class ListConstructionParams(Record):
         _check_s_list(self.s_list)
         if not (0 < self.p_include <= 1):
             raise MalformedInstance("p_include must lie in (0, 1]")
-        _check_seed(self.seed)
+        # random.Random seeds from abs(seed), so a negative seed would repeat its positive twin
+        if self.seed < 0:
+            raise MalformedInstance(f"the seed must be non-negative, got {self.seed}")
 
     @classmethod
     def derive(
@@ -184,6 +178,8 @@ class ListConstructionParams(Record):
     ) -> "ListConstructionParams":
         g = Fraction(g)
         s_list = _check_s_list(Fraction(s_list))
+        if d_a < 1:
+            raise MalformedInstance(f"the A-degree d_a must be at least 1, got {d_a}")
         g1 = g * (1 - s_list) / (1 - 2 * s_list)
         p = Fraction(1) if force_p_one else min(Fraction(1), g1 / d_a)
         return cls(g=g, s_list=s_list, g1=g1, p_include=p, seed=seed)
@@ -218,50 +214,6 @@ def select_low_norm_tests(
     return selected
 
 
-def _require_lc(ssat: SsatInstance) -> LabelCoverInstance:
-    if ssat.provenance is None:
-        raise NotLcDerived("list construction needs label-cover provenance")
-    return ssat.provenance.lc
-
-
-def _include_from_assignment(
-    ssat: SsatInstance,
-    lists: dict[Vertex, set[Label]],
-    test_idx: int,
-    r_idx: int,
-    skip_var: Optional[Vertex],
-    assigned: Mapping[Vertex, frozenset[Label]],
-    p: Fraction,
-    rng: random.Random,
-) -> None:
-    """Offer each non-assigned value of one assignment to its variable's list."""
-    test = ssat.tests[test_idx]
-    r = test.assignments[r_idx]
-    for var, value in zip(test.variables, r):
-        if var == skip_var or value in assigned[var]:
-            continue
-        if _draw(rng, p):
-            lists[var].add(value)
-
-
-def _list_steps_1_2(
-    ssat: SsatInstance, s: SuperAssignment, tests: Sequence[int], p: Fraction, seed: int
-) -> tuple[dict[Vertex, frozenset[Label]], dict[Vertex, set[Label]], list[int]]:
-    """Steps 1 and 2 of both list constructions: the assigned sets, the lists, and the donors.
-
-    Step 1 lists every assigned value.  In step 2 each of ``tests`` whose
-    every nonzero assignment has exactly one assigned value is a donor: its
-    lowest-index nonzero assignment offers its non-assigned values.
-    """
-    assigned = assigned_value_sets(ssat, s)
-    lists: dict[Vertex, set[Label]] = {x: set(assigned[x]) for x in ssat.variables}
-    donors = [t for t, kind in zip(tests, classify_tests(ssat, s, tests)) if kind is TestKind.ALL_SINGLE_GOOD]
-    for t_idx in donors:
-        r_idx = next(i for i, w in enumerate(s.weights[t_idx]) if w != 0)
-        _include_from_assignment(ssat, lists, t_idx, r_idx, None, assigned, p, _stream(seed, t_idx))
-    return assigned, lists, donors
-
-
 def list_construction(
     ssat: SsatInstance, s: SuperAssignment, params: ListConstructionParams
 ) -> ListLabeling:
@@ -274,90 +226,23 @@ def list_construction(
     always broken by index, and p_include = 1 makes the construction fully
     deterministic.
     """
-    lc = _require_lc(ssat)
+    if ssat.provenance is None:
+        raise NotLcDerived("list construction needs label-cover provenance")
     if not is_consistent(ssat, s) or not is_nontrivial(ssat, s):
         raise PreconditionFailed("list construction needs a consistent, non-trivial super-assignment")
-    _, lists, _ = _list_steps_1_2(ssat, s, select_low_norm_tests(ssat, s, params), params.p_include, params.seed)
-    return ListLabeling.from_sets(lc, lists)
-
-
-class LinfListResult(Record):
-    """Lists plus the bookkeeping of the max-norm construction.
-
-    ``marked_step3`` is the set of tests claimed while covering variables with
-    no assigned value; ``g_times_d_a`` and ``marked_value_counts`` report the
-    quantities the construction's applicability conditions talk about.
-    """
-
-    labeling: ListLabeling
-    marked_step2: tuple[int, ...]
-    marked_step3: tuple[int, ...]
-    g_times_d_a: int
-    marked_value_counts: dict[Vertex, int]
-
-
-def list_construction_linf(
-    ssat: SsatInstance,
-    s: SuperAssignment,
-    g: int,
-    seed: int,
-) -> LinfListResult:
-    """Max-norm variant: every nonzero test participates, plus a marking walk.
-
-    Steps 1 and 2 match :func:`list_construction` with threshold g and
-    p = min(1, g/D_A).  Step 3 then covers each variable with an empty
-    assigned set: walking its not-yet-marked tests in index order, it prefers
-    an assignment whose value for the variable is already listed, includes
-    that value, offers the assignment's other values with probability p, and
-    stops once taking a fresh value would exceed g distinct marked values.
-    """
-    lc = _require_lc(ssat)
-    _check_seed(seed)
-    if not is_consistent(ssat, s):
-        raise PreconditionFailed("max-norm list construction needs a consistent super-assignment")
-    if not is_not_all_zero(s):
-        raise PreconditionFailed("super-assignment is all zero")
-    if norm_linf(s) > g:
-        raise PreconditionFailed(f"max test norm {norm_linf(s)} exceeds the bound {g}")
-    d_a = max(len(lc.edges_of_a[a]) for a in lc.a_vertices)
-    p = min(Fraction(1), Fraction(g, d_a))
-    nonzero = [t_idx for t_idx in range(len(ssat.tests)) if test_norm(s, t_idx) != 0]
-    assigned, lists, step2 = _list_steps_1_2(ssat, s, nonzero, p, seed)
-    marked = set(step2)
-
-    step3: list[int] = []
-    marked_value_counts: dict[Vertex, int] = {}
-    for x in ssat.variables:
-        if assigned[x]:
+    tests = select_low_norm_tests(ssat, s, params)
+    assigned = assigned_value_sets(ssat, s)
+    lists: dict[Vertex, set[Label]] = {x: set(assigned[x]) for x in ssat.variables}
+    for t, kind in zip(tests, classify_tests(ssat, s, tests)):
+        if kind is not TestKind.ALL_SINGLE_GOOD:
             continue
-        taken: set[Label] = set()
-        for t_idx in ssat.tests_of_variable[x]:
-            if t_idx in marked:
-                continue
-            test = ssat.tests[t_idx]
-            pos = test.variables.index(x)
-            r_idx = next(
-                (i for i, r in enumerate(test.assignments) if r[pos] in lists[x]),
-                0,
-            )
-            value = test.assignments[r_idx][pos]
-            if value not in taken and len(taken) >= g:
-                break
-            lists[x].add(value)
-            taken.add(value)
-            rng = _stream(seed, t_idx)
-            _include_from_assignment(ssat, lists, t_idx, r_idx, x, assigned, p, rng)
-            marked.add(t_idx)
-            step3.append(t_idx)
-        marked_value_counts[x] = len(taken)
-
-    return LinfListResult(
-        labeling=ListLabeling.from_sets(lc, lists),
-        marked_step2=tuple(step2),
-        marked_step3=tuple(step3),
-        g_times_d_a=g * d_a,
-        marked_value_counts=marked_value_counts,
-    )
+        test = ssat.tests[t]
+        r = next(r for r, w in zip(test.assignments, s.weights[t]) if w != 0)
+        rng = _stream(params.seed, t)
+        for var, value in zip(test.variables, r):
+            if value not in assigned[var] and _draw(rng, params.p_include):
+                lists[var].add(value)
+    return ListLabeling.from_sets(ssat.provenance.lc, lists)
 
 
 class DefeatReport(Record):

@@ -26,7 +26,6 @@ from gapforge.reductions import gadget_pair, lc_to_ssat, sis_to_lhp, sis_to_ncp,
 from gapforge.soundness import (
     BoundCheck,
     DefeatReport,
-    LinfListResult,
     ListConstructionParams,
     ListLabeling,
 )
@@ -75,7 +74,6 @@ SAMPLES = {
     "ListLabeling": LISTS,
     "BoundCheck": BoundCheck(Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), True),
     "ListConstructionParams": ListConstructionParams.derive(2, Fraction(1, 4), d_a=2, seed=3),
-    "LinfListResult": LinfListResult(LISTS, (0,), (), 2, {a: 1 for a in LC.a_vertices}),
     "DefeatReport": DefeatReport(Fraction(0), False),
     "SuperAssignment": SUPER,
     "ConsistencyResult": is_consistent(SSAT, SUPER),
@@ -105,7 +103,7 @@ def _id(cls) -> str:
 
 
 def test_every_value_type_is_a_record_with_a_sample():
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 26
     assert sorted(SAMPLES) == sorted(cls.__qualname__ for cls in RECORDS)
     assert sorted(REFUSED) == sorted(cls.__qualname__ for cls in RECORDS if "__post_init__" in cls.__dict__)
 

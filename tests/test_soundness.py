@@ -1,7 +1,8 @@
-"""Agreement soundness, the soundness-bound inequality, list constructions."""
+"""Agreement soundness, the soundness-bound inequality, the list construction."""
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from gapforge.soundness import (
     check_list_soundness_bound,
     list_agreement_soundness_exact,
     list_construction,
-    list_construction_linf,
     list_totally_disagree,
     select_low_norm_tests,
     totally_disagree,
@@ -91,6 +91,19 @@ def test_agreement_cap(lc_cyc):
         agreement_soundness_exact(lc_cyc, max_states=3)
 
 
+def test_list_agreement_cap_bounds_the_set_up():
+    """Only the first cap + 1 label subsets are built and imaged, not all C(20, 10) of them."""
+    lc = gen_label_cover(GenSpec(2, 1, 2, 20, 10, 2, planted=True, seed=1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge, match="charged 11 states, more than the cap of 10"):
+            list_agreement_soundness_exact(lc, 10, max_states=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
 def test_list_agreement_cyc(lc_cyc):
     assert list_agreement_soundness_exact(lc_cyc, 2) == 1
     assert list_agreement_soundness_exact(lc_cyc, 1) == Fraction(1, 2)
@@ -142,6 +155,12 @@ def test_params_reject_bad_s_list():
         ListConstructionParams.derive(g=1, s_list=Fraction(1, 2), d_a=2)
 
 
+@pytest.mark.parametrize("d_a", [0, -1])
+def test_params_reject_degree_below_one(d_a):
+    with pytest.raises(MalformedInstance, match="d_a must be at least 1"):
+        ListConstructionParams.derive(g=1, s_list=Fraction(1, 4), d_a=d_a)
+
+
 # random.Random seeds from abs(seed): each of these would repeat the run of its positive twin
 @pytest.mark.parametrize(
     "build, error",
@@ -149,9 +168,8 @@ def test_params_reject_bad_s_list():
         (lambda lc: GenSpec(2, 1, 2, 2, 2, 1, True, -1), InfeasibleSpec),
         (lambda lc: frustrate(lc, 1, -3), InfeasibleSpec),
         (lambda lc: ListConstructionParams.derive(g=1, s_list=Fraction(1, 4), d_a=1, seed=-1), MalformedInstance),
-        (lambda lc: list_construction_linf(lc_to_ssat(lc), _sa((1, 0)), 1, -1), MalformedInstance),
     ],
-    ids=["gen-spec", "frustrate", "list-params", "list-construction-linf"],
+    ids=["gen-spec", "frustrate", "list-params"],
 )
 def test_negative_seed_is_refused(lc_id2, build, error):
     with pytest.raises(error, match="the seed must be non-negative"):
@@ -204,7 +222,7 @@ def test_select_floor_breach_is_typed_error(ssat_id2):
 
 
 # ---------------------------------------------------------------------------
-# list_construction (average-norm variant)
+# list_construction
 # ---------------------------------------------------------------------------
 
 def test_list_construction_cyc_full_lists(ssat_cyc, lc_cyc):
@@ -295,97 +313,6 @@ def test_single_good_fixture_classification():
     # every nonzero assignment of either test has two good coordinates (test 0)
     # or one (test 1, single variable)
     assert classify_tests(ssat, s, [0, 1]) == [TestKind.MULTI_GOOD, TestKind.ALL_SINGLE_GOOD]
-
-
-def test_linf_matches_l1_law_when_nontrivial(ssat_cyc):
-    # V' empty: step 3 is vacuous, steps 1-2 with threshold g and p = g/D_A
-    s = _sa((1, 1), (1, 1))
-    result = list_construction_linf(ssat_cyc, s, g=2, seed=5)
-    assert result.marked_step3 == ()
-    assert result.labeling.lists == {"a0": (0, 1), "a1": (0, 1)}
-    assert result.g_times_d_a == 4
-
-
-def _step3_fixture():
-    """Nonzero multi-good test sharing an unassigned variable with a zero test.
-
-    b0 has three 2-to-1 neighbors (u0, u1, v); the chosen weights assign both
-    values to u0 and u1 but cancel v per value.  b1 sees v alone and carries
-    zero weight, forcing v's projections to zero everywhere: v has no assigned
-    value anywhere, so step 3 must cover it.
-    """
-    edges = (("u0", "b0"), ("u1", "b0"), ("v", "b0"), ("v", "b1"))
-    tables = {e: {0: 0, 1: 0} for e in edges}
-    lc = LabelCoverInstance(("u0", "u1", "v"), ("b0", "b1"), (0, 1), (0, 1), edges, tables)
-    ssat = lc_to_ssat(lc)
-    # R(psi_b0): product order over ({0,1})^3; weight +1 at (0,0,0), -1 at (1,1,0)
-    weights0 = [0] * 8
-    weights0[0] = 1   # (0,0,0)
-    weights0[6] = -1  # (1,1,0)
-    s = SuperAssignment.from_rows((tuple(weights0), (0, 0)))
-    return lc, ssat, s
-
-
-def test_linf_step3_covers_unassigned_variable():
-    from gapforge.superassign import TestKind, classify_tests, is_consistent, assigned_value_sets
-
-    lc, ssat, s = _step3_fixture()
-    assert is_consistent(ssat, s).consistent
-    assert not is_nontrivial(ssat, s)
-    assigned = assigned_value_sets(ssat, s)
-    assert assigned["v"] == frozenset()
-    assert classify_tests(ssat, s, [0]) == [TestKind.MULTI_GOOD]
-
-    result = list_construction_linf(ssat, s, g=2, seed=0)
-    # step 2 marks nothing (no AllSingleGood test), step 3 starts from the
-    # nonzero test b0 and takes v's value from its first assignment
-    assert result.marked_step2 == ()
-    assert result.marked_step3 == (0, 1)
-    assert 0 in result.labeling.lists["v"]
-    assert result.marked_value_counts["v"] >= 1
-    # every list is nonempty, including the otherwise untouched variable v
-    assert all(result.labeling.lists[x] for x in ssat.variables)
-
-
-def test_linf_value_cap_stops_walk():
-    """With g = 1, a test offering only a fresh value stays unmarked.
-
-    The assignment lists are hand-restricted (valid: a test's range may be any
-    assignment list) so the second zero test has no assignment carrying the
-    already-taken value.
-    """
-    from gapforge.instances import LcProvenance, SsatInstance, SsatTest
-
-    edges = (("u", "b0"), ("v", "b1"), ("v", "b2"))
-    tables = {e: {0: 0, 1: 1} for e in edges}
-    lc = LabelCoverInstance(("u", "v"), ("b0", "b1", "b2"), (0, 1), (0, 1), edges, tables)
-    ssat = SsatInstance(
-        variables=("u", "v"),
-        field_values=(0, 1),
-        tests=(
-            SsatTest(("u",), ((0,), (1,))),
-            SsatTest(("v",), ((0,),)),
-            SsatTest(("v",), ((1,),)),
-        ),
-        provenance=LcProvenance(lc=lc, var_to_a=("u", "v"), test_to_b=("b0", "b1", "b2")),
-    )
-    s = _sa((1, 0), (0,), (0,))
-    result = list_construction_linf(ssat, s, g=1, seed=0)
-    # the walk takes v = 0 from the first zero test; the second test only
-    # offers v = 1, and the one-value cap stops before taking it
-    assert result.labeling.lists["v"] == (0,)
-    assert result.marked_step3 == (1,)
-    assert result.marked_value_counts["v"] == 1
-
-
-def test_linf_rejects_g_zero(ssat_cyc):
-    with pytest.raises(PreconditionFailed):
-        list_construction_linf(ssat_cyc, _sa((1, 1), (1, 1)), g=0, seed=0)
-
-
-def test_linf_rejects_all_zero(ssat_cyc):
-    with pytest.raises(PreconditionFailed):
-        list_construction_linf(ssat_cyc, SuperAssignment.zeros(ssat_cyc), g=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -484,21 +411,43 @@ def test_all_single_good_toy_step2_p1_includes_all_nonassigned():
     assert labeling.lists["v"] == (0, 1, 2)
 
 
-def test_linf_step2_includes_nonassigned_value_of_private_variable():
-    """Max-norm variant on a not-all-zero, trivial input: step 2 still donates.
+def _two_draw_donor_toy():
+    """Three variables on 3-to-1 edges into one B-vertex, whose one test donates two values.
 
-    v is private to the single test and fully cancelled, so the average-norm
-    construction rejects the input (not non-trivial) while the max-norm one
-    accepts it and step 2 adds v's value from the chosen assignment.
+    Weights +1, -1, +1, -1, +1, -1 at (0,0,0), (0,0,1), (0,1,2), (0,2,2),
+    (1,0,2), (2,0,2) assign {1, 2} to u and v and {0, 1} to w; every nonzero
+    assignment has one assigned value, so the lowest-index one, (0, 0, 0),
+    offers u = 0 and then v = 0, two draws in that order from the test's stream.
     """
-    edges = (("u", "b0"), ("v", "b0"))
-    tables = {e: {0: 0, 1: 0} for e in edges}
-    lc = LabelCoverInstance(("u", "v"), ("b0",), (0, 1), (0, 1), edges, tables)
+    edges = (("u", "b0"), ("v", "b0"), ("w", "b0"))
+    tables = {e: {0: 0, 1: 0, 2: 0} for e in edges}
+    lc = LabelCoverInstance(("u", "v", "w"), ("b0",), (0, 1, 2), (0, 1), edges, tables)
     ssat = lc_to_ssat(lc)
-    # assignments (0,0), (0,1), (1,0), (1,1); weights 1, 0, -1, 0:
-    # pi_u = {0: 1, 1: -1}, pi_v = 0 everywhere
-    s = SuperAssignment.from_rows(((1, 0, -1, 0),))
-    result = list_construction_linf(ssat, s, g=2, seed=0)
-    assert result.marked_step2 == (0,)
-    assert result.labeling.lists["v"] == (0,)
-    assert result.labeling.lists["u"] == (0, 1)
+    weights = [0] * 27
+    for i, w in ((0, 1), (1, -1), (5, 1), (8, -1), (11, 1), (20, -1)):
+        weights[i] = w
+    return ssat, SuperAssignment.from_rows((tuple(weights),))
+
+
+# per seed 0..63: 2 if u's list took 0, plus 1 if v's list took 0
+_TWO_DRAW_OUTCOMES = {
+    Fraction(1, 2): "2233221020333101103121113103301003010011121123311332110211000110",
+    Fraction(1, 3): "0013020000233000103120113101301002010010121122110120000011000100",
+}
+
+
+@pytest.mark.parametrize("p", sorted(_TWO_DRAW_OUTCOMES), ids=str)
+def test_list_construction_randomized_draws_are_pinned(p):
+    from gapforge.superassign import TestKind, classify_tests
+
+    ssat, s = _two_draw_donor_toy()
+    assert is_nontrivial(ssat, s)
+    assert classify_tests(ssat, s, [0]) == [TestKind.ALL_SINGLE_GOOD]
+    for seed, code in enumerate(_TWO_DRAW_OUTCOMES[p]):
+        params = ListConstructionParams(g=Fraction(6), s_list=Fraction(1, 4), g1=Fraction(9), p_include=p, seed=seed)
+        expected = {
+            "u": (0, 1, 2) if int(code) & 2 else (1, 2),
+            "v": (0, 1, 2) if int(code) & 1 else (1, 2),
+            "w": (0, 1),
+        }
+        assert list_construction(ssat, s, params).lists == expected, seed
