@@ -46,9 +46,11 @@ maximization, returns ``LcMaxResult``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import islice
-from operator import mul
+from operator import itemgetter, mul
 from typing import Any, Callable, Iterable, Literal, Optional, Sequence, Union
 
 from .errors import SearchSpaceTooLarge
@@ -74,28 +76,45 @@ DEFAULT_MAX_STATES = 10 ** 8
 
 
 Prefix = list[int]
-Children = Callable[[int, Prefix, int], Iterable[tuple[int, Optional[int]]]]
+State = tuple[int, ...]
+Children = Callable[[int, Any, int], Iterable[tuple[int, Optional[int]]]]
+Advance = Callable[[int, State, int], State]
+Floor = Callable[[int, State], int]
 Hints = Iterable[Sequence[int]]
 
 
 def _hint_cost(
-    n: int, children: Children, root: Optional[int], hint: Sequence[int], max_states: int
+    n: int, children: Children, root: Optional[int], hint: Sequence[int], max_states: int,
+    advance: Optional[Advance] = None,
 ) -> Optional[int]:
     """The cost of the leaf ``hint`` down the walk's own children, ``None`` when the walk has no such leaf.
 
-    Each node's children are scanned lazily, never tabled, and at most
-    ``max_states`` of them: a node with more children before the hint's value
-    is one the walk could not finish under its cap, so the hint is dropped.
+    A depth-first walk's children read the hint itself as their prefix; a
+    layered walk's read the state that ``advance`` carries down the hint
+    from the empty one.  Each node's children are scanned lazily, never
+    tabled, and at most ``max_states`` of them: a node with more children
+    before the hint's value is one the walk could not finish under its cap,
+    so the hint is dropped.
     """
-    if len(hint) != n:
+    if len(hint) != n or root is None:
         return None
-    prefix, cost = list(hint), root
-    for depth, v in enumerate(prefix):
+    state, cost = list(hint) if advance is None else (), root
+    for depth, v in enumerate(hint):
+        scanned = islice(children(depth, state, cost), max(max_states, 0))
+        cost = next((c for u, c in scanned if u == v), None)
         if cost is None:
             return None
-        scanned = islice(children(depth, prefix, cost), max(max_states, 0))
-        cost = next((c for u, c in scanned if u == v), None)
+        if advance is not None:
+            state = advance(depth, state, v)
     return cost
+
+
+def _ceiling(
+    n: int, children: Children, root: Optional[int], hints: Hints, max_states: int, advance: Optional[Advance] = None
+) -> float:
+    """One more than the least cost of a distinct hint that is a leaf of the walk, infinite when none is."""
+    costs = (_hint_cost(n, children, root, h, max_states, advance) for h in dict.fromkeys(map(tuple, hints)))
+    return min((c + 1 for c in costs if c is not None), default=math.inf)
 
 
 def branch_and_bound(
@@ -107,36 +126,36 @@ def branch_and_bound(
 ) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
     """Least leaf cost, the first leaf attaining it, and the number of nodes entered.
 
-    The walk fixes coordinates 0, 1, ..., n - 1 in order.  ``root`` is the
-    cost before any coordinate is fixed, ``None`` when no point is feasible.
-    At a node of integer ``cost`` whose coordinates ``prefix[:depth]`` are
-    fixed, ``children(depth, prefix, cost)`` yields ``(value, child cost)``
-    for every value coordinate ``depth`` may take, in the order to try them,
-    so a client costs all the children of a node in one pass and shares what
-    they have in common.  A child's cost never falls below its parent's, is
-    the true cost at a leaf, and is ``None`` on an infeasible prefix.
-    ``children`` may read only ``prefix[:depth]``; the walk changes
-    ``prefix[depth:]`` between the items it takes from a lazy client.  Every
-    child yielded is charged as one node entered, and the charge passing
-    ``max_states`` raises ``SearchSpaceTooLarge``; then a child whose cost
-    is ``None`` or not below the best leaf so far is pruned.  Only a strict
-    improvement replaces the best leaf; as a pruned subtree holds no strict
-    improvement, the witness is the lexicographically first optimum.  With
-    ``n == 0`` the one point is the empty vector, at cost ``root``.
+    The walk fixes coordinates 0, 1, ..., n - 1 in order, depth first.
+    ``root`` is the cost before any coordinate is fixed, ``None`` when no
+    point is feasible.  At a node of integer ``cost`` whose coordinates
+    ``prefix[:depth]`` are fixed, ``children(depth, prefix, cost)`` yields
+    ``(value, child cost)`` for every value coordinate ``depth`` may take,
+    in the order to try them, so a client costs all the children of a node
+    in one pass and shares what they have in common.  A child's cost never
+    falls below its parent's, is the true cost at a leaf, and is ``None`` on
+    an infeasible prefix.  ``children`` may read only ``prefix[:depth]``;
+    the walk changes ``prefix[depth:]`` between the items it takes from a
+    lazy client.  Every child yielded is charged as one node entered, and
+    the charge passing ``max_states`` raises ``SearchSpaceTooLarge``; then a
+    child whose cost is ``None`` or not below the best leaf so far is
+    pruned.  Only a strict improvement replaces the best leaf; as a pruned
+    subtree holds no strict improvement, the witness is the
+    lexicographically first optimum.  With ``n == 0`` the one point is the
+    empty vector, at cost ``root``.
 
     Each distinct hint is followed down ``children``, taking at each depth
     the child whose value is the hint's coordinate, with no node charged and
     no more than ``max_states`` children scanned at a node.  A hint of
     another length, or one that meets a missing child, a ``None`` cost or a
     node with more children before its value, is dropped; each other hint
-    is a leaf of the walk, so its cost is certified.  The walk then starts as if a leaf costing one more
-    than the least of them had been found: the minimum and its witness are
-    those of the plain walk, reached in no more nodes.
+    is a leaf of the walk, so its cost is certified.  The walk then starts
+    as if a leaf costing one more than the least of them had been found: the
+    minimum and its witness are those of the plain walk, reached in no more
+    nodes.
     """
-    hinted = (_hint_cost(n, children, root, h, max_states) for h in dict.fromkeys(map(tuple, hints)))
-    ceiling = min((c for c in hinted if c is not None), default=None)
     prefix = [0] * n
-    best_cost: Optional[int] = None if ceiling is None else ceiling + 1
+    best_cost: float = _ceiling(n, children, root, hints, max_states)
     best: Optional[tuple[int, ...]] = None
     states = 0
 
@@ -147,7 +166,7 @@ def branch_and_bound(
             states += 1
             if states > max_states:
                 raise SearchSpaceTooLarge(states, max_states)
-            if c is None or (best_cost is not None and c >= best_cost):
+            if c is None or c >= best_cost:
                 continue
             prefix[depth] = v
             if leaf:
@@ -155,12 +174,90 @@ def branch_and_bound(
             else:
                 visit(depth + 1, c)
 
-    if root is not None and (best_cost is None or root < best_cost):
+    if root is not None and root < best_cost:
         if n:
             visit(0, root)
         else:
             best_cost, best = root, ()
     return (None, None, states) if best is None else (best_cost, best, states)
+
+
+def best_first_walk(
+    n: int,
+    children: Children,
+    advance: Advance,
+    floor: Floor,
+    root: int,
+    max_states: int,
+    hints: Hints = (),
+) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
+    """``branch_and_bound``'s minimum and first witness, from one expansion per reachable state.
+
+    The cost a prefix's completions add depends only on its length and its
+    ``state``, which ``advance(depth, state, value)`` carries from the empty
+    root state to a child, so of all prefixes reaching one state only the
+    cheapest needs expanding: dynamic programming over the fixed coordinate
+    order.  ``children(depth, state, cost)`` yields ``(value, child cost)``
+    in the order to try them, as for ``branch_and_bound``, with integer
+    costs that add what the value and the parent's state decide.
+    ``floor(depth, state)`` is a lower bound on what the coordinates from
+    ``depth`` on add, 0 at ``depth == n``, that never exceeds a child's
+    step plus the child's floor.
+
+    A state of cost c is due at c plus its floor.  The walk expands states
+    in order of due cost, the shorter prefix first, so when a state is
+    expanded every prefix that reaches it at its least cost has arrived;
+    it keeps the first of them in try order, so the witness is the
+    lexicographically first optimum, and the first leaf expanded ends the
+    walk.  A child whose cost or due cost is not below the least hint cost
+    plus one, or the best leaf so far plus one, is never queued.  Every
+    child yielded at an expanded state is charged as one node, and the
+    charge passing ``max_states`` raises ``SearchSpaceTooLarge``; the walk
+    holds no more states than the children charged, so the cap bounds
+    memory too.  Hints are followed as for ``branch_and_bound``, down
+    ``advance``.  The states expanded are those due below the minimum, and
+    those due at it ahead of the first optimal leaf, with or without hints,
+    so a hinted walk enters the same nodes; hints only keep worse states out
+    of the queue.
+    """
+    best_cost: float = _ceiling(n, children, root, hints, max_states, advance)
+    due = root + floor(0, ())
+    if due >= best_cost:
+        return None, None, 0
+    # per depth: state -> (least cost, floor, first prefix at that cost as ((try index, value), ...))
+    kept: list[dict[State, tuple[int, int, tuple]]] = [{} for _ in range(n + 1)]
+    kept[0][()] = (root, due - root, ())
+    queue = [(due, 0, 0, ())]
+    states = 0
+    while queue:
+        due, depth, _, state = heappop(queue)
+        cost, below, prefix = kept[depth][state]
+        if cost + below != due:  # a cheaper prefix reached the state after this entry was queued
+            continue
+        if depth == n:
+            return cost, tuple(v for _, v in prefix), states
+        following = kept[depth + 1]
+        leaf = depth + 1 == n
+        for i, (v, c) in enumerate(children(depth, state, cost)):
+            states += 1
+            if states > max_states:
+                raise SearchSpaceTooLarge(states, max_states)
+            if c >= best_cost:
+                continue
+            child = () if leaf else advance(depth, state, v)
+            old = following.get(child)
+            if old is None:
+                below = 0 if leaf else floor(depth + 1, child)
+            elif c > old[0] or c == old[0] and old[2] < (*prefix, (i, v)):
+                continue
+            else:
+                below = old[1]
+            following[child] = (c, below, (*prefix, (i, v)))
+            if (old is None or c < old[0]) and c + below < best_cost:
+                heappush(queue, (c + below, depth + 1, states, child))
+                if leaf:
+                    best_cost = c + 1
+    return None, None, states
 
 
 class MinResult(Record):
@@ -205,95 +302,234 @@ def _split(row: Iterable[tuple[int, int]]) -> SplitRow:
 
 
 class _FiledRows(Record):
-    """Sparse integer rows that cost their multiplicity when missed, filed under their last column.
+    """Sparse integer rows that cost their multiplicity when missed, compiled into per-column transitions.
 
-    ``by_column[d]`` holds each row whose last column is d as (earlier
-    columns, earlier coefficients, last coefficient, target, multiplicity).
-    ``root`` is the multiplicity of the missed rows with no column.  A row with sum ``s``
-    over the point is missed when ``s % modulus != target``, or, with no
-    modulus, when ``s < target``.  Each child of a node is costed from one
-    partial sum per completed row, over its earlier columns, taken once per
-    node (``grid_children`` takes one per row up to sign).
+    A row with sum ``s`` over the point is missed when ``s % modulus !=
+    target``, or, with no modulus, when ``s < target``; ``root`` is the
+    multiplicity of the missed rows with no column, and ``single[d]`` lists
+    the rows whose one column is d as (coefficient, target, multiplicity).
+
+    A longer row is open after a prefix of length d when it has a column
+    below d and one at or above.  Its partial sum there is ``scale`` times
+    the sum of its *form*, its coefficients so far scaled so that the first
+    is 1 mod the modulus, or, with no modulus, is positive.  The walk's
+    state holds the partial sum of each distinct form open there, so rows
+    that agree so far up to scale, such as the two halves of an LHP G2
+    pair, share one entry.  ``steps[d]`` is ``(pick, moves, fresh)``: the
+    state after column d is entry ``pick[i]`` of the state before it plus
+    ``moves[i]`` times the value, for each i, then each coefficient of
+    ``fresh`` times the value, for the forms whose first column is d.
+
+    ``ahead[d]`` lists, for each column d' >= d, the open rows after a
+    prefix of length d whose only column at or above d is their last, d':
+    their partial sums are known, so they bound what column d' can cost.
+    It holds (d', their multiplicity, groups), a group being the index of
+    a form in the state and its rows as (scale, last coefficient, target,
+    multiplicity).  The entry for d' = d, when there is one, holds every
+    longer row that column d completes.
     """
 
     modulus: Optional[int]
     root: int
-    by_column: tuple[tuple[tuple[Columns, tuple[int, ...], int, int, int], ...], ...]
+    single: tuple[tuple[tuple[int, int, int], ...], ...]
+    steps: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    ahead: tuple[tuple[tuple[int, int, tuple], ...], ...]
 
-    def residue_children(self, values: Sequence[int]) -> Children:
-        """The children of a node over ``values``, rows mod a prime modulus, each filed monic.
+    def _walk(self, cost_column: Callable[[int, int, tuple, State], tuple]) -> tuple[Callable, Advance, Floor]:
+        """The costs of a state's next column, ``advance`` and the floor of a state, from ``cost_column(d, weight, groups, state)``.
+
+        It gives, for column d and the groups of ``ahead`` known for it,
+        whose rows have multiplicity ``weight`` in all, the costs of the
+        column's values followed by the least of them.  A column's costs
+        depend only on the partial sums of its groups' forms, so each entry
+        of ``ahead`` keeps them by those sums.
+        """
+        bare = [cost_column(d, 0, (), ()) for d in range(len(self.single))]
+        alone = [costs[-1] for costs in bare]
+        fixed = [sum(alone[d:]) for d in range(len(alone) + 1)]
+        entries = [
+            tuple((d, weight, groups, itemgetter(*[p for p, _ in groups]), {}) for d, weight, groups in known)
+            for known in self.ahead
+        ]
+
+        def costs(entry: tuple, state: State) -> tuple:
+            d, weight, groups, take, memo = entry
+            key = take(state)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = cost_column(d, weight, groups, state)
+            return got
+
+        def column(depth: int, state: State) -> tuple:
+            known = entries[depth]
+            return costs(known[0], state) if known and known[0][0] == depth else bare[depth]
+
+        def floor(depth: int, state: State) -> int:
+            bound = fixed[depth]
+            for entry in entries[depth]:
+                bound += costs(entry, state)[-1] - alone[entry[0]]
+            return bound
+
+        steps = [_advance(self.modulus, *step) for step in self.steps]
+
+        def advance(depth: int, state: State, v: int) -> State:
+            return steps[depth](state, v)
+
+        return column, advance, floor
+
+    def residue_walk(self, values: Sequence[int]) -> tuple[Children, Advance, Floor]:
+        """The children and the floor of a state over ``values``, rows mod a prime modulus, each filed monic.
 
         A monic row (last coefficient 1) is met by exactly one value of its
         last column, ``target - partial`` mod q.  So a child costs its
         parent's cost plus the rows completed here, less those its value
         meets; only the met residues are kept, never a table of the field.
+        ``values`` are the residues from ``values[0]`` on, wrapping at q,
+        and a column costs at least the rows it completes less the most of
+        them that one of those residues meets.
         """
-        q, by_column = self.modulus, self.by_column
-
-        def children(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
-            get = prefix.__getitem__
+        q = self.modulus
+        start, width = values[0] if values else 0, len(values)
+        singles = []
+        for rows in self.single:
             met: dict[int, int] = {}
-            missed = cost
-            for cols, coeffs, _, t, k in by_column[depth]:
-                v = (t - sum(map(mul, coeffs, map(get, cols)))) % q
-                met[v] = met.get(v, 0) + k
-                missed += k
+            for _, t, k in rows:
+                met[t] = met.get(t, 0) + k
+            singles.append((met, sum(met.values())))
+
+        def cost_column(d: int, weight: int, groups: tuple, state: State) -> tuple[dict[int, int], int, int]:
+            met, total = singles[d]
+            met = dict(met)
+            for p, rows in groups:
+                x = state[p]
+                for scale, _, t, k in rows:
+                    v = (t - scale * x) % q
+                    met[v] = met.get(v, 0) + k
+            total += weight
+            most = met.values() if width >= q else [k for v, k in met.items() if (v - start) % q < width]
+            return met, total, total - max(most, default=0)
+
+        column, advance, floor = self._walk(cost_column)
+
+        def children(depth: int, state: State, cost: int) -> Iterable[tuple[int, int]]:
+            met, missed, _ = column(depth, state)
+            missed += cost
             return ((v, missed - met.get(v, 0)) for v in values)
 
-        return children
+        return children, advance, floor
 
-    def grid_children(self) -> Children:
-        """The children of a node over (-1, 0, 1), rows with no modulus.
+    def grid_walk(self) -> tuple[Children, Advance, Floor]:
+        """The children and the floor of a state over (-1, 0, 1), rows with no modulus.
 
         A row with partial sum ``p`` and last coefficient ``a`` is missed at
-        ``v`` when ``a * v < target - p``.  A row with no earlier column costs
-        the same at every node of its depth, so it is costed once, here.  Rows
-        whose coefficients differ only in sign, such as the two halves of an
-        LHP G2 pair, share one partial sum per node.
+        ``v`` when ``a * v < target - p``.  A column costs at least the least
+        of its three costs.
         """
-        fixed, shared = [], []
-        for rows in self.by_column:
-            costs = [0, 0, 0]
-            sums: dict[tuple, list] = {}
-            for cols, coeffs, a, t, k in rows:
-                if not cols:
-                    costs = [c + k * (a * v < t) for c, v in zip(costs, (-1, 0, 1))]
-                    continue
-                sign = 1 if a > 0 else -1
-                key = (cols, tuple([sign * c for c in coeffs]), sign * a)
-                sums.setdefault(key, []).append((sign, a, t, k))
-            fixed.append(tuple(costs))
-            shared.append(tuple((cols, coeffs, tuple(members)) for (cols, coeffs, _), members in sums.items()))
 
-        def children(depth: int, prefix: Prefix, cost: int) -> tuple[tuple[int, int], ...]:
-            lo, mid, hi = fixed[depth]
-            lo, mid, hi = lo + cost, mid + cost, hi + cost
-            get = prefix.__getitem__
-            for cols, coeffs, members in shared[depth]:
-                p = sum(map(mul, coeffs, map(get, cols)))
-                for sign, a, t, k in members:
-                    r = t - sign * p
+        singles = [tuple(sum(k for a, t, k in rows if a * v < t) for v in (-1, 0, 1)) for rows in self.single]
+
+        def cost_column(d: int, weight: int, groups: tuple, state: State) -> tuple[int, int, int, int]:
+            lo, mid, hi = singles[d]
+            for p, rows in groups:
+                x = state[p]
+                for scale, a, t, k in rows:
+                    r = t - scale * x
                     if r > -a:
                         lo += k
                     if r > 0:
                         mid += k
                     if r > a:
                         hi += k
-            return (-1, lo), (0, mid), (1, hi)
+            return lo, mid, hi, min(lo, mid, hi)
 
-        return children
+        column, advance, floor = self._walk(cost_column)
+
+        def children(depth: int, state: State, cost: int) -> tuple[tuple[int, int], ...]:
+            lo, mid, hi, _ = column(depth, state)
+            return (-1, cost + lo), (0, cost + mid), (1, cost + hi)
+
+        return children, advance, floor
+
+
+def _advance(q: Optional[int], pick: tuple[int, ...], moves: tuple[int, ...], fresh: tuple[int, ...]) -> Callable:
+    """``_FiledRows.advance`` at one column; the entries the column leaves alone are taken in one call."""
+    kept = [p for p, b in zip(pick, moves) if not b]
+    moved = [(p, b) for p, b in zip(pick, moves) if b]
+    take = itemgetter(*kept) if len(kept) > 1 else (lambda state: (state[kept[0]],)) if kept else (lambda state: ())
+    if q:
+        def advance(state: State, v: int) -> State:
+            return (*take(state), *[(state[p] + b * v) % q for p, b in moved], *[b * v % q for b in fresh])
+    else:
+        def advance(state: State, v: int) -> State:
+            return (*take(state), *[state[p] + b * v for p, b in moved], *[b * v for b in fresh])
+    return advance
 
 
 def _file_rows(n: int, rows: Iterable[tuple], modulus: Optional[int] = None) -> _FiledRows:
-    """File ``rows`` (targets already reduced mod ``modulus``) for a walk over ``n`` columns."""
+    """File ``rows`` for a walk over ``n`` columns.
+
+    Each row is (sparse pairs, factor, target, multiplicity): its
+    coefficients are the pairs' times the factor, mod ``modulus`` if any,
+    and its target is already so.  The longer rows with the same form
+    before their last column, and the same last column, move through the
+    states together, as one path.
+    """
     root = 0
-    by_column: list[list] = [[] for _ in range(n)]
-    for cols, coeffs, t, k in rows:
-        if cols:
-            by_column[cols[-1]].append((cols[:-1], coeffs[:-1], coeffs[-1], t, k))
+    single: list[list] = [[] for _ in range(n)]
+    paths: dict[tuple, list] = {}  # (form before the last column, last column) -> rows
+    for pairs, f, t, k in rows:
+        if len(pairs) > 1:
+            a = pairs[0][1]
+            if modulus:
+                inverse = pow(a, -1, modulus)
+                form = tuple([(c, b * inverse % modulus) for c, b in pairs[:-1]])
+                scale, last = f * a % modulus, f * pairs[-1][1] % modulus
+            else:
+                form = pairs[:-1] if a > 0 else tuple([(c, -b) for c, b in pairs[:-1]])
+                scale, last = f if a > 0 else -f, f * pairs[-1][1]
+            paths.setdefault((form, pairs[-1][0]), []).append((scale, last, t, k))
+        elif pairs:
+            a = f * pairs[0][1]
+            single[pairs[0][0]].append((a % modulus if modulus else a, t, k))
         elif t != 0 if modulus else t > 0:  # the row's sum is 0
             root += k
-    return _FiledRows(modulus=modulus, root=root, by_column=tuple(map(tuple, by_column)))
+    starting: list[list] = [[] for _ in range(n)]
+    for (form, last), members in paths.items():
+        # [form by column, penultimate column, last column, rows, index of the form in the state]
+        starting[form[0][0]].append([dict(form), form[-1][0], last, tuple(members), None])
+    steps, ahead = [], []
+    open_rows: list[list] = []
+    for d in range(n + 1):
+        known: dict[int, dict[int, tuple]] = {}  # last column -> form index -> rows
+        for _, before, last, members, p in open_rows:
+            if before < d:
+                groups = known.setdefault(last, {})
+                groups[p] = groups.get(p, ()) + members
+        ahead.append(tuple(
+            (last, sum([k for members in groups.values() for *_, k in members]), tuple(groups.items()))
+            for last, groups in sorted(known.items())
+        ))
+        if d == n:
+            break
+        # the state after column d: the forms it leaves alone, those it moves, then those it opens
+        alone: dict[int, int] = {}
+        moved: dict[tuple[int, int], int] = {}
+        opened: dict[int, int] = {}
+        still = [row for row in open_rows if row[2] > d]
+        for row in still:
+            b = row[0].get(d)
+            row[4] = (0, alone.setdefault(row[4], len(alone))) if b is None else (1, moved.setdefault((row[4], b), len(moved)))
+        for row in starting[d]:
+            row[4] = (2, opened.setdefault(row[0][d], len(opened)))
+        still += starting[d]
+        offset = (0, len(alone), len(alone) + len(moved))
+        for row in still:
+            part, i = row[4]
+            row[4] = offset[part] + i
+        steps.append(((*alone, *[p for p, _ in moved]), (0,) * len(alone) + tuple(b for _, b in moved), tuple(opened)))
+        open_rows = still
+    return _FiledRows(modulus=modulus, root=root, single=tuple(map(tuple, single)), steps=tuple(steps),
+                      ahead=tuple(ahead))
 
 
 class _EqualityRows(Record):
@@ -596,11 +832,9 @@ def _compile_ncp(ncp: NcpInstance) -> _FiledRows:
     q = ncp.modulus
     rows = []
     for row, t, k in zip(ncp.matrix, ncp.target, ncp.multiplicity):
-        cols, coeffs = _split((c, a % q) for c, a in row if a % q)
-        if cols:
-            inverse = pow(coeffs[-1], -1, q)
-            coeffs, t = tuple(a * inverse % q for a in coeffs), t * inverse
-        rows.append((cols, coeffs, t % q, k))
+        pairs = tuple([(c, a % q) for c, a in row if a % q])
+        f = pow(pairs[-1][1], -1, q) if pairs else 1
+        rows.append((pairs, f, t * f % q, k))
     return _file_rows(ncp.num_cols, rows, q)
 
 
@@ -630,8 +864,9 @@ def solve_ncp_min(ncp: NcpInstance, budget: SearchBudget, full_field: bool = Fal
     cap = budget.max_states
     values = range(q) if full_field else _box_residues(budget.coeff_box, q, max(cap, 0) + 1)
     rows = _compile_ncp(ncp)
-    walked = branch_and_bound(
-        ncp.num_cols, rows.residue_children(values), rows.root, cap, ([v % q for v in z] for z in hints)
+    children, advance, floor = rows.residue_walk(values)
+    walked = best_first_walk(
+        ncp.num_cols, children, advance, floor, rows.root, cap, ([v % q for v in z] for z in hints)
     )
     return MinResult(*walked, "full" if full_field else "box")
 
@@ -661,11 +896,8 @@ def _compile_lhp(lhp: LhpSystem) -> _FiledRows:
     """
     rows = []
     for ineq in lhp.inequalities:
-        cols, coeffs = _split(ineq.coeff_x)
-        cy, cd = ineq.coeff_y, ineq.coeff_delta
-        if ineq.sense != GT:
-            coeffs, cy, cd = tuple([-c for c in coeffs]), -cy, -cd
-        rows.append((cols, coeffs, -cy + (cd <= 0), ineq.multiplicity))
+        sign = 1 if ineq.sense == GT else -1
+        rows.append((ineq.coeff_x, sign, -sign * ineq.coeff_y + (sign * ineq.coeff_delta <= 0), ineq.multiplicity))
     return _file_rows(lhp.num_x, rows)
 
 
@@ -679,7 +911,8 @@ def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget(), hints: 
     walk at the violations the walk charges it.
     """
     rows = _compile_lhp(lhp)
-    best_count, best, states = branch_and_bound(
-        lhp.num_x, rows.grid_children(), rows.root, budget.max_states, hints
+    children, advance, floor = rows.grid_walk()
+    best_count, best, states = best_first_walk(
+        lhp.num_x, children, advance, floor, rows.root, budget.max_states, hints
     )
     return MinResult(best_count, LhpAssignment.of(best), states)

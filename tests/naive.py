@@ -208,14 +208,22 @@ def lhp_extraction(lhp, a):
 
 
 class Walk(Exception):
-    """Stops a solver at its call to ``branch_and_bound``."""
+    """Stops a solver at its call to ``branch_and_bound`` or ``best_first_walk``."""
 
 
 def hint_cost(solve):
-    """The engine's cost of a hint on the walk ``solve()`` sets up, as ``point -> cost or None``; no node is entered."""
-    with mock.patch.object(oracles, "branch_and_bound", side_effect=Walk) as walk, pytest.raises(Walk):
+    """The engine's cost of a hint on the walk ``solve()`` sets up, as ``point -> cost or None``; no node is entered.
+
+    A depth-first walk's children read the point itself; a best-first
+    walk's read the states its ``advance`` carries down the point.
+    """
+    with mock.patch.object(oracles, "branch_and_bound", side_effect=Walk) as depth_first, \
+            mock.patch.object(oracles, "best_first_walk", side_effect=Walk) as best_first, pytest.raises(Walk):
         solve()
-    n, children, root, max_states = walk.call_args.args[:4]
+    if best_first.called:
+        n, children, advance, _, root, max_states = best_first.call_args.args[:6]
+        return lambda point: oracles._hint_cost(n, children, root, point, max_states, advance)
+    n, children, root, max_states = depth_first.call_args.args[:4]
     return lambda point: oracles._hint_cost(n, children, root, point, max_states)
 
 

@@ -25,37 +25,41 @@ GOLDEN = {
     ("lc_id2", "default"): "290333074a814c6d6c06443bbadb18103e1c8e2df629c4eee6f1a6709fc21cf7",
     ("lc_id2", "box1"): "b932c31a798ad514f68f3fa083342a3e7769e5c2f59c1e7c73297155f8856afc",
     ("lc_id2", "cap100"): "290333074a814c6d6c06443bbadb18103e1c8e2df629c4eee6f1a6709fc21cf7",
-    ("lc_cyc", "default"): "9966c3420f2c2409f6c273af2d573dd2ad1496b19e8436ac84656addeb743aa4",
-    ("lc_cyc", "box1"): "e2dcf9e6e90aaf778e0db9bfbd3cc4c125cc4a339c10f5a050363113f9c14b17",
-    ("lc_cyc", "cap100"): "4ff5891fc3a6038884afc8c8051053c0c79948849496eb134f2f2cb10f7cf2cf",
-    ("lc_share", "default"): "94cb01a449887c07f5a9fad260109c2781a0319b59ad03a4f8dedcc842dda53b",
+    ("lc_cyc", "default"): "47864cfbadb025e5a6588f0259744c3c1f2aab97e2ded15da25cfbe033110069",
+    ("lc_cyc", "box1"): "064e90252fcca17362eb7cd05fe66d6ea9accb133101bbbaefe7cb212281076e",
+    ("lc_cyc", "cap100"): "47864cfbadb025e5a6588f0259744c3c1f2aab97e2ded15da25cfbe033110069",
+    ("lc_share", "default"): "e707c1d23cfe4ff4b91a5e83a21ec2cade28e50a1bb3f2091e73679b8e92bda3",
     ("lc_share", "box1"): "8facaf804aefc826e1dfa2c744e4ffd58c5e065468513adfe90f2ea67ca44041",
-    ("lc_share", "cap100"): "94cb01a449887c07f5a9fad260109c2781a0319b59ad03a4f8dedcc842dda53b",
+    ("lc_share", "cap100"): "e707c1d23cfe4ff4b91a5e83a21ec2cade28e50a1bb3f2091e73679b8e92bda3",
     ("lc_2to1", "default"): "85b2b169faa6e8511602130d3a73c0a136d76d33967ac0b491aa296092b15fcc",
     ("lc_2to1", "box1"): "c9d46df1152b4e07b64a8815d2c0b2439cbee6eab3ee50e27f64f76d8c0d54d0",
     ("lc_2to1", "cap100"): "85b2b169faa6e8511602130d3a73c0a136d76d33967ac0b491aa296092b15fcc",
-    ("planted", "cap3000"): "5a53db4b31c3661e862049c716dea729ffa06aafe4edc1dcf507bd84bd348b65",
-    ("planted", "cap700"): "5a53db4b31c3661e862049c716dea729ffa06aafe4edc1dcf507bd84bd348b65",
-    ("planted", "cap100"): "24f342c3fc01508eccfeb434413e73a49bf77fbf37c36c4544efca2c8739efc8",
+    ("planted", "cap3000"): "37595aee76f686e927df581a2bbe42df8742555897dfe0a4b609e7d35746426d",
+    ("planted", "cap700"): "37595aee76f686e927df581a2bbe42df8742555897dfe0a4b609e7d35746426d",
+    ("planted", "cap100"): "37595aee76f686e927df581a2bbe42df8742555897dfe0a4b609e7d35746426d",
+    ("planted", "cap50"): "a46d7e8b2af522c61f22841f40b5bd180cbfebaabcbbe35923051e047ff2615a",
     ("planted", "cap16"): "11e3741dc2a8dff11be64b1b08c16ec3fd8207fe3492af9bf9db342ad6dd1876",
-    ("frustrated", "cap3000"): "12c612d56136d761b3d65a2a90bdf0fa230f3cfcbe26fb5657178377ffe33382",
-    ("frustrated", "cap700"): "638bdce1c6bc3e935177e7049d7b20dc874db579c31b9898f31fb5740e28c512",
+    ("frustrated", "cap3000"): "fafddaf228c327c1f004c6d6546b897a3bdd68a1e329e78eb4aa9ed86a35f2bc",
+    ("frustrated", "cap700"): "fafddaf228c327c1f004c6d6546b897a3bdd68a1e329e78eb4aa9ed86a35f2bc",
+    ("frustrated", "cap100"): "e6be84185cc82764d1a27c7ed360d2bd8259ab93e8accd329061dc1acfa23dbc",
     ("frustrated", "cap22"): "8b966a95ccdee7a6fb3b2f9498679a495ffc851d8e561e3e897fdc84961cce0f",
 }
 # (states, cap) of the SearchSpaceTooLarge the label-cover search raises
 RAISES = {("frustrated", "cap16"): (17, 16)}
 
 SETTINGS = {"default": {}, "box1": {"box": 1}, "cap100": {"max_states": 100},
-            "cap3000": {"max_states": 3000}, "cap700": {"max_states": 700}, "cap16": {"max_states": 16},
-            "cap22": {"max_states": 22}}
+            "cap3000": {"max_states": 3000}, "cap700": {"max_states": 700}, "cap50": {"max_states": 50},
+            "cap16": {"max_states": 16}, "cap22": {"max_states": 22}}
 # the oracle stages that run (are not skipped) in each generated case
 RUNNING = {
     ("planted", "cap3000"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
     ("planted", "cap700"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
-    ("planted", "cap100"): ["ssat_l1", "sis", "lhp_grid"],
+    ("planted", "cap100"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
+    ("planted", "cap50"): ["ssat_l1", "sis", "lhp_grid"],
     ("planted", "cap16"): [],
-    ("frustrated", "cap3000"): ["ssat_l1", "sis", "lhp_grid"],
-    ("frustrated", "cap700"): ["ssat_l1", "sis", "lhp_grid"],
+    ("frustrated", "cap3000"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
+    ("frustrated", "cap700"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
+    ("frustrated", "cap100"): ["sis", "lhp_grid"],
     ("frustrated", "cap22"): [],
 }
 

@@ -279,18 +279,32 @@ def test_rows_with_no_column_and_zero_standard_parts():
         assert cost(xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
 
 
-def check_children(children, values, root, n, reference):
+def check_children(walk, values, root, n, reference):
     """At every prefix over ``values``, the children are ``values`` in order, each costing ``reference``.
 
-    ``reference(d, point)`` is the cost of the rows completed within the
-    first ``d`` coordinates of ``point``; the root costs ``reference(0, ())``.
+    ``walk`` is (children, advance, floor); a prefix's state is carried from
+    the empty one by ``advance``.  ``reference(d, point)`` is the cost of
+    the rows completed within the first ``d`` coordinates of ``point``; the
+    root costs ``reference(0, ())``.  The floor of a prefix is at most what
+    its cheapest completion adds, and at most a child's step plus the
+    child's floor; at a leaf it is 0.
     """
+    children, advance, floor = walk
     assert root == reference(0, ())
+    states = {(): ()}
     for d in range(n):
         for prefix in itertools.product(values, repeat=d):
-            kids = list(children(d, list(prefix) + [0] * (n - d), reference(d, prefix)))
+            state = states[prefix]
+            cost = reference(d, prefix)
+            kids = list(children(d, state, cost))
             assert [v for v, _ in kids] == list(values)
             assert all(c == reference(d + 1, prefix + (v,)) for v, c in kids)
+            for v, c in kids:
+                states[prefix + (v,)] = advance(d, state, v)
+            completions = itertools.product(values, repeat=n - d)
+            assert floor(d, state) <= min(reference(n, prefix + rest) for rest in completions) - cost
+            assert all(floor(d, state) <= c - cost + floor(d + 1, states[prefix + (v,)]) for v, c in kids)
+    assert all(floor(n, states[point]) == 0 for point in itertools.product(values, repeat=n))
 
 
 # (row, target, multiplicity) over three columns; the comments read the rows mod 7
@@ -324,7 +338,7 @@ def test_every_ncp_child_costs_the_rows_completed_so_far(q):
     rows = _compile_ncp(instance(NCP_ROWS))
     boxes = [tuple(dict.fromkeys(v % q for v in range(-k, k + 1))) for k in (1, 2)]
     for values in [range(q), *boxes]:
-        check_children(rows.residue_children(values), values, rows.root, 3, reference)
+        check_children(rows.residue_walk(values), values, rows.root, 3, reference)
 
 
 LHP_SYSTEM = LhpSystem(num_x=3, u_param=1, inequalities=(
@@ -351,4 +365,4 @@ def test_every_lhp_child_costs_the_inequalities_completed_so_far():
         return count_lhp_violations(system, LhpAssignment.of(point + (0,) * (3 - d)))
 
     rows = _compile_lhp(LHP_SYSTEM)
-    check_children(rows.grid_children(), (-1, 0, 1), rows.root, 3, reference)
+    check_children(rows.grid_walk(), (-1, 0, 1), rows.root, 3, reference)

@@ -24,7 +24,7 @@ from gapforge.oracles import (
     SearchBudget,
     _box_residues,
     _compile_ncp,
-    branch_and_bound,
+    best_first_walk,
     count_lhp_violations,
     solve_lc_max,
     solve_lhp_min,
@@ -352,8 +352,8 @@ def test_ncp_box_cut_at_the_cap_walks_as_the_whole_box(lc_cyc):
         for cap in range(0, 12):
             for hints in ([], [(q - 1,) * ncp.num_cols], [(0,) * ncp.num_cols]):
                 cut = outcome(lambda: solve_ncp_min(ncp, SearchBudget(coeff_box=k, max_states=cap), hints=hints))
-                plain = outcome(lambda: MinResult(*branch_and_bound(
-                    ncp.num_cols, rows.residue_children(whole), rows.root, cap, hints)))
+                plain = outcome(lambda: MinResult(*best_first_walk(
+                    ncp.num_cols, *rows.residue_walk(whole), rows.root, cap, hints)))
                 assert cut == plain, (k, cap, hints)
 
 

@@ -31,7 +31,7 @@ COMMANDS = (
     ("ncp", ("--full-field",)),
     ("lhp", ()),
 )
-DIGEST = "2bd7cca1204f9a35e45c46e7a8c532d27e36cf153731632d38977382a3b5546d"
+DIGEST = "39f94ba9ce425ca7a59ce838f4af2cdc2a02a5b2a1b959dd18c3434073f5ebf7"
 
 
 def cover(name):
