@@ -256,12 +256,7 @@ def _cmd_check_agreement(args) -> int:
 
 
 def _cmd_check_lists(args) -> int:
-    from .soundness import (
-        ListConstructionParams,
-        list_construction,
-        select_low_norm_tests,
-        verify_defeats_list_soundness,
-    )
+    from .soundness import ListConstructionParams, _list_construction, verify_defeats_list_soundness
 
     lc = read_instance(args.infile, "label_cover")
     ssat = lc_to_ssat(lc)
@@ -281,7 +276,7 @@ def _cmd_check_lists(args) -> int:
         seed=args.seed,
         force_p_one=args.derandomize,
     )
-    labeling = list_construction(ssat, s, params)
+    low_norm_tests, labeling = _list_construction(ssat, s, params)
     defeat = verify_defeats_list_soundness(lc, labeling, args.s_list)
     _emit(
         {
@@ -291,7 +286,7 @@ def _cmd_check_lists(args) -> int:
             "p_include": encode_fraction(params.p_include),
             "s_list": encode_fraction(params.s_list),
             "seed": args.seed,
-            "low_norm_tests": list(select_low_norm_tests(ssat, s, params)),
+            "low_norm_tests": list(low_norm_tests),
             "lists": {str(a): list(v) for a, v in labeling.lists.items()},
             "max_list_size": labeling.max_list_size,
             "fraction": encode_fraction(defeat.non_disagree_fraction),

@@ -12,7 +12,10 @@ so identical inputs give identical bytes.
 Each oracle gets hint points that may cap its walk: the embedded SIS
 solution ``z`` (also a flat SSAT vector, an NCP box point and an LHP grid
 point) for all four, the SIS witness for LHP and NCP, and LHP's grid witness
-for NCP, so LHP runs before NCP.  Each walk follows its hints down its own
+for NCP, so LHP runs before NCP.  With no natural solution, the label-cover
+oracle's best labeling stands in for ``z``: each test a unit row at the
+labeling's tuple, or a zero row where the tuple is not one of its
+assignments.  Each walk follows its hints down its own
 children, so a hint is costed as the walk's leaf or dropped, and the hints
 change only the ``states`` of a stage and whether it fits the budget; the
 report lists the stages in the order SSAT, SIS, NCP, LHP.
@@ -24,7 +27,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
 from .errors import SearchSpaceTooLarge
-from .instances import LabelCoverInstance, validate_label_cover
+from .instances import LabelCoverInstance, Labeling, SsatInstance, validate_label_cover
 from .oracles import (
     DEFAULT_MAX_STATES,
     SearchBudget,
@@ -101,6 +104,20 @@ def gap_row(stage: str, completeness_value: Fraction, oracle_minimum: Optional[F
     return dict(zip(GAP_ROW_KEYS, (stage, *map(_enc_opt, (completeness_value, oracle_minimum, ratio)))))
 
 
+def _labeling_point(ssat: SsatInstance, lab: Labeling) -> tuple[int, ...]:
+    """A labeling as a flat SSAT vector: each test a unit row where the labeling's tuple is one of its assignments.
+
+    A test whose tuple is not one of them, as on an edge the labeling
+    leaves unsatisfied, takes a zero row.
+    """
+    lc = ssat.provenance.lc
+    point: list[int] = []
+    for test, b in zip(ssat.tests, ssat.provenance.test_to_b):
+        values = tuple(lab.phi_a[e[0]] for e in lc.edges_of_b[b])
+        point += (int(values == r) for r in test.assignments)
+    return tuple(point)
+
+
 def run_chain(
     lc: LabelCoverInstance,
     g: int = 1,
@@ -148,6 +165,8 @@ def run_chain(
             ("lhp_round_trip_identity", sis_solution_from_lhp_assignment(lhp, a) == tuple(z)),
         ]
         hints.append(tuple(z))
+    else:
+        hints.append(_labeling_point(ssat, lc_result.witness))
 
     # (report key, oracle, planted cost, the witness as a hint point for the stages after it).  Every stage
     # gets the embedded point; LHP runs before NCP, whose box holds LHP's grid witness.

@@ -26,8 +26,8 @@ from .oracles import DEFAULT_MAX_STATES, walk_a_labelings
 from .superassign import (
     SuperAssignment,
     TestKind,
+    _classify,
     assigned_value_sets,
-    classify_tests,
     is_consistent,
     is_nontrivial,
     norm_l1,
@@ -226,6 +226,13 @@ def list_construction(
     always broken by index, and p_include = 1 makes the construction fully
     deterministic.
     """
+    return _list_construction(ssat, s, params)[1]
+
+
+def _list_construction(
+    ssat: SsatInstance, s: SuperAssignment, params: ListConstructionParams
+) -> tuple[tuple[int, ...], ListLabeling]:
+    """``list_construction``'s low-norm tests and lists: consistency and the assigned sets are checked once."""
     if ssat.provenance is None:
         raise NotLcDerived("list construction needs label-cover provenance")
     if not is_consistent(ssat, s) or not is_nontrivial(ssat, s):
@@ -233,7 +240,7 @@ def list_construction(
     tests = select_low_norm_tests(ssat, s, params)
     assigned = assigned_value_sets(ssat, s)
     lists: dict[Vertex, set[Label]] = {x: set(assigned[x]) for x in ssat.variables}
-    for t, kind in zip(tests, classify_tests(ssat, s, tests)):
+    for t, kind in zip(tests, _classify(ssat, s, tests, assigned)):
         if kind is not TestKind.ALL_SINGLE_GOOD:
             continue
         test = ssat.tests[t]
@@ -242,7 +249,7 @@ def list_construction(
         for var, value in zip(test.variables, r):
             if value not in assigned[var] and _draw(rng, params.p_include):
                 lists[var].add(value)
-    return ListLabeling.from_sets(ssat.provenance.lc, lists)
+    return tests, ListLabeling.from_sets(ssat.provenance.lc, lists)
 
 
 class DefeatReport(Record):

@@ -303,7 +303,13 @@ def classify_tests(ssat: SsatInstance, s: SuperAssignment, tests: Iterable[int])
     """
     if not is_consistent(ssat, s):
         raise InconsistentInput("classify_tests needs a consistent super-assignment")
-    assigned = assigned_value_sets(ssat, s)
+    return _classify(ssat, s, tests, assigned_value_sets(ssat, s))
+
+
+def _classify(
+    ssat: SsatInstance, s: SuperAssignment, tests: Iterable[int], assigned: Mapping[Vertex, frozenset[Label]]
+) -> list[TestKind]:
+    """``classify_tests`` on a consistent ``s`` whose ``assigned_value_sets`` are ``assigned``."""
     kinds = []
     for psi in tests:
         test = ssat.tests[psi]

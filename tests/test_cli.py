@@ -278,6 +278,24 @@ def test_check_lists(capsys, lc_cyc_path):
     assert doc["fraction"] == "1/1"
 
 
+def test_check_lists_checks_and_selects_once(capsys, lc_cyc_path, monkeypatch):
+    """Consistency, the assigned value sets and the low-norm tests are each worked out once per run."""
+    from gapforge import soundness
+    from gapforge import superassign
+
+    calls = []
+    for module, name in ((soundness, "is_consistent"), (soundness, "assigned_value_sets"),
+                         (soundness, "select_low_norm_tests"), (superassign, "is_consistent"),
+                         (superassign, "assigned_value_sets")):
+        def counted(*args, _name=name, _f=getattr(module, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
+    code, doc = run(capsys, "check", "lists", "--in", str(lc_cyc_path), "--g", "2", "--derandomize")
+    assert code == 0 and doc["low_norm_tests"] == [0, 1]
+    assert sorted(calls) == ["assigned_value_sets", "is_consistent", "select_low_norm_tests"]
+
+
 def test_check_chain_pass(capsys, lc_id2_path):
     code, doc = run(capsys, "check", "chain", "--in", str(lc_id2_path), "--g", "1")
     assert code == 0

@@ -370,6 +370,31 @@ def test_ncp_huge_box_under_a_small_cap_builds_no_box(ssat_share):
     assert peak < 1_000_000
 
 
+def test_tied_optima_give_the_first_in_try_order():
+    """Two optima tie at every depth; each walk returns the one its values reach first, hinted or not.
+
+    NCP at box 1 tries -1, 0, 1 and at box 6 every residue from 1 on, so
+    the two boxes pick different optima; the grid tries -1, 0, 1.
+    """
+    sis = ssat_to_sis(lc_to_ssat(gen_label_cover(GenSpec(2, 2, 2, 2, 2, 1, planted=True, seed=1))))
+    lhp, ncp = sis_to_lhp(sis, g=1), sis_to_ncp(sis, g=1)
+    optima = [(0, 1, 1, 0), (1, 0, 0, 1)]
+    grid = {xs: count_lhp_violations(lhp, LhpAssignment.of(xs)) for xs in itertools.product((-1, 0, 1), repeat=4)}
+    assert min(grid.values()) == 2 and [xs for xs, c in grid.items() if c == 2] == optima
+    for hints in ([], optima[1:]):
+        result = solve_lhp_min(lhp, hints=hints)
+        assert (result.minimum, result.witness) == (2, LhpAssignment.of(optima[0]))
+    q = ncp.modulus
+    for k, first in ((1, optima[0]), (6, optima[1])):
+        values = list(dict.fromkeys(v % q for v in range(-k, k + 1)))
+        distances = {z: ncp.distance(z) for z in itertools.product(values, repeat=4)}
+        assert min(distances.values()) == 2 and [z for z, d in distances.items() if d == 2] == [first, *(
+            z for z in optima if z != first)]
+        for hints in ([], [z for z in optima if z != first]):
+            result = solve_ncp_min(ncp, SearchBudget(coeff_box=k), hints=hints)
+            assert (result.minimum, result.witness) == (2, first)
+
+
 # ---------------------------------------------------------------------------
 # LHP oracles
 # ---------------------------------------------------------------------------
