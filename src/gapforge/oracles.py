@@ -252,8 +252,6 @@ def best_first_walk(
     """
     best_cost: float = _ceiling(n, children, root, hints, max_states, advance)
     due = root + floor(0, ())
-    if due >= best_cost:
-        return None, None, 0
     # per depth: state -> (least cost, floor, first prefix at that cost as (try index, value, parent prefix))
     kept: list[dict[State, tuple[int, int, Any]]] = [{} for _ in range(n + 1)]
     kept[0][()] = (root, due - root, None)
@@ -278,12 +276,14 @@ def best_first_walk(
             old = following.get(child)
             if old is None:
                 below = 0 if leaf else floor(depth + 1, child)
+                if c + below >= best_cost:
+                    continue
             elif c > old[0] or c == old[0] and _unwind(old[2]) < _unwind((i, v, prefix)):
                 continue
             else:
                 below = old[1]
             following[child] = (c, below, (i, v, prefix))
-            if (old is None or c < old[0]) and c + below < best_cost:
+            if old is None or c < old[0]:
                 heappush(queue, (c + below, depth + 1, states, child))
                 if leaf:
                     best_cost = c + 1
@@ -349,8 +349,7 @@ class _FiledRows(Record):
     ``(pick, moves, fresh)``: the state after column d is entry ``pick[i]``
     of the state before it plus ``moves[i]`` times the value, for each i,
     then each coefficient of ``fresh`` times the value, for the forms whose
-    first column is d.  The forms that column d leaves alone, with a zero
-    move, come first.
+    first column is d.
 
     ``ahead[d]`` lists, for each column d' >= d, the open rows after a
     prefix of length d whose only column at or above d is their last, d':
@@ -485,16 +484,14 @@ class _FiledRows(Record):
 
 
 def _advance(q: Optional[int], pick: tuple[int, ...], moves: tuple[int, ...], fresh: tuple[int, ...]) -> Callable:
-    """The state after one column from the state before it and the value; the entries left alone are taken in one call."""
-    kept = [p for p, b in zip(pick, moves) if not b]
-    moved = [(p, b) for p, b in zip(pick, moves) if b]
-    take = itemgetter(*kept) if len(kept) > 1 else (lambda state: (state[kept[0]],)) if kept else (lambda state: ())
+    """The state after one column from the state before it and the value."""
+    carried = tuple(zip(pick, moves))
     if q:
         def advance(state: State, v: int) -> State:
-            return (*take(state), *[(state[p] + b * v) % q for p, b in moved], *[b * v % q for b in fresh])
+            return (*[(state[p] + b * v) % q for p, b in carried], *[b * v % q for b in fresh])
     else:
         def advance(state: State, v: int) -> State:
-            return (*take(state), *[state[p] + b * v for p, b in moved], *[b * v for b in fresh])
+            return (*[state[p] + b * v for p, b in carried], *[b * v for b in fresh])
     return advance
 
 
@@ -544,22 +541,14 @@ def _file_rows(n: int, rows: Iterable[tuple], modulus: Optional[int] = None) -> 
         ))
         if d == n:
             break
-        # the state after column d: the forms it leaves alone, those it moves, then those it opens
-        alone: dict[int, int] = {}
-        moved: dict[tuple[int, int], int] = {}
-        opened: dict[int, int] = {}
-        still = [row for row in open_rows if row[2] > d]
+        # the state after column d: the forms carried on from before it, then those it opens
+        forms: dict[tuple, int] = {}
+        still = [row for row in open_rows if row[2] > d] + starting[d]
         for row in still:
-            b = row[0].get(d)
-            row[4] = (0, alone.setdefault(row[4], len(alone))) if b is None else (1, moved.setdefault((row[4], b), len(moved)))
-        for row in starting[d]:
-            row[4] = (2, opened.setdefault(row[0][d], len(opened)))
-        still += starting[d]
-        offset = (0, len(alone), len(alone) + len(moved))
-        for row in still:
-            part, i = row[4]
-            row[4] = offset[part] + i
-        steps.append(((*alone, *[p for p, _ in moved]), (0,) * len(alone) + tuple(b for _, b in moved), tuple(opened)))
+            row[4] = forms.setdefault((row[4], row[0].get(d, 0)), len(forms))
+        carried = [(p, b) for p, b in forms if p is not None]
+        steps.append((tuple(p for p, _ in carried), tuple(b for _, b in carried),
+                      tuple(b for p, b in forms if p is None)))
         open_rows = still
     return _FiledRows(modulus=modulus, root=root, single=tuple(map(tuple, single)), steps=tuple(steps),
                       ahead=tuple(ahead))

@@ -17,8 +17,9 @@ oracle's best labeling stands in for ``z``: each test a unit row at the
 labeling's tuple, or a zero row where the tuple is not one of its
 assignments.  Each walk follows its hints down its own
 children, so a hint is costed as the walk's leaf or dropped, and the hints
-change only the ``states`` of a stage and whether it fits the budget; the
-report lists the stages in the order SSAT, SIS, NCP, LHP.
+change at most the ``states`` of a stage and whether it fits the budget
+(NCP's and LHP's best-first walks expand the same states with or without
+them); the report lists the stages in the order SSAT, SIS, NCP, LHP.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def run_chain(
         hints.append(_labeling_point(ssat, lc_result.witness))
 
     # (report key, oracle, planted cost, the witness as a hint point for the stages after it).  Every stage
-    # gets the embedded point; LHP runs before NCP, whose box holds LHP's grid witness.
+    # gets the embedded or the labeling point; LHP runs before NCP, whose box holds LHP's grid witness.
     oracle_stages = (
         ("ssat_l1", "ssat", 1, None),
         ("sis", "sis", n_tests, lambda witness: witness),

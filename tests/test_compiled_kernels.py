@@ -249,6 +249,36 @@ def test_equality_bounds_on_any_integer_rows(m, k, rows):
     check_sis(SisInstance(num_cols=m, matrix=matrix, target=tuple(t for _, t in rows), bound=1), k)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.sampled_from((2, 3, 5, 7)), st.integers(1, 3),
+       st.lists(st.tuples(st.lists(st.integers(-8, 8), min_size=4, max_size=4), st.integers(-8, 15), st.integers(1, 3)),
+                min_size=1, max_size=6))
+def test_ncp_walk_on_any_rows(m, q, k, rows):
+    """Rows of any length with entries that vanish mod q or are not reduced, and targets that are not reduced."""
+    ncp = NcpInstance(modulus=q, num_cols=m, matrix=tuple(tuple((c, a) for c, a in enumerate(r[:m]) if a) for r, _, _ in rows),
+                      target=tuple(t for _, t, _ in rows), bound=1, replication=1,
+                      multiplicity=tuple(n for _, _, n in rows))
+    values = ncp_values(ncp, k, False)
+    costs = [(z, ncp.distance(z)) for z in itertools.product(values, repeat=m)]
+    outside_box = [] if (k + 1) % q in values else [(k + 1,) * m]
+    check_search(lambda b, h: solve_ncp_min(ncp, b, hints=h), SearchBudget(k), costs, m, len(values),
+                 outside=outside_box)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.integers(-3, 3), st.integers(-1, 1),
+                          st.sampled_from((GT, LT)), st.integers(1, 3)),
+                min_size=1, max_size=6))
+def test_lhp_walk_on_any_inequalities(m, rows):
+    """Inequalities of any length, with coefficients beyond +-1 and both senses."""
+    lhp = LhpSystem(num_x=m, u_param=1, inequalities=tuple(
+        ineq([(c, a) for c, a in enumerate(r[:m]) if a], cy, cd, sense, k) for r, cy, cd, sense, k in rows))
+    violations = lhp_violations(lhp.inequalities)
+    check_search(lambda b, h: solve_lhp_min(lhp, budget=b, hints=h), SearchBudget(), [
+        (xs, violations(xs)) for xs in box(1, m)], m, 3, LhpAssignment.of, outside=[(2,) * m])
+
+
 def ineq(coeff_x, cy, cd, sense, k=1):
     return LhpInequality(coeff_x=tuple(coeff_x), coeff_y=cy, coeff_delta=cd, sense=sense, group="G2", copies_of="",
                          multiplicity=k)
