@@ -422,7 +422,7 @@ class _FiledRows(Record):
         them that one of those residues meets.
         """
         q = self.modulus
-        start, width = values[0] if values else 0, len(values)
+        start, width = values[0], len(values)
         singles = []
         for rows in self.single:
             met: dict[int, int] = {}
