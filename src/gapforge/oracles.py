@@ -46,10 +46,13 @@ shares with the rows that differ from it only in sign (the two halves of a
 G2 pair); a row with one column is costed once per column.  Equality rows
 (SIS rows, SSAT consistency rows) instead narrow each coordinate to the
 values that leave every row reachable by the later columns.  The SSAT l1
-walk also charges each test with a column its floor of 1 from the root: an
-all-zero test zeroes its variables' projection sums, the consistency rows
-carry those zeros to every other test of the variable, and so the variable
-is trivial.  The instance-level predicates (``is_consistent``,
+walk also charges each test with a column a floor from the root: at a
+nontrivial consistent point a test's l1 is at least 1, as an all-zero test
+would make its variables trivial, and at least the projection l1 on each of
+its variables of the first test reading it, to which the consistency rows
+tie its own projection.  A test's floor counts the first tests complete so
+far, so the cost is an admissible bound in the sense of Land and Doig: it
+never falls down a path and is exact at a leaf.  The instance-level predicates (``is_consistent``,
 ``is_nontrivial``, ``SisInstance.multiply``, ``NcpInstance.distance``,
 ``count_lhp_violations``) are the reference semantics the compiled rows are
 tested against; result objects such as ``SuperAssignment`` and
@@ -65,7 +68,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, mul
 from typing import Any, Callable, Iterable, Literal, Optional, Sequence, Union
 
@@ -101,7 +104,7 @@ Hints = Iterable[Sequence[int]]
 
 def _hint_cost(
     n: int, children: Children, root: Optional[int], hint: Sequence[int], max_states: int,
-    advance: Optional[Advance] = None,
+    advance: Optional[Advance] = None, bound: float = math.inf,
 ) -> Optional[int]:
     """The cost of the leaf ``hint`` down the walk's own children, ``None`` when the walk has no such leaf.
 
@@ -110,7 +113,8 @@ def _hint_cost(
     from the empty one.  Each node's children are scanned lazily, never
     tabled, and at most ``max_states`` of them: a node with more children
     before the hint's value is one the walk could not finish under its cap,
-    so the hint is dropped.
+    so the hint is dropped.  So is a hint once its cost reaches ``bound``:
+    a cost never falls down a path, so its leaf would cost that much too.
     """
     if len(hint) != n or root is None:
         return None
@@ -118,7 +122,7 @@ def _hint_cost(
     for depth, v in enumerate(hint):
         scanned = islice(children(depth, state, cost), max(max_states, 0))
         cost = next((c for u, c in scanned if u == v), None)
-        if cost is None:
+        if cost is None or cost >= bound:
             return None
         if advance is not None:
             state = advance(depth, state, v)
@@ -128,9 +132,17 @@ def _hint_cost(
 def _ceiling(
     n: int, children: Children, root: Optional[int], hints: Hints, max_states: int, advance: Optional[Advance] = None
 ) -> float:
-    """One more than the least cost of a distinct hint that is a leaf of the walk, infinite when none is."""
-    costs = (_hint_cost(n, children, root, h, max_states, advance) for h in dict.fromkeys(map(tuple, hints)))
-    return min((c + 1 for c in costs if c is not None), default=math.inf)
+    """One more than the least cost of a distinct hint that is a leaf of the walk, infinite when none is.
+
+    Each hint is followed only while it costs less than the least leaf of
+    the hints before it, the one it would have to beat.
+    """
+    least = math.inf
+    for h in dict.fromkeys(map(tuple, hints)):
+        cost = _hint_cost(n, children, root, h, max_states, advance, least)
+        if cost is not None:
+            least = cost
+    return least + 1
 
 
 def branch_and_bound(
@@ -165,10 +177,11 @@ def branch_and_bound(
     no more than ``max_states`` children scanned at a node.  A hint of
     another length, or one that meets a missing child, a ``None`` cost or a
     node with more children before its value, is dropped; each other hint
-    is a leaf of the walk, so its cost is certified.  The walk then starts
-    as if a leaf costing one more than the least of them had been found: the
-    minimum and its witness are those of the plain walk, reached in no more
-    nodes.
+    is a leaf of the walk, so its cost is certified; a hint is followed only
+    while it costs less than the least leaf of the hints before it.  The
+    walk then starts as if a leaf costing one more than the least of them
+    had been found: the minimum and its witness are those of the plain walk,
+    reached in no more nodes.
 
     SSAT, SIS, label cover, agreement and the consistent enumeration walk
     here, where an early incumbent prunes.  NCP and LHP walk on
@@ -690,17 +703,38 @@ class _SsatRows(Record):
     """An SSAT instance as column sets over the flat weight vector.
 
     A point is a super-assignment flattened test by test, as in
-    ``SsatInstance.offsets``.  Each consistency row says that the columns of
-    test i whose assignment gives a shared variable x the value a sum to the
-    same total as those columns of test j; it is kept as ascending columns
-    with coefficients +1, then -1, and target 0.  ``coverage`` lists, per
-    variable, the nonempty projection column sets of its incident tests, one
-    per (test, value).
+    ``SsatInstance.offsets``.  The projection column sets of test t on its
+    variable x are, one per field value in field order, the columns of t
+    whose assignment gives x that value; they partition t's columns.  Each
+    consistency row says that a projection column set of test i sums to the
+    same total as the same value's set of test j, for each variable x the
+    two share; it is kept as ascending columns with coefficients +1, then
+    -1, and target 0.  ``coverage`` lists, per variable, the nonempty
+    projection column sets of its incident tests.
+
+    ``floors`` holds, per test, what the l1 walk reads to floor it and the
+    later tests, a variable standing for its index in ``variables``.  Only
+    a variable whose first test has a column and that a later test with a
+    column reads is *floored*; its projection l1 is that of its first test.
+    Each entry is ``(fresh, own, new, later)``:
+
+    * ``fresh``: (variable, nonempty projection column sets of its first
+      test) for the floored variables whose first test is the last one with
+      a column before this test;
+    * ``own``: the floored variables of the test whose first test is an
+      earlier one;
+    * ``new``: for each floored variable the test is the first to read, its
+      nonempty projection column sets without the test's last column, then
+      the set holding that column, less it;
+    * ``later``: for each later test with a column that reads a variable of
+      ``new``, the floored variables it reads whose first test is earlier
+      than this one, and the positions in ``new`` of those it reads.
     """
 
     num_cols: int
     consistency: tuple[SplitRow, ...]
     coverage: tuple[tuple[Columns, ...], ...]
+    floors: tuple[tuple[tuple, tuple[int, ...], tuple, tuple], ...]
 
     def nontrivial(self, flat: Sequence[int]) -> bool:
         get = flat.__getitem__
@@ -711,22 +745,48 @@ class _SsatRows(Record):
 
 
 def _compile_ssat(ssat: SsatInstance) -> _SsatRows:
-    off = ssat.offsets
-
-    def columns(t: int, x: Vertex) -> tuple[Columns, ...]:
-        return tuple(tuple(off[t] + r for r in rs) for rs in ssat.projection_indices[t, x])
-
-    consistency = tuple(
+    off, tests = ssat.offsets, ssat.tests
+    projections = {
+        (t, x): tuple([tuple([off[t] + r for r in rs]) for rs in by_value])
+        for (t, x), by_value in ssat.projection_indices.items()
+    }
+    consistency = tuple([
         (plus + minus, (1,) * len(plus) + (-1,) * len(minus))
         for i, j, x in ssat.shared_pairs
-        for plus, minus in zip(columns(i, x), columns(j, x))
+        for plus, minus in zip(projections[i, x], projections[j, x])
         if plus or minus
-    )
-    coverage = tuple(
-        tuple(cols for t in ssat.tests_of_variable[x] for cols in columns(t, x) if cols)
+    ])
+    coverage = tuple([
+        tuple([cols for t in ssat.tests_of_variable[x] for cols in projections[t, x] if cols])
         for x in ssat.variables
-    )
-    return _SsatRows(num_cols=off[-1], consistency=consistency, coverage=coverage)
+    ])
+
+    walked = [t for t in range(len(tests)) if off[t + 1] > off[t]]
+    after = dict(zip(walked, walked[1:]))  # the next test with a column
+    index = ssat.variable_index
+    first: dict[Vertex, int] = {}  # floored variable -> its first test
+    fresh: list[list] = [[] for _ in tests]
+    for x, ts in ssat.tests_of_variable.items():
+        if ts[0] in after and any(off[u + 1] > off[u] for u in ts[1:]):
+            first[x] = ts[0]
+            fresh[after[ts[0]]].append((index[x], tuple([cols for cols in projections[ts[0], x] if cols])))
+    floors = []
+    for t, test in enumerate(tests):
+        own = tuple([index[x] for x in test.variables if first.get(x, t) < t])
+        new = [x for x in test.variables if first.get(x) == t]
+        last = off[t + 1] - 1
+        new_sets = tuple([
+            (tuple([cols for cols in projections[t, x] if cols and last not in cols]),
+             next(tuple([c for c in cols if c != last]) for cols in projections[t, x] if last in cols))
+            for x in new
+        ])
+        later = tuple([
+            (tuple([index[y] for y in tests[u].variables if first.get(y, t) < t]),
+             tuple([i for i, x in enumerate(new) if x in tests[u].variables]))
+            for u in walked if u > t and any(x in new for x in tests[u].variables)
+        ])
+        floors.append((tuple(fresh[t]), own, new_sets, later))
+    return _SsatRows(num_cols=off[-1], consistency=consistency, coverage=coverage, floors=tuple(floors))
 
 
 def enumerate_consistent_superassignments(
@@ -767,17 +827,33 @@ def solve_ssat_min_norm(ssat: SsatInstance, budget: SearchBudget, hints: Hints =
     The walk tries only weights that keep every consistency row reachable;
     the l1 cost adds each |weight|, the linf cost is the largest test norm
     so far, and the side condition is checked at the leaf.  A hint is a flat
-    weight vector; one the walk reaches as a leaf caps it at its norm.
+    weight vector; one the walk reaches as a leaf caps it at its norm.  The
+    uniform point, every weight 1, joins the caller's hints in both modes:
+    on a regular cover each value of a shared variable is taken by equally
+    many assignments of every test that reads it, so the point is consistent
+    and nontrivial, a first incumbent; elsewhere the walk drops it like any
+    other hint.  It comes after the caller's hints, so its walk stops as
+    soon as it costs as much as their least leaf.
 
-    The l1 cost carries a completion floor: every test with a column has l1
-    at least 1 at a nontrivial consistent point, because an all-zero test
-    zeroes its variables' projection sums there, ``shared_pairs`` ties
-    those sums to every other test of the variable, and so the variable is
-    trivial.  The root costs the number of tests with a column, a test's
-    first nonzero weight v adds |v| - 1, and a zero at a test's last column
-    while the test is all zero is infeasible; the cost never falls and is
-    the true l1 at a leaf.  The leaf still checks ``nontrivial``, as nonzero
-    tests can cancel a variable to trivial.
+    The l1 cost carries a floor on every test with a column.  At a
+    nontrivial consistent point, each test u has l1 at least 1, because an
+    all-zero test zeroes its variables' projection sums, ``shared_pairs``
+    ties those sums to every other test of the variable, and so the
+    variable is trivial.  It also has l1 at least that of its projection on
+    each of its variables x, as x's projection column sets partition u's
+    columns, and that projection equals the one of x's first test.  So
+    while the walk is in test t, every earlier test being complete, a test
+    u is floored at F(u), the larger of 1 and the projection l1 of each of
+    its variables whose first test is complete.  A prefix costs its l1,
+    plus what t still lacks of F(t), plus F(u) for each later test u: the
+    root costs the number of tests with a column, and a weight v in t adds
+    what |v| exceeds that lack by.  At t's last column a child that leaves
+    t's l1 below F(t) is infeasible, and the projections t fixes raise the
+    floors of the later tests that read its variables.  The cost never
+    falls, is the true l1 at a leaf, and never exceeds that of a leaf below,
+    so the walk's minimum and first witness are those of the plain l1.  The
+    leaf still checks ``nontrivial``, as nonzero tests can cancel a variable
+    to trivial.
     """
     rows = _compile_ssat(ssat)
     n = rows.num_cols
@@ -786,17 +862,63 @@ def solve_ssat_min_norm(ssat: SsatInstance, budget: SearchBudget, hints: Hints =
 
     equalities = rows.equalities(budget.coeff_box)
     allowed, off = equalities.allowed, ssat.offsets
-    test_start = [lo for lo, hi in zip(off, off[1:]) for _ in range(lo, hi)]
     if l1:
-        test_last = {hi - 1 for lo, hi in zip(off, off[1:]) if hi > lo}
+        # per column: its test, the test's first column, and whether it is the test's last
+        place = [(t, lo, d == hi - 1) for t, (lo, hi) in enumerate(zip(off, off[1:])) for d in range(lo, hi)]
+        floors = rows.floors
+        # Set at a test's first column from the prefix there, and read at its later columns: the walk and
+        # _hint_cost reach a node only after its ancestors, so the values hold for every node below it.
+        lifted = [1] * len(ssat.variables)  # per floored variable: the larger of 1 and its projection l1
+        floor_of = [1] * len(ssat.tests)  # per test: its floor F
+        before = [()] * len(ssat.tests)  # per test: each test of its `later` with its floor before this test
+
+        def settle(t: int, prefix: Prefix) -> None:
+            fresh, own, _, later = floors[t]
+            get = prefix.__getitem__
+            for x, sets in fresh:
+                pi = sum([abs(sum(map(get, cols))) for cols in sets])
+                lifted[x] = pi if pi > 1 else 1
+            floor_of[t] = max(map(lifted.__getitem__, own), default=1)
+            before[t] = [(at, max(map(lifted.__getitem__, reads), default=1)) for reads, at in later]
+
+        def closing(values: range, cost: int, lack: int, parts: list, gauge: list) -> Iterable:
+            # a test's last column: each later test's floor rises to the projection l1 of the variables read
+            # first here, which is `b` over a variable's sets without this column, plus |p + v| over the other
+            for v in values:
+                a = abs(v)
+                if a < lack:
+                    yield v, None
+                    continue
+                c = cost - lack + a
+                pis = [b + abs(p + v) for b, p in parts]
+                for at, f in gauge:
+                    top = max(map(pis.__getitem__, at))
+                    if top > f:
+                        c += top - f
+                yield v, c
 
         def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
-            if any(prefix[test_start[depth]:depth]):  # the test's floor is paid
-                return equalities.l1_children(depth, prefix, cost)
-            zero = None if depth in test_last else cost
-            return ((v, cost + abs(v) - 1 if v else zero) for v in allowed(depth, prefix))
+            t, start, last = place[depth]
+            if depth == start:
+                settle(t, prefix)
+                lack = floor_of[t]
+            else:  # what the test still lacks of its floor
+                lack = floor_of[t] - sum(map(abs, prefix[start:depth]))
+                if lack < 0:
+                    lack = 0
+            if not last:
+                if not lack:
+                    return equalities.l1_children(depth, prefix, cost)
+                return ((v, cost + abs(v) - lack if abs(v) > lack else cost) for v in allowed(depth, prefix))
+            if not before[t]:
+                return ((v, cost - lack + abs(v) if abs(v) >= lack else None) for v in allowed(depth, prefix))
+            get = prefix.__getitem__
+            parts = [(sum([abs(sum(map(get, cols))) for cols in others]), sum(map(get, rest)))
+                     for others, rest in floors[t][2]]
+            return closing(allowed(depth, prefix), cost, lack, parts, before[t])
 
     else:
+        test_start = [lo for lo, hi in zip(off, off[1:]) for _ in range(lo, hi)]
 
         def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
             so_far = sum(map(abs, prefix[test_start[depth]:depth]))  # the test's norm before this weight
@@ -811,7 +933,8 @@ def solve_ssat_min_norm(ssat: SsatInstance, budget: SearchBudget, hints: Hints =
     # with no columns the walk enters no node: the empty vector is judged here
     lowest = sum(hi > lo for lo, hi in zip(off, off[1:])) if l1 else 0
     root = lowest if equalities.feasible and (n or admissible(())) else None
-    best_norm, best, states = branch_and_bound(n, children, root, budget.max_states, hints)
+    hinted = chain(hints, [(1,) * n])
+    best_norm, best, states = branch_and_bound(n, children, root, budget.max_states, hinted)
     if best is None:
         return MinResult(None, None, states, budget.mode)
     minimum = Fraction(best_norm, len(ssat.tests) if l1 else 1)

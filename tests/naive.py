@@ -211,20 +211,47 @@ class Walk(Exception):
     """Stops a solver at its call to ``branch_and_bound`` or ``best_first_walk``."""
 
 
+def walk_call(solve):
+    """``(best first?, the walk's arguments)`` of the walk ``solve()`` sets up; no node is entered."""
+    with mock.patch.object(oracles, "branch_and_bound", side_effect=Walk) as depth_first, \
+            mock.patch.object(oracles, "best_first_walk", side_effect=Walk) as best_first, pytest.raises(Walk):
+        solve()
+    return (True, best_first.call_args.args) if best_first.called else (False, depth_first.call_args.args)
+
+
 def hint_cost(solve):
     """The engine's cost of a hint on the walk ``solve()`` sets up, as ``point -> cost or None``; no node is entered.
 
     A depth-first walk's children read the point itself; a best-first
     walk's read the states its ``advance`` carries down the point.
     """
-    with mock.patch.object(oracles, "branch_and_bound", side_effect=Walk) as depth_first, \
-            mock.patch.object(oracles, "best_first_walk", side_effect=Walk) as best_first, pytest.raises(Walk):
-        solve()
-    if best_first.called:
-        n, children, advance, _, root, max_states = best_first.call_args.args[:6]
+    best_first, args = walk_call(solve)
+    if best_first:
+        n, children, advance, _, root, max_states = args[:6]
         return lambda point: oracles._hint_cost(n, children, root, point, max_states, advance)
-    n, children, root, max_states = depth_first.call_args.args[:4]
+    n, children, root, max_states = args[:4]
     return lambda point: oracles._hint_cost(n, children, root, point, max_states)
+
+
+def path_costs(solve):
+    """The costs the depth-first walk ``solve()`` sets up charges down a point, as ``point -> list``; no node is entered.
+
+    The list starts at the root's cost and takes each coordinate's child
+    in turn, as ``hint_cost`` does; it stops before a coordinate with no
+    such child or a ``None`` cost.
+    """
+    _, children, root = walk_call(solve)[1][:3]
+
+    def costs(point):
+        prefix, charged = list(point), [root]
+        for depth, v in enumerate(prefix if root is not None else ()):
+            cost = next((c for u, c in children(depth, prefix, charged[-1]) if u == v), None)
+            if cost is None:
+                break
+            charged.append(cost)
+        return charged
+
+    return costs
 
 
 def cap_states(fn):

@@ -25,9 +25,9 @@ GOLDEN = {
     ("lc_id2", "default"): "290333074a814c6d6c06443bbadb18103e1c8e2df629c4eee6f1a6709fc21cf7",
     ("lc_id2", "box1"): "b932c31a798ad514f68f3fa083342a3e7769e5c2f59c1e7c73297155f8856afc",
     ("lc_id2", "cap100"): "290333074a814c6d6c06443bbadb18103e1c8e2df629c4eee6f1a6709fc21cf7",
-    ("lc_cyc", "default"): "47864cfbadb025e5a6588f0259744c3c1f2aab97e2ded15da25cfbe033110069",
-    ("lc_cyc", "box1"): "064e90252fcca17362eb7cd05fe66d6ea9accb133101bbbaefe7cb212281076e",
-    ("lc_cyc", "cap100"): "47864cfbadb025e5a6588f0259744c3c1f2aab97e2ded15da25cfbe033110069",
+    ("lc_cyc", "default"): "e420f5a82bea56152579ba3572edd785c3c57744e91e87e479de7fc57b92a514",
+    ("lc_cyc", "box1"): "51cc66763525e36903f24357584c2770f89c6f6da4239063b601d7ac2107202f",
+    ("lc_cyc", "cap100"): "e420f5a82bea56152579ba3572edd785c3c57744e91e87e479de7fc57b92a514",
     ("lc_share", "default"): "e707c1d23cfe4ff4b91a5e83a21ec2cade28e50a1bb3f2091e73679b8e92bda3",
     ("lc_share", "box1"): "8facaf804aefc826e1dfa2c744e4ffd58c5e065468513adfe90f2ea67ca44041",
     ("lc_share", "cap100"): "e707c1d23cfe4ff4b91a5e83a21ec2cade28e50a1bb3f2091e73679b8e92bda3",
@@ -39,8 +39,8 @@ GOLDEN = {
     ("planted", "cap100"): "37595aee76f686e927df581a2bbe42df8742555897dfe0a4b609e7d35746426d",
     ("planted", "cap50"): "a46d7e8b2af522c61f22841f40b5bd180cbfebaabcbbe35923051e047ff2615a",
     ("planted", "cap16"): "11e3741dc2a8dff11be64b1b08c16ec3fd8207fe3492af9bf9db342ad6dd1876",
-    ("frustrated", "cap3000"): "fafddaf228c327c1f004c6d6546b897a3bdd68a1e329e78eb4aa9ed86a35f2bc",
-    ("frustrated", "cap700"): "fafddaf228c327c1f004c6d6546b897a3bdd68a1e329e78eb4aa9ed86a35f2bc",
+    ("frustrated", "cap3000"): "d73e4a8e06bbe2fec55231827f91865b750d476c03104268601f049c884c8e0e",
+    ("frustrated", "cap700"): "d73e4a8e06bbe2fec55231827f91865b750d476c03104268601f049c884c8e0e",
     ("frustrated", "cap100"): "e6be84185cc82764d1a27c7ed360d2bd8259ab93e8accd329061dc1acfa23dbc",
     ("frustrated", "cap22"): "8b966a95ccdee7a6fb3b2f9498679a495ffc851d8e561e3e897fdc84961cce0f",
 }

@@ -9,7 +9,9 @@ solver's minimum, witness, cap and hinted reruns with the first optimum:
 * SSAT: ``is_consistent`` once for both norms, then l1 over
   ``is_nontrivial`` points and linf over ``is_not_all_zero`` ones; the
   coverage sets agree with ``is_nontrivial``, the walk enumerates exactly
-  the consistent points, and every l1 cost is at least 1;
+  the consistent points, at every l1 point each test with a column has l1
+  at least 1 and at least the projection l1 of each of its variables' first
+  test, and down every point's path the walk's costs never fall;
 * SIS: ``multiply(z) == target``, ``multiply`` checked against the dense
   rows, then the l1 norm; also on rows with any small integer entries;
 * NCP: ``distance``; at the box points the full-field walk and a twin with
@@ -46,6 +48,7 @@ from naive import (
     lhp_violations,
     ncp_values,
     norm_costs,
+    path_costs,
     satisfied,
     ssat_box,
     superassignment,
@@ -67,7 +70,7 @@ from gapforge.oracles import (
 )
 from gapforge.reductions import sis_solution_from_lhp_assignment, sis_to_lhp, sis_to_ncp
 from gapforge.plaintext import sis_from_text, sis_to_text
-from gapforge.superassign import is_nontrivial, norm_l1, norm_linf
+from gapforge.superassign import is_nontrivial, norm_l1, norm_linf, project
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -100,8 +103,21 @@ def test_compiled_ssat_matches_reference(chain):
                            2 * k + 1, lambda f: superassignment(ssat, f), Fraction(1, scale[mode]),
                            lambda f: norm(superassignment(ssat, f)), [(k + 1,) * n])
         assert res.mode == mode and (res.minimum is None or type(res.minimum) is Fraction)
-    # every test of a nontrivial consistent point has l1 at least 1, so the walk may charge it up front
-    assert all(reference["l1"] is None or reference["l1"] >= 1 for _, _, _, reference in points)
+    # the l1 floor's premise: at a nontrivial consistent point each test with a column has l1 at least 1, and
+    # at least the projection l1 that the first test of each of its variables has
+    for _, s, _, reference in points:
+        if reference["l1"] is not None:
+            for test, row in zip(ssat.tests, s.weights):
+                l1 = sum(map(abs, row))
+                assert l1 >= 1 or not row
+                for x in test.variables:
+                    assert l1 >= sum(map(abs, project(ssat, s, ssat.tests_of_variable[x][0], x).values()))
+    # the walk's cost contract: down each point's path, the costs charged from the root on never fall
+    for budget in budgets.values():
+        path = path_costs(lambda: solve_ssat_min_norm(ssat, budget))
+        for flat, *_ in points:
+            charged = path(flat)
+            assert charged == sorted(charged)
 
 
 @SETTINGS

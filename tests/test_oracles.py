@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from naive import replace, value_at
+from naive import hint_cost, naive_min, norm_costs, replace, ssat_box, superassignment, value_at
 
 from gapforge import fixtures as shipped
 from gapforge.errors import LengthMismatch, SearchSpaceTooLarge
@@ -41,6 +41,7 @@ from gapforge.reductions import (
     sis_to_ncp,
     ssat_to_sis,
 )
+from gapforge.superassign import is_consistent
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +152,30 @@ def test_ssat_min_infeasible_none():
     assert result.minimum == 1  # sanity: (1, 0) etc. exist
 
 
+def test_ssat_uniform_point_is_a_first_incumbent_on_a_regular_cover(ssat_cyc):
+    # each value of each shared variable is taken by equally many assignments of every test reading it
+    n = ssat_cyc.offsets[-1]
+    assert is_consistent(ssat_cyc, superassignment(ssat_cyc, (1,) * n))
+    for mode, cost in (("l1", n), ("linf", max(len(t.assignments) for t in ssat_cyc.tests))):
+        walk = hint_cost(lambda: solve_ssat_min_norm(ssat_cyc, SearchBudget(coeff_box=2, mode=mode)))
+        assert walk((1,) * n) == cost
+
+
+def test_ssat_uniform_point_off_a_regular_cover_is_dropped():
+    ssat = lc_to_ssat(gen_label_cover(GenSpec(3, 2, 2, 3, 2, 2, planted=True, seed=0)))
+    n = ssat.offsets[-1]
+    assert not is_consistent(ssat, superassignment(ssat, (1,) * n))
+    points = list(ssat_box(ssat, 1))
+    for mode in ("l1", "linf"):
+        budget = SearchBudget(coeff_box=1, mode=mode)
+        assert hint_cost(lambda: solve_ssat_min_norm(ssat, budget))((1,) * n) is None
+        best, point = naive_min(norm_costs(points, mode))
+        result = solve_ssat_min_norm(ssat, budget)
+        assert (result.minimum, result.witness) == (best, superassignment(ssat, point))
+
+
 def test_ssat_min_cap(ssat_cyc):
-    # the walk enters 36 nodes on this instance; the cap stops it at the 21st
+    # the walk enters 32 nodes on this instance; the cap stops it at the 21st
     with pytest.raises(SearchSpaceTooLarge) as exc:
         solve_ssat_min_norm(ssat_cyc, SearchBudget(coeff_box=2, max_states=20))
     assert (exc.value.states, exc.value.cap) == (21, 20)

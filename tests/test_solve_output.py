@@ -31,7 +31,7 @@ COMMANDS = (
     ("ncp", ("--full-field",)),
     ("lhp", ()),
 )
-DIGEST = "39f94ba9ce425ca7a59ce838f4af2cdc2a02a5b2a1b959dd18c3434073f5ebf7"
+DIGEST = "7e76bd711d98b5f5a96beae1ad98c66b4c0aa8f9e5c40ab0d06f6e6e3981c94d"
 
 
 def cover(name):

@@ -37,7 +37,7 @@ from gapforge.soundness import agreement_soundness_exact, list_agreement_soundne
 CAP = 4_000
 SHAPES = ((3, 2, 2, 2, 2, 1), (4, 3, 2, 2, 2, 1), (3, 3, 3, 2, 2, 1), (4, 2, 2, 2, 2, 2))
 SEEDS = (0, 1)
-DIGEST = "0fdb19cb82c3d69e087f064cc747235bd0ac48f089c659ead9b7bcabcdb068dd"
+DIGEST = "f707b34012efa133271fb65feed62d942ce16e65db99cd26138a1e880ba57843"
 ANSWERS_CAP = 100_000
 ANSWERS_DIGEST = "fa504d73d06f87e02da2ec39caef29e6c6ce81bc2ee539d8a38673daaf408d78"
 
