@@ -15,7 +15,7 @@ The exact searches share one state cap, ``gapforge.oracles.DEFAULT_MAX_STATES``,
 which the environment variable ``GAPFORGE_MAX_STATES`` overrides.  The verbs
 that charge it are ``solve``, ``check claims|agreement|lists|chain`` and
 ``gen lc --with-oracle``.  Every one of their searches charges each node its
-branch-and-bound walk enters.
+walk enters, depth first or best first.
 """
 
 from __future__ import annotations
@@ -260,6 +260,14 @@ def _cmd_check_lists(args) -> int:
 
     lc = read_instance(args.infile, "label_cover")
     ssat = lc_to_ssat(lc)
+    # the flags are refused before the SSAT walk, whose cap could otherwise hide a bad one
+    params = ListConstructionParams.derive(
+        g=Fraction(args.g),
+        s_list=args.s_list,
+        d_a=validate_label_cover(lc).d_a,
+        seed=args.seed,
+        force_p_one=args.derandomize,
+    )
     if args.super_path:
         s = read_instance(args.super_path, "superassignment")
     else:
@@ -268,14 +276,6 @@ def _cmd_check_lists(args) -> int:
             _emit({"kind": "lists_report", "error": "no consistent non-trivial super-assignment in the box"})
             return 1
         s = res.witness
-    d_a = validate_label_cover(lc).d_a
-    params = ListConstructionParams.derive(
-        g=Fraction(args.g),
-        s_list=args.s_list,
-        d_a=d_a,
-        seed=args.seed,
-        force_p_one=args.derandomize,
-    )
     low_norm_tests, labeling = _list_construction(ssat, s, params)
     defeat = verify_defeats_list_soundness(lc, labeling, args.s_list)
     _emit(

@@ -98,8 +98,8 @@ class PreconditionFailed(GapforgeError):
 class SearchSpaceTooLarge(GapforgeError):
     """An exact search charged more states than the cap allows.
 
-    The branch-and-bound walk charges each node it enters and stops at the
-    first node over the cap, so ``states`` is always ``cap + 1``.
+    Each walk, depth first or best first, charges each node it enters and
+    stops at the first node over the cap, so ``states`` is always ``cap + 1``.
     """
 
     def __init__(self, states, cap):

@@ -27,14 +27,16 @@ a silent approximation; ``DEFAULT_MAX_STATES`` is its one default.
   flipped edge, which the depth-first walk finishes in 64,193 nodes, a
   layered walk with no hint entered 6.7 million and this one enters 667.
 
-The SSAT, SIS, NCP and LHP solvers pass their ``hints`` straight to the walk:
+The SSAT, SIS and NCP solvers pass their ``hints`` straight to the walk:
 points, such as a planted solution or another oracle's witness, that may cap
 it.  The walk follows each hint down its own children, so a hint that
 reaches a leaf costs what the walk would charge there, a certified ceiling
 with no second semantics; a hint that leaves the walk is ignored, so a wrong
 hint never changes a minimum or a witness.  A ceiling prunes the
-depth-first walk; the best-first walk expands the same states with or
-without one, and a ceiling only keeps worse states out of its queue.
+depth-first walk.  The best-first walk's floor is consistent, so the states
+it expands are fixed whatever the incumbent (Hart, Nilsson and Raphael,
+*IEEE Trans. SSC* 4(2), 1968): a ceiling only keeps worse states out of its
+queue, which saves NCP time but no node, and LHP takes no hints.
 
 A walk asks its client for all the children of a node at once, so work the
 children share is done once per node.  Each walked solver compiles its
@@ -261,7 +263,7 @@ def best_first_walk(
     ``advance``.  The states expanded are those due below the minimum and,
     short of the leaves, those due at it, with or without hints, so a
     hinted walk enters the same nodes; hints only keep worse states out of
-    the queue.
+    the queue, which costs time and memory but no node.
     """
     best_cost: float = _ceiling(n, children, root, hints, max_states, advance)
     due = root + floor(0, ())
@@ -320,7 +322,7 @@ class MinResult(Record):
 class SearchBudget(Record):
     """Box radius and state cap for the exact searches.
 
-    ``max_states`` caps the nodes the branch-and-bound walk enters.
+    ``max_states`` caps the nodes a walk enters, depth first or best first.
     """
 
     coeff_box: int = 2
@@ -1046,18 +1048,16 @@ def _compile_lhp(lhp: LhpSystem) -> _FiledRows:
     return _file_rows(lhp.num_x, rows)
 
 
-def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget(), hints: Hints = ()) -> MinResult:
+def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget()) -> MinResult:
     """Minimum violation count over the soundness normal-form grid.
 
     The grid is x in {-1,0,1}^n, y = 1, delta infinitesimal.  This is an
     upper-bound oracle for the true noise: low-violation assignments reduce
     to the grid's normal form, but the exact optimum over all of rational
-    space is not computed here.  A hint is an x on the grid; it caps the
-    walk at the violations the walk charges it.
+    space is not computed here.  It takes no hints: its best-first walk
+    expands the same states with or without a ceiling.
     """
     rows = _compile_lhp(lhp)
     children, advance, floor = rows.grid_walk()
-    best_count, best, states = best_first_walk(
-        lhp.num_x, children, advance, floor, rows.root, budget.max_states, hints
-    )
+    best_count, best, states = best_first_walk(lhp.num_x, children, advance, floor, rows.root, budget.max_states)
     return MinResult(best_count, LhpAssignment.of(best), states)

@@ -9,17 +9,17 @@ identities, and runs the box oracles that fit the state budget, each giving
 a skip reason or a minimum with its gap row.  The report is canonical JSON,
 so identical inputs give identical bytes.
 
-Each oracle gets hint points that may cap its walk: the embedded SIS
-solution ``z`` (also a flat SSAT vector, an NCP box point and an LHP grid
-point) for all four, the SIS witness for LHP and NCP, and LHP's grid witness
-for NCP, so LHP runs before NCP.  With no natural solution, the label-cover
-oracle's best labeling stands in for ``z``: each test a unit row at the
-labeling's tuple, or a zero row where the tuple is not one of its
-assignments.  Each walk follows its hints down its own
-children, so a hint is costed as the walk's leaf or dropped, and the hints
-change at most the ``states`` of a stage and whether it fits the budget
-(NCP's and LHP's best-first walks expand the same states with or without
-them); the report lists the stages in the order SSAT, SIS, NCP, LHP.
+Hints go only where they can cap a walk.  On a satisfiable chain the SSAT,
+SIS and NCP walks get the embedded SIS solution ``z`` (also a flat SSAT
+vector and an NCP box point).  NCP also gets LHP's grid witness, so LHP runs
+before NCP.  An unsatisfiable chain has no such point: its best labeling
+leaves some B-vertex's edges unsatisfied, so a point built from it has a
+zero test row, which neither the SSAT nor the SIS walk reaches.  LHP gets no
+hint, as its best-first walk, like NCP's, expands the same states with or
+without one.  Each walk follows its hints down its own children, so a hint
+is costed as the walk's leaf or dropped, and the hints change at most the
+``states`` of a stage and whether it fits the budget; the report lists the
+stages in the order SSAT, SIS, NCP, LHP.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
 from .errors import SearchSpaceTooLarge
-from .instances import LabelCoverInstance, Labeling, SsatInstance, validate_label_cover
+from .instances import LabelCoverInstance, validate_label_cover
 from .oracles import (
     DEFAULT_MAX_STATES,
     SearchBudget,
@@ -74,7 +74,7 @@ ORACLES = {
     "sis": ("sis", ("box",), lambda sis, budget, hints: solve_sis_min(sis, budget, hints=hints)),
     "ncp": ("ncp", (("box", "full_field"),),
             lambda ncp, budget, hints, full_field=False: solve_ncp_min(ncp, budget, full_field, hints)),
-    "lhp": ("lhp", (), lambda lhp, budget, hints: solve_lhp_min(lhp, budget=budget, hints=hints)),
+    "lhp": ("lhp", (), lambda lhp, budget, hints: solve_lhp_min(lhp, budget)),
 }
 
 
@@ -103,20 +103,6 @@ def gap_row(stage: str, completeness_value: Fraction, oracle_minimum: Optional[F
     if oracle_minimum is not None and completeness_value != 0:
         ratio = Fraction(oracle_minimum) / Fraction(completeness_value)
     return dict(zip(GAP_ROW_KEYS, (stage, *map(_enc_opt, (completeness_value, oracle_minimum, ratio)))))
-
-
-def _labeling_point(ssat: SsatInstance, lab: Labeling) -> tuple[int, ...]:
-    """A labeling as a flat SSAT vector: each test a unit row where the labeling's tuple is one of its assignments.
-
-    A test whose tuple is not one of them, as on an edge the labeling
-    leaves unsatisfied, takes a zero row.
-    """
-    lc = ssat.provenance.lc
-    point: list[int] = []
-    for test, b in zip(ssat.tests, ssat.provenance.test_to_b):
-        values = tuple(lab.phi_a[e[0]] for e in lc.edges_of_b[b])
-        point += (int(values == r) for r in test.assignments)
-    return tuple(point)
 
 
 def run_chain(
@@ -166,20 +152,14 @@ def run_chain(
             ("lhp_round_trip_identity", sis_solution_from_lhp_assignment(lhp, a) == tuple(z)),
         ]
         hints.append(tuple(z))
-    else:
-        hints.append(_labeling_point(ssat, lc_result.witness))
 
-    # (report key, oracle, planted cost, the witness as a hint point for the stages after it).  Every stage
-    # gets the embedded or the labeling point; LHP runs before NCP, whose box holds LHP's grid witness.
+    # (report key, oracle, planted cost).  LHP runs before NCP, whose box holds LHP's grid witness.
     oracle_stages = (
-        ("ssat_l1", "ssat", 1, None),
-        ("sis", "sis", n_tests, lambda witness: witness),
-        ("lhp_grid", "lhp", n_tests, lambda witness: tuple(map(int, witness.x_values))),
-        ("ncp_box", "ncp", n_tests, None),
+        ("ssat_l1", "ssat", 1), ("sis", "sis", n_tests), ("lhp_grid", "lhp", n_tests), ("ncp_box", "ncp", n_tests)
     )
     results: dict[str, Any] = {}
     rows: dict[str, dict[str, Any]] = {}
-    for key, stage, planted_cost, as_point in oracle_stages:
+    for key, stage, planted_cost in oracle_stages:
         src, _, solve = ORACLES[stage]
         try:
             result = solve(instances[src], budget_l1, hints)
@@ -188,8 +168,8 @@ def run_chain(
             continue
         results[key] = {"minimum": encode_optimum(result.minimum), "states": result.states_visited}
         rows[key] = gap_row(stage, planted_cost, result.minimum)
-        if as_point is not None and result.witness is not None:
-            hints.append(as_point(result.witness))
+        if stage == "lhp":
+            hints.append(tuple(map(int, result.witness.x_values)))
     report_order = ("ssat_l1", "sis", "ncp_box", "lhp_grid")
 
     return {

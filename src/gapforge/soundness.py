@@ -161,6 +161,8 @@ class ListConstructionParams(Record):
 
     def __post_init__(self):
         _check_s_list(self.s_list)
+        if self.g <= 0:
+            raise MalformedInstance(f"the norm bound g must be positive, got {self.g}")
         if not (0 < self.p_include <= 1):
             raise MalformedInstance("p_include must lie in (0, 1]")
         # random.Random seeds from abs(seed), so a negative seed would repeat its positive twin

@@ -312,13 +312,15 @@ def check_search(solve, budget, costs, n, v, witness=lambda point: point, unit=1
     """``check_optimum``, and each hint list of ``hint_cases(costs, unit, raw, outside)`` gives the same result.
 
     ``solve(budget, hints)`` reruns the search; a hinted run enters no more
-    nodes than the unhinted one, at its own exact cap.  Returns the
-    unhinted result.
+    nodes than the unhinted one, at its own exact cap, and a best-first
+    run enters the same nodes.  Returns the unhinted result.
     """
     res = check_optimum(lambda b: solve(b, ()), budget, costs, n, v, witness)
+    best_first = walk_call(lambda: solve(budget, ()))[0]
     for hints in hint_cases(costs, unit, raw, outside):
         hinted = solve(budget, hints)
         assert replace(hinted, states_visited=res.states_visited) == res
         assert hinted.states_visited <= res.states_visited
+        assert hinted.states_visited == res.states_visited or not best_first
         check_walk_cap(lambda b: solve(b, hints), budget, hinted, n, v)
     return res

@@ -296,6 +296,15 @@ def test_check_lists_checks_and_selects_once(capsys, lc_cyc_path, monkeypatch):
     assert sorted(calls) == ["assigned_value_sets", "is_consistent", "select_low_norm_tests"]
 
 
+@pytest.mark.parametrize("g", ["0", "-1"])
+def test_check_lists_refuses_a_norm_bound_that_is_not_positive(capsys, lc_cyc_path, monkeypatch, g):
+    """With or without --derandomize, one envelope names g; it comes before the SSAT walk, so a cap of 0 waits."""
+    monkeypatch.setenv("GAPFORGE_MAX_STATES", "0")
+    refused = {"error": {"type": "MalformedInstance", "message": f"the norm bound g must be positive, got {g}"}}
+    for extra in ([], ["--derandomize"]):
+        assert run(capsys, "check", "lists", "--in", str(lc_cyc_path), "--g", g, *extra) == (1, refused)
+
+
 def test_check_chain_pass(capsys, lc_id2_path):
     code, doc = run(capsys, "check", "chain", "--in", str(lc_id2_path), "--g", "1")
     assert code == 0

@@ -3,8 +3,9 @@
 On the seeded chains of ``naive.chains``, each point of the box is costed
 once by the reference (``None`` where it rejects the point).  That cost is
 compared with the point followed as a hint down the walk that the solver
-hands to ``branch_and_bound``, and ``naive.check_search`` compares the
-solver's minimum, witness, cap and hinted reruns with the first optimum:
+sets up, and ``naive.check_search`` compares the solver's minimum, witness,
+cap and hinted reruns with the first optimum (``naive.check_optimum`` for
+LHP, which takes no hints):
 
 * SSAT: ``is_consistent`` once for both norms, then l1 over
   ``is_nontrivial`` points and linf over ``is_not_all_zero`` ones; the
@@ -41,6 +42,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from naive import (
     box,
     chains,
+    check_optimum,
     check_search,
     dense,
     hint_cost,
@@ -168,8 +170,7 @@ def test_compiled_lhp_matches_reference(chain):
     costs = [(xs, violations(xs)) for xs in box(1, n)]
     assert all(walk(xs) == count == count_lhp_violations(lhp, LhpAssignment.of(xs)) for xs, count in costs)
     assert walk(outside(costs[-1][0], 2)) is None
-    check_search(lambda b, h: solve_lhp_min(lhp, budget=b, hints=h), SearchBudget(), costs, n, 3, LhpAssignment.of,
-                 outside=[(2,) * n])
+    check_optimum(lambda b: solve_lhp_min(lhp, b), SearchBudget(), costs, n, 3, LhpAssignment.of)
 
 
 def random_assignments(solution, u, rng, count):
@@ -290,9 +291,11 @@ def test_lhp_walk_on_any_inequalities(m, rows):
     """Inequalities of any length, with coefficients beyond +-1 and both senses."""
     lhp = LhpSystem(num_x=m, u_param=1, inequalities=tuple(
         ineq([(c, a) for c, a in enumerate(r[:m]) if a], cy, cd, sense, k) for r, cy, cd, sense, k in rows))
+    walk = hint_cost(lambda: solve_lhp_min(lhp))
     violations = lhp_violations(lhp.inequalities)
-    check_search(lambda b, h: solve_lhp_min(lhp, budget=b, hints=h), SearchBudget(), [
-        (xs, violations(xs)) for xs in box(1, m)], m, 3, LhpAssignment.of, outside=[(2,) * m])
+    costs = [(xs, violations(xs)) for xs in box(1, m)]
+    assert all(walk(xs) == count for xs, count in costs)
+    check_optimum(lambda b: solve_lhp_min(lhp, b), SearchBudget(), costs, m, 3, LhpAssignment.of)
 
 
 def ineq(coeff_x, cy, cd, sense, k=1):

@@ -2,16 +2,32 @@
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from gapforge import pipeline
 from gapforge.errors import InfeasibleSpec
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
-from gapforge.oracles import SearchBudget, solve_lhp_min, solve_ncp_min, solve_sis_min, solve_ssat_min_norm
+from gapforge.oracles import (
+    SearchBudget,
+    solve_lc_max,
+    solve_lhp_min,
+    solve_ncp_min,
+    solve_sis_min,
+    solve_ssat_min_norm,
+)
 from gapforge.pipeline import GAP_ROW_KEYS, gap_row, run_chain, verify_manifest
-from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
+from gapforge.reductions import (
+    lc_to_ssat,
+    sis_solution_from_superassignment,
+    sis_to_lhp,
+    sis_to_ncp,
+    ssat_to_sis,
+)
 from gapforge.serialize import canonical_bytes, encode_fraction
+from gapforge.superassign import natural_from_labeling
 
 
 def test_chain_id2_all_pass(lc_id2):
@@ -71,6 +87,31 @@ def test_chain_minima_are_the_unhinted_minima(num_a, num_b, seed, flips, twist_s
         tests = doc["sizes"]["tests"]
         planted = {"ssat_l1": 1, "sis": tests, "ncp_box": tests, "lhp_grid": tests}
         assert all(Fraction(unhinted[key]) <= cost for key, cost in planted.items())
+
+
+def test_each_oracle_gets_only_the_hints_that_can_cap_its_walk(monkeypatch):
+    """SSAT and SIS get the embedded point, LHP nothing, NCP the embedded point and LHP's grid witness.
+
+    A frustrated chain has no embedded point, so NCP alone gets a hint.
+    """
+    got = {}
+    for name in ("solve_ssat_min_norm", "solve_sis_min", "solve_lhp_min", "solve_ncp_min"):
+        def recording(*args, _name=name, _solve=getattr(pipeline, name), **kwargs):
+            got[_name] = [tuple(h) for h in inspect.signature(_solve).bind(*args, **kwargs).arguments.get("hints", ())]
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, recording)
+    planted = gen_label_cover(GenSpec(4, 3, 2, 2, 2, 1, planted=True, seed=0))
+    for flips in (0, 1):
+        lc = frustrate(planted, flips, 1)
+        assert run_chain(lc)["completeness"]["natural_exists"] == (not flips)
+        ssat = lc_to_ssat(lc)
+        sis = ssat_to_sis(ssat)
+        embedded = [] if flips else [
+            tuple(sis_solution_from_superassignment(ssat, natural_from_labeling(ssat, solve_lc_max(lc).witness)))
+        ]
+        grid = tuple(map(int, solve_lhp_min(sis_to_lhp(sis, g=1)).witness.x_values))
+        assert got == {"solve_ssat_min_norm": embedded, "solve_sis_min": embedded, "solve_lhp_min": [],
+                       "solve_ncp_min": [*embedded, grid]}, flips
 
 
 def test_chain_manifest_hashes_link(lc_id2):

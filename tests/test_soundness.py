@@ -161,6 +161,17 @@ def test_params_reject_degree_below_one(d_a):
         ListConstructionParams.derive(g=1, s_list=Fraction(1, 4), d_a=d_a)
 
 
+@pytest.mark.parametrize("g", [0, -1])
+def test_params_reject_a_norm_bound_that_is_not_positive(g):
+    """A bound g <= 0 is refused by name, before the inclusion probability it gives is checked."""
+    message = f"the norm bound g must be positive, got {g}$"
+    for force_p_one in (False, True):
+        with pytest.raises(MalformedInstance, match=message):
+            ListConstructionParams.derive(g=g, s_list=Fraction(1, 4), d_a=1, force_p_one=force_p_one)
+    with pytest.raises(MalformedInstance, match=message):
+        ListConstructionParams(g=Fraction(g), s_list=Fraction(1, 4), g1=Fraction(1), p_include=Fraction(1), seed=0)
+
+
 # random.Random seeds from abs(seed): each of these would repeat the run of its positive twin
 @pytest.mark.parametrize(
     "build, error",
