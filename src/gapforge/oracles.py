@@ -27,16 +27,36 @@ a silent approximation; ``DEFAULT_MAX_STATES`` is its one default.
   flipped edge, which the depth-first walk finishes in 64,193 nodes, a
   layered walk with no hint entered 6.7 million and this one enters 667.
 
-The SSAT, SIS and NCP solvers pass their ``hints`` straight to the walk:
-points, such as a planted solution or another oracle's witness, that may cap
-it.  The walk follows each hint down its own children, so a hint that
-reaches a leaf costs what the walk would charge there, a certified ceiling
-with no second semantics; a hint that leaves the walk is ignored, so a wrong
-hint never changes a minimum or a witness.  A ceiling prunes the
-depth-first walk.  The best-first walk's floor is consistent, so the states
-it expands are fixed whatever the incumbent (Hart, Nilsson and Raphael,
-*IEEE Trans. SSC* 4(2), 1968): a ceiling only keeps worse states out of its
-queue, which saves NCP time but no node, and LHP takes no hints.
+The SSAT, SIS, NCP and LHP solvers walk each independent block of their
+instance alone (``_walk_blocks``).  An SSAT block is a set of tests that
+shared variables join (``shared_pairs``); an SIS, NCP or LHP block is a set
+of columns that rows join, a column in no row being a block of its own and
+a row with no column a constant of the whole stage.  Every cost is a sum
+over the blocks and every row, coverage set and floor lies inside one, so
+the minimum is the sum of the block minima, and as the optimal points are
+the product of the blocks' optimal sets, the lexicographically first
+optimum is, block by block, each block's first optimum.  Blocks are walked
+in order of their first column against one state budget, so a search is
+stopped exactly when its blocks together pass the cap; a block with no
+admissible point (SIS, SSAT) ends the search with minimum ``None``.  The
+instance is compiled once, and its compiled rows are split: NCP and LHP
+rows are filed and split in one pass, and the SSAT blocks' tables come from
+one pass over the whole instance's tables.  SSAT linf stays one walk: its
+cost is the largest test norm, not a sum, and its side condition, some
+nonzero weight, spans the blocks, so its first optimum need not be the
+blocks' first optima.
+
+The SSAT, SIS and NCP solvers take ``hints``: points, such as a planted
+solution or another oracle's witness, that may cap a walk.  Each hint is
+cut into its blocks' coordinates and followed down each block's own
+children, so a hint that reaches a leaf costs what the walk would charge
+there, a certified ceiling with no second semantics; a hint that leaves a
+block's walk is dropped for that block only, so a wrong hint never changes
+a minimum or a witness.  A ceiling prunes the depth-first walk.  The
+best-first walk's floor is consistent, so the states it expands are fixed
+whatever the incumbent (Hart, Nilsson and Raphael, *IEEE Trans. SSC* 4(2),
+1968): a ceiling only keeps worse states out of its queue, which saves NCP
+time but no node, and LHP takes no hints.
 
 A walk asks its client for all the children of a node at once, so work the
 children share is done once per node.  Each walked solver compiles its
@@ -54,11 +74,11 @@ would make its variables trivial, and at least the projection l1 on each of
 its variables of the first test reading it, to which the consistency rows
 tie its own projection.  A test's floor counts the first tests complete so
 far, so the cost is an admissible bound in the sense of Land and Doig: it
-never falls down a path and is exact at a leaf.  The instance-level predicates (``is_consistent``,
-``is_nontrivial``, ``SisInstance.multiply``, ``NcpInstance.distance``,
-``count_lhp_violations``) are the reference semantics the compiled rows are
-tested against; result objects such as ``SuperAssignment`` and
-``LhpAssignment`` are built only for the witness.
+never falls down a path and is exact at a leaf.  The instance-level
+predicates (``is_consistent``, ``is_nontrivial``, ``SisInstance.multiply``,
+``NcpInstance.distance``, ``count_lhp_violations``) are the reference
+semantics the compiled rows are tested against; result objects such as
+``SuperAssignment`` and ``LhpAssignment`` are built only for the witness.
 
 The four walked minimizers return one ``MinResult``: an SSAT minimum is a
 ``Fraction``, an SIS, NCP or LHP minimum an ``int``.  Label cover, the one
@@ -98,6 +118,7 @@ DEFAULT_MAX_STATES = 10 ** 8
 
 Prefix = list[int]
 State = tuple[int, ...]
+Columns = tuple[int, ...]
 Children = Callable[[int, Any, int], Iterable[tuple[int, Optional[int]]]]
 Advance = Callable[[int, State, int], State]
 Floor = Callable[[int, State], int]
@@ -120,10 +141,13 @@ def _hint_cost(
     """
     if len(hint) != n or root is None:
         return None
-    state, cost = list(hint) if advance is None else (), root
+    state, cost, limit = list(hint) if advance is None else (), root, max(max_states, 0)
     for depth, v in enumerate(hint):
-        scanned = islice(children(depth, state, cost), max(max_states, 0))
-        cost = next((c for u, c in scanned if u == v), None)
+        for u, cost in islice(children(depth, state, cost), limit):
+            if u == v:
+                break
+        else:
+            return None
         if cost is None or cost >= bound:
             return None
         if advance is not None:
@@ -137,13 +161,16 @@ def _ceiling(
     """One more than the least cost of a distinct hint that is a leaf of the walk, infinite when none is.
 
     Each hint is followed only while it costs less than the least leaf of
-    the hints before it, the one it would have to beat.
+    the hints before it, the one it would have to beat; none is followed
+    once a leaf costs the root's cost, as no cost falls below it.
     """
     least = math.inf
     for h in dict.fromkeys(map(tuple, hints)):
         cost = _hint_cost(n, children, root, h, max_states, advance, least)
         if cost is not None:
             least = cost
+            if cost == root:
+                break
     return least + 1
 
 
@@ -152,7 +179,8 @@ def branch_and_bound(
     children: Children,
     root: Optional[int],
     max_states: int,
-    hints: Hints = (),
+    ceiling: float = math.inf,
+    spent: int = 0,
 ) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
     """Least leaf cost, the first leaf attaining it, and the number of nodes entered.
 
@@ -174,16 +202,11 @@ def branch_and_bound(
     lexicographically first optimum.  With ``n == 0`` the one point is the
     empty vector, at cost ``root``.
 
-    Each distinct hint is followed down ``children``, taking at each depth
-    the child whose value is the hint's coordinate, with no node charged and
-    no more than ``max_states`` children scanned at a node.  A hint of
-    another length, or one that meets a missing child, a ``None`` cost or a
-    node with more children before its value, is dropped; each other hint
-    is a leaf of the walk, so its cost is certified; a hint is followed only
-    while it costs less than the least leaf of the hints before it.  The
-    walk then starts as if a leaf costing one more than the least of them
-    had been found: the minimum and its witness are those of the plain walk,
-    reached in no more nodes.
+    The walk starts as if a leaf costing ``ceiling`` had been found.  When
+    ``_ceiling`` gives it, one more than the least cost of a hint that is a
+    leaf of this walk, the minimum and its witness are those of the plain
+    walk, reached in no more nodes.  The count starts at ``spent``, the
+    nodes that earlier walks of the same search charged against the cap.
 
     SSAT, SIS, label cover, agreement and the consistent enumeration walk
     here, where an early incumbent prunes.  NCP and LHP walk on
@@ -191,9 +214,9 @@ def branch_and_bound(
     prefixes that reach one state are expanded once.
     """
     prefix = [0] * n
-    best_cost: float = _ceiling(n, children, root, hints, max_states)
+    best_cost = ceiling
     best: Optional[tuple[int, ...]] = None
-    states = 0
+    states = spent
 
     def visit(depth: int, cost: int) -> None:
         nonlocal best_cost, best, states
@@ -234,7 +257,8 @@ def best_first_walk(
     floor: Floor,
     root: int,
     max_states: int,
-    hints: Hints = (),
+    ceiling: float = math.inf,
+    spent: int = 0,
 ) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
     """``branch_and_bound``'s minimum and first witness, from one expansion per reachable state.
 
@@ -254,24 +278,24 @@ def best_first_walk(
     expanded every prefix that reaches it at its least cost has arrived;
     it keeps the first of them in try order, so the witness is the
     lexicographically first optimum, and the first leaf expanded ends the
-    walk.  A child whose cost or due cost is not below the least hint cost
-    plus one, or the best leaf so far plus one, is never queued.  Every
-    child yielded at an expanded state is charged as one node, and the
-    charge passing ``max_states`` raises ``SearchSpaceTooLarge``; the walk
-    holds no more states than the children charged, so the cap bounds
-    memory too.  Hints are followed as for ``branch_and_bound``, down
-    ``advance``.  The states expanded are those due below the minimum and,
-    short of the leaves, those due at it, with or without hints, so a
-    hinted walk enters the same nodes; hints only keep worse states out of
-    the queue, which costs time and memory but no node.
+    walk.  A child whose cost or due cost is not below ``ceiling``, or the
+    best leaf so far plus one, is never queued.  Every child yielded at an
+    expanded state is charged as one node, and the charge passing
+    ``max_states`` raises ``SearchSpaceTooLarge``; the walk holds no more
+    states than the children charged, so the cap bounds memory too.  The
+    states expanded are those due below the minimum and, short of the
+    leaves, those due at it, with or without a ceiling above the minimum,
+    so a hinted walk enters the same nodes; a ceiling only keeps worse
+    states out of the queue, which saves time and memory but no node.  The
+    count starts at ``spent``, as for ``branch_and_bound``.
     """
-    best_cost: float = _ceiling(n, children, root, hints, max_states, advance)
+    best_cost = ceiling
     due = root + floor(0, ())
     # per depth: state -> (least cost, floor, first prefix at that cost as (try index, value, parent prefix))
     kept: list[dict[State, tuple[int, int, Any]]] = [{} for _ in range(n + 1)]
     kept[0][()] = (root, due - root, None)
     queue = [(due, 0, 0, ())]
-    states = 0
+    states = spent
     while queue:
         due, depth, _, state = heappop(queue)
         cost, below, prefix = kept[depth][state]
@@ -305,12 +329,89 @@ def best_first_walk(
     return None, None, states
 
 
+# (columns, root, children, advance, floor): a block's columns ascending, and its walk over them numbered from 0,
+# depth first when ``advance`` is None
+Block = tuple[Columns, Optional[int], Children, Optional[Advance], Optional[Floor]]
+
+
+def _walk_blocks(
+    n: int, blocks: Iterable[Block], max_states: int, hints: Hints = (), constant: Optional[int] = 0
+) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
+    """The least cost over ``n`` columns that fall apart into ``blocks``, its first witness, and the nodes entered.
+
+    A point costs ``constant`` plus what each block's walk charges its
+    coordinates on the block's columns, and no point is feasible when
+    ``constant`` is ``None`` or a block has no leaf.  So the minimum is the
+    sum of the block minima, and as the optimal points are the product of
+    the blocks' optimal sets, the first optimum in try order is each block's
+    first optimum on its columns.  Blocks are walked alone, in the order
+    given, against one cap: each walk's count starts at the nodes the
+    blocks before it charged, so a charge passing ``max_states`` raises
+    ``SearchSpaceTooLarge`` with the nodes of all of them.  A block with no
+    leaf ends the walk, with the nodes charged so far.
+
+    Each hint of length ``n`` is cut into each block's coordinates, and
+    ``_ceiling`` follows it down that block's walk, scanning at most
+    ``max_states`` children of a node whatever the earlier blocks charged,
+    so a rerun at the exact cap follows the same hints.  A hint that is no
+    leaf of one block is dropped there only.
+    """
+    if constant is None:
+        return None, None, 0
+    hints = [h for h in dict.fromkeys(map(tuple, hints)) if len(h) == n]
+    total, point, states = constant, [0] * n, 0
+    for cols, root, children, advance, floor in blocks:
+        m = len(cols)
+        ceiling = _ceiling(m, children, root, [[h[c] for c in cols] for h in hints], max_states, advance)
+        if advance is None:
+            cost, best, states = branch_and_bound(m, children, root, max_states, ceiling, states)
+        else:
+            cost, best, states = best_first_walk(m, children, advance, floor, root, max_states, ceiling, states)
+        if best is None:
+            return None, None, states
+        total += cost
+        for c, v in zip(cols, best):
+            point[c] = v
+    return total, tuple(point), states
+
+
+def _blocks(n: int, links: Iterable[Sequence[int]]) -> tuple[list[Columns], list[int], list[int]]:
+    """The blocks of ``range(n)`` that ``links`` join, each link joining its members.
+
+    Returns the blocks in order of their first index, each ascending, then
+    per index its block and its position there.
+    """
+    group = [[i] for i in range(n)]  # per index: the list of its block's indices, shared by all of them
+    for link in links:
+        g = group[link[0]]
+        for i in link:
+            h = group[i]
+            if h is not g:
+                if len(h) > len(g):
+                    g, h = h, g
+                g += h
+                for j in h:
+                    group[j] = g
+    blocks: list[Columns] = []
+    of, position = [0] * n, [0] * n
+    for g in group:
+        if g:  # the block's first index
+            block = tuple(sorted(g))
+            for p, i in enumerate(block):
+                of[i], position[i] = len(blocks), p
+            blocks.append(block)
+            g.clear()
+    return blocks, of, position
+
+
 class MinResult(Record):
-    """The least cost a walked minimizer found, its first witness, and the nodes the walk entered.
+    """The least cost a walked minimizer found, its first witness, and the nodes its walks entered.
 
     ``minimum`` and ``witness`` are ``None`` when no admissible point lies
-    in the box.  ``mode`` is the SSAT norm ("l1", "linf") or the NCP field
-    ("box", "full"), and ``None`` for SIS and LHP.
+    in the box.  ``states_visited`` adds up the nodes of every block walked,
+    up to the first with no admissible point.  ``mode`` is the SSAT norm
+    ("l1", "linf") or the NCP field ("box", "full"), and ``None`` for SIS
+    and LHP.
     """
 
     minimum: Optional[Union[Fraction, int]]
@@ -322,7 +423,8 @@ class MinResult(Record):
 class SearchBudget(Record):
     """Box radius and state cap for the exact searches.
 
-    ``max_states`` caps the nodes a walk enters, depth first or best first.
+    ``max_states`` caps the nodes a search enters, depth first or best
+    first: one budget that the walks of all its blocks charge together.
     """
 
     coeff_box: int = 2
@@ -336,23 +438,21 @@ class SearchBudget(Record):
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-Columns = tuple[int, ...]
 SplitRow = tuple[Columns, tuple[int, ...]]
 
 
-def _split(row: Iterable[tuple[int, int]]) -> SplitRow:
-    """A sparse row's ``(column, coefficient)`` pairs as parallel tuples."""
-    pairs = tuple(row)
-    return tuple(c for c, _ in pairs), tuple(a for _, a in pairs)
+def _split(row: Sequence[tuple[int, int]], position: Sequence[int]) -> SplitRow:
+    """A sparse row's ``(column, coefficient)`` pairs as parallel tuples, each column c as ``position[c]``."""
+    return tuple([position[c] for c, _ in row]), tuple([a for _, a in row])
 
 
 class _FiledRows(Record):
     """Sparse integer rows that cost their multiplicity when missed, compiled into per-column transitions.
 
     A row with sum ``s`` over the point is missed when ``s % modulus !=
-    target``, or, with no modulus, when ``s < target``; ``root`` is the
-    multiplicity of the missed rows with no column, and ``single[d]`` lists
-    the rows whose one column is d as (coefficient, target, multiplicity).
+    target``, or, with no modulus, when ``s < target``.  The rows are a
+    block's, each with a column, and ``single[d]`` lists the rows whose one
+    column is d as (coefficient, target, multiplicity).
 
     A longer row is open after a prefix of length d when it has a column
     below d and one at or above.  Its partial sum there is ``scale`` times
@@ -378,7 +478,6 @@ class _FiledRows(Record):
     """
 
     modulus: Optional[int]
-    root: int
     single: tuple[tuple[tuple[int, int, int], ...], ...]
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
     ahead: tuple[tuple[tuple[int, int, tuple], ...], ...]
@@ -396,7 +495,7 @@ class _FiledRows(Record):
         alone = [costs[-1] for costs in bare]
         fixed = [sum(alone[d:]) for d in range(len(alone) + 1)]
         entries = [
-            tuple((d, weight, groups, itemgetter(*[p for p, _ in groups]), {}) for d, weight, groups in known)
+            tuple([(d, weight, groups, itemgetter(*[p for p, _ in groups]), {}) for d, weight, groups in known])
             for known in self.ahead
         ]
 
@@ -510,14 +609,18 @@ def _advance(q: Optional[int], pick: tuple[int, ...], moves: tuple[int, ...], fr
     return advance
 
 
-def _file_rows(n: int, rows: Iterable[tuple], modulus: Optional[int] = None) -> _FiledRows:
-    """File ``rows`` for a walk over ``n`` columns.
+def _file_rows(
+    n: int, rows: Iterable[tuple], modulus: Optional[int] = None
+) -> tuple[int, list[tuple[Columns, _FiledRows]]]:
+    """File ``rows`` for walks over the blocks of ``range(n)`` that they join.
 
     Each row is (sparse pairs, factor, target, multiplicity): its
     coefficients are the pairs' times the factor, mod ``modulus`` if any,
     and its target is already so.  The longer rows with the same form
     before their last column, and the same last column, move through the
-    states together, as one path.
+    states together, as one path.  Returns the multiplicity of the missed
+    rows with no column, then each block, in order of its first column, as
+    its columns ascending and its rows filed over them, numbered from 0.
     """
     root = 0
     single: list[list] = [[] for _ in range(n)]
@@ -538,35 +641,42 @@ def _file_rows(n: int, rows: Iterable[tuple], modulus: Optional[int] = None) -> 
             single[pairs[0][0]].append((a % modulus if modulus else a, t, k))
         elif t != 0 if modulus else t > 0:  # the row's sum is 0
             root += k
-    starting: list[list] = [[] for _ in range(n)]
+    blocks, of, position = _blocks(n, ([last, *[c for c, _ in form]] for form, last in paths))
+    starting: list[list[list]] = [[[] for _ in cols] for cols in blocks]
     for (form, last), members in paths.items():
-        # [form by column, penultimate column, last column, rows, index of the form in the state]
-        starting[form[0][0]].append([dict(form), form[-1][0], last, tuple(members), None])
-    steps, ahead = [], []
-    open_rows: list[list] = []
-    for d in range(n + 1):
-        known: dict[int, dict[int, tuple]] = {}  # last column -> form index -> rows
-        for _, before, last, members, p in open_rows:
-            if before < d:
-                groups = known.setdefault(last, {})
-                groups[p] = groups.get(p, ()) + members
-        ahead.append(tuple(
-            (last, sum([k for members in groups.values() for *_, k in members]), tuple(groups.items()))
-            for last, groups in sorted(known.items())
-        ))
-        if d == n:
-            break
-        # the state after column d: the forms carried on from before it, then those it opens
-        forms: dict[tuple, int] = {}
-        still = [row for row in open_rows if row[2] > d] + starting[d]
-        for row in still:
-            row[4] = forms.setdefault((row[4], row[0].get(d, 0)), len(forms))
-        carried = [(p, b) for p, b in forms if p is not None]
-        steps.append((tuple(p for p, _ in carried), tuple(b for _, b in carried),
-                      tuple(b for p, b in forms if p is None)))
-        open_rows = still
-    return _FiledRows(modulus=modulus, root=root, single=tuple(map(tuple, single)), steps=tuple(steps),
-                      ahead=tuple(ahead))
+        # [form by column, penultimate column, last column, rows, index of the form in the state], each column
+        # numbered in its block
+        starting[of[last]][position[form[0][0]]].append(
+            [{position[c]: b for c, b in form}, position[form[-1][0]], position[last], tuple(members), None])
+    filed = []
+    for cols, opening in zip(blocks, starting):
+        m = len(cols)
+        steps, ahead = [], []
+        open_rows: list[list] = []
+        for d in range(m + 1):
+            known: dict[int, dict[int, tuple]] = {}  # last column -> form index -> rows
+            for _, before, last, members, p in open_rows:
+                if before < d:
+                    groups = known.setdefault(last, {})
+                    groups[p] = groups.get(p, ()) + members
+            ahead.append(tuple([
+                (last, sum([k for members in groups.values() for *_, k in members]), tuple(groups.items()))
+                for last, groups in sorted(known.items())
+            ]))
+            if d == m:
+                break
+            # the state after column d: the forms carried on from before it, then those it opens
+            forms: dict[tuple, int] = {}
+            still = [row for row in open_rows if row[2] > d] + opening[d]
+            for row in still:
+                row[4] = forms.setdefault((row[4], row[0].get(d, 0)), len(forms))
+            carried = [(p, b) for p, b in forms if p is not None]
+            steps.append((tuple([p for p, _ in carried]), tuple([b for _, b in carried]),
+                          tuple([b for p, b in forms if p is None])))
+            open_rows = still
+        filed.append((cols, _FiledRows(modulus=modulus, single=tuple([tuple(single[c]) for c in cols]),
+                                       steps=tuple(steps), ahead=tuple(ahead))))
+    return root, filed
 
 
 class _EqualityRows(Record):
@@ -702,10 +812,11 @@ def solve_lc_max(lc: LabelCoverInstance, budget: SearchBudget = SearchBudget()) 
 # ---------------------------------------------------------------------------
 
 class _SsatRows(Record):
-    """An SSAT instance as column sets over the flat weight vector.
+    """A block of an SSAT instance's tests, maybe all of them, as column sets over its flat weight vector.
 
-    A point is a super-assignment flattened test by test, as in
-    ``SsatInstance.offsets``.  The projection column sets of test t on its
+    A point is the block's part of a super-assignment, flattened test by
+    test as in ``SsatInstance.offsets``, its columns numbered from 0.  The
+    projection column sets of test t on its
     variable x are, one per field value in field order, the columns of t
     whose assignment gives x that value; they partition t's columns.  Each
     consistency row says that a projection column set of test i sums to the
@@ -714,15 +825,16 @@ class _SsatRows(Record):
     -1, and target 0.  ``coverage`` lists, per variable, the nonempty
     projection column sets of its incident tests.
 
-    ``floors`` holds, per test, what the l1 walk reads to floor it and the
-    later tests, a variable standing for its index in ``variables``.  Only
+    ``floors`` holds, per test of the block, what the l1 walk reads to floor
+    it and the later tests, a variable standing for its index in the
+    instance's ``variables``.  Only
     a variable whose first test has a column and that a later test with a
     column reads is *floored*; its projection l1 is that of its first test.
     Each entry is ``(fresh, own, new, later)``:
 
     * ``fresh``: (variable, nonempty projection column sets of its first
-      test) for the floored variables whose first test is the last one with
-      a column before this test;
+      test) for the floored variables whose first test is the block's last
+      one with a column before this test;
     * ``own``: the floored variables of the test whose first test is an
       earlier one;
     * ``new``: for each floored variable the test is the first to read, its
@@ -746,49 +858,67 @@ class _SsatRows(Record):
         return _compile_equalities(self.num_cols, k, ((row, 0) for row in self.consistency))
 
 
-def _compile_ssat(ssat: SsatInstance) -> _SsatRows:
-    off, tests = ssat.offsets, ssat.tests
+def _compile_ssat(ssat: SsatInstance, blocks: Optional[Sequence[Sequence[int]]] = None) -> list[_SsatRows]:
+    """The rows of each block of tests, over the block's columns numbered from 0 in the flat order.
+
+    ``blocks`` lists tests ascending, and a test sharing a variable with
+    one of them must be in its block; by default one block holds every
+    test.  The tables of all blocks come from one pass over the instance's
+    ``offsets``, ``projection_indices`` and ``shared_pairs``, and ``floors``
+    is indexed by a test's position in its block.
+    """
+    every, off, index, of_variable = ssat.tests, ssat.offsets, ssat.variable_index, ssat.tests_of_variable
+    blocks = blocks or [range(len(every))]
+    block_of, start, sizes = [0] * len(every), [0] * len(every), []  # per test: its block, its first column there
+    for b, tests in enumerate(blocks):
+        n = 0
+        for t in tests:
+            block_of[t], start[t], n = b, n, n + off[t + 1] - off[t]
+        sizes.append(n)
     projections = {
-        (t, x): tuple([tuple([off[t] + r for r in rs]) for rs in by_value])
+        (t, x): tuple([tuple([start[t] + r for r in rs]) for rs in by_value])
         for (t, x), by_value in ssat.projection_indices.items()
     }
-    consistency = tuple([
-        (plus + minus, (1,) * len(plus) + (-1,) * len(minus))
-        for i, j, x in ssat.shared_pairs
-        for plus, minus in zip(projections[i, x], projections[j, x])
-        if plus or minus
-    ])
-    coverage = tuple([
-        tuple([cols for t in ssat.tests_of_variable[x] for cols in projections[t, x] if cols])
-        for x in ssat.variables
-    ])
+    consistency: list[list] = [[] for _ in blocks]
+    for i, j, x in ssat.shared_pairs:
+        consistency[block_of[i]] += [
+            (plus + minus, (1,) * len(plus) + (-1,) * len(minus))
+            for plus, minus in zip(projections[i, x], projections[j, x])
+            if plus or minus
+        ]
+    coverage: list[list] = [[] for _ in blocks]
+    for x, ts in of_variable.items():
+        coverage[block_of[ts[0]]].append(tuple([cols for t in ts for cols in projections[t, x] if cols]))
 
-    walked = [t for t in range(len(tests)) if off[t + 1] > off[t]]
-    after = dict(zip(walked, walked[1:]))  # the next test with a column
-    index = ssat.variable_index
+    walked = [[t for t in tests if off[t + 1] > off[t]] for tests in blocks]
+    after = {t: u for ts in walked for t, u in zip(ts, ts[1:])}  # the next test of the block with a column
     first: dict[Vertex, int] = {}  # floored variable -> its first test
-    fresh: list[list] = [[] for _ in tests]
-    for x, ts in ssat.tests_of_variable.items():
+    fresh: list[list] = [[] for _ in every]
+    for x, ts in of_variable.items():
         if ts[0] in after and any(off[u + 1] > off[u] for u in ts[1:]):
             first[x] = ts[0]
             fresh[after[ts[0]]].append((index[x], tuple([cols for cols in projections[ts[0], x] if cols])))
-    floors = []
-    for t, test in enumerate(tests):
+    floors: list[list] = [[] for _ in blocks]
+    for t, test in enumerate(every):
+        b = block_of[t]
         own = tuple([index[x] for x in test.variables if first.get(x, t) < t])
         new = [x for x in test.variables if first.get(x) == t]
-        last = off[t + 1] - 1
+        last = start[t] + off[t + 1] - off[t] - 1
         new_sets = tuple([
             (tuple([cols for cols in projections[t, x] if cols and last not in cols]),
              next(tuple([c for c in cols if c != last]) for cols in projections[t, x] if last in cols))
             for x in new
         ])
         later = tuple([
-            (tuple([index[y] for y in tests[u].variables if first.get(y, t) < t]),
-             tuple([i for i, x in enumerate(new) if x in tests[u].variables]))
-            for u in walked if u > t and any(x in new for x in tests[u].variables)
-        ])
-        floors.append((tuple(fresh[t]), own, new_sets, later))
-    return _SsatRows(num_cols=off[-1], consistency=consistency, coverage=coverage, floors=tuple(floors))
+            (tuple([index[y] for y in every[u].variables if first.get(y, t) < t]),
+             tuple([i for i, x in enumerate(new) if x in every[u].variables]))
+            for u in walked[b] if u > t and any(x in new for x in every[u].variables)
+        ]) if new else ()
+        floors[b].append((tuple(fresh[t]), own, new_sets, later))
+    return [
+        _SsatRows(num_cols=n, consistency=tuple(rows), coverage=tuple(sets), floors=tuple(by_test))
+        for n, rows, sets, by_test in zip(sizes, consistency, coverage, floors)
+    ]
 
 
 def enumerate_consistent_superassignments(
@@ -800,7 +930,7 @@ def enumerate_consistent_superassignments(
     so every leaf it reaches is consistent; each leaf is recorded as it is
     yielded and rejected, so no subtree is ever pruned by cost.
     """
-    rows = _compile_ssat(ssat)
+    rows, = _compile_ssat(ssat)
     n = rows.num_cols
     allowed = rows.equalities(k).allowed
     found: list[SuperAssignment] = []
@@ -854,89 +984,118 @@ def solve_ssat_min_norm(ssat: SsatInstance, budget: SearchBudget, hints: Hints =
     floors of the later tests that read its variables.  The cost never
     falls, is the true l1 at a leaf, and never exceeds that of a leaf below,
     so the walk's minimum and first witness are those of the plain l1.  The
-    leaf still checks ``nontrivial``, as nonzero tests can cancel a variable
-    to trivial.
+    last column still checks non-triviality, as nonzero tests can cancel a
+    variable to trivial: once per node, it bars the values that would leave
+    a variable trivial.
+
+    In l1 mode each block of tests that shared variables join is walked
+    alone, as its variables' coverage sets and consistency rows lie inside
+    it; linf is one walk, as its cost is the largest test norm and a nonzero
+    weight anywhere meets its side condition.
     """
-    rows = _compile_ssat(ssat)
-    n = rows.num_cols
     l1 = budget.mode == "l1"
-    admissible = rows.nontrivial if l1 else any
+    k, off = budget.coeff_box, ssat.offsets
+    lifted = [1] * len(ssat.variables)  # per floored variable: the larger of 1 and its projection l1
 
-    equalities = rows.equalities(budget.coeff_box)
-    allowed, off = equalities.allowed, ssat.offsets
-    if l1:
-        # per column: its test, the test's first column, and whether it is the test's last
-        place = [(t, lo, d == hi - 1) for t, (lo, hi) in enumerate(zip(off, off[1:])) for d in range(lo, hi)]
-        floors = rows.floors
-        # Set at a test's first column from the prefix there, and read at its later columns: the walk and
-        # _hint_cost reach a node only after its ancestors, so the values hold for every node below it.
-        lifted = [1] * len(ssat.variables)  # per floored variable: the larger of 1 and its projection l1
-        floor_of = [1] * len(ssat.tests)  # per test: its floor F
-        before = [()] * len(ssat.tests)  # per test: each test of its `later` with its floor before this test
+    def walk(tests: Sequence[int], rows: _SsatRows) -> Block:
+        n = rows.num_cols
+        equalities = rows.equalities(k)
+        allowed = equalities.allowed
+        bounds = [0]  # where each test's columns start here, then n
+        for t in tests:
+            bounds.append(bounds[-1] + off[t + 1] - off[t])
+        spans = list(zip(bounds, bounds[1:]))
+        if l1:
+            # per column: its test's position, the test's first column, and whether it is the test's last
+            place = [(i, lo, d == hi - 1) for i, (lo, hi) in enumerate(spans) for d in range(lo, hi)]
+            floors = rows.floors
+            # Set at a test's first column from the prefix there, and read at its later columns: the walk and
+            # _hint_cost reach a node only after its ancestors, so the values hold for every node below it.
+            floor_of = [1] * len(tests)  # per test: its floor F
+            before = [()] * len(tests)  # per test: each test of its `later` with its floor before this test
 
-        def settle(t: int, prefix: Prefix) -> None:
-            fresh, own, _, later = floors[t]
+            def settle(t: int, prefix: Prefix) -> None:
+                fresh, own, _, later = floors[t]
+                get = prefix.__getitem__
+                for x, sets in fresh:
+                    pi = sum([abs(sum(map(get, cols))) for cols in sets])
+                    lifted[x] = pi if pi > 1 else 1
+                floor_of[t] = max(map(lifted.__getitem__, own), default=1)
+                before[t] = [(at, max(map(lifted.__getitem__, reads), default=1)) for reads, at in later]
+
+            def closing(values: range, cost: int, lack: int, parts: list, gauge: list) -> Iterable:
+                # a test's last column: each later test's floor rises to the projection l1 of the variables read
+                # first here, which is `b` over a variable's sets without this column, plus |p + v| over the other
+                for v in values:
+                    a = abs(v)
+                    if a < lack:
+                        yield v, None
+                        continue
+                    c = cost - lack + a
+                    pis = [b + abs(p + v) for b, p in parts]
+                    for at, f in gauge:
+                        top = max(map(pis.__getitem__, at))
+                        if top > f:
+                            c += top - f
+                    yield v, c
+
+            def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
+                t, start, last = place[depth]
+                if depth == start:
+                    settle(t, prefix)
+                    lack = floor_of[t]
+                else:  # what the test still lacks of its floor
+                    lack = floor_of[t] - sum(map(abs, prefix[start:depth]))
+                    if lack < 0:
+                        lack = 0
+                if not last:
+                    if not lack:
+                        return equalities.l1_children(depth, prefix, cost)
+                    return ((v, cost + abs(v) - lack if abs(v) > lack else cost) for v in allowed(depth, prefix))
+                if not before[t]:
+                    return ((v, cost - lack + abs(v) if abs(v) >= lack else None) for v in allowed(depth, prefix))
+                get = prefix.__getitem__
+                parts = [(sum([abs(sum(map(get, cols))) for cols in others]), sum(map(get, rest)))
+                         for others, rest in floors[t][2]]
+                return closing(allowed(depth, prefix), cost, lack, parts, before[t])
+
+        else:
+            test_start = [lo for lo, hi in spans for _ in range(lo, hi)]
+
+            def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
+                so_far = sum(map(abs, prefix[test_start[depth]:depth]))  # the test's norm before this weight
+                return ((v, max(cost, so_far + abs(v))) for v in allowed(depth, prefix))
+
+        # per variable: its coverage sets without the last column, and the one holding it less it, or None
+        final = []
+        for sets in rows.coverage if l1 else ():
+            holding = [cols[:-1] for cols in sets if cols[-1] == n - 1]  # a set's columns ascend
+            final.append((tuple([cols for cols in sets if cols[-1] != n - 1]), holding[0] if holding else None))
+
+        def children(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
+            kids = costed(depth, prefix, cost)
+            if depth < n - 1:
+                return kids
+            # the last column: the side condition fails at the values in `barred`
             get = prefix.__getitem__
-            for x, sets in fresh:
-                pi = sum([abs(sum(map(get, cols))) for cols in sets])
-                lifted[x] = pi if pi > 1 else 1
-            floor_of[t] = max(map(lifted.__getitem__, own), default=1)
-            before[t] = [(at, max(map(lifted.__getitem__, reads), default=1)) for reads, at in later]
+            barred = {0} if not l1 and not any(prefix[:depth]) else set()
+            for others, part in final:
+                if not any(sum(map(get, cols)) for cols in others):
+                    if part is None:  # a variable left trivial at every value
+                        return ((v, None) for v, _ in kids)
+                    barred.add(-sum(map(get, part)))
+            return ((v, None if v in barred else c) for v, c in kids)
 
-        def closing(values: range, cost: int, lack: int, parts: list, gauge: list) -> Iterable:
-            # a test's last column: each later test's floor rises to the projection l1 of the variables read
-            # first here, which is `b` over a variable's sets without this column, plus |p + v| over the other
-            for v in values:
-                a = abs(v)
-                if a < lack:
-                    yield v, None
-                    continue
-                c = cost - lack + a
-                pis = [b + abs(p + v) for b, p in parts]
-                for at, f in gauge:
-                    top = max(map(pis.__getitem__, at))
-                    if top > f:
-                        c += top - f
-                yield v, c
+        # with no columns the walk enters no node: the empty vector is judged here
+        lowest = sum(hi > lo for lo, hi in spans) if l1 else 0
+        root = lowest if equalities.feasible and (n or l1 and rows.nontrivial(())) else None
+        return tuple([c for t in tests for c in range(off[t], off[t + 1])]), root, children, None, None
 
-        def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
-            t, start, last = place[depth]
-            if depth == start:
-                settle(t, prefix)
-                lack = floor_of[t]
-            else:  # what the test still lacks of its floor
-                lack = floor_of[t] - sum(map(abs, prefix[start:depth]))
-                if lack < 0:
-                    lack = 0
-            if not last:
-                if not lack:
-                    return equalities.l1_children(depth, prefix, cost)
-                return ((v, cost + abs(v) - lack if abs(v) > lack else cost) for v in allowed(depth, prefix))
-            if not before[t]:
-                return ((v, cost - lack + abs(v) if abs(v) >= lack else None) for v in allowed(depth, prefix))
-            get = prefix.__getitem__
-            parts = [(sum([abs(sum(map(get, cols))) for cols in others]), sum(map(get, rest)))
-                     for others, rest in floors[t][2]]
-            return closing(allowed(depth, prefix), cost, lack, parts, before[t])
-
-    else:
-        test_start = [lo for lo, hi in zip(off, off[1:]) for _ in range(lo, hi)]
-
-        def costed(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, int]]:
-            so_far = sum(map(abs, prefix[test_start[depth]:depth]))  # the test's norm before this weight
-            return ((v, max(cost, so_far + abs(v))) for v in allowed(depth, prefix))
-
-    def children(depth: int, prefix: Prefix, cost: int) -> Iterable[tuple[int, Optional[int]]]:
-        if depth < n - 1:
-            return costed(depth, prefix, cost)
-        head = prefix[:depth]
-        return ((v, c if c is not None and admissible(head + [v]) else None) for v, c in costed(depth, prefix, cost))
-
-    # with no columns the walk enters no node: the empty vector is judged here
-    lowest = sum(hi > lo for lo, hi in zip(off, off[1:])) if l1 else 0
-    root = lowest if equalities.feasible and (n or admissible(())) else None
-    hinted = chain(hints, [(1,) * n])
-    best_norm, best, states = branch_and_bound(n, children, root, budget.max_states, hinted)
+    # the tests that shared variables join, in order of their first test
+    blocks = _blocks(len(ssat.tests), ssat.tests_of_variable.values())[0] if l1 else [range(len(ssat.tests))]
+    hinted = chain(hints, [(1,) * off[-1]])
+    walks = map(walk, blocks, _compile_ssat(ssat, blocks))
+    best_norm, best, states = _walk_blocks(off[-1], walks, budget.max_states, hinted)
     if best is None:
         return MinResult(None, None, states, budget.mode)
     minimum = Fraction(best_norm, len(ssat.tests) if l1 else 1)
@@ -947,31 +1106,34 @@ def solve_ssat_min_norm(ssat: SsatInstance, budget: SearchBudget, hints: Hints =
 # SIS
 # ---------------------------------------------------------------------------
 
-def _compile_sis(sis: SisInstance, k: int) -> _EqualityRows:
-    rows = ((_split(row), t) for row, t in zip(sis.matrix, sis.target))
-    return _compile_equalities(sis.num_cols, k, rows)
-
-
 def solve_sis_min(sis: SisInstance, budget: SearchBudget, hints: Hints = ()) -> MinResult:
     """Exact minimum l1 norm of a box solution of ``matrix @ z == target``.
 
-    The walk tries only values that leave every row's target reachable by
-    the later columns.  Returns ``None`` when the target is unreachable in
-    the box.  A hint the walk reaches as a leaf, a box solution, caps it at
-    its l1 norm.
+    Each block of columns that the rows join is walked alone.  The walk
+    tries only values that leave every row's target reachable by the later
+    columns.  Returns ``None`` when the target is unreachable in the box: a
+    row with no column has a nonzero target, or a block has no solution.  A
+    hint the walk reaches as a leaf, a box solution, caps it at its l1 norm.
     """
-    rows = _compile_sis(sis, budget.coeff_box)
-    return MinResult(*branch_and_bound(
-        sis.num_cols, rows.l1_children, 0 if rows.feasible else None, budget.max_states, hints
-    ))
+    blocks, of, position = _blocks(sis.num_cols, ([c for c, _ in row] for row in sis.matrix if row))
+    rows: list[list] = [[] for _ in blocks]
+    feasible = True
+    for row, t in zip(sis.matrix, sis.target):
+        if row:
+            rows[of[row[0][0]]].append((_split(row, position), t))
+        else:  # the row sums to 0
+            feasible = feasible and not t
+    walks = ((cols, 0, _compile_equalities(len(cols), budget.coeff_box, at).l1_children, None, None)
+             for cols, at in zip(blocks, rows))
+    return MinResult(*_walk_blocks(sis.num_cols, walks, budget.max_states, hints, 0 if feasible else None))
 
 
 # ---------------------------------------------------------------------------
 # NCP
 # ---------------------------------------------------------------------------
 
-def _compile_ncp(ncp: NcpInstance) -> _FiledRows:
-    """Each row as its nonzero residues mod q, scaled monic, missed when its sum is not its target residue.
+def _compile_ncp(ncp: NcpInstance) -> tuple[int, list[tuple[Columns, _FiledRows]]]:
+    """Each row as its nonzero residues mod q, scaled monic, missed when its sum is not its target residue, filed.
 
     q is prime, so scaling a row and its target by the inverse of its last
     residue keeps the points that meet it.
@@ -1010,11 +1172,9 @@ def solve_ncp_min(ncp: NcpInstance, budget: SearchBudget, full_field: bool = Fal
     q = ncp.modulus
     cap = budget.max_states
     values = range(q) if full_field else _box_residues(budget.coeff_box, q, max(cap, 0) + 1)
-    rows = _compile_ncp(ncp)
-    children, advance, floor = rows.residue_walk(values)
-    walked = best_first_walk(
-        ncp.num_cols, children, advance, floor, rows.root, cap, ([v % q for v in z] for z in hints)
-    )
+    root, blocks = _compile_ncp(ncp)
+    walks = ((cols, 0, *filed.residue_walk(values)) for cols, filed in blocks)
+    walked = _walk_blocks(ncp.num_cols, walks, cap, ([v % q for v in z] for z in hints), root)
     return MinResult(*walked, "full" if full_field else "box")
 
 
@@ -1033,8 +1193,8 @@ def count_lhp_violations(lhp: LhpSystem, a: LhpAssignment) -> int:
     return sum(ineq.multiplicity for ineq in lhp.inequalities if not ineq.holds_at(xs, y, delta))
 
 
-def _compile_lhp(lhp: LhpSystem) -> _FiledRows:
-    """Each inequality as an integer row over x, missed at ``y = 1`` and infinitesimal delta.
+def _compile_lhp(lhp: LhpSystem) -> tuple[int, list[tuple[Columns, _FiledRows]]]:
+    """Each inequality as an integer row over x, missed at ``y = 1`` and infinitesimal delta, filed.
 
     An inequality is negated when its sense is "<", so it holds when its
     standard part ``s + c_y`` is positive, or zero with a positive delta
@@ -1054,10 +1214,11 @@ def solve_lhp_min(lhp: LhpSystem, budget: SearchBudget = SearchBudget()) -> MinR
     The grid is x in {-1,0,1}^n, y = 1, delta infinitesimal.  This is an
     upper-bound oracle for the true noise: low-violation assignments reduce
     to the grid's normal form, but the exact optimum over all of rational
-    space is not computed here.  It takes no hints: its best-first walk
-    expands the same states with or without a ceiling.
+    space is not computed here.  Each block of x columns that the
+    inequalities join is walked alone.  It takes no hints: its best-first
+    walk expands the same states with or without a ceiling.
     """
-    rows = _compile_lhp(lhp)
-    children, advance, floor = rows.grid_walk()
-    best_count, best, states = best_first_walk(lhp.num_x, children, advance, floor, rows.root, budget.max_states)
+    root, blocks = _compile_lhp(lhp)
+    walks = ((cols, 0, *filed.grid_walk()) for cols, filed in blocks)
+    best_count, best, states = _walk_blocks(lhp.num_x, walks, budget.max_states, (), root)
     return MinResult(best_count, LhpAssignment.of(best), states)

@@ -208,47 +208,75 @@ def lhp_extraction(lhp, a):
 
 
 class Walk(Exception):
-    """Stops a solver at its call to ``branch_and_bound`` or ``best_first_walk``."""
+    """Stops a solver at its call to ``oracles._walk_blocks``."""
 
 
 def walk_call(solve):
-    """``(best first?, the walk's arguments)`` of the walk ``solve()`` sets up; no node is entered."""
-    with mock.patch.object(oracles, "branch_and_bound", side_effect=Walk) as depth_first, \
-            mock.patch.object(oracles, "best_first_walk", side_effect=Walk) as best_first, pytest.raises(Walk):
+    """``(best first?, (n, constant, max_states, blocks))`` of the walks ``solve()`` sets up; no node is entered.
+
+    ``blocks`` lists every block's walk, as ``oracles._walk_blocks`` takes
+    it: ``(columns, root, children, advance, floor)``.
+    """
+    calls = []
+
+    def record(n, blocks, max_states, hints=(), constant=0):
+        calls.append((n, constant, max_states, list(blocks)))
+        raise Walk
+
+    with mock.patch.object(oracles, "_walk_blocks", side_effect=record), pytest.raises(Walk):
         solve()
-    return (True, best_first.call_args.args) if best_first.called else (False, depth_first.call_args.args)
+    (n, constant, max_states, blocks), = calls
+    return any(advance is not None for _, _, _, advance, _ in blocks), (n, constant, max_states, blocks)
 
 
 def hint_cost(solve):
-    """The engine's cost of a hint on the walk ``solve()`` sets up, as ``point -> cost or None``; no node is entered.
+    """The engine's cost of a hint on the walks ``solve()`` sets up, as ``point -> cost or None``; no node is entered.
 
-    A depth-first walk's children read the point itself; a best-first
-    walk's read the states its ``advance`` carries down the point.
+    A point costs the constant plus what each block's walk charges its
+    coordinates on the block's columns, or ``None`` if any block has no
+    such leaf.  A depth-first walk's children read the block's coordinates
+    themselves; a best-first walk's read the states its ``advance`` carries
+    down them.
     """
-    best_first, args = walk_call(solve)
-    if best_first:
-        n, children, advance, _, root, max_states = args[:6]
-        return lambda point: oracles._hint_cost(n, children, root, point, max_states, advance)
-    n, children, root, max_states = args[:4]
-    return lambda point: oracles._hint_cost(n, children, root, point, max_states)
+    _, (n, constant, max_states, blocks) = walk_call(solve)
+
+    def cost(point):
+        if len(point) != n or constant is None:
+            return None
+        total = constant
+        for cols, root, children, advance, _ in blocks:
+            c = oracles._hint_cost(len(cols), children, root, [point[i] for i in cols], max_states, advance)
+            if c is None:
+                return None
+            total += c
+        return total
+
+    return cost
 
 
 def path_costs(solve):
-    """The costs the depth-first walk ``solve()`` sets up charges down a point, as ``point -> list``; no node is entered.
+    """The costs the depth-first walks ``solve()`` sets up charge down a point, as ``point -> list``; no node is entered.
 
-    The list starts at the root's cost and takes each coordinate's child
-    in turn, as ``hint_cost`` does; it stops before a coordinate with no
-    such child or a ``None`` cost.
+    The list starts at the root's cost, the constant plus every block's
+    root, and takes each block's coordinates' children in turn, block by
+    block, a block's cost standing for its share of the sum, as
+    ``hint_cost`` does; it stops before a coordinate with no such child or a
+    ``None`` cost.
     """
-    _, children, root = walk_call(solve)[1][:3]
+    _, (_, constant, _, blocks) = walk_call(solve)
 
     def costs(point):
-        prefix, charged = list(point), [root]
-        for depth, v in enumerate(prefix if root is not None else ()):
-            cost = next((c for u, c in children(depth, prefix, charged[-1]) if u == v), None)
-            if cost is None:
-                break
-            charged.append(cost)
+        roots = [root for _, root, *_ in blocks]
+        if constant is None or None in roots:
+            return [None]
+        charged = [constant + sum(roots)]
+        for cols, root, children, *_ in blocks:
+            prefix, cost, others = [point[i] for i in cols], root, charged[-1] - root
+            for depth, v in enumerate(prefix):
+                cost = next((c for u, c in children(depth, prefix, cost) if u == v), None)
+                if cost is None:
+                    return charged
+                charged.append(others + cost)
         return charged
 
     return costs

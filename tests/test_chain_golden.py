@@ -34,33 +34,35 @@ GOLDEN = {
     ("lc_2to1", "default"): "85b2b169faa6e8511602130d3a73c0a136d76d33967ac0b491aa296092b15fcc",
     ("lc_2to1", "box1"): "c9d46df1152b4e07b64a8815d2c0b2439cbee6eab3ee50e27f64f76d8c0d54d0",
     ("lc_2to1", "cap100"): "85b2b169faa6e8511602130d3a73c0a136d76d33967ac0b491aa296092b15fcc",
-    ("planted", "cap3000"): "37595aee76f686e927df581a2bbe42df8742555897dfe0a4b609e7d35746426d",
-    ("planted", "cap700"): "37595aee76f686e927df581a2bbe42df8742555897dfe0a4b609e7d35746426d",
-    ("planted", "cap100"): "37595aee76f686e927df581a2bbe42df8742555897dfe0a4b609e7d35746426d",
-    ("planted", "cap50"): "a46d7e8b2af522c61f22841f40b5bd180cbfebaabcbbe35923051e047ff2615a",
-    ("planted", "cap16"): "11e3741dc2a8dff11be64b1b08c16ec3fd8207fe3492af9bf9db342ad6dd1876",
-    ("frustrated", "cap3000"): "d73e4a8e06bbe2fec55231827f91865b750d476c03104268601f049c884c8e0e",
-    ("frustrated", "cap700"): "d73e4a8e06bbe2fec55231827f91865b750d476c03104268601f049c884c8e0e",
-    ("frustrated", "cap100"): "e6be84185cc82764d1a27c7ed360d2bd8259ab93e8accd329061dc1acfa23dbc",
-    ("frustrated", "cap22"): "8b966a95ccdee7a6fb3b2f9498679a495ffc851d8e561e3e897fdc84961cce0f",
+    ("planted", "cap3000"): "8b749eedb00581247e892b458dee5d18484f503c2d0d297eaae8cf9ea8d53988",
+    ("planted", "cap700"): "8b749eedb00581247e892b458dee5d18484f503c2d0d297eaae8cf9ea8d53988",
+    ("planted", "cap100"): "8b749eedb00581247e892b458dee5d18484f503c2d0d297eaae8cf9ea8d53988",
+    ("planted", "cap50"): "8b749eedb00581247e892b458dee5d18484f503c2d0d297eaae8cf9ea8d53988",
+    ("planted", "cap16"): "dc473f74e785f863c85d691efd90a2abcb2117fb2b7ec6a0124f13f2d190c828",
+    ("planted", "cap15"): "70b9f95e7474f7286d3570c8af420f6e2087e6a306c355d15847b552c2c5d5d9",
+    ("frustrated", "cap3000"): "0126c47148a252bef89625aebcfff8a49fad7cf016c9234234f5695076ce0923",
+    ("frustrated", "cap700"): "0126c47148a252bef89625aebcfff8a49fad7cf016c9234234f5695076ce0923",
+    ("frustrated", "cap100"): "0126c47148a252bef89625aebcfff8a49fad7cf016c9234234f5695076ce0923",
+    ("frustrated", "cap22"): "47a1f1afd3c046912966c983d672e80dc1a8b11fb624881bd6ebba07d94ced68",
 }
 # (states, cap) of the SearchSpaceTooLarge the label-cover search raises
 RAISES = {("frustrated", "cap16"): (17, 16)}
 
 SETTINGS = {"default": {}, "box1": {"box": 1}, "cap100": {"max_states": 100},
             "cap3000": {"max_states": 3000}, "cap700": {"max_states": 700}, "cap50": {"max_states": 50},
-            "cap16": {"max_states": 16}, "cap22": {"max_states": 22}}
+            "cap16": {"max_states": 16}, "cap15": {"max_states": 15}, "cap22": {"max_states": 22}}
 # the oracle stages that run (are not skipped) in each generated case
 RUNNING = {
     ("planted", "cap3000"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
     ("planted", "cap700"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
     ("planted", "cap100"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
-    ("planted", "cap50"): ["ssat_l1", "sis", "lhp_grid"],
-    ("planted", "cap16"): [],
+    ("planted", "cap50"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
+    ("planted", "cap16"): ["sis"],
+    ("planted", "cap15"): [],
     ("frustrated", "cap3000"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
     ("frustrated", "cap700"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
-    ("frustrated", "cap100"): ["sis", "lhp_grid"],
-    ("frustrated", "cap22"): [],
+    ("frustrated", "cap100"): ["ssat_l1", "sis", "ncp_box", "lhp_grid"],
+    ("frustrated", "cap22"): ["sis"],
 }
 
 

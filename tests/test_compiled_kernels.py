@@ -87,7 +87,7 @@ def outside(point, value):
 @given(chains())
 def test_compiled_ssat_matches_reference(chain):
     _, ssat, _, k = chain
-    rows = _compile_ssat(ssat)
+    rows, = _compile_ssat(ssat)
     n = rows.num_cols
     budgets = {mode: SearchBudget(k, mode=mode) for mode in ("l1", "linf")}
     walks = {mode: hint_cost(lambda: solve_ssat_min_norm(ssat, budget)) for mode, budget in budgets.items()}
@@ -308,8 +308,7 @@ def test_rows_with_no_column_and_zero_standard_parts():
     # dense: (0, 0), (1, 2), (5, 0)
     ncp = NcpInstance(modulus=5, num_cols=2, matrix=((), ((0, 1), (1, 2)), ((0, 5),)), target=(3, 1, 0), bound=1,
                       replication=1, multiplicity=(2, 1, 4))
-    rows = _compile_ncp(ncp)
-    assert rows.root == 2
+    assert _compile_ncp(ncp)[0] == 2
     cost = hint_cost(lambda: solve_ncp_min(ncp, SearchBudget(), full_field=True))
     for z in itertools.product(range(5), repeat=2):
         assert cost(z) == ncp.distance(z)
@@ -321,8 +320,7 @@ def test_rows_with_no_column_and_zero_standard_parts():
         ineq(((0, 1), (1, 1)), 0, -1, LT),        # x0 + x1 - delta < 0: holds at x0 + x1 = 0
         ineq(((1, 1),), 0, 4, LT),                # x1 + 4 delta < 0: violated at x1 = 0
     ))
-    rows = _compile_lhp(lhp)
-    assert rows.root == 3
+    assert _compile_lhp(lhp)[0] == 3
     cost = hint_cost(lambda: solve_lhp_min(lhp))
     for xs in itertools.product((-1, 0, 1), repeat=2):
         assert cost(xs) == count_lhp_violations(lhp, LhpAssignment.of(xs))
@@ -384,10 +382,11 @@ def test_every_ncp_child_costs_the_rows_completed_so_far(q):
         done = [r for r in NCP_ROWS if all(c < d for c, a in r[0] if a % q)]
         return instance([(tuple((c, a) for c, a in row if a % q), t, k) for row, t, k in done], d).distance(point)
 
-    rows = _compile_ncp(instance(NCP_ROWS))
+    root, [(cols, rows)] = _compile_ncp(instance(NCP_ROWS))  # the rows join the three columns into one block
+    assert cols == (0, 1, 2)
     boxes = [tuple(dict.fromkeys(v % q for v in range(-k, k + 1))) for k in (1, 2)]
     for values in [range(q), *boxes]:
-        check_children(rows.residue_walk(values), values, rows.root, 3, reference)
+        check_children(rows.residue_walk(values), values, root, 3, reference)
 
 
 LHP_SYSTEM = LhpSystem(num_x=3, u_param=1, inequalities=(
@@ -413,5 +412,6 @@ def test_every_lhp_child_costs_the_inequalities_completed_so_far():
         system = LhpSystem(num_x=3, u_param=1, inequalities=done)
         return count_lhp_violations(system, LhpAssignment.of(point + (0,) * (3 - d)))
 
-    rows = _compile_lhp(LHP_SYSTEM)
-    check_children(rows.grid_walk(), (-1, 0, 1), rows.root, 3, reference)
+    root, [(cols, rows)] = _compile_lhp(LHP_SYSTEM)
+    assert cols == (0, 1, 2)
+    check_children(rows.grid_walk(), (-1, 0, 1), root, 3, reference)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from naive import hint_cost, naive_min, norm_costs, replace, ssat_box, superassignment, value_at
 
 from gapforge import fixtures as shipped
+from gapforge import oracles
 from gapforge.errors import LengthMismatch, SearchSpaceTooLarge
 from gapforge.genlab import GenSpec, gen_label_cover
 from gapforge.instances import (
@@ -20,11 +22,8 @@ from gapforge.instances import (
     count_satisfied_edges,
 )
 from gapforge.oracles import (
-    MinResult,
     SearchBudget,
     _box_residues,
-    _compile_ncp,
-    best_first_walk,
     count_lhp_violations,
     solve_lc_max,
     solve_lhp_min,
@@ -361,7 +360,6 @@ def test_ncp_box_cut_at_the_cap_walks_as_the_whole_box(lc_cyc):
     """Below the cap + 1 residues the box is cut; the walk and its hints never reach past them."""
     ncp = sis_to_ncp(ssat_to_sis(lc_to_ssat(lc_cyc)), g=1)
     q = ncp.modulus
-    rows = _compile_ncp(ncp)
 
     def outcome(solve):
         try:
@@ -374,9 +372,12 @@ def test_ncp_box_cut_at_the_cap_walks_as_the_whole_box(lc_cyc):
         whole = tuple(dict.fromkeys(v % q for v in range(-k, k + 1)))
         for cap in range(0, 12):
             for hints in ([], [(q - 1,) * ncp.num_cols], [(0,) * ncp.num_cols]):
-                cut = outcome(lambda: solve_ncp_min(ncp, SearchBudget(coeff_box=k, max_states=cap), hints=hints))
-                plain = outcome(lambda: MinResult(*best_first_walk(
-                    ncp.num_cols, *rows.residue_walk(whole), rows.root, cap, hints)))
+                def solve():
+                    return solve_ncp_min(ncp, SearchBudget(coeff_box=k, max_states=cap), hints=hints)
+
+                cut = outcome(solve)
+                with mock.patch.object(oracles, "_box_residues", lambda *_: whole):
+                    plain = outcome(solve)
                 assert cut == plain, (k, cap, hints)
 
 

@@ -65,10 +65,10 @@ SAMPLES = {
     "LhpAssignment": LhpAssignment((Fraction(0),) * SIS.num_cols, Fraction(1), EPSILON),
     "MinResult": solve_sis_min(SIS, SearchBudget(coeff_box=1)),
     "SearchBudget": SearchBudget(coeff_box=1, max_states=10 ** 4, mode="linf"),
-    "_FiledRows": oracles._compile_ncp(sis_to_ncp(SIS, g=1)),
-    "_EqualityRows": oracles._compile_sis(SIS, 1),
+    "_FiledRows": oracles._compile_ncp(sis_to_ncp(SIS, g=1))[1][0][1],
+    "_EqualityRows": oracles._compile_ssat(SSAT)[0].equalities(1),
     "LcMaxResult": solve_lc_max(LC),
-    "_SsatRows": oracles._compile_ssat(SSAT),
+    "_SsatRows": oracles._compile_ssat(SSAT)[0],
     "GadgetPair": gadget_pair(SSAT, 0, 1, SSAT.variables[0]),
     "GenSpec": GenSpec(3, 2, 2, 2, 2, 1, planted=True, seed=7),
     "ListLabeling": LISTS,
