@@ -5,9 +5,9 @@ Serialization is canonical: equal instances produce byte-identical files
 ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
 newline, but the package writes them itself, straight from the records: with
 ``indent`` set, ``json.dumps`` runs its pure-Python encoder, one generator
-per node.  A record fills one template per indentation with the text of its
-fields in sorted key order, so no intermediate document is built;
-``to_document`` parses the text back.  Rationals, which occur only in LHP
+per node.  A record's writer fills one template per indentation with the
+text of its fields in sorted key order, so no intermediate document is
+built; ``to_document`` parses the text back.  Rationals, which occur only in LHP
 assignments and oracle optima, are written as ``"p/q"`` strings; integers
 ride as JSON numbers while they fit in the 53-bit safe range and as strings
 beyond it.
@@ -27,7 +27,13 @@ One field table gives each document kind's layout once: for every key, which
 is also the attribute name, a (reader, writer) pair.  ``to_document`` and
 ``from_document`` both run off it, and so do the nested SSAT test, SSAT
 provenance and LHP inequality records.  Only the label cover, whose keys are
-not its attribute names, has its own reader and writer.
+not its attribute names, has its own reader and writer.  From the table each
+record generates, on first use, one plain function that reads it and one
+that writes it at each indentation, as ``Record`` generates ``__init__``: a
+record costs one Python frame to read and one to write.  Integer arrays,
+label arrays and sparse integer rows are checked whole at C level and then
+read or written in one pass; a list that fails the check goes item by item,
+so it is refused with the same error at the same node.
 
 Files are format version 4, and a file of any other version is refused at
 ``/version``.  Every matrix row is sparse: SIS and NCP ``matrix`` rows, like
@@ -47,7 +53,6 @@ import re
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -129,7 +134,7 @@ def decode_int(v: Any, ptr: Any = "") -> int:
 
 
 def encode_fraction(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return "%d/%d" % f.as_integer_ratio()
 
 
 def encode_optimum(v: Union[Fraction, int, None]) -> Union[str, int, None]:
@@ -233,15 +238,24 @@ def _check_version(v: Any, ptr: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Codecs: one (reader, writer) pair per node shape
+# Codecs: one (reader, writer) pair of makers per node shape
 # ---------------------------------------------------------------------------
-# A writer takes the indentation a node starts on (a newline and spaces) and
-# returns the function that gives a value's canonical JSON text there.  A
-# record caches that function per indentation, and the nested writers it
-# holds are made once, with it.
+# A codec is two makers.  The first returns the node's reader; the second
+# takes the indentation a node starts on (a newline and spaces) and returns
+# the function that gives a value's canonical JSON text there.  A record
+# generates, on first use, one plain function that reads it and one that makes
+# its writer for an indentation, with its fields' readers and writers bound
+# in, as ``Record`` generates ``__init__``: a record costs one Python frame to
+# read and one to write, its integer and string fields are tested inline, and
+# a process pays only for the kinds it reads or writes.
+# Integer arrays, label arrays and sparse integer rows check a whole list at
+# C level and fall back to reading or writing item by item, so that a list
+# they do not take raises what the item readers and writers raise, where
+# they raise it.
 
+Reader = Callable[[Any, Any], Any]
 Text = Callable[[Any], str]  # a value to its JSON text at one indentation
-Codec = tuple[Callable[[Any, Any], Any], Callable[[str], Text]]
+Codec = tuple[Callable[[], Reader], Callable[[str], Text]]
 
 # The JSON text of each scalar type, by a C function: no Python frame per scalar.
 _SCALAR_TEXT: dict[type, Text] = {
@@ -250,6 +264,7 @@ _SCALAR_TEXT: dict[type, Text] = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
+_INT_ONLY, _STR_ONLY = frozenset((int,)), frozenset((str,))
 
 
 def _label_text(v: Label) -> str:
@@ -261,19 +276,24 @@ def _int_text(v: int) -> str:
 
 
 def _fraction_text(f: Fraction) -> str:
-    return f'"{f.numerator}/{f.denominator}"'
+    return '"%d/%d"' % f.as_integer_ratio()
 
 
-# a scalar's text is the same at every indentation
-_RAW_INT: Codec = (_int, lambda pad: int.__repr__)
-_INT: Codec = (decode_int, lambda pad: _int_text)
-_FRAC: Codec = (decode_fraction, lambda pad: _fraction_text)
-_STR: Codec = (_str, lambda pad: encode_basestring)
-_LABEL: Codec = (_label, lambda pad: _label_text)
-_DELTA: Codec = (
-    lambda v, ptr: EPSILON if v == "epsilon" else decode_fraction(v, ptr),
-    lambda pad: lambda d: '"epsilon"' if isinstance(d, _Epsilon) else _fraction_text(d),
-)
+def _scalar(read: Reader, text: Text) -> Codec:
+    """A scalar's reader, and its text, which is the same at every indentation."""
+    return (lambda: read), (lambda pad: text)
+
+
+def _read_delta(v: Any, ptr: Any) -> Any:
+    return EPSILON if v == "epsilon" else decode_fraction(v, ptr)
+
+
+_RAW_INT = _scalar(_int, int.__repr__)
+_INT = _scalar(decode_int, _int_text)
+_FRAC = _scalar(decode_fraction, _fraction_text)
+_STR = _scalar(_str, encode_basestring)
+_LABEL = _scalar(_label, _label_text)
+_DELTA = _scalar(_read_delta, lambda d: '"epsilon"' if isinstance(d, _Epsilon) else _fraction_text(d))
 
 
 def _array(item: Codec) -> Codec:
@@ -284,7 +304,41 @@ def _array(item: Codec) -> Codec:
         text, sep = write(inner), "," + inner
         return lambda xs: f"[{inner}{sep.join(map(text, xs))}{pad}]" if xs else "[]"
 
-    return partial(_list, read=read), write_at
+    return (lambda: partial(_list, read=read())), write_at
+
+
+def _bulk_array(item: Codec, bulk: Callable[[Any], Optional[Text]]) -> Codec:
+    """An array of scalars, read and written in one C-level pass when ``bulk`` takes the whole list.
+
+    ``bulk(xs)`` returns the C function that writes every item of ``xs`` (a
+    list it takes reads as ``tuple(xs)``), or ``None``, and then the list is
+    read or written item by item.
+    """
+    read_item, text = item[0](), item[1]("")
+
+    def read(v: Any, ptr: Any) -> tuple:
+        return tuple(v) if type(v) is list and bulk(v) is not None else _list(v, ptr, read_item)
+
+    def write_at(pad):
+        inner = pad + "  "
+        sep = "," + inner
+        return lambda xs: f"[{inner}{sep.join(map(bulk(xs) or text, xs))}{pad}]" if xs else "[]"
+
+    return (lambda: read), write_at
+
+
+def _int_items(xs: Any) -> Optional[Text]:
+    """``int.__repr__`` if every item is an ``int`` within 2^53 - 1 of zero."""
+    if _INT_ONLY.issuperset(map(type, xs)) and -_SAFE_INT <= min(xs, default=0) and max(xs, default=0) <= _SAFE_INT:
+        return int.__repr__
+    return None
+
+
+def _label_items(xs: Any) -> Optional[Text]:
+    """``int.__repr__`` if every item is an ``int``, ``encode_basestring`` if every item is a ``str``."""
+    if _INT_ONLY.issuperset(map(type, xs)):
+        return int.__repr__
+    return encode_basestring if _STR_ONLY.issuperset(map(type, xs)) else None
 
 
 def _pairs_text(first: Text, second: Text) -> Callable[[str], Text]:
@@ -297,9 +351,39 @@ def _pairs_text(first: Text, second: Text) -> Callable[[str], Text]:
     return write_at
 
 
-def _sparse(coeff: Codec) -> Codec:
-    """A sparse row: ``[column, coefficient]`` pairs."""
-    return partial(_pairs, first=_int, second=coeff[0]), _pairs_text(int.__repr__, coeff[1](""))
+def _sparse_ints(v: Any, ptr: Any) -> tuple:
+    """A sparse integer row, ``[column, coefficient]`` pairs, checked inline; ``_pairs`` reads a row that needs more."""
+    if type(v) is list:
+        row = []
+        for pair in v:
+            if type(pair) is not list or len(pair) != 2:
+                break
+            a, b = pair
+            if type(a) is not int or type(b) is not int or not -_SAFE_INT <= b <= _SAFE_INT:
+                break
+            row.append((a, b))
+        else:
+            return tuple(row)
+    return _pairs(v, ptr, _int, decode_int)
+
+
+def _sparse_ints_at(pad: str) -> Text:
+    """Each pair ``%d``-formatted; a row with a pair of other types or an unsafe coefficient goes by ``_pairs_text``."""
+    inner = pad + "  "
+    pair, sep = f"[{inner}  %d,{inner}  %d{inner}]", "," + inner
+    by_pair = _pairs_text(int.__repr__, _int_text)(pad)
+
+    def text(xs):
+        if not xs:
+            return "[]"
+        out = []
+        for a, b in xs:
+            if type(a) is not int or type(b) is not int or not -_SAFE_INT <= b <= _SAFE_INT:
+                return by_pair(xs)
+            out.append(pair % (a, b))
+        return f"[{inner}{sep.join(out)}{pad}]"
+
+    return text
 
 
 def _label_map_at(pad: str) -> Text:
@@ -308,17 +392,37 @@ def _label_map_at(pad: str) -> Text:
     return lambda m: text(m.items())
 
 
-_LABEL_MAP: Codec = (_label_map, _label_map_at)
+_LABEL_MAP: Codec = (lambda: _label_map, _label_map_at)
 
 
 def _nullable(codec: Codec) -> Codec:
     read, write = codec
 
+    def read_nullable():
+        decode = read()
+        return lambda v, ptr: None if v is None else decode(v, ptr)
+
     def write_at(pad):
         text = write(pad)
         return lambda x: "null" if x is None else text(x)
 
-    return (lambda v, ptr: None if v is None else read(v, ptr)), write_at
+    return read_nullable, write_at
+
+
+# A reader that returns some values just as they are, and the test, on the
+# name ``{0}``, that picks those values out: a generated record reader makes
+# the test inline and calls the reader only on a value that fails it.
+_AS_IS: dict[Reader, str] = {
+    decode_int: "type({0}) is int and -_SAFE_INT <= {0} <= _SAFE_INT",
+    _int: "type({0}) is int",
+    _str: "type({0}) is str",
+}
+
+
+def _generate(source: str, scope: dict[str, Any]) -> Callable:
+    """The one function that ``source`` defines, its globals ``scope``."""
+    exec(source, scope)
+    return scope[source[4:source.index("(")]]
 
 
 def _record(cls: type, fields: dict[str, Codec], kind: Optional[str] = None) -> Codec:
@@ -326,27 +430,49 @@ def _record(cls: type, fields: dict[str, Codec], kind: Optional[str] = None) -> 
 
     With ``kind`` it is a whole document, which also carries ``kind`` and
     ``version``; ``from_document`` checks those two before the fields.  The
-    writer fills one template per indentation, its keys sorted, with the
-    fields' texts.
+    reader, generated on first use, checks the keys and returns
+    ``cls(key=read(node[key], (ptr, key)), ...)``, each scalar that
+    ``_AS_IS`` names tested inline.  The writer fills one template per
+    indentation, its keys sorted, as ``template.format(text(obj.key), ...)``:
+    one maker of such writers is generated on first use, and called once per
+    indentation.
     """
     names = frozenset(fields) if kind is None else frozenset(("kind", "version", *fields))
-    items = tuple((key, read) for key, (read, _) in fields.items())
     header = {} if kind is None else {"kind": encode_basestring(kind), "version": str(SCHEMA_VERSION)}
     order = sorted(fields)
-    values = attrgetter(*order, order[0])  # one name more than the template takes, so always a tuple
+    reader: Optional[Reader] = None
+    maker: Optional[Callable[..., Text]] = None
     texts_at: dict[str, Text] = {}
 
-    def read(node: Any, ptr: Any) -> Any:
-        rec = _fields(node, ptr, names)
-        return cls(**{key: decode(rec[key], (ptr, key)) for key, decode in items})
+    def read() -> Reader:
+        nonlocal reader
+        if reader is None:
+            scope = {"cls": cls, "names": names, "_fields": _fields, "_SAFE_INT": _SAFE_INT}
+            lines = [f"def read_{cls.__name__}(node, ptr):",
+                     "    if type(node) is not dict or node.keys() != names:",
+                     "        _fields(node, ptr, names)"]
+            # a reader not in _AS_IS is always called: ``if not (False):`` compiles to the bare call
+            for i, (key, codec) in enumerate(fields.items()):
+                scope[f"r{i}"] = decode = codec[0]()
+                lines += [f"    v{i} = node[{key!r}]", f"    if not ({_AS_IS.get(decode, 'False').format(f'v{i}')}):",
+                          f"        v{i} = r{i}(v{i}, (ptr, {key!r}))"]
+            lines.append(f"    return cls({', '.join(f'{key}=v{i}' for i, key in enumerate(fields))})")
+            reader = _generate("\n".join(lines), scope)
+        return reader
 
     def write(pad: str) -> Text:
+        nonlocal maker
         if pad not in texts_at:
+            if maker is None:
+                params = "".join(f", w{i}" for i in range(len(order)))
+                args = ", ".join(f"w{i}(obj.{key})" for i, key in enumerate(order))
+                maker = _generate(f"def make(template{params}):\n"
+                                  f"    def text_{cls.__name__}(obj):\n"
+                                  f"        return template.format({args})\n"
+                                  f"    return text_{cls.__name__}", {})
             inner = pad + "  "
             lines = [f"{inner}{encode_basestring(key)}: {header.get(key, '{}')}" for key in sorted(names)]
-            template = "{{" + ",".join(lines) + pad + "}}"
-            parts = [fields[key][1](inner) for key in order]
-            texts_at[pad] = lambda obj: template.format(*[part(v) for part, v in zip(parts, values(obj))])
+            texts_at[pad] = maker("{{" + ",".join(lines) + pad + "}}", *[fields[key][1](inner) for key in order])
         return texts_at[pad]
 
     return read, write
@@ -359,8 +485,8 @@ def _record(cls: type, fields: dict[str, Codec], kind: Optional[str] = None) -> 
 # not its attribute names, and its ``pi`` objects are keyed by label strings.
 # Its writer writes a plain document.
 
-_LABELS = _array(_LABEL)
-_labels = _LABELS[0]
+_LABELS = _bulk_array(_LABEL, _label_items)
+_labels = _LABELS[0]()
 _LC_KEYS = frozenset(("kind", "version", "a", "b", "sigma_a", "sigma_b", "edges"))
 _EDGE_KEYS = frozenset(("a", "b", "pi"))
 
@@ -410,7 +536,7 @@ def _lc_from_payload(node: Any, ptr: Any) -> LabelCoverInstance:
     )
 
 
-_LC: Codec = (_lc_from_payload, lambda pad: lambda lc: _text(_lc_payload(lc), pad))
+_LC: Codec = (lambda: _lc_from_payload, lambda pad: lambda lc: _text(_lc_payload(lc), pad))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +546,8 @@ _LC: Codec = (_lc_from_payload, lambda pad: lambda lc: _text(_lc_payload(lc), pa
 # key, which is also the attribute name.  Fields are read in table order, so
 # of several faults the first in this order is the one reported.
 
-_INTS = _array(_INT)
-_SPARSE_INT = _sparse(_INT)
+_INTS = _bulk_array(_INT, _int_items)
+_SPARSE_INT: Codec = (lambda: _sparse_ints, _sparse_ints_at)
 _SPARSE_INT_ROWS = _array(_SPARSE_INT)
 _SSAT_TEST = _record(SsatTest, {"variables": _LABELS, "assignments": _array(_LABELS)})
 _PROVENANCE = _record(LcProvenance, {"lc": _LC, "var_to_a": _LABELS, "test_to_b": _LABELS})
@@ -446,7 +572,7 @@ _TABLE: dict[str, tuple[type, dict[str, Codec]]] = {
     "lhp_assignment": (LhpAssignment, {"x_values": _array(_FRAC), "y_value": _FRAC, "delta_value": _DELTA}),
 }
 
-_READERS: dict[str, Callable[[Any, Any], Instance]] = {"label_cover": _lc_from_payload}
+_READERS: dict[str, Callable[[], Reader]] = {"label_cover": _LC[0]}
 _WRITERS: dict[type, Callable[[str], Text]] = {LabelCoverInstance: _LC[1]}
 for _kind, (_cls, _codecs) in _TABLE.items():
     _READERS[_kind], _WRITERS[_cls] = _record(_cls, _codecs, _kind)
@@ -473,7 +599,7 @@ def from_document(doc: Any) -> Instance:
     if kind not in KINDS:  # before the lookup: a kind may be an unhashable list
         raise SchemaViolation("/kind", f"unknown kind {kind!r:.60}")
     _check_version(doc.get("version"), "")
-    return _READERS[kind](doc, "")
+    return _READERS[kind]()(doc, "")
 
 
 # ---------------------------------------------------------------------------
