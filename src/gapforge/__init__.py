@@ -20,9 +20,9 @@ _EXPORTS = {
         "SearchSpaceTooLarge", "UnknownEdge", "UnknownLabel", "VariableNotInTest", "VariableNotShared",
     ),
     "instances": (
-        "EPSILON", "LabelCoverInstance", "Labeling", "LcProvenance", "LhpAssignment", "LhpInequality",
-        "LhpSystem", "NcpInstance", "SisInstance", "SsatInstance", "SsatTest", "ValidationReport",
-        "count_satisfied_edges", "preimage", "validate_label_cover",
+        "EPSILON", "LabelCoverInstance", "Labeling", "LhpAssignment", "LhpInequality", "LhpSystem",
+        "NcpInstance", "SisInstance", "SsatInstance", "SsatTest", "ValidationReport", "count_satisfied_edges",
+        "preimage", "validate_label_cover",
     ),
     "superassign": (
         "ArrayView", "SuperAssignment", "TestKind", "assigned_value_sets",

@@ -2,7 +2,9 @@
 
 Everything here is immutable after construction and validated eagerly: the
 pass that validates a label cover or an SSAT instance also builds the
-derived tables its readers use, so nothing is computed or stored later.  All
+derived tables its readers use, so nothing is computed or stored later.  An
+SSAT instance reduced from a label cover holds that cover as its provenance,
+in the layout the reduction writes.  All
 arithmetic is over arbitrary-precision integers and :class:`~fractions.Fraction`;
 no floating point is used anywhere.  Every instance coefficient is an
 integer; fractions occur only in LHP assignments, which are scaled to
@@ -89,10 +91,10 @@ class LabelCoverInstance(Record):
     ordered; every iteration in the package follows these orders, so all
     derived objects are deterministic.
 
-    Validation builds three tables, which are not fields:
+    Validation builds two tables, which are not fields:
 
-    - ``edges_of_a[a]`` and ``edges_of_b[b]``: the edges incident to each
-      vertex, in global edge order;
+    - ``edges_of_b[b]``: the edges incident to each B-vertex, in global edge
+      order;
     - ``sigma_b_index[y]``: the position of each B-label in ``sigma_b``.
     """
 
@@ -104,9 +106,9 @@ class LabelCoverInstance(Record):
     projections: dict[Edge, dict[Label, Label]]
 
     def __post_init__(self):
-        edges_of_a: dict[Vertex, list[Edge]] = {a: [] for a in self.a_vertices}
+        a_side = set(self.a_vertices)
         edges_of_b: dict[Vertex, list[Edge]] = {b: [] for b in self.b_vertices}
-        if len(edges_of_a) != len(self.a_vertices) or len(edges_of_b) != len(self.b_vertices):
+        if len(a_side) != len(self.a_vertices) or len(edges_of_b) != len(self.b_vertices):
             raise MalformedInstance("duplicate vertex identifiers")
         sig_a = set(self.sigma_a)
         if len(sig_a) != len(self.sigma_a):
@@ -125,7 +127,7 @@ class LabelCoverInstance(Record):
             raise MalformedInstance("duplicate edges")
         for e in self.edges:
             a, b = e
-            if a not in edges_of_a or b not in edges_of_b:
+            if a not in a_side or b not in edges_of_b:
                 raise MalformedInstance(f"edge {e!r} has a dangling endpoint")
             table = self.projections.get(e)
             if table is None:
@@ -135,13 +137,11 @@ class LabelCoverInstance(Record):
             for y in table.values():
                 if y not in sigma_b_index:
                     raise MalformedInstance(f"projection table of {e!r} maps outside sigma_b")
-            edges_of_a[a].append(e)
             edges_of_b[b].append(e)
         extra = set(self.projections) - set(self.edges)
         if extra:
             raise MalformedInstance(f"projection tables for unknown edges {sorted(map(repr, extra))}")
         _set = object.__setattr__
-        _set(self, "edges_of_a", {a: tuple(es) for a, es in edges_of_a.items()})
         _set(self, "edges_of_b", {b: tuple(es) for b, es in edges_of_b.items()})
         _set(self, "sigma_b_index", sigma_b_index)
 
@@ -178,7 +178,10 @@ def validate_label_cover(lc: LabelCoverInstance) -> ValidationReport:
     derived quantities and flags non-bi-regular instances without rejecting
     them.  ``d_a`` and ``d_b`` are the maximum side degrees.
     """
-    a_degrees = [len(lc.edges_of_a[a]) for a in lc.a_vertices]
+    degree_of_a = dict.fromkeys(lc.a_vertices, 0)
+    for a, _ in lc.edges:
+        degree_of_a[a] += 1
+    a_degrees = list(degree_of_a.values())
     b_degrees = [len(lc.edges_of_b[b]) for b in lc.b_vertices]
     bi_regular = len(set(a_degrees)) <= 1 and len(set(b_degrees)) <= 1
     p = 0
@@ -230,21 +233,20 @@ class SsatTest(Record):
     assignments: tuple[tuple[Label, ...], ...]
 
 
-class LcProvenance(Record):
-    """Origin of an SSAT instance produced from a label cover."""
-
-    lc: LabelCoverInstance
-    var_to_a: tuple[Vertex, ...]
-    test_to_b: tuple[Vertex, ...]
-
-
 class SsatInstance(Record):
     """Tests over shared variables, each listing the assignments that satisfy it.
 
-    Validation builds six tables, which are not fields:
+    ``provenance`` is the label cover the instance was reduced from, or
+    ``None``.  With a cover, validation refuses any layout but the one
+    ``lc_to_ssat`` writes: the variables are the A-vertices in order, the
+    field values ``sigma_a``, test t reads the A-ends of B-vertex t's edges
+    in edge order, and each of its assignments projects to one B-label on
+    those edges.  So a test lists at most |sigma_b|*p^D_B assignments: for
+    each B-label, each of its D_B variables takes one of at most p values.
 
-    - ``variable_index[v]`` and ``field_index[a]``: positions in
-      ``variables`` and ``field_values``;
+    Validation builds five tables, which are not fields:
+
+    - ``variable_index[v]``: the position of v in ``variables``;
     - ``tests_of_variable[v]``: the tests that read v, ascending;
     - ``offsets``: where each test's weights start in the flat (test,
       assignment) column order, then the total column count;
@@ -258,7 +260,7 @@ class SsatInstance(Record):
     variables: tuple[Vertex, ...]
     field_values: tuple[Label, ...]
     tests: tuple[SsatTest, ...]
-    provenance: Optional[LcProvenance] = None
+    provenance: Optional[LabelCoverInstance] = None
 
     def __post_init__(self):
         if not self.variables or not self.tests:
@@ -305,7 +307,6 @@ class SsatInstance(Record):
         )
         _set = object.__setattr__
         _set(self, "variable_index", variable_index)
-        _set(self, "field_index", field_index)
         _set(self, "tests_of_variable", {v: tuple(ts) for v, ts in tests_of_variable.items()})
         _set(self, "offsets", tuple(itertools.accumulate((len(t.assignments) for t in self.tests), initial=0)))
         _set(self, "projection_indices", projection_indices)
@@ -314,22 +315,22 @@ class SsatInstance(Record):
             self._check_provenance()
 
     def _check_provenance(self) -> None:
-        prov = self.provenance
-        if len(prov.var_to_a) != len(self.variables) or len(prov.test_to_b) != len(self.tests):
-            raise MalformedInstance("provenance maps have wrong lengths")
-        if not set(prov.var_to_a) <= set(prov.lc.a_vertices):
-            raise MalformedInstance("provenance maps a variable to a vertex outside A")
-        if not set(prov.test_to_b) <= set(prov.lc.b_vertices):
-            raise MalformedInstance("provenance maps a test to a vertex outside B")
-        report = validate_label_cover(prov.lc)
-        for idx, test in enumerate(self.tests):
-            b = prov.test_to_b[idx]
-            d_b = len(prov.lc.edges_of_b[b])
-            bound = len(prov.lc.sigma_b) * report.p ** d_b
-            if len(test.assignments) > bound:
-                raise MalformedInstance(
-                    f"test {idx} has {len(test.assignments)} assignments, above the |sigma_b|*p^D_B bound {bound}"
-                )
+        lc = self.provenance
+        if self.variables != lc.a_vertices:
+            raise MalformedInstance("the variables are not the label cover's A-vertices in order")
+        if self.field_values != lc.sigma_a:
+            raise MalformedInstance("the field values are not the label cover's sigma_a")
+        if len(self.tests) != len(lc.b_vertices):
+            raise MalformedInstance(f"{len(self.tests)} tests for {len(lc.b_vertices)} B-vertices")
+        for idx, (test, b) in enumerate(zip(self.tests, lc.b_vertices)):
+            edges = lc.edges_of_b[b]
+            if test.variables != tuple(a for a, _ in edges):
+                raise MalformedInstance(f"test {idx} does not read the A-ends of B-vertex {b!r}'s edges in edge order")
+            # per edge, the B-labels of the test's assignments: every edge must give the first edge's list
+            labels = [list(map(lc.projections[e].__getitem__, xs)) for e, xs in zip(edges, zip(*test.assignments))]
+            if any(ys != labels[0] for ys in labels[1:]):
+                r_idx = next(r for r, ys in enumerate(zip(*labels)) if len(set(ys)) > 1)
+                raise MalformedInstance(f"assignment {r_idx} of test {idx} has no single B-label")
 
 
 # ---------------------------------------------------------------------------

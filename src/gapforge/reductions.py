@@ -25,7 +25,6 @@ from .instances import (
     LT,
     Label,
     LabelCoverInstance,
-    LcProvenance,
     LhpAssignment,
     LhpInequality,
     LhpSystem,
@@ -67,12 +66,7 @@ def lc_to_ssat(lc: LabelCoverInstance) -> SsatInstance:
         if not assignments:
             raise EmptyRange(b)
         tests.append(SsatTest(variables=variables, assignments=tuple(assignments)))
-    return SsatInstance(
-        variables=tuple(lc.a_vertices),
-        field_values=tuple(lc.sigma_a),
-        tests=tuple(tests),
-        provenance=LcProvenance(lc=lc, var_to_a=tuple(lc.a_vertices), test_to_b=tuple(lc.b_vertices)),
-    )
+    return SsatInstance(variables=lc.a_vertices, field_values=lc.sigma_a, tests=tuple(tests), provenance=lc)
 
 
 # ---------------------------------------------------------------------------

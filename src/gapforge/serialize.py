@@ -8,9 +8,9 @@ newline, but the package writes them itself, straight from the records: with
 per node.  A record's writer fills one template per indentation with the
 text of its fields in sorted key order, so no intermediate document is
 built; ``to_document`` parses the text back.  Rationals, which occur only in LHP
-assignments and oracle optima, are written as ``"p/q"`` strings; integers
-ride as JSON numbers while they fit in the 53-bit safe range and as strings
-beyond it.
+assignments and oracle optima, are written as ``"p/q"`` strings; every
+integer rides as a JSON number while it fits in the 53-bit safe range and as
+a string beyond it.
 
 Reading is one typed decoding pass: ``from_document`` checks each node while
 it builds the instance.  A node of the wrong shape or scalar type (an object
@@ -25,21 +25,24 @@ satisfies the type invariants.
 
 One field table gives each document kind's layout once: for every key, which
 is also the attribute name, a (reader, writer) pair.  ``to_document`` and
-``from_document`` both run off it, and so do the nested SSAT test, SSAT
-provenance and LHP inequality records.  Only the label cover, whose keys are
-not its attribute names, has its own reader and writer.  From the table each
-record generates, on first use, one plain function that reads it and one
-that writes it at each indentation, as ``Record`` generates ``__init__``: a
+``from_document`` both run off it, and so do the nested SSAT test and LHP
+inequality records.  Only the label cover, whose keys are not its attribute
+names, has its own reader and writer.  From the table each record
+generates, on first use, one plain function that reads it and one that
+writes it at each indentation, as ``Record`` generates ``__init__``: a
 record costs one Python frame to read and one to write.  Integer arrays,
 label arrays and sparse integer rows are checked whole at C level and then
 read or written in one pass; a list that fails the check goes item by item,
 so it is refused with the same error at the same node.
 
-Files are format version 4, and a file of any other version is refused at
-``/version``.  Every matrix row is sparse: SIS and NCP ``matrix`` rows, like
-LHP ``coeff_x``, are ``[column, coefficient]`` pairs with ascending columns
-and nonzero coefficients, next to the column count (``num_cols``, or
-``num_x`` for LHP).  Every instance coefficient is an integer, LHP
+Files are format version 5, and a file of any other version is refused at
+``/version``.  An SSAT file's ``provenance`` is the whole document of the
+label cover it was reduced from, or ``null``.
+
+Every matrix row is sparse: SIS and NCP ``matrix`` rows, like LHP
+``coeff_x``, are ``[column, coefficient]`` pairs with ascending columns and
+nonzero coefficients, next to the column count (``num_cols``, or ``num_x``
+for LHP).  Every instance coefficient is an integer, LHP
 ``coeff_x``, ``coeff_y`` and ``coeff_delta`` included (version 3 wrote
 these as fractions).  The plain-text formats of ``gapforge.plaintext`` write
 the same rows dense.
@@ -62,7 +65,6 @@ from .instances import (
     Label,
     LabelCoverInstance,
     Labeling,
-    LcProvenance,
     LhpAssignment,
     LhpInequality,
     LhpSystem,
@@ -74,7 +76,7 @@ from .instances import (
 )
 from .superassign import SuperAssignment
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 _SAFE_INT = 2 ** 53 - 1
 
 Instance = Union[
@@ -288,7 +290,6 @@ def _read_delta(v: Any, ptr: Any) -> Any:
     return EPSILON if v == "epsilon" else decode_fraction(v, ptr)
 
 
-_RAW_INT = _scalar(_int, int.__repr__)
 _INT = _scalar(decode_int, _int_text)
 _FRAC = _scalar(decode_fraction, _fraction_text)
 _STR = _scalar(_str, encode_basestring)
@@ -414,7 +415,6 @@ def _nullable(codec: Codec) -> Codec:
 # the test inline and calls the reader only on a value that fails it.
 _AS_IS: dict[Reader, str] = {
     decode_int: "type({0}) is int and -_SAFE_INT <= {0} <= _SAFE_INT",
-    _int: "type({0}) is int",
     _str: "type({0}) is str",
 }
 
@@ -550,25 +550,24 @@ _INTS = _bulk_array(_INT, _int_items)
 _SPARSE_INT: Codec = (lambda: _sparse_ints, _sparse_ints_at)
 _SPARSE_INT_ROWS = _array(_SPARSE_INT)
 _SSAT_TEST = _record(SsatTest, {"variables": _LABELS, "assignments": _array(_LABELS)})
-_PROVENANCE = _record(LcProvenance, {"lc": _LC, "var_to_a": _LABELS, "test_to_b": _LABELS})
 _LHP_INEQUALITY = _record(LhpInequality, {
     "coeff_x": _SPARSE_INT, "coeff_y": _INT, "coeff_delta": _INT,
-    "sense": _STR, "group": _STR, "copies_of": _STR, "multiplicity": _RAW_INT,
+    "sense": _STR, "group": _STR, "copies_of": _STR, "multiplicity": _INT,
 })
 
 _TABLE: dict[str, tuple[type, dict[str, Codec]]] = {
     "labeling": (Labeling, {"phi_a": _LABEL_MAP, "phi_b": _nullable(_LABEL_MAP)}),
     "ssat": (SsatInstance, {
-        "provenance": _nullable(_PROVENANCE), "variables": _LABELS, "field_values": _LABELS,
+        "provenance": _nullable(_LC), "variables": _LABELS, "field_values": _LABELS,
         "tests": _array(_SSAT_TEST),
     }),
     "superassignment": (SuperAssignment, {"weights": _array(_INTS)}),
-    "sis": (SisInstance, {"num_cols": _RAW_INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT}),
+    "sis": (SisInstance, {"num_cols": _INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT}),
     "ncp": (NcpInstance, {
-        "modulus": _INT, "num_cols": _RAW_INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT,
+        "modulus": _INT, "num_cols": _INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT,
         "replication": _INT, "multiplicity": _INTS,
     }),
-    "lhp": (LhpSystem, {"num_x": _RAW_INT, "u_param": _RAW_INT, "inequalities": _array(_LHP_INEQUALITY)}),
+    "lhp": (LhpSystem, {"num_x": _INT, "u_param": _INT, "inequalities": _array(_LHP_INEQUALITY)}),
     "lhp_assignment": (LhpAssignment, {"x_values": _array(_FRAC), "y_value": _FRAC, "delta_value": _DELTA}),
 }
 

@@ -251,7 +251,7 @@ def _list_construction(
         for var, value in zip(test.variables, r):
             if value not in assigned[var] and _draw(rng, params.p_include):
                 lists[var].add(value)
-    return tests, ListLabeling.from_sets(ssat.provenance.lc, lists)
+    return tests, ListLabeling.from_sets(ssat.provenance, lists)
 
 
 class DefeatReport(Record):

@@ -146,11 +146,10 @@ def natural_from_labeling(ssat: SsatInstance, lab: Labeling) -> SuperAssignment:
     """
     if ssat.provenance is None:
         raise NotLcDerived("natural_from_labeling needs label-cover provenance")
-    lc = ssat.provenance.lc
+    lc = ssat.provenance
     lab.require_total(lc)
     rows: list[tuple[int, ...]] = []
-    for t_idx, test in enumerate(ssat.tests):
-        b = ssat.provenance.test_to_b[t_idx]
+    for test, b in zip(ssat.tests, lc.b_vertices):
         edges = lc.edges_of_b[b]
         values = tuple(lab.phi_a[e[0]] for e in edges)
         projected = [lc.projections[e][lab.phi_a[e[0]]] for e in edges]
@@ -161,8 +160,8 @@ def natural_from_labeling(ssat: SsatInstance, lab: Labeling) -> SuperAssignment:
         try:
             r_idx = test.assignments.index(values)
         except ValueError:
-            # unreachable for well-formed provenance: agreeing projections
-            # place the tuple in R_y of the common label
+            # agreeing projections place the tuple in R_y of the common
+            # label, which this test may list only in part
             raise EdgeUnsatisfied(edges[0]) from None
         rows.append(tuple(1 if k == r_idx else 0 for k in range(len(test.assignments))))
     return SuperAssignment(tuple(rows))
@@ -195,25 +194,20 @@ def decompose_arrays(ssat: SsatInstance, s: SuperAssignment, psi: int) -> list[A
 
     The blocks are disjoint in assignment indices because projection tables
     are functions: a value of one variable determines the B-label of any
-    assignment containing it.
+    assignment containing it.  ``SsatInstance`` refuses an assignment that
+    projects to more than one B-label, so the first edge's table reads it.
     """
     if ssat.provenance is None:
         raise NotLcDerived("array decomposition needs label-cover provenance")
     s.validate_for(ssat)
-    lc = ssat.provenance.lc
-    b = ssat.provenance.test_to_b[psi]
-    edges = lc.edges_of_b[b]
+    lc = ssat.provenance
+    edges = lc.edges_of_b[lc.b_vertices[psi]]
     test = ssat.tests[psi]
-    if tuple(e[0] for e in edges) != tuple(ssat.provenance.var_to_a[ssat.variable_index[v]] for v in test.variables):
-        raise NotLcDerived(f"test {psi} variables do not match the B-vertex neighborhood")
 
     by_label: dict[Label, list[int]] = {}
+    first = lc.projections[edges[0]]
     for r_idx, r in enumerate(test.assignments):
-        images = {lc.projections[e][v] for e, v in zip(edges, r)}
-        if len(images) != 1:
-            raise NotLcDerived(f"assignment {r_idx} of test {psi} has no single B-label")
-        y = images.pop()
-        by_label.setdefault(y, []).append(r_idx)
+        by_label.setdefault(first[r[0]], []).append(r_idx)
 
     views: list[ArrayView] = []
     for y in lc.sigma_b:

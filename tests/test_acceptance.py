@@ -259,7 +259,7 @@ def test_criterion_6_list_construction_defeats_lc_cyc():
         )
         labeling = list_construction(ssat, s, params)
         for t in select_low_norm_tests(ssat, s, params):
-            b = ssat.provenance.test_to_b[t]
+            b = ssat.provenance.b_vertices[t]
             assert not list_totally_disagree(lc, labeling, b)
         assert verify_defeats_list_soundness(lc, labeling, Fraction(1, 4)).defeats
     elapsed = time.monotonic() - start
@@ -302,7 +302,7 @@ def test_criterion_6_list_construction_defeats_ssat_share():
       candidate defeats.
     """
     ssat = shipped.load("ssat_share")
-    lc = ssat.provenance.lc
+    lc = ssat.provenance
     rep = validate_label_cover(lc)
     optima = [list_agreement_soundness_exact(lc, l) for l in (1, 2)]
     candidates = _low_norm_candidates(ssat, g=1, box=1)
@@ -314,7 +314,7 @@ def test_criterion_6_list_construction_defeats_ssat_share():
         )
         labeling = list_construction(ssat, s, params)
         for t in select_low_norm_tests(ssat, s, params):
-            b = ssat.provenance.test_to_b[t]
+            b = ssat.provenance.b_vertices[t]
             tests_checked += 1
             tests_reached += bool(_labels_reached_by_every_neighbor(lc, labeling, b))
         verdict = verify_defeats_list_soundness(lc, labeling, Fraction(1, 4))
@@ -350,7 +350,7 @@ def test_criterion_6_expected_list_size_over_seeds():
             ssat = lc_to_ssat(lc)
         else:
             ssat = shipped.load("ssat_share")
-            lc = ssat.provenance.lc
+            lc = ssat.provenance
         d_a = validate_label_cover(lc).d_a
         candidates = _low_norm_candidates(ssat, g=g, box=g)
         s = candidates[0]

@@ -23,6 +23,7 @@ from test_decode_fuzz import VALUES
 
 from gapforge.instances import GT, LhpInequality, LhpSystem, NcpInstance, SisInstance, SsatInstance, SsatTest
 from gapforge.serialize import (
+    SCHEMA_VERSION,
     _INTS,
     _LABELS,
     _SPARSE_INT,
@@ -118,7 +119,7 @@ def sparse_rows(draw, num_cols):
 
 
 def sis_document(sis) -> dict:
-    return {"kind": "sis", "version": 4, "num_cols": sis.num_cols, "bound": encode_int(sis.bound),
+    return {"kind": "sis", "version": SCHEMA_VERSION, "num_cols": sis.num_cols, "bound": encode_int(sis.bound),
             "matrix": [[[c, encode_int(a)] for c, a in row] for row in sis.matrix],
             "target": [encode_int(t) for t in sis.target]}
 
@@ -145,7 +146,7 @@ def test_sis_ncp_and_lhp_with_edge_integers_anywhere_write_the_reference_bytes(d
     rows = [LhpInequality(coeff_x=row, coeff_y=t, coeff_delta=-t, sense=GT, group="G2", copies_of="", multiplicity=1)
             for row, t in zip(matrix, target)]
     lhp = LhpSystem(num_x=num_cols, u_param=1, inequalities=tuple(rows))
-    doc = {"kind": "lhp", "version": 4, "num_x": num_cols, "u_param": 1, "inequalities": [
+    doc = {"kind": "lhp", "version": SCHEMA_VERSION, "num_x": num_cols, "u_param": 1, "inequalities": [
         {"coeff_x": [[c, encode_int(a)] for c, a in q.coeff_x], "coeff_y": encode_int(q.coeff_y),
          "coeff_delta": encode_int(q.coeff_delta), "sense": GT, "group": "G2", "copies_of": "", "multiplicity": 1}
         for q in rows]}
@@ -163,7 +164,7 @@ def test_label_arrays_that_mix_integers_and_strings_write_the_reference_bytes(da
     variables, field_values = labels(1), labels(1)
     test = SsatTest(variables=tuple(variables), assignments=tuple((f,) * len(variables) for f in field_values))
     ssat = SsatInstance(provenance=None, variables=tuple(variables), field_values=tuple(field_values), tests=(test,))
-    doc = {"kind": "ssat", "version": 4, "provenance": None, "variables": variables, "field_values": field_values,
+    doc = {"kind": "ssat", "version": SCHEMA_VERSION, "provenance": None, "variables": variables, "field_values": field_values,
            "tests": [{"variables": variables, "assignments": [[f] * len(variables) for f in field_values]}]}
     assert canonical_bytes(ssat) == reference(doc)
     assert from_document(json.loads(canonical_bytes(ssat))) == ssat

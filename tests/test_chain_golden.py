@@ -22,28 +22,28 @@ from gapforge.pipeline import run_chain
 from gapforge.serialize import canonical_bytes
 
 GOLDEN = {
-    ("lc_id2", "default"): "290333074a814c6d6c06443bbadb18103e1c8e2df629c4eee6f1a6709fc21cf7",
-    ("lc_id2", "box1"): "b932c31a798ad514f68f3fa083342a3e7769e5c2f59c1e7c73297155f8856afc",
-    ("lc_id2", "cap100"): "290333074a814c6d6c06443bbadb18103e1c8e2df629c4eee6f1a6709fc21cf7",
-    ("lc_cyc", "default"): "e420f5a82bea56152579ba3572edd785c3c57744e91e87e479de7fc57b92a514",
-    ("lc_cyc", "box1"): "51cc66763525e36903f24357584c2770f89c6f6da4239063b601d7ac2107202f",
-    ("lc_cyc", "cap100"): "e420f5a82bea56152579ba3572edd785c3c57744e91e87e479de7fc57b92a514",
-    ("lc_share", "default"): "e707c1d23cfe4ff4b91a5e83a21ec2cade28e50a1bb3f2091e73679b8e92bda3",
-    ("lc_share", "box1"): "8facaf804aefc826e1dfa2c744e4ffd58c5e065468513adfe90f2ea67ca44041",
-    ("lc_share", "cap100"): "e707c1d23cfe4ff4b91a5e83a21ec2cade28e50a1bb3f2091e73679b8e92bda3",
-    ("lc_2to1", "default"): "85b2b169faa6e8511602130d3a73c0a136d76d33967ac0b491aa296092b15fcc",
-    ("lc_2to1", "box1"): "c9d46df1152b4e07b64a8815d2c0b2439cbee6eab3ee50e27f64f76d8c0d54d0",
-    ("lc_2to1", "cap100"): "85b2b169faa6e8511602130d3a73c0a136d76d33967ac0b491aa296092b15fcc",
-    ("planted", "cap3000"): "8b749eedb00581247e892b458dee5d18484f503c2d0d297eaae8cf9ea8d53988",
-    ("planted", "cap700"): "8b749eedb00581247e892b458dee5d18484f503c2d0d297eaae8cf9ea8d53988",
-    ("planted", "cap100"): "8b749eedb00581247e892b458dee5d18484f503c2d0d297eaae8cf9ea8d53988",
-    ("planted", "cap50"): "8b749eedb00581247e892b458dee5d18484f503c2d0d297eaae8cf9ea8d53988",
-    ("planted", "cap16"): "dc473f74e785f863c85d691efd90a2abcb2117fb2b7ec6a0124f13f2d190c828",
-    ("planted", "cap15"): "70b9f95e7474f7286d3570c8af420f6e2087e6a306c355d15847b552c2c5d5d9",
-    ("frustrated", "cap3000"): "0126c47148a252bef89625aebcfff8a49fad7cf016c9234234f5695076ce0923",
-    ("frustrated", "cap700"): "0126c47148a252bef89625aebcfff8a49fad7cf016c9234234f5695076ce0923",
-    ("frustrated", "cap100"): "0126c47148a252bef89625aebcfff8a49fad7cf016c9234234f5695076ce0923",
-    ("frustrated", "cap22"): "47a1f1afd3c046912966c983d672e80dc1a8b11fb624881bd6ebba07d94ced68",
+    ("lc_id2", "default"): "06586ef19c530606a8e6b7e45d28bf00849448b2a30eb47d7b83174ce1a86b2a",
+    ("lc_id2", "box1"): "a6c48c399e607d9f052149e1d43e58b226078dfb1ae49e4247d79416db479a99",
+    ("lc_id2", "cap100"): "06586ef19c530606a8e6b7e45d28bf00849448b2a30eb47d7b83174ce1a86b2a",
+    ("lc_cyc", "default"): "78ab9e0cf13814946a7810da760ca9fe05f74e7021b7246a100221eb25d249f4",
+    ("lc_cyc", "box1"): "22328e35f82550caf35bc7cf34ade4ae1e71b5ac0db3d47a8d162049f4a09e65",
+    ("lc_cyc", "cap100"): "78ab9e0cf13814946a7810da760ca9fe05f74e7021b7246a100221eb25d249f4",
+    ("lc_share", "default"): "dcb20dc5b6e7f7c6b97144d91bceb32055cea24bf7bc56f50d26ca76704462c3",
+    ("lc_share", "box1"): "e7505667b8d777291657b27522da44c0fad2c983b416cca58f5b8ee3c4e8bc55",
+    ("lc_share", "cap100"): "dcb20dc5b6e7f7c6b97144d91bceb32055cea24bf7bc56f50d26ca76704462c3",
+    ("lc_2to1", "default"): "c11d074580190202fc5613db956a6a7665b7484bf3d42a32047f1b390a7f65a6",
+    ("lc_2to1", "box1"): "fced61592efa115427d431a7dfbe2f760ec31144ef42ae1dd1b0a0c376da13fc",
+    ("lc_2to1", "cap100"): "c11d074580190202fc5613db956a6a7665b7484bf3d42a32047f1b390a7f65a6",
+    ("planted", "cap3000"): "4de6fe37cd1482c51d654f5cb0d1c497bf33b665ce35b51eaf3d538d3769224c",
+    ("planted", "cap700"): "4de6fe37cd1482c51d654f5cb0d1c497bf33b665ce35b51eaf3d538d3769224c",
+    ("planted", "cap100"): "4de6fe37cd1482c51d654f5cb0d1c497bf33b665ce35b51eaf3d538d3769224c",
+    ("planted", "cap50"): "4de6fe37cd1482c51d654f5cb0d1c497bf33b665ce35b51eaf3d538d3769224c",
+    ("planted", "cap16"): "8b752231209ae05e9394e74c9411c91b7ae42310192a2734004b76ed3fd360dc",
+    ("planted", "cap15"): "ebbdbe0e43421c11264b202f7fd6f087026b9924f5f8250681ce561ee06c3e08",
+    ("frustrated", "cap3000"): "e9a3e408918fed51442f9f7f7148db502c8dc55557fc834773913a10d81648b3",
+    ("frustrated", "cap700"): "e9a3e408918fed51442f9f7f7148db502c8dc55557fc834773913a10d81648b3",
+    ("frustrated", "cap100"): "e9a3e408918fed51442f9f7f7148db502c8dc55557fc834773913a10d81648b3",
+    ("frustrated", "cap22"): "d05afa7fdb508a56a282180b7e8eea65d4616c2ddbe00f0009912d0d129af7ee",
 }
 # (states, cap) of the SearchSpaceTooLarge the label-cover search raises
 RAISES = {("frustrated", "cap16"): (17, 16)}

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_instances import FILE_BREAKS, LAYOUT_BREAKS, write_layout_break
 
 import gapforge
 from gapforge import fixtures as shipped
@@ -616,7 +617,7 @@ _V4_BREAKS = {
     "lhp-num-x-float": ("lhp", ("num_x",), 4.0, "SchemaViolation"),
     "lc-sigma-b-float-label": ("lc", ("sigma_b", 1), 1.0, "SchemaViolation"),
     "ncp-matrix-entry-bool": ("ncp", ("matrix", 0, 0, 1), True, "SchemaViolation"),
-    "ssat-provenance-lc-version-1": ("ssat", ("provenance", "lc", "version"), 1, "SchemaViolation"),
+    "ssat-provenance-version-1": ("ssat", ("provenance", "version"), 1, "SchemaViolation"),
     "sis-version-2": ("sis", ("version",), 2, "SchemaViolation"),
     **{
         f"{kind}-{case}": (kind, where, value, "MalformedInstance")
@@ -659,6 +660,17 @@ def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
     if where[-1] == "version":
         assert out["error"]["message"].startswith(f"{''.join(f'/{k}' for k in where)}: version {value} is not supported")
         assert f"re-run the step that wrote the file to get version {SCHEMA_VERSION}" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("case", FILE_BREAKS)
+def test_check_claims_on_another_layout_is_error_envelope(request, tmp_path, capsys, case):
+    name, _, message = LAYOUT_BREAKS[case]
+    path = tmp_path / "ssat.json"
+    write_layout_break(path, request.getfixturevalue(name), case)
+    code, out = run(capsys, "check", "claims", "--in", str(path), "--box", "1")
+    assert code == 1
+    assert out["error"]["type"] == "MalformedInstance"
+    assert message in out["error"]["message"]
 
 
 def test_modulus_beyond_the_prime_test_is_error_envelope(tmp_path, capsys):

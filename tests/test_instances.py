@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 from naive import replace
 
@@ -23,6 +26,8 @@ from gapforge.instances import (
     preimage,
     validate_label_cover,
 )
+from gapforge.reductions import lc_to_ssat
+from gapforge.serialize import read_instance, to_document, write_instance
 
 
 def test_validate_lc_id2(lc_id2):
@@ -126,13 +131,82 @@ def test_count_bounded_by_edges_with_equality_iff_all_hold(lc_cyc):
                     assert (count == len(lc_cyc.edges)) == every
 
 
-@pytest.mark.parametrize("field, entry", [("test_to_b", "x"), ("test_to_b", 0), ("var_to_a", "b0")])
-def test_provenance_entry_outside_its_side_is_malformed(ssat_share, field, entry):
-    # ssat_share maps variable "x" to A-vertex "x" and its tests to "b0", "b1"
-    prov = ssat_share.provenance
-    bad = replace(prov, **{field: (entry,) + getattr(prov, field)[1:]})
-    with pytest.raises(MalformedInstance, match="outside"):
-        replace(ssat_share, provenance=bad)
+def _tests_reversed(ssat):
+    return {"tests": ssat.tests[::-1]}
+
+
+def _variable_renamed(ssat):
+    return {"variables": ("y",), "tests": tuple(replace(t, variables=("y",)) for t in ssat.tests)}
+
+
+def _field_value_added(ssat):
+    first = replace(ssat.tests[0], assignments=ssat.tests[0].assignments + ((2,),))
+    return {"field_values": ssat.field_values + (2,), "tests": (first, *ssat.tests[1:])}
+
+
+def _test_dropped(ssat):
+    return {"tests": ssat.tests[:1]}
+
+
+def _test_variables_swapped(ssat):
+    first = ssat.tests[0]
+    swapped = replace(first, variables=first.variables[::-1], assignments=tuple(r[::-1] for r in first.assignments))
+    return {"tests": (swapped, *ssat.tests[1:])}
+
+
+def _every_assignment(ssat):
+    # test 0 of lc_cyc reads (a0, a1) under two bijections: past |sigma_b| * 1^2 = 2 assignments, one has two labels
+    return {"tests": (replace(ssat.tests[0], assignments=((0, 0), (0, 1), (1, 0), (1, 1))), *ssat.tests[1:])}
+
+
+# (cover, change to lc_to_ssat of it, the refusal's message)
+LAYOUT_BREAKS = {
+    "tests-reversed": ("lc_cyc", _tests_reversed, "assignment 0 of test 0 has no single B-label"),
+    "variable-renamed": ("lc_share", _variable_renamed, "not the label cover's A-vertices"),
+    "field-value-added": ("lc_share", _field_value_added, "not the label cover's sigma_a"),
+    "test-dropped": ("lc_share", _test_dropped, "1 tests for 2 B-vertices"),
+    "test-variables-swapped": ("lc_cyc", _test_variables_swapped, "test 0 does not read the A-ends of B-vertex 'b0'"),
+    "over-the-bound": ("lc_cyc", _every_assignment, "assignment 1 of test 0 has no single B-label"),
+}
+
+
+@pytest.mark.parametrize("case", list(LAYOUT_BREAKS))
+def test_provenance_with_another_layout_than_lc_to_ssat_is_malformed(request, case):
+    name, change, message = LAYOUT_BREAKS[case]
+    ssat = lc_to_ssat(request.getfixturevalue(name))
+    with pytest.raises(MalformedInstance, match=re.escape(message)):
+        replace(ssat, **change(ssat))
+    # the same tests and values stand alone
+    assert replace(ssat, provenance=None, **change(ssat)).provenance is None
+
+
+# format version 4 could write these three with its maps from variables and tests to the
+# cover's vertices; each file loaded, then broke a consumer that assumed the identity
+FILE_BREAKS = ("tests-reversed", "variable-renamed", "field-value-added")
+
+
+def write_layout_break(path, lc, case) -> None:
+    """An SSAT file that nests ``lc`` as its provenance, with the tests and values of ``case``."""
+    ssat = lc_to_ssat(lc)
+    write_instance(path, replace(ssat, provenance=None, **LAYOUT_BREAKS[case][1](ssat)))
+    doc = json.loads(path.read_text())
+    doc["provenance"] = to_document(lc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", FILE_BREAKS)
+def test_a_file_with_another_layout_is_refused_on_read(request, tmp_path, case):
+    name, _, message = LAYOUT_BREAKS[case]
+    write_layout_break(tmp_path / "ssat.json", request.getfixturevalue(name), case)
+    with pytest.raises(MalformedInstance, match=re.escape(message)):
+        read_instance(tmp_path / "ssat.json")
+
+
+def test_provenance_is_the_cover_and_its_layout_is_lc_to_ssats(lc_cyc):
+    ssat = lc_to_ssat(lc_cyc)
+    assert ssat.provenance is lc_cyc
+    assert ssat.variables == lc_cyc.a_vertices and ssat.field_values == lc_cyc.sigma_a
+    assert [t.variables for t in ssat.tests] == [tuple(a for a, _ in lc_cyc.edges_of_b[b]) for b in lc_cyc.b_vertices]
 
 
 def test_empty_ssat_and_negative_num_x_are_malformed():

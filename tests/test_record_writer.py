@@ -64,7 +64,7 @@ def test_string_labels_that_need_escaping_round_trip_and_write_the_reference_byt
     assert doc["sigma_a"] == list(lc.sigma_a)
     assert set(doc["edges"][0]["pi"]) == set(lc.sigma_a)
     ssat = lc_to_ssat(lc)
-    assert round_trips_to_the_reference_bytes(ssat)["provenance"]["lc"] == doc
+    assert round_trips_to_the_reference_bytes(ssat)["provenance"] == doc
     phi_a = {a: lc.sigma_a[i] for i, a in enumerate(lc.a_vertices)}
     for labeling in (Labeling(phi_a), Labeling(phi_a, {b: lc.sigma_b[i % 3] for i, b in enumerate(lc.b_vertices)})):
         assert round_trips_to_the_reference_bytes(labeling)["phi_a"] == [list(pair) for pair in phi_a.items()]

@@ -56,7 +56,6 @@ SAMPLES = {
     "Labeling": LABELING,
     "ValidationReport": validate_label_cover(LC),
     "SsatTest": SSAT.tests[0],
-    "LcProvenance": SSAT.provenance,
     "SsatInstance": SSAT,
     "SisInstance": SIS,
     "NcpInstance": sis_to_ncp(SIS, g=1),
@@ -103,7 +102,7 @@ def _id(cls) -> str:
 
 
 def test_every_value_type_is_a_record_with_a_sample():
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 25
     assert sorted(SAMPLES) == sorted(cls.__qualname__ for cls in RECORDS)
     assert sorted(REFUSED) == sorted(cls.__qualname__ for cls in RECORDS if "__post_init__" in cls.__dict__)
 
@@ -203,9 +202,8 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
 
 # the tables that validation builds, in the order __post_init__ sets them
 TABLES = {
-    "LabelCoverInstance": ("edges_of_a", "edges_of_b", "sigma_b_index"),
-    "SsatInstance": ("variable_index", "field_index", "tests_of_variable", "offsets", "projection_indices",
-                     "shared_pairs"),
+    "LabelCoverInstance": ("edges_of_b", "sigma_b_index"),
+    "SsatInstance": ("variable_index", "tests_of_variable", "offsets", "projection_indices", "shared_pairs"),
 }
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import copy
+import json
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from test_walk_outcomes import ladder
 
 from gapforge import fixtures as shipped
 from gapforge.errors import InfeasibleSpec, MalformedInstance, SchemaViolation
@@ -231,6 +233,53 @@ def test_lhp_document_is_sparse_with_multiplicity(ssat_share):
     assert from_document(to_document(lhp)) == lhp
 
 
+def test_counts_beyond_2_53_are_digit_strings(ssat_share):
+    # num_x, u_param and multiplicity follow the one integer rule: a JSON number within 2^53 - 1, a string beyond
+    u = 2 ** 60
+    lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=u)
+    doc = to_document(lhp)
+    assert (doc["num_x"], doc["u_param"]) == (4, str(u))
+    assert doc["inequalities"][0]["multiplicity"] == doc["inequalities"][0]["coeff_delta"] == str(u)
+    assert from_document(doc) == lhp
+    for at, bare in (("u_param", u), ("num_x", 2 ** 53)):
+        with pytest.raises(SchemaViolation) as exc:
+            from_document(dict(doc, **{at: bare}))
+        assert exc.value.pointer == f"/{at}"
+    sis = ssat_to_sis(ssat_share)
+    assert from_document(dict(to_document(sis), num_cols=str(2 ** 53))).num_cols == 2 ** 53
+
+
+def test_version_4_file_is_refused_at_version(tmp_path, ssat_share):
+    # an SSAT file as version 4 wrote it: the cover under "lc", with its two identity maps
+    doc = to_document(ssat_share)
+    lc = dict(doc["provenance"], version=4)
+    doc.update(version=4, provenance={"lc": lc, "var_to_a": ["x"], "test_to_b": ["b0", "b1"]})
+    path = tmp_path / "ssat_v4.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation) as exc:
+        read_instance(path)
+    assert exc.value.pointer == "/version"
+    assert "version 4 is not supported" in exc.value.detail
+    assert f"re-run the step that wrote the file to get version {SCHEMA_VERSION}" in exc.value.detail
+
+
+# every label-cover fixture, then the walk-outcome ladder, whose covers all reduce
+COVERS = {name: shipped.load(name) for name in shipped.FIXTURE_NAMES if name != "ssat_share"}
+COVERS.update(ladder())
+
+
+@pytest.mark.parametrize("name", list(COVERS))
+def test_lc_to_ssat_of_every_fixture_and_ladder_cover_round_trips(tmp_path, name):
+    lc = COVERS[name]
+    ssat = lc_to_ssat(lc)
+    assert ssat.provenance is lc
+    path = tmp_path / "ssat.json"
+    write_instance(path, ssat)
+    again = read_instance(path)
+    assert again == ssat and again.provenance == lc
+    assert canonical_bytes(again) == path.read_bytes()
+
+
 def test_sis_and_ncp_documents_are_sparse(ssat_share):
     sis = ssat_to_sis(ssat_share)
     ncp = sis_to_ncp(sis, g=1)
@@ -291,14 +340,14 @@ def test_strict_scalars():
 
 def test_schema_violation_points_at_the_node():
     doc = to_document(shipped.load("ssat_share"))
-    doc["provenance"]["lc"]["edges"][1]["pi"]["0"] = 1.0
+    doc["provenance"]["edges"][1]["pi"]["0"] = 1.0
     with pytest.raises(SchemaViolation) as exc:
         from_document(doc)
-    assert exc.value.pointer == "/provenance/lc/edges/1/pi/0"
-    del doc["provenance"]["lc"]["edges"][1]["pi"]
+    assert exc.value.pointer == "/provenance/edges/1/pi/0"
+    del doc["provenance"]["edges"][1]["pi"]
     with pytest.raises(SchemaViolation) as exc:
         from_document(doc)
-    assert exc.value.pointer == "/provenance/lc/edges/1"
+    assert exc.value.pointer == "/provenance/edges/1"
 
 
 def _one_edge_cover(sigma_a) -> LabelCoverInstance:
@@ -311,8 +360,8 @@ def test_labels_whose_string_forms_collide_are_refused_bare_and_nested():
     with pytest.raises(MalformedInstance, match="same string form"):
         _one_edge_cover((1, "1"))
     lc = _one_edge_cover((1, "2"))
-    for doc, at in ((to_document(lc), ""), (to_document(lc_to_ssat(lc)), "/provenance/lc")):
-        node = doc["provenance"]["lc"] if at else doc
+    for doc, at in ((to_document(lc), ""), (to_document(lc_to_ssat(lc)), "/provenance")):
+        node = doc["provenance"] if at else doc
         node["sigma_a"] = [1, "1"]
         with pytest.raises(SchemaViolation) as exc:
             from_document(doc)
@@ -330,9 +379,8 @@ _INEQUALITY_FIELDS = ("coeff_x", "coeff_y", "coeff_delta", "sense", "group", "co
 FIELDS = {
     "label_cover": _LC_FIELDS,
     "labeling": _HEADER + ("phi_a", "phi_b"),
-    "ssat": _HEADER + ("variables", "field_values", "tests", "tests/0/variables", "tests/0/assignments",
-                       "provenance", "provenance/lc", "provenance/var_to_a", "provenance/test_to_b")
-    + tuple(f"provenance/lc/{field}" for field in _LC_FIELDS),
+    "ssat": _HEADER + ("variables", "field_values", "tests", "tests/0/variables", "tests/0/assignments", "provenance")
+    + tuple(f"provenance/{field}" for field in _LC_FIELDS),
     "superassignment": _HEADER + ("weights",),
     "sis": _HEADER + ("num_cols", "matrix", "target", "bound"),
     "ncp": _HEADER + ("modulus", "num_cols", "matrix", "target", "bound", "replication", "multiplicity"),
@@ -398,7 +446,7 @@ def _item_pointers(node, ptr=""):
 ITEM_EXAMPLES = {
     "label_cover": {"/sigma_a/0", "/a/0"},
     "labeling": {"/phi_a/0/0", "/phi_a/0/1"},
-    "ssat": {"/tests/0/assignments/0/0", "/tests/0/variables/0", "/provenance/lc/sigma_b/0"},
+    "ssat": {"/tests/0/assignments/0/0", "/tests/0/variables/0", "/provenance/sigma_b/0"},
     "superassignment": {"/weights/0/0"},
     "sis": {"/matrix/0/0/0", "/matrix/0/0/1", "/target/0"},
     "ncp": {"/matrix/0/0/0", "/matrix/0/0/1", "/multiplicity/0"},

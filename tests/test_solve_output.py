@@ -31,7 +31,7 @@ COMMANDS = (
     ("ncp", ("--full-field",)),
     ("lhp", ()),
 )
-DIGEST = "7e76bd711d98b5f5a96beae1ad98c66b4c0aa8f9e5c40ab0d06f6e6e3981c94d"
+DIGEST = "5a67dfff7e1cdc3aa716154c6da14087db0f596122ed97f8d843ed484a326233"
 
 
 def cover(name):

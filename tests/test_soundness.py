@@ -368,7 +368,7 @@ def test_every_low_norm_cyc_superassignment_is_defeated(lc_cyc, ssat_cyc):
         labeling = list_construction(ssat_cyc, s, params)
         selected = select_low_norm_tests(ssat_cyc, s, params)
         for t in selected:
-            b = ssat_cyc.provenance.test_to_b[t]
+            b = ssat_cyc.provenance.b_vertices[t]
             assert list_totally_disagree(lc_cyc, labeling, b) is False
         report = verify_defeats_list_soundness(lc_cyc, labeling, Fraction(1, 4))
         assert report.defeats
