@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import GapforgeError, InfeasibleSpec, SchemaViolation
+from .errors import GapforgeError, InconsistentInput, InfeasibleSpec, SchemaViolation
 from .oracles import (
     DEFAULT_MAX_STATES,
     SearchBudget,
@@ -48,13 +48,7 @@ from .serialize import (
     read_instance,
     write_instance,
 )
-from .superassign import (
-    check_bad_array_sums,
-    classify_tests,
-    is_consistent,
-    norm_l1,
-    zero_all_bad_arrays,
-)
+from .superassign import _bad_arrays, _classify, assigned_value_sets, is_consistent, norm_l1
 from .instances import validate_label_cover
 
 
@@ -220,12 +214,17 @@ def _cmd_check_claims(args) -> int:
     violations: list[dict[str, Any]] = []
     for s in candidates:
         checked += 1
-        for psi, y in check_bad_array_sums(ssat, s):
+        # check_bad_array_sums, zero_all_bad_arrays and classify_tests, checking consistency and working out the
+        # assigned value sets and the arrays once
+        if not is_consistent(ssat, s):
+            raise InconsistentInput("check claims needs a consistent super-assignment")
+        assigned = assigned_value_sets(ssat, s)
+        bad_sums, reduced = _bad_arrays(ssat, s, assigned)
+        for psi, y in bad_sums:
             violations.append({"test": psi, "b_label": y, "weights": [list(r) for r in s.weights]})
-        reduced = zero_all_bad_arrays(ssat, s)
         if not is_consistent(ssat, reduced) or norm_l1(reduced) > norm_l1(s):
             violations.append({"zeroing_broke": [list(r) for r in s.weights]})
-        classify_tests(ssat, s, range(len(ssat.tests)))
+        _classify(ssat, s, range(len(ssat.tests)), assigned)
     _emit(
         {
             "kind": "claims_report",
@@ -287,7 +286,7 @@ def _cmd_check_lists(args) -> int:
             "s_list": encode_fraction(params.s_list),
             "seed": args.seed,
             "low_norm_tests": list(low_norm_tests),
-            "lists": {str(a): list(v) for a, v in labeling.lists.items()},
+            "lists": [[a, list(v)] for a, v in labeling.lists.items()],
             "max_list_size": labeling.max_list_size,
             "fraction": encode_fraction(defeat.non_disagree_fraction),
             "defeats": defeat.defeats,

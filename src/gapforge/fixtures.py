@@ -6,7 +6,7 @@
 * ``lc_share``: one A-vertex shared by two B-vertices; its SSAT image is the
   two-test shared-variable fixture ``ssat_share``.
 * ``lc_2to1``: a single 2-to-1 edge.
-* ``ssat_share``: ``lc_to_ssat(lc_share)``, whose provenance is ``lc_share``.
+* ``ssat_share``: ``lc_to_ssat(lc_share)``; its file is ``lc_share`` nested as its provenance.
 
 Each file is canonical in the current format; a new ``SCHEMA_VERSION`` rewrites all five.
 """

@@ -113,6 +113,8 @@ def frustrate(lc: LabelCoverInstance, num_flips: int, seed: int) -> LabelCoverIn
     """Twist some projection tables by non-identity B-alphabet permutations."""
     if not 0 <= num_flips <= len(lc.edges):
         raise InfeasibleSpec(f"the number of flips must lie in [0, {len(lc.edges)}], got {num_flips}")
+    if num_flips and len(lc.sigma_b) < 2:
+        raise InfeasibleSpec("a one-label sigma_b has no twist: its only permutation is the identity")
     _check_seed(seed)
     if num_flips == 0:
         return lc
@@ -121,8 +123,6 @@ def frustrate(lc: LabelCoverInstance, num_flips: int, seed: int) -> LabelCoverIn
     projections = {e: dict(table) for e, table in lc.projections.items()}
     for idx in chosen:
         e = lc.edges[idx]
-        if len(lc.sigma_b) < 2:
-            continue  # only the identity permutation exists; nothing to twist
         while True:
             shuffled = rng.sample(lc.sigma_b, len(lc.sigma_b))
             if tuple(shuffled) != lc.sigma_b:

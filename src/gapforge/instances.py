@@ -3,8 +3,8 @@
 Everything here is immutable after construction and validated eagerly: the
 pass that validates a label cover or an SSAT instance also builds the
 derived tables its readers use, so nothing is computed or stored later.  An
-SSAT instance reduced from a label cover holds that cover as its provenance,
-in the layout the reduction writes.  All
+SSAT instance reduced from a label cover holds that cover as its provenance
+and is a function of it: ``cover_tests`` derives its tests.  All
 arithmetic is over arbitrary-precision integers and :class:`~fractions.Fraction`;
 no floating point is used anywhere.  Every instance coefficient is an
 integer; fractions occur only in LHP assignments, which are scaled to
@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Optional, Union
 
 from .errors import (
+    EmptyRange,
     LengthMismatch,
     MalformedInstance,
     PartialLabeling,
@@ -37,7 +38,8 @@ class Record:
     Each subclass gets a generated ``__init__`` that sets the fields with
     ``object.__setattr__`` and then calls ``__post_init__`` if there is one.
     A ``__post_init__`` may set derived tables the same way, always in the same
-    order; they are not fields.  A record never changes after ``__init__``
+    order; they are not fields.  It may also fill in fields left at their
+    defaults from the others.  A record never changes after ``__init__``
     returns: nothing can be assigned or deleted, and nothing is cached later.
     Equality and hashing go by the field tuple.  No method reads or writes
     ``self.__dict__``: on CPython 3.11 that moves the inline attribute values
@@ -116,11 +118,6 @@ class LabelCoverInstance(Record):
         sigma_b_index = {y: i for i, y in enumerate(self.sigma_b)}
         if len(sigma_b_index) != len(self.sigma_b):
             raise MalformedInstance("duplicate alphabet labels")
-        texts: dict[str, Label] = {}  # a file keys each projection table by str(label)
-        for x in self.sigma_a:
-            if str(x) in texts:
-                raise MalformedInstance(f"sigma_a labels {texts[str(x)]!r} and {x!r} have the same string form")
-            texts[str(x)] = x
         if not self.sigma_a or not self.sigma_b:
             raise MalformedInstance("alphabets must be nonempty")
         if len(set(self.edges)) != len(self.edges):
@@ -233,16 +230,42 @@ class SsatTest(Record):
     assignments: tuple[tuple[Label, ...], ...]
 
 
+def cover_tests(lc: LabelCoverInstance) -> tuple[SsatTest, ...]:
+    """The tests of the SSAT instance a label cover reduces to: one per B-vertex, in order.
+
+    Test t reads the A-ends of B-vertex t's edges, in edge order.  Its
+    satisfying assignments are, for each B-label in alphabet order, the cross
+    product of the per-edge preimages of that label; a label with an empty
+    preimage on some edge contributes nothing.  So a test lists at most
+    |sigma_b|*p^D_B assignments.  A test with no assignment at all is
+    unsatisfiable and raises ``EmptyRange`` rather than being dropped.
+    """
+    preimages: dict[Edge, dict[Label, list[Label]]] = {e: {} for e in lc.edges}
+    for e, by_label in preimages.items():
+        for x in lc.sigma_a:
+            by_label.setdefault(lc.projections[e][x], []).append(x)
+    tests = []
+    for b in lc.b_vertices:
+        edges = lc.edges_of_b[b]
+        assignments: list[tuple[Label, ...]] = []
+        for y in lc.sigma_b:
+            axes = [preimages[e].get(y) for e in edges]
+            if all(axes):
+                assignments.extend(itertools.product(*axes))
+        if not assignments:
+            raise EmptyRange(b)
+        tests.append(SsatTest(tuple(a for a, _ in edges), tuple(assignments)))
+    return tuple(tests)
+
+
 class SsatInstance(Record):
     """Tests over shared variables, each listing the assignments that satisfy it.
 
     ``provenance`` is the label cover the instance was reduced from, or
-    ``None``.  With a cover, validation refuses any layout but the one
-    ``lc_to_ssat`` writes: the variables are the A-vertices in order, the
-    field values ``sigma_a``, test t reads the A-ends of B-vertex t's edges
-    in edge order, and each of its assignments projects to one B-label on
-    those edges.  So a test lists at most |sigma_b|*p^D_B assignments: for
-    each B-label, each of its D_B variables takes one of at most p values.
+    ``None``.  An instance with a cover is a function of it: its variables
+    are the A-vertices in order, its field values ``sigma_a`` and its tests
+    ``cover_tests(provenance)``.  Given only the cover, validation fills the
+    three in; given them too, it refuses any that differ.
 
     Validation builds five tables, which are not fields:
 
@@ -257,12 +280,21 @@ class SsatInstance(Record):
       variable x, in (i, j, variable) order.
     """
 
-    variables: tuple[Vertex, ...]
-    field_values: tuple[Label, ...]
-    tests: tuple[SsatTest, ...]
+    variables: tuple[Vertex, ...] = ()
+    field_values: tuple[Label, ...] = ()
+    tests: tuple[SsatTest, ...] = ()
     provenance: Optional[LabelCoverInstance] = None
 
     def __post_init__(self):
+        _set = object.__setattr__
+        lc = self.provenance
+        if lc is not None:
+            fill = not (self.variables or self.field_values or self.tests)
+            for name, value in (("variables", lc.a_vertices), ("field_values", lc.sigma_a), ("tests", cover_tests(lc))):
+                if fill:
+                    _set(self, name, value)
+                elif getattr(self, name) != value:
+                    raise MalformedInstance(f"the {name} are not the ones its label cover derives")
         if not self.variables or not self.tests:
             raise MalformedInstance("an SSAT instance needs at least one variable and one test")
         variable_index = {v: i for i, v in enumerate(self.variables)}
@@ -305,32 +337,11 @@ class SsatInstance(Record):
             for pos, i in enumerate(ts)
             for j in ts[pos + 1:]
         )
-        _set = object.__setattr__
         _set(self, "variable_index", variable_index)
         _set(self, "tests_of_variable", {v: tuple(ts) for v, ts in tests_of_variable.items()})
         _set(self, "offsets", tuple(itertools.accumulate((len(t.assignments) for t in self.tests), initial=0)))
         _set(self, "projection_indices", projection_indices)
         _set(self, "shared_pairs", tuple(sorted(pairs, key=lambda p: (p[0], p[1], variable_index[p[2]]))))
-        if self.provenance is not None:
-            self._check_provenance()
-
-    def _check_provenance(self) -> None:
-        lc = self.provenance
-        if self.variables != lc.a_vertices:
-            raise MalformedInstance("the variables are not the label cover's A-vertices in order")
-        if self.field_values != lc.sigma_a:
-            raise MalformedInstance("the field values are not the label cover's sigma_a")
-        if len(self.tests) != len(lc.b_vertices):
-            raise MalformedInstance(f"{len(self.tests)} tests for {len(lc.b_vertices)} B-vertices")
-        for idx, (test, b) in enumerate(zip(self.tests, lc.b_vertices)):
-            edges = lc.edges_of_b[b]
-            if test.variables != tuple(a for a, _ in edges):
-                raise MalformedInstance(f"test {idx} does not read the A-ends of B-vertex {b!r}'s edges in edge order")
-            # per edge, the B-labels of the test's assignments: every edge must give the first edge's list
-            labels = [list(map(lc.projections[e].__getitem__, xs)) for e, xs in zip(edges, zip(*test.assignments))]
-            if any(ys != labels[0] for ys in labels[1:]):
-                r_idx = next(r for r, ys in enumerate(zip(*labels)) if len(set(ys)) > 1)
-                raise MalformedInstance(f"assignment {r_idx} of test {idx} has no single B-label")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +515,6 @@ class LhpInequality(Record):
     coeff_delta: int
     sense: str
     group: str
-    copies_of: str
     multiplicity: int
 
     def __post_init__(self):

@@ -8,13 +8,11 @@ direction, as exact inverses on their images).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import (
     BadParameters,
-    EmptyRange,
     Infeasible,
     LengthMismatch,
     VariableNotShared,
@@ -23,7 +21,6 @@ from .instances import (
     EPSILON,
     GT,
     LT,
-    Label,
     LabelCoverInstance,
     LhpAssignment,
     LhpInequality,
@@ -32,10 +29,8 @@ from .instances import (
     Record,
     SisInstance,
     SsatInstance,
-    SsatTest,
     Vertex,
     _is_prime,
-    preimage,
 )
 from .superassign import SuperAssignment
 
@@ -45,28 +40,8 @@ from .superassign import SuperAssignment
 # ---------------------------------------------------------------------------
 
 def lc_to_ssat(lc: LabelCoverInstance) -> SsatInstance:
-    """One variable per A-vertex, one test per B-vertex.
-
-    A test's satisfying assignments are, for each B-label in alphabet order,
-    the cross product of the per-neighbor preimages of that label; labels with
-    an empty preimage at some neighbor contribute nothing.  A test with no
-    assignment at all is unsatisfiable and surfaced as an error rather than
-    silently dropped.
-    """
-    tests: list[SsatTest] = []
-    for b in lc.b_vertices:
-        edges = lc.edges_of_b[b]
-        variables = tuple(e[0] for e in edges)
-        assignments: list[tuple[Label, ...]] = []
-        for y in lc.sigma_b:
-            axes = [preimage(lc, e, y) for e in edges]
-            if any(not axis for axis in axes):
-                continue
-            assignments.extend(itertools.product(*axes))
-        if not assignments:
-            raise EmptyRange(b)
-        tests.append(SsatTest(variables=variables, assignments=tuple(assignments)))
-    return SsatInstance(variables=lc.a_vertices, field_values=lc.sigma_a, tests=tuple(tests), provenance=lc)
+    """The SSAT instance of ``lc``: one variable per A-vertex and one test per B-vertex, ``instances.cover_tests``."""
+    return SsatInstance(provenance=lc)
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +191,22 @@ def sis_to_lhp(sis: SisInstance, u_param: Optional[int] = None, g: int = 1) -> L
     m = sis.num_cols
     ineqs: list[LhpInequality] = []
 
-    def emit(copies, coeff_x, coeff_y, coeff_delta, sense, group, tag):
-        ineqs.append(LhpInequality(coeff_x, coeff_y, coeff_delta, sense, group, tag, copies))
+    def emit(copies, coeff_x, coeff_y, coeff_delta, sense, group):
+        ineqs.append(LhpInequality(coeff_x, coeff_y, coeff_delta, sense, group, copies))
 
-    emit(u, (), 1, u, GT, "G1", "g1_lower")
-    emit(u, (), -1, u, LT, "G1", "g1_upper")
-    for row_idx, (row, c) in enumerate(zip(sis.matrix, sis.target)):
-        emit(u, row, -c, 1, GT, "G2", f"g2_row{row_idx}_plus")
-        emit(u, row, -c, -1, LT, "G2", f"g2_row{row_idx}_minus")
+    emit(u, (), 1, u, GT, "G1")
+    emit(u, (), -1, u, LT, "G1")
+    for row, c in zip(sis.matrix, sis.target):
+        emit(u, row, -c, 1, GT, "G2")
+        emit(u, row, -c, -1, LT, "G2")
     units = [((i, 1),) for i in range(m)]
-    for i, unit in enumerate(units):
-        emit(u, unit, -2, 0, LT, "G3", f"g3_x{i}_upper")
-        emit(u, unit, 2, 0, GT, "G3", f"g3_x{i}_lower")
-    for i, unit in enumerate(units):
-        emit(1, unit, 0, 1, GT, "G4", f"g4_x{i}_plus")
-        emit(1, unit, 0, -1, LT, "G4", f"g4_x{i}_minus")
-    emit(u, (), 1, 0, GT, "G5", "g5_y_positive")
+    for unit in units:
+        emit(u, unit, -2, 0, LT, "G3")
+        emit(u, unit, 2, 0, GT, "G3")
+    for unit in units:
+        emit(1, unit, 0, 1, GT, "G4")
+        emit(1, unit, 0, -1, LT, "G4")
+    emit(u, (), 1, 0, GT, "G5")
 
     return LhpSystem(num_x=m, u_param=u, inequalities=tuple(ineqs))
 
@@ -256,10 +231,10 @@ def sis_solution_from_lhp_assignment(lhp: LhpSystem, a: LhpAssignment) -> tuple[
     for group in ("G1", "G3", "G2"):
         for idx, ineq in enumerate(lhp.inequalities):
             if ineq.group == group and not ineq.holds_at(xs, y, delta):
-                raise Infeasible(group, idx, ineq.copies_of)
+                raise Infeasible(group, idx)
     for idx, ineq in enumerate(lhp.inequalities):
         if ineq.group == "G2" and sum(c * xs[i] for i, c in ineq.coeff_x) + ineq.coeff_y * y != 0:
-            raise Infeasible("g2_exactness", idx, ineq.copies_of)
+            raise Infeasible("g2_exactness", idx)
     if y == 0:  # only G1 forces y > 0, and a system read from a file may have no G1 member
         raise Infeasible("integrality", 0, "y = 0, so no x/y is defined")
     for i, x in enumerate(xs):

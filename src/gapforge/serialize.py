@@ -25,19 +25,25 @@ satisfies the type invariants.
 
 One field table gives each document kind's layout once: for every key, which
 is also the attribute name, a (reader, writer) pair.  ``to_document`` and
-``from_document`` both run off it, and so do the nested SSAT test and LHP
-inequality records.  Only the label cover, whose keys are not its attribute
-names, has its own reader and writer.  From the table each record
-generates, on first use, one plain function that reads it and one that
-writes it at each indentation, as ``Record`` generates ``__init__``: a
-record costs one Python frame to read and one to write.  Integer arrays,
+``from_document`` both run off it, and so do the nested LHP inequality
+records.  Only the label cover, whose keys are not its attribute names, has
+its own reader and writer, and an SSAT document picks one of its two record
+forms by its key set.  From the table each record generates, on first use,
+one plain function that reads it and one that writes it at each
+indentation, as ``Record`` generates ``__init__``: a record costs one
+Python frame to read and one to write.  Integer arrays,
 label arrays and sparse integer rows are checked whole at C level and then
 read or written in one pass; a list that fails the check goes item by item,
 so it is refused with the same error at the same node.
 
-Files are format version 5, and a file of any other version is refused at
-``/version``.  An SSAT file's ``provenance`` is the whole document of the
-label cover it was reduced from, or ``null``.
+Files are format version 6, and a file of any other version is refused at
+``/version``.  A file stores each fact once.  A label cover's edge carries
+its projection table as ``pi``, the array of its sigma_b images in sigma_a
+order.  An SSAT file reduced from a label cover is that cover: its keys are
+exactly ``kind``, ``version`` and ``provenance``, the whole label-cover
+document, and reading it derives the tests again.  A standalone SSAT file
+has exactly ``kind``, ``version``, ``variables``, ``field_values`` and
+``tests``.  Any other key set is refused at the document.
 
 Every matrix row is sparse: SIS and NCP ``matrix`` rows, like LHP
 ``coeff_x``, are ``[column, coefficient]`` pairs with ascending columns and
@@ -76,7 +82,7 @@ from .instances import (
 )
 from .superassign import SuperAssignment
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 _SAFE_INT = 2 ** 53 - 1
 
 Instance = Union[
@@ -219,17 +225,6 @@ def _label_map(v: Any, ptr: Any) -> dict[Label, Label]:
         if vertex in out:
             raise _violation(((ptr, i), 0), f"vertex {vertex!r:.60} is listed twice")
         out[vertex] = label
-    return out
-
-
-def _label_key_map(labels, ptr: Any) -> dict[str, Label]:
-    """String forms of labels, for use as JSON object keys; must be injective."""
-    out: dict[str, Label] = {}
-    for lab in labels:
-        key = str(lab)
-        if key in out:
-            raise _violation(ptr, f"labels {out[key]!r} and {lab!r} collide as JSON keys")
-        out[key] = lab
     return out
 
 
@@ -479,11 +474,11 @@ def _record(cls: type, fields: dict[str, Codec], kind: Optional[str] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Label cover documents
+# Label cover and SSAT documents
 # ---------------------------------------------------------------------------
 # The label cover has its own pair of functions: its keys ``a`` and ``b`` are
-# not its attribute names, and its ``pi`` objects are keyed by label strings.
-# Its writer writes a plain document.
+# not its attribute names, and each edge's ``pi`` is the array of its
+# sigma_b images in sigma_a order.  Its writer writes a plain document.
 
 _LABELS = _bulk_array(_LABEL, _label_items)
 _labels = _LABELS[0]()
@@ -500,7 +495,7 @@ def _lc_payload(lc: LabelCoverInstance) -> dict[str, Any]:
         "sigma_a": lc.sigma_a,
         "sigma_b": lc.sigma_b,
         "edges": [
-            {"a": a, "b": b, "pi": {str(x): y for x, y in lc.projections[(a, b)].items()}}
+            {"a": a, "b": b, "pi": list(map(lc.projections[(a, b)].__getitem__, lc.sigma_a))}
             for a, b in lc.edges
         ],
     }
@@ -512,18 +507,12 @@ def _lc_from_payload(node: Any, ptr: Any) -> LabelCoverInstance:
         raise _violation((ptr, "kind"), f"expected kind 'label_cover', got {doc['kind']!r:.60}")
     _check_version(doc["version"], ptr)
     sigma_a = _labels(doc["sigma_a"], (ptr, "sigma_a"))
-    key_map = _label_key_map(sigma_a, (ptr, "sigma_a"))
 
     def edge(rec: Any, at: Any) -> tuple:
-        pi = _fields(rec, at, _EDGE_KEYS)["pi"]
-        if type(pi) is not dict:
-            raise _violation((at, "pi"), f"expected an object, got {pi!r:.60}")
-        table = {}
-        for x, y in pi.items():
-            if x not in key_map:
-                raise _violation((at, "pi"), f"projection key {x!r} is not a sigma_a label")
-            table[key_map[x]] = _label(y, ((at, "pi"), x))
-        return (_label(rec["a"], (at, "a")), _label(rec["b"], (at, "b"))), table
+        images = _labels(_fields(rec, at, _EDGE_KEYS)["pi"], (at, "pi"))
+        if len(images) != len(sigma_a):
+            raise _violation((at, "pi"), f"expected {len(sigma_a)} labels, one per sigma_a label, got {len(images)}")
+        return (_label(rec["a"], (at, "a")), _label(rec["b"], (at, "b"))), dict(zip(sigma_a, images))
 
     records = _list(doc["edges"], (ptr, "edges"), edge)
     return LabelCoverInstance(
@@ -539,28 +528,46 @@ def _lc_from_payload(node: Any, ptr: Any) -> LabelCoverInstance:
 _LC: Codec = (lambda: _lc_from_payload, lambda pad: lambda lc: _text(_lc_payload(lc), pad))
 
 
+def _ssat() -> Codec:
+    """An SSAT document: a derived one is its cover, under ``provenance``; a standalone one lists its tests.
+
+    Each form is a record of ``SsatInstance``, generated on first use.  The
+    key set picks the form, and any other key set is refused at the document.
+    """
+    test = _record(SsatTest, {"variables": _LABELS, "assignments": _array(_LABELS)})
+    forms = {frozenset(("kind", "version", *fields)): _record(SsatInstance, fields, "ssat") for fields in (
+        {"provenance": _LC}, {"variables": _LABELS, "field_values": _LABELS, "tests": _array(test)})}
+    expected = " or ".join(str(sorted(keys)) for keys in forms)
+    derived, standalone = forms.values()
+
+    def read_ssat(doc: dict, ptr: Any) -> SsatInstance:
+        form = forms.get(frozenset(doc))
+        if form is None:
+            raise _violation(ptr, f"expected exactly the keys {expected}, found {sorted(doc)}")
+        return form[0]()(doc, ptr)
+
+    def write(pad: str) -> Text:
+        return lambda ssat: (standalone if ssat.provenance is None else derived)[1](pad)(ssat)
+
+    return (lambda: read_ssat), write
+
+
 # ---------------------------------------------------------------------------
 # The field table
 # ---------------------------------------------------------------------------
-# Every document kind but the label cover: its class, and a codec for each
-# key, which is also the attribute name.  Fields are read in table order, so
+# Every document kind but the label cover and SSAT: its class, and a codec for
+# each key, which is also the attribute name.  Fields are read in table order, so
 # of several faults the first in this order is the one reported.
 
 _INTS = _bulk_array(_INT, _int_items)
 _SPARSE_INT: Codec = (lambda: _sparse_ints, _sparse_ints_at)
 _SPARSE_INT_ROWS = _array(_SPARSE_INT)
-_SSAT_TEST = _record(SsatTest, {"variables": _LABELS, "assignments": _array(_LABELS)})
 _LHP_INEQUALITY = _record(LhpInequality, {
-    "coeff_x": _SPARSE_INT, "coeff_y": _INT, "coeff_delta": _INT,
-    "sense": _STR, "group": _STR, "copies_of": _STR, "multiplicity": _INT,
+    "coeff_x": _SPARSE_INT, "coeff_y": _INT, "coeff_delta": _INT, "sense": _STR, "group": _STR, "multiplicity": _INT,
 })
 
 _TABLE: dict[str, tuple[type, dict[str, Codec]]] = {
     "labeling": (Labeling, {"phi_a": _LABEL_MAP, "phi_b": _nullable(_LABEL_MAP)}),
-    "ssat": (SsatInstance, {
-        "provenance": _nullable(_LC), "variables": _LABELS, "field_values": _LABELS,
-        "tests": _array(_SSAT_TEST),
-    }),
     "superassignment": (SuperAssignment, {"weights": _array(_INTS)}),
     "sis": (SisInstance, {"num_cols": _INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT}),
     "ncp": (NcpInstance, {
@@ -571,8 +578,9 @@ _TABLE: dict[str, tuple[type, dict[str, Codec]]] = {
     "lhp_assignment": (LhpAssignment, {"x_values": _array(_FRAC), "y_value": _FRAC, "delta_value": _DELTA}),
 }
 
-_READERS: dict[str, Callable[[], Reader]] = {"label_cover": _LC[0]}
-_WRITERS: dict[type, Callable[[str], Text]] = {LabelCoverInstance: _LC[1]}
+_SSAT = _ssat()
+_READERS: dict[str, Callable[[], Reader]] = {"label_cover": _LC[0], "ssat": _SSAT[0]}
+_WRITERS: dict[type, Callable[[str], Text]] = {LabelCoverInstance: _LC[1], SsatInstance: _SSAT[1]}
 for _kind, (_cls, _codecs) in _TABLE.items():
     _READERS[_kind], _WRITERS[_cls] = _record(_cls, _codecs, _kind)
 KINDS = tuple(_READERS)

@@ -157,12 +157,8 @@ def natural_from_labeling(ssat: SsatInstance, lab: Labeling) -> SuperAssignment:
         for e, y in zip(edges, projected):
             if y != expected:
                 raise EdgeUnsatisfied(e)
-        try:
-            r_idx = test.assignments.index(values)
-        except ValueError:
-            # agreeing projections place the tuple in R_y of the common
-            # label, which this test may list only in part
-            raise EdgeUnsatisfied(edges[0]) from None
+        # agreeing projections place the tuple in the block of their label, which the test lists whole
+        r_idx = test.assignments.index(values)
         rows.append(tuple(1 if k == r_idx else 0 for k in range(len(test.assignments))))
     return SuperAssignment(tuple(rows))
 
@@ -194,8 +190,9 @@ def decompose_arrays(ssat: SsatInstance, s: SuperAssignment, psi: int) -> list[A
 
     The blocks are disjoint in assignment indices because projection tables
     are functions: a value of one variable determines the B-label of any
-    assignment containing it.  ``SsatInstance`` refuses an assignment that
-    projects to more than one B-label, so the first edge's table reads it.
+    assignment containing it.  The tests are ``cover_tests`` of the
+    provenance, whose every assignment projects to one B-label, so the first
+    edge's table reads it.
     """
     if ssat.provenance is None:
         raise NotLcDerived("array decomposition needs label-cover provenance")
@@ -248,15 +245,7 @@ def zero_all_bad_arrays(ssat: SsatInstance, s: SuperAssignment) -> SuperAssignme
     """
     if not is_consistent(ssat, s):
         raise InconsistentInput("zero_all_bad_arrays needs a consistent super-assignment")
-    assigned = assigned_value_sets(ssat, s)
-    rows = [list(row) for row in s.weights]
-    for psi in range(len(ssat.tests)):
-        for view in decompose_arrays(ssat, s, psi):
-            flags = good_coordinates(view, assigned)
-            if not any(flags.values()):
-                for r_idx in view.assignment_indices:
-                    rows[psi][r_idx] = 0
-    return SuperAssignment(tuple(tuple(row) for row in rows))
+    return _bad_arrays(ssat, s, assigned_value_sets(ssat, s))[1]
 
 
 def check_bad_array_sums(ssat: SsatInstance, s: SuperAssignment) -> list[tuple[int, Label]]:
@@ -268,16 +257,25 @@ def check_bad_array_sums(ssat: SsatInstance, s: SuperAssignment) -> list[tuple[i
     """
     if not is_consistent(ssat, s):
         raise InconsistentInput("check_bad_array_sums needs a consistent super-assignment")
-    assigned = assigned_value_sets(ssat, s)
+    return _bad_arrays(ssat, s, assigned_value_sets(ssat, s))[0]
+
+
+def _bad_arrays(
+    ssat: SsatInstance, s: SuperAssignment, assigned: Mapping[Vertex, frozenset[Label]]
+) -> tuple[list[tuple[int, Label]], SuperAssignment]:
+    """``check_bad_array_sums`` and ``zero_all_bad_arrays`` of a consistent ``s`` whose assigned value sets are
+    ``assigned``, over one decomposition of every test."""
     violations: list[tuple[int, Label]] = []
+    rows = [list(row) for row in s.weights]
     for psi in range(len(ssat.tests)):
         for view in decompose_arrays(ssat, s, psi):
-            flags = good_coordinates(view, assigned)
-            if all(flags.values()):
-                continue
-            if sum(w for _, w in view.cells) != 0:
+            flags = good_coordinates(view, assigned).values()
+            if not any(flags):
+                for r_idx in view.assignment_indices:
+                    rows[psi][r_idx] = 0
+            if not all(flags) and sum(w for _, w in view.cells) != 0:
                 violations.append((psi, view.b_label))
-    return violations
+    return violations, SuperAssignment(tuple(map(tuple, rows)))
 
 
 class TestKind(Enum):

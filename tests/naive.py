@@ -196,11 +196,11 @@ def lhp_extraction(lhp, a):
     for group in ("G1", "G3", "G2"):
         for idx, ineq in enumerate(lhp.inequalities):
             if ineq.group == group and not satisfied(ineq, a):
-                raise Infeasible(group, idx, ineq.copies_of)
+                raise Infeasible(group, idx)
     quotients = [x / a.y_value for x in a.x_values]
     for idx, ineq in enumerate(lhp.inequalities):
         if ineq.group == "G2" and sum(c * quotients[i] for i, c in ineq.coeff_x) + ineq.coeff_y != 0:
-            raise Infeasible("g2_exactness", idx, ineq.copies_of)
+            raise Infeasible("g2_exactness", idx)
     for i, value in enumerate(quotients):
         if value.denominator != 1:
             raise Infeasible("integrality", i, f"x_{i}/y = {value}")

@@ -159,7 +159,7 @@ def test_lhp_block_walks(data):
     n, rows, blocks, _ = data.draw(layouts(nonzero))
     inequalities = tuple(
         LhpInequality(coeff_x=row, coeff_y=data.draw(st.integers(-2, 2)), coeff_delta=data.draw(st.integers(-1, 1)),
-                      sense=data.draw(st.sampled_from((GT, LT))), group="G2", copies_of="",
+                      sense=data.draw(st.sampled_from((GT, LT))), group="G2",
                       multiplicity=data.draw(st.integers(1, 2)))
         for row in rows
     )
@@ -171,7 +171,7 @@ def test_lhp_block_walks(data):
     def alone(block):
         return LhpSystem(num_x=len(block), u_param=1, inequalities=tuple(
             LhpInequality(coeff_x=local(block, i.coeff_x), coeff_y=i.coeff_y, coeff_delta=i.coeff_delta,
-                          sense=i.sense, group=i.group, copies_of=i.copies_of, multiplicity=i.multiplicity)
+                          sense=i.sense, group=i.group, multiplicity=i.multiplicity)
             for i in inequalities if i.coeff_x and i.coeff_x[0][0] in block))
 
     violations = lhp_violations(inequalities)

@@ -143,12 +143,12 @@ def test_sis_ncp_and_lhp_with_edge_integers_anywhere_write_the_reference_bytes(d
     assert canonical_bytes(ncp) == reference(doc)
     assert from_document(json.loads(canonical_bytes(ncp))) == ncp
 
-    rows = [LhpInequality(coeff_x=row, coeff_y=t, coeff_delta=-t, sense=GT, group="G2", copies_of="", multiplicity=1)
+    rows = [LhpInequality(coeff_x=row, coeff_y=t, coeff_delta=-t, sense=GT, group="G2", multiplicity=1)
             for row, t in zip(matrix, target)]
     lhp = LhpSystem(num_x=num_cols, u_param=1, inequalities=tuple(rows))
     doc = {"kind": "lhp", "version": SCHEMA_VERSION, "num_x": num_cols, "u_param": 1, "inequalities": [
         {"coeff_x": [[c, encode_int(a)] for c, a in q.coeff_x], "coeff_y": encode_int(q.coeff_y),
-         "coeff_delta": encode_int(q.coeff_delta), "sense": GT, "group": "G2", "copies_of": "", "multiplicity": 1}
+         "coeff_delta": encode_int(q.coeff_delta), "sense": GT, "group": "G2", "multiplicity": 1}
         for q in rows]}
     assert canonical_bytes(lhp) == reference(doc)
     assert from_document(json.loads(canonical_bytes(lhp))) == lhp
@@ -164,7 +164,7 @@ def test_label_arrays_that_mix_integers_and_strings_write_the_reference_bytes(da
     variables, field_values = labels(1), labels(1)
     test = SsatTest(variables=tuple(variables), assignments=tuple((f,) * len(variables) for f in field_values))
     ssat = SsatInstance(provenance=None, variables=tuple(variables), field_values=tuple(field_values), tests=(test,))
-    doc = {"kind": "ssat", "version": SCHEMA_VERSION, "provenance": None, "variables": variables, "field_values": field_values,
+    doc = {"kind": "ssat", "version": SCHEMA_VERSION, "variables": variables, "field_values": field_values,
            "tests": [{"variables": variables, "assignments": [[f] * len(variables) for f in field_values]}]}
     assert canonical_bytes(ssat) == reference(doc)
     assert from_document(json.loads(canonical_bytes(ssat))) == ssat
@@ -175,7 +175,7 @@ def in_memory(bad, where: str):
     row = ((0, bad),) if where == "coefficient" else ((0, 1), (bad, 2)) if where in ("column", "lhp") else ((0, 1),)
     target = (bad,) if where == "target" else (1,)
     if where == "lhp":  # LhpInequality checks its coefficients, not its columns
-        q = LhpInequality(coeff_x=row, coeff_y=1, coeff_delta=0, sense=GT, group="G2", copies_of="", multiplicity=1)
+        q = LhpInequality(coeff_x=row, coeff_y=1, coeff_delta=0, sense=GT, group="G2", multiplicity=1)
         return LhpSystem(num_x=4, u_param=1, inequalities=(q,))
     if where == "multiplicity":
         return NcpInstance(modulus=7, num_cols=4, matrix=(row,), target=target, bound=1, replication=1,

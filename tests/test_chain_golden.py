@@ -22,28 +22,28 @@ from gapforge.pipeline import run_chain
 from gapforge.serialize import canonical_bytes
 
 GOLDEN = {
-    ("lc_id2", "default"): "06586ef19c530606a8e6b7e45d28bf00849448b2a30eb47d7b83174ce1a86b2a",
-    ("lc_id2", "box1"): "a6c48c399e607d9f052149e1d43e58b226078dfb1ae49e4247d79416db479a99",
-    ("lc_id2", "cap100"): "06586ef19c530606a8e6b7e45d28bf00849448b2a30eb47d7b83174ce1a86b2a",
-    ("lc_cyc", "default"): "78ab9e0cf13814946a7810da760ca9fe05f74e7021b7246a100221eb25d249f4",
-    ("lc_cyc", "box1"): "22328e35f82550caf35bc7cf34ade4ae1e71b5ac0db3d47a8d162049f4a09e65",
-    ("lc_cyc", "cap100"): "78ab9e0cf13814946a7810da760ca9fe05f74e7021b7246a100221eb25d249f4",
-    ("lc_share", "default"): "dcb20dc5b6e7f7c6b97144d91bceb32055cea24bf7bc56f50d26ca76704462c3",
-    ("lc_share", "box1"): "e7505667b8d777291657b27522da44c0fad2c983b416cca58f5b8ee3c4e8bc55",
-    ("lc_share", "cap100"): "dcb20dc5b6e7f7c6b97144d91bceb32055cea24bf7bc56f50d26ca76704462c3",
-    ("lc_2to1", "default"): "c11d074580190202fc5613db956a6a7665b7484bf3d42a32047f1b390a7f65a6",
-    ("lc_2to1", "box1"): "fced61592efa115427d431a7dfbe2f760ec31144ef42ae1dd1b0a0c376da13fc",
-    ("lc_2to1", "cap100"): "c11d074580190202fc5613db956a6a7665b7484bf3d42a32047f1b390a7f65a6",
-    ("planted", "cap3000"): "4de6fe37cd1482c51d654f5cb0d1c497bf33b665ce35b51eaf3d538d3769224c",
-    ("planted", "cap700"): "4de6fe37cd1482c51d654f5cb0d1c497bf33b665ce35b51eaf3d538d3769224c",
-    ("planted", "cap100"): "4de6fe37cd1482c51d654f5cb0d1c497bf33b665ce35b51eaf3d538d3769224c",
-    ("planted", "cap50"): "4de6fe37cd1482c51d654f5cb0d1c497bf33b665ce35b51eaf3d538d3769224c",
-    ("planted", "cap16"): "8b752231209ae05e9394e74c9411c91b7ae42310192a2734004b76ed3fd360dc",
-    ("planted", "cap15"): "ebbdbe0e43421c11264b202f7fd6f087026b9924f5f8250681ce561ee06c3e08",
-    ("frustrated", "cap3000"): "e9a3e408918fed51442f9f7f7148db502c8dc55557fc834773913a10d81648b3",
-    ("frustrated", "cap700"): "e9a3e408918fed51442f9f7f7148db502c8dc55557fc834773913a10d81648b3",
-    ("frustrated", "cap100"): "e9a3e408918fed51442f9f7f7148db502c8dc55557fc834773913a10d81648b3",
-    ("frustrated", "cap22"): "d05afa7fdb508a56a282180b7e8eea65d4616c2ddbe00f0009912d0d129af7ee",
+    ("lc_id2", "default"): "dcefa0262d7f460d08f10de04574ca52358d9116d7cbbe650279041784e78223",
+    ("lc_id2", "box1"): "18a86649178c4b79d593048e860a23eb0e422290c8848ecbb8ed032f23da0c07",
+    ("lc_id2", "cap100"): "dcefa0262d7f460d08f10de04574ca52358d9116d7cbbe650279041784e78223",
+    ("lc_cyc", "default"): "badb3be58272b3a1debc427d5da58241f9a0438a73acd5fe30fef4aeb9027149",
+    ("lc_cyc", "box1"): "cb7db78c4a10826fb662682ab0f4aa423dae0c66d88eb8d69f8a11efd6026c1a",
+    ("lc_cyc", "cap100"): "badb3be58272b3a1debc427d5da58241f9a0438a73acd5fe30fef4aeb9027149",
+    ("lc_share", "default"): "a3e1c49b6b16901a70810221e9229d533d9ebf1d3e857d5ca806701bf9516e59",
+    ("lc_share", "box1"): "832e2e3c606ec47132bc0df84e7c566376ea13c627967c156bfde32756243be9",
+    ("lc_share", "cap100"): "a3e1c49b6b16901a70810221e9229d533d9ebf1d3e857d5ca806701bf9516e59",
+    ("lc_2to1", "default"): "34040640e0c04c8825195833166253064c68491a1a3041ff79f07202da40ced6",
+    ("lc_2to1", "box1"): "cc81179888eba5d4e05f9899387406e7af03a91e9644fb685a2edbef60551865",
+    ("lc_2to1", "cap100"): "34040640e0c04c8825195833166253064c68491a1a3041ff79f07202da40ced6",
+    ("planted", "cap3000"): "26bafdbcbcc5c6069f83833b84f5277139e96b9e873c97705ec21518f9e2d736",
+    ("planted", "cap700"): "26bafdbcbcc5c6069f83833b84f5277139e96b9e873c97705ec21518f9e2d736",
+    ("planted", "cap100"): "26bafdbcbcc5c6069f83833b84f5277139e96b9e873c97705ec21518f9e2d736",
+    ("planted", "cap50"): "26bafdbcbcc5c6069f83833b84f5277139e96b9e873c97705ec21518f9e2d736",
+    ("planted", "cap16"): "be4ab8bbfbdbd434598b2cb378855612f58e34f3f03b51da2eeecd41df39b924",
+    ("planted", "cap15"): "fea0178b49ec8333ccaa0623dc822fa23751d3300a6b44e3e0351a6e4760208e",
+    ("frustrated", "cap3000"): "22332b5e38f89de1ecf1f19c5ebaa832dcb3028d39a99fa20a6b528243f2f6a7",
+    ("frustrated", "cap700"): "22332b5e38f89de1ecf1f19c5ebaa832dcb3028d39a99fa20a6b528243f2f6a7",
+    ("frustrated", "cap100"): "22332b5e38f89de1ecf1f19c5ebaa832dcb3028d39a99fa20a6b528243f2f6a7",
+    ("frustrated", "cap22"): "3ee22844ac576974f92a7368b8ec730e636a6af9cd82fff7264b8867136863cb",
 }
 # (states, cap) of the SearchSpaceTooLarge the label-cover search raises
 RAISES = {("frustrated", "cap16"): (17, 16)}

@@ -191,24 +191,40 @@ def test_check_claims_given_super(tmp_path, capsys):
     assert code == 1 and doc["error"]["type"] == "InconsistentInput"
 
 
-def test_check_claims_checks_consistency_at_most_four_times_per_candidate(tmp_path, capsys, monkeypatch):
-    """Bad-array sums, zeroing, the re-check of the zeroed copy and one classification of all tests."""
+def test_check_claims_checks_consistency_twice_per_candidate(tmp_path, capsys, monkeypatch):
+    """Consistency of the candidate and of its zeroed copy; the assigned value sets once per candidate."""
     import gapforge.superassign as superassign
     from gapforge.reductions import lc_to_ssat
 
     calls = []
-    checker = superassign.is_consistent
-
-    def counted(*args):
-        calls.append(None)
-        return checker(*args)
-
-    for module in (gapforge.cli, superassign):
-        monkeypatch.setattr(module, "is_consistent", counted)
+    for module, name in ((gapforge.cli, "is_consistent"), (superassign, "is_consistent"),
+                         (gapforge.cli, "assigned_value_sets"), (superassign, "assigned_value_sets")):
+        def counted(*args, _name=name, _f=getattr(module, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
     write_instance(tmp_path / "ssat.json", lc_to_ssat(shipped.load("lc_share")))
     code, doc = run(capsys, "check", "claims", "--in", str(tmp_path / "ssat.json"), "--box", "2")
     assert code == 0 and doc["checked"] == 25
-    assert 0 < len(calls) <= 4 * doc["checked"]
+    assert calls.count("is_consistent") == 2 * doc["checked"]
+    assert calls.count("assigned_value_sets") == doc["checked"]
+
+
+# sha256 of (cover, box, exit code, stdout) of ``check claims`` on the SSAT image of each label-cover fixture
+CLAIMS_DIGEST = "d553b937e84410f7b86a494d3367d12a2a179a0d23b0b28f07feab2e59f38cd2"
+
+
+def test_check_claims_reports_are_pinned(tmp_path, capsys):
+    from gapforge.reductions import lc_to_ssat
+
+    h = hashlib.sha256()
+    for name in ("lc_id2", "lc_cyc", "lc_share", "lc_2to1"):
+        path = tmp_path / f"{name}.json"
+        write_instance(path, lc_to_ssat(shipped.load(name)))
+        for box in ("1", "2"):
+            code = main(["check", "claims", "--in", str(path), "--box", box])
+            h.update(json.dumps([name, box, code, capsys.readouterr().out]).encode() + b"\n")
+    assert h.hexdigest() == CLAIMS_DIGEST
 
 
 # the function each ``reduce`` step and each ``solve`` kind runs, by its name in gapforge.reductions or gapforge.oracles
@@ -277,6 +293,18 @@ def test_check_lists(capsys, lc_cyc_path):
     assert code == 0
     assert doc["defeats"] is True
     assert doc["fraction"] == "1/1"
+
+
+def test_check_lists_writes_every_list_when_two_vertex_ids_have_the_same_string_form(tmp_path, capsys):
+    # the lists are [vertex, labels] pairs, so the A-vertices 1 and "1" keep one list each
+    from gapforge.instances import LabelCoverInstance
+
+    edges = ((1, "b0"), ("1", "b0"))
+    lc = LabelCoverInstance((1, "1"), ("b0",), (0, 1), (0, 1), edges, dict.fromkeys(edges, {0: 0, 1: 1}))
+    write_instance(tmp_path / "twin.json", lc)
+    code, doc = run(capsys, "check", "lists", "--in", str(tmp_path / "twin.json"), "--g", "2", "--derandomize")
+    assert code == 0
+    assert doc["lists"] == [[1, [0]], ["1", [0]]]
 
 
 def test_check_lists_checks_and_selects_once(capsys, lc_cyc_path, monkeypatch):
@@ -517,6 +545,16 @@ def test_refused_flag_prints_the_verbs_usage(capsys, lc_id2_path):
     assert "unrecognized arguments: --box 2" in err
 
 
+def test_gen_flips_on_a_one_label_sigma_b_is_error_envelope(tmp_path, capsys):
+    # the one permutation of a one-label alphabet is the identity: a flip would write the planted cover
+    out = tmp_path / "lc.json"
+    code, doc = run(capsys, "gen", "lc", "--num-a", "2", "--num-b", "2", "--d-b", "2", "--sigma-a", "2",
+                    "--sigma-b", "1", "--p", "2", "--flips", "3", "--flip-seed", "5", "--out", str(out))
+    assert code == 1
+    assert doc["error"]["type"] == "InfeasibleSpec"
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
 def test_gen_negative_flips_is_error_envelope(tmp_path, capsys):
     code, doc = run(capsys, "gen", "lc", "--num-a", "3", "--num-b", "2", "--d-b", "2", "--sigma-a", "2",
                     "--sigma-b", "2", "--p", "1", "--flips", "-1", "--out", str(tmp_path / "lc.json"))
@@ -664,13 +702,12 @@ def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case", FILE_BREAKS)
 def test_check_claims_on_another_layout_is_error_envelope(request, tmp_path, capsys, case):
-    name, _, message = LAYOUT_BREAKS[case]
     path = tmp_path / "ssat.json"
-    write_layout_break(path, request.getfixturevalue(name), case)
+    write_layout_break(path, request.getfixturevalue(LAYOUT_BREAKS[case][0]), case)
     code, out = run(capsys, "check", "claims", "--in", str(path), "--box", "1")
     assert code == 1
-    assert out["error"]["type"] == "MalformedInstance"
-    assert message in out["error"]["message"]
+    assert out["error"]["type"] == "SchemaViolation"
+    assert out["error"]["message"].startswith(": expected exactly the keys ['kind', 'provenance', 'version'] or ")
 
 
 def test_modulus_beyond_the_prime_test_is_error_envelope(tmp_path, capsys):
@@ -823,3 +860,38 @@ def test_json_nested_too_deep_to_parse_is_error_envelope(tmp_path, capsys, monke
     assert doc["error"]["message"].startswith(": not valid JSON: ")
     assert "Traceback" not in capsys.readouterr().err
     assert not any(tmp_path.glob("out.json*"))
+
+
+# (fault, the envelope's error type): each written to bad.json, or in its place
+_FILE_FAULTS = {
+    "missing": "FileNotFound",
+    "directory": "IsADirectoryError",
+    "another-kind": "SchemaViolation",
+    "truncated-json": "SchemaViolation",
+    "not-utf8": "SchemaViolation",
+}
+
+
+def _write_fault(path: Path, fault: str) -> None:
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "another-kind":  # a super-assignment: no verb reads one first
+        write_instance(path, gapforge.SuperAssignment.from_rows(((1, 0), (1, 0))))
+    elif fault == "truncated-json":
+        path.write_bytes(shipped.fixture_path("lc_id2").read_bytes()[:40])
+    elif fault == "not-utf8":
+        path.write_bytes(b'{"kind": "label_cover", "a": ["\xff\xfe"]}')
+
+
+@pytest.mark.parametrize("fault", _FILE_FAULTS)
+@pytest.mark.parametrize("line", _READERS)
+def test_every_verb_on_a_faulty_file_is_a_typed_envelope(tmp_path, capsys, monkeypatch, line, fault):
+    """A missing path, a directory, a file of another kind, truncated JSON or bytes that are not UTF-8."""
+    monkeypatch.chdir(tmp_path)
+    _write_fault(tmp_path / "bad.json", fault)
+    code, doc = run(capsys, *line.replace("deep.json", "bad.json").split())
+    assert code == 1
+    assert doc["error"]["type"] == _FILE_FAULTS[fault]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not any(tmp_path.glob("out.json*"))
+

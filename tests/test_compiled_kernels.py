@@ -299,8 +299,7 @@ def test_lhp_walk_on_any_inequalities(m, rows):
 
 
 def ineq(coeff_x, cy, cd, sense, k=1):
-    return LhpInequality(coeff_x=tuple(coeff_x), coeff_y=cy, coeff_delta=cd, sense=sense, group="G2", copies_of="",
-                         multiplicity=k)
+    return LhpInequality(coeff_x=tuple(coeff_x), coeff_y=cy, coeff_delta=cd, sense=sense, group="G2", multiplicity=k)
 
 
 def test_rows_with_no_column_and_zero_standard_parts():

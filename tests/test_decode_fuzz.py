@@ -2,10 +2,14 @@
 rebuilds an instance that writes back the very same document.
 
 The mutation set is a fixed table.  Starting from the shipped fixtures and
-one generated chain (label cover, SSAT, SIS, NCP, LHP, and an LHP assignment,
-the one kind that holds fractions), it deletes each key
-in turn, adds an unknown key to each object, and replaces each node with
-each value of ``VALUES``.  Lists contribute their first three items.
+one generated chain (label cover, SSAT derived and standalone, SIS, NCP,
+LHP, and an LHP assignment, the one kind that holds fractions), it deletes
+each key in turn, adds an unknown key to each object, and replaces each node
+with each value of ``VALUES``.  Lists contribute their first three items.
+Then it breaks the shapes of format 6: each of the first three ``pi``
+arrays of a label cover is cut by one item, lengthened by one, and given an
+item that is not a label and one outside sigma_b, and a derived SSAT
+document gets the ``tests`` its cover derives.
 
 A sha256 over every mutant's outcome (error type, pointer and message),
 taken in sorted order, pins the decoder's answers exactly: a faster reader
@@ -24,7 +28,7 @@ import pytest
 from gapforge import fixtures as shipped
 from gapforge.errors import GapforgeError, SchemaViolation
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
-from gapforge.instances import LhpAssignment
+from gapforge.instances import LhpAssignment, SsatInstance
 from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
 from gapforge.serialize import from_document, read_document, to_document
 
@@ -40,6 +44,7 @@ def documents() -> dict[str, dict]:
              "lhp_assignment": LhpAssignment.of([Fraction(c - 1, 2) for c in range(sis.num_cols)], y=Fraction(3, 2),
                                                 delta=Fraction(-1, 7))}
     docs.update((f"chain_{stage}", to_document(obj)) for stage, obj in chain.items())
+    docs["chain_ssat_standalone"] = to_document(SsatInstance(ssat.variables, ssat.field_values, ssat.tests))
     return docs
 
 
@@ -75,6 +80,27 @@ def mutants(doc):
         obj["unknown"] = 0
         yield ptr, "added key 'unknown'", doc
         del obj["unknown"]
+    yield from v6_mutants(doc)
+
+
+def v6_mutants(doc):
+    """``mutants`` that break the projection arrays of a label cover, and a derived SSAT document's key set."""
+    derived = doc.get("kind") == "ssat" and "provenance" in doc
+    cover, at = (doc["provenance"], "/provenance") if derived else (doc, "")
+    if cover.get("kind") == "label_cover":
+        for i, edge in enumerate(cover["edges"][:3]):
+            pi = edge["pi"]
+            for change, value in (("one item short", pi[:-1]), ("one item long", pi + pi[:1]),
+                                  ("item 0 not a label", [1.5, *pi[1:]]),
+                                  ("item 0 outside sigma_b", ["outside", *pi[1:]])):
+                edge["pi"] = value
+                yield f"{at}/edges/{i}/pi", change, doc
+            edge["pi"] = pi
+    if derived:
+        ssat = from_document(doc)
+        doc["tests"] = to_document(SsatInstance(ssat.variables, ssat.field_values, ssat.tests))["tests"]
+        yield "", "added the derived key 'tests'", doc
+        del doc["tests"]
 
 
 def outcome(doc) -> str:
@@ -126,8 +152,8 @@ def outcome_digest() -> str:
     return hashlib.sha256("".join(line + "\n" for line in sorted(lines)).encode()).hexdigest()
 
 
-MUTANTS = 5135
-OUTCOME_DIGEST = "8f69be47479df6ba3c979e34dab4c7a4d1231dd3504b1a60d5ff552340e97bde"
+MUTANTS = 4858
+OUTCOME_DIGEST = "e91c00b58b1e2510aacbacda9fd690769d3aa90d418a053cd14e16a4c7472884"
 
 
 def test_every_mutant_gets_the_pinned_error_at_the_pinned_node():

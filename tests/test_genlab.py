@@ -114,3 +114,10 @@ def test_frustrate_all_edges_still_evaluable():
 def test_frustrate_too_many_flips(lc_cyc):
     with pytest.raises(InfeasibleSpec):
         frustrate(lc_cyc, 5, 0)
+
+
+def test_frustrating_a_one_label_sigma_b_is_infeasible():
+    lc = gen_label_cover(GenSpec(2, 2, 2, 2, 1, 2, planted=True, seed=0))
+    with pytest.raises(InfeasibleSpec, match="one-label sigma_b"):
+        frustrate(lc, 1, 5)
+    assert frustrate(lc, 0, 5) is lc

@@ -11,6 +11,7 @@ from naive import replace
 from gapforge.errors import (
     MalformedInstance,
     PartialLabeling,
+    SchemaViolation,
     UnknownEdge,
     UnknownLabel,
 )
@@ -28,6 +29,7 @@ from gapforge.instances import (
 )
 from gapforge.reductions import lc_to_ssat
 from gapforge.serialize import read_instance, to_document, write_instance
+from gapforge.superassign import natural_from_labeling
 
 
 def test_validate_lc_id2(lc_id2):
@@ -159,14 +161,21 @@ def _every_assignment(ssat):
     return {"tests": (replace(ssat.tests[0], assignments=((0, 0), (0, 1), (1, 0), (1, 1))), *ssat.tests[1:])}
 
 
+def _test_cut(ssat):
+    # test 0 of lc_share lists (0,) and (1,); cut to the second, it no longer lists what its B-labels derive
+    return {"tests": (replace(ssat.tests[0], assignments=((1,),)), *ssat.tests[1:])}
+
+
+_NOT_DERIVED = "the tests are not the ones its label cover derives"
 # (cover, change to lc_to_ssat of it, the refusal's message)
 LAYOUT_BREAKS = {
-    "tests-reversed": ("lc_cyc", _tests_reversed, "assignment 0 of test 0 has no single B-label"),
-    "variable-renamed": ("lc_share", _variable_renamed, "not the label cover's A-vertices"),
-    "field-value-added": ("lc_share", _field_value_added, "not the label cover's sigma_a"),
-    "test-dropped": ("lc_share", _test_dropped, "1 tests for 2 B-vertices"),
-    "test-variables-swapped": ("lc_cyc", _test_variables_swapped, "test 0 does not read the A-ends of B-vertex 'b0'"),
-    "over-the-bound": ("lc_cyc", _every_assignment, "assignment 1 of test 0 has no single B-label"),
+    "tests-reversed": ("lc_cyc", _tests_reversed, _NOT_DERIVED),
+    "variable-renamed": ("lc_share", _variable_renamed, "the variables are not the ones its label cover derives"),
+    "field-value-added": ("lc_share", _field_value_added, "the field_values are not the ones its label cover derives"),
+    "test-dropped": ("lc_share", _test_dropped, _NOT_DERIVED),
+    "test-variables-swapped": ("lc_cyc", _test_variables_swapped, _NOT_DERIVED),
+    "over-the-bound": ("lc_cyc", _every_assignment, _NOT_DERIVED),
+    "test-cut": ("lc_share", _test_cut, _NOT_DERIVED),
 }
 
 
@@ -180,13 +189,24 @@ def test_provenance_with_another_layout_than_lc_to_ssat_is_malformed(request, ca
     assert replace(ssat, provenance=None, **change(ssat)).provenance is None
 
 
-# format version 4 could write these three with its maps from variables and tests to the
-# cover's vertices; each file loaded, then broke a consumer that assumed the identity
+def test_a_cut_test_never_reaches_natural_from_labeling(lc_share):
+    # format 5 let ssat_share with test 0 cut to [[1]] load, and natural_from_labeling then blamed the edge
+    # ('x', 'b0'), which this labeling satisfies; the cut instance is refused, and the derived one takes the labeling
+    labeling = Labeling({"x": 0}, {"b0": 0, "b1": 0})
+    ssat = lc_to_ssat(lc_share)
+    with pytest.raises(MalformedInstance, match=re.escape(_NOT_DERIVED)):
+        replace(ssat, **_test_cut(ssat))
+    assert natural_from_labeling(ssat, labeling).weights == ((1, 0), (1, 0))
+
+
+# format version 4 could write these three with its maps from variables and tests to the cover's
+# vertices; each file loaded, then broke a consumer.  Format 5 wrote the cover beside the tests and
+# refused these layouts on construction; a format-6 file with a cover lists no tests
 FILE_BREAKS = ("tests-reversed", "variable-renamed", "field-value-added")
 
 
 def write_layout_break(path, lc, case) -> None:
-    """An SSAT file that nests ``lc`` as its provenance, with the tests and values of ``case``."""
+    """An SSAT file that nests ``lc`` as its provenance beside the tests and values of ``case``."""
     ssat = lc_to_ssat(lc)
     write_instance(path, replace(ssat, provenance=None, **LAYOUT_BREAKS[case][1](ssat)))
     doc = json.loads(path.read_text())
@@ -196,10 +216,11 @@ def write_layout_break(path, lc, case) -> None:
 
 @pytest.mark.parametrize("case", FILE_BREAKS)
 def test_a_file_with_another_layout_is_refused_on_read(request, tmp_path, case):
-    name, _, message = LAYOUT_BREAKS[case]
-    write_layout_break(tmp_path / "ssat.json", request.getfixturevalue(name), case)
-    with pytest.raises(MalformedInstance, match=re.escape(message)):
+    # a derived file is its cover alone: beside its tests, even tests it would derive, the cover is refused
+    write_layout_break(tmp_path / "ssat.json", request.getfixturevalue(LAYOUT_BREAKS[case][0]), case)
+    with pytest.raises(SchemaViolation, match="expected exactly the keys") as exc:
         read_instance(tmp_path / "ssat.json")
+    assert exc.value.pointer == ""
 
 
 def test_provenance_is_the_cover_and_its_layout_is_lc_to_ssats(lc_cyc):

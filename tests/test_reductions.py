@@ -452,8 +452,7 @@ def test_lhp_extraction_rejects_nonintegral(ssat_share):
 
 def test_lhp_extraction_refuses_y_zero_without_g1():
     # no G1 member forces y > 0: the G2 row holds at the origin by its delta coefficient and is exact there
-    g2 = LhpInequality(coeff_x=((0, 1),), coeff_y=-1, coeff_delta=1, sense=GT, group="G2", copies_of="row 0",
-                       multiplicity=1)
+    g2 = LhpInequality(coeff_x=((0, 1),), coeff_y=-1, coeff_delta=1, sense=GT, group="G2", multiplicity=1)
     lhp = LhpSystem(num_x=1, u_param=1, inequalities=(g2,))
     with pytest.raises(Infeasible) as exc:
         sis_solution_from_lhp_assignment(lhp, LhpAssignment.of([0], y=0))

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from naive import replace
 from test_walk_outcomes import ladder
 
 from gapforge import fixtures as shipped
@@ -156,20 +157,6 @@ def test_missing_file():
         read_instance("/does/not/exist.json")
 
 
-def test_label_key_collision_rejected():
-    doc = {
-        "kind": "label_cover",
-        "version": SCHEMA_VERSION,
-        "a": ["a0"],
-        "b": ["b0"],
-        "sigma_a": [0, "0"],
-        "sigma_b": [0],
-        "edges": [{"a": "a0", "b": "b0", "pi": {"0": 0}}],
-    }
-    with pytest.raises(SchemaViolation):
-        from_document(doc)
-
-
 def test_sis_text_round_trip(ssat_share):
     sis = ssat_to_sis(ssat_share)
     text = sis_to_text(sis)
@@ -215,10 +202,8 @@ def test_lhp_document_is_sparse_with_multiplicity(ssat_share):
     assert len(records) == len(lhp.inequalities) == 27
     # G1 times U: y + 10 delta > 0 and -y + 10 delta < 0, ten copies each
     assert records[:2] == [
-        {"coeff_x": [], "coeff_y": 1, "coeff_delta": 10, "sense": "gt", "group": "G1", "copies_of": "g1_lower",
-         "multiplicity": 10},
-        {"coeff_x": [], "coeff_y": -1, "coeff_delta": 10, "sense": "lt", "group": "G1", "copies_of": "g1_upper",
-         "multiplicity": 10},
+        {"coeff_x": [], "coeff_y": 1, "coeff_delta": 10, "sense": "gt", "group": "G1", "multiplicity": 10},
+        {"coeff_x": [], "coeff_y": -1, "coeff_delta": 10, "sense": "lt", "group": "G1", "multiplicity": 10},
     ]
     # the "+" inequality of the first SIS row: x_0 + x_1 - y + delta > 0, ten copies
     assert records[2] == {
@@ -227,7 +212,6 @@ def test_lhp_document_is_sparse_with_multiplicity(ssat_share):
         "coeff_delta": 1,
         "sense": "gt",
         "group": "G2",
-        "copies_of": "g2_row0_plus",
         "multiplicity": 10,
     }
     assert from_document(to_document(lhp)) == lhp
@@ -340,7 +324,7 @@ def test_strict_scalars():
 
 def test_schema_violation_points_at_the_node():
     doc = to_document(shipped.load("ssat_share"))
-    doc["provenance"]["edges"][1]["pi"]["0"] = 1.0
+    doc["provenance"]["edges"][1]["pi"][0] = 1.0
     with pytest.raises(SchemaViolation) as exc:
         from_document(doc)
     assert exc.value.pointer == "/provenance/edges/1/pi/0"
@@ -352,20 +336,68 @@ def test_schema_violation_points_at_the_node():
 
 def _one_edge_cover(sigma_a) -> LabelCoverInstance:
     edge = ("a0", "b0")
-    return LabelCoverInstance(("a0",), ("b0",), tuple(sigma_a), (0,), (edge,), {edge: dict.fromkeys(sigma_a, 0)})
+    table = {x: i % 2 for i, x in enumerate(sigma_a)}
+    return LabelCoverInstance(("a0",), ("b0",), tuple(sigma_a), (0, 1), (edge,), {edge: table})
 
 
-def test_labels_whose_string_forms_collide_are_refused_bare_and_nested():
-    # a file keys projection tables by str(label), so 1 and '1' could not be told apart
-    with pytest.raises(MalformedInstance, match="same string form"):
-        _one_edge_cover((1, "1"))
-    lc = _one_edge_cover((1, "2"))
-    for doc, at in ((to_document(lc), ""), (to_document(lc_to_ssat(lc)), "/provenance")):
-        node = doc["provenance"] if at else doc
-        node["sigma_a"] = [1, "1"]
+def test_labels_with_the_same_string_form_round_trip_bare_and_nested():
+    # a projection table is the array of its images in sigma_a order, so 1 and '1' need no string keys
+    lc = _one_edge_cover((1, "1"))
+    ssat = lc_to_ssat(lc)
+    for obj, node in ((lc, lambda doc: doc), (ssat, lambda doc: doc["provenance"])):
+        doc = to_document(obj)
+        assert node(doc)["sigma_a"] == [1, "1"] and node(doc)["edges"][0]["pi"] == [0, 1]
+        assert from_document(doc) == obj
+    assert ssat.tests[0].assignments == ((1,), ("1",))
+
+
+@pytest.mark.parametrize("images,pointer", [([0], "/edges/0/pi"), ([0, 1, 0], "/edges/0/pi"),
+                                            ([0, 1.0], "/edges/0/pi/1"), ({"0": 0, "1": 1}, "/edges/0/pi")])
+def test_a_pi_that_is_not_one_label_per_sigma_a_label_is_refused_at_its_node(images, pointer):
+    doc = to_document(_one_edge_cover((0, 1)))
+    doc["edges"][0]["pi"] = images
+    with pytest.raises(SchemaViolation) as exc:
+        from_document(doc)
+    assert exc.value.pointer == pointer
+
+
+def test_a_pi_image_outside_sigma_b_is_malformed():
+    doc = to_document(_one_edge_cover((0, 1)))
+    doc["edges"][0]["pi"] = [0, 2]
+    with pytest.raises(MalformedInstance, match="maps outside sigma_b"):
+        from_document(doc)
+
+
+def test_an_ssat_document_is_its_cover_or_its_tests_and_nothing_else():
+    ssat = lc_to_ssat(shipped.load("lc_cyc"))
+    derived, standalone = to_document(ssat), to_document(replace(ssat, provenance=None))
+    assert sorted(derived) == ["kind", "provenance", "version"]
+    assert sorted(standalone) == ["field_values", "kind", "tests", "variables", "version"]
+    assert from_document(standalone) == replace(ssat, provenance=None)
+    for doc in (dict(derived, tests=standalone["tests"]), dict(standalone, provenance=derived["provenance"]),
+                dict(standalone, provenance=None), {"kind": "ssat", "version": SCHEMA_VERSION}):
         with pytest.raises(SchemaViolation) as exc:
             from_document(doc)
-        assert exc.value.pointer == f"{at}/sigma_a"
+        assert exc.value.pointer == ""
+        assert "['kind', 'provenance', 'version'] or ['field_values', 'kind', 'tests', 'variables', 'version']" in (
+            exc.value.detail)
+    with pytest.raises(SchemaViolation) as exc:
+        from_document(dict(derived, provenance=None))
+    assert exc.value.pointer == "/provenance"
+
+
+def test_version_5_files_are_refused_at_version():
+    # as version 5 wrote them: pi objects keyed by str(label), and a derived SSAT file that also lists its tests
+    lc_doc = to_document(shipped.load("lc_share"))
+    for edge in lc_doc["edges"]:
+        edge["pi"] = {str(x): y for x, y in zip(lc_doc["sigma_a"], edge["pi"])}
+    lc_doc["version"] = 5
+    ssat_doc = dict(to_document(replace(shipped.load("ssat_share"), provenance=None)), provenance=lc_doc, version=5)
+    for doc in (lc_doc, ssat_doc):
+        with pytest.raises(SchemaViolation) as exc:
+            from_document(doc)
+        assert exc.value.pointer == "/version"
+        assert "version 5 is not supported" in exc.value.detail
 
 
 @pytest.mark.parametrize("name", shipped.FIXTURE_NAMES)
@@ -375,12 +407,12 @@ def test_shipped_fixture_files_are_canonical(name):
 
 _HEADER = ("kind", "version")
 _LC_FIELDS = _HEADER + ("a", "b", "sigma_a", "sigma_b", "edges", "edges/0/a", "edges/0/b", "edges/0/pi")
-_INEQUALITY_FIELDS = ("coeff_x", "coeff_y", "coeff_delta", "sense", "group", "copies_of", "multiplicity")
+_INEQUALITY_FIELDS = ("coeff_x", "coeff_y", "coeff_delta", "sense", "group", "multiplicity")
 FIELDS = {
     "label_cover": _LC_FIELDS,
     "labeling": _HEADER + ("phi_a", "phi_b"),
-    "ssat": _HEADER + ("variables", "field_values", "tests", "tests/0/variables", "tests/0/assignments", "provenance")
-    + tuple(f"provenance/{field}" for field in _LC_FIELDS),
+    "ssat": _HEADER + ("provenance",) + tuple(f"provenance/{field}" for field in _LC_FIELDS),
+    "ssat_standalone": _HEADER + ("variables", "field_values", "tests", "tests/0/variables", "tests/0/assignments"),
     "superassignment": _HEADER + ("weights",),
     "sis": _HEADER + ("num_cols", "matrix", "target", "bound"),
     "ncp": _HEADER + ("modulus", "num_cols", "matrix", "target", "bound", "replication", "multiplicity"),
@@ -390,11 +422,13 @@ FIELDS = {
 
 
 def _one_document_per_kind() -> dict:
+    """One document of each kind, by its kind; an SSAT document in each of its two forms."""
     ssat = shipped.load("ssat_share")
     sis = ssat_to_sis(ssat)
     objs = (shipped.load("lc_share"), Labeling({0: 1}, {10: 1}), ssat, SuperAssignment.from_rows(((1, 0), (1, 0))),
             sis, sis_to_ncp(sis, g=1), sis_to_lhp(sis), LhpAssignment.of((1, -2), 3, Fraction(1, 2)))
     docs = {doc["kind"]: doc for doc in map(to_document, objs)}
+    docs["ssat_standalone"] = to_document(replace(ssat, provenance=None))
     assert docs.keys() == FIELDS.keys()
     return docs
 
@@ -406,8 +440,7 @@ def _field_pointers(node, ptr=""):
     elif isinstance(node, dict):
         for key, value in node.items():
             yield f"{ptr}/{key}"
-            if key != "pi":  # keyed by labels, not by field names
-                yield from _field_pointers(value, f"{ptr}/{key}")
+            yield from _field_pointers(value, f"{ptr}/{key}")
 
 
 def _replaced(doc, ptr: str, value):
@@ -446,7 +479,8 @@ def _item_pointers(node, ptr=""):
 ITEM_EXAMPLES = {
     "label_cover": {"/sigma_a/0", "/a/0"},
     "labeling": {"/phi_a/0/0", "/phi_a/0/1"},
-    "ssat": {"/tests/0/assignments/0/0", "/tests/0/variables/0", "/provenance/sigma_b/0"},
+    "ssat": {"/provenance/sigma_b/0", "/provenance/edges/1/pi/1"},
+    "ssat_standalone": {"/tests/0/assignments/0/0", "/tests/0/variables/0"},
     "superassignment": {"/weights/0/0"},
     "sis": {"/matrix/0/0/0", "/matrix/0/0/1", "/target/0"},
     "ncp": {"/matrix/0/0/0", "/matrix/0/0/1", "/multiplicity/0"},
@@ -470,7 +504,8 @@ def test_a_float_in_any_array_item_is_refused_at_that_item(kind):
 READ_ORDER = {
     "label_cover": ("sigma_a", "edges", "a", "b", "sigma_b"),
     "labeling": ("phi_a", "phi_b"),
-    "ssat": ("provenance", "variables", "field_values", "tests"),
+    "ssat": ("provenance",),
+    "ssat_standalone": ("variables", "field_values", "tests"),
     "superassignment": ("weights",),
     "sis": ("num_cols", "matrix", "target", "bound"),
     "ncp": ("modulus", "num_cols", "matrix", "target", "bound", "replication", "multiplicity"),

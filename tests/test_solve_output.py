@@ -31,7 +31,7 @@ COMMANDS = (
     ("ncp", ("--full-field",)),
     ("lhp", ()),
 )
-DIGEST = "5a67dfff7e1cdc3aa716154c6da14087db0f596122ed97f8d843ed484a326233"
+DIGEST = "0e5cfc798ff2389b6f836578272cb8b67675ef7b93193f9c38d803cde80b4675"
 
 
 def cover(name):
