@@ -139,7 +139,6 @@ def _cmd_gen_lc(args) -> int:
     if args.flips:
         flip_seed = args.flip_seed or 0
         lc = frustrate(lc, args.flips, flip_seed)
-    write_instance(args.out, lc)
     meta: dict[str, Any] = {
         "kind": "gen_metadata",
         "version": 1,
@@ -153,6 +152,8 @@ def _cmd_gen_lc(args) -> int:
     if args.with_oracle:
         result = solve_lc_max(lc, _budget())
         meta["oracle_value"] = encode_fraction(result.best_fraction)
+    # both files are written only once the oracle has finished, so a refusal leaves neither
+    write_instance(args.out, lc)
     Path(str(args.out) + ".meta.json").write_bytes(canonical_bytes(meta))
     _emit({"written": str(args.out), "metadata": meta})
     return 0

@@ -398,6 +398,43 @@ def test_gen_cli(tmp_path, capsys):
     assert meta["planted"] is True
 
 
+def test_gen_with_oracle_over_the_cap_writes_no_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "gen.json"
+    monkeypatch.setenv("GAPFORGE_MAX_STATES", "1")
+    code, doc = run(capsys, "gen", "lc", "--num-a", "4", "--num-b", "3", "--d-b", "2", "--sigma-a", "2",
+                    "--sigma-b", "2", "--p", "1", "--with-oracle", "--out", str(out))
+    assert code == 1 and doc["error"]["type"] == "SearchSpaceTooLarge"
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+# frustrated chains, the NO side the gap rests on, that fit a small state cap in every stage: (the `gen lc` flags
+# besides --sigma-a 2 --sigma-b 2 --p 1 --seed 0 --flips 1, the cap, oracle minima).  The forest covers fall apart
+# into blocks of one or two tests; over the whole (16, 14) instance ssat_l1, sis and ncp_box each charged 100,001
+# nodes.  The connected (8, 10, 3) cover fits only with the SSAT walk's projection floor: with it the SSAT l1 walk
+# enters 663 nodes, with the floor of 1 alone 2,184.
+_FRONTIER = {
+    "forest-8-6": ("--num-a 8 --num-b 6 --d-b 2 --flip-seed 1", 100_000, {"ncp_box": 20, "lhp_grid": 20}),
+    "connected-8-10-3": ("--num-a 8 --num-b 10 --d-b 3 --flip-seed 0", 1_500,
+                         {"ssat_l1": "2/1", "sis": None, "ncp_box": 76, "lhp_grid": 76}),
+    "forest-16-14": ("--num-a 16 --num-b 14 --d-b 2 --flip-seed 0", 100_000,
+                     {"ssat_l1": "8/7", "ncp_box": 44, "lhp_grid": 44}),
+}
+
+
+@pytest.mark.parametrize("case", list(_FRONTIER))
+def test_frustrated_frontier_chain_fits_its_cap(tmp_path, capsys, monkeypatch, case):
+    flags, cap, minima = _FRONTIER[case]
+    lc = tmp_path / "lc.json"
+    gen = ["gen", "lc", *flags.split(), "--sigma-a", "2", "--sigma-b", "2", "--p", "1", "--seed", "0", "--flips", "1"]
+    assert run(capsys, *gen, "--out", str(lc))[0] == 0
+    monkeypatch.setenv("GAPFORGE_MAX_STATES", str(cap))
+    code, doc = run(capsys, "check", "chain", "--in", str(lc))
+    assert code == 0
+    oracles = doc["oracles"]
+    assert [stage for stage, result in oracles.items() if "skipped" in result] == []
+    assert {stage: oracles[stage]["minimum"] for stage in minima} == minima
+
+
 def test_reduce_sis2lhp_refuses_g_below_one(tmp_path, capsys):
     write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
     run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
@@ -407,14 +444,15 @@ def test_reduce_sis2lhp_refuses_g_below_one(tmp_path, capsys):
     assert not (tmp_path / "lhp.json").exists()
 
 
-def test_solve_ncp_full_field_over_a_huge_modulus_hits_the_cap(tmp_path, capsys, monkeypatch):
-    """A 2^61 - 1 field is walked lazily, so the cap ends the search at once."""
+@pytest.mark.parametrize("q", [2 ** 61 - 1, 2 ** 63 + 29])
+def test_solve_ncp_full_field_over_a_huge_modulus_hits_the_cap(tmp_path, capsys, monkeypatch, q):
+    """A field is walked lazily, so the cap ends the search at once, past 2^63 too."""
     from naive import replace
 
     from gapforge.reductions import sis_to_ncp, ssat_to_sis
 
     ncp = sis_to_ncp(ssat_to_sis(shipped.load("ssat_share")), g=1)
-    write_instance(tmp_path / "ncp.json", replace(ncp, modulus=2 ** 61 - 1))
+    write_instance(tmp_path / "ncp.json", replace(ncp, modulus=q))
     monkeypatch.setenv("GAPFORGE_MAX_STATES", "10")
     code, doc = run(capsys, "solve", "ncp", "--in", str(tmp_path / "ncp.json"), "--full-field")
     assert code == 1 and doc["error"]["type"] == "SearchSpaceTooLarge"

@@ -94,7 +94,8 @@ def test_compiled_ssat_matches_reference(chain):
     scale = {"l1": len(ssat.tests), "linf": 1}  # the walk's l1 cost is the sum of the test norms, not their average
     points = list(ssat_box(ssat, k))
     for flat, s, _, reference in points:
-        assert rows.nontrivial(flat) == is_nontrivial(ssat, s)
+        # the coverage sets the walk's last column reads: each variable has a set of nonzero sum
+        assert all(any(sum(flat[c] for c in cols) for cols in sets) for sets in rows.coverage) == is_nontrivial(ssat, s)
         assert {mode: walk(flat) for mode, walk in walks.items()} == {
             mode: None if c is None else c * scale[mode] for mode, c in reference.items()}
     assert all(walk(outside(flat, k + 1)) is None for walk in walks.values())

@@ -310,9 +310,13 @@ def test_ncp_cap(ssat_share):
         solve_ncp_min(ncp, SearchBudget(max_states=10), full_field=True)
 
 
-def test_ncp_full_field_cap_builds_no_table_of_the_field(ssat_share):
+# primes far above the cap, the last past 2^63, where a range over the whole field has no len()
+HUGE_PRIMES = (1_000_003, 2 ** 61 - 1, 2 ** 63 + 29)
+
+
+@pytest.mark.parametrize("q", HUGE_PRIMES)
+def test_ncp_full_field_cap_builds_no_table_of_the_field(ssat_share, q):
     """The walk, and following a hint down it, meet the cap after a few nodes, whatever the size of the field."""
-    q = 1_000_003
     ncp = replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=q)
     for hints in ([], [(q - 1,) * ncp.num_cols]):
         tracemalloc.start()
@@ -325,11 +329,12 @@ def test_ncp_full_field_cap_builds_no_table_of_the_field(ssat_share):
         assert peak < 1_000_000, hints
 
 
+@pytest.mark.parametrize("q", HUGE_PRIMES[1:])
 @pytest.mark.parametrize("hint", [(0,), (1,), (-1,)], ids=["zero", "one", "minus_one"])
-def test_ncp_full_field_hint_over_a_huge_modulus_meets_the_cap(ssat_share, hint):
-    """A hint scans at most the cap's worth of children at a node, so a 2^61 - 1 field still ends at once."""
-    ncp = replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=2 ** 61 - 1)
-    with pytest.raises(SearchSpaceTooLarge):
+def test_ncp_full_field_hint_over_a_huge_modulus_meets_the_cap(ssat_share, hint, q):
+    """A hint scans at most the cap's worth of children at a node, so a field past 2^61 still ends at once."""
+    ncp = replace(sis_to_ncp(ssat_to_sis(ssat_share), g=1), modulus=q)
+    with pytest.raises(SearchSpaceTooLarge, match="charged 11 states"):
         solve_ncp_min(ncp, SearchBudget(max_states=10), full_field=True, hints=[hint * ncp.num_cols])
 
 

@@ -17,7 +17,7 @@ import pytest
 from test_canonical_writer import ladder_instances, reference
 
 from gapforge.instances import LabelCoverInstance, Labeling, NcpInstance, SisInstance
-from gapforge.reductions import lc_to_ssat
+from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp
 from gapforge.serialize import canonical_bytes, from_document, to_document
 
 LADDER = list(ladder_instances())
@@ -62,7 +62,7 @@ def test_string_labels_that_need_escaping_round_trip_and_write_the_reference_byt
     lc = awkward_cover()
     doc = round_trips_to_the_reference_bytes(lc)
     assert doc["sigma_a"] == list(lc.sigma_a)
-    assert doc["edges"][0]["pi"] == [lc.projections[lc.edges[0]][x] for x in lc.sigma_a]
+    assert [edge["pi"] for edge in doc["edges"]] == [[lc.projections[e][x] for x in lc.sigma_a] for e in lc.edges]
     ssat = lc_to_ssat(lc)
     assert round_trips_to_the_reference_bytes(ssat)["provenance"] == doc
     phi_a = {a: lc.sigma_a[i] for i, a in enumerate(lc.a_vertices)}
@@ -81,6 +81,10 @@ def test_integers_beyond_2_53_round_trip_as_strings_and_write_the_reference_byte
     assert doc["target"] == [str(3 ** 40), str(-BIG)]
     assert doc["bound"] == str(BIG + 1)
     assert doc["matrix"] == [[[0, str(BIG)], [2, -(BIG - 1)]], [[1, str(-BIG - 7)]]]
+    # the reductions carry them on: the LHP image's coefficients, the NCP image's bound and replication
+    lhp = round_trips_to_the_reference_bytes(sis_to_lhp(sis))
+    assert lhp["inequalities"][2]["coeff_x"] == [[0, str(BIG)], [2, -(BIG - 1)]]
+    assert round_trips_to_the_reference_bytes(sis_to_ncp(sis, g=1))["replication"] == str(BIG + 2)
     ncp = NcpInstance(modulus=MERSENNE_61, num_cols=2, matrix=(((0, MERSENNE_61 - 1),), ((1, 5),)),
                       target=(BIG * 3, 4), bound=BIG, replication=BIG - 1, multiplicity=(1, BIG))
     doc = round_trips_to_the_reference_bytes(ncp)

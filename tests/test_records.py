@@ -188,7 +188,7 @@ def test_repr_form():
     assert repr(MinResult(Fraction(1, 2), (0, 1), 3, "l1")) == (
         "MinResult(minimum=Fraction(1, 2), witness=(0, 1), states_visited=3, mode='l1')"
     )
-    assert repr(oracles._EqualityRows(1, True, ())) == "_EqualityRows(k=1, feasible=True, by_column=())"
+    assert repr(oracles._EqualityRows(1, ())) == "_EqualityRows(k=1, by_column=())"
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=_id)

@@ -198,8 +198,12 @@ def test_version_1_document_is_rejected():
 
 def test_lhp_document_is_sparse_with_multiplicity(ssat_share):
     lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
-    records = to_document(lhp)["inequalities"]
+    doc = to_document(lhp)
+    records = doc["inequalities"]
     assert len(records) == len(lhp.inequalities) == 27
+    # the current format: every record has the keys of the first, pinned below, and every coefficient is a JSON integer
+    assert doc["version"] == SCHEMA_VERSION and all(q.keys() == records[0].keys() for q in records)
+    assert all(type(c) is int for q in records for c in (q["coeff_y"], q["coeff_delta"], *(a for _, a in q["coeff_x"])))
     # G1 times U: y + 10 delta > 0 and -y + 10 delta < 0, ten copies each
     assert records[:2] == [
         {"coeff_x": [], "coeff_y": 1, "coeff_delta": 10, "sense": "gt", "group": "G1", "multiplicity": 10},
