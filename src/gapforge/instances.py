@@ -4,7 +4,9 @@ Everything here is immutable after construction and validated eagerly: the
 pass that validates a label cover or an SSAT instance also builds the
 derived tables its readers use, so nothing is computed or stored later.  An
 SSAT instance reduced from a label cover holds that cover as its provenance
-and is a function of it: ``cover_tests`` derives its tests.  All
+and is a function of it: ``cover_tests`` derives its tests.  So is an LHP
+system homogenized from a SIS system, which holds that system and U:
+``sis_inequalities`` derives its inequalities.  All
 arithmetic is over arbitrary-precision integers and :class:`~fractions.Fraction`;
 no floating point is used anywhere.  Every instance coefficient is an
 integer; fractions occur only in LHP assignments, which are scaled to
@@ -389,6 +391,8 @@ class SisInstance(Record):
     def __post_init__(self):
         if len(self.target) != len(self.matrix):
             raise MalformedInstance("target length differs from row count")
+        if self.bound < 0:
+            raise MalformedInstance(f"bound must be non-negative, got {self.bound}")
         check_sparse_rows(self.matrix, self.num_cols, "matrix")
 
     @property
@@ -459,6 +463,10 @@ class NcpInstance(Record):
             raise MalformedInstance(f"modulus {self.modulus} is not prime")
         if not len(self.target) == len(self.multiplicity) == len(self.matrix):
             raise MalformedInstance("target or multiplicity length differs from row count")
+        if self.bound < 0:
+            raise MalformedInstance(f"bound must be non-negative, got {self.bound}")
+        if self.replication < 1:
+            raise MalformedInstance(f"replication must be at least 1, got {self.replication}")
         if any(k < 1 for k in self.multiplicity):
             raise MalformedInstance("row multiplicities must be at least 1")
         check_sparse_rows(self.matrix, self.num_cols, "matrix")
@@ -507,7 +515,8 @@ class LhpInequality(Record):
     ``coeff_x`` is a sparse row, as in ``SisInstance``, and every coefficient
     is an ``int``; ``LhpSystem`` checks the row.  Homogenization leaves the
     right-hand side zero, so scaling by a positive integer keeps the
-    solution set, and ``sis_to_lhp`` writes every inequality with integers.
+    solution set, and ``sis_inequalities`` writes every inequality with
+    integers.
     """
 
     coeff_x: SparseRow
@@ -553,17 +562,66 @@ class LhpInequality(Record):
         return self.holds_at(xs, y, delta)
 
 
-class LhpSystem(Record):
-    """A list of strict linear inequalities produced by homogenization."""
+def sis_inequalities(sis: SisInstance, u: int) -> tuple[LhpInequality, ...]:
+    """The inequalities over (x, y, delta) that homogenizing ``sis`` with parameter ``u`` gives.
 
-    num_x: int
+    Group layout (each member once, with multiplicity U unless noted):
+
+    * G1 squeezes delta into (-y/U, y/U), written times U as
+      ``y + U delta > 0`` and ``-y + U delta < 0``.
+    * G2 turns every equation ``sum a_i x_i = c`` into the pair
+      ``sum a_i x_i - c y + delta > 0`` and ``sum a_i x_i - c y - delta < 0``.
+    * G3 boxes every variable into (-2y, 2y).
+    * G4 charges one violation per nonzero variable (multiplicity 1).
+    * G5 keeps y positive.
+
+    A strict homogeneous inequality times a positive integer has the same
+    solutions, so every coefficient is an integer.
+    """
+    ineqs = [LhpInequality((), 1, u, GT, "G1", u), LhpInequality((), -1, u, LT, "G1", u)]
+    for row, c in zip(sis.matrix, sis.target):
+        ineqs += (LhpInequality(row, -c, 1, GT, "G2", u), LhpInequality(row, -c, -1, LT, "G2", u))
+    units = [((i, 1),) for i in range(sis.num_cols)]
+    for unit in units:
+        ineqs += (LhpInequality(unit, -2, 0, LT, "G3", u), LhpInequality(unit, 2, 0, GT, "G3", u))
+    for unit in units:
+        ineqs += (LhpInequality(unit, 0, 1, GT, "G4", 1), LhpInequality(unit, 0, -1, LT, "G4", 1))
+    ineqs.append(LhpInequality((), 1, 0, GT, "G5", u))
+    return tuple(ineqs)
+
+
+class LhpSystem(Record):
+    """A list of strict linear inequalities produced by homogenization.
+
+    ``provenance`` is the SIS system the inequalities were homogenized from,
+    or ``None``.  A system with a SIS is a function of it and of
+    ``u_param``: its ``num_x`` is the SIS column count and its inequalities
+    are ``sis_inequalities(provenance, u_param)``.  Given only the SIS and
+    ``u_param``, validation fills the two in; given them too, it refuses any
+    that differ.  A system without a SIS needs ``num_x``.
+    """
+
     u_param: int
-    inequalities: tuple[LhpInequality, ...]
+    num_x: Optional[int] = None
+    inequalities: tuple[LhpInequality, ...] = ()
+    provenance: Optional[SisInstance] = None
 
     def __post_init__(self):
         if self.u_param < 1:
             raise MalformedInstance("u_param must be at least 1")
-        check_sparse_rows((ineq.coeff_x for ineq in self.inequalities), self.num_x, "coeff_x", "num_x")
+        sis = self.provenance
+        if sis is None:
+            if self.num_x is None:
+                raise MalformedInstance("an LHP system needs num_x or the SIS system it was homogenized from")
+            check_sparse_rows((ineq.coeff_x for ineq in self.inequalities), self.num_x, "coeff_x", "num_x")
+            return
+        # the derived rows are the SIS rows, which SisInstance checked, and unit rows
+        fill = self.num_x is None and not self.inequalities
+        for name, value in (("num_x", sis.num_cols), ("inequalities", sis_inequalities(sis, self.u_param))):
+            if fill:
+                object.__setattr__(self, name, value)
+            elif getattr(self, name) != value:
+                raise MalformedInstance(f"{name} differs from what its SIS system derives")
 
     @property
     def num_inequalities(self) -> int:

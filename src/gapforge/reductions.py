@@ -3,7 +3,10 @@
 Four instance transformations: label cover to SSAT, SSAT to SIS, and SIS to
 both NCP and LHP.  Each one comes with maps carrying solutions forward
 (completeness direction) and pulling low-cost solutions back (soundness
-direction, as exact inverses on their images).
+direction, as exact inverses on their images).  Two of them only settle
+their parameters: an SSAT instance derives its tests from its label cover,
+and an LHP system its inequalities from its SIS system and U, when the
+instance is built (``instances.cover_tests``, ``instances.sis_inequalities``).
 """
 
 from __future__ import annotations
@@ -19,11 +22,8 @@ from .errors import (
 )
 from .instances import (
     EPSILON,
-    GT,
-    LT,
     LabelCoverInstance,
     LhpAssignment,
-    LhpInequality,
     LhpSystem,
     NcpInstance,
     Record,
@@ -168,47 +168,16 @@ def sis_to_ncp(
 # ---------------------------------------------------------------------------
 
 def sis_to_lhp(sis: SisInstance, u_param: Optional[int] = None, g: int = 1) -> LhpSystem:
-    """Homogenize the SIS equations into strict inequalities over (x, y, delta).
+    """Homogenize the SIS equations into strict inequalities over (x, y, delta), ``instances.sis_inequalities``.
 
-    Group layout (each member once, with multiplicity U unless noted):
-
-    * G1 squeezes delta into (-y/U, y/U), written times U as
-      ``y + U delta > 0`` and ``-y + U delta < 0``.
-    * G2 turns every equation ``sum a_i x_i = c`` into the pair
-      ``sum a_i x_i - c y + delta > 0`` and ``sum a_i x_i - c y - delta < 0``.
-    * G3 boxes every variable into (-2y, 2y).
-    * G4 charges one violation per nonzero variable (multiplicity 1).
-    * G5 keeps y positive.
-
-    A strict homogeneous inequality times a positive integer has the same
-    solutions, so every coefficient is an integer.
+    U is ``u_param``, or g times the SIS budget plus one; the system holds
+    ``sis`` and U, and derives its inequalities from them.
     """
     if g < 1:
         raise BadParameters("g must be at least 1")
     if u_param is not None and u_param < 1:
         raise BadParameters("u_param must be at least 1")
-    u = u_param if u_param is not None else g * sis.bound + 1
-    m = sis.num_cols
-    ineqs: list[LhpInequality] = []
-
-    def emit(copies, coeff_x, coeff_y, coeff_delta, sense, group):
-        ineqs.append(LhpInequality(coeff_x, coeff_y, coeff_delta, sense, group, copies))
-
-    emit(u, (), 1, u, GT, "G1")
-    emit(u, (), -1, u, LT, "G1")
-    for row, c in zip(sis.matrix, sis.target):
-        emit(u, row, -c, 1, GT, "G2")
-        emit(u, row, -c, -1, LT, "G2")
-    units = [((i, 1),) for i in range(m)]
-    for unit in units:
-        emit(u, unit, -2, 0, LT, "G3")
-        emit(u, unit, 2, 0, GT, "G3")
-    for unit in units:
-        emit(1, unit, 0, 1, GT, "G4")
-        emit(1, unit, 0, -1, LT, "G4")
-    emit(u, (), 1, 0, GT, "G5")
-
-    return LhpSystem(num_x=m, u_param=u, inequalities=tuple(ineqs))
+    return LhpSystem(u_param=u_param if u_param is not None else g * sis.bound + 1, provenance=sis)
 
 
 def lhp_assignment_from_sis_solution(z) -> LhpAssignment:

@@ -23,27 +23,33 @@ when it refuses the node.  Value invariants live only in the constructors,
 which raise ``MalformedInstance``.  So a file that loads is a file that
 satisfies the type invariants.
 
-One field table gives each document kind's layout once: for every key, which
-is also the attribute name, a (reader, writer) pair.  ``to_document`` and
-``from_document`` both run off it, and so do the nested LHP inequality
-records.  Only the label cover, whose keys are not its attribute names, has
-its own reader and writer, and an SSAT document picks one of its two record
-forms by its key set.  From the table each record generates, on first use,
-one plain function that reads it and one that writes it at each
-indentation, as ``Record`` generates ``__init__``: a record costs one
-Python frame to read and one to write.  Integer arrays,
-label arrays and sparse integer rows are checked whole at C level and then
-read or written in one pass; a list that fails the check goes item by item,
-so it is refused with the same error at the same node.
+One codec table gives each document kind's layout once: for every key,
+which is also the attribute name, a (reader, writer) pair.  ``to_document``
+and ``from_document`` both run off it, and so do the nested records: LHP
+inequalities, SSAT tests, and the documents a derived file nests.  Only the
+label cover, whose keys are not its attribute names, has its own reader and
+writer.  From the table each record generates, on first use, one plain
+function that reads it and one that writes it at each indentation, as
+``Record`` generates ``__init__``: a record costs one Python frame to read
+and one to write.  Integer arrays, label arrays and sparse integer rows are
+checked whole at C level and then read or written in one pass; a list that
+fails the check goes item by item, so it is refused with the same error at
+the same node.
 
-Files are format version 6, and a file of any other version is refused at
+Files are format version 7, and a file of any other version is refused at
 ``/version``.  A file stores each fact once.  A label cover's edge carries
 its projection table as ``pi``, the array of its sigma_b images in sigma_a
-order.  An SSAT file reduced from a label cover is that cover: its keys are
-exactly ``kind``, ``version`` and ``provenance``, the whole label-cover
-document, and reading it derives the tests again.  A standalone SSAT file
-has exactly ``kind``, ``version``, ``variables``, ``field_values`` and
-``tests``.  Any other key set is refused at the document.
+order.  An SSAT and an LHP document each have two forms, and the key set
+picks one; any other key set is refused at the document.  An SSAT file
+reduced from a label cover is that cover: its keys are exactly ``kind``,
+``version`` and ``provenance``, the whole label-cover document, and reading
+it derives the tests again.  A standalone SSAT file has exactly ``kind``,
+``version``, ``variables``, ``field_values`` and ``tests``.  Likewise an LHP
+file homogenized from a SIS system has exactly ``kind``, ``version``,
+``provenance``, the whole SIS document, and ``u_param``, and reading it
+derives the inequalities again; a standalone one has exactly ``kind``,
+``version``, ``num_x``, ``u_param`` and ``inequalities``.  A nested
+document's ``kind`` and ``version`` are checked at its own pointers.
 
 Every matrix row is sparse: SIS and NCP ``matrix`` rows, like LHP
 ``coeff_x``, are ``[column, coefficient]`` pairs with ascending columns and
@@ -82,7 +88,7 @@ from .instances import (
 )
 from .superassign import SuperAssignment
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 _SAFE_INT = 2 ** 53 - 1
 
 Instance = Union[
@@ -232,6 +238,13 @@ def _check_version(v: Any, ptr: Any) -> None:
     if type(v) is not int or v != SCHEMA_VERSION:
         raise _violation((ptr, "version"), f"version {v!r:.60} is not supported; re-run the step "
                                            f"that wrote the file to get version {SCHEMA_VERSION}")
+
+
+def _check_header(doc: dict, ptr: Any, kind: str) -> None:
+    """Refuse a document of another kind at its ``kind``, then one of another version at its ``version``."""
+    if doc["kind"] != kind:
+        raise _violation((ptr, "kind"), f"expected kind {kind!r}, got {doc['kind']!r:.60}")
+    _check_version(doc["version"], ptr)
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +437,13 @@ def _record(cls: type, fields: dict[str, Codec], kind: Optional[str] = None) -> 
     """An object whose keys are the attribute names of ``cls``, read in ``fields`` order.
 
     With ``kind`` it is a whole document, which also carries ``kind`` and
-    ``version``; ``from_document`` checks those two before the fields.  The
-    reader, generated on first use, checks the keys and returns
-    ``cls(key=read(node[key], (ptr, key)), ...)``, each scalar that
-    ``_AS_IS`` names tested inline.  The writer fills one template per
-    indentation, its keys sorted, as ``template.format(text(obj.key), ...)``:
-    one maker of such writers is generated on first use, and called once per
-    indentation.
+    ``version``, and may be nested in another.  The reader, generated on
+    first use, checks the keys, then a document's kind and version at their
+    own pointers, and returns ``cls(key=read(node[key], (ptr, key)), ...)``,
+    each scalar that ``_AS_IS`` names tested inline.  The writer fills one
+    template per indentation, its keys sorted, as
+    ``template.format(text(obj.key), ...)``: one maker of such writers is
+    generated on first use, and called once per indentation.
     """
     names = frozenset(fields) if kind is None else frozenset(("kind", "version", *fields))
     header = {} if kind is None else {"kind": encode_basestring(kind), "version": str(SCHEMA_VERSION)}
@@ -442,10 +455,13 @@ def _record(cls: type, fields: dict[str, Codec], kind: Optional[str] = None) -> 
     def read() -> Reader:
         nonlocal reader
         if reader is None:
-            scope = {"cls": cls, "names": names, "_fields": _fields, "_SAFE_INT": _SAFE_INT}
+            scope = {"cls": cls, "names": names, "_fields": _fields, "_SAFE_INT": _SAFE_INT,
+                     "_check_header": _check_header}
             lines = [f"def read_{cls.__name__}(node, ptr):",
                      "    if type(node) is not dict or node.keys() != names:",
                      "        _fields(node, ptr, names)"]
+            if kind is not None:
+                lines.append(f"    _check_header(node, ptr, {kind!r})")
             # a reader not in _AS_IS is always called: ``if not (False):`` compiles to the bare call
             for i, (key, codec) in enumerate(fields.items()):
                 scope[f"r{i}"] = decode = codec[0]()
@@ -474,7 +490,7 @@ def _record(cls: type, fields: dict[str, Codec], kind: Optional[str] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Label cover and SSAT documents
+# Label cover documents
 # ---------------------------------------------------------------------------
 # The label cover has its own pair of functions: its keys ``a`` and ``b`` are
 # not its attribute names, and each edge's ``pi`` is the array of its
@@ -503,9 +519,7 @@ def _lc_payload(lc: LabelCoverInstance) -> dict[str, Any]:
 
 def _lc_from_payload(node: Any, ptr: Any) -> LabelCoverInstance:
     doc = _fields(node, ptr, _LC_KEYS)
-    if doc["kind"] != "label_cover":
-        raise _violation((ptr, "kind"), f"expected kind 'label_cover', got {doc['kind']!r:.60}")
-    _check_version(doc["version"], ptr)
+    _check_header(doc, ptr, "label_cover")
     sigma_a = _labels(doc["sigma_a"], (ptr, "sigma_a"))
 
     def edge(rec: Any, at: Any) -> tuple:
@@ -528,61 +542,65 @@ def _lc_from_payload(node: Any, ptr: Any) -> LabelCoverInstance:
 _LC: Codec = (lambda: _lc_from_payload, lambda pad: lambda lc: _text(_lc_payload(lc), pad))
 
 
-def _ssat() -> Codec:
-    """An SSAT document: a derived one is its cover, under ``provenance``; a standalone one lists its tests.
+def _two_forms(cls: type, kind: str, derived: dict[str, Codec], standalone: dict[str, Codec]) -> Codec:
+    """A document with two forms: a derived one holds what it was reduced from, under ``provenance``.
 
-    Each form is a record of ``SsatInstance``, generated on first use.  The
-    key set picks the form, and any other key set is refused at the document.
+    Each form is a record of ``cls``, generated on first use.  The key set
+    picks the form, and any other key set is refused at the document.  An
+    instance whose ``provenance`` is ``None`` is written standalone.
     """
-    test = _record(SsatTest, {"variables": _LABELS, "assignments": _array(_LABELS)})
-    forms = {frozenset(("kind", "version", *fields)): _record(SsatInstance, fields, "ssat") for fields in (
-        {"provenance": _LC}, {"variables": _LABELS, "field_values": _LABELS, "tests": _array(test)})}
+    forms = {frozenset(("kind", "version", *fields)): _record(cls, fields, kind) for fields in (derived, standalone)}
     expected = " or ".join(str(sorted(keys)) for keys in forms)
-    derived, standalone = forms.values()
+    derived_form, standalone_form = forms.values()
 
-    def read_ssat(doc: dict, ptr: Any) -> SsatInstance:
+    def read_form(doc: dict, ptr: Any) -> Any:
         form = forms.get(frozenset(doc))
         if form is None:
             raise _violation(ptr, f"expected exactly the keys {expected}, found {sorted(doc)}")
         return form[0]()(doc, ptr)
 
     def write(pad: str) -> Text:
-        return lambda ssat: (standalone if ssat.provenance is None else derived)[1](pad)(ssat)
+        return lambda obj: (standalone_form if obj.provenance is None else derived_form)[1](pad)(obj)
 
-    return (lambda: read_ssat), write
+    return (lambda: read_form), write
 
 
 # ---------------------------------------------------------------------------
-# The field table
+# The codec table
 # ---------------------------------------------------------------------------
-# Every document kind but the label cover and SSAT: its class, and a codec for
-# each key, which is also the attribute name.  Fields are read in table order, so
-# of several faults the first in this order is the one reported.
+# Every document kind: its class and its codec.  A record's fields are read in
+# the order given, so of several faults the first in this order is the one
+# reported.  A derived SSAT document is its cover and a derived LHP document
+# its SIS document and U, each nested whole.
 
 _INTS = _bulk_array(_INT, _int_items)
 _SPARSE_INT: Codec = (lambda: _sparse_ints, _sparse_ints_at)
 _SPARSE_INT_ROWS = _array(_SPARSE_INT)
+_SIS = _record(SisInstance, {"num_cols": _INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT}, "sis")
+_SSAT_TEST = _record(SsatTest, {"variables": _LABELS, "assignments": _array(_LABELS)})
 _LHP_INEQUALITY = _record(LhpInequality, {
     "coeff_x": _SPARSE_INT, "coeff_y": _INT, "coeff_delta": _INT, "sense": _STR, "group": _STR, "multiplicity": _INT,
 })
 
-_TABLE: dict[str, tuple[type, dict[str, Codec]]] = {
-    "labeling": (Labeling, {"phi_a": _LABEL_MAP, "phi_b": _nullable(_LABEL_MAP)}),
-    "superassignment": (SuperAssignment, {"weights": _array(_INTS)}),
-    "sis": (SisInstance, {"num_cols": _INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT}),
-    "ncp": (NcpInstance, {
+_CODECS: dict[str, tuple[type, Codec]] = {
+    "label_cover": (LabelCoverInstance, _LC),
+    "labeling": (Labeling, _record(Labeling, {"phi_a": _LABEL_MAP, "phi_b": _nullable(_LABEL_MAP)}, "labeling")),
+    "ssat": (SsatInstance, _two_forms(SsatInstance, "ssat", {"provenance": _LC}, {
+        "variables": _LABELS, "field_values": _LABELS, "tests": _array(_SSAT_TEST)})),
+    "superassignment": (SuperAssignment, _record(SuperAssignment, {"weights": _array(_INTS)}, "superassignment")),
+    "sis": (SisInstance, _SIS),
+    "ncp": (NcpInstance, _record(NcpInstance, {
         "modulus": _INT, "num_cols": _INT, "matrix": _SPARSE_INT_ROWS, "target": _INTS, "bound": _INT,
         "replication": _INT, "multiplicity": _INTS,
-    }),
-    "lhp": (LhpSystem, {"num_x": _INT, "u_param": _INT, "inequalities": _array(_LHP_INEQUALITY)}),
-    "lhp_assignment": (LhpAssignment, {"x_values": _array(_FRAC), "y_value": _FRAC, "delta_value": _DELTA}),
+    }, "ncp")),
+    "lhp": (LhpSystem, _two_forms(LhpSystem, "lhp", {"provenance": _SIS, "u_param": _INT}, {
+        "num_x": _INT, "u_param": _INT, "inequalities": _array(_LHP_INEQUALITY)})),
+    "lhp_assignment": (LhpAssignment, _record(LhpAssignment, {
+        "x_values": _array(_FRAC), "y_value": _FRAC, "delta_value": _DELTA,
+    }, "lhp_assignment")),
 }
-
-_SSAT = _ssat()
-_READERS: dict[str, Callable[[], Reader]] = {"label_cover": _LC[0], "ssat": _SSAT[0]}
-_WRITERS: dict[type, Callable[[str], Text]] = {LabelCoverInstance: _LC[1], SsatInstance: _SSAT[1]}
-for _kind, (_cls, _codecs) in _TABLE.items():
-    _READERS[_kind], _WRITERS[_cls] = _record(_cls, _codecs, _kind)
+_READERS: dict[str, Callable[[], Reader]] = {kind: codec[0] for kind, (_, codec) in _CODECS.items()}
+_WRITERS: dict[type, Callable[[str], Text]] = {cls: codec[1] for cls, codec in _CODECS.values()}
 KINDS = tuple(_READERS)
 
 

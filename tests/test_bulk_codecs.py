@@ -130,7 +130,7 @@ def test_sis_ncp_and_lhp_with_edge_integers_anywhere_write_the_reference_bytes(d
     num_cols = data.draw(st.integers(1, 6))
     matrix = tuple(data.draw(st.lists(sparse_rows(num_cols), min_size=1, max_size=4)))
     target = tuple(data.draw(int_lists(min_size=len(matrix)))[:len(matrix)])
-    sis = SisInstance(num_cols=num_cols, matrix=matrix, target=target, bound=data.draw(st.sampled_from(EDGES)))
+    sis = SisInstance(num_cols=num_cols, matrix=matrix, target=target, bound=abs(data.draw(st.sampled_from(EDGES))))
     doc = sis_document(sis)
     assert canonical_bytes(sis) == reference(doc)
     assert from_document(json.loads(canonical_bytes(sis))) == sis

@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from naive import replace
 
 from gapforge import fixtures as shipped
 from gapforge.genlab import GenSpec, frustrate, gen_label_cover
@@ -38,7 +39,8 @@ def ladder_instances():
     """Every document kind, from small seeded specs, planted and frustrated.
 
     The planted labeling is embedded down the chain, which gives the
-    super-assignment and LHP assignment documents.
+    super-assignment and LHP assignment documents.  The LHP system comes in
+    both of its forms.
     """
     for spec in (GenSpec(2, 2, 2, 2, 2, 1, True, 3), GenSpec(3, 2, 2, 2, 2, 1, True, 5),
                  GenSpec(4, 3, 2, 3, 2, 2, True, 7)):
@@ -47,7 +49,8 @@ def ladder_instances():
             ssat = lc_to_ssat(lc)
             sis = ssat_to_sis(ssat)
             labeling = solve_lc_max(lc).witness
-            yield from (lc, labeling, ssat, sis, sis_to_ncp(sis, g=1), sis_to_lhp(sis, u_param=3))
+            lhp = sis_to_lhp(sis, u_param=3)
+            yield from (lc, labeling, ssat, sis, sis_to_ncp(sis, g=1), lhp, replace(lhp, provenance=None))
             if lc is planted:
                 natural = natural_from_labeling(ssat, labeling)
                 z = sis_solution_from_superassignment(ssat, natural)

@@ -22,28 +22,28 @@ from gapforge.pipeline import run_chain
 from gapforge.serialize import canonical_bytes
 
 GOLDEN = {
-    ("lc_id2", "default"): "dcefa0262d7f460d08f10de04574ca52358d9116d7cbbe650279041784e78223",
-    ("lc_id2", "box1"): "18a86649178c4b79d593048e860a23eb0e422290c8848ecbb8ed032f23da0c07",
-    ("lc_id2", "cap100"): "dcefa0262d7f460d08f10de04574ca52358d9116d7cbbe650279041784e78223",
-    ("lc_cyc", "default"): "badb3be58272b3a1debc427d5da58241f9a0438a73acd5fe30fef4aeb9027149",
-    ("lc_cyc", "box1"): "cb7db78c4a10826fb662682ab0f4aa423dae0c66d88eb8d69f8a11efd6026c1a",
-    ("lc_cyc", "cap100"): "badb3be58272b3a1debc427d5da58241f9a0438a73acd5fe30fef4aeb9027149",
-    ("lc_share", "default"): "a3e1c49b6b16901a70810221e9229d533d9ebf1d3e857d5ca806701bf9516e59",
-    ("lc_share", "box1"): "832e2e3c606ec47132bc0df84e7c566376ea13c627967c156bfde32756243be9",
-    ("lc_share", "cap100"): "a3e1c49b6b16901a70810221e9229d533d9ebf1d3e857d5ca806701bf9516e59",
-    ("lc_2to1", "default"): "34040640e0c04c8825195833166253064c68491a1a3041ff79f07202da40ced6",
-    ("lc_2to1", "box1"): "cc81179888eba5d4e05f9899387406e7af03a91e9644fb685a2edbef60551865",
-    ("lc_2to1", "cap100"): "34040640e0c04c8825195833166253064c68491a1a3041ff79f07202da40ced6",
-    ("planted", "cap3000"): "26bafdbcbcc5c6069f83833b84f5277139e96b9e873c97705ec21518f9e2d736",
-    ("planted", "cap700"): "26bafdbcbcc5c6069f83833b84f5277139e96b9e873c97705ec21518f9e2d736",
-    ("planted", "cap100"): "26bafdbcbcc5c6069f83833b84f5277139e96b9e873c97705ec21518f9e2d736",
-    ("planted", "cap50"): "26bafdbcbcc5c6069f83833b84f5277139e96b9e873c97705ec21518f9e2d736",
-    ("planted", "cap16"): "be4ab8bbfbdbd434598b2cb378855612f58e34f3f03b51da2eeecd41df39b924",
-    ("planted", "cap15"): "fea0178b49ec8333ccaa0623dc822fa23751d3300a6b44e3e0351a6e4760208e",
-    ("frustrated", "cap3000"): "22332b5e38f89de1ecf1f19c5ebaa832dcb3028d39a99fa20a6b528243f2f6a7",
-    ("frustrated", "cap700"): "22332b5e38f89de1ecf1f19c5ebaa832dcb3028d39a99fa20a6b528243f2f6a7",
-    ("frustrated", "cap100"): "22332b5e38f89de1ecf1f19c5ebaa832dcb3028d39a99fa20a6b528243f2f6a7",
-    ("frustrated", "cap22"): "3ee22844ac576974f92a7368b8ec730e636a6af9cd82fff7264b8867136863cb",
+    ("lc_id2", "default"): "eb33f6be0494ac510180304c41066a622ebdafb206598f3da8881bdbe8213814",
+    ("lc_id2", "box1"): "01fc0aafb863d5ec3cd5ec08e9e240c353e79892610704f5db19095f650db4e0",
+    ("lc_id2", "cap100"): "eb33f6be0494ac510180304c41066a622ebdafb206598f3da8881bdbe8213814",
+    ("lc_cyc", "default"): "dcd1b761c400b3f6fe8b14486e7e1ae9369bc1e17412f3f90df57a60b196f15e",
+    ("lc_cyc", "box1"): "a14ef1ecf4aa34ee485c0627b82832297634e79b2c807d80bef629618e9fed9c",
+    ("lc_cyc", "cap100"): "dcd1b761c400b3f6fe8b14486e7e1ae9369bc1e17412f3f90df57a60b196f15e",
+    ("lc_share", "default"): "3a726b1df7c15ea5e8de3a8ee3d2d7e22fef173f9229ed279b061047bb0e2e7b",
+    ("lc_share", "box1"): "a979ac3869043a3c1d6aa8b55bd62b66f07fbaaa8144626d94e6dd6839333433",
+    ("lc_share", "cap100"): "3a726b1df7c15ea5e8de3a8ee3d2d7e22fef173f9229ed279b061047bb0e2e7b",
+    ("lc_2to1", "default"): "dc2e435cde4bdf9a1a25438fecd0afc2a628f965a087088eff2cee8bf3b90172",
+    ("lc_2to1", "box1"): "fc3dd2bd3100ab34806cf998ec538bda7d8c76f6cb55e0bbee47fc91399d3fbc",
+    ("lc_2to1", "cap100"): "dc2e435cde4bdf9a1a25438fecd0afc2a628f965a087088eff2cee8bf3b90172",
+    ("planted", "cap3000"): "9986c09ee78f784c88fc14e6afbc333a35a3d182b3d550713c977b871f2502fd",
+    ("planted", "cap700"): "9986c09ee78f784c88fc14e6afbc333a35a3d182b3d550713c977b871f2502fd",
+    ("planted", "cap100"): "9986c09ee78f784c88fc14e6afbc333a35a3d182b3d550713c977b871f2502fd",
+    ("planted", "cap50"): "9986c09ee78f784c88fc14e6afbc333a35a3d182b3d550713c977b871f2502fd",
+    ("planted", "cap16"): "5d6c05db40d2a4632d197ea4cf50f4a0f665415defab6b4a95a66408c4bb0793",
+    ("planted", "cap15"): "505e02deeaf32b3868adcab346aa4e158ff6319d3d2d23bd1b7ebe7b765fef14",
+    ("frustrated", "cap3000"): "341842ab7c12bf2bf561379dfe42c30afa49dbc151d707aa0e56a96add633cb6",
+    ("frustrated", "cap700"): "341842ab7c12bf2bf561379dfe42c30afa49dbc151d707aa0e56a96add633cb6",
+    ("frustrated", "cap100"): "341842ab7c12bf2bf561379dfe42c30afa49dbc151d707aa0e56a96add633cb6",
+    ("frustrated", "cap22"): "8e4fc569c02109c1e0aec8eef1771b2c2aed37e42e2b36e67e0ee8e7892a5b54",
 }
 # (states, cap) of the SearchSpaceTooLarge the label-cover search raises
 RAISES = {("frustrated", "cap16"): (17, 16)}

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from naive import replace
 from test_instances import FILE_BREAKS, LAYOUT_BREAKS, write_layout_break
 
 import gapforge
@@ -627,11 +628,13 @@ def test_max_states_env_must_be_non_negative_integer(capsys, monkeypatch, lc_id2
     assert "GAPFORGE_MAX_STATES must be a non-negative integer" in capsys.readouterr().err
 
 
-def lhp_file(tmp_path, capsys):
-    """The path of the LHP file of ``ssat_share`` that ``reduce sis2lhp`` writes."""
+def lhp_file(tmp_path, capsys, standalone=False):
+    """The path of the LHP file of ``ssat_share`` that ``reduce sis2lhp`` writes, or of its standalone form."""
     write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
     run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
     run(capsys, "reduce", "sis2lhp", "--in", str(tmp_path / "sis.json"), "--out", str(tmp_path / "lhp.json"))
+    if standalone:
+        write_instance(tmp_path / "lhp.json", replace(read_instance(tmp_path / "lhp.json"), provenance=None))
     return tmp_path / "lhp.json"
 
 
@@ -647,7 +650,7 @@ def test_zero_denominator_fraction_is_malformed(tmp_path, capsys):
 
 def test_format_v3_lhp_file_is_version_envelope(tmp_path, capsys):
     """An LHP file as format version 3 wrote it: every coefficient a "p/q" string, G1 divided by U."""
-    path = lhp_file(tmp_path, capsys)
+    path = lhp_file(tmp_path, capsys, standalone=True)
     doc = json.loads(path.read_text())
     for ineq in doc["inequalities"]:
         scale = ineq["coeff_delta"] if ineq["group"] == "G1" else 1
@@ -668,8 +671,21 @@ def test_format_v3_lhp_file_is_version_envelope(tmp_path, capsys):
     assert f"re-run the step that wrote the file to get version {SCHEMA_VERSION}" in out["error"]["message"]
 
 
+def test_format_v6_lhp_file_is_version_envelope(tmp_path, capsys):
+    """An LHP file as format version 6 wrote it: every inequality listed, as the standalone form still is."""
+    path = lhp_file(tmp_path, capsys, standalone=True)
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["inequalities", "kind", "num_x", "u_param", "version"]
+    path.write_text(json.dumps(dict(doc, version=6)))
+    code, out = run(capsys, "solve", "lhp", "--in", str(path))
+    assert code == 1
+    assert out["error"]["type"] == "SchemaViolation"
+    assert out["error"]["message"].startswith("/version: version 6 is not supported")
+    assert f"re-run the step that wrote the file to get version {SCHEMA_VERSION}" in out["error"]["message"]
+
+
 def test_fraction_coefficient_in_v4_lhp_file_is_schema_violation(tmp_path, capsys):
-    path = lhp_file(tmp_path, capsys)
+    path = lhp_file(tmp_path, capsys, standalone=True)
     doc = json.loads(path.read_text())
     doc["inequalities"][0]["coeff_y"] = "1/2"
     path.write_text(json.dumps(doc))
@@ -681,7 +697,9 @@ def test_fraction_coefficient_in_v4_lhp_file_is_schema_violation(tmp_path, capsy
 
 # (file kind, path into the document, new value, error type) on format-v4 files;
 # on ssat_share the first SIS and NCP row is [[0, 1], [1, 1]] over 4 columns, and
-# the third LHP inequality is its "+" half, coeff_x x_0 + x_1
+# the third LHP inequality is its "+" half, coeff_x x_0 + x_1.  An LHP case goes
+# to the derived file that ``reduce sis2lhp`` writes when its path starts with
+# ``provenance`` or ``u_param``, and to the standalone form otherwise.
 _V4_BREAKS = {
     "ncp-multiplicity-zero": ("ncp", ("multiplicity", 0), 0, "MalformedInstance"),
     "lhp-multiplicity-zero": ("lhp", ("inequalities", 2, "multiplicity"), 0, "MalformedInstance"),
@@ -691,6 +709,9 @@ _V4_BREAKS = {
     "ncp-version-1": ("ncp", ("version",), 1, "SchemaViolation"),
     "lhp-version-1": ("lhp", ("version",), 1, "SchemaViolation"),
     "lhp-num-x-float": ("lhp", ("num_x",), 4.0, "SchemaViolation"),
+    "lhp-provenance-version-6": ("lhp", ("provenance", "version"), 6, "SchemaViolation"),
+    "lhp-provenance-negative-bound": ("lhp", ("provenance", "bound"), -1, "MalformedInstance"),
+    "lhp-u-param-zero": ("lhp", ("u_param",), 0, "MalformedInstance"),
     "lc-sigma-b-float-label": ("lc", ("sigma_b", 1), 1.0, "SchemaViolation"),
     "ncp-matrix-entry-bool": ("ncp", ("matrix", 0, 0, 1), True, "SchemaViolation"),
     "ssat-provenance-version-1": ("ssat", ("provenance", "version"), 1, "SchemaViolation"),
@@ -720,9 +741,12 @@ def test_malformed_v2_file_is_error_envelope(tmp_path, capsys, case):
     path = tmp_path / f"{kind}.json"
     if kind in ("ncp", "lhp"):
         run(capsys, "reduce", f"sis2{kind}", "--in", str(tmp_path / "sis.json"), "--out", str(path))
+    if kind == "lhp" and where[0] not in ("provenance", "u_param"):
+        write_instance(path, replace(read_instance(path), provenance=None))
     doc = json.loads(path.read_text())
     if kind == "lhp":
-        assert doc["inequalities"][2]["coeff_x"] == [[0, 1], [1, 1]]
+        row = doc["provenance"]["matrix"][0] if "provenance" in doc else doc["inequalities"][2]["coeff_x"]
+        assert row == [[0, 1], [1, 1]]
     if kind in ("sis", "ncp"):
         assert (doc["num_cols"], doc["matrix"][0]) == (4, [[0, 1], [1, 1]])
     node = doc
@@ -746,6 +770,32 @@ def test_check_claims_on_another_layout_is_error_envelope(request, tmp_path, cap
     assert code == 1
     assert out["error"]["type"] == "SchemaViolation"
     assert out["error"]["message"].startswith(": expected exactly the keys ['kind', 'provenance', 'version'] or ")
+
+
+# (file kind, field, value, verb): a value the constructor refuses, read by each verb that takes that kind
+_REFUSED_VALUES = {
+    "solve-sis-negative-bound": ("sis", "bound", -5, ("solve", "sis")),
+    "reduce-sis2ncp-negative-bound": ("sis", "bound", -5, ("reduce", "sis2ncp")),
+    "reduce-sis2lhp-negative-bound": ("sis", "bound", -5, ("reduce", "sis2lhp")),
+    "solve-ncp-negative-bound": ("ncp", "bound", -1, ("solve", "ncp")),
+    "solve-ncp-replication-zero": ("ncp", "replication", 0, ("solve", "ncp")),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_VALUES))
+def test_a_negative_bound_or_a_replication_below_one_is_error_envelope(tmp_path, capsys, case):
+    kind, field, value, verb = _REFUSED_VALUES[case]
+    write_instance(tmp_path / "ssat.json", shipped.load("ssat_share"))
+    run(capsys, "reduce", "ssat2sis", "--in", str(tmp_path / "ssat.json"), "--out", str(tmp_path / "sis.json"))
+    run(capsys, "reduce", "sis2ncp", "--in", str(tmp_path / "sis.json"), "--out", str(tmp_path / "ncp.json"))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{field: value})))
+    out_flag = ("--out", str(tmp_path / "out.json")) if verb[0] == "reduce" else ()
+    code, out = run(capsys, *verb, "--in", str(path), *out_flag)
+    assert code == 1
+    assert out["error"]["type"] == "MalformedInstance"
+    assert f"{field} must be" in out["error"]["message"] and f"got {value}" in out["error"]["message"]
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_modulus_beyond_the_prime_test_is_error_envelope(tmp_path, capsys):

@@ -74,6 +74,30 @@ def test_check_chain_loads_neither_soundness_nor_genlab_nor_fixtures():
     assert result["star"] == result["all"]
 
 
+_CHAIN_THEN_CODECS = """
+import contextlib, io, json, re, sys
+from gapforge import serialize
+from gapforge.cli import main
+generated = []
+generate = serialize._generate
+def spy(source, scope):
+    generated.append(re.findall(r"def (read_\\w+|text_\\w+)", source)[-1])
+    return generate(source, scope)
+serialize._generate = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["check", "chain", "--in", sys.argv[1]])
+print(json.dumps({"code": code, "generated": sorted(generated)}))
+"""
+
+
+def test_check_chain_generates_no_lhp_inequality_codec():
+    # a derived LHP system is hashed as its SIS and U, so no inequality is written and no reader is made
+    result = json.loads(_run_fresh(_CHAIN_THEN_CODECS, str(shipped.fixture_path("lc_id2"))).stdout)
+    assert result["code"] == 0
+    assert not [name for name in result["generated"] if "LhpInequality" in name]
+    assert result["generated"] == ["text_LhpSystem", "text_NcpInstance", "text_SisInstance", "text_SsatInstance"]
+
+
 _IMPORT_EVERY_MODULE = """
 import importlib, json, sys
 from pathlib import Path

@@ -9,7 +9,10 @@ with each value of ``VALUES``.  Lists contribute their first three items.
 Then it breaks the shapes of format 6: each of the first three ``pi``
 arrays of a label cover is cut by one item, lengthened by one, and given an
 item that is not a label and one outside sigma_b, and a derived SSAT
-document gets the ``tests`` its cover derives.
+document gets the ``tests`` its cover derives.  And those of format 7: a
+derived LHP document gets the ``inequalities`` and the ``num_x`` its SIS
+derives, a ``u_param`` of 1.5, and a nested SIS of another kind, of version
+6, and with an unsorted row.
 
 A sha256 over every mutant's outcome (error type, pointer and message),
 taken in sorted order, pins the decoder's answers exactly: a faster reader
@@ -24,6 +27,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from naive import replace
 
 from gapforge import fixtures as shipped
 from gapforge.errors import GapforgeError, SchemaViolation
@@ -45,6 +49,7 @@ def documents() -> dict[str, dict]:
                                                 delta=Fraction(-1, 7))}
     docs.update((f"chain_{stage}", to_document(obj)) for stage, obj in chain.items())
     docs["chain_ssat_standalone"] = to_document(SsatInstance(ssat.variables, ssat.field_values, ssat.tests))
+    docs["chain_lhp_standalone"] = to_document(replace(chain["lhp"], provenance=None))
     return docs
 
 
@@ -81,6 +86,7 @@ def mutants(doc):
         yield ptr, "added key 'unknown'", doc
         del obj["unknown"]
     yield from v6_mutants(doc)
+    yield from v7_mutants(doc)
 
 
 def v6_mutants(doc):
@@ -101,6 +107,26 @@ def v6_mutants(doc):
         doc["tests"] = to_document(SsatInstance(ssat.variables, ssat.field_values, ssat.tests))["tests"]
         yield "", "added the derived key 'tests'", doc
         del doc["tests"]
+
+
+def v7_mutants(doc):
+    """``mutants`` that break a derived LHP document's key set, its ``u_param`` and its nested SIS document."""
+    if doc.get("kind") != "lhp" or "provenance" not in doc:
+        return
+    standalone = to_document(replace(from_document(doc), provenance=None))
+    for key in ("inequalities", "num_x"):
+        doc[key] = standalone[key]
+        yield "", f"added the derived key {key!r}", doc
+        del doc[key]
+    u, sis = doc["u_param"], doc["provenance"]
+    doc["u_param"] = 1.5
+    yield "/u_param", "= 1.5", doc
+    doc["u_param"] = u
+    for key, value in (("kind", "ncp"), ("version", 6), ("matrix", [list(reversed(sis["matrix"][0])),
+                                                                    *sis["matrix"][1:]])):
+        doc["provenance"] = dict(sis, **{key: value})
+        yield f"/provenance/{key}", f"= {value!r}", doc
+    doc["provenance"] = sis
 
 
 def outcome(doc) -> str:
@@ -152,8 +178,8 @@ def outcome_digest() -> str:
     return hashlib.sha256("".join(line + "\n" for line in sorted(lines)).encode()).hexdigest()
 
 
-MUTANTS = 4858
-OUTCOME_DIGEST = "e91c00b58b1e2510aacbacda9fd690769d3aa90d418a053cd14e16a4c7472884"
+MUTANTS = 5331
+OUTCOME_DIGEST = "e61e822806af75069c99239cd0b0d24baecbd767486c5a09ba35c41ee523a634"
 
 
 def test_every_mutant_gets_the_pinned_error_at_the_pinned_node():

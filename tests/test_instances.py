@@ -23,11 +23,12 @@ from gapforge.instances import (
     NcpInstance,
     SsatInstance,
     _is_prime,
+    sis_inequalities,
     count_satisfied_edges,
     preimage,
     validate_label_cover,
 )
-from gapforge.reductions import lc_to_ssat
+from gapforge.reductions import lc_to_ssat, sis_to_lhp, ssat_to_sis
 from gapforge.serialize import read_instance, to_document, write_instance
 from gapforge.superassign import natural_from_labeling
 
@@ -235,6 +236,24 @@ def test_empty_ssat_and_negative_num_x_are_malformed():
         SsatInstance(variables=(), field_values=(0,), tests=())
     with pytest.raises(MalformedInstance, match="num_x"):
         LhpSystem(num_x=-1, u_param=1, inequalities=())
+
+
+def test_an_lhp_system_with_a_sis_is_the_one_its_sis_and_u_derive(ssat_share):
+    sis = ssat_to_sis(ssat_share)
+    lhp = LhpSystem(u_param=3, provenance=sis)
+    assert lhp == sis_to_lhp(sis, u_param=3)
+    assert lhp.num_x == sis.num_cols and lhp.inequalities == sis_inequalities(sis, 3)
+    # given the derived fields too, it takes them when they agree and refuses them when they differ
+    assert LhpSystem(u_param=3, num_x=4, inequalities=lhp.inequalities, provenance=sis) == lhp
+    for changes, field in (({"num_x": 5}, "num_x"), ({"inequalities": lhp.inequalities[1:]}, "inequalities"),
+                           ({"u_param": 4}, "inequalities"),
+                           ({"provenance": replace(sis, target=(2, *sis.target[1:]))}, "inequalities")):
+        with pytest.raises(MalformedInstance, match=f"^{field} differs from what its SIS system derives$"):
+            replace(lhp, **changes)
+    with pytest.raises(MalformedInstance, match="u_param must be at least 1"):
+        LhpSystem(u_param=0, provenance=sis)
+    with pytest.raises(MalformedInstance, match="needs num_x or the SIS system"):
+        LhpSystem(u_param=1)
 
 
 # ---------------------------------------------------------------------------

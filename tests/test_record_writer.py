@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from naive import replace
 from test_canonical_writer import ladder_instances, reference
 
 from gapforge.instances import LabelCoverInstance, Labeling, NcpInstance, SisInstance
 from gapforge.reductions import lc_to_ssat, sis_to_lhp, sis_to_ncp
-from gapforge.serialize import canonical_bytes, from_document, to_document
+from gapforge.serialize import SCHEMA_VERSION, canonical_bytes, from_document, to_document
 
 LADDER = list(ladder_instances())
 
@@ -82,8 +83,11 @@ def test_integers_beyond_2_53_round_trip_as_strings_and_write_the_reference_byte
     assert doc["bound"] == str(BIG + 1)
     assert doc["matrix"] == [[[0, str(BIG)], [2, -(BIG - 1)]], [[1, str(-BIG - 7)]]]
     # the reductions carry them on: the LHP image's coefficients, the NCP image's bound and replication
-    lhp = round_trips_to_the_reference_bytes(sis_to_lhp(sis))
-    assert lhp["inequalities"][2]["coeff_x"] == [[0, str(BIG)], [2, -(BIG - 1)]]
+    lhp = sis_to_lhp(sis)
+    assert round_trips_to_the_reference_bytes(lhp) == {"kind": "lhp", "version": SCHEMA_VERSION, "provenance": doc,
+                                                       "u_param": str(BIG + 2)}
+    standalone = round_trips_to_the_reference_bytes(replace(lhp, provenance=None))
+    assert standalone["inequalities"][2]["coeff_x"] == [[0, str(BIG)], [2, -(BIG - 1)]]
     assert round_trips_to_the_reference_bytes(sis_to_ncp(sis, g=1))["replication"] == str(BIG + 2)
     ncp = NcpInstance(modulus=MERSENNE_61, num_cols=2, matrix=(((0, MERSENNE_61 - 1),), ((1, 5),)),
                       target=(BIG * 3, 4), bound=BIG, replication=BIG - 1, multiplicity=(1, BIG))

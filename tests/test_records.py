@@ -20,7 +20,7 @@ from gapforge import fixtures as shipped
 from gapforge import oracles
 from gapforge.errors import InfeasibleSpec, MalformedInstance
 from gapforge.genlab import GenSpec
-from gapforge.instances import EPSILON, LhpAssignment, Labeling, Record, SsatInstance, validate_label_cover
+from gapforge.instances import EPSILON, LhpAssignment, LhpSystem, Labeling, Record, SsatInstance, validate_label_cover
 from gapforge.oracles import DEFAULT_MAX_STATES, MinResult, SearchBudget, solve_lc_max, solve_sis_min
 from gapforge.reductions import gadget_pair, lc_to_ssat, sis_to_lhp, sis_to_ncp, ssat_to_sis
 from gapforge.soundness import (
@@ -116,8 +116,8 @@ def test_construction_by_position_keyword_and_default(cls):
     assert cls(**dict(zip(cls._fields, values))) == record
     defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
     required = {name: value for name, value in zip(cls._fields, values) if name not in defaults}
-    if cls is SsatInstance:  # the sample is derived: given its cover alone, the other fields are filled in
-        assert cls(provenance=record.provenance) == record
+    if cls in (SsatInstance, LhpSystem):  # the sample is derived: given its provenance, the other fields are filled in
+        assert cls(**required, provenance=record.provenance) == record
     else:
         assert all(getattr(cls(**required), name) is value for name, value in defaults.items())
     with pytest.raises(TypeError):

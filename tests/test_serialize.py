@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
-from naive import replace
+from naive import chains, replace
 from test_walk_outcomes import ladder
 
 from gapforge import fixtures as shipped
@@ -197,7 +197,7 @@ def test_version_1_document_is_rejected():
 
 
 def test_lhp_document_is_sparse_with_multiplicity(ssat_share):
-    lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=10)
+    lhp = replace(sis_to_lhp(ssat_to_sis(ssat_share), u_param=10), provenance=None)
     doc = to_document(lhp)
     records = doc["inequalities"]
     assert len(records) == len(lhp.inequalities) == 27
@@ -224,7 +224,9 @@ def test_lhp_document_is_sparse_with_multiplicity(ssat_share):
 def test_counts_beyond_2_53_are_digit_strings(ssat_share):
     # num_x, u_param and multiplicity follow the one integer rule: a JSON number within 2^53 - 1, a string beyond
     u = 2 ** 60
-    lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=u)
+    derived = sis_to_lhp(ssat_to_sis(ssat_share), u_param=u)
+    assert to_document(derived)["u_param"] == str(u) and from_document(to_document(derived)) == derived
+    lhp = replace(derived, provenance=None)
     doc = to_document(lhp)
     assert (doc["num_x"], doc["u_param"]) == (4, str(u))
     assert doc["inequalities"][0]["multiplicity"] == doc["inequalities"][0]["coeff_delta"] == str(u)
@@ -390,6 +392,83 @@ def test_an_ssat_document_is_its_cover_or_its_tests_and_nothing_else():
     assert exc.value.pointer == "/provenance"
 
 
+def test_an_lhp_document_is_its_sis_and_u_or_its_inequalities_and_nothing_else(ssat_share):
+    lhp = sis_to_lhp(ssat_to_sis(ssat_share), u_param=3)
+    derived, standalone = to_document(lhp), to_document(replace(lhp, provenance=None))
+    assert sorted(derived) == ["kind", "provenance", "u_param", "version"]
+    assert derived["provenance"] == to_document(lhp.provenance) and derived["u_param"] == 3
+    assert sorted(standalone) == ["inequalities", "kind", "num_x", "u_param", "version"]
+    assert from_document(standalone) == replace(lhp, provenance=None)
+    assert from_document(standalone).inequalities == from_document(derived).inequalities
+
+
+_LHP_KEY_SETS = "['kind', 'provenance', 'u_param', 'version'] or ['inequalities', 'kind', 'num_x', 'u_param', 'version']"
+
+
+def _derived_lhp_doc() -> dict:
+    return to_document(sis_to_lhp(ssat_to_sis(shipped.load("ssat_share")), u_param=3))
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _with_provenance(doc: dict, **changes) -> dict:
+    return dict(doc, provenance=dict(doc["provenance"], **changes))
+
+
+# a derived LHP document, broken one way: (the broken document, error type, error pointer, message part)
+DERIVED_LHP_REFUSALS = {
+    "inequalities-beside-provenance": (
+        lambda doc: dict(doc, inequalities=[]), SchemaViolation, "", _LHP_KEY_SETS),
+    "num-x-beside-provenance": (lambda doc: dict(doc, num_x=4), SchemaViolation, "", _LHP_KEY_SETS),
+    "no-u-param": (lambda doc: _without(doc, "u_param"), SchemaViolation, "", _LHP_KEY_SETS),
+    "u-param-0": (lambda doc: dict(doc, u_param=0), MalformedInstance, None, "u_param must be at least 1"),
+    "u-param-true": (lambda doc: dict(doc, u_param=True), SchemaViolation, "/u_param", "expected an integer"),
+    "u-param-1.5": (lambda doc: dict(doc, u_param=1.5), SchemaViolation, "/u_param", "expected an integer"),
+    "provenance-null": (lambda doc: dict(doc, provenance=None), SchemaViolation, "/provenance", "expected an object"),
+    "provenance-kind-ncp": (lambda doc: _with_provenance(doc, kind="ncp"), SchemaViolation, "/provenance/kind",
+                            "expected kind 'sis', got 'ncp'"),
+    "provenance-version-6": (lambda doc: _with_provenance(doc, version=6), SchemaViolation, "/provenance/version",
+                             "version 6 is not supported"),
+    "provenance-no-target": (lambda doc: dict(doc, provenance=_without(doc["provenance"], "target")),
+                             SchemaViolation, "/provenance", "expected exactly the keys"),
+    "provenance-float-coefficient": (lambda doc: _replaced(doc, "/provenance/matrix/0/1/1", 1.5), SchemaViolation,
+                                     "/provenance/matrix/0/1/1", "expected an integer"),
+    "provenance-bound-negative": (lambda doc: _with_provenance(doc, bound=-1), MalformedInstance, None,
+                                  "bound must be non-negative, got -1"),
+    "provenance-unsorted-row": (lambda doc: _replaced(doc, "/provenance/matrix/0", [[1, 1], [0, 1]]),
+                                MalformedInstance, None, "matrix row 0: column 0 is out of order"),
+}
+
+
+@pytest.mark.parametrize("case", list(DERIVED_LHP_REFUSALS))
+def test_a_broken_derived_lhp_document_is_refused(case):
+    broken, error, pointer, message = DERIVED_LHP_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        from_document(broken(_derived_lhp_doc()))
+    assert getattr(exc.value, "pointer", None) == pointer
+    assert message in str(exc.value)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(chains(), st.one_of(st.none(), st.integers(1, 2 ** 60)))
+def test_a_derived_lhp_file_round_trips_and_derives_the_standalone_inequalities(tmp_path_factory, chain, u):
+    """A derived LHP file reads back equal and rewrites to its bytes; its inequalities are the standalone form's."""
+    sis = chain[2]
+    lhp = sis_to_lhp(sis, u_param=u)
+    path = tmp_path_factory.mktemp("lhp") / "lhp.json"
+    write_instance(path, lhp)
+    again = read_instance(path)
+    assert again == lhp and again.provenance == sis
+    assert canonical_bytes(again) == path.read_bytes()
+    write_instance(path, replace(lhp, provenance=None))
+    standalone = read_instance(path)
+    assert standalone == replace(lhp, provenance=None) and canonical_bytes(standalone) == path.read_bytes()
+    assert standalone.inequalities == again.inequalities and standalone.num_x == again.num_x == sis.num_cols
+
+
 def test_version_5_files_are_refused_at_version():
     # as version 5 wrote them: pi objects keyed by str(label), and a derived SSAT file that also lists its tests
     lc_doc = to_document(shipped.load("lc_share"))
@@ -411,6 +490,7 @@ def test_shipped_fixture_files_are_canonical(name):
 
 _HEADER = ("kind", "version")
 _LC_FIELDS = _HEADER + ("a", "b", "sigma_a", "sigma_b", "edges", "edges/0/a", "edges/0/b", "edges/0/pi")
+_SIS_FIELDS = _HEADER + ("num_cols", "matrix", "target", "bound")
 _INEQUALITY_FIELDS = ("coeff_x", "coeff_y", "coeff_delta", "sense", "group", "multiplicity")
 FIELDS = {
     "label_cover": _LC_FIELDS,
@@ -418,21 +498,24 @@ FIELDS = {
     "ssat": _HEADER + ("provenance",) + tuple(f"provenance/{field}" for field in _LC_FIELDS),
     "ssat_standalone": _HEADER + ("variables", "field_values", "tests", "tests/0/variables", "tests/0/assignments"),
     "superassignment": _HEADER + ("weights",),
-    "sis": _HEADER + ("num_cols", "matrix", "target", "bound"),
+    "sis": _SIS_FIELDS,
     "ncp": _HEADER + ("modulus", "num_cols", "matrix", "target", "bound", "replication", "multiplicity"),
-    "lhp": _HEADER + ("num_x", "u_param", "inequalities") + tuple(f"inequalities/0/{f}" for f in _INEQUALITY_FIELDS),
+    "lhp": _HEADER + ("provenance", "u_param") + tuple(f"provenance/{field}" for field in _SIS_FIELDS),
+    "lhp_standalone": _HEADER + ("num_x", "u_param", "inequalities") + tuple(
+        f"inequalities/0/{f}" for f in _INEQUALITY_FIELDS),
     "lhp_assignment": _HEADER + ("x_values", "y_value", "delta_value"),
 }
 
 
 def _one_document_per_kind() -> dict:
-    """One document of each kind, by its kind; an SSAT document in each of its two forms."""
+    """One document of each kind, by its kind; an SSAT and an LHP document in each of their two forms."""
     ssat = shipped.load("ssat_share")
     sis = ssat_to_sis(ssat)
     objs = (shipped.load("lc_share"), Labeling({0: 1}, {10: 1}), ssat, SuperAssignment.from_rows(((1, 0), (1, 0))),
             sis, sis_to_ncp(sis, g=1), sis_to_lhp(sis), LhpAssignment.of((1, -2), 3, Fraction(1, 2)))
     docs = {doc["kind"]: doc for doc in map(to_document, objs)}
     docs["ssat_standalone"] = to_document(replace(ssat, provenance=None))
+    docs["lhp_standalone"] = to_document(replace(objs[6], provenance=None))
     assert docs.keys() == FIELDS.keys()
     return docs
 
@@ -488,7 +571,8 @@ ITEM_EXAMPLES = {
     "superassignment": {"/weights/0/0"},
     "sis": {"/matrix/0/0/0", "/matrix/0/0/1", "/target/0"},
     "ncp": {"/matrix/0/0/0", "/matrix/0/0/1", "/multiplicity/0"},
-    "lhp": {"/inequalities/0", "/inequalities/2/coeff_x/0/0", "/inequalities/2/coeff_x/0/1"},
+    "lhp": {"/provenance/matrix/0/0/0", "/provenance/matrix/0/0/1", "/provenance/target/0"},
+    "lhp_standalone": {"/inequalities/0", "/inequalities/2/coeff_x/0/0", "/inequalities/2/coeff_x/0/1"},
     "lhp_assignment": {"/x_values/0", "/x_values/1"},
 }
 
@@ -513,7 +597,8 @@ READ_ORDER = {
     "superassignment": ("weights",),
     "sis": ("num_cols", "matrix", "target", "bound"),
     "ncp": ("modulus", "num_cols", "matrix", "target", "bound", "replication", "multiplicity"),
-    "lhp": ("num_x", "u_param", "inequalities"),
+    "lhp": ("provenance", "u_param"),
+    "lhp_standalone": ("num_x", "u_param", "inequalities"),
     "lhp_assignment": ("x_values", "y_value", "delta_value"),
 }
 

@@ -31,7 +31,7 @@ COMMANDS = (
     ("ncp", ("--full-field",)),
     ("lhp", ()),
 )
-DIGEST = "0e5cfc798ff2389b6f836578272cb8b67675ef7b93193f9c38d803cde80b4675"
+DIGEST = "857e1df6168e636e17280fc75ef86a870497b9e635134dde0420e1d8442a3473"
 
 
 def cover(name):
